@@ -137,6 +137,7 @@ let run_lemma l =
 
 let run (lemmas : lemma list) : result =
   let t0 = Logic.Clock.now () in
+  let memo0 = V.memo_stats () in
   let outcomes =
     List.map
       (fun l ->
@@ -155,6 +156,10 @@ let run (lemmas : lemma list) : result =
         (l, o))
       lemmas
   in
+  if Telemetry.enabled () then
+    List.iter
+      (fun (name, by) -> Telemetry.count ~by name)
+      (Memo.counters "spec_memo" (Memo.diff (V.memo_stats ()) memo0));
   let proved =
     List.length (List.filter (fun (_, o) -> match o with Holds _ -> true | _ -> false) outcomes)
   in

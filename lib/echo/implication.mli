@@ -51,7 +51,9 @@ val empty : result
 
 val run : lemma list -> result
 (** Evaluate every lemma.  A lemma body that raises is recorded as
-    [Fails] — one blown lemma never aborts the suite. *)
+    [Fails] — one blown lemma never aborts the suite.  With telemetry
+    on, the run's use of {!Specl.Seval}'s application memo is published
+    as the [spec_memo_hits] / [_misses] / [_evictions] counters. *)
 
 val all_proved : result -> bool
 val pp_method : method_ Fmt.t

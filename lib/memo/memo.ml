@@ -1,0 +1,44 @@
+type ('k, 'v) t = {
+  cap : int;
+  tbl : ('k, 'v) Hashtbl.t;
+  order : 'k Queue.t;  (* insertion order, oldest first *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+}
+
+let create cap =
+  { cap = max 1 cap; tbl = Hashtbl.create (min cap 1024); order = Queue.create ();
+    hits = 0; misses = 0; evictions = 0 }
+
+let find t k compute =
+  match Hashtbl.find_opt t.tbl k with
+  | Some v ->
+      t.hits <- t.hits + 1;
+      v
+  | None ->
+      t.misses <- t.misses + 1;
+      let v = compute () in
+      (* a recursive [compute] may have stored [k] already *)
+      if not (Hashtbl.mem t.tbl k) then begin
+        if Hashtbl.length t.tbl >= t.cap then begin
+          Hashtbl.remove t.tbl (Queue.pop t.order);
+          t.evictions <- t.evictions + 1
+        end;
+        Hashtbl.add t.tbl k v;
+        Queue.push k t.order
+      end;
+      v
+
+type stats = { hits : int; misses : int; evictions : int }
+
+let stats (t : (_, _) t) =
+  { hits = t.hits; misses = t.misses; evictions = t.evictions }
+
+let diff a b =
+  { hits = a.hits - b.hits; misses = a.misses - b.misses;
+    evictions = a.evictions - b.evictions }
+
+let counters prefix s =
+  [ (prefix ^ "_hits", s.hits); (prefix ^ "_misses", s.misses);
+    (prefix ^ "_evictions", s.evictions) ]

@@ -1,0 +1,29 @@
+(** A bounded memo table with oldest-first eviction and hit, miss and
+    eviction counters.
+
+    Not synchronised: callers keep one table per domain (in
+    [Domain.DLS]), so no two domains ever touch the same table. *)
+
+type ('k, 'v) t
+
+val create : int -> ('k, 'v) t
+(** [create cap]: a table holding at most [cap] entries; adding to a
+    full table first drops the entry added longest ago. *)
+
+val find : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+(** [find t k compute]: the stored value for [k] (a hit), or [compute ()]
+    stored under [k] (a miss).  Keys are hashed and compared
+    structurally.  When [compute] raises, the exception propagates and
+    nothing is stored. *)
+
+type stats = { hits : int; misses : int; evictions : int }
+
+val stats : ('k, 'v) t -> stats
+(** Counters since the table was created. *)
+
+val diff : stats -> stats -> stats
+(** [diff later earlier]: the events between two readings. *)
+
+val counters : string -> stats -> (string * int) list
+(** [counters prefix s]: [prefix_hits], [prefix_misses] and
+    [prefix_evictions] with their values, for a metrics registry. *)

@@ -128,6 +128,12 @@ type program = {
 (* Lookup helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let decl_name = function
+  | Dtype (n, _) -> n
+  | Dconst c -> c.k_name
+  | Dvar v -> v.v_name
+  | Dsub s -> s.sub_name
+
 let subprograms program =
   List.filter_map
     (function Dsub s -> Some s | Dtype _ | Dconst _ | Dvar _ -> None)

@@ -121,6 +121,7 @@ type program = {
 
 (** {1 Lookup helpers} *)
 
+val decl_name : decl -> ident
 val subprograms : program -> subprogram list
 val find_sub : program -> ident -> subprogram option
 val find_sub_exn : program -> ident -> subprogram

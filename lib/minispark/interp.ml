@@ -567,6 +567,7 @@ let make ?(fuel = default_fuel) (env : Typecheck.env) (program : program) =
       rt
 
 let fresh_runtime ?fuel env program = make ?fuel env program
+let fuel_left rt = rt.fuel
 
 (** Call a function by name with OCaml-side argument values. *)
 let run_function rt name argv =

@@ -28,6 +28,10 @@ val make : ?fuel:int -> Typecheck.env -> Ast.program -> rt
 val fresh_runtime : ?fuel:int -> Typecheck.env -> Ast.program -> rt
 (** Alias of {!make}. *)
 
+val fuel_left : rt -> int
+(** Steps still available: the budget minus what global initialisation
+    consumed, for a runtime that has not run anything yet. *)
+
 val default_value : Typecheck.env -> Ast.typ -> Value.t
 (** Zero/default value of a type (range types default to their lower
     bound). *)

@@ -547,12 +547,6 @@ type surface =
   | Sf_obj of obj_kind * typ
   | Sf_sub of (param_mode * typ) list * typ option
 
-let decl_name = function
-  | Dtype (n, _) -> n
-  | Dconst c -> c.k_name
-  | Dvar v -> v.v_name
-  | Dsub s -> s.sub_name
-
 let sub_surface env s =
   Sf_sub
     ( List.map (fun p -> (p.par_mode, resolve env p.par_typ)) s.sub_params,

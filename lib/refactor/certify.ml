@@ -368,31 +368,27 @@ type oracle_outcome =
 
 let show_values vs = String.concat ", " (List.map Value.to_string vs)
 
-(* one differential trial; [None] = agreement *)
-let run_case cfg (env_a, prog_a) sub_a (env_b, prog_b) sub_b inputs =
-  let name = sub_b.Ast.sub_name in
+(* one differential trial over memoized runs of the two versions;
+   [None] = agreement *)
+let run_case ~run_a ~run_b name inputs =
   let cx before after =
     Some
       (`Cx { cx_sub = name; cx_inputs = show_values inputs;
              cx_before = before; cx_after = after })
   in
-  let run env prog sub = Equivalence.run_sub ~fuel:cfg.cf_fuel env prog sub inputs in
-  match run env_a prog_a sub_a with
-  | exception Interp.Out_of_fuel ->
+  match (run_a inputs : Equivalence.outcome) with
+  | R_fuel ->
       Some (`Undecided (Printf.sprintf "original %s exhausts the fuel bound" name))
-  | exception (Interp.Stuck msg | Value.Runtime_error msg) -> (
+  | R_raised msg -> (
       (* the original crashed on a valid input: compare failure behaviour *)
-      match run env_b prog_b sub_b with
-      | exception (Interp.Stuck _ | Value.Runtime_error _) -> None
-      | _ | (exception Interp.Out_of_fuel) ->
-          cx (Printf.sprintf "raised: %s" msg) "a result")
-  | ra -> (
-      match run env_b prog_b sub_b with
-      | exception Interp.Out_of_fuel ->
-          cx (show_values ra) "out of fuel (divergence introduced)"
-      | exception (Interp.Stuck msg | Value.Runtime_error msg) ->
-          cx (show_values ra) (Printf.sprintf "raised: %s" msg)
-      | rb ->
+      match (run_b inputs : Equivalence.outcome) with
+      | R_raised _ -> None
+      | R_vals _ | R_fuel -> cx (Printf.sprintf "raised: %s" msg) "a result")
+  | R_vals ra -> (
+      match (run_b inputs : Equivalence.outcome) with
+      | R_fuel -> cx (show_values ra) "out of fuel (divergence introduced)"
+      | R_raised msg -> cx (show_values ra) (Printf.sprintf "raised: %s" msg)
+      | R_vals rb ->
           if Equivalence.values_equal ra rb then None
           else cx (show_values ra) (show_values rb))
 
@@ -401,7 +397,9 @@ let oracle cfg ~trials (env_a, prog_a) (env_b, prog_b) name : oracle_outcome =
   | None, _ | _, None ->
       O_unknown (Printf.sprintf "%s is not present in both versions" name)
   | Some sub_a, Some sub_b -> (
-      let case inputs = run_case cfg (env_a, prog_a) sub_a (env_b, prog_b) sub_b inputs in
+      let run_a = Equivalence.runner ~fuel:cfg.cf_fuel env_a prog_a sub_a in
+      let run_b = Equivalence.runner ~fuel:cfg.cf_fuel env_b prog_b sub_b in
+      let case inputs = run_case ~run_a ~run_b name inputs in
       match Equivalence.enumerate_inputs env_b sub_b with
       | Some all ->
           (* small domain: decide by exhaustion *)

@@ -74,8 +74,9 @@ type stats = {
       (** wall seconds generating-and-discharging equivalence VCs —
           the part the proof cache can amortise *)
   ct_oracle_seconds : float;
-      (** wall seconds in differential interpreter runs — never cached,
-          so a warm run repays only [ct_vc_seconds] *)
+      (** wall seconds in differential interpreter runs — memoized
+          only within a process ({!Equivalence.runner}), never
+          persisted, so a warm proof cache repays only [ct_vc_seconds] *)
 }
 
 val zero_stats : stats

@@ -210,14 +210,16 @@ let values_equal a b =
 (* ------------------------------------------------------------------ *)
 (* Memoized oracle substrate                                           *)
 (*                                                                     *)
-(* In a transformation history, step k's after-program IS step k+1's   *)
-(* before-program (physically, thanks to the sharing-preserving        *)
-(* rewrite combinators), so every program version would otherwise be   *)
-(* executed twice on the same inputs — once as "after", once as        *)
-(* "before".  Generated inputs and per-case run outcomes are therefore *)
-(* memoized per domain, keyed by content digests: the before-side of   *)
-(* each step is a warm hit, and verdicts/messages are bit-identical to *)
-(* the unmemoized computation.                                         *)
+(* A refactoring history runs the same behaviour over and over: step  *)
+(* k's after-program is step k+1's before-program, and a step leaves  *)
+(* most subprograms untouched.  Runs are therefore memoized per domain *)
+(* on what can influence them — the target's behaviour closure (see   *)
+(* [closure_digest]), the fuel left after global initialisation and   *)
+(* the inputs — not on the whole program, so a run is reused across   *)
+(* program versions whose edits lie outside the closure.  Generated   *)
+(* inputs are memoized on the whole after-program.  Both tables share *)
+(* one bound and one oldest-first eviction rule; verdicts and         *)
+(* messages are bit-identical to the unmemoized computation.          *)
 (* ------------------------------------------------------------------ *)
 
 type cases =
@@ -230,21 +232,90 @@ type outcome =
   | R_raised of string
   | R_fuel
 
+let memo_cap = 512
+
 type memos = {
-  inputs_tbl : (string, cases) Hashtbl.t;
-  runs_tbl : (string, outcome array) Hashtbl.t;
+  inputs : (string, cases) Memo.t;
+  runs : (string, outcome) Memo.t;
 }
 
 let memos_key : memos Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { inputs_tbl = Hashtbl.create 128; runs_tbl = Hashtbl.create 512 })
+      { inputs = Memo.create memo_cap; runs = Memo.create memo_cap })
 
 let memos () = Domain.DLS.get memos_key
-let inputs_cap = 1024
-let runs_cap = 8192
+let run_memo_stats () = Memo.stats (memos ()).runs
 
 let marshal_digest x =
   Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
+
+(* Digest of every declaration a run of [name] can observe: the
+   declarations reachable from [name] through [Share.decl_refs] (every
+   declaration of a reached name, in program order, so whichever one the
+   interpreter resolves is covered), all type declarations (resolution
+   and coercion read them), and the closure of every global initialiser
+   that calls a subprogram (a call during global initialisation could
+   write a global the target reads).  Nothing else executes in a run
+   whose global initialisation succeeds. *)
+let closure_digest (prog : Ast.program) name =
+  let by_name = Hashtbl.create 64 in
+  List.iter (fun d -> Hashtbl.add by_name (Ast.decl_name d) d) prog.Ast.prog_decls;
+  let reached = Hashtbl.create 32 in
+  let rec visit n =
+    if not (Hashtbl.mem reached n) then begin
+      Hashtbl.replace reached n ();
+      List.iter
+        (fun d -> List.iter visit (Share.decl_refs d))
+        (Hashtbl.find_all by_name n)
+    end
+  in
+  let is_sub n =
+    List.exists
+      (function Ast.Dsub _ -> true | Ast.Dtype _ | Ast.Dconst _ | Ast.Dvar _ -> false)
+      (Hashtbl.find_all by_name n)
+  in
+  visit name;
+  List.iter
+    (fun d ->
+      match d with
+      | Ast.Dtype (n, _) -> visit n
+      | Ast.Dconst _ | Ast.Dvar _ ->
+          if List.exists is_sub (Share.decl_refs d) then visit (Ast.decl_name d)
+      | Ast.Dsub _ -> ())
+    prog.Ast.prog_decls;
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.filter_map
+             (fun d ->
+               if Hashtbl.mem reached (Ast.decl_name d) then Some (Share.decl_digest d)
+               else None)
+             prog.Ast.prog_decls)))
+
+let outcome_of run =
+  match run () with
+  | vs -> R_vals vs
+  | exception (Interp.Stuck msg | Value.Runtime_error msg) -> R_raised msg
+  | exception Interp.Out_of_fuel -> R_fuel
+
+(* [env] must be [prog]'s own type environment.  A run's outcome is a
+   function of its key: fuel only bounds the work, and a memo hit skips
+   the run's fuel as Interp's const-function memo already does.  When
+   global initialisation fails every run fails the same way, unmemoized. *)
+let runner ?fuel env prog (sub : Ast.subprogram) : Value.t list -> outcome =
+  let run inputs = outcome_of (fun () -> run_sub ?fuel env prog sub inputs) in
+  match Interp.make ?fuel env prog with
+  | exception (Interp.Stuck _ | Value.Runtime_error _ | Interp.Out_of_fuel) -> run
+  | rt ->
+      let prefix =
+        Printf.sprintf "%s:%s:%d:" sub.Ast.sub_name
+          (closure_digest prog sub.Ast.sub_name)
+          (Interp.fuel_left rt)
+      in
+      fun inputs ->
+        Memo.find (memos ()).runs
+          (prefix ^ marshal_digest inputs)
+          (fun () -> run inputs)
 
 (* inputs are generated from the *after* version's parameter types: a
    data-representation refactoring narrows value domains (word holding a
@@ -252,59 +323,25 @@ let marshal_digest x =
    versions must agree on; the interpreter's copy-in coercion widens the
    values losslessly for the before version *)
 let cases_for ~seed ~trials env_b prog_b (sub_b : Ast.subprogram) name : cases =
-  let m = memos () in
   let key =
     Printf.sprintf "%s:%s:%d:%d" (Share.program_digest prog_b) name seed trials
   in
-  match Hashtbl.find_opt m.inputs_tbl key with
-  | Some c -> c
-  | None ->
-      let c =
-        match enumerate_inputs env_b sub_b with
-        | Some cases ->
-            C_exhaustive (List.filter (satisfies_pre env_b prog_b sub_b) cases)
-        | None ->
-            let rng = make_rng seed in
-            let rec go k acc rejections =
-              if k >= trials then C_sampled (List.rev acc)
-              else if rejections > 200 * trials then C_cannot_sample
-              else
-                let inputs = random_inputs env_b rng sub_b in
-                if satisfies_pre env_b prog_b sub_b inputs then
-                  go (k + 1) (inputs :: acc) rejections
-                else go k acc (rejections + 1)
-            in
-            go 0 [] 0
-      in
-      if Hashtbl.length m.inputs_tbl >= inputs_cap then
-        Hashtbl.reset m.inputs_tbl;
-      Hashtbl.add m.inputs_tbl key c;
-      c
-
-let runs_for ?fuel env prog (sub : Ast.subprogram) name cases_digest cases :
-    outcome array =
-  let m = memos () in
-  let key =
-    Printf.sprintf "%s:%s:%s:%d" (Share.program_digest prog) name cases_digest
-      (match fuel with None -> -1 | Some f -> f)
-  in
-  match Hashtbl.find_opt m.runs_tbl key with
-  | Some o -> o
-  | None ->
-      let o =
-        Array.of_list
-          (List.map
-             (fun inputs ->
-               match run_sub ?fuel env prog sub inputs with
-               | vs -> R_vals vs
-               | exception (Interp.Stuck msg | Value.Runtime_error msg) ->
-                   R_raised msg
-               | exception Interp.Out_of_fuel -> R_fuel)
-             cases)
-      in
-      if Hashtbl.length m.runs_tbl >= runs_cap then Hashtbl.reset m.runs_tbl;
-      Hashtbl.add m.runs_tbl key o;
-      o
+  Memo.find (memos ()).inputs key (fun () ->
+      match enumerate_inputs env_b sub_b with
+      | Some cases ->
+          C_exhaustive (List.filter (satisfies_pre env_b prog_b sub_b) cases)
+      | None ->
+          let rng = make_rng seed in
+          let rec go k acc rejections =
+            if k >= trials then C_sampled (List.rev acc)
+            else if rejections > 200 * trials then C_cannot_sample
+            else
+              let inputs = random_inputs env_b rng sub_b in
+              if satisfies_pre env_b prog_b sub_b inputs then
+                go (k + 1) (inputs :: acc) rejections
+              else go k acc (rejections + 1)
+          in
+          go 0 [] 0)
 
 (** Differentially check one subprogram across two program versions.  The
     subprogram (same name) must exist in both; inputs are exhaustive when
@@ -317,9 +354,8 @@ let check_sub ?(seed = 42) ?(trials = 64) ?fuel env_a prog_a env_b prog_b name :
   | C_cannot_sample ->
       Counterexample (Printf.sprintf "cannot sample the precondition of %s" name)
   | C_exhaustive cases | C_sampled cases ->
-      let cases_digest = marshal_digest cases in
-      let outs_a = runs_for ?fuel env_a prog_a sub_a name cases_digest cases in
-      let outs_b = runs_for ?fuel env_b prog_b sub_b name cases_digest cases in
+      let run_a = runner ?fuel env_a prog_a sub_a in
+      let run_b = runner ?fuel env_b prog_b sub_b in
       let msg_raised m = Printf.sprintf "%s raised: %s" name m in
       let msg_fuel inputs =
         Printf.sprintf "%s(%s): out of fuel (divergence suspected)" name
@@ -333,25 +369,25 @@ let check_sub ?(seed = 42) ?(trials = 64) ?fuel env_a prog_a env_b prog_b name :
       in
       (* the after version is inspected first, matching the historical
          right-to-left evaluation of the compared pair *)
-      let case_failure i inputs =
-        match outs_b.(i) with
+      let case_failure inputs =
+        match run_b inputs with
         | R_raised m -> Some (msg_raised m)
         | R_fuel -> Some (msg_fuel inputs)
         | R_vals rb -> (
-            match outs_a.(i) with
+            match run_a inputs with
             | R_raised m -> Some (msg_raised m)
             | R_fuel -> Some (msg_fuel inputs)
             | R_vals ra ->
                 if values_equal ra rb then None else Some (msg_diff inputs ra rb))
       in
-      let rec scan i = function
+      let rec scan = function
         | [] -> Equivalent (List.length cases)
         | inputs :: rest -> (
-            match case_failure i inputs with
+            match case_failure inputs with
             | Some msg -> Counterexample msg
-            | None -> scan (i + 1) rest)
+            | None -> scan rest)
       in
-      scan 0 cases
+      scan cases
 
 (** Differentially check a whole program through the given entry points. *)
 let check_program ?(seed = 42) ?(trials = 32) ?fuel ~entries env_a prog_a env_b

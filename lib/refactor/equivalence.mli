@@ -38,7 +38,7 @@ val check_expr_table :
 
     Shared with {!Certify}'s differential fuzzing oracle: precondition
     sampling domains, exhaustive enumeration for small domains, and
-    fuel-bounded execution of one subprogram. *)
+    memoized fuel-bounded execution of one subprogram. *)
 
 type domain =
   | Dmember of int list        (** x = a or x = b or ... *)
@@ -57,10 +57,24 @@ val enumerate_inputs :
 (** All input tuples when the input domain has at most [limit] (default
     4096) points; [None] otherwise. *)
 
-val run_sub :
+type outcome =
+  | R_vals of Value.t list  (** a function's result, or the final out /
+                                in-out parameter values of a procedure *)
+  | R_raised of string      (** a runtime error, with its message *)
+  | R_fuel                  (** the fuel bound ran out *)
+
+val runner :
   ?fuel:int ->
-  Typecheck.env -> Ast.program -> Ast.subprogram -> Value.t list -> Value.t list
-(** Run one subprogram on concrete inputs: a function's result, or the
-    final out / in-out parameter values of a procedure. *)
+  Typecheck.env -> Ast.program -> Ast.subprogram -> Value.t list -> outcome
+(** [runner env prog sub] runs [sub] of [prog] on concrete inputs, each
+    run memoized per domain under the target's behaviour closure (its
+    name, the digests of every declaration reachable from it, all type
+    declarations), the fuel left after global initialisation and the
+    inputs — so an edit elsewhere in the program reuses the run.  [env]
+    must be [prog]'s own type environment.  Both the differential checks
+    here and {!Certify}'s oracle run through it. *)
+
+val run_memo_stats : unit -> Memo.stats
+(** Hits, misses and evictions of the calling domain's run memo. *)
 
 val values_equal : Value.t list -> Value.t list -> bool

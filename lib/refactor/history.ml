@@ -42,10 +42,7 @@ let current h = h.current
 let step_count h = List.length h.steps
 let steps h = List.rev h.steps
 
-(** Apply a transformation, with differential-equivalence evidence over the
-    given entry points, and record the step.  Raises
-    [Transform.Not_applicable] (state unchanged) on rejection. *)
-let apply ?(entries = []) ?(trials = 24) ?certify h (tr : Transform.t) =
+let apply_step ?(entries = []) ?(trials = 24) ?certify h (tr : Transform.t) =
   let env, program = h.current in
   let span =
     Telemetry.start_span ~cat:Telemetry.cat_transform
@@ -129,6 +126,21 @@ let apply ?(entries = []) ?(trials = 24) ?certify h (tr : Transform.t) =
   h.steps <- step :: h.steps;
   h.current <- (env', program');
   step
+
+(** Apply a transformation, with differential-equivalence evidence over the
+    given entry points, and record the step.  Raises
+    [Transform.Not_applicable] (state unchanged) on rejection. *)
+let apply ?entries ?trials ?certify h tr =
+  if not (Telemetry.enabled ()) then apply_step ?entries ?trials ?certify h tr
+  else
+    let m0 = Equivalence.run_memo_stats () in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun (name, by) -> Telemetry.count ~by name)
+          (Memo.counters "oracle_memo"
+             (Memo.diff (Equivalence.run_memo_stats ()) m0)))
+      (fun () -> apply_step ?entries ?trials ?certify h tr)
 
 (** Append an externally constructed step — a parallel block merge
     (see {!Parblocks}) — and advance the current state to its after-image.

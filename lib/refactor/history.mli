@@ -42,7 +42,10 @@ val apply :
     subprogram (equivalence VCs + differential oracle, see {!Certify});
     the certificate is recorded on the step, and a refuted step raises
     {!Certify.Refutation} with the state unchanged.  [entries] seeds the
-    certification config's entry points when it has none.
+    certification config's entry points when it has none.  With
+    telemetry on, the step's use of {!Equivalence.runner}'s memo is
+    published as the [oracle_memo_hits] / [_misses] / [_evictions]
+    counters.
     @raise Transform.Not_applicable on mechanical rejection (state
     unchanged). *)
 

@@ -43,12 +43,6 @@ let plan specs =
   in
   match specs with [] -> [] | s :: rest -> go [] [ s ] rest
 
-let decl_name = function
-  | Ast.Dtype (n, _) -> n
-  | Ast.Dconst c -> c.Ast.k_name
-  | Ast.Dvar v -> v.Ast.v_name
-  | Ast.Dsub s -> s.Ast.sub_name
-
 (* Graft one worker step onto the merged state: the step's declaration
    delta (removed / replaced / added names) is applied to the current
    merged program, re-checked incrementally, and recorded with the
@@ -60,17 +54,17 @@ let graft_step h (ws : History.step) =
   let env_m, m = History.current h in
   let before = ws.History.st_before.Ast.prog_decls in
   let after = ws.History.st_after.Ast.prog_decls in
-  let before_names = List.map decl_name before in
-  let after_names = List.map decl_name after in
+  let before_names = List.map Ast.decl_name before in
+  let after_names = List.map Ast.decl_name after in
   let removed =
     List.filter (fun n -> not (List.mem n after_names)) before_names
   in
   let changed =
     List.filter_map
       (fun d ->
-        let n = decl_name d in
+        let n = Ast.decl_name d in
         match
-          List.find_opt (fun d0 -> String.equal (decl_name d0) n) before
+          List.find_opt (fun d0 -> String.equal (Ast.decl_name d0) n) before
         with
         (* physical identity is only a fast path: a transform that runs a
            full re-check (replace_body) can rebuild untouched declarations
@@ -81,12 +75,12 @@ let graft_step h (ws : History.step) =
       after
   in
   let added =
-    List.filter (fun d -> not (List.mem (decl_name d) before_names)) after
+    List.filter (fun d -> not (List.mem (Ast.decl_name d) before_names)) after
   in
   let decls =
     List.filter_map
       (fun d ->
-        let n = decl_name d in
+        let n = Ast.decl_name d in
         if List.mem n removed then None
         else
           match List.assoc_opt n changed with
@@ -95,13 +89,13 @@ let graft_step h (ws : History.step) =
       m.Ast.prog_decls
   in
   let insert decls (d : Ast.decl) =
-    let n = decl_name d in
+    let n = Ast.decl_name d in
     let rec names_following = function
       | [] -> []
-      | d0 :: rest when String.equal (decl_name d0) n -> List.map decl_name rest
+      | d0 :: rest when String.equal (Ast.decl_name d0) n -> List.map Ast.decl_name rest
       | _ :: rest -> names_following rest
     in
-    let present = List.map decl_name decls in
+    let present = List.map Ast.decl_name decls in
     match
       List.find_opt (fun a -> List.mem a present) (names_following after)
     with
@@ -109,7 +103,7 @@ let graft_step h (ws : History.step) =
     | Some anchor ->
         let rec go = function
           | [] -> [ d ]
-          | d0 :: rest when String.equal (decl_name d0) anchor -> d :: d0 :: rest
+          | d0 :: rest when String.equal (Ast.decl_name d0) anchor -> d :: d0 :: rest
           | d0 :: rest -> d0 :: go rest
         in
         go decls

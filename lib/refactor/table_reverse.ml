@@ -22,14 +22,8 @@ let reverse ~table ~index_var ~replacement ?(helpers = []) () =
     (fun env0 program ->
       let baseline = (env0, program) in
       (* 1. install helpers so the replacement is interpretable *)
-      let decl_name = function
-        | Ast.Dtype (n, _) -> n
-        | Ast.Dconst c -> c.Ast.k_name
-        | Ast.Dvar v -> v.Ast.v_name
-        | Ast.Dsub s -> s.Ast.sub_name
-      in
       let already_declared program name =
-        List.exists (fun d -> String.equal (decl_name d) name) program.Ast.prog_decls
+        List.exists (fun d -> String.equal (Ast.decl_name d) name) program.Ast.prog_decls
       in
       (* helpers go, in order, before the first *original* subprogram so
          every later declaration (and helpers further down the list) can
@@ -42,7 +36,7 @@ let reverse ~table ~index_var ~replacement ?(helpers = []) () =
       let program =
         List.fold_left
           (fun program (decl : Ast.decl) ->
-            if already_declared program (decl_name decl) then program
+            if already_declared program (Ast.decl_name decl) then program
             else Ast.insert_decl_before program ~anchor decl)
           program helpers
       in

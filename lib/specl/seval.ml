@@ -51,6 +51,43 @@ type env = {
 
 let make ?(fuel = default_fuel) theory = { theory; fuel }
 
+(* Applications of a definition to scalar arguments (0-ary tables and
+   constants included) are memoized per domain and per physical theory:
+   definitions are pure and closed — a body sees only its parameters and
+   the theory — so the value is a function of (theory, name, arguments).
+   A hit skips the body's fuel, as Interp's const-function memo does;
+   a body that raises (fuel exhaustion included) is never stored.
+   Theories are told apart by physical identity through a short list of
+   recently seen ones, each given a fresh id, so a dropped theory's
+   entries can never be confused with a newer theory's and simply age
+   out of the bounded table. *)
+let memo_cap = 65_536
+let theories_cap = 16
+
+type memo = {
+  mutable theories : (theory * int) list;  (* newest first *)
+  mutable next_id : int;
+  apps : (int * string * value list, value) Memo.t;
+}
+
+let memo_key : memo Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { theories = []; next_id = 0; apps = Memo.create memo_cap })
+
+let theory_id m th =
+  match List.assq_opt th m.theories with
+  | Some id -> id
+  | None ->
+      let id = m.next_id in
+      m.next_id <- id + 1;
+      m.theories <-
+        (th, id) :: List.filteri (fun i _ -> i < theories_cap - 1) m.theories;
+      id
+
+let memo_stats () = Memo.stats (Domain.DLS.get memo_key).apps
+
+let scalar = function Vint _ | Vbool _ -> true | Varr _ | Vtup _ -> false
+
 let prim_eval p args =
   match (p, args) with
   | Padd, [ a; b ] -> Vint (as_int a + as_int b)
@@ -96,7 +133,7 @@ let rec eval env bindings e =
       | None -> (
           (* 0-ary definitions (tables, named constants) *)
           match find_def env.theory x with
-          | Some d when d.sd_params = [] -> eval env [] d.sd_body
+          | Some d when d.sd_params = [] -> apply_def env d []
           | _ -> error "unbound specification variable %s" x))
   | Sif (c, a, b) -> if as_bool (eval env bindings c) then eval env bindings a else eval env bindings b
   | Slet (x, a, b) ->
@@ -109,9 +146,7 @@ let rec eval env bindings e =
       | Some d ->
           if List.length d.sd_params <> List.length args then
             error "arity mismatch applying %s" name;
-          let argv = List.map (eval env bindings) args in
-          let frame = List.map2 (fun (p, _) v -> (p, v)) d.sd_params argv in
-          eval env frame d.sd_body)
+          apply_def env d (List.map (eval env bindings) args))
   | Sarray_lit (lo, es) ->
       Varr (lo, Array.of_list (List.map (eval env bindings) es))
   | Sindex (a, i) -> (
@@ -150,13 +185,22 @@ let rec eval env bindings e =
       in
       go lo (eval env bindings f.f_init)
 
+(* [argv] has the definition's arity *)
+and apply_def env d argv =
+  let body () =
+    eval env (List.map2 (fun (p, _) v -> (p, v)) d.sd_params argv) d.sd_body
+  in
+  if List.for_all scalar argv then
+    let m = Domain.DLS.get memo_key in
+    Memo.find m.apps (theory_id m env.theory, d.sd_name, argv) body
+  else body ()
+
 (** Apply a named definition to values. *)
 let apply env name argv =
   let d = find_def_exn env.theory name in
   if List.length d.sd_params <> List.length argv then
     error "arity mismatch applying %s" name;
-  let frame = List.map2 (fun (p, _) v -> (p, v)) d.sd_params argv in
-  eval env frame d.sd_body
+  apply_def env d argv
 
 (** Default value of a type — for building sample inputs. *)
 let rec default env t =

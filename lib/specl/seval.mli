@@ -43,7 +43,17 @@ val eval : env -> (string * value) list -> Sast.sexpr -> value
     indexing, or fuel exhaustion. *)
 
 val apply : env -> string -> value list -> value
-(** Apply a named definition to argument values. *)
+(** Apply a named definition to argument values.
+
+    Here and in {!eval}, an application whose arguments are all scalar
+    ([Vint] / [Vbool]; 0-ary tables and constants included) is memoized
+    per domain and physical theory in a bounded table: a repeated one
+    returns the stored value without spending fuel, and an application
+    that raises is never stored. *)
+
+val memo_stats : unit -> Memo.stats
+(** Hits, misses and evictions of the calling domain's application
+    memo. *)
 
 val default : env -> Sast.styp -> value
 (** Default value of a type — for building sample inputs. *)

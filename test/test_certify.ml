@@ -143,6 +143,104 @@ let test_vc_cache_reuse () =
   Alcotest.(check int) "warm run no misses" 0 s2.C.ct_cache_misses
 
 (* ------------------------------------------------------------------ *)
+(* Oracle run memo: the key covers the target's behaviour closure       *)
+(* ------------------------------------------------------------------ *)
+
+module E = Refactor.Equivalence
+
+(* a freshly spawned domain starts with empty per-domain memos *)
+let cold f = Domain.join (Domain.spawn f)
+
+let closure_src =
+  {|
+program closure is
+
+  type small is range 0 .. 15;
+  k : constant integer := 3;
+
+  function g (x : in integer) return integer
+  is
+  begin
+    return x + 1;
+  end g;
+
+  function f (x : in small) return integer
+  is
+    t : small;
+  begin
+    return g (x) + k + t;
+  end f;
+
+  function u (x : in integer) return integer
+  is
+  begin
+    return x * 2;
+  end u;
+
+end closure;
+|}
+
+(* each edit leaves [f]'s own declaration untouched but changes what a run
+   of [f] computes; a run memo keyed on [f]'s declaration alone would
+   answer the edited version with the original's results *)
+let closure_edits =
+  [
+    ("callee g", "return x + 1;", "return x + 2;");
+    ("global constant k", "k : constant integer := 3;", "k : constant integer := 4;");
+    (* shifts the default value of f's local [t] *)
+    ("range type of f's parameter", "type small is range 0 .. 15;",
+     "type small is range 1 .. 15;");
+  ]
+
+let check_f before after () =
+  match E.check_sub (fst before) (snd before) (fst after) (snd after) "f" with
+  | E.Equivalent n -> Printf.sprintf "equivalent %d" n
+  | E.Counterexample msg -> msg
+
+let test_closure_key_soundness () =
+  let before = check_src closure_src in
+  let cfg = C.default_config ~entries:[ "f" ] () in
+  List.iter
+    (fun (what, find, by) ->
+      let after = check_src (Str_replace.replace closure_src ~find ~by) in
+      let certify () =
+        C.describe (fst (C.certify cfg ~step_name:what ~before ~after))
+      in
+      let cold_sub = cold (check_f before after) and cold_cert = cold certify in
+      Alcotest.(check bool)
+        (what ^ ": cold check_sub refutes") false
+        (Astring.String.is_prefix ~affix:"equivalent" cold_sub);
+      Alcotest.(check bool)
+        (what ^ ": cold certificate refutes") true
+        (Astring.String.is_prefix ~affix:"refuted" cold_cert);
+      (* warm: the original's runs of f are memoized first *)
+      ignore (check_f before before ());
+      for _ = 1 to 2 do
+        Alcotest.(check string) (what ^ ": warm check_sub = cold") cold_sub
+          (check_f before after ());
+        Alcotest.(check string) (what ^ ": warm certificate = cold") cold_cert
+          (certify ())
+      done)
+    closure_edits
+
+let test_closure_key_reuse () =
+  let before = check_src closure_src in
+  let after =
+    check_src (Str_replace.replace closure_src ~find:"return x * 2;" ~by:"return x * 3;")
+  in
+  let hits, misses, verdict =
+    cold (fun () ->
+        let s0 = E.run_memo_stats () in
+        let verdict = check_f before after () in
+        let d = Memo.diff (E.run_memo_stats ()) s0 in
+        (d.Memo.hits, d.Memo.misses, verdict))
+  in
+  Alcotest.(check string) "unrelated edit keeps f equivalent" "equivalent 16" verdict;
+  (* per input: the edited version's run misses, the original's hits it *)
+  Alcotest.(check int) "one miss per input" 16 misses;
+  Alcotest.(check int) "one hit per input" 16 hits
+
+(* ------------------------------------------------------------------ *)
 (* Seeded defect corpus: every real defect must be refuted              *)
 (* ------------------------------------------------------------------ *)
 
@@ -258,13 +356,26 @@ let test_orchestrated_refutation_is_certification_fault () =
       Alcotest.(check int) "exit code 7" 7 (Echo.Fault.exit_code f)
   | v -> Alcotest.failf "expected Failed (Certification), got %a" O.pp_verdict v
 
-(* the ISSUE acceptance bar: every step of the full AES script yields a
-   recorded certificate and every one is Certified *)
+(* the acceptance bar: every step of the full AES script yields a
+   recorded certificate and every one is Certified — and the oracle's
+   memos change nothing: two runs in this process (the second fully
+   warm) and one in a fresh domain (cold memos) agree exactly *)
 let test_aes_script_fully_certified () =
   let cfg = C.default_config ~entries:[ "encrypt_block"; "decrypt_block" ] () in
-  let _, h = Aes.Aes_refactoring.run ~certify:cfg () in
+  let certify () =
+    let _, h = Aes.Aes_refactoring.run ~certify:cfg () in
+    ( h,
+      Refactor.History.certificates h,
+      (Refactor.History.certification_stats h).C.ct_oracle_trials )
+  in
+  let h, certs, trials = certify () in
+  let _, certs_warm, trials_warm = certify () in
+  let _, certs_cold, trials_cold = cold certify in
+  Alcotest.(check bool) "warm certificates = first run" true (certs_warm = certs);
+  Alcotest.(check bool) "cold certificates = first run" true (certs_cold = certs);
+  Alcotest.(check int) "warm oracle trials" trials trials_warm;
+  Alcotest.(check int) "cold oracle trials" trials trials_cold;
   let steps = Refactor.History.step_count h in
-  let certs = Refactor.History.certificates h in
   Alcotest.(check bool) "the paper's full script (>= 50 steps)" true (steps >= 50);
   Alcotest.(check int) "every step carries a certificate" steps (List.length certs);
   List.iter
@@ -294,6 +405,10 @@ let suites =
           test_zero_trials_is_unknown;
         Alcotest.test_case "VC cache makes re-certification free" `Quick
           test_vc_cache_reuse;
+        Alcotest.test_case "run memo key covers the behaviour closure" `Quick
+          test_closure_key_soundness;
+        Alcotest.test_case "run memo reused across an unrelated edit" `Quick
+          test_closure_key_reuse;
         Alcotest.test_case "seeded defects are refuted" `Slow test_defect_corpus;
       ] );
     ( "certify:echo",

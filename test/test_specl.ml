@@ -67,6 +67,21 @@ let test_eval_fuel () =
       Alcotest.(check bool) "fuel message" true (Astring.String.is_infix ~affix:"fuel" m)
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
+(* scalar applications are memoized per domain; a freshly spawned domain
+   starts cold *)
+let test_eval_memo_warm_cold () =
+  let apply env = V.as_int (V.apply env "double" [ V.Vint 77 ]) in
+  let cold = Domain.join (Domain.spawn (fun () -> apply (env ()))) in
+  let first = apply (env ()) in
+  let s0 = V.memo_stats () in
+  let warm_env = V.make ~fuel:1000 tiny_theory in
+  let warm = apply warm_env in
+  Alcotest.(check int) "cold value" 154 cold;
+  Alcotest.(check int) "warm = cold" cold warm;
+  Alcotest.(check int) "first = cold" cold first;
+  Alcotest.(check int) "a memo hit" 1 (Memo.diff (V.memo_stats ()) s0).Memo.hits;
+  Alcotest.(check int) "a hit spends no fuel" 1000 warm_env.V.fuel
+
 let test_printer () =
   let s = Specl.Spretty.theory_to_string tiny_theory in
   List.iter
@@ -124,6 +139,8 @@ let suites =
         Alcotest.test_case "tabulate" `Quick test_eval_tabulate;
         Alcotest.test_case "functional update" `Quick test_eval_update;
         Alcotest.test_case "recursion fuel" `Quick test_eval_fuel;
+        Alcotest.test_case "scalar application memo: warm = cold" `Quick
+          test_eval_memo_warm_cold;
         Alcotest.test_case "PVS-style printer" `Quick test_printer;
         Alcotest.test_case "match ratio: identity" `Quick test_match_ratio_identity;
         Alcotest.test_case "match ratio: partial" `Quick test_match_ratio_partial;
