@@ -384,55 +384,6 @@ let profile_artifacts events (r : Echo.Orchestrator.report) =
       pr5_baseline_seconds /. refactor_stage_seconds
     else 0.0
   in
-  (* the identity gate for the parallel block runner: same script, once
-     sequential and once on 2 domains, must agree on the final program,
-     every step (name, evidence, after-state), and every per-block
-     snapshot — with the KAT gate live on both sides (it raises on any
-     vector mismatch, so reaching the comparison means both passed) *)
-  let digest p = Minispark.Share.program_digest p in
-  let t0 = Unix.gettimeofday () in
-  let snap_s, h_s = Aes.Aes_refactoring.run () in
-  let seq_seconds = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let snap_p, h_p = Aes.Aes_refactoring.run_parallel ~jobs:2 () in
-  let par_seconds = Unix.gettimeofday () -. t0 in
-  let _, p_s = Refactor.History.current h_s in
-  let _, p_p = Refactor.History.current h_p in
-  let digest_match = String.equal (digest p_s) (digest p_p) in
-  let steps_s = Refactor.History.steps h_s
-  and steps_p = Refactor.History.steps h_p in
-  let steps_match =
-    List.length steps_s = List.length steps_p
-    && List.for_all2
-         (fun (a : Refactor.History.step) (b : Refactor.History.step) ->
-           String.equal a.Refactor.History.st_name b.Refactor.History.st_name
-           && a.Refactor.History.st_index = b.Refactor.History.st_index
-           && String.equal
-                (digest a.Refactor.History.st_after)
-                (digest b.Refactor.History.st_after))
-         steps_s steps_p
-  in
-  let evidence_match =
-    List.length steps_s = List.length steps_p
-    && List.for_all2
-         (fun (a : Refactor.History.step) (b : Refactor.History.step) ->
-           a.Refactor.History.st_evidence = b.Refactor.History.st_evidence)
-         steps_s steps_p
-  in
-  let snapshots_match =
-    List.length snap_s = List.length snap_p
-    && List.for_all2
-         (fun (a : Aes.Aes_refactoring.snapshot) (b : Aes.Aes_refactoring.snapshot) ->
-           a.Aes.Aes_refactoring.sn_block = b.Aes.Aes_refactoring.sn_block
-           && String.equal
-                (digest a.Aes.Aes_refactoring.sn_program)
-                (digest b.Aes.Aes_refactoring.sn_program))
-         snap_s snap_p
-  in
-  Fmt.pr
-    "  parallel identity: seq %.2fs, jobs=2 %.2fs — digest %b, steps %b, evidence %b, snapshots %b@."
-    seq_seconds par_seconds digest_match steps_match evidence_match
-    snapshots_match;
   let json =
     Printf.sprintf
       {|{
@@ -448,27 +399,13 @@ let profile_artifacts events (r : Echo.Orchestrator.report) =
   "kat_gate_seconds": %.4f,
   "other_seconds": %.4f,
   "coverage_pct": %.1f,
-  "attributed_pct": %.1f,
-  "parallel": {
-    "jobs": 2,
-    "sequential_seconds": %.3f,
-    "parallel_seconds": %.3f,
-    "speedup": %.2f,
-    "digest_match": %b,
-    "steps_match": %b,
-    "evidence_match": %b,
-    "snapshots_match": %b,
-    "kat_gate_passed": true
-  }
+  "attributed_pct": %.1f
 }
 |}
       (json_escape r.Echo.Orchestrator.o_case)
       refactor_stage_seconds steps_per_sec pr5_baseline_seconds speedup_vs_pr5
       (String.concat ",\n" (List.map cat_obj cats))
       cats_total kat_gate_seconds other_seconds coverage_pct attributed_pct
-      seq_seconds par_seconds
-      (seq_seconds /. Float.max 1e-9 par_seconds)
-      digest_match steps_match evidence_match snapshots_match
   in
   let oc = open_out "BENCH_refactor.json" in
   output_string oc json;

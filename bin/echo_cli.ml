@@ -78,18 +78,7 @@ let cmd_analyze path json no_vcs () =
       if json then
         print_endline (Telemetry.Json.to_string (Analysis.Examiner.to_json an))
       else Fmt.pr "%a" Analysis.Examiner.pp an;
-      let errs = Analysis.Examiner.errors an in
-      if errs > 0 then
-        let first =
-          match
-            List.filter
-              (fun d -> d.Analysis.Diag.d_severity = Analysis.Diag.Error)
-              (Analysis.Examiner.diags an)
-          with
-          | d :: _ -> Fmt.str "%a" Analysis.Diag.pp d
-          | [] -> ""
-        in
-        raise (Echo.Fault.Fault (Echo.Fault.Analysis { errors = errs; first })))
+      Echo.Verify.analysis_gate an)
 
 (* `impact OLD NEW`: change-impact analysis between two versions of a
    program — semantic diff, dependency-graph escalation, and (unless

@@ -45,6 +45,3 @@ let case_study : Echo.Pipeline.case_study =
     cs_synonyms = Aes_implication.synonyms;
     cs_lemmas = Aes_implication.lemmas;
   }
-
-(** Run the whole §6 verification of AES in one call. *)
-let verify () = Echo.Pipeline.run case_study

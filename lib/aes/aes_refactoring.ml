@@ -375,10 +375,6 @@ let key_expand_body stride total rcon_tail =
 type block = {
   b_index : int;
   b_title : string;
-  b_touches : string list;
-      (** declarations the block adds, modifies or removes; ["*"] =
-          potentially everything *)
-  b_reads : string list;  (** declarations read but left unchanged *)
   b_run : H.t -> unit;
 }
 
@@ -694,77 +690,34 @@ let block14 h =
     (Refactor.Split_procedure.split ~proc:"key_setup_dec" ~from:2 ~len:1
        ~new_name:"apply_inv_mix_columns")
 
-(* Declared footprints drive {!Refactor.Parblocks.plan}: blocks whose
-   touches/reads are mutually disjoint run on parallel domains.  ["*"]
-   means "potentially everything" (type restructurings, program-wide table
-   reversal, program-wide clone scans) and is never grouped. *)
 let blocks =
   [ { b_index = 1; b_title = "loop rerolling for the major encrypt/decrypt loops";
-      b_touches = [ "encrypt"; "decrypt" ]; b_reads = [];
       b_run = block1 };
     { b_index = 2; b_title = "reversal of word packing";
-      b_touches = [ "*" ]; b_reads = [];
       b_run = block2 };
     { b_index = 3; b_title = "reversal of table lookups";
-      b_touches = [ "*" ]; b_reads = [];
       b_run = block3 };
     { b_index = 4; b_title = "packing four words into a state";
-      b_touches = [ "state"; "encrypt"; "decrypt" ];
-      b_reads = [ "word_b"; "key_setup_enc" ];
       b_run = block4 };
     { b_index = 5; b_title = "reversal of the inlining of the round functions";
-      b_touches =
-        [ "encrypt"; "decrypt"; "enc_round"; "enc_final_round"; "dec_round";
-          "dec_final_round" ];
-      b_reads = [ "*" ]  (* the clone scan walks every subprogram body *);
       b_run = block5 };
     { b_index = 6; b_title = "revealing the three key-size paths; procedure splitting";
-      b_touches =
-        [ "key_setup_enc"; "key_expand_128"; "key_expand_192"; "key_expand_256" ];
-      b_reads = [ "key_bytes"; "sched_t"; "word_b" ];
       b_run = block6 };
     { b_index = 7; b_title = "reversal of the inlining of key-expansion helpers";
-      b_touches =
-        [ "rot_word"; "sub_word"; "xor_word"; "key_expand_128"; "key_expand_192";
-          "key_expand_256" ];
-      b_reads = [ "rcon"; "sbox"; "byte"; "word_b"; "key_bytes"; "sched_t" ];
       b_run = block7 };
     { b_index = 8; b_title = "adjustment of loop forms (guarded rounds absorbed)";
-      b_touches = [ "encrypt"; "decrypt" ]; b_reads = [];
       b_run = block8 };
     { b_index = 9; b_title = "reversal of additional inlined functions (round stages)";
-      b_touches =
-        [ "sub_bytes"; "inv_sub_bytes"; "shift_rows"; "inv_shift_rows";
-          "mix_columns"; "inv_mix_columns"; "add_round_key"; "enc_round";
-          "enc_final_round"; "dec_round"; "dec_final_round" ];
-      b_reads = [ "sbox"; "inv_sbox"; "gf_mul"; "state"; "word_b"; "byte" ];
       b_run = block9 };
     { b_index = 10; b_title = "loop rerolling for sequential state updates";
-      b_touches = [ "encrypt"; "decrypt" ]; b_reads = [];
       b_run = block10 };
     { b_index = 11; b_title = "procedure splitting (block load/store)";
-      b_touches =
-        [ "encrypt"; "decrypt"; "load_block_enc"; "store_block_enc";
-          "load_block_dec"; "store_block_dec" ];
-      b_reads = [];
       b_run = block11 };
     { b_index = 12; b_title = "adjustment of intermediate storage";
-      b_touches = [ "*" ]  (* word_b -> word retypes every declaration *);
-      b_reads = [];
       b_run = block12 };
     { b_index = 13; b_title = "adjustment of loop forms in the key schedule";
-      b_touches =
-        [ "key_setup_enc"; "key_expansion"; "key_expand_128"; "key_expand_192";
-          "key_expand_256" ];
-      b_reads =
-        [ "rot_word"; "sub_word"; "xor_word"; "rcon"; "word"; "key_bytes";
-          "sched_t" ];
       b_run = block13 };
     { b_index = 14; b_title = "decryption key schedule adjustments and splitting";
-      b_touches =
-        [ "key_setup_dec"; "inv_mix_columns_word"; "invert_key_order";
-          "apply_inv_mix_columns" ];
-      b_reads = [ "key_expansion"; "gf_mul"; "word"; "key_bytes"; "sched_t" ];
       b_run = block14 } ]
 
 type snapshot = {
@@ -800,44 +753,4 @@ let run ?(upto = 14) ?(kat_gate = true) ?certify ?start () =
               :: !snapshots
           end)
         blocks);
-  (List.rev !snapshots, h)
-
-let block_specs ?(upto = 14) () =
-  List.filter_map
-    (fun b ->
-      if b.b_index > upto then None
-      else
-        Some
-          {
-            Refactor.Parblocks.pb_index = b.b_index;
-            pb_title = b.b_title;
-            pb_touches = b.b_touches;
-            pb_reads = b.b_reads;
-            pb_run = b.b_run;
-          })
-    blocks
-
-(** Like {!run}, but blocks with disjoint declared footprints run on
-    parallel domains ({!Refactor.Parblocks}); snapshots, history,
-    certificates and KAT verdicts are bit-identical to {!run}'s. *)
-let run_parallel ?(upto = 14) ?jobs ?(kat_gate = true) ?certify ?start () =
-  let env0, prog0 = match start with Some ep -> ep | None -> Aes_impl.checked () in
-  let h = H.create env0 prog0 in
-  let snapshots =
-    ref [ { sn_block = 0; sn_title = "original optimized implementation";
-            sn_env = env0; sn_program = prog0 } ]
-  in
-  certify_cfg := certify;
-  Fun.protect ~finally:(fun () -> certify_cfg := None) (fun () ->
-      Refactor.Parblocks.run ?jobs
-        ~on_block:(fun spec h ->
-          if kat_gate then check_kats h;
-          let env, prog = H.current h in
-          snapshots :=
-            { sn_block = spec.Refactor.Parblocks.pb_index;
-              sn_title = spec.Refactor.Parblocks.pb_title; sn_env = env;
-              sn_program = prog }
-            :: !snapshots)
-        h
-        (block_specs ~upto ()));
   (List.rev !snapshots, h)

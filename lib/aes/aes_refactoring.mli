@@ -6,17 +6,10 @@
 type block = {
   b_index : int;
   b_title : string;
-  b_touches : string list;
-      (** declarations the block adds, modifies or removes; ["*"] =
-          potentially everything *)
-  b_reads : string list;  (** declarations read but left unchanged *)
   b_run : Refactor.History.t -> unit;
 }
 
 val blocks : block list
-
-val block_specs : ?upto:int -> unit -> Refactor.Parblocks.spec list
-(** The blocks as {!Refactor.Parblocks} specs (through block [upto]). *)
 
 type snapshot = {
   sn_block : int;       (** 0 = the original optimized program *)
@@ -40,13 +33,3 @@ val run :
     stage).
     @raise Refactor.Certify.Refutation when certification finds a
     counterexample. *)
-
-val run_parallel :
-  ?upto:int -> ?jobs:int -> ?kat_gate:bool -> ?certify:Refactor.Certify.config ->
-  ?start:Minispark.Typecheck.env * Minispark.Ast.program ->
-  unit -> snapshot list * Refactor.History.t
-(** Like {!run}, but consecutive blocks with disjoint declared footprints
-    run on parallel domains ({!Refactor.Parblocks}), their steps merged
-    back in block order.  Snapshots, history, certificates and KAT
-    verdicts are bit-identical to {!run}'s; [jobs] (default 1) bounds the
-    worker domains per group. *)

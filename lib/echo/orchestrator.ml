@@ -448,33 +448,16 @@ let stage_analyze st env annotated =
       | _ -> None)
     ~body:(fun () ->
       let an = Analysis.Examiner.analyze env annotated in
-      if Telemetry.enabled () then
-        Telemetry.count
-          ~by:(List.length (Analysis.Examiner.diags an))
-          "an_diagnostics";
-      let errs = Analysis.Examiner.errors an in
-      if errs > 0 then begin
-        let first =
-          match
-            List.filter
-              (fun d -> d.Analysis.Diag.d_severity = Analysis.Diag.Error)
-              (Analysis.Examiner.diags an)
-          with
-          | d :: _ -> Fmt.str "%a" Analysis.Diag.pp d
-          | [] -> ""
-        in
-        raise (Fault.Fault (Fault.Analysis { errors = errs; first }))
-      end;
+      Verify.analysis_gate an;
       save_checkpoint st CK.S_analyze (CK.P_analyze an);
       an)
 
-(* Change-impact planning (incremental runs only): diff the edited
-   annotated program against the baseline's, compose with the dependency
-   graph and a VC-digest drift check, and hand the implementation proof a
-   carry function that replays baseline verdicts for every VC whose
-   subprogram the plan certifies untouched.  Any missing or unreadable
-   baseline piece degrades to a full re-prove with a note — never a
-   fault. *)
+(* Change-impact planning (incremental runs only): the baseline's
+   checkpointed proof report, summarized, goes through the same planner a
+   served job uses ({!Verify.plan_carry}); this stage adds the audit, its
+   checkpoint, and the [oc_carry = false] reference mode that plans but
+   carries nothing.  Any missing or unreadable baseline piece degrades to
+   a full re-prove with a note — never a fault. *)
 let stage_impact st env annotated =
   stage st CK.S_impact
     ~from_ckpt:(fun () -> None)  (* cheap and carry isn't serialisable *)
@@ -487,82 +470,34 @@ let stage_impact st env annotated =
           note st "impact: baseline proof checkpoint missing; full re-prove";
           None
       | Some base_src, Some base_impl ->
-          let old_p = reparse_program base_src in
-          let plan = Analysis.Impact.compute ~old_p ~new_p:annotated in
-          (* VC-digest refinement: regenerate under the same budget the
-             proof stage uses and escalate any carried subprogram whose
-             obligations drifted from the baseline's *)
-          let current =
-            Vcgen.vc_digests (Vcgen.generate ~budget:st.cfg.oc_budget env annotated)
-          in
-          let module M = Map.Make (String) in
-          let by_sub =
-            List.fold_left
-              (fun m (vr : Implementation_proof.vc_result) ->
-                let s = vr.Implementation_proof.vr_vc.Logic.Formula.vc_sub in
-                M.update s
-                  (function
-                    | None -> Some [ vr ] | Some vs -> Some (vr :: vs))
-                  m)
-              M.empty base_impl.Implementation_proof.ip_results
-          in
-          let baseline_digests =
-            M.bindings by_sub
-            |> List.map (fun (s, vrs) ->
-                   ( s,
-                     List.map
-                       (fun (vr : Implementation_proof.vc_result) ->
-                         Logic.Formula.vc_digest
-                           vr.Implementation_proof.vr_vc)
-                       vrs ))
-          in
-          let plan =
-            Analysis.Impact.refine plan ~baseline:baseline_digests ~current
-          in
-          (* the carry table: baseline verdicts for carried subprograms,
-             keyed strictly by owner + name + formula digest; timeouts are
-             wall-clock accidents and are never carried *)
-          let carry_tbl = Hashtbl.create 256 in
-          List.iter
-            (fun s ->
-              List.iter
-                (fun (vr : Implementation_proof.vc_result) ->
-                  match vr.Implementation_proof.vr_status with
-                  | Implementation_proof.Timed_out _ -> ()
-                  | _ ->
-                      let vc = vr.Implementation_proof.vr_vc in
-                      Hashtbl.replace carry_tbl
-                        (vc.Logic.Formula.vc_sub ^ "|"
-                       ^ vc.Logic.Formula.vc_name ^ "|"
-                        ^ Logic.Formula.vc_digest vc)
-                        vr)
-                (Option.value ~default:[] (M.find_opt s by_sub)))
-            plan.Analysis.Impact.pl_carried;
-          let audit =
+          let baseline =
             {
-              CK.im_changed =
-                Analysis.Semdiff.changed_subs plan.Analysis.Impact.pl_diff;
-              im_impacted =
-                List.map
-                  (fun (n, rs) ->
-                    (n, List.map Analysis.Impact.reason_name rs))
-                  plan.Analysis.Impact.pl_impacted;
-              im_carried = plan.Analysis.Impact.pl_carried;
-              im_carried_vcs = Hashtbl.length carry_tbl;
-              im_json = Analysis.Impact.to_json plan;
+              Verify.vb_program = base_src;
+              vb_results =
+                List.map Verify.summarize base_impl.Implementation_proof.ip_results;
             }
           in
-          save_checkpoint st CK.S_impact (CK.P_impact audit);
-          note st "impact: %d subprogram(s) re-prove, %d carried (%d VC verdict(s))"
-            (List.length audit.CK.im_impacted)
-            (List.length audit.CK.im_carried)
-            audit.CK.im_carried_vcs;
-          let carry (vc : Logic.Formula.vc) =
-            Hashtbl.find_opt carry_tbl
-              (vc.Logic.Formula.vc_sub ^ "|" ^ vc.Logic.Formula.vc_name ^ "|"
-             ^ Logic.Formula.vc_digest vc)
-          in
-          Some (audit, if st.cfg.oc_carry then Some carry else None))
+          Option.map
+            (fun (cp : Verify.carry_plan) ->
+              let plan = cp.Verify.cp_plan in
+              let audit =
+                {
+                  CK.im_changed =
+                    Analysis.Semdiff.changed_subs plan.Analysis.Impact.pl_diff;
+                  im_impacted =
+                    List.map
+                      (fun (n, rs) ->
+                        (n, List.map Analysis.Impact.reason_name rs))
+                      plan.Analysis.Impact.pl_impacted;
+                  im_carried = plan.Analysis.Impact.pl_carried;
+                  im_carried_vcs = cp.Verify.cp_carried_vcs;
+                  im_json = Analysis.Impact.to_json plan;
+                }
+              in
+              save_checkpoint st CK.S_impact (CK.P_impact audit);
+              (audit, if st.cfg.oc_carry then Some cp.Verify.cp_carry else None))
+            (Verify.plan_carry ~budget:st.cfg.oc_budget ~note:(note st "%s") env
+               annotated baseline))
 
 let stage_impl st ~discharge ?carry env annotated =
   stage st CK.S_impl

@@ -1,8 +1,10 @@
 (** Resilient orchestration of the Echo pipeline.
 
-    {!Pipeline.run} is the plain engine; this module drives the same five
-    stages — refactor, annotate, implementation proof, reverse synthesis,
-    implication proof — under an explicit resource-and-recovery policy:
+    This module is the one driver of the five stages over a
+    {!Pipeline.case_study} — refactor, annotate, implementation proof,
+    reverse synthesis, implication proof; [run] with {!default_config} is
+    the one-call API.  It drives them under an explicit
+    resource-and-recovery policy:
 
     - every stage body runs under {!Fault.guard}, so no failure escapes as
       an exception: [run] always returns a verdict;
@@ -70,7 +72,8 @@ type config = {
           of recomputed, the annotated program is diffed against the
           baseline's ({!Analysis.Semdiff}), and only the impacted VCs
           ({!Analysis.Impact}) are re-proved — every other VC's baseline
-          verdict is carried over.  Under [Cache_default] the baseline's
+          verdict is carried over, planned by {!Verify.plan_carry} as for
+          a served job.  Under [Cache_default] the baseline's
           proof cache is shared.  A missing or unreadable baseline piece
           degrades to a full re-prove with a note, never a fault *)
   oc_edit : (Minispark.Ast.program -> Minispark.Ast.program) option;

@@ -1,17 +1,5 @@
-(* The Echo pipeline (§3): one entry point running the whole approach over
-   a prepared case study — refactor, annotate, implementation proof,
-   reverse synthesis, implication proof — and collecting the evidence into
-   a single verdict.
-
-   The pipeline is case-study-parametric: the AES instantiation supplies
-   the refactoring script, the annotation set, the original specification
-   and the lemma builder; other case studies plug in their own.
-
-   No stage failure escapes [run] as an exception: stage bodies run under
-   {!Fault.guard}, a failure before the proofs yields [Failed], and a
-   failure after the implementation proof has produced evidence yields
-   [Degraded] so the surviving results are still reported.  The richer
-   budgeted/checkpointed driver is {!Orchestrator}. *)
+(* The Echo case-study record; see pipeline.mli.  The stages themselves
+   run in {!Orchestrator}. *)
 
 open Minispark
 
@@ -20,222 +8,8 @@ type case_study = {
   cs_refactor :
     ?certify:Refactor.Certify.config ->
     unit -> (Typecheck.env * Ast.program) list * Refactor.History.t;
-      (** run the verification refactoring; returns per-stage programs
-          (first = original, last = final) and the recorded history.  With
-          [certify], every step must be certified ({!Refactor.Certify})
-          and its certificate recorded in the history; a refutation raises
-          {!Refactor.Certify.Refutation} (folded into a fault by the
-          caller's guard) *)
   cs_annotate : Ast.program -> Ast.program;
-      (** attach the low-level specification *)
   cs_original_spec : Specl.Sast.theory;
   cs_synonyms : (string * string) list;
   cs_lemmas : extracted:Specl.Sast.theory -> Implication.lemma list;
 }
-
-type verdict =
-  | Verified
-      (** every VC automatic or hint-discharged, every lemma holds *)
-  | Conditionally_verified of int
-      (** all lemmas hold but n VCs remain for interactive proof *)
-  | Degraded of string
-      (** a late stage faulted; the surviving evidence is in the report *)
-  | Failed of string
-
-type report = {
-  p_history : Refactor.History.t;
-  p_final : Ast.program;
-  p_annotated : Ast.program;
-  p_analysis : Analysis.Examiner.t option;
-  p_impl : Implementation_proof.report;
-  p_extracted : Specl.Sast.theory;
-  p_match : Specl.Match_ratio.result;
-  p_implication : Implication.result;
-  p_verdict : verdict;
-  p_time : float;
-}
-
-let verdict_of impl implication =
-  if not (Implication.all_proved implication) then
-    Failed
-      (Printf.sprintf "%d implication lemma(s) do not hold"
-         (implication.Implication.im_total - implication.Implication.im_proved))
-  else if impl.Implementation_proof.ip_residual = 0
-          && impl.Implementation_proof.ip_timed_out = 0
-  then Verified
-  else
-    Conditionally_verified
-      (impl.Implementation_proof.ip_residual + impl.Implementation_proof.ip_timed_out)
-
-(* placeholders for stages that never ran, so a partial run still yields a
-   well-formed report *)
-let empty_program = { Ast.prog_name = "<not-reached>"; Ast.prog_decls = [] }
-let empty_env = { Typecheck.types = []; Typecheck.objects = []; Typecheck.subs = [] }
-let empty_theory = { Specl.Sast.th_name = "<not-reached>"; th_types = []; th_defs = [] }
-let empty_history () = Refactor.History.create empty_env empty_program
-
-(** Run the full Echo process for a case study.  Never raises: stage
-    faults are folded into the verdict.  [jobs]/[cache_dir] are the
-    proof-farm knobs, passed through to the implementation proof. *)
-let run ?(analyze = false) ?jobs ?cache_dir ?certify (cs : case_study) : report =
-  let t0 = Logic.Clock.now () in
-  let root_span =
-    Telemetry.start_span ~cat:Telemetry.cat_pipeline
-      ~attrs:[ ("case", Telemetry.S cs.cs_name) ]
-      "pipeline-run"
-  in
-  (* each guarded stage gets one [stage] span, faulted or not, and feeds
-     the coarse stage-duration histogram *)
-  let guarded name body =
-    Telemetry.with_span ~cat:Telemetry.cat_stage name (fun () ->
-        if not (Telemetry.enabled ()) then Fault.guard body
-        else begin
-          let t0 = Logic.Clock.now () in
-          let r = Fault.guard body in
-          Telemetry.observe ~buckets:Telemetry.stage_buckets "stage_wall_s"
-            (Logic.Clock.elapsed t0);
-          r
-        end)
-  in
-  let finish ?(history = empty_history ()) ?(final = empty_program)
-      ?(annotated = empty_program) ?analysis ?(impl = Implementation_proof.empty)
-      ?(extracted = empty_theory) ?(match_ = Specl.Match_ratio.empty)
-      ?(implication = Implication.empty) verdict =
-    let verdict_name =
-      match verdict with
-      | Verified -> "verified"
-      | Conditionally_verified _ -> "conditionally-verified"
-      | Degraded _ -> "degraded"
-      | Failed _ -> "failed"
-    in
-    Telemetry.finish_span root_span ~attrs:[ ("verdict", Telemetry.S verdict_name) ];
-    {
-      p_history = history;
-      p_final = final;
-      p_annotated = annotated;
-      p_analysis = analysis;
-      p_impl = impl;
-      p_extracted = extracted;
-      p_match = match_;
-      p_implication = implication;
-      p_verdict = verdict;
-      p_time = Logic.Clock.elapsed t0;
-    }
-  in
-  match
-    guarded "refactor" (fun () ->
-        let stages, history = cs.cs_refactor ?certify () in
-        match List.rev stages with
-        | (_, final) :: _ -> (final, history)
-        | [] -> invalid_arg "Pipeline.run: no stages")
-  with
-  | Error f -> finish (Failed (Fault.describe f))
-  | Ok (final, history) -> (
-      match guarded "annotate" (fun () -> Typecheck.check (cs.cs_annotate final)) with
-      | Error f -> finish ~history ~final (Failed (Fault.describe f))
-      | Ok (env, annotated) -> (
-          match
-            if not analyze then Ok None
-            else
-              guarded "analyze" (fun () ->
-                  let an = Analysis.Examiner.analyze env annotated in
-                  if Telemetry.enabled () then
-                    Telemetry.count
-                      ~by:(List.length (Analysis.Examiner.diags an))
-                      "an_diagnostics";
-                  let errs = Analysis.Examiner.errors an in
-                  if errs > 0 then
-                    raise
-                      (Fault.Fault
-                         (Fault.Analysis
-                            {
-                              errors = errs;
-                              first =
-                                (match
-                                   List.filter
-                                     (fun d ->
-                                       d.Analysis.Diag.d_severity
-                                       = Analysis.Diag.Error)
-                                     (Analysis.Examiner.diags an)
-                                 with
-                                | d :: _ ->
-                                    Fmt.str "%a" Analysis.Diag.pp d
-                                | [] -> "");
-                            }));
-                  Some an)
-          with
-          | Error f -> finish ~history ~final ~annotated (Failed (Fault.describe f))
-          | Ok analysis -> (
-              (* when analysis ran cleanly its interval results pre-discharge
-                 exception-freedom VCs: the prover never sees them *)
-              let discharge =
-                if analyze then Some Analysis.Discharge.vc_discharged else None
-              in
-              match
-                guarded "implementation-proof" (fun () ->
-                    let cache =
-                      Option.map (fun dir -> Farm.Cache.open_ ~dir) cache_dir
-                    in
-                    Implementation_proof.run ?discharge ?jobs ?cache env
-                      annotated)
-              with
-              | Error f ->
-                  finish ~history ~final ~annotated ?analysis
-                    (Failed (Fault.describe f))
-              | Ok impl -> (
-                  match
-                    guarded "extract" (fun () ->
-                        let extracted = Extract.extract_program env annotated in
-                        let match_result =
-                          Specl.Match_ratio.compare ~synonyms:cs.cs_synonyms
-                            ~original:cs.cs_original_spec ~extracted ()
-                        in
-                        if Telemetry.enabled () then
-                          Telemetry.gauge "match_ratio"
-                            match_result.Specl.Match_ratio.mr_ratio;
-                        (extracted, match_result))
-                  with
-                  | Error f ->
-                      (* the implementation proof survived: degrade, don't discard *)
-                      finish ~history ~final ~annotated ?analysis ~impl
-                        (Degraded (Fault.describe f))
-                  | Ok (extracted, match_result) -> (
-                      match
-                        guarded "implication-proof" (fun () ->
-                            Implication.run (cs.cs_lemmas ~extracted))
-                      with
-                      | Error f ->
-                          finish ~history ~final ~annotated ?analysis ~impl
-                            ~extracted ~match_:match_result
-                            (Degraded (Fault.describe f))
-                      | Ok implication ->
-                          finish ~history ~final ~annotated ?analysis ~impl
-                            ~extracted ~match_:match_result ~implication
-                            (verdict_of impl implication))))))
-
-let pp_verdict ppf = function
-  | Verified -> Fmt.string ppf "VERIFIED"
-  | Conditionally_verified n ->
-      Fmt.pf ppf "CONDITIONALLY VERIFIED (%d VCs left for interactive proof)" n
-  | Degraded msg -> Fmt.pf ppf "DEGRADED: %s" msg
-  | Failed msg -> Fmt.pf ppf "FAILED: %s" msg
-
-let pp_report ppf r =
-  Fmt.pf ppf
-    "@[<v>%a@,refactoring: %d transformations@,%a%a@,structure match: %a@,\
-     implication: %d/%d lemmas@,verdict: %a (%.1fs)@]"
-    Refactor.History.pp_summary r.p_history
-    (Refactor.History.step_count r.p_history)
-    Implementation_proof.pp_report r.p_impl
-    (fun ppf -> function
-      | None -> ()
-      | Some an ->
-          Fmt.pf ppf "@,analysis: %d error(s), %d warning(s), %d info(s)"
-            (Analysis.Examiner.errors an)
-            (Analysis.Diag.count Analysis.Diag.Warning
-               (Analysis.Examiner.diags an))
-            (Analysis.Diag.count Analysis.Diag.Info
-               (Analysis.Examiner.diags an)))
-    r.p_analysis Specl.Match_ratio.pp_result r.p_match
-    r.p_implication.Implication.im_proved r.p_implication.Implication.im_total
-    pp_verdict r.p_verdict r.p_time

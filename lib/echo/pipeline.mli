@@ -1,12 +1,8 @@
-(** The Echo pipeline (§3) as a single entry point: verification
-    refactoring, annotation, implementation proof, reverse synthesis and
-    implication proof, run end-to-end over a case study and folded into
-    one verdict.
-
-    A {!case_study} packages everything that is specific to one program:
-    how to refactor it, how to annotate the result, the original
-    specification it must imply, and the lemma suite connecting the two.
-    [Aes.Aes_echo.case_study] is the paper's §6 instantiation. *)
+(** The Echo process (§3) as data: a {!case_study} packages everything
+    that is specific to one program — how to refactor it, how to annotate
+    the result, the original specification it must imply, and the lemma
+    suite connecting the two.  {!Orchestrator.run} drives the five stages
+    over it; [Aes.Aes_echo.case_study] is the paper's §6 instantiation. *)
 
 open Minispark
 
@@ -27,57 +23,3 @@ type case_study = {
       (** name synonyms for the structure match (e.g. cipher = encrypt) *)
   cs_lemmas : extracted:Specl.Sast.theory -> Implication.lemma list;
 }
-
-type verdict =
-  | Verified
-      (** every VC automatic or hint-discharged, every lemma holds *)
-  | Conditionally_verified of int
-      (** all lemmas hold but n VCs remain for interactive proof *)
-  | Degraded of string
-      (** a post-proof stage faulted; surviving evidence is in the report *)
-  | Failed of string
-
-type report = {
-  p_history : Refactor.History.t;
-  p_final : Ast.program;          (** refactored, unannotated *)
-  p_annotated : Ast.program;      (** refactored + annotations, checked *)
-  p_analysis : Analysis.Examiner.t option;
-      (** static-analysis results when the opt-in pre-pass ran *)
-  p_impl : Implementation_proof.report;
-  p_extracted : Specl.Sast.theory;
-  p_match : Specl.Match_ratio.result;
-  p_implication : Implication.result;
-  p_verdict : verdict;
-  p_time : float;                 (** wall-clock seconds, whole pipeline *)
-}
-
-val run :
-  ?analyze:bool -> ?jobs:int -> ?cache_dir:string ->
-  ?certify:Refactor.Certify.config -> case_study -> report
-(** Run the full Echo process.  Never raises: every stage body runs under
-    {!Fault.guard}.  A refactoring step whose mechanical applicability
-    check rejects (the §7 experiments catch seeded defects this way), an
-    ill-typed annotation, or an infeasible VC generation all fold into a
-    [Failed] verdict; a fault after the implementation proof has produced
-    evidence folds into [Degraded].  Stages that never ran are represented
-    by empty placeholders in the report.  For budgets, retry ladders,
-    checkpointing and resumption use {!Orchestrator}.
-
-    [analyze] (default [false]) inserts the {!Analysis.Examiner} pre-pass
-    between annotation and the implementation proof: error-severity flow
-    diagnostics abort with a [Failed] verdict ({!Fault.Analysis}), and
-    interval analysis statically discharges exception-freedom VCs so the
-    retry ladder never schedules them.
-
-    [jobs] (default 1) dispatches the implementation-proof VCs over a
-    work-stealing domain pool; [cache_dir] opens the persistent proof
-    cache there, so a re-run after a refactoring block only re-proves
-    VCs whose formulas changed.  Neither affects the verdict.
-
-    [certify] runs the refactoring under per-step certification
-    ({!Refactor.Certify}): every step records a certificate in the
-    history, and a refuted step folds into a [Failed] verdict carrying
-    the counterexample ({!Fault.Certification}). *)
-
-val pp_verdict : verdict Fmt.t
-val pp_report : report Fmt.t

@@ -161,13 +161,41 @@ let failed fault ~notes ~seconds =
     vj_seconds = seconds;
   }
 
-(* Change-impact planning against a baseline carried in the job itself:
-   the baseline source re-parses to [old_p], the per-VC summaries supply
-   the digest sets for [Impact.refine] and the carry table.  Any defect in
-   the baseline (unparseable source, unknown status strings) demotes to a
-   note and a full re-prove — a stale or mangled baseline must never fail
-   a job that would verify from cold. *)
-let plan_carry ~note env annotated (b : baseline) =
+(* The flow-analysis gate every driver applies between annotation and
+   the proof: error-severity diagnostics refuse the program before any
+   proof is attempted. *)
+let analysis_gate an =
+  if Telemetry.enabled () then
+    Telemetry.count
+      ~by:(List.length (Analysis.Examiner.diags an))
+      "an_diagnostics";
+  let errs = Analysis.Examiner.errors an in
+  if errs > 0 then begin
+    let first =
+      match
+        List.filter
+          (fun d -> d.Analysis.Diag.d_severity = Analysis.Diag.Error)
+          (Analysis.Examiner.diags an)
+      with
+      | d :: _ -> Fmt.str "%a" Analysis.Diag.pp d
+      | [] -> ""
+    in
+    raise (Fault.Fault (Fault.Analysis { errors = errs; first }))
+  end
+
+type carry_plan = {
+  cp_plan : Analysis.Impact.plan;
+  cp_carried_vcs : int;
+  cp_carry : Logic.Formula.vc -> Implementation_proof.vc_result option;
+}
+
+(* Change-impact planning against a baseline: the baseline source
+   re-parses to [old_p], the per-VC summaries supply the digest sets for
+   [Impact.refine] and the carry table.  Any defect in the baseline
+   (unparseable source, unknown status strings) demotes to a note and a
+   full re-prove — a stale or mangled baseline must never fail a job that
+   would verify from cold. *)
+let plan_carry ?budget ~note env annotated (b : baseline) =
   match Fault.guard (fun () -> snd (Typecheck.check (Parser.of_string b.vb_program))) with
   | Error fault ->
       note (Printf.sprintf "impact: baseline unusable (%s); full re-prove"
@@ -175,7 +203,10 @@ let plan_carry ~note env annotated (b : baseline) =
       None
   | Ok old_p ->
       let plan = Analysis.Impact.compute ~old_p ~new_p:annotated in
-      let current = Vcgen.vc_digests (Vcgen.generate env annotated) in
+      (* VC-digest refinement: regenerate under the budget the proof uses
+         and escalate any carried subprogram whose obligations drifted
+         from the baseline's *)
+      let current = Vcgen.vc_digests (Vcgen.generate ?budget env annotated) in
       let module M = Map.Make (String) in
       let by_sub =
         List.fold_left
@@ -191,6 +222,9 @@ let plan_carry ~note env annotated (b : baseline) =
                (sub, List.map (fun (s : vc_summary) -> s.vs_digest) ss))
       in
       let plan = Analysis.Impact.refine plan ~baseline:baseline_digests ~current in
+      (* the carry table: baseline verdicts for carried subprograms, keyed
+         strictly by owner + name + formula digest; timeouts are
+         wall-clock accidents and are never carried *)
       let carry_tbl = Hashtbl.create 256 in
       let dropped = ref 0 in
       List.iter
@@ -231,7 +265,9 @@ let plan_carry ~note env annotated (b : baseline) =
                 vr_cached = true;
               }
       in
-      Some (carry, List.length plan.Analysis.Impact.pl_impacted)
+      Some
+        { cp_plan = plan; cp_carried_vcs = Hashtbl.length carry_tbl;
+          cp_carry = carry }
 
 let run ?(options = default_options) ?on_stage ~source () : outcome =
   let t0 = Logic.Clock.now () in
@@ -245,27 +281,11 @@ let run ?(options = default_options) ?on_stage ~source () : outcome =
   with
   | Error fault -> finish_failed fault
   | Ok (env, annotated) -> (
-      (* flow analysis: the Examiner refuses error-severity programs
-         before any proof is attempted, exactly like the orchestrator *)
       let analysis =
         if not options.vo_analyze then Ok ()
         else
           staged on_stage ~stage:"analyze" (fun () ->
-              let an = Analysis.Examiner.analyze env annotated in
-              let errs = Analysis.Examiner.errors an in
-              if errs > 0 then begin
-                let first =
-                  match
-                    List.filter
-                      (fun d ->
-                        d.Analysis.Diag.d_severity = Analysis.Diag.Error)
-                      (Analysis.Examiner.diags an)
-                  with
-                  | d :: _ -> Fmt.str "%a" Analysis.Diag.pp d
-                  | [] -> ""
-                in
-                raise (Fault.Fault (Fault.Analysis { errors = errs; first }))
-              end)
+              analysis_gate (Analysis.Examiner.analyze env annotated))
       in
       match analysis with
       | Error fault -> finish_failed fault
@@ -278,7 +298,9 @@ let run ?(options = default_options) ?on_stage ~source () : outcome =
                   staged on_stage ~stage:"impact" (fun () ->
                       plan_carry ~note env annotated b)
                 with
-                | Ok (Some (carry, impacted)) -> (Some carry, impacted)
+                | Ok (Some cp) ->
+                    ( Some cp.cp_carry,
+                      List.length cp.cp_plan.Analysis.Impact.pl_impacted )
                 | Ok None -> (None, 0)
                 | Error fault ->
                     (* impact planning is an optimisation, not a gate *)

@@ -12,9 +12,9 @@
     outcomes of a previously verified version of the program.  The job
     then re-proves only the impact set ({!Analysis.Impact}: semantic
     diff, dependency-graph escalation, VC-digest drift) and replays every
-    other baseline verdict, exactly like [aes verify --incremental] but
-    keyed on digests carried in the baseline summaries rather than on
-    checkpoint files.  A baseline that fails to parse or check degrades
+    other baseline verdict.  The planner ({!plan_carry}) is the one
+    [aes verify --incremental] uses too; the orchestrator feeds it the
+    baseline run's checkpointed proof report through {!summarize}.  A baseline that fails to parse or check degrades
     to a full re-prove with a note — never a fault. *)
 
 type vc_summary = {
@@ -78,6 +78,38 @@ val verdict_string : verdict -> string
 val status_of_string : string -> string option
 (** Validate a {!vc_summary} status string (returns it back, or [None]).
     Wire-facing callers use this to reject malformed baselines early. *)
+
+val summarize : Implementation_proof.vc_result -> vc_summary
+(** The wire form of one proof result.  A report's results summarized
+    this way are a {!baseline}'s [vb_results]. *)
+
+val analysis_gate : Analysis.Examiner.t -> unit
+(** The flow-analysis gate of every driver: count the analysis's
+    diagnostics as [an_diagnostics] when telemetry is on, and raise
+    {!Fault.Fault} ([Fault.Analysis], first error rendered) when any
+    diagnostic is an error. *)
+
+type carry_plan = {
+  cp_plan : Analysis.Impact.plan;  (** refined by VC-digest drift *)
+  cp_carried_vcs : int;            (** baseline verdicts in the carry table *)
+  cp_carry : Logic.Formula.vc -> Implementation_proof.vc_result option;
+      (** the baseline verdict of a VC whose subprogram is carried and
+          whose owner, name and formula digest all match *)
+}
+
+val plan_carry :
+  ?budget:Vcgen.budget ->
+  note:(string -> unit) ->
+  Minispark.Typecheck.env ->
+  Minispark.Ast.program ->
+  baseline ->
+  carry_plan option
+(** Plan the incremental carry of [baseline] onto the checked program:
+    semantic diff and dependency-graph escalation ({!Analysis.Impact}),
+    then escalation of every subprogram whose VC digests (generated under
+    [budget]) drifted.  Timed-out verdicts are never carried.  Reports the
+    plan through [note]; a baseline whose source does not parse or check
+    yields [None] and a note. *)
 
 type stage_hook = stage:string -> [ `Start | `Ok of float | `Failed of string ] -> unit
 (** Progress callback: stages are ["parse"], ["analyze"], ["impact"] and

@@ -142,20 +142,6 @@ let apply ?entries ?trials ?certify h tr =
              (Memo.diff (Equivalence.run_memo_stats ()) m0)))
       (fun () -> apply_step ?entries ?trials ?certify h tr)
 
-(** Append an externally constructed step — a parallel block merge
-    (see {!Parblocks}) — and advance the current state to its after-image.
-    The step's index is renumbered to the append position. *)
-let record h ~env_after step =
-  let step = { step with st_index = List.length h.steps } in
-  if step.st_before != snd h.current then
-    invalid_arg "History.record: step pre-image is not the current program";
-  h.steps <- step :: h.steps;
-  h.current <- (env_after, step.st_after);
-  step
-
-let add_cert_stats h stats =
-  h.cert_stats <- Certify.add_stats h.cert_stats stats
-
 (** Roll back the most recent step. *)
 let undo h =
   match h.steps with

@@ -49,18 +49,6 @@ val apply :
     @raise Transform.Not_applicable on mechanical rejection (state
     unchanged). *)
 
-val record : t -> env_after:Typecheck.env -> step -> step
-(** Append an externally constructed step — used by {!Parblocks} when
-    merging steps produced by parallel block workers — and advance the
-    current state to [(env_after, step.st_after)].  The step's index is
-    renumbered to the append position.
-    @raise Invalid_argument when [step.st_before] is not (physically) the
-    current program. *)
-
-val add_cert_stats : t -> Certify.stats -> unit
-(** Fold externally gathered certification statistics (parallel block
-    workers) into the history's aggregate. *)
-
 val undo : t -> step
 (** Roll back the most recent step, restoring its pre-image. *)
 

@@ -116,16 +116,20 @@ let test_extracted_spec_is_executable () =
   | _ -> Alcotest.fail "non-array result"
 
 let test_packaged_pipeline_verdict () =
-  (* the one-call API over the same case study: Aes_echo.verify re-runs
-     refactoring + both proofs and must land on Verified *)
-  let report = Aes.Aes_echo.verify () in
-  (match report.Echo.Pipeline.p_verdict with
-  | Echo.Pipeline.Verified -> ()
-  | v -> Alcotest.failf "verdict: %a" Echo.Pipeline.pp_verdict v);
+  (* the one-call API over the same case study: Orchestrator.run with the
+     default config re-runs refactoring + both proofs and must land on
+     Verified *)
+  let report = Echo.Orchestrator.run Aes.Aes_echo.case_study in
+  (match report.Echo.Orchestrator.o_verdict with
+  | Echo.Orchestrator.Verified -> ()
+  | v -> Alcotest.failf "verdict: %a" Echo.Orchestrator.pp_verdict v);
   Alcotest.(check bool) "history recorded" true
-    (Refactor.History.step_count report.Echo.Pipeline.p_history >= 45);
-  Alcotest.(check bool) "match ratio carried through" true
-    (report.Echo.Pipeline.p_match.Specl.Match_ratio.mr_ratio > 0.9)
+    (report.Echo.Orchestrator.o_refactor_steps >= 45);
+  match report.Echo.Orchestrator.o_match with
+  | Some m ->
+      Alcotest.(check bool) "match ratio carried through" true
+        (m.Specl.Match_ratio.mr_ratio > 0.9)
+  | None -> Alcotest.fail "no structure match in the report"
 
 let test_history_undo_roundtrip () =
   let _, h = Lazy.force pipeline in

@@ -77,17 +77,55 @@ let flow_of prog =
   let _, prog = Typecheck.check prog in
   A.Flow.check prog
 
+(* read before write: [x] flows into [r] before its first assignment *)
+let uninit_prog () =
+  Builder.(
+    one_proc
+      ~locals:[ local "x" (t_named "byte") ]
+      [ set "r" (v "x"); set "x" (i 1) ])
+
 let test_flow_uninit () =
-  let diags =
-    flow_of
-      Builder.(
-        one_proc
-          ~locals:[ local "x" (t_named "byte") ]
-          [ set "r" (v "x"); set "x" (i 1) ])
-  in
+  let diags = flow_of (uninit_prog ()) in
   Alcotest.(check bool) "uninit flagged" true
     (List.mem A.Diag.FLOW_UNINIT (codes diags));
   Alcotest.(check bool) "is an error" true (errors_of diags <> [])
+
+(* the served job and the orchestrated run share one analysis gate: the
+   same program fails both with the same [Fault.Analysis] *)
+let test_analysis_gate_drivers () =
+  let src = Pretty.program_to_string (uninit_prog ()) in
+  let env, prog = Typecheck.check (Parser.of_string src) in
+  let served =
+    Echo.Verify.run
+      ~options:{ Echo.Verify.default_options with Echo.Verify.vo_analyze = true }
+      ~source:src ()
+  in
+  let case =
+    {
+      Echo.Pipeline.cs_name = "uninit";
+      cs_refactor =
+        (fun ?certify:_ () -> ([ (env, prog) ], Refactor.History.create env prog));
+      cs_annotate = Fun.id;
+      cs_original_spec = { Specl.Sast.th_name = "uninit"; th_types = []; th_defs = [] };
+      cs_synonyms = [];
+      cs_lemmas = (fun ~extracted:_ -> []);
+    }
+  in
+  let orchestrated =
+    Echo.Orchestrator.run
+      ~config:{ Echo.Orchestrator.default_config with Echo.Orchestrator.oc_analyze = true }
+      case
+  in
+  match (served.Echo.Verify.vj_verdict, orchestrated.Echo.Orchestrator.o_verdict) with
+  | ( Echo.Verify.Failed (Echo.Fault.Analysis a),
+      Echo.Orchestrator.Failed (Echo.Fault.Analysis b) ) ->
+      Alcotest.(check bool) "at least one error" true (a.errors > 0);
+      Alcotest.(check int) "same error count" a.errors b.errors;
+      Alcotest.(check string) "same first error" a.first b.first
+  | _ ->
+      Alcotest.failf "expected Failed (Analysis) from both drivers, got %s / %a"
+        (Echo.Verify.verdict_string served.Echo.Verify.vj_verdict)
+        Echo.Orchestrator.pp_verdict orchestrated.Echo.Orchestrator.o_verdict
 
 let test_flow_out_unset () =
   let diags =
@@ -338,6 +376,8 @@ let suites =
     ( "analysis-flow",
       [
         Alcotest.test_case "uninit" `Quick test_flow_uninit;
+        Alcotest.test_case "one gate for both drivers" `Quick
+          test_analysis_gate_drivers;
         Alcotest.test_case "out unset" `Quick test_flow_out_unset;
         Alcotest.test_case "ineffective" `Quick test_flow_ineffective;
         Alcotest.test_case "unused" `Quick test_flow_unused;

@@ -139,10 +139,10 @@ let swapper_case ?annotate ?lemmas () : Echo.Pipeline.case_study =
   }
 
 let test_pipeline_clean_verified () =
-  let r = Echo.Pipeline.run (swapper_case ()) in
-  match r.Echo.Pipeline.p_verdict with
-  | Echo.Pipeline.Verified -> ()
-  | v -> Alcotest.failf "expected Verified, got %a" Echo.Pipeline.pp_verdict v
+  let r = Echo.Orchestrator.run (swapper_case ()) in
+  match r.Echo.Orchestrator.o_verdict with
+  | Echo.Orchestrator.Verified -> ()
+  | v -> Alcotest.failf "expected Verified, got %a" Echo.Orchestrator.pp_verdict v
 
 let test_pipeline_ill_typed_annotation_fails () =
   (* the annotation step yields a program referencing an undeclared name:
@@ -162,13 +162,13 @@ program swapper is
 end swapper;|})
       ()
   in
-  match (Echo.Pipeline.run case).Echo.Pipeline.p_verdict with
-  | Echo.Pipeline.Failed msg ->
+  match (Echo.Orchestrator.run case).Echo.Orchestrator.o_verdict with
+  | Echo.Orchestrator.Failed f ->
       Alcotest.(check bool) "mentions the type error" true
-        (Astring.String.is_infix ~affix:"type error" msg)
-  | v -> Alcotest.failf "expected Failed, got %a" Echo.Pipeline.pp_verdict v
+        (Astring.String.is_infix ~affix:"type error" (Echo.Fault.describe f))
+  | v -> Alcotest.failf "expected Failed, got %a" Echo.Orchestrator.pp_verdict v
   | exception e ->
-      Alcotest.failf "Pipeline.run raised %s" (Printexc.to_string e)
+      Alcotest.failf "Orchestrator.run raised %s" (Printexc.to_string e)
 
 let test_pipeline_rejected_refactoring_fails () =
   let case = swapper_case () in
@@ -180,24 +180,27 @@ let test_pipeline_rejected_refactoring_fails () =
           raise (Refactor.Transform.Not_applicable "loop bound mismatch"));
     }
   in
-  match (Echo.Pipeline.run case).Echo.Pipeline.p_verdict with
-  | Echo.Pipeline.Failed msg ->
+  match (Echo.Orchestrator.run case).Echo.Orchestrator.o_verdict with
+  | Echo.Orchestrator.Failed f ->
       Alcotest.(check bool) "mentions applicability" true
-        (Astring.String.is_infix ~affix:"not applicable" msg)
-  | v -> Alcotest.failf "expected Failed, got %a" Echo.Pipeline.pp_verdict v
+        (Astring.String.is_infix ~affix:"not applicable" (Echo.Fault.describe f))
+  | v -> Alcotest.failf "expected Failed, got %a" Echo.Orchestrator.pp_verdict v
   | exception e ->
-      Alcotest.failf "Pipeline.run raised %s" (Printexc.to_string e)
+      Alcotest.failf "Orchestrator.run raised %s" (Printexc.to_string e)
 
 let test_pipeline_late_fault_degrades () =
   (* a lemma *builder* that blows up (after the implementation proof has
      produced evidence) must degrade, keeping the proof report *)
   let case = swapper_case ~lemmas:(fun ~extracted:_ -> failwith "lemma builder crash") () in
-  let r = Echo.Pipeline.run case in
-  (match r.Echo.Pipeline.p_verdict with
-  | Echo.Pipeline.Degraded _ -> ()
-  | v -> Alcotest.failf "expected Degraded, got %a" Echo.Pipeline.pp_verdict v);
-  Alcotest.(check bool) "implementation evidence survives" true
-    (r.Echo.Pipeline.p_impl.Echo.Implementation_proof.ip_total > 0)
+  let r = Echo.Orchestrator.run case in
+  (match r.Echo.Orchestrator.o_verdict with
+  | Echo.Orchestrator.Degraded _ -> ()
+  | v -> Alcotest.failf "expected Degraded, got %a" Echo.Orchestrator.pp_verdict v);
+  match r.Echo.Orchestrator.o_impl with
+  | Some impl ->
+      Alcotest.(check bool) "implementation evidence survives" true
+        (impl.Echo.Implementation_proof.ip_total > 0)
+  | None -> Alcotest.fail "implementation report missing"
 
 let suites =
   [ ( "echo:implementation_proof",

@@ -300,6 +300,22 @@ let test_incremental_matches_full () =
       (match r_base.O.o_verdict with
       | O.Verified -> ()
       | v -> Alcotest.failf "baseline not verified: %a" O.pp_verdict v);
+      (* the same baseline as a served job sees it: the annotated source
+         plus the summarized per-VC results *)
+      let base_src =
+        match CK.load ~dir:base_dir ~case:"deps" CK.S_annotate with
+        | Some (Ok (CK.P_annotate { pa_src })) -> pa_src
+        | _ -> Alcotest.fail "baseline annotate checkpoint missing"
+      in
+      let served_baseline =
+        match r_base.O.o_impl with
+        | Some ip ->
+            {
+              Echo.Verify.vb_program = base_src;
+              vb_results = List.map Echo.Verify.summarize ip.IP.ip_results;
+            }
+        | None -> Alcotest.fail "baseline produced no implementation proof"
+      in
       List.iter
         (fun (tag, edit, expect_verified) ->
           let ref_dir = temp_run_dir (tag ^ "-ref") in
@@ -324,12 +340,40 @@ let test_incremental_matches_full () =
                       (list (triple string string string)))
             (tag ^ ": per-VC verdicts identical")
             (verdict_keys r_ref) (verdict_keys r_incr);
-          (match r_incr.O.o_impact with
-          | Some audit ->
-              Alcotest.(check bool)
-                (tag ^ ": some baseline verdicts were carried") true
-                (audit.CK.im_carried_vcs > 0)
-          | None -> Alcotest.fail (tag ^ ": incremental run has no audit"));
+          let audit =
+            match r_incr.O.o_impact with
+            | Some audit -> audit
+            | None -> Alcotest.fail (tag ^ ": incremental run has no audit")
+          in
+          Alcotest.(check bool)
+            (tag ^ ": some baseline verdicts were carried") true
+            (audit.CK.im_carried_vcs > 0);
+          (* cross-driver agreement: the served job plans the same carry *)
+          let served =
+            Echo.Verify.run
+              ~options:
+                { Echo.Verify.default_options with
+                  Echo.Verify.vo_baseline = Some served_baseline }
+              ~source:(Pretty.program_to_string (edit (Parser.of_string base_src)))
+              ()
+          in
+          Alcotest.(check
+                      (list (triple string string string)))
+            (tag ^ ": served per-VC verdicts match the orchestrator")
+            (verdict_keys r_incr)
+            (List.sort compare
+               (List.map
+                  (fun (s : Echo.Verify.vc_summary) ->
+                    (s.Echo.Verify.vs_sub, s.Echo.Verify.vs_name,
+                     s.Echo.Verify.vs_status))
+                  served.Echo.Verify.vj_results));
+          Alcotest.(check int)
+            (tag ^ ": served carry count matches the audit")
+            audit.CK.im_carried_vcs served.Echo.Verify.vj_carried;
+          Alcotest.(check int)
+            (tag ^ ": served impact set matches the audit")
+            (List.length audit.CK.im_impacted)
+            served.Echo.Verify.vj_impacted_subs;
           if expect_verified then
             match r_incr.O.o_verdict with
             | O.Verified -> ()
