@@ -101,23 +101,24 @@ let fully_auto_subs r =
   List.filter (fun s -> s.ss_auto + s.ss_discharged = s.ss_total) r.ip_subs
   |> List.length
 
-(* ground-evaluation interpretation of program functions for the prover *)
-let interp_of env program =
-  let rt = lazy (Interp.make env program) in
-  fun name args ->
-    match Ast.find_sub program name with
-    | Some { Ast.sub_return = Some _; _ } -> (
-        match
-          Interp.run_function (Lazy.force rt) name
-            (List.map (fun n -> Value.Vint n) args)
-        with
-        | Value.Vint n | Value.Vmod (n, _) -> Some n
-        | Value.Vbool b -> Some (if b then 1 else 0)
-        | Value.Varray _ -> None
-        | exception (Interp.Stuck _ | Interp.Out_of_fuel | Value.Runtime_error _)
-          ->
-            None)
-    | _ -> None
+(* ground-evaluation interpretation of program functions for the prover;
+   each evaluation gets its own runtime (a copy of the cached globals), so
+   farm workers share no interpreter state and no evaluation's fuel
+   depends on which VCs ran before it *)
+let interp_of env program name args =
+  match Ast.find_sub program name with
+  | Some { Ast.sub_return = Some _; _ } -> (
+      match
+        Interp.run_function (Interp.make env program) name
+          (List.map (fun n -> Value.Vint n) args)
+      with
+      | Value.Vint n | Value.Vmod (n, _) -> Some n
+      | Value.Vbool b -> Some (if b then 1 else 0)
+      | Value.Varray _ -> None
+      | exception (Interp.Stuck _ | Interp.Out_of_fuel | Value.Runtime_error _)
+        ->
+          None)
+  | _ -> None
 
 let standard_hints = [ P.Hint_apply_hyp; P.Hint_induction; P.Hint_apply_hyp ]
 
@@ -276,7 +277,10 @@ let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
     tune_cfg { P.default_config with P.interp = Some (interp_of env program); max_steps }
   in
   (* one prover ladder over one VC — runs on a worker domain under the
-     farm, inline otherwise; everything it touches is per-call state *)
+     farm, inline otherwise.  Workers share only immutable data: [cfg]'s
+     ground-evaluation hook builds a fresh runtime per call from the
+     calling domain's own compiled-program cache, and telemetry goes
+     through per-worker batches *)
   let prove_one vc =
     (* the global budget ran out: charge the remaining VCs as timed out
        without starting their searches *)

@@ -12,11 +12,11 @@ let create cap =
     hits = 0; misses = 0; evictions = 0 }
 
 let find t k compute =
-  match Hashtbl.find_opt t.tbl k with
-  | Some v ->
+  match Hashtbl.find t.tbl k with
+  | v ->
       t.hits <- t.hits + 1;
       v
-  | None ->
+  | exception Not_found ->
       t.misses <- t.misses + 1;
       let v = compute () in
       (* a recursive [compute] may have stored [k] already *)

@@ -1,4 +1,5 @@
-(** Big-step interpreter for MiniSpark.
+(** Big-step interpreter for MiniSpark, compiled per subprogram to
+    closures on first call and cached per domain and program.
 
     Annotations ([Assert], loop invariants, pre/post) are not executed —
     they are comments to Ada — so an annotated program and its bare version
@@ -54,3 +55,9 @@ val global_value : rt -> string -> Value.t
 val eval_expr : rt -> (string * Value.t) list -> Ast.expr -> Value.t
 (** Evaluate an expression under explicit bindings; globals of the program
     are visible.  Quantifiers are evaluated by enumeration. *)
+
+val memo_stats : unit -> Memo.stats
+(** Hits, misses and evictions of the calling domain's compiled-program
+    cache: a miss compiles a program (its subprograms are compiled on
+    their first call), an eviction drops one with its const-function
+    memos. *)

@@ -45,7 +45,9 @@ val apply :
     certification config's entry points when it has none.  With
     telemetry on, the step's use of {!Equivalence.runner}'s memo is
     published as the [oracle_memo_hits] / [_misses] / [_evictions]
-    counters.
+    counters, and its use of the interpreter's compiled-program cache
+    ({!Interp.memo_stats}) as [interp_memo_hits] / [_misses] /
+    [_evictions].
     @raise Transform.Not_applicable on mechanical rejection (state
     unchanged). *)
 

@@ -244,12 +244,33 @@ let test_closure_key_reuse () =
 (* Seeded defect corpus: every real defect must be refuted              *)
 (* ------------------------------------------------------------------ *)
 
+(* The certificates recorded when the interpreter was a tree-walker, one
+   line per defect: id, then the counterexample's sub, inputs, before
+   and after for a refuted defect, or the description of a certified
+   one — tab-separated. *)
+let recorded_defect_certificates () =
+  let ic = open_in "defect_counterexamples.tsv" in
+  let rec lines acc =
+    match input_line ic with
+    | l -> lines (String.split_on_char '\t' l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  List.map
+    (function id :: fields -> (int_of_string id, fields) | [] -> assert false)
+    (lines [])
+
 let test_defect_corpus () =
   let prog = snd (Aes.Aes_impl.checked ()) in
   let before = Typecheck.check prog in
   let cfg =
     C.default_config ~entries:[ "encrypt_block"; "decrypt_block" ] ()
   in
+  let recorded = recorded_defect_certificates () in
+  let defects = Defects.Seed.seed_all prog in
+  Alcotest.(check int) "one recorded certificate per defect" (List.length defects)
+    (List.length recorded);
   List.iter
     (fun (d : Defects.Seed.defect) ->
       let after = Typecheck.check (d.Defects.Seed.d_apply prog) in
@@ -258,22 +279,27 @@ let test_defect_corpus () =
           ~step_name:(Printf.sprintf "defect-%d" d.Defects.Seed.d_id)
           ~before ~after
       in
-      if d.Defects.Seed.d_benign then
+      let expected = List.assoc d.Defects.Seed.d_id recorded in
+      if d.Defects.Seed.d_benign then begin
         Alcotest.(check bool)
           (Printf.sprintf "benign defect %d certifies" d.Defects.Seed.d_id)
-          true (is_certified cert)
+          true (is_certified cert);
+        Alcotest.(check (list string))
+          (Printf.sprintf "benign defect %d certificate" d.Defects.Seed.d_id)
+          expected [ C.describe cert ]
+      end
       else
         match cert with
         | C.Refuted cx ->
-            Alcotest.(check bool)
-              (Printf.sprintf "defect %d has concrete counterexample"
+            Alcotest.(check (list string))
+              (Printf.sprintf "defect %d counterexample (sub, inputs, before, after)"
                  d.Defects.Seed.d_id)
-              true
-              (String.length cx.C.cx_inputs > 0)
+              expected
+              [ cx.C.cx_sub; cx.C.cx_inputs; cx.C.cx_before; cx.C.cx_after ]
         | c ->
             Alcotest.failf "defect %d (%s) not refuted: %s" d.Defects.Seed.d_id
               d.Defects.Seed.d_describe (C.describe c))
-    (Defects.Seed.seed_all prog)
+    defects
 
 (* ------------------------------------------------------------------ *)
 (* Echo integration: fault class, orchestrated gate, full AES script    *)

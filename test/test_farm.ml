@@ -265,6 +265,52 @@ end other;
   let r = IP.run ~cache:(Farm.Cache.open_ ~dir) env2 prog2 in
   Alcotest.(check int) "foreign program misses" 0 r.IP.ip_cache_hits
 
+(* VCs that need the prover's ground evaluation of a program function:
+   each evaluation runs on its own runtime, so the statuses cannot depend
+   on which worker domain evaluated what, or in which order *)
+let test_ground_eval_jobs_agree () =
+  let store k r =
+    Printf.sprintf
+      {|
+  procedure store_%d (r : out byte)
+  --# post r = square (%d);
+  is
+  begin
+    r := %d;
+  end store_%d;|}
+      k k r k
+  in
+  let src =
+    Printf.sprintf
+      {|
+program ground is
+  type byte is mod 256;
+  function square (x : in byte) return byte
+  is
+    acc : byte;
+  begin
+    acc := 0;
+    for i in 1 .. x loop
+      acc := acc + x;
+    end loop;
+    return acc;
+  end square;%s
+end ground;|}
+      (String.concat ""
+         (List.map (fun k -> store k (if k = 5 then 0 else k * k mod 256)) [ 2; 3; 5; 7; 11; 13 ]))
+  in
+  let env, prog = Typecheck.check (Parser.of_string src) in
+  let statuses jobs =
+    List.map (fun vr -> vr.IP.vr_status) (IP.run ~jobs env prog).IP.ip_results
+  in
+  let sequential = statuses 1 in
+  Alcotest.(check int) "one false post" 1
+    (List.length
+       (List.filter (function IP.Residual _ -> true | _ -> false) sequential));
+  Alcotest.(check bool) "ground evaluation proves the true posts" true
+    (List.length (List.filter (( = ) IP.Auto) sequential) >= 5);
+  Alcotest.(check bool) "same statuses at jobs=1 and jobs=2" true (statuses 2 = sequential)
+
 let suites =
   [ ( "farm:pool",
       [ Alcotest.test_case "matches sequential map" `Quick test_pool_matches_sequential;
@@ -281,4 +327,6 @@ let suites =
           test_farm_matches_sequential_proof;
         Alcotest.test_case "cold then warm cache" `Quick test_cold_then_warm_cache;
         Alcotest.test_case "cache keying isolates programs" `Quick
-          test_cache_keying_isolates_programs ] ) ]
+          test_cache_keying_isolates_programs;
+        Alcotest.test_case "ground evaluation agrees across jobs" `Quick
+          test_ground_eval_jobs_agree ] ) ]

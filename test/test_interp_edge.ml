@@ -209,6 +209,45 @@ end fx;|}
   in
   Alcotest.(check int) "fib 12" 144 (proc1 rt "get" [])
 
+(* An assignment target's indices are evaluated exactly once: a call in
+   the index runs (and is charged fuel) once.  [f] reads a global
+   variable, so its calls are never served from the const-function memo:
+   the statement costs 1 unit and [f] its 3 statements.  The tree-walker
+   evaluated the index twice, for 2 * 3 + 1. *)
+let test_index_evaluated_once () =
+  let src =
+    {|
+program ix is
+  type vec is array (0 .. 3) of integer;
+  g : integer := 0;
+  function f (k : in integer) return integer
+  is
+    t : integer;
+  begin
+    t := k;
+    t := t + g;
+    return t;
+  end f;
+  procedure p (k : in integer; a : in out vec)
+  is
+  begin
+    a (f (k)) := 7;
+  end p;
+end ix;|}
+  in
+  let env, prog = Typecheck.check (Parser.of_string src) in
+  let a = Value.Varray (0, Array.make 4 (Value.Vint 0)) in
+  let rt = Interp.make env prog in
+  let before = Interp.fuel_left rt in
+  (match Interp.run_procedure rt "p" [ Value.Vint 2; a ] with
+  | [ Value.Varray (0, data) ] -> Alcotest.(check int) "a(2) written" 7 (Value.as_int data.(2))
+  | _ -> Alcotest.fail "expected one array");
+  Alcotest.(check int) "n + 1 fuel" 4 (before - Interp.fuel_left rt);
+  let rt = Interp_ref.make env prog in
+  let before = rt.Interp_ref.fuel in
+  ignore (Interp_ref.run_procedure rt "p" [ Value.Vint 2; a ]);
+  Alcotest.(check int) "the tree-walker: 2n + 1" 7 (before - rt.Interp_ref.fuel)
+
 let suites =
   [ ( "minispark:interp-edge",
       [ Alcotest.test_case "modular corners" `Quick test_modular_corners;
@@ -219,4 +258,6 @@ let suites =
         Alcotest.test_case "short-circuit evaluation" `Quick test_short_circuit;
         Alcotest.test_case "empty loop range" `Quick test_empty_loop;
         Alcotest.test_case "nested in-out" `Quick test_in_out_roundtrip;
-        Alcotest.test_case "recursive functions" `Quick test_function_recursion ] ) ]
+        Alcotest.test_case "recursive functions" `Quick test_function_recursion;
+        Alcotest.test_case "assignment indices evaluated once" `Quick
+          test_index_evaluated_once ] ) ]

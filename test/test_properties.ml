@@ -190,10 +190,104 @@ let prop_vc_soundness =
           [ (0, 0); (255, 254); (13, 57) ]
       else QCheck.assume_fail ())
 
+(* ------------------------------------------------------------------ *)
+(* property 5: the compiled interpreter agrees with the tree-walker    *)
+(* ------------------------------------------------------------------ *)
+
+(* What a run shows from outside: the values, or the Stuck / runtime
+   error message, or fuel exhaustion — and the fuel left afterwards. *)
+module type INTERP = sig
+  type rt
+
+  exception Stuck of string
+  exception Out_of_fuel
+
+  val make : ?fuel:int -> Typecheck.env -> Ast.program -> rt
+  val fuel_left : rt -> int
+  val run_procedure : rt -> string -> Value.t list -> Value.t list
+end
+
+module Observe (I : INTERP) = struct
+  let outcome f =
+    match f () with
+    | vs -> Ok vs
+    | exception I.Stuck m -> Error ("stuck: " ^ m)
+    | exception I.Out_of_fuel -> Error "out of fuel"
+    | exception Value.Runtime_error m -> Error ("runtime error: " ^ m)
+
+  (* each call on a fresh runtime of [prog]; runtimes share the
+     interpreter's per-domain caches, as they do in the oracle *)
+  let runs ?fuel env prog calls =
+    List.map
+      (fun (name, args) ->
+        match I.make ?fuel env prog with
+        | exception I.Out_of_fuel -> (Error "out of fuel at initialisation", 0)
+        | rt ->
+            let o = outcome (fun () -> I.run_procedure rt name args) in
+            (o, I.fuel_left rt))
+      calls
+end
+
+module Compiled = Observe (Interp)
+module Reference = Observe (Interp_ref)
+
+(* both interpreters over the same calls, in a fresh domain so that
+   neither starts with warm per-domain caches *)
+let agree ?fuel env prog calls =
+  Domain.join
+    (Domain.spawn (fun () ->
+         Compiled.runs ?fuel env prog calls = Reference.runs ?fuel env prog calls))
+
+let prop_interp_identity =
+  QCheck.Test.make ~name:"compiled interpreter = tree-walking reference" ~count:100
+    arbitrary_program (fun body ->
+      let env, prog = Typecheck.check (program_of_body body) in
+      let calls =
+        List.map
+          (fun (a, b) -> ("f", [ Value.Vint a; Value.Vint b ]))
+          [ (0, 0); (1, 2); (255, 255); (17, 203); (128, 64) ]
+      in
+      (* the small budgets run out part-way through the body *)
+      List.for_all (fun fuel -> agree ?fuel env prog calls) [ None; Some 3; Some 6 ])
+
+(* every program of the AES refactoring history, on the FIPS-197
+   vectors in both directions *)
+let test_interp_identity_aes () =
+  let _, h = Lazy.force Test_aes_pipeline.pipeline in
+  let programs =
+    List.map
+      (fun (st : Refactor.History.step) ->
+        (st.Refactor.History.st_env_before, st.Refactor.History.st_before))
+      (List.rev (Refactor.History.steps h))
+    @ [ Refactor.History.current h ]
+  in
+  let bytes ~width b =
+    Value.Varray
+      (0, Array.init width (fun i -> Value.Vint (if i < Array.length b then b.(i) else 0)))
+  in
+  let calls =
+    List.concat_map
+      (fun (v : Aes.Aes_kat.vector) ->
+        let key = bytes ~width:32 (Aes.Aes_kat.key_bytes v)
+        and nk = Value.Vint (Aes.Aes_reference.nk_of v.Aes.Aes_kat.size) in
+        [ ("encrypt_block", [ key; nk; bytes ~width:16 (Aes.Aes_kat.plaintext_bytes v) ]);
+          ("decrypt_block", [ key; nk; bytes ~width:16 (Aes.Aes_kat.ciphertext_bytes v) ]) ])
+      Aes.Aes_kat.vectors
+  in
+  Alcotest.(check bool) "a history of ~60 programs" true (List.length programs > 45);
+  List.iteri
+    (fun k (env, prog) ->
+      Alcotest.(check bool) (Printf.sprintf "program %d: same outcomes and fuel" k) true
+        (agree env prog calls))
+    programs
+
 let suites =
   [ ( "properties",
       [ QCheck_alcotest.to_alcotest prop_temp_roundtrip;
         QCheck_alcotest.to_alcotest prop_equivalence_identity;
         QCheck_alcotest.to_alcotest prop_equivalence_rejects_mutation;
         QCheck_alcotest.to_alcotest prop_extraction_agrees;
-        QCheck_alcotest.to_alcotest prop_vc_soundness ] ) ]
+        QCheck_alcotest.to_alcotest prop_vc_soundness;
+        QCheck_alcotest.to_alcotest prop_interp_identity;
+        Alcotest.test_case "compiled interpreter = reference on the AES history" `Slow
+          test_interp_identity_aes ] ) ]
