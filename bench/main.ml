@@ -1276,7 +1276,11 @@ let micro_benchmarks () =
         | exception _ -> Fmt.pr "  %-44s (analysis failed)@." name)
       results
   in
-  List.iter benchmark [ t_interp; t_simplify; t_prove; t_metrics ]
+  benchmark t_interp;
+  (* the sample VC is generated between the timed runs, not inside one:
+     its first forcing runs the whole refactoring *)
+  ignore (Lazy.force sample_vc);
+  List.iter benchmark [ t_simplify; t_prove; t_metrics ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -120,7 +120,7 @@ let interp_of env program name args =
           None)
   | _ -> None
 
-let standard_hints = [ P.Hint_apply_hyp; P.Hint_induction; P.Hint_apply_hyp ]
+let standard_hints = P.standard_hints
 
 (* ------------------------------------------------------------------ *)
 (* Proof-cache keys                                                    *)

@@ -75,8 +75,7 @@ val interp_of :
 (** Ground evaluation of program functions for the prover. *)
 
 val standard_hints : Logic.Prover.hint list
-(** The paper's two interactive steps: application of preconditions and
-    induction on loop invariants. *)
+(** Alias of {!Logic.Prover.standard_hints}. *)
 
 val run :
   ?discharge:(Logic.Formula.vc -> bool) ->

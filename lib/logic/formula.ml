@@ -8,12 +8,12 @@
    Representation: hash-consed records.  Every structurally distinct term
    is interned once per domain (see hc.ml), so within a domain structural
    equality is physical equality, and each node carries cached attributes
-   — hash, unfolded tree size, free variables, and (lazily) the content
-   digest.  [tag] is the per-domain identity; it is deliberately the
+   — hash, unfolded tree size, free variables, whether an array store
+   occurs, and (lazily) the content digest.  [tag] is the per-domain identity; it is deliberately the
    first field so the polymorphic [=] (which must never be used on terms,
    but tests on single-domain data may) fails fast on distinct terms.
 
-   Cross-domain discipline: [hash]/[size]/[fvs] are computed structurally
+   Cross-domain discipline: [hash]/[size]/[fvs]/[stores] are computed structurally
    (never from tags), so they agree across domains; [tag]/[dom] do not.
    Smart constructors localize foreign children, and [equal]/[compare]
    fall back to a structural walk when the domains differ. *)
@@ -24,6 +24,7 @@ type t = {
   size : int;
   node : node;
   fvs : string list;
+  stores : bool;
   mutable digest_memo : string;
   dom : int;
 }
@@ -135,6 +136,14 @@ let fvs_node = function
   | Forall (x, lo, hi, body) | Exists (x, lo, hi, body) ->
       union_fvs (union_fvs lo.fvs hi.fvs) (remove_fv x body.fvs)
 
+let stores_node = function
+  | Int _ | Bool _ | Var _ -> false
+  | App (Store, _) -> true
+  | App (_, args) -> List.exists (fun a -> a.stores) args
+  | Ite (c, a, b) -> c.stores || a.stores || b.stores
+  | Forall (_, lo, hi, body) | Exists (_, lo, hi, body) ->
+      lo.stores || hi.stores || body.stores
+
 (* Shallow equality for the interning table: children are compared with
    [==], which is complete because they are localized and interned
    before a candidate node is built. *)
@@ -203,7 +212,8 @@ let rec mk node =
   in
   let h = hash_node node in
   let probe =
-    { tag = -1; hash = h; size = 0; node; fvs = []; digest_memo = ""; dom = my }
+    { tag = -1; hash = h; size = 0; node; fvs = []; stores = false;
+      digest_memo = ""; dom = my }
   in
   Interner.find_or_add it ~probe ~build:(fun () ->
       {
@@ -212,6 +222,7 @@ let rec mk node =
         size = size_node node;
         node;
         fvs = fvs_node node;
+        stores = stores_node node;
         digest_memo = "";
         dom = my;
       })

@@ -8,8 +8,8 @@
 
     Terms are hash-consed per domain ({!Hc}): every structurally
     distinct term is interned once, so within a domain physical equality
-    is semantic equality, and each node carries its hash, size and free
-    variables as O(1) cached attributes.  Terms are built exclusively
+    is semantic equality, and each node carries its hash, size, free
+    variables and store flag as O(1) cached attributes.  Terms are built exclusively
     through the smart constructors below and inspected by matching on
     the [node] field. *)
 
@@ -19,6 +19,9 @@ type t = private {
   size : int;           (** unfolded tree node count *)
   node : node;
   fvs : string list;    (** free variables, sorted and deduplicated *)
+  stores : bool;
+      (** some subterm is an [App (Store, _)]; false means read-over-write
+          resolution has nothing to rewrite *)
   mutable digest_memo : string;  (** "" until {!digest} first runs *)
   dom : int;            (** owning domain *)
 }

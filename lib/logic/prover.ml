@@ -54,6 +54,8 @@ type config = {
 let default_config =
   { interp = None; max_split = 64; max_steps = 4000; deadline_s = None }
 
+let standard_hints = [ Hint_apply_hyp; Hint_induction; Hint_apply_hyp ]
+
 (* The deadline is enforced with an exception so the check costs one
    comparison per search step instead of threading a result through every
    recursive return.  Scoped to [prove_vc], which converts it to
@@ -64,11 +66,14 @@ exception Deadline_hit
    concurrent provers on separate domains never share a counter or a
    deadline — the proof farm runs one [prove_vc] per worker.  [sx_steps]
    resets per capability rung; [sx_consts] resets per VC so skolem names
-   (and hence outcomes) are deterministic whatever ran before. *)
+   (and hence outcomes) are deterministic whatever ran before.
+   [sx_uf_rules] keeps the last hypothesis list's saturated UF rewrite
+   rules (see [rewrite_with_uf_equations]). *)
 type session = {
   sx_deadline : float;     (* absolute Clock deadline, [infinity] = none *)
   mutable sx_steps : int;
   mutable sx_consts : int;
+  mutable sx_uf_rules : (t list * (int, t * t) Hashtbl.t) option;
 }
 
 (* membership of a term in a hypothesis list — O(1) per element thanks to
@@ -187,23 +192,19 @@ and eval_ground_bool cfg t : bool option =
 (* constraints: sum of coeff*var + const >= 0 (Ge0) or > 0 (Gt0) *)
 type constr = { coeffs : (string * int) list; cst : int; strict : bool }
 
+(* Per-domain memos of pure functions of one node, keyed by node
+   identity: eviction can only cost a recomputation, never an outcome. *)
+let memo_cap = 1 lsl 16
+
 (* FM keys non-variable atoms by their printed form; elimination order
    sorts those keys, so the exact string matters.  Printing a large atom
    repeatedly was a top profile entry — memoize per node. *)
-let atom_key_cap = 1 lsl 16
-
-let atom_key_memo : (int * int, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 512)
+let atom_key_memo : (int * int, string) Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create memo_cap)
 
 let atom_key t =
-  let memo = Domain.DLS.get atom_key_memo in
-  let k = (t.dom, t.tag) in
-  match Hashtbl.find_opt memo k with
-  | Some s -> s
-  | None ->
-      let s = "!atom:" ^ Formula.to_string t in
-      if Hashtbl.length memo < atom_key_cap then Hashtbl.add memo k s;
-      s
+  Memo.find (Domain.DLS.get atom_key_memo) (t.dom, t.tag) (fun () ->
+      "!atom:" ^ Formula.to_string t)
 
 (* All terms denote integers, so a strict bound tightens to a non-strict
    one: t > 0 becomes t - 1 >= 0.  This buys integer completeness that
@@ -227,13 +228,11 @@ let constr_of_lin ~strict (lin : Simplify.Lin.t) =
    Pure in the formula (no config involved), so memoized per node: the
    search re-derives constraints for the same hypothesis list at every
    FM call site. *)
-let constraints_cap = 1 lsl 16
-
-let constraints_memo : (int * int, constr list option) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
+let constraints_memo : (int * int, constr list option) Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create memo_cap)
 
 let constraints_of_formula t : constr list option =
-  let compute t =
+  let compute () =
     let diff a b = Simplify.difference a b in
     match t.node with
     | App (Le, [ a; b ]) ->
@@ -252,14 +251,11 @@ let constraints_of_formula t : constr list option =
         | _ -> None)
     | _ -> None
   in
-  let memo = Domain.DLS.get constraints_memo in
-  let k = (t.dom, t.tag) in
-  match Hashtbl.find_opt memo k with
-  | Some r -> r
-  | None ->
-      let r = compute t in
-      if Hashtbl.length memo < constraints_cap then Hashtbl.add memo k r;
-      r
+  Memo.find (Domain.DLS.get constraints_memo) (t.dom, t.tag) compute
+
+let memo_stats () =
+  [ ("prover_atom_memo", Memo.stats (Domain.DLS.get atom_key_memo));
+    ("prover_constraints_memo", Memo.stats (Domain.DLS.get constraints_memo)) ]
 
 (* the linear fragment of a hypothesis list — every constituent lookup is
    memoized above, so this is one table probe per hypothesis *)
@@ -350,7 +346,9 @@ let rec fm_implies hyps f =
 
 (* Resolve select-over-store nodes whose indices are separated (or equated)
    by the linear hypotheses, e.g. [select (store (a, i, v), k)] with
-   hypothesis [k <= i - 1]. *)
+   hypothesis [k <= i - 1].  A store-free subterm is returned as is: the
+   rebuild would only re-intern it into the same node, since the smart
+   constructors never rewrite and the prover's terms are all local. *)
 let reduce_selects hyps t =
   let rec reduce hyps t =
     let distinct i j =
@@ -358,6 +356,7 @@ let reduce_selects hyps t =
     in
     let equal_idx i j = fm_implies hyps (app Eq [ i; j ]) in
     match t.node with
+    | _ when not t.stores -> t
     | App (Select, [ arr; j ]) -> (
         let j = reduce hyps j in
         let rec through arr =
@@ -400,10 +399,41 @@ let rewrite_with_equalities hyps goal =
   in
   List.fold_left (fun g (x, t) -> Formula.subst x t g) goal substitutions
 
+(* Head-indexed rule lookup: the rewriter visits every node of the goal,
+   so the per-node cost must be a hash probe, not a scan of the rule
+   list.  Inserted in reverse so [find_all] yields original order and
+   the first matching rule wins, as the assoc scan did. *)
+let index_rules rules =
+  let idx = Hashtbl.create (max 16 (2 * List.length rules)) in
+  List.iter (fun ((l, _) as rule) -> Hashtbl.add idx l.hash rule) (List.rev rules);
+  idx
+
+let rewrite_fixpoint idx n t =
+  let lookup t =
+    let rec first = function
+      | [] -> None
+      | (l, r) :: rest -> if Formula.equal t l then Some r else first rest
+    in
+    first (Hashtbl.find_all idx t.hash)
+  in
+  let apply_rules t =
+    Formula.map (fun t -> match lookup t with Some rhs -> rhs | None -> t) t
+  in
+  let rec go n t =
+    if n = 0 then t
+    else
+      let t' = apply_rules t in
+      if Formula.equal t' t then t else go (n - 1) t'
+  in
+  go n t
+
 (* Use equational hypotheses whose left side is a function application as
    left-to-right rewrite rules on the goal — how assumed postconditions of
-   called functions ([f(x) = x + 1]) propagate into proof goals. *)
-let rewrite_with_uf_equations hyps goal =
+   called functions ([f(x) = x + 1]) propagate into proof goals.  The
+   saturated rule index depends only on the hypotheses (each element's
+   structure, in list order), so it is built once per hypothesis list:
+   conjunct splits call back again and again with the same list. *)
+let uf_rule_index hyps =
   let rules =
     List.filter_map
       (fun h ->
@@ -425,49 +455,29 @@ let rewrite_with_uf_equations hyps goal =
        inner applications they contain *)
     |> List.sort (fun (a, _) (b, _) -> Int.compare (node_count b) (node_count a))
   in
-  (* head-indexed rule lookup: the rewriter visits every node of the goal,
-     so the per-node cost must be a hash probe, not a scan of the rule
-     list.  Inserted in reverse so [find_all] yields original order and
-     the first matching rule wins, as the assoc scan did. *)
-  let index_rules rules =
-    let idx = Hashtbl.create (max 16 (2 * List.length rules)) in
-    List.iter (fun ((l, _) as rule) -> Hashtbl.add idx l.hash rule) (List.rev rules);
-    idx
-  in
-  let lookup idx t =
-    let rec first = function
-      | [] -> None
-      | (l, r) :: rest -> if Formula.equal t l then Some r else first rest
-    in
-    first (Hashtbl.find_all idx t.hash)
-  in
-  let fixpoint rules n t =
-    let idx = index_rules rules in
-    let apply_rules t =
-      Formula.map
-        (fun t -> match lookup idx t with Some rhs -> rhs | None -> t)
-        t
-    in
-    let rec go n t =
-      if n = 0 then t
-      else
-        let t' = apply_rules t in
-        if Formula.equal t' t then t else go (n - 1) t'
-    in
-    go n t
-  in
   (* saturate: rewrite each rule with the others, so that rules over
      intermediate program variables compose (inner applications may have
      been rewritten away before an outer rule is tried) *)
   let saturated =
     List.mapi
       (fun i (lhs, rhs) ->
-        let others = List.filteri (fun j _ -> j <> i) rules in
-        (fixpoint others 4 lhs, fixpoint others 4 rhs))
+        let others = index_rules (List.filteri (fun j _ -> j <> i) rules) in
+        (rewrite_fixpoint others 4 lhs, rewrite_fixpoint others 4 rhs))
       rules
     |> List.filter (fun (l, r) -> not (Formula.equal l r))
   in
-  fixpoint (rules @ saturated) 8 goal
+  index_rules (rules @ saturated)
+
+let rewrite_with_uf_equations sx hyps goal =
+  let idx =
+    match sx.sx_uf_rules with
+    | Some (hyps', idx) when List.equal ( == ) hyps hyps' -> idx
+    | _ ->
+        let idx = uf_rule_index hyps in
+        sx.sx_uf_rules <- Some (hyps, idx);
+        idx
+  in
+  rewrite_fixpoint idx 8 goal
 
 (* ------------------------------------------------------------------ *)
 (* Main proof search                                                   *)
@@ -650,7 +660,7 @@ and prove_atomic sx cfg caps depth hyps goal : outcome =
           List.map (fun h -> Simplify.simplify (rewrite_with_equalities hyps h)) hyps
         else hyps
       in
-      let goal' = Simplify.simplify (rewrite_with_uf_equations hyps goal') in
+      let goal' = Simplify.simplify (rewrite_with_uf_equations sx hyps goal') in
       if is_true goal' || mem_term goal' hyps then Proved
       else
         let goal' = Simplify.simplify (reduce_selects hyps goal') in
@@ -839,7 +849,8 @@ let max_depth = 18
 let prove_vc ?(cfg = default_config) ?(hints = []) vc : proof_result =
   let t0 = Clock.now () in
   let sx =
-    { sx_deadline = Clock.deadline cfg.deadline_s; sx_steps = 0; sx_consts = 0 }
+    { sx_deadline = Clock.deadline cfg.deadline_s; sx_steps = 0; sx_consts = 0;
+      sx_uf_rules = None }
   in
   (* intern the VC's terms into this domain's table first: the search then
      runs entirely on local nodes (O(1) equality, warm memo tables) even

@@ -31,6 +31,11 @@ type config = {
 
 val default_config : config
 
+val standard_hints : hint list
+(** The paper's two interactive steps as one ladder: application of
+    preconditions, induction on loop invariants, then application of
+    preconditions again. *)
+
 val eval_ground : config -> Formula.t -> int option
 (** Ground integer evaluation (consults [interp] for program functions). *)
 
@@ -50,5 +55,12 @@ val prove_vc : ?cfg:config -> ?hints:hint list -> Formula.vc -> proof_result
     interactive steps a VC needed. *)
 
 val is_proved : proof_result -> bool
+
+val memo_stats : unit -> (string * Memo.stats) list
+(** Hits, misses and evictions of the calling domain's two node-keyed
+    memos, by counter prefix: [prover_atom_memo] (printed Fourier–Motzkin
+    atom keys) and [prover_constraints_memo] (linear constraints of a
+    comparison).  Both hold at most 65,536 entries; they memoize pure
+    functions, so an eviction costs a recomputation, never an outcome. *)
 
 val pp_outcome : outcome Fmt.t

@@ -240,8 +240,6 @@ let diff (env_a, prog_a) (env_b, prog_b) =
 
 let cache_key vc = F.vc_digest vc ^ ":certify:v1"
 
-let standard_hints = [ P.Hint_apply_hyp; P.Hint_induction; P.Hint_apply_hyp ]
-
 (* Discharge a batch of VCs; returns per-VC proved flags (input order)
    plus (cache hits, misses). *)
 let discharge_vcs cfg (vcs : F.vc list) : bool list * (int * int) =
@@ -261,7 +259,7 @@ let discharge_vcs cfg (vcs : F.vc list) : bool list * (int * int) =
   let results, _ =
     Farm.Pool.run ~jobs:cfg.cf_jobs
       ~priority:(fun vc -> F.node_count (F.vc_formula vc))
-      ~f:(fun vc -> P.prove_vc ~hints:standard_hints vc)
+      ~f:(fun vc -> P.prove_vc ~hints:P.standard_hints vc)
       misses
   in
   (match cfg.cf_cache with

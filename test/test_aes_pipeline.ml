@@ -131,6 +131,60 @@ let test_packaged_pipeline_verdict () =
         (m.Specl.Match_ratio.mr_ratio > 0.9)
   | None -> Alcotest.fail "no structure match in the report"
 
+(* Pins the prover's search on the §6.2.3 VCs: per VC, in generation
+   order, the default-ladder rung that settled it, its hints used and
+   attempts, and the step count of one [prove_vc] with the standard
+   hints (perfbench's [prover.steps] probe).  A change that only makes
+   the prover faster must leave every line as it is. *)
+let test_prover_pins () =
+  let env, prog = Lazy.force annotated in
+  let module P = Logic.Prover in
+  let module R = Echo.Retry in
+  let cfg =
+    { P.default_config with
+      P.interp = Some (Echo.Implementation_proof.interp_of env prog);
+      max_steps = Echo.Orchestrator.default_config.Echo.Orchestrator.oc_max_steps }
+  in
+  let policy = R.default_policy P.standard_hints in
+  let row (vc : Logic.Formula.vc) =
+    let rt = R.prove ~policy ~cfg vc in
+    let rung =
+      match rt.R.rt_rung with Some r -> r.R.rg_name | None -> "none"
+    in
+    let probe = P.prove_vc ~cfg ~hints:P.standard_hints vc in
+    (vc.Logic.Formula.vc_name, rung, rt.R.rt_result.P.pr_hints_used,
+     R.attempts rt, probe.P.pr_steps)
+  in
+  let constraint_hits () =
+    (List.assoc "prover_constraints_memo" (P.memo_stats ())).Memo.hits
+  in
+  let hits0 = constraint_hits () in
+  let rows = List.map row (Vcgen.all_vcs (Vcgen.generate env prog)) in
+  (* the atom-key memo is consulted only on constraint misses, so a warm
+     process may not touch it at all *)
+  Alcotest.(check (list string)) "prover memos"
+    [ "prover_atom_memo"; "prover_constraints_memo" ]
+    (List.map fst (P.memo_stats ()));
+  Alcotest.(check bool) "constraints memo hits during the pass" true
+    (constraint_hits () > hits0);
+  let expected =
+    In_channel.with_open_text "prover_aes_pins.tsv" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let line (n, r, h, a, s) = Printf.sprintf "%s\t%s\t%d\t%d\t%d" n r h a s in
+  Alcotest.(check (list string)) "per-VC rung, hints, attempts, steps" expected
+    (List.map line rows);
+  let count p = List.length (List.filter p rows) in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  Alcotest.(check int) "VCs" 383 (List.length rows);
+  Alcotest.(check int) "automatic" 365
+    (count (fun (_, r, _, _, _) -> r = "automatic" || r = "simplify"));
+  Alcotest.(check int) "hinted" 18 (count (fun (_, r, _, _, _) -> r = "hinted"));
+  Alcotest.(check int) "residual" 0 (count (fun (_, r, _, _, _) -> r = "none"));
+  Alcotest.(check int) "attempts" 419 (sum (fun (_, _, _, a, _) -> a));
+  Alcotest.(check int) "probe steps" 6509 (sum (fun (_, _, _, _, s) -> s))
+
 let test_history_undo_roundtrip () =
   let _, h = Lazy.force pipeline in
   let before = Refactor.History.step_count h in
@@ -160,4 +214,5 @@ let suites =
           test_extracted_spec_is_executable;
         Alcotest.test_case "packaged pipeline verdict" `Slow
           test_packaged_pipeline_verdict;
+        Alcotest.test_case "prover pins on the AES VCs" `Slow test_prover_pins;
         Alcotest.test_case "history undo" `Slow test_history_undo_roundtrip ] ) ]

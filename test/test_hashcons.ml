@@ -82,6 +82,31 @@ let prop_cached_fvs =
       let fvs = F.free_vars t in
       List.sort_uniq String.compare fvs = fvs)
 
+(* the cached store flag is exactly "an [App (Store, _)] occurs" *)
+let prop_cached_stores =
+  QCheck.Test.make ~name:"hc: cached stores = some Store subterm" ~count:500
+    arb_formula (fun t ->
+      let found = ref false in
+      F.iter
+        (fun u -> match u.F.node with F.App (F.Store, _) -> found := true | _ -> ())
+        t;
+      t.F.stores = !found)
+
+let test_stores_survive_localize () =
+  let with_store =
+    F.forall "k" (F.num 0) (F.num 7)
+      (F.eq (F.select (F.store (F.var "a") (F.var "k") (F.num 1)) (F.var "k")) (F.num 1))
+  in
+  let without = F.eq (F.select (F.var "a") (F.num 3)) (F.num 1) in
+  let flags =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let l = F.localize with_store and l' = F.localize without in
+           (l != with_store, l.F.stores, l'.F.stores)))
+  in
+  Alcotest.(check (triple bool bool bool)) "re-interned, flags kept"
+    (true, true, false) flags
+
 (* memoized simplify must be indistinguishable from the raw fixpoint *)
 let prop_simplify_memo_transparent =
   QCheck.Test.make ~name:"hc: memoized simplify = raw fixpoint" ~count:500
@@ -160,10 +185,13 @@ let suites =
         QCheck_alcotest.to_alcotest prop_equal_implies_hash;
         QCheck_alcotest.to_alcotest prop_cached_size;
         QCheck_alcotest.to_alcotest prop_cached_fvs;
+        QCheck_alcotest.to_alcotest prop_cached_stores;
         QCheck_alcotest.to_alcotest prop_simplify_memo_transparent;
         QCheck_alcotest.to_alcotest prop_digest_matches_serialize;
         QCheck_alcotest.to_alcotest prop_subst_absent_var_noop;
         QCheck_alcotest.to_alcotest prop_map_id_preserves_node;
         Alcotest.test_case "interning dedups" `Quick test_interning_dedups;
+        Alcotest.test_case "store flag survives localize" `Quick
+          test_stores_survive_localize;
         Alcotest.test_case "4-domain interning stress" `Quick
           test_four_domain_interning ] ) ]
