@@ -178,10 +178,10 @@ end)
 (* Localization memo: (source domain, source tag) -> local node.  Tags
    are never reused, so stale entries can only waste space, never alias;
    the cap bounds that waste. *)
-let localize_memo : (int * int, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
-
 let localize_cap = 1 lsl 17
+
+let localize_memo : (int * int, t) Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create localize_cap)
 
 let rec mk node =
   let it = Interner.interner () in
@@ -229,16 +229,7 @@ let rec mk node =
 
 and localize_to my t =
   if t.dom = my then t
-  else begin
-    let memo = Domain.DLS.get localize_memo in
-    let k = (t.dom, t.tag) in
-    match Hashtbl.find_opt memo k with
-    | Some t' -> t'
-    | None ->
-        let t' = mk t.node in
-        if Hashtbl.length memo < localize_cap then Hashtbl.add memo k t';
-        t'
-  end
+  else Memo.find (Domain.DLS.get localize_memo) (t.dom, t.tag) (fun () -> mk t.node)
 
 let localize t =
   let it = Interner.interner () in

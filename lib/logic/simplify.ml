@@ -321,23 +321,18 @@ let simplify_nomemo t =
    and caching that would change results between warm and cold runs. *)
 let memo_cap = 1 lsl 17
 
-let memo_key : (int * int, Formula.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+let memo_key : (int * int, Formula.t) Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create memo_cap)
 
-let memo_add memo k r =
-  if Hashtbl.length memo < memo_cap then Hashtbl.replace memo k r
+let memo_stats () = Memo.stats (Domain.DLS.get memo_key)
 
 let simplify t =
   let memo = Domain.DLS.get memo_key in
-  let k = (t.dom, t.tag) in
-  match Hashtbl.find_opt memo k with
-  | Some r -> r
-  | None ->
+  Memo.find memo (t.dom, t.tag) (fun () ->
       let r, intermediates, converged = fixpoint t in
-      memo_add memo k r;
       if converged then
-        List.iter (fun t' -> memo_add memo (t'.dom, t'.tag) r) intermediates;
-      r
+        List.iter (fun t' -> Memo.add memo (t'.dom, t'.tag) r) intermediates;
+      r)
 
 (** Simplify a VC: hypotheses and goal; drops trivially-true hypotheses and
     detects trivially-true goals early. *)

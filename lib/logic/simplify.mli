@@ -43,6 +43,9 @@ val simplify_nomemo : Formula.t -> Formula.t
 (** The raw fixpoint without the memo table — what {!simplify} computes
     on a cold entry.  Kept for differential testing. *)
 
+val memo_stats : unit -> Memo.stats
+(** Counters of the calling domain's {!simplify} memo. *)
+
 val rewrite_passes : unit -> int
 (** Cumulative count of productive rewrite passes since process start
     (monotone).  Profilers read deltas around an operation to attribute

@@ -11,6 +11,16 @@ let create cap =
   { cap = max 1 cap; tbl = Hashtbl.create (min cap 1024); order = Queue.create ();
     hits = 0; misses = 0; evictions = 0 }
 
+let add t k v =
+  if not (Hashtbl.mem t.tbl k) then begin
+    if Hashtbl.length t.tbl >= t.cap then begin
+      Hashtbl.remove t.tbl (Queue.pop t.order);
+      t.evictions <- t.evictions + 1
+    end;
+    Hashtbl.add t.tbl k v;
+    Queue.push k t.order
+  end
+
 let find t k compute =
   match Hashtbl.find t.tbl k with
   | v ->
@@ -20,14 +30,7 @@ let find t k compute =
       t.misses <- t.misses + 1;
       let v = compute () in
       (* a recursive [compute] may have stored [k] already *)
-      if not (Hashtbl.mem t.tbl k) then begin
-        if Hashtbl.length t.tbl >= t.cap then begin
-          Hashtbl.remove t.tbl (Queue.pop t.order);
-          t.evictions <- t.evictions + 1
-        end;
-        Hashtbl.add t.tbl k v;
-        Queue.push k t.order
-      end;
+      add t k v;
       v
 
 type stats = { hits : int; misses : int; evictions : int }

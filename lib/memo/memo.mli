@@ -16,6 +16,12 @@ val find : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     structurally.  When [compute] raises, the exception propagates and
     nothing is stored. *)
 
+val add : ('k, 'v) t -> 'k -> 'v -> unit
+(** [add t k v]: store [v] under [k] unless [k] is already stored (then
+    the table is unchanged), evicting as {!find} does.  Counts neither a
+    hit nor a miss.  For a [compute] that knows the values of further
+    keys. *)
+
 type stats = { hits : int; misses : int; evictions : int }
 
 val stats : ('k, 'v) t -> stats

@@ -209,7 +209,7 @@ let remove_decl program name =
    list) none of whose parts changed is returned as-is, not rebuilt.  A
    one-procedure transformation therefore leaves every other declaration
    physically identical, which the incremental re-typechecker and the
-   applicability-memoization layer key on. *)
+   interpreter's program cache key on. *)
 
 (** [List.map] that returns the original list when every element is
     physically unchanged. *)

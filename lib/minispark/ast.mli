@@ -149,7 +149,7 @@ val remove_decl : program -> ident -> program
     none of whose parts changed is returned as-is, not rebuilt.  A
     one-procedure transformation therefore leaves every other declaration
     physically identical — the incremental re-typechecker and the
-    applicability memoization layer key on this. *)
+    interpreter's program cache key on this. *)
 
 val map_sharing : ('a -> 'a) -> 'a list -> 'a list
 (** [List.map] that returns the original list when every element is

@@ -810,10 +810,12 @@ and call_procedure rt cs argv =
 (* ---------------- the program cache ---------------- *)
 
 (* Compiled programs per domain, keyed by program and environment.
-   Transformation steps share unchanged declarations by pointer (see
-   Share), so comparing two cached versions stops at their first
-   differing declaration.  The cap bounds the compiled code and
-   const-function memos kept alive. *)
+   Transformation steps keep unchanged declarations physically intact,
+   and [Share.intern_decl] hands a re-derived, structurally equal
+   declaration back as the earlier object while that one is still in its
+   memo, so comparing two cached versions skips their shared
+   declarations and stops at the first differing one.  The cap bounds
+   the compiled code and const-function memos kept alive. *)
 let program_cap = 4
 
 let programs : (program * Typecheck.env, cprog) Memo.t Domain.DLS.key =

@@ -1,515 +1,57 @@
-(* Hash-consing / maximal-sharing layer for the MiniSpark AST, in the
-   style of lib/logic/hc.ml but without changing the plain-variant node
-   types (structural equality on bare constructors is load-bearing for
-   clone detection and rerolling, see ast.ml).
+(* Declaration-level sharing for the MiniSpark AST.
 
-   Instead of tagged nodes we keep, per domain:
-
-   - weak interning tables of {node; info} cells, hashed by a full
-     structural hash computed bottom-up from child cells and compared by
-     *shallow* equality (children by pointer), so interning an
-     already-shared tree touches each distinct node once;
-
-   - a strong "canonical" memo from physical node identity to its cell
-     (OCaml has no identity hash, so the memo is keyed by the bounded
-     structural [Hashtbl.hash] and resolved by a pointer scan of the
-     bucket), making re-interning an unchanged subtree O(1);
+   Three per-domain memos, each a bounded [Memo.t] keyed structurally
+   ([Hashtbl.hash], then [compare], which stops early at physically
+   shared subtrees):
 
    - a declaration unifier that maps a rebuilt-but-structurally-equal
-     declaration back to its canonical object, which is what lets
-     [Typecheck.check_incremental] recognise untouched declarations by
-     pointer comparison across transformation steps.
+     declaration back to the earlier object, which is what lets
+     [Typecheck.check_incremental] and the [Interp] program cache
+     recognise untouched declarations by pointer comparison across
+     transformation steps;
 
-   All state lives in [Domain.DLS]: each domain interns independently, so
+   - [decl_refs], the incremental checker's dependency frontier;
+
+   - [decl_digest], a sharing-independent content digest.
+
+   All state lives in [Domain.DLS]: each domain unifies independently, so
    farm workers never contend and never see another domain's pointers. *)
 
 open Ast
 
-type info = { i_tag : int; i_hash : int; i_size : int }
-type 'a cell = { c_node : 'a; c_info : info }
+(* a few hundred distinct declarations cover a whole AES refactoring run;
+   the cap keeps a long-lived server from pinning every program it saw *)
+let memo_cap = 1024
 
-let combine a b = ((a * 65599) + b) land max_int
-let combine3 a b c = combine (combine a b) c
-
-(* ------------------------------------------------------------------ *)
-(* Shallow equality: same constructor, children compared by pointer    *)
-(* ------------------------------------------------------------------ *)
-
-let rec phys_eq_list xs ys =
-  match (xs, ys) with
-  | [], [] -> true
-  | x :: xs, y :: ys -> x == y && phys_eq_list xs ys
-  | _ -> false
-
-let shallow_equal_expr (a : expr) (b : expr) =
-  match (a, b) with
-  | Bool_lit x, Bool_lit y -> x = y
-  | Int_lit x, Int_lit y -> x = y
-  | Var x, Var y | Old x, Old y -> String.equal x y
-  | Result, Result -> true
-  | Index (a1, i1), Index (a2, i2) -> a1 == a2 && i1 == i2
-  | Unop (o1, a1), Unop (o2, a2) -> o1 = o2 && a1 == a2
-  | Binop (o1, a1, b1), Binop (o2, a2, b2) -> o1 = o2 && a1 == a2 && b1 == b2
-  | Call (f1, xs), Call (f2, ys) -> String.equal f1 f2 && phys_eq_list xs ys
-  | Aggregate xs, Aggregate ys -> phys_eq_list xs ys
-  | Quantified (q1, v1, l1, h1, b1), Quantified (q2, v2, l2, h2, b2) ->
-      q1 = q2 && String.equal v1 v2 && l1 == l2 && h1 == h2 && b1 == b2
-  | _ -> false
-
-let rec shallow_equal_lvalue a b =
-  match (a, b) with
-  | Lvar x, Lvar y -> String.equal x y
-  | Lindex (a1, i1), Lindex (a2, i2) -> shallow_equal_lvalue a1 a2 && i1 == i2
-  | _ -> false
-
-let shallow_equal_stmt (a : stmt) (b : stmt) =
-  match (a, b) with
-  | Null, Null -> true
-  | Assign (l1, e1), Assign (l2, e2) -> e1 == e2 && shallow_equal_lvalue l1 l2
-  | If (br1, e1), If (br2, e2) ->
-      List.length br1 = List.length br2
-      && List.for_all2
-           (fun (g1, b1) (g2, b2) -> g1 == g2 && phys_eq_list b1 b2)
-           br1 br2
-      && phys_eq_list e1 e2
-  | For f1, For f2 ->
-      String.equal f1.for_var f2.for_var
-      && f1.for_reverse = f2.for_reverse
-      && f1.for_lo == f2.for_lo && f1.for_hi == f2.for_hi
-      && phys_eq_list f1.for_invariants f2.for_invariants
-      && phys_eq_list f1.for_body f2.for_body
-  | While w1, While w2 ->
-      w1.while_cond == w2.while_cond
-      && phys_eq_list w1.while_invariants w2.while_invariants
-      && phys_eq_list w1.while_body w2.while_body
-  | Call_stmt (n1, a1), Call_stmt (n2, a2) ->
-      String.equal n1 n2 && phys_eq_list a1 a2
-  | Return e1, Return e2 -> (
-      match (e1, e2) with
-      | None, None -> true
-      | Some x, Some y -> x == y
-      | _ -> false)
-  | Assert e1, Assert e2 -> e1 == e2
-  | _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain state                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module EW = Weak.Make (struct
-  type t = expr cell
-
-  let hash c = c.c_info.i_hash
-  let equal a b = shallow_equal_expr a.c_node b.c_node
-end)
-
-module SW = Weak.Make (struct
-  type t = stmt cell
-
-  let hash c = c.c_info.i_hash
-  let equal a b = shallow_equal_stmt a.c_node b.c_node
-end)
-
-type state = {
-  mutable tag : int;
-  mutable interns : int;
-  mutable hits : int;
-  e_weak : EW.t;
-  s_weak : SW.t;
-  e_canon : (int, expr cell list ref) Hashtbl.t;
-  s_canon : (int, stmt cell list ref) Hashtbl.t;
-  d_canon : (int, (decl * decl) list ref) Hashtbl.t;
-  d_unify : (int, decl list ref) Hashtbl.t;
-  d_refs : (int, (decl * ident list) list ref) Hashtbl.t;
-  d_digest : (int, (decl * string) list ref) Hashtbl.t;
-  p_digest : (int, (program * string) list ref) Hashtbl.t;
+type memos = {
+  unify : (decl, decl) Memo.t;
+  refs : (decl, ident list) Memo.t;
+  digests : (decl, string) Memo.t;
 }
 
-let fresh () =
-  {
-    tag = 0;
-    interns = 0;
-    hits = 0;
-    e_weak = EW.create 4096;
-    s_weak = SW.create 1024;
-    e_canon = Hashtbl.create 4096;
-    s_canon = Hashtbl.create 1024;
-    d_canon = Hashtbl.create 64;
-    d_unify = Hashtbl.create 64;
-    d_refs = Hashtbl.create 64;
-    d_digest = Hashtbl.create 64;
-    p_digest = Hashtbl.create 64;
-  }
+let memos_key : memos Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        unify = Memo.create memo_cap;
+        refs = Memo.create memo_cap;
+        digests = Memo.create memo_cap;
+      })
 
-let dls : state Domain.DLS.key = Domain.DLS.new_key fresh
-let st () = Domain.DLS.get dls
+let memos () = Domain.DLS.get memos_key
 
-let clear () =
-  let s = st () in
-  s.tag <- 0;
-  s.interns <- 0;
-  s.hits <- 0;
-  EW.clear s.e_weak;
-  SW.clear s.s_weak;
-  Hashtbl.reset s.e_canon;
-  Hashtbl.reset s.s_canon;
-  Hashtbl.reset s.d_canon;
-  Hashtbl.reset s.d_unify;
-  Hashtbl.reset s.d_refs;
-  Hashtbl.reset s.d_digest;
-  Hashtbl.reset s.p_digest
+let memo_stats () =
+  let m = memos () in
+  [
+    ("share_unify_memo", Memo.stats m.unify);
+    ("share_refs_memo", Memo.stats m.refs);
+    ("share_digest_memo", Memo.stats m.digests);
+  ]
 
-(* The canonical memos are strong; cap growth so a long-lived server
-   interning many unrelated programs cannot leak without bound.  A clear
-   only costs one round of re-interning. *)
-let max_canon_entries = 2_000_000
-
-let guard_capacity s =
-  if Hashtbl.length s.e_canon > max_canon_entries then clear ()
-
-(* Physical-identity memo: bounded structural hash -> bucket, resolved by
-   pointer scan.  Buckets are capped; eviction drops the oldest entries
-   (correctness is unaffected, only the fast path). *)
-let bucket_cap = 64
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let memo_find tbl key proj =
-  match Hashtbl.find_opt tbl (Hashtbl.hash key) with
-  | None -> None
-  | Some b -> List.find_opt (fun x -> proj x == key) !b
-
-let memo_add tbl key x =
-  let h = Hashtbl.hash key in
-  match Hashtbl.find_opt tbl h with
-  | None -> Hashtbl.add tbl h (ref [ x ])
-  | Some b ->
-      let rest =
-        if List.length !b >= bucket_cap then take (bucket_cap - 1) !b else !b
-      in
-      b := x :: rest
-
-(* ------------------------------------------------------------------ *)
-(* Interning                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let intern_expr_cell s node h size =
-  let probe = { c_node = node; c_info = { i_tag = -1; i_hash = h; i_size = size } } in
-  match EW.find_opt s.e_weak probe with
-  | Some c -> c
-  | None ->
-      s.tag <- s.tag + 1;
-      s.interns <- s.interns + 1;
-      let c =
-        { c_node = node; c_info = { i_tag = s.tag; i_hash = h; i_size = size } }
-      in
-      EW.add s.e_weak c;
-      c
-
-let intern_stmt_cell s node h size =
-  let probe = { c_node = node; c_info = { i_tag = -1; i_hash = h; i_size = size } } in
-  match SW.find_opt s.s_weak probe with
-  | Some c -> c
-  | None ->
-      s.tag <- s.tag + 1;
-      s.interns <- s.interns + 1;
-      let c =
-        { c_node = node; c_info = { i_tag = s.tag; i_hash = h; i_size = size } }
-      in
-      SW.add s.s_weak c;
-      c
-
-let cell_nodes cells originals =
-  if List.for_all2 (fun c x -> c.c_node == x) cells originals then originals
-  else List.map (fun c -> c.c_node) cells
-
-let cells_hash cells =
-  List.fold_left (fun acc c -> combine acc c.c_info.i_hash) 17 cells
-
-let cells_size cells =
-  List.fold_left (fun acc c -> acc + c.c_info.i_size) 0 cells
-
-let rec expr_cell s (e : expr) : expr cell =
-  match memo_find s.e_canon e (fun c -> c.c_node) with
-  | Some c ->
-      s.hits <- s.hits + 1;
-      c
-  | None ->
-      let node, h, size =
-        match e with
-        | Bool_lit b -> (e, combine 1 (Bool.to_int b), 1)
-        | Int_lit n -> (e, combine 2 (n land max_int), 1)
-        | Var x -> (e, combine 3 (Hashtbl.hash x), 1)
-        | Old x -> (e, combine 4 (Hashtbl.hash x), 1)
-        | Result -> (e, 5, 1)
-        | Index (a, i) ->
-            let ca = expr_cell s a in
-            let ci = expr_cell s i in
-            let node =
-              if ca.c_node == a && ci.c_node == i then e
-              else Index (ca.c_node, ci.c_node)
-            in
-            ( node,
-              combine3 6 ca.c_info.i_hash ci.c_info.i_hash,
-              1 + ca.c_info.i_size + ci.c_info.i_size )
-        | Unop (op, a) ->
-            let ca = expr_cell s a in
-            let node = if ca.c_node == a then e else Unop (op, ca.c_node) in
-            (node, combine3 7 (Hashtbl.hash op) ca.c_info.i_hash, 1 + ca.c_info.i_size)
-        | Binop (op, a, b) ->
-            let ca = expr_cell s a in
-            let cb = expr_cell s b in
-            let node =
-              if ca.c_node == a && cb.c_node == b then e
-              else Binop (op, ca.c_node, cb.c_node)
-            in
-            ( node,
-              combine (combine3 8 (Hashtbl.hash op) ca.c_info.i_hash) cb.c_info.i_hash,
-              1 + ca.c_info.i_size + cb.c_info.i_size )
-        | Call (f, args) ->
-            let cells = List.map (expr_cell s) args in
-            let args' = cell_nodes cells args in
-            let node = if args' == args then e else Call (f, args') in
-            ( node,
-              combine3 9 (Hashtbl.hash f) (cells_hash cells),
-              1 + cells_size cells )
-        | Aggregate es ->
-            let cells = List.map (expr_cell s) es in
-            let es' = cell_nodes cells es in
-            let node = if es' == es then e else Aggregate es' in
-            (node, combine 10 (cells_hash cells), 1 + cells_size cells)
-        | Quantified (q, v, lo, hi, body) ->
-            let cl = expr_cell s lo in
-            let ch = expr_cell s hi in
-            let cb = expr_cell s body in
-            let node =
-              if cl.c_node == lo && ch.c_node == hi && cb.c_node == body then e
-              else Quantified (q, v, cl.c_node, ch.c_node, cb.c_node)
-            in
-            ( node,
-              combine
-                (combine3 11 (Hashtbl.hash q) (Hashtbl.hash v))
-                (combine3 (combine 0 cl.c_info.i_hash) ch.c_info.i_hash cb.c_info.i_hash),
-              1 + cl.c_info.i_size + ch.c_info.i_size + cb.c_info.i_size )
-      in
-      let cell = intern_expr_cell s node h size in
-      memo_add s.e_canon e cell;
-      if cell.c_node != e && memo_find s.e_canon cell.c_node (fun c -> c.c_node) = None
-      then memo_add s.e_canon cell.c_node cell;
-      cell
-
-let rec lvalue_cell s (lv : lvalue) : lvalue * int * int =
-  match lv with
-  | Lvar x -> (lv, combine 31 (Hashtbl.hash x), 1)
-  | Lindex (inner, i) ->
-      let inner', ih, isz = lvalue_cell s inner in
-      let ci = expr_cell s i in
-      let node =
-        if inner' == inner && ci.c_node == i then lv
-        else Lindex (inner', ci.c_node)
-      in
-      (node, combine3 32 ih ci.c_info.i_hash, 1 + isz + ci.c_info.i_size)
-
-let rec stmt_cell s (stmt : stmt) : stmt cell =
-  match memo_find s.s_canon stmt (fun c -> c.c_node) with
-  | Some c ->
-      s.hits <- s.hits + 1;
-      c
-  | None ->
-      let node, h, size =
-        match stmt with
-        | Null -> (stmt, 21, 1)
-        | Assign (lv, e) ->
-            let lv', lh, lsz = lvalue_cell s lv in
-            let ce = expr_cell s e in
-            let node =
-              if lv' == lv && ce.c_node == e then stmt
-              else Assign (lv', ce.c_node)
-            in
-            (node, combine3 22 lh ce.c_info.i_hash, 1 + lsz + ce.c_info.i_size)
-        | If (branches, els) ->
-            let h = ref 23 in
-            let size = ref 1 in
-            let branch ((g, body) as br) =
-              let cg = expr_cell s g in
-              let body', bh, bsz = stmts_cells s body in
-              h := combine3 !h cg.c_info.i_hash bh;
-              size := !size + cg.c_info.i_size + bsz;
-              if cg.c_node == g && body' == body then br else (cg.c_node, body')
-            in
-            let branches' = map_sharing branch branches in
-            let els', eh, esz = stmts_cells s els in
-            h := combine !h eh;
-            size := !size + esz;
-            let node =
-              if branches' == branches && els' == els then stmt
-              else If (branches', els')
-            in
-            (node, !h, !size)
-        | For fl ->
-            let cl = expr_cell s fl.for_lo in
-            let ch = expr_cell s fl.for_hi in
-            let inv_cells = List.map (expr_cell s) fl.for_invariants in
-            let invs' = cell_nodes inv_cells fl.for_invariants in
-            let body', bh, bsz = stmts_cells s fl.for_body in
-            let node =
-              if
-                cl.c_node == fl.for_lo && ch.c_node == fl.for_hi
-                && invs' == fl.for_invariants
-                && body' == fl.for_body
-              then stmt
-              else
-                For
-                  {
-                    fl with
-                    for_lo = cl.c_node;
-                    for_hi = ch.c_node;
-                    for_invariants = invs';
-                    for_body = body';
-                  }
-            in
-            ( node,
-              combine
-                (combine3
-                   (combine3 24 (Hashtbl.hash fl.for_var) (Bool.to_int fl.for_reverse))
-                   cl.c_info.i_hash ch.c_info.i_hash)
-                (combine (cells_hash inv_cells) bh),
-              1 + cl.c_info.i_size + ch.c_info.i_size + cells_size inv_cells + bsz )
-        | While wl ->
-            let cc = expr_cell s wl.while_cond in
-            let inv_cells = List.map (expr_cell s) wl.while_invariants in
-            let invs' = cell_nodes inv_cells wl.while_invariants in
-            let body', bh, bsz = stmts_cells s wl.while_body in
-            let node =
-              if
-                cc.c_node == wl.while_cond
-                && invs' == wl.while_invariants
-                && body' == wl.while_body
-              then stmt
-              else
-                While
-                  {
-                    while_cond = cc.c_node;
-                    while_invariants = invs';
-                    while_body = body';
-                  }
-            in
-            ( node,
-              combine3 25 cc.c_info.i_hash (combine (cells_hash inv_cells) bh),
-              1 + cc.c_info.i_size + cells_size inv_cells + bsz )
-        | Call_stmt (n, args) ->
-            let cells = List.map (expr_cell s) args in
-            let args' = cell_nodes cells args in
-            let node = if args' == args then stmt else Call_stmt (n, args') in
-            (node, combine3 26 (Hashtbl.hash n) (cells_hash cells), 1 + cells_size cells)
-        | Return None -> (stmt, 27, 1)
-        | Return (Some e) ->
-            let ce = expr_cell s e in
-            let node = if ce.c_node == e then stmt else Return (Some ce.c_node) in
-            (node, combine3 27 1 ce.c_info.i_hash, 1 + ce.c_info.i_size)
-        | Assert e ->
-            let ce = expr_cell s e in
-            let node = if ce.c_node == e then stmt else Assert ce.c_node in
-            (node, combine 28 ce.c_info.i_hash, 1 + ce.c_info.i_size)
-      in
-      let cell = intern_stmt_cell s node h size in
-      memo_add s.s_canon stmt cell;
-      if
-        cell.c_node != stmt
-        && memo_find s.s_canon cell.c_node (fun c -> c.c_node) = None
-      then memo_add s.s_canon cell.c_node cell;
-      cell
-
-and stmts_cells s (ss : stmt list) : stmt list * int * int =
-  let cells = List.map (stmt_cell s) ss in
-  let ss' = cell_nodes cells ss in
-  (ss', cells_hash cells, cells_size cells)
-
-(* ------------------------------------------------------------------ *)
-(* Declarations and programs                                           *)
-(* ------------------------------------------------------------------ *)
-
-let opt_expr_share s o =
-  match o with
-  | None -> o
-  | Some e ->
-      let c = expr_cell s e in
-      if c.c_node == e then o else Some c.c_node
-
-let var_decl_share s (v : var_decl) =
-  let init' = opt_expr_share s v.v_init in
-  if init' == v.v_init then v else { v with v_init = init' }
-
-let sub_share s (sub : subprogram) =
-  let pre' = opt_expr_share s sub.sub_pre in
-  let post' = opt_expr_share s sub.sub_post in
-  let locals' = map_sharing (var_decl_share s) sub.sub_locals in
-  let body', _, _ = stmts_cells s sub.sub_body in
-  if
-    pre' == sub.sub_pre && post' == sub.sub_post
-    && locals' == sub.sub_locals
-    && body' == sub.sub_body
-  then sub
-  else
-    { sub with sub_pre = pre'; sub_post = post'; sub_locals = locals'; sub_body = body' }
-
-let intern_decl_uncached s (d : decl) : decl =
-  let d' =
-    match d with
-    | Dtype _ -> d
-    | Dconst c ->
-        let v = expr_cell s c.k_value in
-        if v.c_node == c.k_value then d else Dconst { c with k_value = v.c_node }
-    | Dvar v ->
-        let v' = var_decl_share s v in
-        if v' == v then d else Dvar v'
-    | Dsub sub ->
-        let sub' = sub_share s sub in
-        if sub' == sub then d else Dsub sub'
-  in
-  (* unify with a structurally equal canonical declaration from an
-     earlier generation: the structural compare short-circuits on the
-     pointer-shared subtrees just installed above *)
-  let h = Hashtbl.hash d' in
-  match Hashtbl.find_opt s.d_unify h with
-  | Some bucket -> (
-      match List.find_opt (fun d0 -> d0 == d' || d0 = d') !bucket with
-      | Some d0 -> d0
-      | None ->
-          bucket := d' :: take (bucket_cap - 1) !bucket;
-          d')
-  | None ->
-      Hashtbl.add s.d_unify h (ref [ d' ]);
-      d'
-
-let intern_decl d =
-  let s = st () in
-  guard_capacity s;
-  match memo_find s.d_canon d fst with
-  | Some (_, canonical) ->
-      s.hits <- s.hits + 1;
-      canonical
-  | None ->
-      let canonical = intern_decl_uncached s d in
-      memo_add s.d_canon d (d, canonical);
-      if canonical != d && memo_find s.d_canon canonical fst = None then
-        memo_add s.d_canon canonical (canonical, canonical);
-      canonical
+let intern_decl d = Memo.find (memos ()).unify d (fun () -> d)
 
 let intern_program p =
   let decls' = map_sharing intern_decl p.prog_decls in
   if decls' == p.prog_decls then p else { p with prog_decls = decls' }
-
-let intern_expr e = (expr_cell (st ()) e).c_node
-let expr_info e = (expr_cell (st ()) e).c_info
-let stmt_info stmt = (stmt_cell (st ()) stmt).c_info
-
-let intern_stmts ss =
-  let ss', _, _ = stmts_cells (st ()) ss in
-  ss'
 
 (* ------------------------------------------------------------------ *)
 (* Conservative syntactic references of a declaration                  *)
@@ -570,53 +112,16 @@ let compute_decl_refs = function
       in
       List.sort_uniq String.compare (stmts_refs acc sub.sub_body)
 
-let decl_refs d =
-  let s = st () in
-  match memo_find s.d_refs d fst with
-  | Some (_, refs) -> refs
-  | None ->
-      let refs = compute_decl_refs d in
-      memo_add s.d_refs d (d, refs);
-      refs
+let decl_refs d = Memo.find (memos ()).refs d (fun () -> compute_decl_refs d)
 
 (* ------------------------------------------------------------------ *)
 (* Digests                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* [No_sharing] so the digest depends only on structure, never on how a
-   value happens to be pointer-shared (parallel and sequential pipelines
-   build the same programs with different sharing). *)
+   value happens to be pointer-shared. *)
 let marshal_digest x =
   Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
 
-let decl_digest d =
-  let s = st () in
-  match memo_find s.d_digest d fst with
-  | Some (_, dg) -> dg
-  | None ->
-      let dg = marshal_digest d in
-      memo_add s.d_digest d (d, dg);
-      dg
-
-let program_digest p =
-  let s = st () in
-  match memo_find s.p_digest p fst with
-  | Some (_, dg) -> dg
-  | None ->
-      let dg = marshal_digest p in
-      memo_add s.p_digest p (p, dg);
-      dg
-
-(* ------------------------------------------------------------------ *)
-(* Stats                                                               *)
-(* ------------------------------------------------------------------ *)
-
-type stats = { st_population : int; st_interns : int; st_hits : int }
-
-let stats () =
-  let s = st () in
-  {
-    st_population = EW.count s.e_weak + SW.count s.s_weak;
-    st_interns = s.interns;
-    st_hits = s.hits;
-  }
+let decl_digest d = Memo.find (memos ()).digests d (fun () -> marshal_digest d)
+let program_digest p = marshal_digest p

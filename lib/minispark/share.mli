@@ -1,60 +1,43 @@
-(** Hash-consing / maximal-sharing layer for the MiniSpark AST (§17).
+(** Declaration-level sharing for the MiniSpark AST (§17, §21).
 
-    The plain-variant node types of {!Ast} are kept as-is — structural
-    equality on bare constructors is load-bearing for clone detection and
-    rerolling — so sharing is provided by an external interning layer:
-    per-domain weak tables of [{node; info}] cells with a full structural
-    hash computed bottom-up and shallow (pointer-children) equality, plus
-    a strong physical-identity memo so re-interning an unchanged subtree
-    is O(1).
+    The node types of {!Ast} stay plain variants and are not hash-consed:
+    structural equality on bare constructors is load-bearing for clone
+    detection and rerolling, and the sharing-preserving rewrite
+    combinators of {!Ast} already keep untouched subtrees physically
+    intact.  This module adds one guarantee on top, at declaration
+    granularity: a rebuilt-but-structurally-equal declaration comes back
+    as the earlier object ({!intern_decl}), which
+    {!Typecheck.check_incremental} then recognises as untouched by [==]
+    alone.
 
-    Interning is what makes pointer comparison meaningful across
-    transformation steps: a rebuilt-but-structurally-equal declaration is
-    unified with its canonical object, which {!Typecheck.check_incremental}
-    then recognises as untouched by [==] alone.
+    Every table is a bounded, structurally keyed {!Memo.t}, one per
+    domain ([Domain.DLS]): farm workers unify independently and never see
+    another domain's pointers. *)
 
-    All state is per-domain ([Domain.DLS]): farm workers intern
-    independently and never see another domain's pointers. *)
-
-type info = {
-  i_tag : int;   (** unique per distinct structure within a domain *)
-  i_hash : int;  (** full structural hash, cached *)
-  i_size : int;  (** node count of the subtree *)
-}
-
-val intern_expr : Ast.expr -> Ast.expr
-(** Canonical representative; physically equal input subtrees are touched
-    once, structurally equal results are pointer-equal. *)
-
-val intern_stmts : Ast.stmt list -> Ast.stmt list
 val intern_decl : Ast.decl -> Ast.decl
+(** A declaration structurally equal to one still in the calling domain's
+    memo comes back as that earlier object; any other declaration is
+    stored and returned unchanged.  The memo is bounded, so an evicted
+    declaration is only a lost fast path: results stay structurally the
+    same. *)
 
 val intern_program : Ast.program -> Ast.program
-(** Interns every declaration; declarations (and the program itself) that
-    are already canonical come back physically unchanged. *)
-
-val expr_info : Ast.expr -> info
-(** Interns the expression and returns its cached hash/size/tag. *)
-
-val stmt_info : Ast.stmt -> info
+(** {!intern_decl} on every declaration; a program whose declarations all
+    come back physically unchanged is itself returned unchanged. *)
 
 val decl_refs : Ast.decl -> Ast.ident list
 (** Conservative syntactic name references of a declaration (variables,
     called subprograms, named types — including local shadowers), sorted
-    and deduplicated; memoized by physical identity.  Used by the
-    incremental re-typechecker as the dependency frontier. *)
+    and deduplicated; memoized.  Used by the incremental re-typechecker
+    as the dependency frontier. *)
 
 val decl_digest : Ast.decl -> string
+(** Content digest (hex), independent of pointer sharing; memoized. *)
+
 val program_digest : Ast.program -> string
-(** Content digest (hex), independent of pointer sharing; memoized by
-    physical identity. *)
+(** Content digest (hex) of a whole program, independent of pointer
+    sharing; computed on every call. *)
 
-type stats = { st_population : int; st_interns : int; st_hits : int }
-
-val stats : unit -> stats
-(** Live interned nodes, total interning allocations, and canonical-memo
-    hits for the calling domain. *)
-
-val clear : unit -> unit
-(** Drop all interning state of the calling domain (tests, long-lived
-    servers).  Only the fast path is affected. *)
+val memo_stats : unit -> (string * Memo.stats) list
+(** Counters of the calling domain's unifier, reference and digest memos,
+    named [share_unify_memo], [share_refs_memo] and [share_digest_memo]. *)

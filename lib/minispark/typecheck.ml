@@ -459,9 +459,10 @@ let check_subprogram env sub =
 
 (** Check one declaration against the environment accumulated so far;
     returns the extended environment and the normalised declaration.  The
-    result is interned ({!Share.intern_decl}), so re-deriving a
-    structurally equal declaration yields the same physical object — the
-    incremental checker and downstream memo layers key on this. *)
+    result goes through {!Share.intern_decl}, so re-deriving a declaration
+    structurally equal to one still in that memo yields the earlier
+    physical object — the incremental checker and the [Interp] program
+    cache key on this. *)
 let check_decl env decl =
   match decl with
   | Dtype (n, t) ->

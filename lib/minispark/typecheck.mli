@@ -41,14 +41,14 @@ val compatible : typ -> typ -> bool
 val check : program -> env * program
 (** Type-check; returns the environment and the normalised program.
     Declarations are processed in order (declare-before-use, as in Ada).
-    Every returned declaration is interned ({!Share.intern_decl}), so
-    re-deriving a structurally equal declaration yields the same physical
-    object.
+    Every returned declaration goes through {!Share.intern_decl}: a
+    declaration structurally equal to one still in that bounded memo
+    comes back as the earlier physical object.
     @raise Type_error on violations. *)
 
 val check_decl : env -> decl -> env * decl
 (** Check one declaration against the environment accumulated so far;
-    returns the extended environment and the normalised (interned)
+    returns the extended environment and the normalised (unified)
     declaration. *)
 
 val check_incremental : baseline:(env * program) -> program -> env * program

@@ -133,14 +133,19 @@ let apply_step ?(entries = []) ?(trials = 24) ?certify h (tr : Transform.t) =
 let apply ?entries ?trials ?certify h tr =
   if not (Telemetry.enabled ()) then apply_step ?entries ?trials ?certify h tr
   else
-    let m0 = Equivalence.run_memo_stats () and i0 = Interp.memo_stats () in
+    let m0 = Equivalence.run_memo_stats ()
+    and i0 = Interp.memo_stats ()
+    and s0 = Share.memo_stats () in
     Fun.protect
       ~finally:(fun () ->
         List.iter
           (fun (name, by) -> Telemetry.count ~by name)
           (Memo.counters "oracle_memo"
              (Memo.diff (Equivalence.run_memo_stats ()) m0)
-          @ Memo.counters "interp_memo" (Memo.diff (Interp.memo_stats ()) i0)))
+          @ Memo.counters "interp_memo" (Memo.diff (Interp.memo_stats ()) i0)
+          @ List.concat_map
+              (fun (name, s) -> Memo.counters name (Memo.diff s (List.assoc name s0)))
+              (Share.memo_stats ())))
       (fun () -> apply_step ?entries ?trials ?certify h tr)
 
 (** Roll back the most recent step. *)

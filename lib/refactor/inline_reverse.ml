@@ -66,26 +66,17 @@ let extract_function ~name ~params ~ret ~body ?(min_occurrences = 1) () =
                 Ast.Call (name, List.map (fun m -> List.assoc m subst) metas)
             | None -> e)
       in
-      let cache_key =
-        Printf.sprintf "xf:%s:%s" name
-          (Digest.to_hex (Digest.string (Marshal.to_string (metas, body) [])))
-      in
       let decls =
         Ast.map_sharing
           (fun d ->
             match d with
             | Ast.Dsub s ->
                 let body0 = s.Ast.sub_body in
-                if Transform.known_no_match ~key:cache_key body0 then d
-                else
-                  let body' =
-                    Ast.map_stmts (fun st -> [ Ast.map_own_exprs rw st ]) body0
-                  in
-                  if body' == body0 then begin
-                    Transform.record_no_match ~key:cache_key body0;
-                    d
-                  end
-                  else Ast.Dsub { s with Ast.sub_body = body' }
+                let body' =
+                  Ast.map_stmts (fun st -> [ Ast.map_own_exprs rw st ]) body0
+                in
+                if body' == body0 then d
+                else Ast.Dsub { s with Ast.sub_body = body' }
             | d -> d)
           program.Ast.prog_decls
       in
@@ -208,24 +199,15 @@ let extract_procedure ~name ~params ~(template : Ast.stmt list) ?(min_occurrence
         done;
         if !changed then List.rev !out else body
       in
-      let cache_key =
-        Printf.sprintf "xp:%s:%s" name
-          (Digest.to_hex (Digest.string (Marshal.to_string (metas, template) [])))
-      in
       let decls =
         Ast.map_sharing
           (fun d ->
             match d with
             | Ast.Dsub s ->
                 let body0 = s.Ast.sub_body in
-                if Transform.known_no_match ~key:cache_key body0 then d
-                else
-                  let body' = rewrite_body body0 in
-                  if body' == body0 then begin
-                    Transform.record_no_match ~key:cache_key body0;
-                    d
-                  end
-                  else Ast.Dsub { s with Ast.sub_body = body' }
+                let body' = rewrite_body body0 in
+                if body' == body0 then d
+                else Ast.Dsub { s with Ast.sub_body = body' }
             | d -> d)
           program.Ast.prog_decls
       in

@@ -59,11 +59,6 @@ let reverse ~table ~index_var ~replacement ?(helpers = []) () =
                 Transform.fold_expr (Ast.subst_expr [ (index_var, idx) ] replacement)
             | e -> e)
       in
-      let cache_key =
-        Printf.sprintf "tr:%s:%s" table
-          (Digest.to_hex
-             (Digest.string (Marshal.to_string (index_var, replacement) [])))
-      in
       let opt_rw o =
         match o with
         | Some e ->
@@ -79,19 +74,8 @@ let reverse ~table ~index_var ~replacement ?(helpers = []) () =
             | Ast.Dsub s ->
                 let body0 = s.Ast.sub_body in
                 let body' =
-                  if Transform.known_no_match ~key:cache_key body0 then body0
-                  else
-                    let b =
-                      Transform.fold_stmts
-                        (Ast.map_stmts
-                           (fun st -> [ Ast.map_own_exprs rw st ])
-                           body0)
-                    in
-                    if b == body0 then begin
-                      Transform.record_no_match ~key:cache_key body0;
-                      body0
-                    end
-                    else b
+                  Transform.fold_stmts
+                    (Ast.map_stmts (fun st -> [ Ast.map_own_exprs rw st ]) body0)
                 in
                 let pre' = opt_rw s.Ast.sub_pre in
                 let post' = opt_rw s.Ast.sub_post in

@@ -81,50 +81,6 @@ let apply (tr : t) env program =
           reject "%s: transformed program does not type-check: %s" tr.tr_name msg)
 
 (* ------------------------------------------------------------------ *)
-(* Negative applicability cache                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Matchers walk every subprogram body on every attempt; with the sharing-
-   preserving combinators, bodies a transformation did not touch keep their
-   physical identity across steps, so a (matcher key, body) pair that
-   yielded no match once can be skipped forever after.  Keyed per domain:
-   bounded [Hashtbl.hash] buckets scanned with [==] (OCaml has no identity
-   hash), capped to stay O(1). *)
-
-let nm_bucket_cap = 64
-
-let nm_key : (string, (int, Ast.stmt list list ref) Hashtbl.t) Hashtbl.t
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let known_no_match ~key (stmts : Ast.stmt list) =
-  match Hashtbl.find_opt (Domain.DLS.get nm_key) key with
-  | None -> false
-  | Some inner -> (
-      match Hashtbl.find_opt inner (Hashtbl.hash stmts) with
-      | None -> false
-      | Some bucket -> List.memq stmts !bucket)
-
-let record_no_match ~key (stmts : Ast.stmt list) =
-  let outer = Domain.DLS.get nm_key in
-  let inner =
-    match Hashtbl.find_opt outer key with
-    | Some t -> t
-    | None ->
-        let t = Hashtbl.create 256 in
-        Hashtbl.add outer key t;
-        t
-  in
-  let h = Hashtbl.hash stmts in
-  match Hashtbl.find_opt inner h with
-  | Some bucket ->
-      if not (List.memq stmts !bucket) then begin
-        if List.length !bucket >= nm_bucket_cap then bucket := [];
-        bucket := stmts :: !bucket
-      end
-  | None -> Hashtbl.add inner h (ref [ stmts ])
-
-(* ------------------------------------------------------------------ *)
 (* Template matching with metavariables                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -232,7 +188,7 @@ and match_stmts ~metas t s subst =
    collect the literals in a canonical traversal order.  Two statement
    groups that differ only in literals have equal skeletons. *)
 
-let literal_skeleton_uncached (stmts : Ast.stmt list) : Ast.stmt list * int list =
+let literal_skeleton (stmts : Ast.stmt list) : Ast.stmt list * int list =
   let literals = ref [] in
   let strip =
     Ast.map_expr (function
@@ -244,34 +200,6 @@ let literal_skeleton_uncached (stmts : Ast.stmt list) : Ast.stmt list * int list
   (* map_own_exprs applies [strip] once per attached expression *)
   let stmts' = Ast.map_stmts (fun s -> [ Ast.map_own_exprs strip s ]) stmts in
   (stmts', List.rev !literals)
-
-(* Rerolling skeletonises every candidate statement group on every attempt;
-   groups in untouched bodies keep their physical identity across steps, so
-   the result is memoized per physical list (same bounded-hash + [==] scan
-   as the negative cache). *)
-let skel_key :
-    (int, (Ast.stmt list * (Ast.stmt list * int list)) list ref) Hashtbl.t
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let literal_skeleton (stmts : Ast.stmt list) : Ast.stmt list * int list =
-  let tbl = Domain.DLS.get skel_key in
-  let h = Hashtbl.hash stmts in
-  let bucket =
-    match Hashtbl.find_opt tbl h with
-    | Some b -> b
-    | None ->
-        let b = ref [] in
-        Hashtbl.add tbl h b;
-        b
-  in
-  match List.assq_opt stmts !bucket with
-  | Some r -> r
-  | None ->
-      let r = literal_skeleton_uncached stmts in
-      if List.length !bucket >= nm_bucket_cap then bucket := [];
-      bucket := (stmts, r) :: !bucket;
-      r
 
 (* Rebuild a statement list from a skeleton, replacing the k-th literal
    placeholder with [gen k]. *)

@@ -44,17 +44,6 @@ val apply : t -> Typecheck.env -> Ast.program -> Typecheck.env * Ast.program
     program must re-type-check (incrementally, against the incoming
     program as baseline).  @raise Not_applicable otherwise. *)
 
-(** {1 Negative applicability cache}
-
-    Matchers walk every subprogram body on every attempt; bodies a
-    transformation left physically untouched keep their identity across
-    steps (sharing-preserving combinators), so a (matcher key, body) pair
-    that yielded no match once can be skipped forever after.  Per-domain;
-    physical identity, never structural. *)
-
-val known_no_match : key:string -> Ast.stmt list -> bool
-val record_no_match : key:string -> Ast.stmt list -> unit
-
 (** {1 Template matching with metavariables}
 
     Templates are ordinary expressions / statement lists in which the

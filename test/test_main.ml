@@ -5,7 +5,7 @@ let () =
        process — so they must run before the farm/prover domain suites *)
     (Test_serve.suites
    @ Test_minispark.suites @ Test_interp_edge.suites @ Test_typecheck_edge.suites @ Test_pretty_decl.suites @ Test_logic.suites @ Test_logic_more.suites @ Test_prover_soundness.suites @ Test_vcgen.suites @ Test_vc_metrics.suites
-   @ Test_share.suites @ Test_typecheck_incremental.suites
+   @ Test_memo.suites @ Test_share.suites @ Test_typecheck_incremental.suites
    @ Test_refactor.suites @ Test_refactor_more.suites @ Test_metrics.suites @ Test_specl.suites
    @ Test_extract.suites @ Test_echo.suites @ Test_orchestrator.suites @ Test_aes_impl.suites
    @ Test_aes_spec.suites @ Test_aes_spec_props.suites @ Test_aes_pipeline.suites @ Test_defects.suites

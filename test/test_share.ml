@@ -1,10 +1,10 @@
-(* The MiniSpark AST interning layer (Share) and the sharing-preserving
-   rewrite combinators it relies on:
+(* The MiniSpark declaration-sharing layer (Share) and the sharing-
+   preserving rewrite combinators it relies on:
 
    - interning two structurally equal, physically distinct programs yields
      pointer-equal declarations, with equal memoized digests;
    - the digest is sharing-independent (Marshal.No_sharing): an interned
-     (maximally shared) program and a freshly parsed (unshared) one agree;
+     program and a freshly parsed one agree;
    - map_expr / map_stmts / map_own_exprs return the original node / list
      when the rewriter changes nothing, and preserve untouched subtrees
      physically when it does;
@@ -66,19 +66,6 @@ let test_digest_sharing_independent () =
   in
   Alcotest.(check bool) "different programs, different digests" false
     (String.equal (Share.program_digest shared) (Share.program_digest other))
-
-let test_expr_info () =
-  let e1 = Share.intern_expr (Parser.expr_of_string "(a + 1) * (a + 1)") in
-  let e2 = Share.intern_expr (Parser.expr_of_string "(a + 1) * (a + 1)") in
-  Alcotest.(check bool) "interned exprs are pointer-equal" true (e1 == e2);
-  let i1 = Share.expr_info e1 and i2 = Share.expr_info e2 in
-  Alcotest.(check int) "same tag" i1.Share.i_tag i2.Share.i_tag;
-  Alcotest.(check int) "same hash" i1.Share.i_hash i2.Share.i_hash;
-  Alcotest.(check bool) "size counts nodes" true (i1.Share.i_size >= 7);
-  match e1 with
-  | Ast.Binop (Ast.Mul, a, b) ->
-      Alcotest.(check bool) "subterms are shared" true (a == b)
-  | _ -> Alcotest.fail "unexpected shape"
 
 let test_decl_refs () =
   let p = parse () in
@@ -145,14 +132,6 @@ let test_subst_preserves_untouched () =
   Alcotest.(check bool) "no-op substitution returns the same list" true
     (noop == stmts)
 
-let test_stats_move () =
-  let before = (Share.stats ()).Share.st_interns in
-  let _ = Share.intern_program (parse ()) in
-  let after = Share.stats () in
-  Alcotest.(check bool) "interning allocates or hits" true
-    (after.Share.st_interns >= before);
-  Alcotest.(check bool) "population positive" true (after.Share.st_population > 0)
-
 (* four domains intern the same source concurrently; interning state is
    per-domain, so the canonical nodes differ physically across domains but
    agree structurally — digests included *)
@@ -179,7 +158,6 @@ let suites =
       [ Alcotest.test_case "interning is canonical" `Quick test_intern_canonical;
         Alcotest.test_case "digest is sharing-independent" `Quick
           test_digest_sharing_independent;
-        Alcotest.test_case "expr info and subterm sharing" `Quick test_expr_info;
         Alcotest.test_case "decl_refs is conservative" `Quick test_decl_refs;
         Alcotest.test_case "identity rewrites preserve nodes" `Quick
           test_map_identity_preserves_node;
@@ -187,6 +165,5 @@ let suites =
           test_rewrite_preserves_untouched;
         Alcotest.test_case "subst preserves untouched statements" `Quick
           test_subst_preserves_untouched;
-        Alcotest.test_case "stats move" `Quick test_stats_move;
         Alcotest.test_case "4-domain interning stress" `Quick
           test_four_domain_interning ] ) ]
