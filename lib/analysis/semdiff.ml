@@ -106,7 +106,9 @@ let diff ~old_p ~new_p =
     match Ast.find_sub new_p sp.Ast.sub_name with
     | None -> (sp.Ast.sub_name, Removed)
     | Some sp' ->
-        if sig_digest sp <> sig_digest sp' then
+        (* equal trees print equally: skip the printer *)
+        if sp == sp' || sp = sp' then (sp.Ast.sub_name, Unchanged)
+        else if sig_digest sp <> sig_digest sp' then
           (sp.Ast.sub_name, Sig_or_spec_changed)
         else if body_digest sp <> body_digest sp' then
           (sp.Ast.sub_name, Body_changed)

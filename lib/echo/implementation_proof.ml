@@ -137,12 +137,13 @@ let hint_sig = function
    that can change a proof outcome: the retry ladder (rungs, hints, fuel)
    and the prover's search knobs.  The per-VC deadline is deliberately
    excluded: a recorded proof stays a proof under any deadline, and
-   timeouts are never cached.  The "pf2" marker versions the key scheme,
-   so entries recorded under the old whole-program signature can never
-   collide with the per-subprogram keys below. *)
+   timeouts are never cached.  The "pf3" marker versions the key scheme,
+   so entries recorded under earlier schemes (the whole-program
+   signature, then "pf2"'s printed-text frontier signature) can never
+   collide with the declaration-digest keys below. *)
 let base_signature ~(policy : Retry.policy) ~(cfg : P.config) =
   let buf = Buffer.create 512 in
-  Printf.ksprintf (Buffer.add_string buf) "pf2;split=%d;steps=%d;"
+  Printf.ksprintf (Buffer.add_string buf) "pf3;split=%d;steps=%d;"
     cfg.P.max_split cfg.P.max_steps;
   List.iter
     (fun (rg : Retry.rung) ->
@@ -160,13 +161,28 @@ let base_signature ~(policy : Retry.policy) ~(cfg : P.config) =
    environment).  Scoping the signature to that frontier instead of the
    whole program is what makes incremental re-verification pay: editing
    one procedure leaves every unrelated subprogram's keys untouched, so
-   their proofs still hit the cache.  Earlier key schemes hashed every
-   function program-wide — one edit anywhere invalidated the entire
-   store — and silently omitted constants and globals, which the
-   evaluator also reads. *)
+   their proofs still hit the cache.  Each definition enters as its
+   {!Share.decl_digest}, which is memoized per declaration, so nothing is
+   printed.  Earlier key schemes hashed every function program-wide — one
+   edit anywhere invalidated the entire store — and silently omitted
+   constants and globals, which the evaluator also reads. *)
 let sub_signature program =
   let graph = lazy (Analysis.Depgraph.build program) in
   let memo = Hashtbl.create 16 in
+  let decls = Hashtbl.create 64 in
+  List.iter
+    (fun d -> Hashtbl.add decls (Ast.decl_name d) d)
+    (List.rev program.Ast.prog_decls);
+  (* the first declaration of [name] of the given kind, in program
+     order: the one the evaluator resolves *)
+  let kind = function
+    | Ast.Dtype _ -> `Type | Ast.Dconst _ -> `Const | Ast.Dvar _ -> `Var | Ast.Dsub _ -> `Sub
+  in
+  let digest_of k name =
+    List.find_map
+      (fun d -> if kind d = k then Some (Share.decl_digest d) else None)
+      (Hashtbl.find_all decls name)
+  in
   fun sub_name ->
     match Hashtbl.find_opt memo sub_name with
     | Some s -> s
@@ -175,43 +191,18 @@ let sub_signature program =
         let buf = Buffer.create 512 in
         List.iter
           (fun d ->
-            match Ast.find_sub program d with
-            | Some sp ->
-                Printf.ksprintf (Buffer.add_string buf) "fn=%s:%s;" d
-                  (Digest.to_hex
-                     (Digest.string (Fmt.str "%a" (Pretty.pp_subprogram 0) sp)))
-            | None -> ())
+            Option.iter
+              (Printf.ksprintf (Buffer.add_string buf) "fn=%s:%s;" d)
+              (digest_of `Sub d))
           (Analysis.Depgraph.eval_deps g sub_name);
         List.iter
           (fun d ->
             Printf.ksprintf (Buffer.add_string buf) "decl=%s:%s;" d
-              (Digest.to_hex
-                 (Digest.string
-                    (match List.assoc_opt d (Ast.type_decls program) with
-                    | Some ty -> "type:" ^ Pretty.typ_to_string ty
-                    | None -> (
-                        match
-                          List.find_opt
-                            (fun (k : Ast.const_decl) -> k.Ast.k_name = d)
-                            (Ast.constants program)
-                        with
-                        | Some k ->
-                            Printf.sprintf "const:%s:%s"
-                              (Pretty.typ_to_string k.Ast.k_typ)
-                              (Pretty.expr_to_string k.Ast.k_value)
-                        | None -> (
-                            match
-                              List.find_opt
-                                (fun (v : Ast.var_decl) -> v.Ast.v_name = d)
-                                (Ast.global_vars program)
-                            with
-                            | Some v ->
-                                Printf.sprintf "var:%s:%s"
-                                  (Pretty.typ_to_string v.Ast.v_typ)
-                                  (match v.Ast.v_init with
-                                  | Some e -> Pretty.expr_to_string e
-                                  | None -> "-")
-                            | None -> "-"))))))
+              (match
+                 List.find_map (fun k -> digest_of k d) [ `Type; `Const; `Var ]
+               with
+              | Some digest -> digest
+              | None -> "-"))
           (Analysis.Depgraph.decl_closure g
              (sub_name :: Analysis.Depgraph.eval_deps g sub_name));
         let s = Digest.to_hex (Digest.string (Buffer.contents buf)) in
@@ -413,16 +404,20 @@ let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
   Telemetry.Batch.flush ();
   (* reassemble in generation order and record fresh proofs — cache
      writes stay on the coordinator, so the store needs no locking *)
+  let added = ref 0 in
   Array.iteri
     (fun k vr ->
       let i, _, _, key = pending.(k) in
       (match (cache, key, entry_of_result vr) with
-      | Some c, Some key, Some entry -> Farm.Cache.add c key entry
+      | Some c, Some key, Some entry ->
+          Farm.Cache.add c key entry;
+          incr added
       | _ -> ());
       slots.(i) <- Some vr)
     proved;
+  (* a run that recorded nothing leaves the index untouched *)
   (match cache with
-  | Some c when !misses > 0 || Farm.Cache.size c > 0 -> (
+  | Some c when !added > 0 -> (
       match Farm.Cache.save c with
       | Ok () -> ()
       | Error msg ->

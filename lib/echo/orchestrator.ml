@@ -620,6 +620,7 @@ let run ?(resume = false) ?(config = default_config) (cs : Pipeline.case_study) 
         [ ("case", Telemetry.S cs.Pipeline.cs_name); ("resume", Telemetry.B resume) ]
       "orchestrated-run"
   in
+  let vcgen_memo0 = Vcgen.memo_stats () in
   let st =
     {
       cfg = config;
@@ -730,6 +731,12 @@ let run ?(resume = false) ?(config = default_config) (cs : Pipeline.case_study) 
     | Degraded _ -> "degraded"
     | Failed _ -> "failed"
   in
+  (* the analyze, impact and proof stages all generate VCs; the memo's
+     events over the run sit next to the memos History.apply publishes *)
+  if Telemetry.enabled () then
+    List.iter
+      (fun (name, by) -> Telemetry.count ~by name)
+      (Memo.counters "vcgen_memo" (Memo.diff (Vcgen.memo_stats ()) vcgen_memo0));
   Telemetry.finish_span root_span ~attrs:[ ("verdict", Telemetry.S verdict_name) ];
   (match config.oc_run_dir with
   | Some dir when Telemetry.enabled () -> (

@@ -23,9 +23,14 @@ type entry = {
   en_time : float;
 }
 
+(* (inode, size, mtime) of an index file *)
+type stamp = int * int * float
+
 type t = {
   c_dir : string;
   c_entries : (string, entry) Hashtbl.t;
+  mutable c_stamp : stamp option;
+      (* the index as this handle last read or wrote it *)
 }
 
 let format_version = "echo-proof-cache v2"
@@ -70,13 +75,18 @@ let entry_of_json j =
       | _ -> None)
   | _ -> None
 
-let load_into entries path =
+let stamp_of (st : Unix.stats) = (st.Unix.st_ino, st.Unix.st_size, st.Unix.st_mtime)
+
+(* Load [path] into [entries]; the stamp is taken on the channel read, so
+   a rename racing the open can only make the next check reload. *)
+let load_into entries path : stamp option =
   match open_in path with
-  | exception Sys_error _ -> ()
+  | exception Sys_error _ -> None
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
+          let stamp = stamp_of (Unix.fstat (Unix.descr_of_in_channel ic)) in
           (* header line must name a format we understand *)
           let header_ok =
             match input_line ic with
@@ -89,39 +99,56 @@ let load_into entries path =
                 | Error _ -> false)
             | exception End_of_file -> false
           in
-          if header_ok then
-            let rec go () =
-              match input_line ic with
-              | line ->
-                  (if String.trim line <> "" then
-                     match Json.of_string line with
-                     | Ok j -> (
-                         match entry_of_json j with
-                         | Some (key, e) -> Hashtbl.replace entries key e
-                         | None -> ())
-                     | Error _ -> ());
-                  go ()
-              | exception End_of_file -> ()
-            in
-            go ())
+          (if header_ok then
+             let rec go () =
+               match input_line ic with
+               | line ->
+                   (if String.trim line <> "" then
+                      match Json.of_string line with
+                      | Ok j -> (
+                          match entry_of_json j with
+                          | Some (key, e) -> Hashtbl.replace entries key e
+                          | None -> ())
+                      | Error _ -> ());
+                   go ()
+               | exception End_of_file -> ()
+             in
+             go ());
+          Some stamp)
 
 let open_ ~dir =
   let entries = Hashtbl.create 256 in
-  load_into entries (index_file dir);
-  { c_dir = dir; c_entries = entries }
+  let stamp = load_into entries (index_file dir) in
+  { c_dir = dir; c_entries = entries; c_stamp = stamp }
 
-(* Re-merge the on-disk index: entries a sibling process saved since we
-   opened become visible (in-memory entries win, as in [save]).  This is
-   how long-lived proof workers sharing one cache directory inherit each
-   other's proofs between jobs without reopening the cache. *)
+(* Merge the on-disk index into memory (in-memory entries win) unless it
+   is still the file this handle last read or wrote: then every entry on
+   disk is already in memory. *)
+let merge_disk t =
+  let path = index_file t.c_dir in
+  let unchanged =
+    match t.c_stamp with
+    | None -> false
+    | Some s -> (
+        match Unix.stat path with
+        | st -> stamp_of st = s
+        | exception Unix.Unix_error _ -> false)
+  in
+  if not unchanged then begin
+    let disk = Hashtbl.create 64 in
+    t.c_stamp <- load_into disk path;
+    Hashtbl.iter
+      (fun k e ->
+        if not (Hashtbl.mem t.c_entries k) then Hashtbl.replace t.c_entries k e)
+      disk
+  end
+
+(* Entries a sibling process saved since we opened become visible.  This
+   is how long-lived proof workers sharing one cache directory inherit
+   each other's proofs between jobs without reopening the cache. *)
 let refresh t =
   let before = Hashtbl.length t.c_entries in
-  let disk = Hashtbl.create 64 in
-  load_into disk (index_file t.c_dir);
-  Hashtbl.iter
-    (fun k e ->
-      if not (Hashtbl.mem t.c_entries k) then Hashtbl.replace t.c_entries k e)
-    disk;
+  merge_disk t;
   Hashtbl.length t.c_entries - before
 
 let rec mkdir_p path =
@@ -136,12 +163,7 @@ let save t =
     mkdir_p t.c_dir;
     (* merge what another (e.g. interrupted) run wrote since we opened:
        on-disk entries we don't have locally are kept *)
-    let disk = Hashtbl.create 16 in
-    load_into disk (index_file t.c_dir);
-    Hashtbl.iter
-      (fun k e ->
-        if not (Hashtbl.mem t.c_entries k) then Hashtbl.replace t.c_entries k e)
-      disk;
+    merge_disk t;
     let keys =
       Hashtbl.fold (fun k _ acc -> k :: acc) t.c_entries []
       |> List.sort String.compare
@@ -163,7 +185,9 @@ let save t =
             output_string oc
               (Json.to_string (entry_to_json k (Hashtbl.find t.c_entries k)));
             output_char oc '\n')
-          keys);
+          keys;
+        flush oc;
+        t.c_stamp <- Some (stamp_of (Unix.fstat (Unix.descr_of_out_channel oc))));
     Sys.rename tmp (index_file t.c_dir);
     Ok ()
   with Sys_error msg -> Error msg

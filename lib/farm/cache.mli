@@ -46,13 +46,25 @@ val refresh : t -> int
     since {!open_} (or the previous refresh) into memory; in-memory
     entries win on conflict.  Returns the number of entries gained.  This
     is how the serve daemon's proof-worker processes, which share one
-    cache directory, see each other's proofs between jobs. *)
+    cache directory, see each other's proofs between jobs.
+
+    The handle remembers the index's (inode, size, mtime) as it last
+    read or wrote it, taken by [fstat] on the channel it used.  While the
+    index still carries that stamp, [refresh] reads nothing and returns
+    0: every entry on disk is already in memory.  Writers replace the
+    index by rename, so any save by a sibling changes the inode; a
+    rename that races a read can only cost an extra reload later. *)
 
 val add : t -> string -> entry -> unit
 (** Record an outcome under a key (replacing any previous entry).  Not
     thread-safe: the farm coordinator is the only writer. *)
 
 val save : t -> (unit, string) result
-(** Atomically persist the index (temp file + rename). *)
+(** Atomically persist the index (temp file + rename), always: callers
+    decide when a save is worth its cost (the implementation proof saves
+    only after adding an entry).  Entries another process saved since
+    this handle last read or wrote the index are merged in first, under
+    the same stamp check as {!refresh}; afterwards the handle's stamp is
+    the file it wrote. *)
 
 val format_version : string

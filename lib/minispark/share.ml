@@ -125,3 +125,28 @@ let marshal_digest x =
 
 let decl_digest d = Memo.find (memos ()).digests d (fun () -> marshal_digest d)
 let program_digest p = marshal_digest p
+
+(* The one reachability walk behind the closure-keyed memos (the oracle
+   run memo, the VC-generation memo); each caller picks its roots. *)
+let closure_digest (prog : program) =
+  let by_name = Hashtbl.create 64 in
+  List.iter (fun d -> Hashtbl.add by_name (decl_name d) d) prog.prog_decls;
+  fun roots ->
+    let reached = Hashtbl.create 64 in
+    let rec visit n =
+      if not (Hashtbl.mem reached n) then begin
+        Hashtbl.replace reached n ();
+        List.iter
+          (fun d -> List.iter visit (decl_refs d))
+          (Hashtbl.find_all by_name n)
+      end
+    in
+    List.iter visit roots;
+    Digest.to_hex
+      (Digest.string
+         (String.concat ""
+            (List.filter_map
+               (fun d ->
+                 if Hashtbl.mem reached (decl_name d) then Some (decl_digest d)
+                 else None)
+               prog.prog_decls)))

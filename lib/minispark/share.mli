@@ -38,6 +38,13 @@ val program_digest : Ast.program -> string
 (** Content digest (hex) of a whole program, independent of pointer
     sharing; computed on every call. *)
 
+val closure_digest : Ast.program -> Ast.ident list -> string
+(** [closure_digest prog roots]: a digest (hex) of the {!decl_digest}s,
+    in program order, of every declaration whose name is reachable from
+    [roots] through {!decl_refs} — every declaration of a reached name, so
+    whichever one a consumer resolves is covered.  Partial application to
+    [prog] indexes its declarations once for many root sets. *)
+
 val memo_stats : unit -> (string * Memo.stats) list
 (** Counters of the calling domain's unifier, reference and digest memos,
     named [share_unify_memo], [share_refs_memo] and [share_digest_memo]. *)

@@ -249,48 +249,29 @@ let run_memo_stats () = Memo.stats (memos ()).runs
 let marshal_digest x =
   Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
 
-(* Digest of every declaration a run of [name] can observe: the
-   declarations reachable from [name] through [Share.decl_refs] (every
-   declaration of a reached name, in program order, so whichever one the
-   interpreter resolves is covered), all type declarations (resolution
-   and coercion read them), and the closure of every global initialiser
-   that calls a subprogram (a call during global initialisation could
-   write a global the target reads).  Nothing else executes in a run
-   whose global initialisation succeeds. *)
+(* Digest of every declaration a run of [name] can observe
+   ([Share.closure_digest]), rooted at [name], every type declaration
+   (resolution and coercion read them) and every global initialiser that
+   calls a subprogram (a call during global initialisation could write a
+   global the target reads).  Nothing else executes in a run whose global
+   initialisation succeeds. *)
 let closure_digest (prog : Ast.program) name =
-  let by_name = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.add by_name (Ast.decl_name d) d) prog.Ast.prog_decls;
-  let reached = Hashtbl.create 32 in
-  let rec visit n =
-    if not (Hashtbl.mem reached n) then begin
-      Hashtbl.replace reached n ();
-      List.iter
-        (fun d -> List.iter visit (Share.decl_refs d))
-        (Hashtbl.find_all by_name n)
-    end
-  in
-  let is_sub n =
-    List.exists
-      (function Ast.Dsub _ -> true | Ast.Dtype _ | Ast.Dconst _ | Ast.Dvar _ -> false)
-      (Hashtbl.find_all by_name n)
-  in
-  visit name;
+  let subs = Hashtbl.create 32 in
   List.iter
-    (fun d ->
-      match d with
-      | Ast.Dtype (n, _) -> visit n
-      | Ast.Dconst _ | Ast.Dvar _ ->
-          if List.exists is_sub (Share.decl_refs d) then visit (Ast.decl_name d)
-      | Ast.Dsub _ -> ())
-    prog.Ast.prog_decls;
-  Digest.to_hex
-    (Digest.string
-       (String.concat ""
-          (List.filter_map
-             (fun d ->
-               if Hashtbl.mem reached (Ast.decl_name d) then Some (Share.decl_digest d)
-               else None)
-             prog.Ast.prog_decls)))
+    (fun (sp : Ast.subprogram) -> Hashtbl.replace subs sp.Ast.sub_name ())
+    (Ast.subprograms prog);
+  let is_sub = Hashtbl.mem subs in
+  Share.closure_digest prog
+    (name
+    :: List.filter_map
+         (fun d ->
+           match d with
+           | Ast.Dtype (n, _) -> Some n
+           | Ast.Dconst _ | Ast.Dvar _ ->
+               if List.exists is_sub (Share.decl_refs d) then Some (Ast.decl_name d)
+               else None
+           | Ast.Dsub _ -> None)
+         prog.Ast.prog_decls)
 
 let outcome_of run =
   match run () with

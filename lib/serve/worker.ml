@@ -61,17 +61,23 @@ let run_assignment ?cache ~emit (a : Protocol.assignment) :
            ("job " ^ js.Protocol.js_id))
     else None
   in
+  let vcgen_memo0 = Vcgen.memo_stats () in
   let outcome = Echo.Verify.run ~options ~on_stage ~source:js.Protocol.js_source () in
   (match span with
   | Some sp ->
+      (* this job's events on the worker's long-lived VC-generation memo *)
+      let memo =
+        Memo.counters "vcgen_memo" (Memo.diff (Vcgen.memo_stats ()) vcgen_memo0)
+      in
       Telemetry.finish_span
         ~attrs:
-          [
-            ( "verdict",
-              Telemetry.S (Echo.Verify.verdict_string outcome.Echo.Verify.vj_verdict)
-            );
-            ("vcs", Telemetry.I outcome.Echo.Verify.vj_total);
-          ]
+          ([
+             ( "verdict",
+               Telemetry.S (Echo.Verify.verdict_string outcome.Echo.Verify.vj_verdict)
+             );
+             ("vcs", Telemetry.I outcome.Echo.Verify.vj_total);
+           ]
+          @ List.map (fun (name, n) -> (name, Telemetry.I n)) memo)
         sp
   | None -> ());
   (match telemetry with

@@ -16,8 +16,15 @@
 
     Proof-cache sharing: each worker opens the shared cache directory
     once and {!Farm.Cache.refresh}es before every job, so proofs saved by
-    sibling workers (the proof run saves on completion) become hits here
-    without any daemon-side plumbing. *)
+    sibling workers (a proof run that adds an entry saves on completion)
+    become hits here without any daemon-side plumbing; while no sibling
+    has saved, the refresh reads nothing.
+
+    The worker outlives its jobs, and so do its per-process memos: a job
+    that shares subprograms with an earlier one reuses their generated
+    VCs ({!Vcgen.generate}).  With telemetry on, the job span carries the
+    job's [vcgen_memo_hits], [vcgen_memo_misses] and
+    [vcgen_memo_evictions]. *)
 
 val crash_exit_code : int
 (** Exit status used by the injected-crash hook (distinguishable from a

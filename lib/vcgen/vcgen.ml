@@ -780,18 +780,66 @@ let vc_digests r =
     (fun s -> (s.sr_sub, List.map F.vc_digest s.sr_vcs))
     r.r_subs
 
+(* ------------------------------------------------------------------ *)
+(* Per-subprogram memo                                                 *)
+(*                                                                     *)
+(* A subprogram's report is a function of what [generate_sub] reads:   *)
+(* its own declaration, every declaration reachable from it through    *)
+(* [Share.decl_refs] (callees whose contracts it assumes, functions    *)
+(* whose posts it inlines, the types it resolves), every type,         *)
+(* constant and global declaration and what they reach ([var_types_of] *)
+(* and [used_constants] scan all constants and globals), and the       *)
+(* per-VC and path budgets.  The key is exactly that.  The             *)
+(* whole-program cap only decides whether generation stops, never what *)
+(* it produces, so it stays out of the key and is re-applied on a hit. *)
+(* Only reports that succeeded are stored, one table per domain        *)
+(* because formulas are interned per domain.                           *)
+(* ------------------------------------------------------------------ *)
+
+(* the 29 reports of the annotated AES program hold ~1.2 MB, so a full
+   table stays near 10 MB however long a worker lives; a served edit
+   regenerates 2-5 subprograms, so it spans dozens of program versions *)
+let memo_cap = 256
+
+let memo_key : (string, sub_report) Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create memo_cap)
+
+let memo_stats () = Memo.stats (Domain.DLS.get memo_key)
+
 (** Generate VCs for every subprogram of a (checked) program.  On budget
     exhaustion the subprograms analysed so far are kept and the failure
     recorded, mirroring the paper's "no value because the VCs were too
     complicated to be handled" columns. *)
 let generate ?(budget = default_budget) env program : report =
+  let memo = Domain.DLS.get memo_key in
+  let closure = Share.closure_digest program in
+  let globals =
+    List.filter_map
+      (function Ast.Dsub _ -> None | d -> Some (Ast.decl_name d))
+      program.Ast.prog_decls
+  in
   let shared_total = ref 0 in
   let rec go acc = function
     | [] -> { r_subs = List.rev acc; r_infeasible = None }
-    | sub :: rest -> (
+    | (sub : Ast.subprogram) :: rest -> (
         match
-          let r = generate_sub ~budget:{ budget with max_total_nodes = budget.max_total_nodes - !shared_total } env program sub in
-          shared_total := !shared_total + List.fold_left (fun a (_, n) -> a + n) 0 r.sr_sizes;
+          let name = sub.Ast.sub_name in
+          let key =
+            Printf.sprintf "%d:%d:%s:%s" budget.max_vc_nodes budget.max_paths
+              name (closure (name :: globals))
+          in
+          let r =
+            Memo.find memo key (fun () ->
+                generate_sub
+                  ~budget:{ budget with max_total_nodes = budget.max_total_nodes - !shared_total }
+                  env program sub)
+          in
+          let nodes = List.fold_left (fun a (_, n) -> a + n) 0 r.sr_sizes in
+          (* a cold run under the remaining cap trips exactly when the
+             report's nodes exceed it, with this message *)
+          if !shared_total + nodes > budget.max_total_nodes then
+            raise (Infeasible (Printf.sprintf "total VC budget exceeded in %s" name));
+          shared_total := !shared_total + nodes;
           r
         with
         | r -> go (r :: acc) rest

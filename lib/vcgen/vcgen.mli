@@ -43,7 +43,18 @@ type report = {
 
 val generate : ?budget:budget -> Typecheck.env -> Ast.program -> report
 (** Generate VCs for every subprogram; on budget exhaustion the
-    subprograms analysed so far are kept and the failure recorded. *)
+    subprograms analysed so far are kept and the failure recorded.
+    [env] must be the program's own environment.
+
+    Per-subprogram reports are memoized per domain on the budget's
+    per-VC and path caps, the subprogram's name and the
+    {!Share.closure_digest} of the subprogram and of every type, constant
+    and global declaration; the whole-program cap is re-applied on a hit,
+    so the report equals a run of {!generate_sub} over each subprogram
+    under the remaining cap. *)
+
+val memo_stats : unit -> Memo.stats
+(** Counters of the calling domain's per-subprogram memo. *)
 
 val all_vcs : report -> Logic.Formula.vc list
 

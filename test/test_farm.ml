@@ -152,6 +152,37 @@ let test_cache_merges_on_save () =
   let c = Farm.Cache.open_ ~dir in
   Alcotest.(check int) "both entries present" 2 (Farm.Cache.size c)
 
+let auto_entry = { Farm.Cache.en_status = Farm.Cache.E_auto; en_attempts = 1; en_time = 0.1 }
+
+let save_ok what c =
+  match Farm.Cache.save c with Ok () -> () | Error e -> Alcotest.failf "save %s: %s" what e
+
+let test_refresh_skips_unchanged_index () =
+  let dir = temp_dir "refresh-same" in
+  let a = Farm.Cache.open_ ~dir in
+  Farm.Cache.add a "ka" auto_entry;
+  save_ok "a" a;
+  Alcotest.(check int) "own save: nothing to gain" 0 (Farm.Cache.refresh a);
+  let b = Farm.Cache.open_ ~dir in
+  Alcotest.(check int) "unchanged since open" 0 (Farm.Cache.refresh b);
+  Alcotest.(check int) "still unchanged" 0 (Farm.Cache.refresh b);
+  Alcotest.(check int) "b holds a's entry" 1 (Farm.Cache.size b)
+
+let test_refresh_sees_sibling_save () =
+  let dir = temp_dir "refresh-sibling" in
+  let a = Farm.Cache.open_ ~dir and b = Farm.Cache.open_ ~dir in
+  Farm.Cache.add a "ka" auto_entry;
+  save_ok "a" a;
+  Alcotest.(check int) "b gains a's first entry" 1 (Farm.Cache.refresh b);
+  Farm.Cache.add a "kb" auto_entry;
+  save_ok "a again" a;
+  Alcotest.(check int) "b gains a's second entry" 1 (Farm.Cache.refresh b);
+  Alcotest.(check bool) "and can look it up" true (Farm.Cache.lookup b "kb" <> None);
+  Farm.Cache.add b "kc" auto_entry;
+  save_ok "b" b;
+  Alcotest.(check int) "a gains b's entry" 1 (Farm.Cache.refresh a);
+  Alcotest.(check int) "a holds all three" 3 (Farm.Cache.size a)
+
 (* ---------------- integration with the implementation proof ---------------- *)
 
 (* a program whose VCs exercise auto and hinted rungs *)
@@ -242,6 +273,31 @@ let test_cold_then_warm_cache () =
   Alcotest.(check bool) "warm run flags cached results" true
     (List.exists (fun (vr : IP.vc_result) -> vr.IP.vr_cached) warm.IP.ip_results)
 
+let index_stamp dir =
+  let st = Unix.stat (Filename.concat dir "index.jsonl") in
+  (st.Unix.st_ino, st.Unix.st_mtime)
+
+let test_index_written_only_on_add () =
+  let env, prog = Lazy.force farm_program in
+  let dir = temp_dir "index-writes" in
+  (* fill the cache with every VC but one *)
+  let held_back = (List.hd (Vcgen.all_vcs (Vcgen.generate env prog))).F.vc_name in
+  let _ =
+    IP.run_resilient
+      ~filter_vcs:(List.filter (fun (vc : F.vc) -> vc.F.vc_name <> held_back))
+      ~cache:(Farm.Cache.open_ ~dir) env prog
+  in
+  let filled = index_stamp dir in
+  let one_miss = IP.run_resilient ~cache:(Farm.Cache.open_ ~dir) env prog in
+  Alcotest.(check int) "the held-back VC misses" 1 one_miss.IP.ip_cache_misses;
+  let rewritten = index_stamp dir in
+  Alcotest.(check bool) "a run with a miss rewrites the index" true (rewritten <> filled);
+  let warm = IP.run_resilient ~cache:(Farm.Cache.open_ ~dir) env prog in
+  Alcotest.(check int) "warm run: no miss" 0 warm.IP.ip_cache_misses;
+  Alcotest.(check bool) "warm run: every VC hits" true (warm.IP.ip_cache_hits > 0);
+  Alcotest.(check (pair int (float 0.0))) "a run with no miss leaves inode and mtime"
+    rewritten (index_stamp dir)
+
 let test_cache_keying_isolates_programs () =
   (* a different program over the same cache directory must miss, not
      replay foreign proofs *)
@@ -321,11 +377,17 @@ let suites =
     ( "farm:cache",
       [ Alcotest.test_case "roundtrip via disk" `Quick test_cache_roundtrip;
         Alcotest.test_case "tolerates garbage index" `Quick test_cache_tolerates_garbage;
-        Alcotest.test_case "merges on save" `Quick test_cache_merges_on_save ] );
+        Alcotest.test_case "merges on save" `Quick test_cache_merges_on_save;
+        Alcotest.test_case "refresh skips an unchanged index" `Quick
+          test_refresh_skips_unchanged_index;
+        Alcotest.test_case "refresh sees a sibling's save" `Quick
+          test_refresh_sees_sibling_save ] );
     ( "farm:proof",
       [ Alcotest.test_case "parallel verdicts = sequential" `Quick
           test_farm_matches_sequential_proof;
         Alcotest.test_case "cold then warm cache" `Quick test_cold_then_warm_cache;
+        Alcotest.test_case "index written only when an entry is added" `Quick
+          test_index_written_only_on_add;
         Alcotest.test_case "cache keying isolates programs" `Quick
           test_cache_keying_isolates_programs;
         Alcotest.test_case "ground evaluation agrees across jobs" `Quick

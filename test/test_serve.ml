@@ -425,6 +425,105 @@ let crash_budget_exhausted () =
                 (Protocol.exit_code_of_class cls)
           | None -> Alcotest.fail "no fault attached"))
 
+(* ------------------------------------------------------------------ *)
+(* served edits: one worker's memos across jobs                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One worker body serves the clean program, then an edit with the clean
+   job as its inline baseline, then the same edit with no baseline.  Each
+   job's per-VC verdicts must equal a cold one-shot [Verify.run] (in a
+   fresh domain, so none of this process's memos can serve it), and the
+   later jobs must report hits on the worker's VC-generation memo.  Runs
+   after the daemon cases: once a domain is spawned, fork is off. *)
+let served_edits_identity () =
+  let src = checksum_src () in
+  let edited = edited_src src in
+  let cold source =
+    Domain.join (Domain.spawn (fun () -> Echo.Verify.run ~source ()))
+  in
+  let cache = Farm.Cache.open_ ~dir:(temp_dir "identity-cache") in
+  let serve ~id ?baseline source =
+    let trace = Filename.temp_file "echo-serve-identity" ".jsonl" in
+    let w =
+      Serve.Worker.run_assignment ~cache ~emit:ignore
+        {
+          Protocol.as_job = Protocol.job ~id ~jobs:1 ?baseline ~source ();
+          as_attempt = 1;
+          as_telemetry = Some trace;
+        }
+    in
+    let events =
+      match Telemetry.read_jsonl ~path:trace with
+      | Ok events -> events
+      | Error e -> Alcotest.fail ("job telemetry: " ^ e)
+    in
+    Sys.remove trace;
+    let hits =
+      List.find_map
+        (function
+          | Telemetry.Span { sp_name; sp_attrs; _ } when sp_name = "job " ^ id -> (
+              match List.assoc_opt "vcgen_memo_hits" sp_attrs with
+              | Some (Telemetry.I n) -> Some n
+              | _ -> None)
+          | _ -> None)
+        events
+    in
+    (w, hits)
+  in
+  let check what source (w : Protocol.wire_outcome) =
+    Alcotest.(check (list (triple string string string)))
+      (what ^ ": per-VC verdicts = cold one-shot run")
+      (verdict_keys (cold source).Echo.Verify.vj_results)
+      (verdict_keys w.Protocol.w_results)
+  in
+  let clean, clean_hits = serve ~id:"clean" src in
+  check "clean" src clean;
+  Alcotest.(check bool) "the job span carries the memo counters" true
+    (clean_hits <> None);
+  let baseline =
+    { Echo.Verify.vb_program = src; vb_results = clean.Protocol.w_results }
+  in
+  let edit, edit_hits = serve ~id:"edit" ~baseline edited in
+  check "edit against the clean baseline" edited edit;
+  Alcotest.(check bool) "edit carried baseline verdicts" true
+    (edit.Protocol.w_carried > 0);
+  let fresh, fresh_hits = serve ~id:"fresh" edited in
+  check "same edit, no baseline" edited fresh;
+  let hit = function Some n -> n > 0 | None -> false in
+  Alcotest.(check bool) "the edit job hits the VC memo" true (hit edit_hits);
+  Alcotest.(check bool) "the fresh job hits the VC memo" true (hit fresh_hits)
+
+(* A served baseline arrives as source and is re-parsed: a program (or an
+   assert-edited variant of it) diffed against its own print-then-parse
+   classifies every subprogram [Unchanged] and changes no declaration. *)
+let prop_semdiff_reparse =
+  let programs =
+    lazy
+      (List.map
+         (fun f -> Parser.of_string (read_file (resolve_example f)))
+         [ "checksum.mspark"; "sbox_lookup.mspark" ])
+  in
+  QCheck.Test.make ~name:"semdiff: print-then-parse leaves every subprogram unchanged"
+    ~count:40
+    QCheck.(pair (int_bound 1) (option small_nat))
+    (fun (which, edit) ->
+      let p = List.nth (Lazy.force programs) which in
+      let p =
+        match edit with
+        | None -> p
+        | Some k ->
+            let subs = Ast.subprograms p in
+            let name = (List.nth subs (k mod List.length subs)).Ast.sub_name in
+            Ast.update_sub p name (fun sp ->
+                { sp with Ast.sub_body = Ast.Assert (Ast.Bool_lit true) :: sp.Ast.sub_body })
+      in
+      let d =
+        Analysis.Semdiff.diff ~old_p:p
+          ~new_p:(Parser.of_string (Pretty.program_to_string p))
+      in
+      List.for_all (fun (_, c) -> c = Analysis.Semdiff.Unchanged) d.Analysis.Semdiff.sd_subs
+      && d.Analysis.Semdiff.sd_decls = [])
+
 let props = List.map QCheck_alcotest.to_alcotest
   [ prop_priority_fifo; prop_backpressure; prop_job_round_trip ]
 
@@ -449,5 +548,12 @@ let suites =
           crash_recovery;
         Alcotest.test_case "crash past attempt budget: service fault" `Slow
           crash_budget_exhausted;
+      ] );
+    (* after serve.daemon: these spawn domains *)
+    ( "serve.identity",
+      [
+        Alcotest.test_case "served edits match cold one-shot runs" `Slow
+          served_edits_identity;
+        QCheck_alcotest.to_alcotest prop_semdiff_reparse;
       ] );
   ]
