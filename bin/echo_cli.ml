@@ -47,7 +47,8 @@ let with_errors f =
 
 (* Resolve a --jobs request: 0 (the default) = the visible core count,
    because a fixed default oversubscribes small containers — jobs=4
-   measured 3x slower than jobs=1 at one visible core (BENCH_farm.json).
+   measured 3x slower than jobs=1 at one visible core (DESIGN.md §11,
+   "Default width").
    Explicit oversubscription is honoured but called out. *)
 let resolve_jobs jobs =
   if jobs <= 0 then Farm.Pool.default_jobs ()

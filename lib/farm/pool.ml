@@ -55,9 +55,9 @@ let clamp_jobs jobs = max 1 (min jobs 64)
 
 (* The farm's auto width: the visible core count, never more.  Callers
    that default to a fixed width (the old jobs=4 habit) oversubscribe
-   single-core hosts badly — BENCH_farm.json records jobs=4 running 3x
-   slower than jobs=1 at one visible core — so every "pick a width for
-   me" site should go through [default_jobs] instead. *)
+   single-core hosts badly — jobs=4 measured 3x slower than jobs=1 at one
+   visible core (DESIGN.md §11, "Default width") — so every "pick a
+   width for me" site should go through [default_jobs] instead. *)
 let visible_cores () = max 1 (Domain.recommended_domain_count ())
 let default_jobs () = clamp_jobs (visible_cores ())
 

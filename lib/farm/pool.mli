@@ -40,8 +40,8 @@ val default_jobs : unit -> int
 (** The farm's auto width: {!visible_cores} (clamped like [run]'s [jobs]).
     Use this wherever a width must be {e chosen} rather than requested —
     defaulting to a fixed number oversubscribes single-core hosts (jobs=4
-    measured 3x slower than jobs=1 at one visible core in
-    [BENCH_farm.json]). *)
+    measured 3x slower than jobs=1 at one visible core; DESIGN.md §11,
+    "Default width"). *)
 
 val oversubscribed : jobs:int -> int option
 (** [Some cores] when an explicitly requested [jobs] exceeds the visible

@@ -2,10 +2,9 @@
 
    The collector records what happened; this module explains where the
    time went.  Everything here is pure analysis over an event list — no
-   collector state, no clock reads — so the same functions serve the
-   [echo_cli profile] command (events read back from a run directory)
-   and the bench harness (events taken live from the collector before it
-   is disabled).
+   collector state, no clock reads — so the same functions serve events
+   read back from a run directory ([echo_cli profile]) and events taken
+   live from the collector before it is disabled.
 
    Span lists become a forest keyed on [sp_parent].  Spans whose parent
    id is absent from the trace are treated as roots rather than dropped:
@@ -385,188 +384,3 @@ let refactor_categories evs =
   |> List.map (fun (cat, (steps, secs)) -> (cat, steps, secs))
   |> List.sort (fun (ca, _, a) (cb, _, b) ->
          match Float.compare b a with 0 -> String.compare ca cb | c -> c)
-
-(* ------------------------------------------------------------------ *)
-(* Bench history                                                       *)
-(* ------------------------------------------------------------------ *)
-
-type history_record = {
-  h_timestamp : float;
-  h_git_rev : string;
-  h_cores : int;
-  h_total_seconds : float;
-  h_stage_seconds : (string * float) list;
-  h_vcs_per_sec : float;
-  h_steps_per_sec : float;
-  h_serve_jobs_per_sec : float;
-  h_serve_p95_s : float;
-}
-
-let history_record_to_json r =
-  Telemetry.Json.Obj
-    [
-      ("timestamp", Telemetry.Json.Float r.h_timestamp);
-      ("git_rev", Telemetry.Json.String r.h_git_rev);
-      ("cores", Telemetry.Json.Int r.h_cores);
-      ("total_seconds", Telemetry.Json.Float r.h_total_seconds);
-      ( "stage_seconds",
-        Telemetry.Json.Obj
-          (List.map
-             (fun (k, v) -> (k, Telemetry.Json.Float v))
-             r.h_stage_seconds) );
-      ("vcs_per_sec", Telemetry.Json.Float r.h_vcs_per_sec);
-      ("steps_per_sec", Telemetry.Json.Float r.h_steps_per_sec);
-      ("serve_jobs_per_sec", Telemetry.Json.Float r.h_serve_jobs_per_sec);
-      ("serve_p95_s", Telemetry.Json.Float r.h_serve_p95_s);
-    ]
-
-let json_number = function
-  | Some (Telemetry.Json.Float v) -> Some v
-  | Some (Telemetry.Json.Int n) -> Some (float_of_int n)
-  | _ -> None
-
-let history_record_of_json j =
-  let m k = Telemetry.Json.member k j in
-  match
-    ( json_number (m "timestamp"),
-      m "git_rev",
-      m "cores",
-      json_number (m "total_seconds") )
-  with
-  | ( Some ts,
-      Some (Telemetry.Json.String rev),
-      Some (Telemetry.Json.Int cores),
-      Some total ) ->
-      let stages =
-        match m "stage_seconds" with
-        | Some (Telemetry.Json.Obj fields) ->
-            List.filter_map
-              (fun (k, v) -> Option.map (fun s -> (k, s)) (json_number (Some v)))
-              fields
-        | _ -> []
-      in
-      Ok
-        {
-          h_timestamp = ts;
-          h_git_rev = rev;
-          h_cores = cores;
-          h_total_seconds = total;
-          h_stage_seconds = stages;
-          h_vcs_per_sec = Option.value ~default:0.0 (json_number (m "vcs_per_sec"));
-          h_steps_per_sec =
-            Option.value ~default:0.0 (json_number (m "steps_per_sec"));
-          (* service-path rates arrived later than the format: absent in
-             old lines, so they default like the other rates *)
-          h_serve_jobs_per_sec =
-            Option.value ~default:0.0 (json_number (m "serve_jobs_per_sec"));
-          h_serve_p95_s =
-            Option.value ~default:0.0 (json_number (m "serve_p95_s"));
-        }
-  | _ -> Error "history record missing a required field"
-
-let append_history ~path r =
-  try
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc
-          (Telemetry.Json.to_string (history_record_to_json r));
-        output_char oc '\n');
-    Ok ()
-  with Sys_error msg -> Error msg
-
-let load_history ~path =
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc lineno =
-          match input_line ic with
-          | line ->
-              if String.trim line = "" then go acc (lineno + 1)
-              else (
-                match Telemetry.Json.of_string line with
-                | Error msg ->
-                    raise (Failure (Printf.sprintf "%s:%d: %s" path lineno msg))
-                | Ok j -> (
-                    match history_record_of_json j with
-                    | Ok r -> go (r :: acc) (lineno + 1)
-                    | Error msg ->
-                        raise
-                          (Failure (Printf.sprintf "%s:%d: %s" path lineno msg))))
-          | exception End_of_file -> List.rev acc
-        in
-        Ok (go [] 1))
-  with
-  | Sys_error msg -> Error msg
-  | Failure msg -> Error msg
-
-type regression = {
-  rg_metric : string;
-  rg_latest : float;
-  rg_baseline : float;
-  rg_delta_pct : float;
-}
-
-let detect_regressions ?(window = 5) ?(tolerance_pct = 25.0) records =
-  match List.rev records with
-  | [] | [ _ ] -> []
-  | latest :: previous ->
-      let baseline = List.filteri (fun i _ -> i < window) previous in
-      let mean getter =
-        (* one surviving sample is noise, not a baseline: comparing
-           against it makes the second run of a fresh history (or of a
-           newly-recorded stage/rate) spuriously loud, so each metric
-           waits until two comparable samples exist *)
-        match List.filter_map getter baseline with
-        | [] | [ _ ] -> None
-        | xs ->
-            Some
-              (List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs))
-      in
-      let regs = ref [] in
-      let flag metric latest_v baseline_v =
-        regs :=
-          {
-            rg_metric = metric;
-            rg_latest = latest_v;
-            rg_baseline = baseline_v;
-            rg_delta_pct = 100.0 *. (latest_v -. baseline_v) /. baseline_v;
-          }
-          :: !regs
-      in
-      let higher_is_worse metric latest_v getter =
-        match mean getter with
-        | Some b when b > 0.0 && latest_v > b *. (1.0 +. (tolerance_pct /. 100.0))
-          ->
-            flag metric latest_v b
-        | _ -> ()
-      in
-      let lower_is_worse metric latest_v getter =
-        match mean getter with
-        | Some b
-          when b > 0.0 && latest_v > 0.0
-               && latest_v < b *. (1.0 -. (tolerance_pct /. 100.0)) ->
-            flag metric latest_v b
-        | _ -> ()
-      in
-      higher_is_worse "total_seconds" latest.h_total_seconds (fun r ->
-          Some r.h_total_seconds);
-      List.iter
-        (fun (stage, v) ->
-          higher_is_worse ("stage:" ^ stage) v (fun r ->
-              List.assoc_opt stage r.h_stage_seconds))
-        latest.h_stage_seconds;
-      lower_is_worse "vcs_per_sec" latest.h_vcs_per_sec (fun r ->
-          if r.h_vcs_per_sec > 0.0 then Some r.h_vcs_per_sec else None);
-      lower_is_worse "steps_per_sec" latest.h_steps_per_sec (fun r ->
-          if r.h_steps_per_sec > 0.0 then Some r.h_steps_per_sec else None);
-      lower_is_worse "serve_jobs_per_sec" latest.h_serve_jobs_per_sec (fun r ->
-          if r.h_serve_jobs_per_sec > 0.0 then Some r.h_serve_jobs_per_sec
-          else None);
-      (if latest.h_serve_p95_s > 0.0 then
-         higher_is_worse "serve_p95_s" latest.h_serve_p95_s (fun r ->
-             if r.h_serve_p95_s > 0.0 then Some r.h_serve_p95_s else None));
-      List.rev !regs

@@ -1,8 +1,8 @@
 (** Post-hoc profiling and attribution over finished {!Telemetry} events.
 
-    Pure analysis — no collector state, no clock reads — shared by
-    [echo_cli profile] (events read back from a run directory) and the
-    bench harness (events taken live before the collector is disabled).
+    Pure analysis — no collector state, no clock reads — over events read
+    back from a run directory ([echo_cli profile]) or taken live from the
+    collector before it is disabled.
 
     Span lists are treated as a forest on [sp_parent]; spans whose parent
     is absent from the list (e.g. after a {!focus} slice) become roots.
@@ -85,45 +85,3 @@ val refactor_categories : Telemetry.event list -> (string * int * float) list
     ([cat_transform] with both ["category"] and ["outcome"] attributes);
     nested rewrite/retypecheck/certify spans are inside those and would
     double-book. *)
-
-(** {1 Bench history} *)
-
-type history_record = {
-  h_timestamp : float;       (** Unix seconds (caller-supplied) *)
-  h_git_rev : string;
-  h_cores : int;
-  h_total_seconds : float;
-  h_stage_seconds : (string * float) list;
-  h_vcs_per_sec : float;     (** 0 when unknown *)
-  h_steps_per_sec : float;   (** 0 when unknown *)
-  h_serve_jobs_per_sec : float;
-      (** serve-daemon throughput over the bench job stream; 0 when the
-          record predates the service or the serve bench did not run *)
-  h_serve_p95_s : float;     (** serve p95 job latency; 0 when unknown *)
-}
-
-val history_record_to_json : history_record -> Telemetry.Json.t
-val history_record_of_json : Telemetry.Json.t -> (history_record, string) result
-
-val append_history : path:string -> history_record -> (unit, string) result
-(** Append one JSONL line, creating the file if needed. *)
-
-val load_history : path:string -> (history_record list, string) result
-
-type regression = {
-  rg_metric : string;     (** e.g. ["total_seconds"], ["stage:refactor"] *)
-  rg_latest : float;
-  rg_baseline : float;    (** rolling-baseline mean *)
-  rg_delta_pct : float;
-}
-
-val detect_regressions :
-  ?window:int -> ?tolerance_pct:float -> history_record list -> regression list
-(** Compare the newest record against the mean of up to [window]
-    (default 5) preceding records.  Times regress when more than
-    [tolerance_pct] (default 25%) above baseline; rates
-    ([vcs_per_sec], [steps_per_sec]) when more than that below.  Each
-    metric needs at least two baseline samples before it can regress, so
-    histories shorter than three records — and metrics that only just
-    started being recorded — warm up silently instead of flagging
-    against a single noisy sample. *)

@@ -131,6 +131,83 @@ let test_packaged_pipeline_verdict () =
         (m.Specl.Match_ratio.mr_ratio > 0.9)
   | None -> Alcotest.fail "no structure match in the report"
 
+(* Refactor-stage attribution: every direct child of the [refactor] stage
+   span is one History.apply step (a transform span carrying both
+   "category" and "outcome") or the per-block KAT gate, so the category
+   seconds plus the gate account for the whole stage; and the category
+   step counts add up to the run's step count. *)
+let test_refactor_attribution () =
+  let module T = Telemetry in
+  T.reset ();
+  T.enable ();
+  let report, events =
+    Fun.protect
+      ~finally:(fun () ->
+        T.disable ();
+        T.reset ())
+      (fun () ->
+        let r = Echo.Orchestrator.run Aes.Aes_echo.case_study in
+        (r, T.events ()))
+  in
+  let spans =
+    List.filter_map
+      (function
+        | T.Span { sp_id; sp_parent; sp_cat; sp_name; sp_attrs; _ } ->
+            Some (sp_id, sp_parent, sp_cat, sp_name, sp_attrs)
+        | T.Instant _ -> None)
+      events
+  in
+  let stage =
+    match
+      List.filter (fun (_, _, cat, name, _) -> cat = T.cat_stage && name = "refactor") spans
+    with
+    | [ (id, _, _, _, _) ] -> id
+    | l -> Alcotest.failf "expected one refactor stage span, got %d" (List.length l)
+  in
+  let children = List.filter (fun (_, parent, _, _, _) -> parent = stage) spans in
+  let is_step (_, _, cat, _, attrs) =
+    cat = T.cat_transform && List.mem_assoc "category" attrs
+    && List.mem_assoc "outcome" attrs
+  in
+  let is_gate (_, _, cat, name, _) = cat = "gate" && name = "kat-gate" in
+  List.iter
+    (fun ((_, _, cat, name, _) as c) ->
+      if not (is_step c || is_gate c) then
+        Alcotest.failf "unattributed child of the refactor stage: %s/%s" cat name)
+    children;
+  let steps = report.Echo.Orchestrator.o_refactor_steps in
+  Alcotest.(check int) "one step span per refactoring step" steps
+    (List.length (List.filter is_step children));
+  Alcotest.(check bool) "KAT gate spans present" true (List.exists is_gate children);
+  Alcotest.(check int) "category step counts sum to the step count" steps
+    (List.fold_left (fun acc (_, n, _) -> acc + n) 0 (Profile.refactor_categories events))
+
+(* The simplifier memo on the annotated AES VCs: a second pass over every
+   hypothesis and goal is served entirely from the memo (no misses, one
+   hit per term), and every memoized result equals the raw fixpoint.  Run
+   in a fresh domain, so the memo starts empty whatever ran before. *)
+let test_simplify_memo_second_pass () =
+  let env, prog = Lazy.force annotated in
+  let module S = Logic.Simplify in
+  Domain.join
+    (Domain.spawn (fun () ->
+         let terms =
+           List.concat_map
+             (fun (vc : Logic.Formula.vc) -> vc.Logic.Formula.vc_goal :: vc.Logic.Formula.vc_hyps)
+             (Vcgen.all_vcs (Vcgen.generate env prog))
+         in
+         let first = List.map S.simplify terms in
+         let s1 = S.memo_stats () in
+         let second = List.map S.simplify terms in
+         let d = Memo.diff (S.memo_stats ()) s1 in
+         Alcotest.(check int) "second pass: no misses" 0 d.Memo.misses;
+         Alcotest.(check int) "second pass: one hit per term" (List.length terms) d.Memo.hits;
+         List.iter2
+           (fun t (a, b) ->
+             if not (Logic.Formula.equal a b && Logic.Formula.equal a (S.simplify_nomemo t))
+             then Alcotest.fail "memoized simplify differs from simplify_nomemo")
+           terms (List.combine first second)))
+
 (* Pins the prover's search on the §6.2.3 VCs: per VC, in generation
    order, the default-ladder rung that settled it, its hints used and
    attempts, and the step count of one [prove_vc] with the standard
@@ -214,5 +291,9 @@ let suites =
           test_extracted_spec_is_executable;
         Alcotest.test_case "packaged pipeline verdict" `Slow
           test_packaged_pipeline_verdict;
+        Alcotest.test_case "refactor attribution closes" `Slow
+          test_refactor_attribution;
+        Alcotest.test_case "simplify memo second pass" `Slow
+          test_simplify_memo_second_pass;
         Alcotest.test_case "prover pins on the AES VCs" `Slow test_prover_pins;
         Alcotest.test_case "history undo" `Slow test_history_undo_roundtrip ] ) ]

@@ -270,9 +270,11 @@ let test_aes_optimized_flow_clean () =
     (List.length (errors_of (A.Flow.check prog)))
 
 let test_aes_annotated_flow_clean () =
-  let _, prog = Lazy.force annotated in
+  let env, prog = Lazy.force annotated in
   Alcotest.(check int) "flow errors on annotated AES" 0
-    (List.length (errors_of (A.Flow.check prog)))
+    (List.length (errors_of (A.Flow.check prog)));
+  Alcotest.(check int) "examiner errors (flow + amenability) on annotated AES" 0
+    (A.Examiner.errors (A.Examiner.analyze env prog))
 
 let test_aes_amenability () =
   (* the optimized program is full of unrolled runs: the lint must point
@@ -329,7 +331,18 @@ let test_discharge_fraction () =
     (Printf.sprintf "discharged %d/%d >= 25%%" an.A.Examiner.ex_vcs_discharged
        an.A.Examiner.ex_vcs_total)
     true
-    (an.A.Examiner.ex_vcs_discharged * 4 >= an.A.Examiner.ex_vcs_total)
+    (an.A.Examiner.ex_vcs_discharged * 4 >= an.A.Examiner.ex_vcs_total);
+  (* every exception-freedom VC is either discharged or sent to the prover *)
+  let exn_free =
+    List.filter
+      (fun (vc : Logic.Formula.vc) -> A.Discharge.attempted_kind vc.Logic.Formula.vc_kind)
+      (Vcgen.all_vcs (Vcgen.generate env prog))
+  in
+  let sent = List.filter (fun vc -> not (A.Discharge.vc_discharged vc)) exn_free in
+  Alcotest.(check int) "discharged + sent to the prover = total" an.A.Examiner.ex_vcs_total
+    (an.A.Examiner.ex_vcs_discharged + List.length sent);
+  Alcotest.(check int) "one discharged entry per discharged VC"
+    an.A.Examiner.ex_vcs_discharged (List.length an.A.Examiner.ex_discharged)
 
 let test_discharge_preserves_verdict () =
   (* pre-discharging must not change what the prover concludes about the

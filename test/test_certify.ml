@@ -142,6 +142,15 @@ let test_vc_cache_reuse () =
   Alcotest.(check int) "warm run all hits" s1.C.ct_vcs_generated s2.C.ct_cache_hits;
   Alcotest.(check int) "warm run no misses" 0 s2.C.ct_cache_misses
 
+let test_add_stats_sums_seconds () =
+  let a = { C.zero_stats with C.ct_steps = 1; ct_vc_seconds = 1.5; ct_oracle_seconds = 0.25 } in
+  let b = { C.zero_stats with C.ct_steps = 2; ct_vc_seconds = 2.5; ct_oracle_seconds = 0.5 } in
+  let s = C.add_stats a b in
+  let feq = Alcotest.(check (float 1e-9)) in
+  Alcotest.(check int) "steps add" 3 s.C.ct_steps;
+  feq "vc seconds add" 4.0 s.C.ct_vc_seconds;
+  feq "oracle seconds add" 0.75 s.C.ct_oracle_seconds
+
 (* ------------------------------------------------------------------ *)
 (* Oracle run memo: the key covers the target's behaviour closure       *)
 (* ------------------------------------------------------------------ *)
@@ -431,6 +440,8 @@ let suites =
           test_zero_trials_is_unknown;
         Alcotest.test_case "VC cache makes re-certification free" `Quick
           test_vc_cache_reuse;
+        Alcotest.test_case "certify stats seconds add" `Quick
+          test_add_stats_sums_seconds;
         Alcotest.test_case "run memo key covers the behaviour closure" `Quick
           test_closure_key_soundness;
         Alcotest.test_case "run memo reused across an unrelated edit" `Quick

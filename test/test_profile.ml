@@ -1,8 +1,7 @@
 (* Tests for the profiling layer: cost centers and self time on synthetic
    traces, deterministic critical paths under a scripted clock, the farm
    worker span DAG, the folded-stack exporter golden round trip, focus
-   slices, per-category refactor attribution, and the bench-history
-   regression detector. *)
+   slices and per-category refactor attribution. *)
 
 module T = Telemetry
 
@@ -273,144 +272,6 @@ let test_refactor_categories () =
     [ ("structural", 2, 5.0); ("local", 1, 1.0) ]
     (Profile.refactor_categories evs)
 
-(* ---------------- bench history ---------------- *)
-
-let record ?(stages = [ ("refactor", 1.0) ]) ?(vcs = 10.0) ?(steps = 2.0)
-    ?(serve_rate = 0.0) ?(serve_p95 = 0.0) total =
-  {
-    Profile.h_timestamp = 1700000000.0 +. total;
-    h_git_rev = "abc1234";
-    h_cores = 4;
-    h_total_seconds = total;
-    h_stage_seconds = stages;
-    h_vcs_per_sec = vcs;
-    h_steps_per_sec = steps;
-    h_serve_jobs_per_sec = serve_rate;
-    h_serve_p95_s = serve_p95;
-  }
-
-let test_history_round_trip () =
-  let r = record ~stages:[ ("refactor", 1.5); ("annotate", 0.25) ] 12.25 in
-  (match Profile.history_record_of_json (Profile.history_record_to_json r) with
-  | Ok back -> Alcotest.(check bool) "JSON round trip" true (r = back)
-  | Error e -> Alcotest.failf "record does not reparse: %s" e);
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "echo-profile-history-%d.jsonl" (Unix.getpid ()))
-  in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let records = [ record 10.0; record 11.0; r ] in
-      List.iter
-        (fun r ->
-          match Profile.append_history ~path r with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "append_history: %s" e)
-        records;
-      match Profile.load_history ~path with
-      | Ok back -> Alcotest.(check bool) "file round trip keeps order" true
-          (back = records)
-      | Error e -> Alcotest.failf "load_history: %s" e)
-
-let metrics regs = List.map (fun r -> r.Profile.rg_metric) regs
-
-let test_detector_warms_up_and_stays_quiet () =
-  Alcotest.(check int) "empty history" 0
-    (List.length (Profile.detect_regressions []));
-  Alcotest.(check int) "single record" 0
-    (List.length (Profile.detect_regressions [ record 10.0 ]));
-  Alcotest.(check int) "stable series" 0
-    (List.length
-       (Profile.detect_regressions [ record 10.0; record 10.0; record 10.0 ]));
-  (* a history shorter than the window must not flag against a baseline
-     of one sample, however large the jump *)
-  Alcotest.(check int) "two records: single-sample baseline stays quiet" 0
-    (List.length (Profile.detect_regressions [ record 10.0; record 100.0 ]));
-  (* same per metric: a stage that only just started being recorded has
-     one comparable sample and warms up quietly *)
-  let fresh_stage =
-    [
-      record 10.0;
-      record ~stages:[ ("impact", 1.0) ] 10.0;
-      record ~stages:[ ("impact", 3.0) ] 10.0;
-    ]
-  in
-  Alcotest.(check int) "newly recorded stage warms up quietly" 0
-    (List.length (Profile.detect_regressions fresh_stage))
-
-let test_detector_flags_time_and_rate () =
-  let history = [ record 10.0; record 10.0; record 10.0; record 20.0 ] in
-  (match Profile.detect_regressions history with
-  | [ rg ] ->
-      Alcotest.(check string) "slowdown flagged" "total_seconds" rg.Profile.rg_metric;
-      feq "latest" 20.0 rg.Profile.rg_latest;
-      feq "baseline is the rolling mean" 10.0 rg.Profile.rg_baseline;
-      feq "delta" 100.0 rg.Profile.rg_delta_pct
-  | regs -> Alcotest.failf "expected 1 regression, got %d" (List.length regs));
-  Alcotest.(check int) "wider tolerance stays quiet" 0
-    (List.length (Profile.detect_regressions ~tolerance_pct:150.0 history));
-  let slow_stage =
-    [
-      record ~stages:[ ("refactor", 1.0) ] 10.0;
-      record ~stages:[ ("refactor", 1.0) ] 10.0;
-      record ~stages:[ ("refactor", 3.0) ] 10.0;
-    ]
-  in
-  Alcotest.(check (list string)) "per-stage slowdown flagged" [ "stage:refactor" ]
-    (metrics (Profile.detect_regressions slow_stage));
-  let slow_rate =
-    [ record ~vcs:100.0 10.0; record ~vcs:100.0 10.0; record ~vcs:40.0 10.0 ]
-  in
-  Alcotest.(check (list string)) "throughput drop flagged" [ "vcs_per_sec" ]
-    (metrics (Profile.detect_regressions slow_rate));
-  (* the service path: throughput drop and p95 blow-up are both covered,
-     and pre-service records (rate 0) never poison the baseline *)
-  let slow_serve =
-    [
-      record 10.0;  (* predates the serve bench *)
-      record ~serve_rate:8.0 ~serve_p95:0.5 10.0;
-      record ~serve_rate:8.0 ~serve_p95:0.5 10.0;
-      record ~serve_rate:3.0 ~serve_p95:1.0 10.0;
-    ]
-  in
-  Alcotest.(check (list string)) "serve throughput drop and p95 blow-up flagged"
-    [ "serve_jobs_per_sec"; "serve_p95_s" ]
-    (metrics (Profile.detect_regressions slow_serve))
-
-let test_detector_window_is_rolling () =
-  (* an ancient slow run outside the window must not inflate the baseline *)
-  let history = [ record 100.0; record 1.0; record 1.0; record 1.5 ] in
-  Alcotest.(check (list string)) "window 2 sees only the recent runs"
-    [ "total_seconds" ]
-    (metrics (Profile.detect_regressions ~window:2 history));
-  Alcotest.(check int) "window 3 averages in the outlier" 0
-    (List.length (Profile.detect_regressions ~window:3 history))
-
-(* ---------------- certify stats split ---------------- *)
-
-let test_add_stats_sums_seconds () =
-  let a =
-    {
-      Refactor.Certify.zero_stats with
-      Refactor.Certify.ct_steps = 1;
-      ct_vc_seconds = 1.5;
-      ct_oracle_seconds = 0.25;
-    }
-  in
-  let b =
-    {
-      Refactor.Certify.zero_stats with
-      Refactor.Certify.ct_steps = 2;
-      ct_vc_seconds = 2.5;
-      ct_oracle_seconds = 0.5;
-    }
-  in
-  let s = Refactor.Certify.add_stats a b in
-  Alcotest.(check int) "steps add" 3 s.Refactor.Certify.ct_steps;
-  feq "vc seconds add" 4.0 s.Refactor.Certify.ct_vc_seconds;
-  feq "oracle seconds add" 0.75 s.Refactor.Certify.ct_oracle_seconds
-
 let suites =
   [
     ( "profile.cost-centers",
@@ -438,17 +299,5 @@ let suites =
         Alcotest.test_case "focus keeps the subtree" `Quick test_focus_slices_subtree;
         Alcotest.test_case "per-category refactor seconds" `Quick
           test_refactor_categories;
-      ] );
-    ( "profile.history",
-      [
-        Alcotest.test_case "record round trips" `Quick test_history_round_trip;
-        Alcotest.test_case "detector warms up quietly" `Quick
-          test_detector_warms_up_and_stays_quiet;
-        Alcotest.test_case "detector flags times and rates" `Quick
-          test_detector_flags_time_and_rate;
-        Alcotest.test_case "baseline window rolls" `Quick
-          test_detector_window_is_rolling;
-        Alcotest.test_case "certify stats seconds add" `Quick
-          test_add_stats_sums_seconds;
       ] );
   ]

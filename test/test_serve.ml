@@ -248,12 +248,16 @@ let read_file path =
 
 let checksum_src () = read_file (resolve_example "checksum.mspark")
 
-(* the bench's benign edit: a trivially true assert prepended to one
-   subprogram, changing its VC set without changing any verdict class *)
-let edited_src src =
+(* twelve small subprograms: a one-procedure edit leaves most VCs to carry *)
+let stream_src () = read_file (resolve_example "stream.mspark")
+
+(* a benign edit: a trivially true assert prepended to one subprogram
+   (checksum's [fletcher] unless [sub] says otherwise), changing its VC
+   set without changing any verdict class *)
+let edited_src ?(sub = "fletcher") src =
   let prog = Parser.of_string src in
   let prog =
-    Ast.update_sub prog "fletcher" (fun sp ->
+    Ast.update_sub prog sub (fun sp ->
         { sp with Ast.sub_body = Ast.Assert (Ast.Bool_lit true) :: sp.Ast.sub_body })
   in
   Pretty.program_to_string prog
@@ -284,9 +288,9 @@ let test_config name =
 (* One session covering the acceptance scenarios: the assertions chain,
    so run it as a single alcotest case to pay the daemon boot once. *)
 let daemon_session () =
-  let src = checksum_src () in
+  let src = stream_src () in
   let direct = Echo.Verify.run ~source:src () in
-  let edited = edited_src src in
+  let edited = edited_src ~sub:"mix" src in
   let direct_edited = Echo.Verify.run ~source:edited () in
   Client.with_daemon ~config:(test_config "session") (fun cl ->
       (* cold *)
@@ -303,18 +307,25 @@ let daemon_session () =
         "cold per-VC verdicts match direct run"
         (verdict_keys direct.Echo.Verify.vj_results)
         (verdict_keys cold.Protocol.w_results);
-      (* warm duplicate: same source, answered from the outcome table *)
-      let warm, warm_dedup, warm_attempts =
-        match Client.run_job cl (Protocol.job ~id:"warm" ~source:src ()) with
-        | Ok r -> r
-        | Error e -> Alcotest.fail ("warm job: " ^ e)
+      (* warm duplicates: same source (and baseline), each one answered
+         from the outcome table with the original's verdicts *)
+      let duplicates ~name ~original ?baseline_job source n =
+        for i = 1 to n do
+          let id = Printf.sprintf "%s-dup-%d" name i in
+          let dup, dedup, attempts =
+            match Client.run_job cl (Protocol.job ~id ~source ?baseline_job ()) with
+            | Ok r -> r
+            | Error e -> Alcotest.fail (id ^ ": " ^ e)
+          in
+          Alcotest.(check bool) (id ^ " deduplicated") true dedup;
+          Alcotest.(check int) (id ^ " used no worker attempts") 0 attempts;
+          Alcotest.(check (list (triple string string string)))
+            (id ^ " verdicts identical to the original")
+            (verdict_keys original.Protocol.w_results)
+            (verdict_keys dup.Protocol.w_results)
+        done
       in
-      Alcotest.(check bool) "warm duplicate deduplicated" true warm_dedup;
-      Alcotest.(check int) "warm used no worker attempts" 0 warm_attempts;
-      Alcotest.(check (list (triple string string string)))
-        "warm verdicts identical to cold"
-        (verdict_keys cold.Protocol.w_results)
-        (verdict_keys warm.Protocol.w_results);
+      duplicates ~name:"cold" ~original:cold src 3;
       (* incremental: edited program, baseline = the cold job *)
       let incr, _, _ =
         match
@@ -332,6 +343,13 @@ let daemon_session () =
         (incr.Protocol.w_carried > 0);
       Alcotest.(check int) "only the edited subprogram re-proves" 1
         incr.Protocol.w_impacted_subs;
+      Alcotest.(check bool)
+        (Printf.sprintf "under 25%% of VCs re-proved (%d of %d)"
+           (incr.Protocol.w_total - incr.Protocol.w_carried)
+           incr.Protocol.w_total)
+        true
+        (4 * (incr.Protocol.w_total - incr.Protocol.w_carried) < incr.Protocol.w_total);
+      duplicates ~name:"incr" ~original:incr ~baseline_job:"cold" edited 2;
       (* a submission that cannot parse fails with the parse fault class *)
       let broken, _, _ =
         match
@@ -361,8 +379,8 @@ let daemon_session () =
       match Client.stats cl with
       | Error e -> Alcotest.fail ("stats: " ^ e)
       | Ok st ->
-          Alcotest.(check int) "five submissions" 5 st.Protocol.st_submitted;
-          Alcotest.(check int) "one dedup hit" 1 st.Protocol.st_dedup_hits;
+          Alcotest.(check int) "nine submissions" 9 st.Protocol.st_submitted;
+          Alcotest.(check int) "five dedup hits" 5 st.Protocol.st_dedup_hits;
           Alcotest.(check int) "one rejection" 1 st.Protocol.st_rejected;
           Alcotest.(check int) "no crashes" 0 st.Protocol.st_worker_crashes;
           Alcotest.(check int) "queue drained" 0 st.Protocol.st_queue_depth)
@@ -394,6 +412,10 @@ let crash_recovery () =
       Alcotest.(check string) "retried verdict matches direct run"
         (Echo.Verify.verdict_string direct.Echo.Verify.vj_verdict)
         outcome.Protocol.w_verdict;
+      Alcotest.(check (list (triple string string string)))
+        "retried per-VC verdicts match direct run"
+        (verdict_keys direct.Echo.Verify.vj_results)
+        (verdict_keys outcome.Protocol.w_results);
       (* daemon survived: it still answers, and owns a respawned worker *)
       match Client.stats cl with
       | Error e -> Alcotest.fail ("stats after crash: " ^ e)
