@@ -531,15 +531,20 @@ let cmd_certify_defects trials jobs cache_dir json () =
       cf_cache = cache;
     }
   in
+  let defects = Defects.Seed.seed_all prog in
+  (* the defects share one [before]: certify them as one batch *)
+  let certs =
+    Refactor.Certify.certify_steps cfg
+      (List.map
+         (fun (d : Defects.Seed.defect) ->
+           { Refactor.Certify.sp_name = Printf.sprintf "defect-%d" d.Defects.Seed.d_id;
+             sp_before = before;
+             sp_after = Typecheck.check (d.Defects.Seed.d_apply prog) })
+         defects)
+  in
   let outcomes =
-    List.map
-      (fun (d : Defects.Seed.defect) ->
-        let after = Typecheck.check (d.Defects.Seed.d_apply prog) in
-        let cert, _ =
-          Refactor.Certify.certify cfg
-            ~step_name:(Printf.sprintf "defect-%d" d.Defects.Seed.d_id)
-            ~before ~after
-        in
+    List.map2
+      (fun (d : Defects.Seed.defect) (cert, _) ->
         let expected =
           match (cert, d.Defects.Seed.d_benign) with
           | Refactor.Certify.Refuted _, false -> true
@@ -552,7 +557,7 @@ let cmd_certify_defects trials jobs cache_dir json () =
           (Refactor.Certify.describe cert)
           (if expected then "" else "  <-- UNEXPECTED");
         (d, cert, expected))
-      (Defects.Seed.seed_all prog)
+      defects certs
   in
   let missed = List.filter (fun (_, _, ok) -> not ok) outcomes in
   Fmt.pr "%d/%d defect(s) behaved as expected@."
@@ -838,10 +843,11 @@ let vcs_cmd =
 let jobs_arg =
   Arg.(value & opt int 0
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Prove VCs on N domains with work stealing.  Defaults to the \
-                 visible core count; explicit values above it are honoured \
-                 with a warning (extra domains only time-share).  Verdicts \
-                 are identical for any value")
+           ~doc:"Run the proof farm's jobs (VCs; for certify, oracle runs; \
+                 for aes verify, implication lemmas) on N domains with work \
+                 stealing.  Defaults to the visible core count; explicit \
+                 values above it are honoured with a warning (extra domains \
+                 only time-share).  Verdicts are identical for any value")
 
 let prove_cmd =
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Per-VC details") in
@@ -994,10 +1000,10 @@ let certify_cmd =
   in
   Cmd.v
     (Cmd.info "certify" ~exits
-       ~doc:"Certify the AES refactoring step by step: equivalence VCs on \
-             the proof farm plus a fuel-bounded differential fuzzing \
-             oracle.  Exit code 7 when a step is refuted or a seeded \
-             defect escapes")
+       ~doc:"Certify every step of the AES refactoring, as one proof-farm \
+             batch: equivalence VCs plus a fuel-bounded differential \
+             fuzzing oracle.  Exit code 7 when a step is refuted or a \
+             seeded defect escapes")
     Term.(const cmd_certify $ defects $ trials $ jobs_arg $ cache_dir $ json $ const ())
 
 let chaos_cmd =

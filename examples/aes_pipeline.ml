@@ -52,7 +52,9 @@ let () =
     imp.Echo.Implication.im_proved imp.Echo.Implication.im_total
     imp.Echo.Implication.im_time;
 
-  if Echo.Implication.all_proved imp && r.Echo.Implementation_proof.ip_residual = 0 then
+  if imp.Echo.Implication.im_proved = imp.Echo.Implication.im_total
+     && r.Echo.Implementation_proof.ip_residual = 0
+  then
     Fmt.pr "@.VERDICT: fully verified (every VC automatic or hint-discharged, every lemma holds)@."
   else
     Fmt.pr "@.VERDICT: %d VCs remain for interactive proof@."

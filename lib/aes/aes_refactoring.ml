@@ -33,12 +33,15 @@ module T = Refactor.Transform
 let entries = [ "encrypt_block"; "decrypt_block" ]
 let trials = 8
 
-(* Certification config for the current [run], when certification was
-   requested.  The block scripts funnel every application through [apply],
-   so one ref threads the config without changing 50 call sites. *)
-let certify_cfg : Refactor.Certify.config option ref = ref None
+(* Whether the current [run] certifies.  Its steps are then applied
+   without the entry-point differential and certified afterwards in one
+   batch ([H.certify]).  The block scripts funnel every application
+   through [apply], so one ref threads the mode without changing 50 call
+   sites. *)
+let certifying = ref false
 
-let apply h tr = ignore (H.apply ~entries ~trials ?certify:!certify_cfg h tr)
+let apply h tr =
+  ignore (if !certifying then H.apply h tr else H.apply ~entries ~trials h tr)
 
 (* KAT gate: every block must leave FIPS-197 behaviour intact.  The gate
    interprets full AES blocks, so it gets its own span — without one its
@@ -730,9 +733,12 @@ type snapshot = {
 (** Run the refactoring through block [upto] (default: all 14), validating
     FIPS-197 vectors after every block (disable with [kat_gate:false] for
     the seeded-defect experiment, where the vectors are not part of the
-    Echo process).  [start] overrides the initial program (defaults to the
-    pristine optimized implementation).  Returns the per-block snapshots
-    (block 0 first) and the history. *)
+    Echo process).  With [certify], every step is certified once all
+    blocks are applied, in one batch; a failing block first certifies the
+    steps before it, so a refutation among them wins.  [start] overrides
+    the initial program (defaults to the pristine optimized
+    implementation).  Returns the per-block snapshots (block 0 first) and
+    the history. *)
 let run ?(upto = 14) ?(kat_gate = true) ?certify ?start () =
   let env0, prog0 = match start with Some ep -> ep | None -> Aes_impl.checked () in
   let h = H.create env0 prog0 in
@@ -740,17 +746,24 @@ let run ?(upto = 14) ?(kat_gate = true) ?certify ?start () =
     ref [ { sn_block = 0; sn_title = "original optimized implementation";
             sn_env = env0; sn_program = prog0 } ]
   in
-  certify_cfg := certify;
-  Fun.protect ~finally:(fun () -> certify_cfg := None) (fun () ->
-      List.iter
-        (fun b ->
-          if b.b_index <= upto then begin
-            b.b_run h;
-            if kat_gate then check_kats h;
-            let env, prog = H.current h in
-            snapshots :=
-              { sn_block = b.b_index; sn_title = b.b_title; sn_env = env; sn_program = prog }
-              :: !snapshots
-          end)
-        blocks);
+  let run_blocks () =
+    List.iter
+      (fun b ->
+        if b.b_index <= upto then begin
+          b.b_run h;
+          if kat_gate then check_kats h;
+          let env, prog = H.current h in
+          snapshots :=
+            { sn_block = b.b_index; sn_title = b.b_title; sn_env = env; sn_program = prog }
+            :: !snapshots
+        end)
+      blocks
+  in
+  (match certify with
+  | None -> run_blocks ()
+  | Some cfg ->
+      certifying := true;
+      Fun.protect
+        ~finally:(fun () -> certifying := false)
+        (fun () -> H.run_certified ~entries cfg h run_blocks));
   (List.rev !snapshots, h)

@@ -26,10 +26,14 @@ val run :
     (default true) validates the FIPS vectors after every block; disable
     for the seeded-defect experiment, where the vectors are not part of
     the Echo process.  With [certify], every step is certified
-    ({!Refactor.Certify}) and its certificate recorded in the history.
+    ({!Refactor.Certify}) and its certificate recorded in the history:
+    all blocks are applied first, then every step is certified in one
+    {!Refactor.History.certify} batch.  A failing block first certifies
+    the steps before it, so a refutation among them is what is raised.
     [start] overrides the initial program.
     @raise Refactor.Transform.Not_applicable when a transformation's
     mechanical applicability check rejects (how defects are caught at this
     stage).
     @raise Refactor.Certify.Refutation when certification finds a
-    counterexample. *)
+    counterexample; the history then ends at the refuted step's
+    pre-image. *)

@@ -41,8 +41,6 @@ type result = {
   im_time : float;
 }
 
-let all_proved r = r.im_proved = r.im_total
-
 (* deterministic xorshift *)
 let make_rng seed =
   let state = ref (if seed = 0 then 88172645463325252 else seed) in
@@ -135,31 +133,34 @@ let run_lemma l =
   | exception Sys.Break -> raise Sys.Break
   | exception e -> Fails ("lemma raised: " ^ Printexc.to_string e)
 
-let run (lemmas : lemma list) : result =
+(* a lemma on a farm domain: its outcome, with its use of that domain's
+   application memo *)
+let run_job l =
+  Memo.measure
+    (fun () -> [ ("spec_memo", V.memo_stats ()) ])
+    (fun () ->
+      let span = Telemetry.start_span ~cat:Telemetry.cat_lemma l.lm_name in
+      let o = run_lemma l in
+      (if Telemetry.enabled () then
+         match o with
+         | Holds _ -> Telemetry.count "lemmas_proved"
+         | Fails _ -> Telemetry.count "lemmas_failed");
+      Telemetry.finish_span span
+        ~attrs:
+          [
+            ( "outcome",
+              Telemetry.S (match o with Holds _ -> "holds" | Fails _ -> "fails") );
+          ];
+      o)
+
+let run ?(jobs = 1) (lemmas : lemma list) : result =
   let t0 = Logic.Clock.now () in
-  let memo0 = V.memo_stats () in
-  let outcomes =
-    List.map
-      (fun l ->
-        let span = Telemetry.start_span ~cat:Telemetry.cat_lemma l.lm_name in
-        let o = run_lemma l in
-        (if Telemetry.enabled () then
-           match o with
-           | Holds _ -> Telemetry.count "lemmas_proved"
-           | Fails _ -> Telemetry.count "lemmas_failed");
-        Telemetry.finish_span span
-          ~attrs:
-            [
-              ( "outcome",
-                Telemetry.S (match o with Holds _ -> "holds" | Fails _ -> "fails") );
-            ];
-        (l, o))
-      lemmas
+  let results, _ =
+    Farm.Pool.run ~jobs ~priority:(fun _ -> 0) ~f:run_job (Array.of_list lemmas)
   in
   if Telemetry.enabled () then
-    List.iter
-      (fun (name, by) -> Telemetry.count ~by name)
-      (Memo.counters "spec_memo" (Memo.diff (V.memo_stats ()) memo0));
+    Telemetry.count_memos (Memo.sum (Array.to_list (Array.map snd results)));
+  let outcomes = List.combine lemmas (Array.to_list (Array.map fst results)) in
   let proved =
     List.length (List.filter (fun (_, o) -> match o with Holds _ -> true | _ -> false) outcomes)
   in

@@ -49,12 +49,15 @@ type result = {
 val empty : result
 (** Degenerate result for pipeline stages that never ran. *)
 
-val run : lemma list -> result
-(** Evaluate every lemma.  A lemma body that raises is recorded as
-    [Fails] — one blown lemma never aborts the suite.  With telemetry
-    on, the run's use of {!Specl.Seval}'s application memo is published
-    as the [spec_memo_hits] / [_misses] / [_evictions] counters. *)
+val run : ?jobs:int -> lemma list -> result
+(** Evaluate every lemma, each as one {!Farm.Pool} job at width [jobs]
+    (default 1: inline, in list order); outcomes come back in list
+    order whatever the width.  Lemmas must not depend on each other's
+    side effects.  A lemma body that raises is recorded as [Fails] —
+    one blown lemma never aborts the suite.  With telemetry on, the
+    lemmas' use of {!Specl.Seval}'s application memo, summed over the
+    domains they ran on, is published as the [spec_memo_hits] /
+    [_misses] / [_evictions] counters. *)
 
-val all_proved : result -> bool
 val pp_method : method_ Fmt.t
 val pp_result : result Fmt.t

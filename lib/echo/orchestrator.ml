@@ -557,7 +557,7 @@ let stage_implication st extracted =
       | _ -> None)
     ~body:(fun () ->
       let lemmas = st.cfg.oc_hooks.h_lemmas (st.cs.Pipeline.cs_lemmas ~extracted) in
-      let result = Implication.run lemmas in
+      let result = Implication.run ~jobs:st.cfg.oc_jobs lemmas in
       let summaries =
         List.map
           (fun ((l : Implication.lemma), outcome) ->
@@ -732,11 +732,11 @@ let run ?(resume = false) ?(config = default_config) (cs : Pipeline.case_study) 
     | Failed _ -> "failed"
   in
   (* the analyze, impact and proof stages all generate VCs; the memo's
-     events over the run sit next to the memos History.apply publishes *)
+     events over the run sit next to the memos the refactoring,
+     certification and implication proof publish *)
   if Telemetry.enabled () then
-    List.iter
-      (fun (name, by) -> Telemetry.count ~by name)
-      (Memo.counters "vcgen_memo" (Memo.diff (Vcgen.memo_stats ()) vcgen_memo0));
+    Telemetry.count_memos
+      [ ("vcgen_memo", Memo.diff (Vcgen.memo_stats ()) vcgen_memo0) ];
   Telemetry.finish_span root_span ~attrs:[ ("verdict", Telemetry.S verdict_name) ];
   (match config.oc_run_dir with
   | Some dir when Telemetry.enabled () -> (
@@ -762,14 +762,6 @@ let run ?(resume = false) ?(config = default_config) (cs : Pipeline.case_study) 
   }
 
 let resume ?config cs = run ~resume:true ?config cs
-
-let verdict_failed r = match r.o_verdict with Failed _ -> true | _ -> false
-
-let verdict_fault r =
-  match r.o_verdict with
-  | Failed f -> Some f
-  | Degraded d -> Some d.dg_fault
-  | Verified | Conditionally_verified _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

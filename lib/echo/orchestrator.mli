@@ -61,10 +61,11 @@ type config = {
           degrade the verdict.  The certificates ride on the refactor
           checkpoint, and the certify stage's audit is checkpointed too *)
   oc_jobs : int;
-      (** proof-farm width for the implementation proof: number of
-          domains dispatching VCs cost-descending with work stealing;
-          [1] (the default) runs inline.  Verdicts are identical for any
-          value *)
+      (** proof-farm width for the implementation proof, certification
+          ({!Refactor.Certify.certify_steps}) and the implication lemmas:
+          number of domains dispatching jobs cost-descending with work
+          stealing; [1] (the default) runs inline.  Verdicts are
+          identical for any value *)
   oc_cache : cache_mode;  (** persistent proof-cache placement *)
   oc_baseline : string option;
       (** incremental mode: a previous run's directory.  The refactor,
@@ -134,12 +135,6 @@ val resume : ?config:config -> Pipeline.case_study -> report
     of recomputed (their status says so); execution continues from the
     first missing or corrupt checkpoint.  A checkpointed clean run resumed
     this way reproduces its verdict bit-for-bit without re-proving. *)
-
-val verdict_failed : report -> bool
-(** True for [Failed _] verdicts (CLI exit-code helper). *)
-
-val verdict_fault : report -> Fault.t option
-(** The fault behind a [Failed]/[Degraded] verdict, if any. *)
 
 val pp_verdict : verdict Fmt.t
 val pp_report : report Fmt.t

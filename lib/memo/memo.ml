@@ -45,3 +45,24 @@ let diff a b =
 let counters prefix s =
   [ (prefix ^ "_hits", s.hits); (prefix ^ "_misses", s.misses);
     (prefix ^ "_evictions", s.evictions) ]
+
+let measure read f =
+  let before = read () in
+  let r = f () in
+  (r, List.map2 (fun (name, later) (_, earlier) -> (name, diff later earlier)) (read ()) before)
+
+let sum readings =
+  let all = List.concat readings in
+  let names =
+    List.fold_left (fun ns (n, _) -> if List.mem n ns then ns else n :: ns) [] all
+  in
+  let total name =
+    List.fold_left
+      (fun a (n, s) ->
+        if n <> name then a
+        else
+          { hits = a.hits + s.hits; misses = a.misses + s.misses;
+            evictions = a.evictions + s.evictions })
+      { hits = 0; misses = 0; evictions = 0 } all
+  in
+  List.rev_map (fun n -> (n, total n)) names

@@ -33,3 +33,14 @@ val diff : stats -> stats -> stats
 val counters : string -> stats -> (string * int) list
 (** [counters prefix s]: [prefix_hits], [prefix_misses] and
     [prefix_evictions] with their values, for a metrics registry. *)
+
+val measure :
+  (unit -> (string * stats) list) -> (unit -> 'a) -> 'a * (string * stats) list
+(** [measure read f]: [f ()] and, per table [read] names, the events [f]
+    caused ({!diff} of the readings after and before).  [read] reads the
+    calling domain's tables, so a farm job measures itself and returns
+    the result: its tables are out of the caller's reach. *)
+
+val sum : (string * stats) list list -> (string * stats) list
+(** Per-name totals of several {!measure} readings, names in first-seen
+    order. *)

@@ -240,64 +240,14 @@ let diff (env_a, prog_a) (env_b, prog_b) =
 
 let cache_key vc = F.vc_digest vc ^ ":certify:v1"
 
-(* Discharge a batch of VCs; returns per-VC proved flags (input order)
-   plus (cache hits, misses). *)
-let discharge_vcs cfg (vcs : F.vc list) : bool list * (int * int) =
-  let slots =
-    List.map
-      (fun vc ->
-        match Option.bind cfg.cf_cache (fun c -> Farm.Cache.lookup c (cache_key vc)) with
-        | Some { Farm.Cache.en_status = Farm.Cache.E_auto | Farm.Cache.E_hinted _; _ } ->
-            `Hit true
-        | Some { Farm.Cache.en_status = Farm.Cache.E_residual _; _ } -> `Hit false
-        | None -> `Miss vc)
-      vcs
-  in
-  let misses =
-    Array.of_list (List.filter_map (function `Miss vc -> Some vc | `Hit _ -> None) slots)
-  in
-  let results, _ =
-    Farm.Pool.run ~jobs:cfg.cf_jobs
-      ~priority:(fun vc -> F.node_count (F.vc_formula vc))
-      ~f:(fun vc -> P.prove_vc ~hints:P.standard_hints vc)
-      misses
-  in
-  (match cfg.cf_cache with
-  | None -> ()
-  | Some cache ->
-      Array.iter2
-        (fun vc (r : P.proof_result) ->
-          let entry =
-            match r.P.pr_outcome with
-            | P.Proved when r.P.pr_hints_used = 0 ->
-                Some Farm.Cache.E_auto
-            | P.Proved -> Some (Farm.Cache.E_hinted r.P.pr_hints_used)
-            | P.Unknown why -> Some (Farm.Cache.E_residual why)
-            | P.Timeout _ -> None (* wall-clock dependent: never cached *)
-          in
-          Option.iter
-            (fun en_status ->
-              Farm.Cache.add cache (cache_key vc)
-                { Farm.Cache.en_status; en_attempts = 1; en_time = r.P.pr_time })
-            entry)
-        misses results;
-      (match Farm.Cache.save cache with
-      | Ok () -> ()
-      | Error why ->
-          Telemetry.instant "certify_cache_save_failed"
-            ~attrs:[ ("error", Telemetry.S why) ]));
-  let next = ref 0 in
-  let proved =
-    List.map
-      (function
-        | `Hit ok -> ok
-        | `Miss _ ->
-            let r = results.(!next) in
-            incr next;
-            P.is_proved r)
-      slots
-  in
-  (proved, (List.length vcs - Array.length misses, Array.length misses))
+(* the cache entry a proof leaves; a timeout is wall-clock dependent and
+   never cached *)
+let cache_entry (r : P.proof_result) =
+  match r.P.pr_outcome with
+  | P.Proved when r.P.pr_hints_used = 0 -> Some Farm.Cache.E_auto
+  | P.Proved -> Some (Farm.Cache.E_hinted r.P.pr_hints_used)
+  | P.Unknown why -> Some (Farm.Cache.E_residual why)
+  | P.Timeout _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic side: QCheck differential oracle                            *)
@@ -442,31 +392,72 @@ let oracle cfg ~trials (env_a, prog_a) (env_b, prog_b) name : oracle_outcome =
           go 0 0)
 
 (* ------------------------------------------------------------------ *)
-(* The decision procedure                                              *)
+(* The decision procedure, over a batch of steps                       *)
 (* ------------------------------------------------------------------ *)
 
-let certify cfg ~step_name ~before ~after : certificate * stats =
-  ignore step_name;
-  let _env_a, prog_a = before and _env_b, prog_b = after in
-  let stats = ref { zero_stats with ct_steps = 1 } in
-  let bump f = stats := f !stats in
-  (* every interpreter-based differential run goes through here, so
-     [ct_oracle_seconds] accounts for the full dynamic side and the
-     warm-vs-cold comparison can no longer blame the VC cache for
-     oracle-dominated time *)
-  let timed_oracle name =
-    let t0 = Logic.Clock.now () in
-    let r =
-      Telemetry.with_span ~cat:Telemetry.cat_transform
-        ~attrs:[ ("target", Telemetry.S name) ]
-        "oracle"
-        (fun () -> oracle cfg ~trials:cfg.cf_trials before after name)
-    in
-    bump (fun s ->
-        { s with ct_oracle_seconds = s.ct_oracle_seconds +. Logic.Clock.elapsed t0 });
-    r
-  in
-  let changed, escalate = diff before after in
+type step = {
+  sp_name : string;
+  sp_before : Typecheck.env * Ast.program;
+  sp_after : Typecheck.env * Ast.program;
+}
+
+(* Where one equivalence VC's verdict comes from.  Cache lookups are made
+   in step order as if each step saved its proofs before the next looked:
+   a key an earlier step of the batch proved is that later step's hit
+   when the proof is cacheable. *)
+type vc_slot =
+  | Cached of bool  (* in the cache before the batch: proved? *)
+  | Job of { job : int; first : bool }
+      (* proved by farm job [job]; [first] unless an earlier step of the
+         batch looked the key up before *)
+
+type plan =
+  | Settled of certificate  (* identical versions, or no target at all *)
+  | Run of {
+      targets : target list;
+      batches : (string * (F.vc * vc_slot) list) list;
+          (* each VC-eligible target's equivalence VCs *)
+    }
+
+(* One farm job: a cache-missing equivalence VC, or one target name's
+   oracle over every step that targets it, in step order — so the run
+   memo's hits from one step's after-program on the next step's
+   before-program stay on one domain. *)
+type job =
+  | Prove of { step : int; vc : F.vc }
+  | Oracle of { name : string; steps : int list }
+
+type job_result =
+  | Proof of P.proof_result
+  | Runs of (int * oracle_outcome * float) list  (* step, outcome, seconds *)
+
+(* rough costs, for the dispatch order only: an oracle chain weighs 4000
+   per step (a few ms each on AES), a VC its formula's node count *)
+let job_cost = function
+  | Prove { vc; _ } -> F.node_count (F.vc_formula vc)
+  | Oracle { steps; _ } -> 4000 * List.length steps
+
+let run_oracle cfg (step : step) name =
+  Telemetry.with_span ~cat:Telemetry.cat_transform
+    ~attrs:[ ("step", Telemetry.S step.sp_name); ("target", Telemetry.S name) ]
+    "oracle"
+    (fun () -> oracle cfg ~trials:cfg.cf_trials step.sp_before step.sp_after name)
+
+let run_job cfg steps = function
+  | Prove { vc; _ } -> Proof (P.prove_vc ~hints:P.standard_hints vc)
+  | Oracle { name; steps = idx } ->
+      Runs
+        (List.map
+           (fun i ->
+             let t0 = Logic.Clock.now () in
+             let o = run_oracle cfg steps.(i) name in
+             (i, o, Logic.Clock.elapsed t0))
+           idx)
+
+(* the targets of one step, and its VC-eligible targets' VCs *)
+let plan_step cfg (step : step) =
+  let _, prog_a = step.sp_before and _, prog_b = step.sp_after in
+  let changed, escalate = diff step.sp_before step.sp_after in
   let entry_targets =
     if escalate then
       List.filter_map
@@ -480,120 +471,300 @@ let certify cfg ~step_name ~before ~after : certificate * stats =
     else []
   in
   let targets = changed @ entry_targets in
-  if targets = [] && not escalate then
-    (Certified [ ("*", M_identical) ], !stats)
+  if targets = [] && not escalate then `Settled (Certified [ ("*", M_identical) ])
   else if targets = [] then
-    ( Unknown
-        "the program shape changed and no behavioural entry points are configured",
-      !stats )
-  else begin
-    bump (fun s -> { s with ct_targets = List.length targets });
-    (* static side first: equivalence VCs through the farm + cache *)
-    let vc_batches =
-      List.filter_map
-        (fun t ->
-          if not t.tg_vc_ok then None
-          else
-            match
-              Vcgen.equivalence_sub ~budget:cfg.cf_budget ~before ~after t.tg_name
-            with
-            | [] -> None
-            | vcs -> Some (t.tg_name, vcs)
-            | exception Vcgen.Infeasible _ -> None)
-        targets
-    in
-    let all_vcs = List.concat_map snd vc_batches in
-    bump (fun s -> { s with ct_vcs_generated = List.length all_vcs });
-    let vc_certified =
-      if all_vcs = [] then []
-      else begin
-        let t_vc = Logic.Clock.now () in
-        let proved, (hits, misses) =
-          Telemetry.with_span ~cat:Telemetry.cat_transform "equivalence-vcs"
-            (fun () -> discharge_vcs cfg all_vcs)
-        in
-        bump (fun s ->
-            { s with
-              ct_vcs_proved =
-                List.fold_left (fun n ok -> if ok then n + 1 else n) 0 proved;
-              ct_cache_hits = s.ct_cache_hits + hits;
-              ct_cache_misses = s.ct_cache_misses + misses;
-              ct_vc_seconds = s.ct_vc_seconds +. Logic.Clock.elapsed t_vc });
-        let tbl = List.combine (List.map F.(fun vc -> vc.vc_name) all_vcs) proved in
+    `Settled
+      (Unknown
+         "the program shape changed and no behavioural entry points are configured")
+  else
+    `Targets
+      ( targets,
+        List.filter_map
+          (fun t ->
+            if not t.tg_vc_ok then None
+            else
+              match
+                Vcgen.equivalence_sub ~budget:cfg.cf_budget ~before:step.sp_before
+                  ~after:step.sp_after t.tg_name
+              with
+              | [] -> None
+              | vcs -> Some (t.tg_name, vcs)
+              | exception Vcgen.Infeasible _ -> None)
+          targets )
+
+(* Replay one step's sequential decision over the batch's outcomes:
+   equivalence VCs first, then the oracle per residual target in order,
+   falling back to the entry points; [outcome name] is the step's oracle
+   outcome for a target.  Timing fields are left to the caller. *)
+let decide_step cfg ~proof ~outcome (step : step) plan : certificate * stats =
+  match plan with
+  | Settled cert -> (cert, { zero_stats with ct_steps = 1 })
+  | Run { targets; batches } ->
+      let _, prog_a = step.sp_before and _, prog_b = step.sp_after in
+      let stats =
+        ref { zero_stats with ct_steps = 1; ct_targets = List.length targets }
+      in
+      let bump f = stats := f !stats in
+      let all = List.concat_map snd batches in
+      let proved = function
+        | Cached ok -> ok
+        | Job { job; _ } -> P.is_proved (proof job)
+      in
+      let hit = function
+        | Cached _ -> true
+        | Job { job; first } ->
+            (not first) && cfg.cf_cache <> None && cache_entry (proof job) <> None
+      in
+      let count p = List.length (List.filter (fun (_, s) -> p s) all) in
+      bump (fun s ->
+          { s with
+            ct_vcs_generated = List.length all;
+            ct_vcs_proved = count proved;
+            ct_cache_hits = count hit;
+            ct_cache_misses = count (fun s -> not (hit s)) });
+      let tbl = List.map (fun ((vc : F.vc), s) -> (vc.F.vc_name, proved s)) all in
+      let vc_certified =
         List.filter_map
           (fun (name, vcs) ->
             let ok =
               List.for_all
-                (fun (vc : F.vc) ->
-                  match List.assoc_opt vc.F.vc_name tbl with
-                  | Some ok -> ok
-                  | None -> false)
+                (fun ((vc : F.vc), _) ->
+                  Option.value ~default:false (List.assoc_opt vc.F.vc_name tbl))
                 vcs
             in
             if ok then Some (name, M_vc (List.length vcs)) else None)
-          vc_batches
-      end
-    in
-    (* dynamic side for everything not statically certified *)
-    let residual =
-      List.filter (fun t -> not (List.mem_assoc t.tg_name vc_certified)) targets
-    in
-    let entries_fallback =
-      (* differential run of the configured entry points; memoised *)
-      let memo = ref None in
-      fun () ->
-        match !memo with
-        | Some r -> r
-        | None ->
-            let usable =
-              List.filter
-                (fun e ->
-                  Ast.find_sub prog_a e <> None && Ast.find_sub prog_b e <> None)
-                cfg.cf_entries
+          batches
+      in
+      (* dynamic side for everything not statically certified *)
+      let residual =
+        List.filter (fun t -> not (List.mem_assoc t.tg_name vc_certified)) targets
+      in
+      let add_trials trials =
+        bump (fun s -> { s with ct_oracle_trials = s.ct_oracle_trials + trials })
+      in
+      let entries_fallback =
+        (* differential run of the configured entry points, once per step *)
+        lazy
+          (match
+             List.filter
+               (fun e ->
+                 Ast.find_sub prog_a e <> None && Ast.find_sub prog_b e <> None)
+               cfg.cf_entries
+           with
+          | [] -> `None
+          | usable ->
+              let rec go total = function
+                | [] -> `Agree total
+                | e :: rest -> (
+                    match outcome e with
+                    | O_agree { trials; _ } ->
+                        add_trials trials;
+                        go (total + trials) rest
+                    | O_refuted cx -> `Refuted cx
+                    | O_unknown why -> `Unknown why)
+              in
+              go 0 usable)
+      in
+      let rec decide acc = function
+        | [] -> Certified (vc_certified @ List.rev acc)
+        | t :: rest -> (
+            match outcome t.tg_name with
+            | O_agree { trials; exhaustive } ->
+                add_trials trials;
+                decide ((t.tg_name, M_oracle { trials; exhaustive }) :: acc) rest
+            | O_refuted cx -> Refuted cx
+            | O_unknown why -> (
+                (* locally undecidable: fall back to the entry points *)
+                match Lazy.force entries_fallback with
+                | `Agree trials ->
+                    decide ((t.tg_name, M_entries { trials }) :: acc) rest
+                | `Refuted cx -> Refuted cx
+                | `Unknown why' ->
+                    Unknown (Printf.sprintf "%s; entry fallback: %s" why why')
+                | `None -> Unknown why))
+      in
+      (* bind before building the pair: tuple components evaluate
+         right-to-left, which would read [stats] before [decide] bumps it *)
+      let cert = decide [] residual in
+      (cert, !stats)
+
+let certify_steps cfg (steps : step list) : (certificate * stats) list =
+  Telemetry.with_span ~cat:Telemetry.cat_transform
+    ~attrs:[ ("steps", Telemetry.I (List.length steps)) ]
+    "certify"
+  @@ fun () ->
+  let steps = Array.of_list steps in
+  let jobs = ref [] and n_jobs = ref 0 in
+  let add_job j =
+    jobs := j :: !jobs;
+    incr n_jobs;
+    !n_jobs - 1
+  in
+  (* 1. plan on the calling domain — the proof cache is not domain-safe,
+     so every lookup happens here, in step order *)
+  let first_lookup = Hashtbl.create 16 in
+  let plans, plan_memos =
+    Memo.measure Equivalence.memo_readings @@ fun () ->
+    Array.mapi
+      (fun i step ->
+        match plan_step cfg step with
+        | `Settled cert -> Settled cert
+        | `Targets (targets, batches) ->
+            let slot vc =
+              let key = cache_key vc in
+              match Option.bind cfg.cf_cache (fun c -> Farm.Cache.lookup c key) with
+              | Some { Farm.Cache.en_status = Farm.Cache.E_auto | Farm.Cache.E_hinted _; _ }
+                ->
+                  Cached true
+              | Some { Farm.Cache.en_status = Farm.Cache.E_residual _; _ } ->
+                  Cached false
+              | None -> (
+                  match Hashtbl.find_opt first_lookup key with
+                  | Some (job, i') when i' < i -> Job { job; first = false }
+                  | _ ->
+                      let job = add_job (Prove { step = i; vc }) in
+                      Hashtbl.replace first_lookup key (job, i);
+                      Job { job; first = true })
             in
-            let r =
-              if usable = [] then `None
-              else
-                let rec go total = function
-                  | [] -> `Agree total
-                  | e :: rest -> (
-                      match timed_oracle e with
-                      | O_agree { trials; _ } ->
-                          bump (fun s ->
-                              { s with ct_oracle_trials = s.ct_oracle_trials + trials });
-                          go (total + trials) rest
-                      | O_refuted cx -> `Refuted cx
-                      | O_unknown why -> `Unknown why)
-                in
-                go 0 usable
-            in
-            memo := Some r;
-            r
-    in
-    let rec decide acc = function
-      | [] -> Certified (vc_certified @ List.rev acc)
-      | t :: rest -> (
-          match timed_oracle t.tg_name with
-          | O_agree { trials; exhaustive } ->
-              bump (fun s ->
-                  { s with ct_oracle_trials = s.ct_oracle_trials + trials });
-              decide ((t.tg_name, M_oracle { trials; exhaustive }) :: acc) rest
-          | O_refuted cx -> Refuted cx
-          | O_unknown why -> (
-              (* locally undecidable: fall back to the entry points *)
-              match entries_fallback () with
-              | `Agree trials ->
-                  decide ((t.tg_name, M_entries { trials }) :: acc) rest
-              | `Refuted cx -> Refuted cx
-              | `Unknown why' ->
-                  Unknown (Printf.sprintf "%s; entry fallback: %s" why why')
-              | `None -> Unknown why))
-    in
-    (* bind before building the pair: tuple components evaluate
-       right-to-left, which would read [stats] before [decide] bumps it *)
-    let cert = decide [] residual in
-    (cert, !stats)
-  end
+            Run
+              { targets;
+                batches =
+                  List.map
+                    (fun (name, vcs) -> (name, List.map (fun vc -> (vc, slot vc)) vcs))
+                    batches })
+      steps
+  in
+  (* Every target runs its oracle, except one the cache already proves.
+     One job per target name keeps the run memo's cross-step hits on one
+     domain.  At width 1 nothing is split, and one job per step and
+     target, in step order, also keeps the interpreter's few-program
+     cache warm, as certifying step by step does. *)
+  let group i name = ((if cfg.cf_jobs > 1 then -1 else i), name) in
+  let oracle_steps = Hashtbl.create 64 and names = ref [] in
+  Array.iteri
+    (fun i plan ->
+      match plan with
+      | Settled _ -> ()
+      | Run { targets; batches } ->
+          List.iter
+            (fun t ->
+              let cached =
+                match List.assoc_opt t.tg_name batches with
+                | Some vcs -> List.for_all (fun (_, s) -> s = Cached true) vcs
+                | None -> false
+              in
+              if not cached then
+                let key = group i t.tg_name in
+                match Hashtbl.find_opt oracle_steps key with
+                | Some idx -> idx := i :: !idx
+                | None ->
+                    Hashtbl.add oracle_steps key (ref [ i ]);
+                    names := key :: !names)
+            targets)
+    plans;
+  List.iter
+    (fun ((_, name) as key) ->
+      ignore
+        (add_job
+           (Oracle { name; steps = List.rev !(Hashtbl.find oracle_steps key) })))
+    (List.rev !names);
+  let jobs = Array.of_list (List.rev !jobs) in
+  (* 2. one farm run; each job measures the memos of the domain it ran on *)
+  let t_run = Logic.Clock.now () in
+  let results, _ =
+    Farm.Pool.run ~jobs:cfg.cf_jobs ~priority:job_cost
+      ~f:(fun job ->
+        let t0 = Logic.Clock.now () in
+        let r, memos =
+          Memo.measure Equivalence.memo_readings (fun () -> run_job cfg steps job)
+        in
+        (r, Logic.Clock.elapsed t0, memos))
+      jobs
+  in
+  let proof j =
+    match results.(j) with
+    | Proof r, _, _ -> r
+    | Runs _, _, _ -> invalid_arg "Certify: not a proof job"
+  in
+  (* busy seconds per step (a proof counts for the step that first looked
+     its key up), oracle outcomes by step and target, and the cache adds *)
+  let vc_busy = Array.make (Array.length steps) 0.0 in
+  let oracle_busy = Array.make (Array.length steps) 0.0 in
+  let ran = Hashtbl.create 256 in
+  Array.iteri
+    (fun j job ->
+      match (job, results.(j)) with
+      | Prove { step; vc }, (Proof r, secs, _) ->
+          vc_busy.(step) <- vc_busy.(step) +. secs;
+          Option.iter
+            (fun cache ->
+              Option.iter
+                (fun en_status ->
+                  Farm.Cache.add cache (cache_key vc)
+                    { Farm.Cache.en_status; en_attempts = 1; en_time = r.P.pr_time })
+                (cache_entry r))
+            cfg.cf_cache
+      | Oracle { name; _ }, (Runs rs, _, _) ->
+          List.iter
+            (fun (i, o, secs) ->
+              Hashtbl.replace ran (i, name) o;
+              oracle_busy.(i) <- oracle_busy.(i) +. secs)
+            rs
+      | Prove _, (Runs _, _, _) | Oracle _, (Proof _, _, _) -> assert false)
+    jobs;
+  (match cfg.cf_cache with
+  | Some cache when Array.exists (function Prove _ -> true | Oracle _ -> false) jobs
+    -> (
+      match Farm.Cache.save cache with
+      | Ok () -> ()
+      | Error why ->
+          Telemetry.instant "certify_cache_save_failed"
+            ~attrs:[ ("error", Telemetry.S why) ])
+  | _ -> ());
+  (* 3. replay each step's sequential decision; an outcome the farm did
+     not precompute (an entry-point fallback) runs here *)
+  let decided, replay_memos =
+    Memo.measure Equivalence.memo_readings @@ fun () ->
+    Array.to_list
+      (Array.mapi
+         (fun i plan ->
+           let outcome name =
+             match Hashtbl.find_opt ran (i, name) with
+             | Some o -> o
+             | None ->
+                 let t0 = Logic.Clock.now () in
+                 let o = run_oracle cfg steps.(i) name in
+                 oracle_busy.(i) <- oracle_busy.(i) +. Logic.Clock.elapsed t0;
+                 Hashtbl.replace ran (i, name) o;
+                 o
+           in
+           decide_step cfg ~proof ~outcome steps.(i) plan)
+         plans)
+  in
+  if Telemetry.enabled () then
+    Telemetry.count_memos
+      (Memo.sum
+         (plan_memos :: replay_memos
+         :: Array.to_list (Array.map (fun (_, _, m) -> m) results)));
+  (* Timing stays wall time: the farm run, cache writes and replay took
+     [wall], shared out over the steps in proportion to their busy
+     seconds, so the batch's timing fields sum to [wall] at any width *)
+  let wall = Logic.Clock.elapsed t_run in
+  let sum = Array.fold_left ( +. ) 0.0 in
+  let total = sum vc_busy +. sum oracle_busy in
+  let scale = if total > 0.0 then wall /. total else 0.0 in
+  List.mapi
+    (fun i (cert, stats) ->
+      ( cert,
+        { stats with
+          ct_vc_seconds = vc_busy.(i) *. scale;
+          ct_oracle_seconds = oracle_busy.(i) *. scale } ))
+    decided
+
+let certify cfg ~step_name ~before ~after : certificate * stats =
+  match certify_steps cfg [ { sp_name = step_name; sp_before = before; sp_after = after } ] with
+  | [ r ] -> r
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Audits and JSON                                                     *)

@@ -9,7 +9,13 @@
     (divergence is a counterexample, not a hang); and differential
     execution of the configured entry points as a last resort.  The
     result is a {!certificate}: [Certified] with per-target evidence,
-    [Refuted] with a concrete counterexample, or [Unknown]. *)
+    [Refuted] with a concrete counterexample, or [Unknown].
+
+    Steps are certified in batches ({!certify_steps}): the VCs and the
+    oracle runs of every step in the batch share one {!Farm.Pool} run,
+    and each step's decision is then replayed in order over their
+    outcomes, so a batch gives each step the certificate and stats it
+    would get alone. *)
 
 open Minispark
 
@@ -44,14 +50,16 @@ type certificate =
 val describe : certificate -> string
 
 exception Refutation of { rf_step : string; rf_cx : counterexample }
-(** Raised by {!History.apply} when certification refutes a step — the
-    pipeline maps it to its own fault class and exit code. *)
+(** Raised by {!History.certify} (and so {!History.apply}) when
+    certification refutes a step — the pipeline maps it to its own fault
+    class and exit code. *)
 
 type config = {
   cf_seed : int;
   cf_trials : int;        (** oracle trials per target *)
   cf_fuel : int;          (** interpreter step bound per oracle run *)
-  cf_jobs : int;          (** proof-farm workers for VC discharge *)
+  cf_jobs : int;
+      (** proof-farm width for a batch's equivalence VCs and oracle runs *)
   cf_cache : Farm.Cache.t option;
   cf_budget : Vcgen.budget;
   cf_entries : string list;
@@ -71,16 +79,44 @@ type stats = {
   ct_cache_misses : int;
   ct_oracle_trials : int;
   ct_vc_seconds : float;
-      (** wall seconds generating-and-discharging equivalence VCs —
-          the part the proof cache can amortise *)
+      (** wall seconds discharging equivalence VCs — the part the proof
+          cache can amortise *)
   ct_oracle_seconds : float;
       (** wall seconds in differential interpreter runs — memoized
           only within a process ({!Equivalence.runner}), never
           persisted, so a warm proof cache repays only [ct_vc_seconds] *)
 }
+(** The two timing fields are wall time, not busy time summed over farm
+    domains: a batch's farm run, cache writes and replay take some wall
+    time, and it is shared out over the steps and the two fields in
+    proportion to their busy seconds.  Planning (the diff and VC
+    generation) is in neither. *)
 
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
+
+type step = {
+  sp_name : string;
+  sp_before : Typecheck.env * Ast.program;  (** type-checked *)
+  sp_after : Typecheck.env * Ast.program;   (** type-checked *)
+}
+
+val certify_steps : config -> step list -> (certificate * stats) list
+(** Certify every step, each on its own, in one batch; one result per
+    step, in order.  The calling domain plans each step (diff, targets,
+    equivalence VCs) and makes every proof-cache lookup, add and the one
+    save.  One {!Farm.Pool.run} at [cf_jobs] then runs each
+    cache-missing VC as a job and each target name as one job running
+    the oracle for that target over its steps in step order.  The
+    calling domain replays each step's sequential decision over those
+    outcomes, so certificates, counterexamples and every count equal
+    certifying the steps one at a time in order (a cache hit included,
+    when an earlier step of the batch proved the key).  The oracle also
+    runs, unused, for targets an equivalence VC turns out to certify and
+    for targets after a step's refutation.  With telemetry on, the
+    oracle-run, interpreter and {!Minispark.Share} memo events of every
+    job and of the calling domain are published as [oracle_memo_*],
+    [interp_memo_*] and [share_*_memo_*] counters. *)
 
 val certify :
   config ->
@@ -88,7 +124,7 @@ val certify :
   before:Typecheck.env * Ast.program ->
   after:Typecheck.env * Ast.program ->
   certificate * stats
-(** Certify one applied transformation (both programs type-checked). *)
+(** {!certify_steps} on one step. *)
 
 (** {1 Audits over a recorded history} *)
 

@@ -246,6 +246,10 @@ let memos_key : memos Domain.DLS.key =
 let memos () = Domain.DLS.get memos_key
 let run_memo_stats () = Memo.stats (memos ()).runs
 
+let memo_readings () =
+  ("oracle_memo", run_memo_stats ()) :: ("interp_memo", Interp.memo_stats ())
+  :: Share.memo_stats ()
+
 let marshal_digest x =
   Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
 

@@ -77,4 +77,10 @@ val runner :
 val run_memo_stats : unit -> Memo.stats
 (** Hits, misses and evictions of the calling domain's run memo. *)
 
+val memo_readings : unit -> (string * Memo.stats) list
+(** The calling domain's memos a differential run goes through, for
+    {!Memo.measure}: the run memo ([oracle_memo]), the interpreter's
+    compiled-program cache ([interp_memo]) and {!Share}'s declaration
+    memos. *)
+
 val values_equal : Value.t list -> Value.t list -> bool

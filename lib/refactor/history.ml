@@ -25,6 +25,7 @@ type step = {
       (** the checked environment of [st_before]; undo restores it without
           a full re-typecheck *)
   st_after : Ast.program;
+  st_env_after : Typecheck.env;
   st_evidence : evidence list;
   st_certificate : Certify.certificate option;
 }
@@ -42,7 +43,11 @@ let current h = h.current
 let step_count h = List.length h.steps
 let steps h = List.rev h.steps
 
-let apply_step ?(entries = []) ?(trials = 24) ?certify h (tr : Transform.t) =
+(* Apply and record one step.  [entries] drive the differential check
+   of an uncertified step; a certified step leaves that to
+   certification, which targets the touched subprograms directly and
+   falls back to the entry points itself. *)
+let apply_step ~entries ~trials h (tr : Transform.t) =
   let env, program = h.current in
   let span =
     Telemetry.start_span ~cat:Telemetry.cat_transform
@@ -57,48 +62,15 @@ let apply_step ?(entries = []) ?(trials = 24) ?certify h (tr : Transform.t) =
     try Transform.apply tr env program with e -> finish_rejected e
   in
   let evidence = ref [ Ev_typecheck ] in
-  let certificate = ref None in
-  (match certify with
-  | Some cfg ->
-      (* certification subsumes the legacy entry-point differential: the
-         oracle targets the touched subprograms directly and falls back to
-         the entry points itself *)
-      let cfg =
-        if cfg.Certify.cf_entries = [] then { cfg with Certify.cf_entries = entries }
-        else cfg
-      in
-      let cert, cstats =
-        Telemetry.with_span ~cat:Telemetry.cat_transform
-          ~attrs:[ ("step", Telemetry.S tr.Transform.tr_name) ]
-          "certify"
-          (fun () ->
-            Certify.certify cfg ~step_name:tr.Transform.tr_name
-              ~before:(env, program) ~after:(env', program'))
-      in
-      h.cert_stats <- Certify.add_stats h.cert_stats cstats;
-      if Telemetry.enabled () then begin
-        Telemetry.count "steps_certified";
-        Telemetry.annotate
-          [ ("certificate", Telemetry.S (Certify.describe cert)) ]
-      end;
-      (match cert with
-      | Certify.Refuted cx ->
-          Telemetry.finish_span span
-            ~attrs:[ ("outcome", Telemetry.S "refuted") ];
-          raise
-            (Certify.Refutation { rf_step = tr.Transform.tr_name; rf_cx = cx })
-      | Certify.Certified _ | Certify.Unknown _ -> ());
-      certificate := Some cert
-  | None -> (
-      match entries with
-      | [] -> ()
-      | entries -> (
-          match Equivalence.check_program ~trials ~entries env program env' program' with
-          | Equivalence.Equivalent n -> evidence := Ev_differential n :: !evidence
-          | Equivalence.Counterexample msg -> (
-              try
-                Transform.reject "%s is not semantics-preserving: %s" tr.Transform.tr_name msg
-              with e -> finish_rejected e))));
+  (match entries with
+  | [] -> ()
+  | entries -> (
+      match Equivalence.check_program ~trials ~entries env program env' program' with
+      | Equivalence.Equivalent n -> evidence := Ev_differential n :: !evidence
+      | Equivalence.Counterexample msg -> (
+          try
+            Transform.reject "%s is not semantics-preserving: %s" tr.Transform.tr_name msg
+          with e -> finish_rejected e)));
   (if not (Telemetry.enabled ()) then Telemetry.finish_span span
    else
      let m = Metrics.analyze program' in
@@ -119,34 +91,100 @@ let apply_step ?(entries = []) ?(trials = 24) ?certify h (tr : Transform.t) =
       st_before = program;
       st_env_before = env;
       st_after = program';
+      st_env_after = env';
       st_evidence = !evidence;
-      st_certificate = !certificate;
+      st_certificate = None;
     }
   in
   h.steps <- step :: h.steps;
   h.current <- (env', program');
   step
 
-(** Apply a transformation, with differential-equivalence evidence over the
-    given entry points, and record the step.  Raises
-    [Transform.Not_applicable] (state unchanged) on rejection. *)
-let apply ?entries ?trials ?certify h tr =
-  if not (Telemetry.enabled ()) then apply_step ?entries ?trials ?certify h tr
-  else
-    let m0 = Equivalence.run_memo_stats ()
-    and i0 = Interp.memo_stats ()
-    and s0 = Share.memo_stats () in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter
-          (fun (name, by) -> Telemetry.count ~by name)
-          (Memo.counters "oracle_memo"
-             (Memo.diff (Equivalence.run_memo_stats ()) m0)
-          @ Memo.counters "interp_memo" (Memo.diff (Interp.memo_stats ()) i0)
-          @ List.concat_map
-              (fun (name, s) -> Memo.counters name (Memo.diff s (List.assoc name s0)))
-              (Share.memo_stats ())))
-      (fun () -> apply_step ?entries ?trials ?certify h tr)
+(* Record a batch's results in step order up to the first refutation,
+   then cut the history back to that step's pre-image and raise; later
+   steps' results are dropped, as if they had never been certified. *)
+let settle h pending results =
+  let certs = Hashtbl.create 64 in
+  let rec record = function
+    | [] -> None
+    | (s, (cert, stats)) :: rest -> (
+        h.cert_stats <- Certify.add_stats h.cert_stats stats;
+        if Telemetry.enabled () then begin
+          Telemetry.count "steps_certified";
+          Telemetry.instant ~cat:Telemetry.cat_transform "step-certified"
+            ~attrs:
+              [ ("step", Telemetry.S s.st_name);
+                ("certificate", Telemetry.S (Certify.describe cert)) ]
+        end;
+        match cert with
+        | Certify.Refuted cx -> Some (s, cx)
+        | Certify.Certified _ | Certify.Unknown _ ->
+            Hashtbl.replace certs s.st_index cert;
+            record rest)
+  in
+  let refuted = record (List.combine pending results) in
+  let cut = match refuted with Some (s, _) -> s.st_index | None -> max_int in
+  h.steps <-
+    List.filter_map
+      (fun s ->
+        if s.st_index >= cut then None
+        else
+          match Hashtbl.find_opt certs s.st_index with
+          | Some c -> Some { s with st_certificate = Some c }
+          | None -> Some s)
+      h.steps;
+  match refuted with
+  | None -> ()
+  | Some (s, cx) ->
+      h.current <- (s.st_env_before, s.st_before);
+      raise (Certify.Refutation { rf_step = s.st_name; rf_cx = cx })
+
+let certify ?(entries = []) cfg h =
+  let cfg =
+    if cfg.Certify.cf_entries = [] then { cfg with Certify.cf_entries = entries }
+    else cfg
+  in
+  let pending = List.filter (fun s -> s.st_certificate = None) (steps h) in
+  if pending <> [] then
+    settle h pending
+      (Certify.certify_steps cfg
+         (List.map
+            (fun s ->
+              { Certify.sp_name = s.st_name;
+                sp_before = (s.st_env_before, s.st_before);
+                sp_after = (s.st_env_after, s.st_after) })
+            pending))
+
+let run_certified ?entries cfg h script =
+  match script () with
+  | r ->
+      certify ?entries cfg h;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      certify ?entries cfg h;
+      Printexc.raise_with_backtrace e bt
+
+let apply ?(entries = []) ?(trials = 24) ?certify:cfg h tr =
+  let apply () =
+    apply_step ~entries:(if Option.is_none cfg then entries else []) ~trials h tr
+  in
+  let step =
+    if not (Telemetry.enabled ()) then apply ()
+    else
+      (* published for a rejected step too *)
+      let m0 = Equivalence.memo_readings () in
+      Fun.protect apply ~finally:(fun () ->
+          Telemetry.count_memos
+            (List.map2
+               (fun (name, later) (_, earlier) -> (name, Memo.diff later earlier))
+               (Equivalence.memo_readings ()) m0))
+  in
+  match cfg with
+  | None -> step
+  | Some cfg ->
+      certify ~entries cfg h;
+      List.hd h.steps
 
 (** Roll back the most recent step. *)
 let undo h =

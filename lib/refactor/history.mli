@@ -21,9 +21,10 @@ type step = {
       (** the checked environment of [st_before]; undo restores it without
           a full re-typecheck *)
   st_after : Ast.program;
+  st_env_after : Typecheck.env;  (** the checked environment of [st_after] *)
   st_evidence : evidence list;
   st_certificate : Certify.certificate option;
-      (** present when the step was applied under certification *)
+      (** present once the step is certified ({!certify}) *)
 }
 
 type t
@@ -38,18 +39,32 @@ val apply :
   t -> Transform.t -> step
 (** Apply a transformation: framework applicability check (re-typecheck)
     plus differential semantics-preservation evidence over the given entry
-    points.  With [certify], the step is instead certified per touched
-    subprogram (equivalence VCs + differential oracle, see {!Certify});
-    the certificate is recorded on the step, and a refuted step raises
-    {!Certify.Refutation} with the state unchanged.  [entries] seeds the
-    certification config's entry points when it has none.  With
-    telemetry on, the step's use of {!Equivalence.runner}'s memo is
-    published as the [oracle_memo_hits] / [_misses] / [_evictions]
-    counters, and its use of the interpreter's compiled-program cache
-    ({!Interp.memo_stats}) as [interp_memo_hits] / [_misses] /
-    [_evictions].
+    points.  With [certify], the step is instead certified on its own
+    ({!certify} right after applying it): the certificate is recorded on
+    the step, and a refuted step raises {!Certify.Refutation} with the
+    state unchanged.  [entries] seeds the certification config's entry
+    points when it has none.  With telemetry on, the application's use
+    of the {!Equivalence.memo_readings} memos is published as the
+    [oracle_memo_*], [interp_memo_*] and [share_*_memo_*] counters
+    (certification publishes its own, see {!Certify.certify_steps}).
     @raise Transform.Not_applicable on mechanical rejection (state
     unchanged). *)
+
+val certify : ?entries:string list -> Certify.config -> t -> unit
+(** Certify every recorded step that carries no certificate yet, in one
+    {!Certify.certify_steps} batch, and record the certificates.  When a
+    step is refuted, the history is truncated to that step's pre-image
+    (the steps before it stay, certified) and {!Certify.Refutation} is
+    raised for it: the state a step-by-step certification would have
+    stopped in.  [entries] as for {!apply}. *)
+
+val run_certified :
+  ?entries:string list -> Certify.config -> t -> (unit -> 'a) -> 'a
+(** [run_certified cfg h script]: run [script ()], which applies steps to
+    [h] without certifying them, then {!certify} them in one batch.  When
+    [script] raises (a rejected transformation, a failed gate), the steps
+    it applied are certified first, so a refutation among them is raised
+    instead; otherwise its exception is re-raised. *)
 
 val undo : t -> step
 (** Roll back the most recent step, restoring its pre-image. *)

@@ -476,6 +476,11 @@ let count ?(by = 1) name =
         | Some r -> r := !r + by
         | None -> Hashtbl.add st.counters name (ref by))
 
+let count_memos readings =
+  List.iter
+    (fun (name, s) -> List.iter (fun (c, by) -> count ~by c) (Memo.counters name s))
+    readings
+
 let gauge name v =
   if st.on then
     locked (fun () ->

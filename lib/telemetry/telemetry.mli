@@ -1,6 +1,7 @@
 (** Structured tracing and metrics for the Echo pipeline.
 
-    A zero-dependency (stdlib + {!Logic.Clock}) observability substrate:
+    A zero-dependency (stdlib, {!Logic.Clock} and {!Memo.stats})
+    observability substrate:
 
     - {b spans}: a tree of timed intervals — one per pipeline stage, per
       refactoring transformation, per VC and per prover attempt — with
@@ -151,6 +152,11 @@ val ingest : event list -> unit
 (** {1 Metrics registry} *)
 
 val count : ?by:int -> string -> unit
+
+val count_memos : (string * Memo.stats) list -> unit
+(** Add each memo reading ({!Memo.measure}) to the [<name>_hits],
+    [<name>_misses] and [<name>_evictions] counters. *)
+
 val gauge : string -> float -> unit
 
 val default_buckets : float array

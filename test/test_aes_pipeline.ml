@@ -91,6 +91,20 @@ let test_extraction_and_implication () =
   Alcotest.(check int) "all lemmas discharged" r.Echo.Implication.im_total
     r.Echo.Implication.im_proved
 
+(* the lemmas as farm jobs: width 2 gives width 1's outcomes, in order *)
+let test_implication_jobs () =
+  let env, prog = Lazy.force annotated in
+  let extracted = Extract.extract_program env prog in
+  let outcomes jobs =
+    List.map
+      (fun ((l : Echo.Implication.lemma), o) -> (l.Echo.Implication.lm_name, o))
+      (Echo.Implication.run ~jobs (Aes.Aes_implication.lemmas ~extracted))
+        .Echo.Implication.im_lemmas
+  in
+  let one = outcomes 1 in
+  Alcotest.(check int) "29 lemmas" 29 (List.length one);
+  Alcotest.(check bool) "jobs=2 outcomes = jobs=1" true (outcomes 2 = one)
+
 let test_extracted_spec_is_executable () =
   let env, prog = Lazy.force annotated in
   let extracted = Extract.extract_program env prog in
@@ -287,6 +301,8 @@ let suites =
         Alcotest.test_case "implementation proof" `Slow test_implementation_proof;
         Alcotest.test_case "extraction + implication proof" `Slow
           test_extraction_and_implication;
+        Alcotest.test_case "implication lemmas: jobs=2 = jobs=1" `Slow
+          test_implication_jobs;
         Alcotest.test_case "extracted spec executes FIPS KAT" `Slow
           test_extracted_spec_is_executable;
         Alcotest.test_case "packaged pipeline verdict" `Slow

@@ -336,7 +336,7 @@ let rewrite_transform ~name ~find ~by =
     ~describe:name
     (fun _env _prog -> Parser.of_string (Str_replace.replace base_src ~find ~by))
 
-let echo_case transform : Echo.Pipeline.case_study =
+let script_case script : Echo.Pipeline.case_study =
   let env, prog = check_src base_src in
   let spec = Extract.extract_program env prog in
   {
@@ -344,7 +344,7 @@ let echo_case transform : Echo.Pipeline.case_study =
     cs_refactor =
       (fun ?certify () ->
         let h = Refactor.History.create env prog in
-        ignore (Refactor.History.apply ?certify h transform);
+        script ?certify h;
         ([ (env, prog); Refactor.History.current h ], h));
     cs_annotate = (fun p -> p);
     cs_original_spec = spec;
@@ -354,6 +354,9 @@ let echo_case transform : Echo.Pipeline.case_study =
         [ Echo.Implication.structural ~name:"base_struct" ~original:"base"
             ~extracted:"base" ~premises:[] ~check:(fun () -> true) () ]);
   }
+
+let echo_case transform =
+  script_case (fun ?certify h -> ignore (Refactor.History.apply ?certify h transform))
 
 let test_orchestrated_certify_gate () =
   let case =
@@ -422,6 +425,161 @@ let test_aes_script_fully_certified () =
   Alcotest.(check int) "stats count every step" steps s.C.ct_steps;
   Alcotest.(check bool) "oracle exercised" true (s.C.ct_oracle_trials > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Batches: one farm run, the same answers as step by step              *)
+(* ------------------------------------------------------------------ *)
+
+module H = Refactor.History
+
+let fresh_cache () =
+  let dir = Filename.temp_file "certify_cache" "" in
+  Sys.remove dir;
+  Farm.Cache.open_ ~dir
+
+(* every stats field but the two timings *)
+let counts (s : C.stats) =
+  [ s.C.ct_steps; s.C.ct_targets; s.C.ct_vcs_generated; s.C.ct_vcs_proved;
+    s.C.ct_cache_hits; s.C.ct_cache_misses; s.C.ct_oracle_trials ]
+
+let as_step (s : H.step) =
+  { C.sp_name = s.H.st_name;
+    sp_before = (s.H.st_env_before, s.H.st_before);
+    sp_after = (s.H.st_env_after, s.H.st_after) }
+
+(* the full AES script: certified as one batch at width 1 and 2, every
+   step gets the certificate and counts it gets certified alone, in
+   order, and the batch's timing fields stay within its wall time *)
+let test_batch_equals_steps () =
+  let _, h = Aes.Aes_refactoring.run ~kat_gate:false () in
+  let steps = List.map as_step (H.steps h) in
+  let cfg jobs =
+    { (C.default_config ~entries:[ "encrypt_block"; "decrypt_block" ] ()) with
+      C.cf_jobs = jobs;
+      cf_cache = Some (fresh_cache ()) }
+  in
+  let alone =
+    let cfg = cfg 1 in
+    List.map (fun sp -> List.hd (C.certify_steps cfg [ sp ])) steps
+  in
+  List.iter
+    (fun jobs ->
+      let t0 = Logic.Clock.now () in
+      let batch = C.certify_steps (cfg jobs) steps in
+      let wall = Logic.Clock.elapsed t0 in
+      Alcotest.(check int) "one result per step" (List.length steps) (List.length batch);
+      List.iter2
+        (fun (sp : C.step) ((c1, s1), (c2, s2)) ->
+          let what = Printf.sprintf "jobs=%d %s" jobs sp.C.sp_name in
+          Alcotest.(check string) (what ^ ": certificate") (C.describe c1) (C.describe c2);
+          Alcotest.(check (list int)) (what ^ ": counts") (counts s1) (counts s2))
+        steps (List.combine alone batch);
+      let timed =
+        List.fold_left
+          (fun acc (_, s) -> acc +. s.C.ct_vc_seconds +. s.C.ct_oracle_seconds)
+          0.0 batch
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: timing %.3fs within the %.3fs wall" jobs timed wall)
+        true
+        (timed > 0.0 && timed <= wall +. 1e-6))
+    [ 1; 2 ]
+
+(* a key an earlier step of the batch proved is a later step's cache hit,
+   exactly as when the steps are certified one after another *)
+let test_batch_cache_replay () =
+  let after =
+    check_src
+      (Str_replace.replace base_src ~find:"t := x + x;
+    return t;" ~by:"return x + x;")
+  in
+  let step name = { C.sp_name = name; sp_before = check_src base_src; sp_after = after } in
+  let run f =
+    let cfg = { (C.default_config ()) with C.cf_cache = Some (fresh_cache ()) } in
+    List.map (fun (_, s) -> counts s) (f cfg)
+  in
+  let alone =
+    run (fun cfg ->
+        let a = C.certify_steps cfg [ step "a" ] in
+        a @ C.certify_steps cfg [ step "b" ])
+  in
+  let batch = run (fun cfg -> C.certify_steps cfg [ step "a"; step "b" ]) in
+  Alcotest.(check (list (list int))) "batch counts = one step at a time" alone batch;
+  match batch with
+  | [ _; [ _; _; generated; _; hits; misses; _ ] ] ->
+      Alcotest.(check bool) "the second step generates VCs" true (generated > 0);
+      Alcotest.(check int) "the second step hits every VC" generated hits;
+      Alcotest.(check int) "the second step misses none" 0 misses
+  | _ -> Alcotest.fail "expected two steps"
+
+(* A three-step script over [base_src]: a good step, a step that breaks
+   [scale], then a transformation that rejects.  Certified as a batch,
+   the refutation of the middle step wins over the rejection after it. *)
+let script_sources =
+  let s1 = Str_replace.replace base_src ~find:"t := x + x;
+    return t;" ~by:"return x + x;" in
+  let s2 = Str_replace.replace s1 ~find:"a (3) := a (3) * 2;" ~by:"a (3) := a (3) * 3;" in
+  [ ("inline-temp(double)", s1); ("break(scale)", s2) ]
+
+let run_script h =
+  List.iter
+    (fun (name, src) ->
+      ignore
+        (H.apply h
+           (Refactor.Transform.make ~name ~category:Refactor.Transform.Modify_computation
+              ~describe:name (fun _ _ -> Parser.of_string src))))
+    script_sources;
+  ignore
+    (H.apply h
+       (Refactor.Transform.make ~name:"reject" ~category:Refactor.Transform.Modify_computation
+          ~describe:"reject" (fun _ _ -> Refactor.Transform.reject "no match")))
+
+let test_batch_refutation_mid_script () =
+  let env, prog = check_src base_src in
+  let h = H.create env prog in
+  let cfg = C.default_config () in
+  let expected =
+    match
+      C.certify cfg ~step_name:"break(scale)"
+        ~before:(check_src (List.assoc "inline-temp(double)" script_sources))
+        ~after:(check_src (List.assoc "break(scale)" script_sources))
+    with
+    | C.Refuted cx, _ -> cx
+    | c, _ -> Alcotest.failf "the breaking step alone: %s" (C.describe c)
+  in
+  (match H.run_certified cfg h (fun () -> run_script h) with
+  | () -> Alcotest.fail "the script was not refuted"
+  | exception C.Refutation { rf_step; rf_cx } ->
+      Alcotest.(check string) "the refuted step" "break(scale)" rf_step;
+      Alcotest.(check string) "the one-step counterexample"
+        (C.counterexample_to_string expected) (C.counterexample_to_string rf_cx));
+  Alcotest.(check int) "the history keeps the steps before it" 1 (H.step_count h);
+  Alcotest.(check bool) "certified" true
+    (match H.certificates h with [ (0, _, c) ] -> is_certified c | _ -> false);
+  Alcotest.(check string) "the state is the refuted step's pre-image"
+    (List.assoc "inline-temp(double)" script_sources |> check_src |> snd
+    |> Pretty.program_to_string)
+    (Pretty.program_to_string (snd (H.current h)))
+
+let test_orchestrated_batch_refutation () =
+  let case =
+    script_case (fun ?certify h ->
+        match certify with
+        | Some cfg -> H.run_certified cfg h (fun () -> run_script h)
+        | None -> run_script h)
+  in
+  let r = O.run ~config:{ O.default_config with O.oc_certify = true } case in
+  (match r.O.o_verdict with
+  | O.Failed (Echo.Fault.Certification { cert_step; _ }) ->
+      Alcotest.(check string) "names the refuted step" "break(scale)" cert_step
+  | v -> Alcotest.failf "expected Failed (Certification), got %a" O.pp_verdict v);
+  List.iter
+    (fun (s, status) ->
+      if CK.stage_index s > CK.stage_index CK.S_refactor then
+        match status with
+        | O.St_skipped -> ()
+        | _ -> Alcotest.failf "stage %s ran after the refutation" (CK.stage_name s))
+    r.O.o_stages
+
 let suites =
   [
     ( "certify",
@@ -458,5 +616,16 @@ let suites =
           test_orchestrated_refutation_is_certification_fault;
         Alcotest.test_case "full AES script certifies every step" `Slow
           test_aes_script_fully_certified;
+        Alcotest.test_case "a refutation fails the run, later stages skipped" `Quick
+          test_orchestrated_batch_refutation;
+      ] );
+    ( "certify:batch",
+      [
+        Alcotest.test_case "AES script: batch at jobs 1 and 2 = step by step" `Slow
+          test_batch_equals_steps;
+        Alcotest.test_case "an earlier step's proof is a later step's hit" `Quick
+          test_batch_cache_replay;
+        Alcotest.test_case "refutation mid-script wins over a later rejection" `Quick
+          test_batch_refutation_mid_script;
       ] );
   ]

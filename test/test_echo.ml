@@ -122,6 +122,31 @@ let test_lemma_sampled_deterministic () =
   ignore (Echo.Implication.run [ lemma () ]);
   Alcotest.(check (list int)) "same samples on re-run" first !calls
 
+(* holding, failing and raising lemmas keep their outcomes, in list
+   order, on the farm *)
+let test_lemma_jobs () =
+  let sq ~name bad =
+    Echo.Implication.exhaustive ~name ~original:"sq" ~extracted:"sq"
+      ~domain:(List.init 50 (fun n -> [ Specl.Seval.Vint n ]))
+      ~lhs:(fun p -> match p with [ Specl.Seval.Vint n ] -> Specl.Seval.Vint (n * n) | _ -> assert false)
+      ~rhs:(fun p ->
+        match p with
+        | [ Specl.Seval.Vint n ] ->
+            if n = bad then failwith "blown" else Specl.Seval.Vint (if n = 31 then 0 else n * n)
+        | _ -> assert false)
+      ()
+  in
+  let lemmas = [ sq ~name:"fails" 99; sq ~name:"raises" 7; sq ~name:"fails-too" 40 ] in
+  let outcomes jobs =
+    List.map
+      (fun ((l : Echo.Implication.lemma), o) -> (l.Echo.Implication.lm_name, o))
+      (Echo.Implication.run ~jobs lemmas).Echo.Implication.im_lemmas
+  in
+  let one = outcomes 1 in
+  Alcotest.(check (list string)) "list order" [ "fails"; "raises"; "fails-too" ]
+    (List.map fst one);
+  Alcotest.(check bool) "jobs=3 outcomes = jobs=1" true (outcomes 3 = one)
+
 (* ---------------- pipeline failure paths ---------------- *)
 
 (* a full case study over the swapper program; [sabotage] lets each test
@@ -212,7 +237,8 @@ let suites =
       [ Alcotest.test_case "exhaustive lemma passes" `Quick test_lemma_exhaustive_pass;
         Alcotest.test_case "exhaustive lemma refutes" `Quick test_lemma_exhaustive_fail;
         Alcotest.test_case "sampling is deterministic" `Quick
-          test_lemma_sampled_deterministic ] );
+          test_lemma_sampled_deterministic;
+        Alcotest.test_case "farm width keeps outcomes" `Quick test_lemma_jobs ] );
     ( "echo:pipeline-failures",
       [ Alcotest.test_case "clean case verifies" `Quick test_pipeline_clean_verified;
         Alcotest.test_case "ill-typed annotation yields Failed" `Quick

@@ -45,7 +45,16 @@ let test_pool_matches_sequential () =
 
 let test_pool_inline_path () =
   let items = Array.init 10 (fun i -> i) in
-  let r, stats = Farm.Pool.run ~jobs:1 ~priority:(fun x -> x) ~f:succ items in
+  (* width 1 spawns no domain: every job runs on the caller, in input
+     order (certification's width-1 schedule relies on it) *)
+  let caller = Domain.self () and order = ref [] in
+  let f x =
+    if Domain.self () <> caller then Alcotest.fail "a job left the calling domain";
+    order := x :: !order;
+    succ x
+  in
+  let r, stats = Farm.Pool.run ~jobs:1 ~priority:(fun x -> x) ~f items in
+  Alcotest.(check (list int)) "input order" (Array.to_list items) (List.rev !order);
   Alcotest.(check (array int)) "inline results" (Array.map succ items) r;
   Alcotest.(check int) "one worker" 1 stats.Farm.Pool.ps_workers;
   Alcotest.(check int) "no steals inline" 0 stats.Farm.Pool.ps_steals
