@@ -79,7 +79,7 @@ let cmd_analyze path json no_vcs () =
       if json then
         print_endline (Telemetry.Json.to_string (Analysis.Examiner.to_json an))
       else Fmt.pr "%a" Analysis.Examiner.pp an;
-      Echo.Verify.analysis_gate an)
+      Echo.Orchestrator.analysis_gate an)
 
 (* `impact OLD NEW`: change-impact analysis between two versions of a
    program — semantic diff, dependency-graph escalation, and (unless
@@ -187,6 +187,7 @@ let cmd_prove path verbose jobs () =
       else Fmt.pr "%a@." Echo.Implementation_proof.pp_report r;
       if r.Echo.Implementation_proof.ip_residual > 0
          || r.Echo.Implementation_proof.ip_timed_out > 0
+         || r.Echo.Implementation_proof.ip_infeasible <> None
       then exit 5)
 
 let cmd_aes_refactor upto dump () =
@@ -748,7 +749,7 @@ let cmd_submit path socket id analyze priority deadline baseline_job quiet () =
               List.iter (fun n -> Fmt.pr "note: %s@." n) w.Serve.Protocol.w_notes;
               (match w.Serve.Protocol.w_verdict with
               | "verified" -> ()
-              | "failed" ->
+              | "failed" | "degraded" ->
                   let cls, detail =
                     Option.value ~default:("other", "") w.Serve.Protocol.w_fault
                   in

@@ -69,7 +69,6 @@ let body_string (sp : Ast.subprogram) =
 let hex s = Digest.to_hex (Digest.string s)
 let sig_digest sp = hex (sig_string sp)
 let body_digest sp = hex (body_string sp)
-let sub_digest sp = hex (sig_string sp ^ "##" ^ body_string sp)
 
 let decl_digests (p : Ast.program) =
   let ds = ref [] in

@@ -37,9 +37,6 @@ val sig_digest : Ast.subprogram -> string
 val body_digest : Ast.subprogram -> string
 (** Digest of the implementation: local declarations and body. *)
 
-val sub_digest : Ast.subprogram -> string
-(** Digest of the whole canonical form ([sig_digest] + [body_digest]). *)
-
 val diff : old_p:Ast.program -> new_p:Ast.program -> t
 
 val changed_subs : t -> Ast.ident list

@@ -157,5 +157,3 @@ let clear ~dir =
           || String.length f >= 10 && String.sub f 0 10 = "telemetry."
         then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (Sys.readdir dir)
-
-let pp_stage ppf s = Fmt.string ppf (stage_name s)

@@ -34,7 +34,9 @@ type impact_audit = {
   im_impacted : (string * string list) list;  (** name, re-prove reasons *)
   im_carried : string list;
   im_carried_vcs : int;   (** baseline VC verdicts scheduled for carry *)
-  im_json : string;       (** the full {!Analysis.Impact} plan as JSON *)
+  im_json : string;
+      (** the full {!Analysis.Impact} plan as JSON; only the checkpoint
+          reads it, so a run with no run directory leaves it empty *)
 }
 
 (** What each stage persists.  Programs travel as source text; everything
@@ -85,5 +87,3 @@ val load_telemetry : dir:string -> (Telemetry.event list, string) result option
 val clear : dir:string -> unit
 (** Remove all checkpoint and telemetry files in [dir] (ignores other
     files). *)
-
-val pp_stage : stage Fmt.t

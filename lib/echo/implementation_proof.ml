@@ -251,10 +251,10 @@ let count_status = count_status_with (fun n -> Telemetry.count n)
 
 (* Shared core: VC generation, then the retry ladder over every VC —
    consulted against the proof cache and dispatched over the domain pool
-   when [?cache] / [?jobs] ask for it.  [filter_vcs] and [tune_cfg] are
-   the orchestrator/chaos hook points. *)
+   when [?cache] / [?jobs] ask for it.  [filter_vcs] is the
+   orchestrator/chaos hook point. *)
 let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
-    ?(tune_cfg = fun (c : P.config) -> c) ?(give_up = fun () -> false)
+    ?(give_up = fun () -> false)
     ?discharge ?carry ?(budget = Vcgen.default_budget) ?(max_steps = 60_000)
     ?(jobs = 1) ?cache env program : report =
   let t0 = Logic.Clock.now () in
@@ -265,7 +265,7 @@ let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
     | Some oracle -> Vcgen.tag_discharged ~oracle gen
   in
   let cfg =
-    tune_cfg { P.default_config with P.interp = Some (interp_of env program); max_steps }
+    { P.default_config with P.interp = Some (interp_of env program); max_steps }
   in
   (* one prover ladder over one VC — runs on a worker domain under the
      farm, inline otherwise.  Workers share only immutable data: [cfg]'s
@@ -472,11 +472,64 @@ let run ?discharge ?budget ?max_steps ?jobs ?cache env program : report =
   run_with ~policy:(Retry.legacy_policy standard_hints) ?discharge ?budget
     ?max_steps ?jobs ?cache env program
 
-let run_resilient ?(policy = Retry.default_policy standard_hints) ?filter_vcs ?tune_cfg
+let run_resilient ?(policy = Retry.default_policy standard_hints) ?filter_vcs
     ?give_up ?discharge ?carry ?budget ?max_steps ?jobs ?cache env program :
     report =
-  run_with ~policy ?filter_vcs ?tune_cfg ?give_up ?discharge ?carry ?budget
+  run_with ~policy ?filter_vcs ?give_up ?discharge ?carry ?budget
     ?max_steps ?jobs ?cache env program
+
+(* ------------------------------------------------------------------ *)
+(* Per-VC summaries: the wire form of a report                         *)
+(* ------------------------------------------------------------------ *)
+
+type vc_summary = {
+  vs_name : string;
+  vs_sub : string;
+  vs_digest : string;
+  vs_status : string;
+  vs_attempts : int;
+  vs_time : float;
+  vs_cached : bool;
+}
+
+type baseline = {
+  vb_program : string;
+  vb_results : vc_summary list;
+}
+
+(* The machine-readable per-VC verdict that travels in checkpoints,
+   benches and served baselines. *)
+let status_string = function
+  | Auto -> "auto"
+  | Hinted n -> Printf.sprintf "hinted:%d" n
+  | Residual r -> "residual:" ^ r
+  | Timed_out _ -> "timed-out"
+  | Discharged -> "discharged"
+
+(* Inverse of [status_string], minus timeouts: a timeout is a wall-clock
+   accident, not a property of the VC, so a baseline is never allowed to
+   replay one (mirrors the proof cache's refusal to store them). *)
+let parse_status = function
+  | "auto" -> Some Auto
+  | "discharged" -> Some Discharged
+  | st when String.length st > 7 && String.sub st 0 7 = "hinted:" -> (
+      match int_of_string_opt (String.sub st 7 (String.length st - 7)) with
+      | Some n when n >= 0 -> Some (Hinted n)
+      | _ -> None)
+  | st when String.length st > 9 && String.sub st 0 9 = "residual:" ->
+      Some (Residual (String.sub st 9 (String.length st - 9)))
+  | _ -> None
+
+let summarize vr =
+  {
+    vs_name = vr.vr_vc.F.vc_name;
+    vs_sub = vr.vr_vc.F.vc_sub;
+    vs_digest = F.vc_digest vr.vr_vc;
+    vs_status = status_string vr.vr_status;
+    vs_attempts = vr.vr_attempts;
+    vs_time = vr.vr_time;
+    vs_cached = vr.vr_cached;
+  }
 
 let pp_report ppf r =
   Fmt.pf ppf
@@ -492,7 +545,8 @@ let pp_report ppf r =
       r.ip_cache_misses;
   if r.ip_carried > 0 then
     Fmt.pf ppf "@,impact carry: %d verdict(s) carried from the baseline"
-      r.ip_carried
+      r.ip_carried;
+  Option.iter (Fmt.pf ppf "@,VC generation infeasible: %s") r.ip_infeasible
 
 let pp_details ppf r =
   pp_report ppf r;

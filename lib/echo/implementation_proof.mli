@@ -91,16 +91,14 @@ val run :
 val run_resilient :
   ?policy:Retry.policy ->
   ?filter_vcs:(Logic.Formula.vc list -> Logic.Formula.vc list) ->
-  ?tune_cfg:(Logic.Prover.config -> Logic.Prover.config) ->
   ?give_up:(unit -> bool) ->
   ?discharge:(Logic.Formula.vc -> bool) ->
   ?carry:(Logic.Formula.vc -> vc_result option) ->
   ?budget:Vcgen.budget -> ?max_steps:int ->
   ?jobs:int -> ?cache:Farm.Cache.t ->
   Typecheck.env -> Ast.program -> report
-(** The orchestrated form: configurable retry ladder, and hook points for
-    VC-list filtering and prover-config tuning (used by the chaos
-    harness).  [give_up] is polled before each VC — once true (e.g. the
+(** The orchestrated form: configurable retry ladder, and a hook point
+    for VC-list filtering (used by the chaos harness).  [give_up] is polled before each VC — once true (e.g. the
     orchestrator's global deadline expired), remaining VCs are charged as
     timed out with zero attempts.  Timeouts are reported per VC, never
     raised.
@@ -112,5 +110,39 @@ val run_resilient :
     never sees them.  The caller is responsible for never carrying
     timeouts. *)
 
+(** {1 Per-VC summaries}
+
+    The wire form of a report: what a served job returns, what a
+    baseline carries into the next job's impact planning, and what the
+    orchestrator's impact stage reads back from a baseline run. *)
+
+type vc_summary = {
+  vs_name : string;     (** e.g. ["fletcher.3"] *)
+  vs_sub : string;      (** owning subprogram *)
+  vs_digest : string;   (** {!Logic.Formula.vc_digest} of the formula *)
+  vs_status : string;   (** ["auto"], ["hinted:N"], ["residual:R"],
+                            ["timed-out"] or ["discharged"] *)
+  vs_attempts : int;
+  vs_time : float;
+  vs_cached : bool;     (** replayed from cache or carried from baseline *)
+}
+
+type baseline = {
+  vb_program : string;           (** baseline MiniSpark source *)
+  vb_results : vc_summary list;  (** its per-VC outcomes *)
+}
+
+val parse_status : string -> vc_status option
+(** Inverse of [vs_status] for every status a baseline may replay:
+    ["timed-out"] and malformed strings give [None], because a timeout is
+    a wall-clock accident, not a property of the VC. *)
+
+val summarize : vc_result -> vc_summary
+(** A report's results summarized this way are a {!baseline}'s
+    [vb_results]. *)
+
 val pp_report : report Fmt.t
+(** Counts, automation fraction, cache and carry traffic, and the reason
+    when VC generation was infeasible. *)
+
 val pp_details : report Fmt.t

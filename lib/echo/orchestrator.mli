@@ -1,13 +1,17 @@
 (** Resilient orchestration of the Echo pipeline.
 
-    This module is the one driver of the five stages over a
-    {!Pipeline.case_study} — refactor, annotate, implementation proof,
-    reverse synthesis, implication proof; [run] with {!default_config} is
-    the one-call API.  It drives them under an explicit
-    resource-and-recovery policy:
+    This module is the one driver of the Echo stages.  {!run} drives a
+    {!Pipeline.case_study} through all of them — refactor, certify?,
+    annotate, analyze?, impact?, implementation proof, reverse synthesis,
+    implication proof; [run] with {!default_config} is the one-call API.
+    {!run_job} drives one served job — MiniSpark source text — through
+    the same stage runner: annotate (parse and typecheck the source),
+    analyze?, impact?, implementation proof, with no run directory and no
+    checkpoints.  Both go under one explicit resource-and-recovery policy
+    and one verdict rule:
 
     - every stage body runs under {!Fault.guard}, so no failure escapes as
-      an exception: [run] always returns a verdict;
+      an exception: a run always returns a verdict;
     - per-VC wall-clock deadlines and a global pipeline deadline, enforced
       on the monotonic clock ({!Logic.Clock});
     - a {!Retry} ladder per VC (automatic → simplify-then-retry → hinted)
@@ -17,7 +21,10 @@
       the last good stage;
     - graceful degradation: timed-out or infeasible VCs and late-stage
       faults produce a [Degraded] verdict carrying the surviving results
-      instead of aborting the run. *)
+      instead of aborting the run;
+    - change-impact planning is an optimisation, not a gate: an unusable
+      baseline, or a fault while planning, becomes a note and a full
+      re-prove, never a failed run. *)
 
 (** Instrumentation/chaos hook points (identity by default).  [h_stage]
     runs at stage entry and may raise — a raised {!Fault.Fault} is how the
@@ -25,7 +32,6 @@
 type hooks = {
   h_stage : Checkpoint.stage -> unit;
   h_vcs : Logic.Formula.vc list -> Logic.Formula.vc list;
-  h_prover : Logic.Prover.config -> Logic.Prover.config;
   h_lemmas : Implication.lemma list -> Implication.lemma list;
 }
 
@@ -43,11 +49,11 @@ type cache_mode =
 
 type config = {
   oc_run_dir : string option;        (** checkpoint directory; [None] = no checkpoints *)
-  oc_global_deadline_s : float option;  (** whole-pipeline wall-clock budget *)
+  oc_global_deadline_s : float option;
+      (** whole-run wall-clock budget, checked at every stage entry and
+          before every VC *)
   oc_vc_deadline_s : float option;   (** per-VC-attempt wall-clock budget *)
-  oc_retry : Retry.policy;           (** ladder for the implementation proof *)
   oc_max_steps : int;                (** prover fuel per attempt (base) *)
-  oc_budget : Vcgen.budget;
   oc_analyze : bool;
       (** insert the {!Analysis.Examiner} pre-pass between annotation and
           the implementation proof; error diagnostics fail the run
@@ -73,8 +79,8 @@ type config = {
           of recomputed, the annotated program is diffed against the
           baseline's ({!Analysis.Semdiff}), and only the impacted VCs
           ({!Analysis.Impact}) are re-proved — every other VC's baseline
-          verdict is carried over, planned by {!Verify.plan_carry} as for
-          a served job.  Under [Cache_default] the baseline's
+          verdict is carried over, planned as for a served job's inline
+          baseline.  Under [Cache_default] the baseline's
           proof cache is shared.  A missing or unreadable baseline piece
           degrades to a full re-prove with a note, never a fault *)
   oc_edit : (Minispark.Ast.program -> Minispark.Ast.program) option;
@@ -125,6 +131,16 @@ type report = {
   o_time : float;
 }
 
+type progress = Checkpoint.stage -> [ `Start | `Ok of float | `Failed of string ] -> unit
+(** Stage progress: each stage that runs is reported at entry and at exit
+    with its seconds or its fault.  Exceptions it raises are swallowed. *)
+
+val analysis_gate : Analysis.Examiner.t -> unit
+(** The flow-analysis gate of every run: count the analysis's
+    diagnostics as [an_diagnostics] when telemetry is on, and raise
+    {!Fault.Fault} ([Fault.Analysis], first error rendered) when any
+    diagnostic is an error. *)
+
 val run : ?resume:bool -> ?config:config -> Pipeline.case_study -> report
 (** Drive the pipeline under the policy.  Never raises.  With a run
     directory configured, each completed stage is checkpointed; a fresh
@@ -135,6 +151,24 @@ val resume : ?config:config -> Pipeline.case_study -> report
     of recomputed (their status says so); execution continues from the
     first missing or corrupt checkpoint.  A checkpointed clean run resumed
     this way reproduces its verdict bit-for-bit without re-proving. *)
+
+val run_job :
+  ?config:config ->
+  ?on_stage:progress ->
+  ?cache:Farm.Cache.t ->
+  ?baseline:Implementation_proof.baseline ->
+  source:string ->
+  unit ->
+  report
+(** Verify one annotated program given as source text: annotate (parse
+    and typecheck [source]) → analyze? → impact? → implementation proof,
+    under the same stage runner, verdict rule and fault rule as {!run}.
+    Never raises.  [cache] is the caller's open proof cache; [baseline],
+    when given, is planned against ({!Analysis.Impact}) and its still-valid
+    verdicts carried.  Of [config], the run directory, certification,
+    cache placement, baseline directory and edit belong to case studies
+    and are ignored; the deadlines, fuel, analysis, farm width, carry
+    switch and hooks apply. *)
 
 val pp_verdict : verdict Fmt.t
 val pp_report : report Fmt.t

@@ -165,7 +165,3 @@ let prove ?policy ~cfg vc : result =
   | rungs -> climb [] rungs
 
 let ladder_elapsed r = List.fold_left (fun acc a -> acc +. a.at_elapsed) 0.0 r.rt_attempts
-
-let pp_attempt ppf a =
-  Fmt.pf ppf "%s: %a (%.3fs prover, %.3fs total)" a.at_rung P.pp_outcome a.at_outcome
-    a.at_time a.at_elapsed

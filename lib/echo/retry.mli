@@ -55,5 +55,3 @@ val prove : ?policy:policy -> cfg:P.config -> Logic.Formula.vc -> result
 (** Climb the ladder until a rung proves the VC or rungs run out.  Never
     raises; a rung whose search dies with an exception is recorded as an
     [Unknown] attempt and the ladder continues. *)
-
-val pp_attempt : attempt Fmt.t

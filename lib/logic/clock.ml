@@ -31,8 +31,6 @@ let set_source f =
      0.0 must not be pinned below the wall-clock time already observed *)
   Atomic.set last neg_infinity
 
-let reset_source () = set_source wall_clock
-
 let with_source f body =
   let saved_source = !source and saved_last = Atomic.get last in
   set_source f;

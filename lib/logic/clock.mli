@@ -20,9 +20,6 @@ val set_source : (unit -> float) -> unit
     observed wall-clock values.  The clamp still applies: a source that
     steps backwards is held at its high-water mark. *)
 
-val reset_source : unit -> unit
-(** Restore the wall-clock source. *)
-
 val with_source : (unit -> float) -> (unit -> 'a) -> 'a
 (** [with_source f body] runs [body] with [f] installed as the source,
     restoring the previous source (and its monotone high-water mark) on

@@ -605,8 +605,3 @@ let localize_vc vc =
   let goal = localize vc.vc_goal in
   if hyps == vc.vc_hyps && goal == vc.vc_goal then vc
   else { vc with vc_hyps = hyps; vc_goal = goal }
-
-let pp_vc ppf vc =
-  Fmt.pf ppf "@[<v>%s [%s]@,%a@,|- %a@]" vc.vc_name (vc_kind_name vc.vc_kind)
-    Fmt.(list ~sep:(any "@,") (fun ppf h -> Fmt.pf ppf "H: %a" pp h))
-    vc.vc_hyps pp vc.vc_goal

@@ -197,5 +197,3 @@ val vc_line_count : vc -> int
 (** Printed lines of one VC — the paper's "maximum length of verification
     conditions" metric (>10,000 lines at block 1, 68 at block 14, 126
     with full annotations). *)
-
-val pp_vc : vc Fmt.t

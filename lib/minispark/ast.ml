@@ -596,17 +596,10 @@ let expr_of_lvalue lv =
 let equal_expr (a : expr) (b : expr) = a = b
 
 let equal_stmts (a : stmt list) (b : stmt list) = a = b
-let equal_typ (a : typ) (b : typ) = a = b
 
 (** Number of statement nodes, counting nested bodies; used by metrics and
     by refactoring heuristics. *)
 let stmt_count stmts =
   let n = ref 0 in
   iter_stmts (fun _ -> incr n) stmts;
-  !n
-
-(** Number of expression nodes in a statement list. *)
-let expr_node_count stmts =
-  let n = ref 0 in
-  iter_stmts (fun s -> iter_own_exprs (fun e -> iter_expr (fun _ -> incr n) e) s) stmts;
   !n

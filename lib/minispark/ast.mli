@@ -227,11 +227,7 @@ val equal_expr : expr -> expr -> bool
     sites. *)
 
 val equal_stmts : stmt list -> stmt list -> bool
-val equal_typ : typ -> typ -> bool
 
 val stmt_count : stmt list -> int
 (** Number of statement nodes, counting nested bodies; used by metrics
     and by refactoring heuristics. *)
-
-val expr_node_count : stmt list -> int
-(** Number of expression nodes in a statement list. *)

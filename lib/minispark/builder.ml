@@ -29,24 +29,19 @@ let bxor a b = Binop (Bxor, a, b)
 let shl a b = Binop (Shl, a, b)
 let shr a b = Binop (Shr, a, b)
 let neg a = Unop (Neg, a)
-let not_ a = Unop (Not, a)
 let call name args = Call (name, args)
 let old x = Old x
 let result = Result
 let forall x ~lo ~hi body = Quantified (Forall, x, lo, hi, body)
 let exists x ~lo ~hi body = Quantified (Exists, x, lo, hi, body)
-let agg es = Aggregate es
 let agg_ints ns = Aggregate (List.map i ns)
 
 let lv x = Lvar x
-let lidx name e = Lindex (Lvar name, e)
-let lidx2 name e1 e2 = Lindex (Lindex (Lvar name, e1), e2)
 
 let ( <-- ) lv e = Assign (lv, e)
 let set x e = Assign (Lvar x, e)
 let seti x ie e = Assign (Lindex (Lvar x, ie), e)
 let if_ cond body = If ([ (cond, body) ], [])
-let if_else cond body els = If ([ (cond, body) ], els)
 let if_chain branches els = If (branches, els)
 
 let for_ var ~lo ~hi ?(invariants = []) body =
@@ -60,28 +55,14 @@ let for_ var ~lo ~hi ?(invariants = []) body =
       for_body = body;
     }
 
-let for_rev var ~lo ~hi ?(invariants = []) body =
-  For
-    {
-      for_var = var;
-      for_reverse = true;
-      for_lo = lo;
-      for_hi = hi;
-      for_invariants = invariants;
-      for_body = body;
-    }
-
 let while_ cond ?(invariants = []) body =
   While { while_cond = cond; while_invariants = invariants; while_body = body }
 
 let pcall name args = Call_stmt (name, args)
 let return e = Return (Some e)
-let return_unit = Return None
-let assert_ e = Assert e
 
 let param ?(mode = Mode_in) name typ = { par_name = name; par_mode = mode; par_typ = typ }
 let param_out name typ = { par_name = name; par_mode = Mode_out; par_typ = typ }
-let param_inout name typ = { par_name = name; par_mode = Mode_in_out; par_typ = typ }
 let local ?init name typ = { v_name = name; v_typ = typ; v_init = init }
 
 let func name ~params ~ret ?pre ?post ?(locals = []) body =
@@ -116,9 +97,6 @@ let global ?init name typ = Dvar { v_name = name; v_typ = typ; v_init = init }
 let program name decls = { prog_name = name; prog_decls = decls }
 
 (* Common type shorthands *)
-let t_bool = Tbool
 let t_int = Tint None
-let t_range lo hi = Tint (Some (lo, hi))
 let t_mod m = Tmod m
-let t_array lo hi elt = Tarray (lo, hi, elt)
 let t_named n = Tnamed n

@@ -35,39 +35,30 @@ val bxor : expr -> expr -> expr
 val shl : expr -> expr -> expr
 val shr : expr -> expr -> expr
 val neg : expr -> expr
-val not_ : expr -> expr
 val call : ident -> expr list -> expr
 val old : ident -> expr
 val result : expr
 val forall : ident -> lo:expr -> hi:expr -> expr -> expr
 val exists : ident -> lo:expr -> hi:expr -> expr -> expr
-val agg : expr list -> expr
 val agg_ints : int list -> expr
 
 (** {1 Statements} *)
 
 val lv : ident -> lvalue
-val lidx : ident -> expr -> lvalue
-val lidx2 : ident -> expr -> expr -> lvalue
 val ( <-- ) : lvalue -> expr -> stmt
 val set : ident -> expr -> stmt
 val seti : ident -> expr -> expr -> stmt
 val if_ : expr -> stmt list -> stmt
-val if_else : expr -> stmt list -> stmt list -> stmt
 val if_chain : (expr * stmt list) list -> stmt list -> stmt
 val for_ : ident -> lo:expr -> hi:expr -> ?invariants:expr list -> stmt list -> stmt
-val for_rev : ident -> lo:expr -> hi:expr -> ?invariants:expr list -> stmt list -> stmt
 val while_ : expr -> ?invariants:expr list -> stmt list -> stmt
 val pcall : ident -> expr list -> stmt
 val return : expr -> stmt
-val return_unit : stmt
-val assert_ : expr -> stmt
 
 (** {1 Declarations} *)
 
 val param : ?mode:param_mode -> ident -> typ -> param
 val param_out : ident -> typ -> param
-val param_inout : ident -> typ -> param
 val local : ?init:expr -> ident -> typ -> var_decl
 
 val func :
@@ -86,9 +77,6 @@ val program : ident -> decl list -> program
 
 (** {1 Type shorthands} *)
 
-val t_bool : typ
 val t_int : typ
-val t_range : int -> int -> typ
 val t_mod : int -> typ
-val t_array : int -> int -> typ -> typ
 val t_named : ident -> typ

@@ -52,13 +52,6 @@ let as_array = function
 
 let wrap m n = Vmod (((n mod m) + m) mod m, m)
 
-(** Wrap an integer into the modulus of [like] (used so literal operands of
-    modular operations wrap correctly). *)
-let coerce_like like n =
-  match like with
-  | Vmod (_, m) -> wrap m n
-  | Vbool _ | Vint _ | Varray _ -> Vint n
-
 (** Array read with bound check. *)
 let array_get v i =
   let lo, a = as_array v in

@@ -37,9 +37,6 @@ val as_array : t -> int * t array
 val wrap : int -> int -> t
 (** [wrap m n] is [n] reduced into [0, m) as a [Vmod]. *)
 
-val coerce_like : t -> int -> t
-(** Wrap an integer into the modulus of the first argument, if modular. *)
-
 val array_get : t -> int -> t
 (** Array read with bound check.
     @raise Runtime_error when out of range. *)

@@ -347,12 +347,6 @@ let written_vars program stmts =
 
 let read_vars = Ast.read_vars
 
-(** Replace the statement at position [idx] in a subprogram body with a
-    replacement list (positions index the top-level statement list). *)
-let replace_stmt_at body idx replacement =
-  if idx < 0 || idx >= List.length body then reject "statement index %d out of range" idx;
-  List.concat (List.mapi (fun k s -> if k = idx then replacement else [ s ]) body)
-
 let slice body ~from ~len =
   if from < 0 || len < 0 || from + len > List.length body then
     reject "statement slice %d..%d out of range" from (from + len - 1);

@@ -84,6 +84,5 @@ val out_param_indices : Ast.program -> string -> int list
 val written_vars : Ast.program -> Ast.stmt list -> string list
 val read_vars : Ast.stmt list -> string list
 
-val replace_stmt_at : Ast.stmt list -> int -> Ast.stmt list -> Ast.stmt list
 val slice : Ast.stmt list -> from:int -> len:int -> Ast.stmt list
 val splice : Ast.stmt list -> from:int -> len:int -> Ast.stmt list -> Ast.stmt list

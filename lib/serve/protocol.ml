@@ -53,8 +53,9 @@ type wire_outcome = {
 let of_outcome (o : Echo.Verify.outcome) =
   let fault =
     match o.Echo.Verify.vj_verdict with
-    | Echo.Verify.Failed f -> Some (Echo.Fault.class_name f, Echo.Fault.describe f)
-    | _ -> None
+    | Echo.Verify.Failed f | Echo.Verify.Degraded { Echo.Orchestrator.dg_fault = f; _ } ->
+        Some (Echo.Fault.class_name f, Echo.Fault.describe f)
+    | Echo.Verify.Verified | Echo.Verify.Conditionally_verified _ -> None
   in
   {
     w_verdict = Echo.Verify.verdict_string o.Echo.Verify.vj_verdict;

@@ -42,7 +42,8 @@ val job : ?id:string -> ?analyze:bool -> ?jobs:int -> ?priority:int ->
 type wire_outcome = {
   w_verdict : string;      (** ["verified"] / ["conditional"] /
                                ["degraded"] / ["failed"] *)
-  w_fault : (string * string) option;  (** (class, description) when failed *)
+  w_fault : (string * string) option;
+      (** (class, description) when failed or degraded *)
   w_total : int;
   w_auto : int;
   w_hinted : int;

@@ -45,7 +45,6 @@ let run_assignment ?cache ~emit (a : Protocol.assignment) :
       vo_cache = cache;
       vo_baseline = js.Protocol.js_baseline;
       vo_deadline_s = js.Protocol.js_deadline_s;
-      vo_max_steps = Echo.Verify.default_options.Echo.Verify.vo_max_steps;
     }
   in
   let telemetry = a.Protocol.as_telemetry in
@@ -61,13 +60,16 @@ let run_assignment ?cache ~emit (a : Protocol.assignment) :
            ("job " ^ js.Protocol.js_id))
     else None
   in
-  let vcgen_memo0 = Vcgen.memo_stats () in
   let outcome = Echo.Verify.run ~options ~on_stage ~source:js.Protocol.js_source () in
   (match span with
   | Some sp ->
-      (* this job's events on the worker's long-lived VC-generation memo *)
+      (* this job's events on the worker's long-lived VC-generation memo:
+         the run published them as counters, and the collector was reset
+         at job start *)
       let memo =
-        Memo.counters "vcgen_memo" (Memo.diff (Vcgen.memo_stats ()) vcgen_memo0)
+        List.filter
+          (fun (name, _) -> String.starts_with ~prefix:"vcgen_memo_" name)
+          (Telemetry.snapshot ()).Telemetry.sn_counters
       in
       Telemetry.finish_span
         ~attrs:

@@ -9,7 +9,7 @@
     assignment pipe means the daemon is gone: the worker exits.
 
     The worker never raises out of a job — [Verify.run] already folds
-    every failure into a [Failed] outcome — so the only ways a worker can
+    every failure into the outcome's verdict — so the only ways a worker can
     die mid-job are a real crash (OOM, kill) or the test hook
     ([js_fail = "crash"], honoured on attempt 1 only, which [_exit]s
     mid-stage to exercise the daemon's respawn/retry path).
@@ -24,7 +24,8 @@
     that shares subprograms with an earlier one reuses their generated
     VCs ({!Vcgen.generate}).  With telemetry on, the job span carries the
     job's [vcgen_memo_hits], [vcgen_memo_misses] and
-    [vcgen_memo_evictions]. *)
+    [vcgen_memo_evictions], the counters the orchestrated run published
+    (the collector is reset at job start). *)
 
 val crash_exit_code : int
 (** Exit status used by the injected-crash hook (distinguishable from a

@@ -106,24 +106,3 @@ let prims_of_def d =
   in
   go d.sd_body;
   List.sort_uniq compare !acc
-
-(* defined functions referenced by a definition *)
-let calls_of_def d =
-  let acc = ref [] in
-  let rec go = function
-    | Sbool_lit _ | Sint_lit _ | Svar _ -> ()
-    | Sif (a, b, c) -> go a; go b; go c
-    | Slet (_, a, b) -> go a; go b
-    | Sprim (_, args) -> List.iter go args
-    | Sapp (name, args) ->
-        acc := name :: !acc;
-        List.iter go args
-    | Sarray_lit (_, es) | Stuple_lit es -> List.iter go es
-    | Sindex (a, b) -> go a; go b
-    | Supdate (a, b, c) -> go a; go b; go c
-    | Sproj (_, a) -> go a
-    | Sfold f -> go f.f_lo; go f.f_hi; go f.f_init; go f.f_body
-    | Stabulate (_, _, _, body) -> go body
-  in
-  go d.sd_body;
-  List.sort_uniq String.compare !acc

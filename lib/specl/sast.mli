@@ -70,6 +70,3 @@ val resolve_typ : theory -> styp -> styp
 val prims_of_def : sdef -> prim list
 (** Primitive operators used anywhere in a definition — structural
     elements for the match-ratio metric. *)
-
-val calls_of_def : sdef -> string list
-(** Defined functions referenced by a definition. *)

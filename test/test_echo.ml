@@ -227,6 +227,85 @@ let test_pipeline_late_fault_degrades () =
         (impl.Echo.Implementation_proof.ip_total > 0)
   | None -> Alcotest.fail "implementation report missing"
 
+(* ------------------------------------------------------------------ *)
+(* One driver: served jobs run through the orchestrator's stage runner  *)
+(* ------------------------------------------------------------------ *)
+
+let read_fixture name =
+  let path =
+    match List.find_opt Sys.file_exists [ name; Filename.concat "test" name ] with
+    | Some p -> p
+    | None -> Alcotest.fail ("fixture not found: " ^ name)
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* [wide] has 2^8 paths, over the VC generator's budget; [wrong]'s
+   postcondition is false.  Neither driver may call that verified. *)
+let test_infeasible_generation_degrades () =
+  let source = read_fixture "path_explosion.mspark" in
+  let served = Echo.Verify.run ~source () in
+  (match served.Echo.Verify.vj_verdict with
+  | Echo.Verify.Degraded { Echo.Orchestrator.dg_fault = Echo.Fault.Vc_infeasible _; _ } -> ()
+  | v ->
+      Alcotest.failf "served: expected degraded (vc-infeasible), got %a"
+        Echo.Orchestrator.pp_verdict v);
+  let wire = Serve.Protocol.of_outcome served in
+  Alcotest.(check string) "wire verdict" "degraded" wire.Serve.Protocol.w_verdict;
+  (match wire.Serve.Protocol.w_fault with
+  | Some (cls, detail) ->
+      Alcotest.(check string) "wire fault class" "vc-infeasible" cls;
+      Alcotest.(check bool) "wire fault names the subprogram" true
+        (Astring.String.is_infix ~affix:"wide" detail);
+      Alcotest.(check int) "submit exit code" 5
+        (Serve.Protocol.exit_code_of_class cls)
+  | None -> Alcotest.fail "degraded wire outcome carries no fault");
+  let env, prog = check_src source in
+  let case =
+    {
+      Echo.Pipeline.cs_name = "path_explosion";
+      cs_refactor =
+        (fun ?certify:_ () -> ([ (env, prog) ], Refactor.History.create env prog));
+      cs_annotate = Fun.id;
+      cs_original_spec = Extract.extract_program env prog;
+      cs_synonyms = [];
+      cs_lemmas = (fun ~extracted:_ -> []);
+    }
+  in
+  match (Echo.Orchestrator.run case).Echo.Orchestrator.o_verdict with
+  | Echo.Orchestrator.Degraded { Echo.Orchestrator.dg_fault = Echo.Fault.Vc_infeasible _; _ }
+    -> ()
+  | v ->
+      Alcotest.failf "orchestrated: expected Degraded (Vc_infeasible), got %a"
+        Echo.Orchestrator.pp_verdict v
+
+(* the served budget is the run's global deadline: once spent, the next
+   stage entry fails the job — reported on the wire's stage names *)
+let test_served_deadline_at_stage_entry () =
+  let t = ref 0.0 in
+  let clock () =
+    t := !t +. 1.0;
+    !t
+  in
+  let events = ref [] in
+  let on_stage ~stage ev =
+    events :=
+      (stage, match ev with `Start -> "start" | `Ok _ -> "ok" | `Failed _ -> "failed")
+      :: !events
+  in
+  let o =
+    Logic.Clock.with_source clock (fun () ->
+        Echo.Verify.run
+          ~options:{ Echo.Verify.default_options with Echo.Verify.vo_deadline_s = Some 0.5 }
+          ~on_stage ~source:annotated_src ())
+  in
+  (match o.Echo.Verify.vj_verdict with
+  | Echo.Verify.Failed (Echo.Fault.Deadline _) -> ()
+  | v -> Alcotest.failf "expected Failed (deadline), got %a" Echo.Orchestrator.pp_verdict v);
+  Alcotest.(check int) "no VCs" 0 o.Echo.Verify.vj_total;
+  Alcotest.(check (list (pair string string)))
+    "parse reported at entry and exit" [ ("parse", "start"); ("parse", "failed") ]
+    (List.rev !events)
+
 let suites =
   [ ( "echo:implementation_proof",
       [ Alcotest.test_case "clean program proves" `Quick test_impl_proof_clean;
@@ -246,4 +325,9 @@ let suites =
         Alcotest.test_case "rejected refactoring yields Failed" `Quick
           test_pipeline_rejected_refactoring_fails;
         Alcotest.test_case "late fault degrades with evidence" `Quick
-          test_pipeline_late_fault_degrades ] ) ]
+          test_pipeline_late_fault_degrades ] );
+    ( "echo:one-driver",
+      [ Alcotest.test_case "infeasible VC generation degrades both drivers" `Quick
+          test_infeasible_generation_degrades;
+        Alcotest.test_case "served deadline fails at stage entry" `Quick
+          test_served_deadline_at_stage_entry ] ) ]

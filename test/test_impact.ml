@@ -312,7 +312,7 @@ let test_incremental_matches_full () =
         | Some ip ->
             {
               Echo.Verify.vb_program = base_src;
-              vb_results = List.map Echo.Verify.summarize ip.IP.ip_results;
+              vb_results = List.map IP.summarize ip.IP.ip_results;
             }
         | None -> Alcotest.fail "baseline produced no implementation proof"
       in
@@ -367,6 +367,10 @@ let test_incremental_matches_full () =
                     (s.Echo.Verify.vs_sub, s.Echo.Verify.vs_name,
                      s.Echo.Verify.vs_status))
                   served.Echo.Verify.vj_results));
+          Alcotest.(check string)
+            (tag ^ ": served verdict matches the orchestrator")
+            (verdict_str r_incr)
+            (Fmt.str "%a" O.pp_verdict served.Echo.Verify.vj_verdict);
           Alcotest.(check int)
             (tag ^ ": served carry count matches the audit")
             audit.CK.im_carried_vcs served.Echo.Verify.vj_carried;
