@@ -880,7 +880,7 @@ let aes_verify_cmd =
   in
   let vc_deadline =
     Arg.(value & opt (some float) None
-         & info [ "vc-deadline" ] ~docv:"SECONDS" ~doc:"Per-VC-attempt wall-clock budget")
+         & info [ "vc-deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock budget of each capability level of a VC's proof: automatic, then one level per hint. A VC times out only when its last level runs out.")
   in
   let analyze =
     Arg.(value & flag

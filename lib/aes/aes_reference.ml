@@ -15,12 +15,6 @@ type key_size =
 let nk_of = function Aes128 -> 4 | Aes192 -> 6 | Aes256 -> 8
 let nr_of = function Aes128 -> 10 | Aes192 -> 12 | Aes256 -> 14
 
-let key_size_of_nk = function
-  | 4 -> Aes128
-  | 6 -> Aes192
-  | 8 -> Aes256
-  | n -> invalid_arg (Printf.sprintf "Aes_reference.key_size_of_nk: %d" n)
-
 (* ---------------- GF(2^8) arithmetic ---------------- *)
 
 let xtime b =

@@ -6,8 +6,6 @@
 type key_size = Aes128 | Aes192 | Aes256
 
 val nk_of : key_size -> int
-val nr_of : key_size -> int
-val key_size_of_nk : int -> key_size
 
 (** {1 GF(2^8) arithmetic (§4.2)} *)
 

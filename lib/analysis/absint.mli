@@ -23,25 +23,10 @@ val eval :
   Minispark.Ast.expr ->
   Itv.t
 
-(** Entry state of a subprogram: parameters at their type ranges, locals
-    at their initialiser values (or interpreter defaults), globals and
-    constants at their declared / computed values. *)
-val entry_state :
-  Minispark.Typecheck.env ->
-  Minispark.Ast.program ->
-  Minispark.Ast.subprogram ->
-  state
-
-(** Run the body from the entry state; [None] when every path returns.
-    The result maps each variable to an interval containing every value
-    it can hold at subprogram exit. *)
-val analyze_sub :
-  Minispark.Typecheck.env ->
-  Minispark.Ast.program ->
-  Minispark.Ast.subprogram ->
-  state option
-
-(** [(var, interval)] view of {!analyze_sub} for tests and reports. *)
+(** Run the body from its entry state (parameters at their type ranges,
+    locals at their initialisers, globals and constants at their values)
+    and give each variable an interval containing every value it can hold
+    at subprogram exit; empty when every path returns. *)
 val exit_intervals :
   Minispark.Typecheck.env ->
   Minispark.Ast.program ->

@@ -27,8 +27,6 @@ type edge_kind =
   | Espec            (** referenced from the pre/postcondition *)
   | Eglobal of Ast.ident  (** dataflow through the named global variable *)
 
-val edge_kind_name : edge_kind -> string
-
 type t
 
 val build : Ast.program -> t
@@ -68,8 +66,6 @@ val eval_deps : t -> Ast.ident -> Ast.ident list
 
 val decl_closure : t -> Ast.ident list -> Ast.ident list
 (** Union of {!decl_refs} over the given subprograms.  Sorted. *)
-
-val edge_count : t -> int
 
 val pp : t Fmt.t
 val to_json : t -> string

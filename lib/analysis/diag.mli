@@ -36,8 +36,6 @@ val make :
     [FLOW_UNINIT] and [FLOW_OUT_UNSET] are errors, other flow checks are
     warnings, amenability findings are informational. *)
 
-val code_name : code -> string
-val severity_name : severity -> string
 val count : severity -> t list -> int
 
 (** [anchor program ~sub stmt] locates the first pretty-printed line of

@@ -30,13 +30,6 @@ type t = {
           definition changed, was added or was removed *)
 }
 
-val sig_digest : Ast.subprogram -> string
-(** Digest of the interface: name, parameters, return type and
-    contract. *)
-
-val body_digest : Ast.subprogram -> string
-(** Digest of the implementation: local declarations and body. *)
-
 val diff : old_p:Ast.program -> new_p:Ast.program -> t
 
 val changed_subs : t -> Ast.ident list

@@ -99,9 +99,10 @@ let config_with probe (config : O.config) : O.config =
           };
       }
   | P_prover_timeout ->
-      (* a per-attempt deadline no search can meet: every VC must climb the
-         whole ladder and come back [Timed_out], never hang *)
-      { config with O.oc_vc_deadline_s = Some 1e-4 }
+      (* a zero per-level budget, which no search can meet: every VC must
+         climb the whole capability ladder and come back [Timed_out],
+         never hang *)
+      { config with O.oc_vc_deadline_s = Some 0.0 }
   | P_lemma_crash ->
       {
         config with
@@ -142,7 +143,7 @@ let expect probe (r : O.report) =
         ~matches:(function F.Vc_infeasible _ -> true | _ -> false)
   | P_prover_timeout -> (
       (* graceful degradation: the run completes, evidence survives, every
-         starved VC shows the full retry ladder *)
+         starved VC shows the full capability ladder *)
       match (r.O.o_verdict, r.O.o_impl) with
       | O.Degraded d, Some impl ->
           if d.O.dg_timed_out = 0 then
@@ -154,7 +155,7 @@ let expect probe (r : O.report) =
                 | IP.Timed_out _ -> vr.IP.vr_attempts < 2
                 | _ -> false)
               impl.IP.ip_results
-          then Error "prover-timeout: a timed-out VC skipped the retry ladder"
+          then Error "prover-timeout: a timed-out VC skipped the capability ladder"
           else Ok ()
       | v, _ ->
           Error

@@ -19,15 +19,6 @@ type probe =
 val all_probes : probe list
 val probe_name : probe -> string
 
-val target_stage : probe -> Echo.Checkpoint.stage
-(** The stage whose failure handling the probe exercises. *)
-
-val case_with : probe -> Echo.Pipeline.case_study -> Echo.Pipeline.case_study
-(** Sabotage the case study (identity for config-level probes). *)
-
-val config_with : probe -> Echo.Orchestrator.config -> Echo.Orchestrator.config
-(** Sabotage the orchestrator hooks (identity for case-level probes). *)
-
 val expect : probe -> Echo.Orchestrator.report -> (unit, string) result
 (** Does the report show the recovery the probe demands?  E.g. a starved
     prover must yield a [Degraded] verdict with every timed-out VC showing

@@ -9,18 +9,17 @@
    that resist both are "interactive residue": they are cross-validated by
    ground evaluation on sampled assignments and reported separately.
 
-   Every VC now goes through a {!Retry} ladder; [run] uses the legacy
-   two-rung ladder (automatic, hinted) so historical accounting is
-   unchanged, while [run_resilient] adds the simplify-then-retry rung,
-   per-VC deadlines and hook points for the orchestrator and the chaos
-   harness.
+   Every VC makes one {!Logic.Prover.prove_vc} call with the standard
+   hints: its capability ladder (automatic, then one more capability per
+   hint) is the only proof ladder, and the levels it searched are the
+   VC's attempts.
 
    Proof farm: with [?jobs] > 1 the VCs are dispatched cost-descending
    over a work-stealing domain pool ({!Farm.Pool}); with [?cache] a
    persistent content-addressed store ({!Farm.Cache}) is consulted
    before any prover work, keyed by the VC's canonical formula digest
    plus a signature of everything else that can change provability —
-   the retry policy's rungs and hints, the prover knobs, and the
+   the hint ladder, the prover knobs, and the
    definitions of the program functions the prover ground-evaluates.
    Cache lookups and recording happen on the coordinator domain only,
    and results are reassembled in generation order, so verdicts are
@@ -34,13 +33,13 @@ type vc_status =
   | Auto                 (** discharged with no interaction *)
   | Hinted of int        (** discharged after n interactive steps *)
   | Residual of string   (** not discharged mechanically *)
-  | Timed_out of float   (** every ladder rung hit its deadline *)
+  | Timed_out of float   (** the last capability level hit its deadline *)
   | Discharged           (** proved by static analysis; never scheduled *)
 
 type vc_result = {
   vr_vc : F.vc;
   vr_status : vc_status;
-  vr_attempts : int;     (** ladder attempts spent on this VC *)
+  vr_attempts : int;     (** capability levels searched for this VC *)
   vr_time : float;
   vr_cached : bool;      (** replayed from the proof cache, prover skipped *)
 }
@@ -64,7 +63,7 @@ type report = {
   ip_residual : int;
   ip_timed_out : int;
   ip_discharged : int;   (** statically discharged, never sent to prover *)
-  ip_attempts : int;     (** ladder attempts across all VCs *)
+  ip_attempts : int;     (** capability levels searched across all VCs *)
   ip_cache_hits : int;   (** VCs replayed from the proof cache *)
   ip_cache_misses : int; (** VCs sent to the prover despite an open cache *)
   ip_carried : int;      (** baseline verdicts carried over by impact
@@ -134,24 +133,18 @@ let hint_sig = function
         (F.digest body)
 
 (* Signature of everything besides the VC formula and the program text
-   that can change a proof outcome: the retry ladder (rungs, hints, fuel)
-   and the prover's search knobs.  The per-VC deadline is deliberately
-   excluded: a recorded proof stays a proof under any deadline, and
-   timeouts are never cached.  The "pf3" marker versions the key scheme,
-   so entries recorded under earlier schemes (the whole-program
-   signature, then "pf2"'s printed-text frontier signature) can never
-   collide with the declaration-digest keys below. *)
-let base_signature ~(policy : Retry.policy) ~(cfg : P.config) =
-  let buf = Buffer.create 512 in
-  Printf.ksprintf (Buffer.add_string buf) "pf3;split=%d;steps=%d;"
-    cfg.P.max_split cfg.P.max_steps;
-  List.iter
-    (fun (rg : Retry.rung) ->
-      Printf.ksprintf (Buffer.add_string buf) "rung=%s,%b,%d[%s];"
-        rg.Retry.rg_name rg.Retry.rg_presimplify rg.Retry.rg_fuel_factor
-        (String.concat "," (List.map hint_sig rg.Retry.rg_hints)))
-    policy.Retry.pol_rungs;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+   that can change a proof outcome: the hint ladder and the prover's
+   search knobs.  The per-level deadline is deliberately excluded: a
+   recorded proof stays a proof under any deadline, and timeouts are
+   never cached.  The "pf4" marker versions the key scheme, so entries
+   recorded under earlier schemes (the whole-program signature, "pf2"'s
+   printed-text frontier signature, then "pf3"'s retry-rung signature)
+   can never collide with the keys below. *)
+let base_signature (cfg : P.config) =
+  Printf.sprintf "pf4;split=%d;steps=%d;hints=%s" cfg.P.max_split
+    cfg.P.max_steps
+    (String.concat "," (List.map hint_sig standard_hints))
+  |> Digest.string |> Digest.to_hex
 
 (* Per-subprogram program signature: because [cfg.interp] ground-evaluates
    program functions, a VC's outcome depends on the definitions on its
@@ -230,15 +223,12 @@ let entry_of_result vr : Farm.Cache.entry option =
         en_time = vr.vr_time })
     status
 
-let status_of (rt : Retry.result) : vc_status =
-  match rt.Retry.rt_rung with
-  | Some rung when rung.Retry.rg_hints = [] -> Auto
-  | Some _ -> Hinted rt.Retry.rt_result.P.pr_hints_used
-  | None -> (
-      match rt.Retry.rt_result.P.pr_outcome with
-      | P.Timeout s -> Timed_out s
-      | P.Unknown reason -> Residual reason
-      | P.Proved -> assert false)
+let status_of (r : P.proof_result) : vc_status =
+  match r.P.pr_outcome with
+  | P.Proved when r.P.pr_hints_used = 0 -> Auto
+  | P.Proved -> Hinted r.P.pr_hints_used
+  | P.Timeout s -> Timed_out s
+  | P.Unknown reason -> Residual reason
 
 let count_status_with cnt = function
   | Auto -> cnt "vcs_auto"
@@ -249,25 +239,25 @@ let count_status_with cnt = function
 
 let count_status = count_status_with (fun n -> Telemetry.count n)
 
-(* Shared core: VC generation, then the retry ladder over every VC —
-   consulted against the proof cache and dispatched over the domain pool
-   when [?cache] / [?jobs] ask for it.  [filter_vcs] is the
-   orchestrator/chaos hook point. *)
-let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
-    ?(give_up = fun () -> false)
-    ?discharge ?carry ?(budget = Vcgen.default_budget) ?(max_steps = 60_000)
-    ?(jobs = 1) ?cache env program : report =
+(* VC generation, then one capability ladder per VC — consulted against
+   the proof cache and dispatched over the domain pool when [?cache] /
+   [?jobs] ask for it.  [filter_vcs] is the orchestrator/chaos hook
+   point. *)
+let run ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
+    ?discharge ?carry ?deadline_s ?(max_steps = 60_000) ?(jobs = 1) ?cache
+    env program : report =
   let t0 = Logic.Clock.now () in
-  let gen = Vcgen.generate ~budget env program in
+  let gen = Vcgen.generate env program in
   let gen =
     match discharge with
     | None -> gen
     | Some oracle -> Vcgen.tag_discharged ~oracle gen
   in
   let cfg =
-    { P.default_config with P.interp = Some (interp_of env program); max_steps }
+    { P.default_config with
+      P.interp = Some (interp_of env program); max_steps; deadline_s }
   in
-  (* one prover ladder over one VC — runs on a worker domain under the
+  (* one capability ladder over one VC — runs on a worker domain under the
      farm, inline otherwise.  Workers share only immutable data: [cfg]'s
      ground-evaluation hook builds a fresh runtime per call from the
      calling domain's own compiled-program cache, and telemetry goes
@@ -289,12 +279,20 @@ let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
             ]
           vc.F.vc_name
       in
-      let rt = Retry.prove ~policy ~cfg vc in
+      let passes0 = Logic.Simplify.rewrite_passes () in
+      let status, attempts, steps =
+        match P.prove_vc ~cfg ~hints:standard_hints vc with
+        | r -> (status_of r, r.P.pr_levels, r.P.pr_steps)
+        | exception Sys.Break -> raise Sys.Break
+        | exception e ->
+            (* a dying search is residue, never a failed stage *)
+            (Residual ("prover raised: " ^ Printexc.to_string e), 1, 0)
+      in
       let vr =
         {
           vr_vc = vc;
-          vr_status = status_of rt;
-          vr_attempts = Retry.attempts rt;
+          vr_status = status;
+          vr_attempts = attempts;
           vr_time = Logic.Clock.elapsed t1;
           vr_cached = false;
         }
@@ -305,8 +303,14 @@ let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
          after the run *)
       if Telemetry.enabled () then begin
         Telemetry.Batch.count "vcs_attempted";
+        Telemetry.Batch.count ~by:attempts "prover_attempts";
+        Telemetry.Batch.count
+          ~by:(Logic.Simplify.rewrite_passes () - passes0)
+          "simplify_rewrite_passes";
         count_status_with (fun n -> Telemetry.Batch.count n) vr.vr_status;
-        Telemetry.Batch.observe "vc_wall_s" vr.vr_time
+        Telemetry.Batch.observe "vc_wall_s" vr.vr_time;
+        Telemetry.Batch.observe ~buckets:[| 1e2; 1e3; 1e4; 1e5; 1e6; 1e7 |]
+          "prover_steps" (float_of_int steps)
       end;
       Telemetry.finish_span span
         ~attrs:
@@ -329,7 +333,7 @@ let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
         List.map (fun vc -> (sr, vc)) (filter_vcs sr.Vcgen.sr_vcs))
       gen.Vcgen.r_subs
   in
-  let base_sig = lazy (base_signature ~policy ~cfg) in
+  let base_sig = lazy (base_signature cfg) in
   let sub_sig = sub_signature program in
   let slots = Array.make (List.length all) None in
   let hits = ref 0 and misses = ref 0 and carried = ref 0 in
@@ -403,12 +407,16 @@ let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
      spans, so its batch drains here *)
   Telemetry.Batch.flush ();
   (* reassemble in generation order and record fresh proofs — cache
-     writes stay on the coordinator, so the store needs no locking *)
+     writes stay on the coordinator, so the store needs no locking.  Under
+     a per-level deadline a level that ran out hands its VC to the next
+     level, so every outcome but [Auto] may be shaped by the wall clock:
+     only deadline-free outcomes are recorded *)
+  let recordable vr = deadline_s = None || vr.vr_status = Auto in
   let added = ref 0 in
   Array.iteri
     (fun k vr ->
       let i, _, _, key = pending.(k) in
-      (match (cache, key, entry_of_result vr) with
+      (match (cache, key, if recordable vr then entry_of_result vr else None) with
       | Some c, Some key, Some entry ->
           Farm.Cache.add c key entry;
           incr added
@@ -467,17 +475,6 @@ let run_with ~(policy : Retry.policy) ?(filter_vcs = fun vcs -> vcs)
     ip_infeasible = gen.Vcgen.r_infeasible;
   }
 
-(** Run the implementation proof over an annotated, checked program. *)
-let run ?discharge ?budget ?max_steps ?jobs ?cache env program : report =
-  run_with ~policy:(Retry.legacy_policy standard_hints) ?discharge ?budget
-    ?max_steps ?jobs ?cache env program
-
-let run_resilient ?(policy = Retry.default_policy standard_hints) ?filter_vcs
-    ?give_up ?discharge ?carry ?budget ?max_steps ?jobs ?cache env program :
-    report =
-  run_with ~policy ?filter_vcs ?give_up ?discharge ?carry ?budget
-    ?max_steps ?jobs ?cache env program
-
 (* ------------------------------------------------------------------ *)
 (* Per-VC summaries: the wire form of a report                         *)
 (* ------------------------------------------------------------------ *)
@@ -531,15 +528,25 @@ let summarize vr =
     vs_cached = vr.vr_cached;
   }
 
+(* with no VC there is no automation figure to give: "100%" of nothing
+   would claim proofs that never ran *)
 let pp_report ppf r =
+  let some = r.ip_total > 0 in
   Fmt.pf ppf
-    "@[<v>implementation proof: %d VCs, %d auto (%.1f%%), %d interactive, %d residual%a%a@,\
-     %d/%d subprograms fully automatic; %d prover attempts; %.1fs@]"
-    r.ip_total r.ip_auto (100.0 *. auto_fraction r) r.ip_hinted r.ip_residual
+    "@[<v>implementation proof: %d VCs, %d auto%a, %d interactive, %d residual%a%a@,\
+     %a%d prover attempts; %.1fs@]"
+    r.ip_total r.ip_auto
+    (fun ppf () -> if some then Fmt.pf ppf " (%.1f%%)" (100.0 *. auto_fraction r))
+    () r.ip_hinted r.ip_residual
     (fun ppf n -> if n > 0 then Fmt.pf ppf ", %d timed out" n)
     r.ip_timed_out
     (fun ppf n -> if n > 0 then Fmt.pf ppf ", %d discharged by analysis" n)
-    r.ip_discharged (fully_auto_subs r) (List.length r.ip_subs) r.ip_attempts r.ip_time;
+    r.ip_discharged
+    (fun ppf () ->
+      if some then
+        Fmt.pf ppf "%d/%d subprograms fully automatic; " (fully_auto_subs r)
+          (List.length r.ip_subs))
+    () r.ip_attempts r.ip_time;
   if r.ip_cache_hits > 0 then
     Fmt.pf ppf "@,proof cache: %d hit(s), %d miss(es)" r.ip_cache_hits
       r.ip_cache_misses;

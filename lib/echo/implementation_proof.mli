@@ -2,11 +2,12 @@
     conform to its annotations — the stand-in for the SPARK toolset run,
     with the automation fraction measured rather than estimated.
 
-    Every VC climbs a {!Retry} ladder; [run] keeps the historical two-rung
-    behaviour, [run_resilient] adds simplify-then-retry, per-VC deadlines
-    and the orchestrator/chaos hook points.
+    Every VC makes one {!Logic.Prover.prove_vc} call with
+    {!standard_hints}: the prover's capability ladder (automatic, then
+    +application of preconditions, then +induction) is the only proof
+    ladder, and the levels it searched are the VC's attempts.
 
-    Both entry points take the proof-farm knobs: [?jobs] dispatches the
+    [run] takes the proof-farm knobs: [?jobs] dispatches the
     VCs cost-descending over a work-stealing domain pool, and [?cache]
     consults (and extends) a persistent content-addressed proof cache
     keyed by {!Logic.Formula.vc_digest} plus a prover-config/hint/
@@ -23,14 +24,14 @@ type vc_status =
   | Auto                 (** discharged with no interaction *)
   | Hinted of int        (** discharged after n interactive steps *)
   | Residual of string   (** not discharged mechanically *)
-  | Timed_out of float   (** every ladder rung hit its deadline *)
+  | Timed_out of float   (** the last capability level hit its deadline *)
   | Discharged           (** proved by static interval analysis; the
-                             retry ladder never scheduled it *)
+                             prover never saw it *)
 
 type vc_result = {
   vr_vc : Logic.Formula.vc;
   vr_status : vc_status;
-  vr_attempts : int;     (** ladder attempts spent on this VC *)
+  vr_attempts : int;     (** capability levels searched for this VC *)
   vr_time : float;
   vr_cached : bool;      (** replayed from the proof cache, prover skipped *)
 }
@@ -54,7 +55,7 @@ type report = {
   ip_residual : int;
   ip_timed_out : int;
   ip_discharged : int;   (** statically discharged, never sent to prover *)
-  ip_attempts : int;     (** ladder attempts across all VCs *)
+  ip_attempts : int;     (** capability levels searched across all VCs *)
   ip_cache_hits : int;   (** VCs replayed from the proof cache *)
   ip_cache_misses : int; (** VCs sent to the prover despite an open cache *)
   ip_carried : int;      (** baseline verdicts carried over by change-impact
@@ -78,30 +79,30 @@ val standard_hints : Logic.Prover.hint list
 (** Alias of {!Logic.Prover.standard_hints}. *)
 
 val run :
-  ?discharge:(Logic.Formula.vc -> bool) ->
-  ?budget:Vcgen.budget -> ?max_steps:int ->
-  ?jobs:int -> ?cache:Farm.Cache.t ->
-  Typecheck.env -> Ast.program -> report
-(** Legacy ladder (automatic, then hinted) with no deadlines — the §6.2.3
-    accounting baseline.  [discharge] is the static-analysis oracle
-    (e.g. {i Analysis.Discharge.vc_discharged}): VCs it accepts are
-    tagged [Discharged] with zero attempts and never enter the ladder;
-    soundness of the oracle is the analyzer's obligation. *)
-
-val run_resilient :
-  ?policy:Retry.policy ->
   ?filter_vcs:(Logic.Formula.vc list -> Logic.Formula.vc list) ->
   ?give_up:(unit -> bool) ->
   ?discharge:(Logic.Formula.vc -> bool) ->
   ?carry:(Logic.Formula.vc -> vc_result option) ->
-  ?budget:Vcgen.budget -> ?max_steps:int ->
+  ?deadline_s:float -> ?max_steps:int ->
   ?jobs:int -> ?cache:Farm.Cache.t ->
   Typecheck.env -> Ast.program -> report
-(** The orchestrated form: configurable retry ladder, and a hook point
-    for VC-list filtering (used by the chaos harness).  [give_up] is polled before each VC — once true (e.g. the
+(** Run the implementation proof over an annotated, checked program.
+    A VC is [Auto] when it proves with no hint, [Hinted n] when it needs
+    [n] capabilities, and [Timed_out] only when its last capability level
+    ran out of [deadline_s] (each level gets the whole budget; none by
+    default).  A search that raises is [Residual "prover raised: ..."]
+    and never fails the run.  [max_steps] is the prover's fuel per level.
+
+    [filter_vcs] is a hook point for VC-list filtering (used by the chaos
+    harness).  [give_up] is polled before each VC — once true (e.g. the
     orchestrator's global deadline expired), remaining VCs are charged as
     timed out with zero attempts.  Timeouts are reported per VC, never
     raised.
+
+    [discharge] is the static-analysis oracle (e.g.
+    {i Analysis.Discharge.vc_discharged}): VCs it accepts are tagged
+    [Discharged] with zero attempts and never reach the prover; soundness
+    of the oracle is the analyzer's obligation.
 
     [carry] is the incremental-verification hook: consulted per VC before
     the proof cache, it returns a baseline verdict that change-impact

@@ -611,15 +611,11 @@ let stage_impl st ~discharge ?carry env annotated =
       | Some (CK.P_impl report) -> Some report
       | _ -> None)
     ~body:(fun () ->
-      let policy =
-        Retry.with_deadline st.cfg.oc_vc_deadline_s
-          (Retry.default_policy Implementation_proof.standard_hints)
-      in
       let report =
-        Implementation_proof.run_resilient ~policy
-          ~filter_vcs:st.cfg.oc_hooks.h_vcs
+        Implementation_proof.run ~filter_vcs:st.cfg.oc_hooks.h_vcs
           ~give_up:(fun () -> global_expired st)
-          ?discharge ?carry ~max_steps:st.cfg.oc_max_steps
+          ?discharge ?carry ?deadline_s:st.cfg.oc_vc_deadline_s
+          ~max_steps:st.cfg.oc_max_steps
           ~jobs:st.cfg.oc_jobs ?cache:(Lazy.force st.cache) env annotated
       in
       (match report.Implementation_proof.ip_cache_hits with

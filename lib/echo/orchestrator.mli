@@ -14,8 +14,9 @@
       an exception: a run always returns a verdict;
     - per-VC wall-clock deadlines and a global pipeline deadline, enforced
       on the monotonic clock ({!Logic.Clock});
-    - a {!Retry} ladder per VC (automatic → simplify-then-retry → hinted)
-      with every attempt recorded in the proof report;
+    - one capability ladder per VC ({!Logic.Prover.prove_vc}: automatic,
+      then each hint) with the levels searched recorded in the proof
+      report;
     - stage checkpointing ({!Checkpoint}) into a run directory, and
       {!resume} to continue an interrupted or partially-failed run from
       the last good stage;
@@ -52,8 +53,8 @@ type config = {
   oc_global_deadline_s : float option;
       (** whole-run wall-clock budget, checked at every stage entry and
           before every VC *)
-  oc_vc_deadline_s : float option;   (** per-VC-attempt wall-clock budget *)
-  oc_max_steps : int;                (** prover fuel per attempt (base) *)
+  oc_vc_deadline_s : float option;   (** wall-clock budget per capability level of a VC *)
+  oc_max_steps : int;                (** prover fuel per capability level *)
   oc_analyze : bool;
       (** insert the {!Analysis.Examiner} pre-pass between annotation and
           the implementation proof; error diagnostics fail the run
@@ -127,7 +128,7 @@ type report = {
   o_lemmas : (string * bool * string) list;  (** name, holds?, method/reason *)
   o_notes : string list;     (** non-fatal events, e.g. checkpoint trouble *)
   o_verdict : verdict;
-  o_attempts : int;          (** prover-ladder attempts across all VCs *)
+  o_attempts : int;          (** capability levels searched across all VCs *)
   o_time : float;
 }
 

@@ -11,8 +11,6 @@ val skeleton : Minispark.Ast.program -> Specl.Sast.theory
     tables, subprogram names and the operators they use.  This is what the
     Fig. 2(f) match-ratio compares against the original specification. *)
 
-val styp_of_typ : Minispark.Ast.typ -> Specl.Sast.styp
-
 val extract_program :
   Minispark.Typecheck.env -> Minispark.Ast.program -> Specl.Sast.theory
 (** Full extraction from a structured (refactored) program: each

@@ -2,7 +2,7 @@
 
     Maps a {e key} — the canonical digest of a VC's formula content plus
     a signature of everything else that can change its provability
-    (prover config, retry-ladder rungs, hints, program function bodies;
+    (prover config, hint ladder, program function bodies;
     the caller composes the key, see {!Echo.Implementation_proof}) — to
     the recorded proof outcome.  A re-verify after a refactoring block
     then only re-proves VCs whose formulas actually changed.
@@ -20,13 +20,13 @@
     would make verdicts machine-dependent. *)
 
 type entry_status =
-  | E_auto                 (** discharged on the automatic rung *)
+  | E_auto                 (** discharged at capability level 0 *)
   | E_hinted of int        (** discharged after this many hints *)
   | E_residual of string   (** not dischargeable; residual goal *)
 
 type entry = {
   en_status : entry_status;
-  en_attempts : int;  (** ladder attempts consumed when first proved *)
+  en_attempts : int;  (** capability levels searched when first proved *)
   en_time : float;    (** prover seconds spent when first proved *)
 }
 

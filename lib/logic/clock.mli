@@ -14,12 +14,6 @@
 val now : unit -> float
 (** Seconds, non-decreasing across calls within this process. *)
 
-val set_source : (unit -> float) -> unit
-(** Replace the time source (default [Unix.gettimeofday]) and restart the
-    monotone clamp, so a scripted clock may start below previously
-    observed wall-clock values.  The clamp still applies: a source that
-    steps backwards is held at its high-water mark. *)
-
 val with_source : (unit -> float) -> (unit -> 'a) -> 'a
 (** [with_source f body] runs [body] with [f] installed as the source,
     restoring the previous source (and its monotone high-water mark) on

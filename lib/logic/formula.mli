@@ -122,12 +122,8 @@ val node_count : t -> int
     The printed form defines the byte-size metric for VCs (the paper
     reports VC sizes in MB/KB). *)
 
-val op_name : op -> string
 val pp : t Fmt.t
 val to_string : t -> string
-
-val byte_size : t -> int
-(** Byte size of the printed form. *)
 
 (** {1 Canonical serialization and content digests}
 

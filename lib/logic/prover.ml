@@ -54,7 +54,7 @@ type config = {
 let default_config =
   { interp = None; max_split = 64; max_steps = 4000; deadline_s = None }
 
-let standard_hints = [ Hint_apply_hyp; Hint_induction; Hint_apply_hyp ]
+let standard_hints = [ Hint_apply_hyp; Hint_induction ]
 
 (* The deadline is enforced with an exception so the check costs one
    comparison per search step instead of threading a result through every
@@ -65,12 +65,13 @@ exception Deadline_hit
 (* Per-[prove_vc] search state, threaded through the recursive search so
    concurrent provers on separate domains never share a counter or a
    deadline — the proof farm runs one [prove_vc] per worker.  [sx_steps]
-   resets per capability rung; [sx_consts] resets per VC so skolem names
-   (and hence outcomes) are deterministic whatever ran before.
+   and [sx_deadline] reset per capability level; [sx_consts] resets per
+   VC so skolem names (and hence outcomes) are deterministic whatever ran
+   before.
    [sx_uf_rules] keeps the last hypothesis list's saturated UF rewrite
    rules (see [rewrite_with_uf_equations]). *)
 type session = {
-  sx_deadline : float;     (* absolute Clock deadline, [infinity] = none *)
+  mutable sx_deadline : float;  (* absolute Clock deadline, [infinity] = none *)
   mutable sx_steps : int;
   mutable sx_consts : int;
   mutable sx_uf_rules : (t list * (int, t * t) Hashtbl.t) option;
@@ -596,7 +597,9 @@ let find_store_conflict goal =
 
 let rec prove_goal sx cfg caps depth hyps goal : outcome =
   sx.sx_steps <- sx.sx_steps + 1;
-  if sx.sx_steps land 15 = 0 && Clock.now () > sx.sx_deadline then raise Deadline_hit;
+  (* the clock is read on a level's first step and every 16th after it,
+     so a level whose budget is zero searches nothing *)
+  if sx.sx_steps land 15 = 1 && Clock.now () >= sx.sx_deadline then raise Deadline_hit;
   if sx.sx_steps > cfg.max_steps then Unknown "step budget exhausted"
   else if depth <= 0 then Unknown "depth budget exhausted"
   else
@@ -840,6 +843,7 @@ type proof_result = {
   pr_vc : vc;
   pr_outcome : outcome;
   pr_hints_used : int;
+  pr_levels : int;
   pr_time : float;
   pr_steps : int;
 }
@@ -849,8 +853,7 @@ let max_depth = 18
 let prove_vc ?(cfg = default_config) ?(hints = []) vc : proof_result =
   let t0 = Clock.now () in
   let sx =
-    { sx_deadline = Clock.deadline cfg.deadline_s; sx_steps = 0; sx_consts = 0;
-      sx_uf_rules = None }
+    { sx_deadline = infinity; sx_steps = 0; sx_consts = 0; sx_uf_rules = None }
   in
   (* intern the VC's terms into this domain's table first: the search then
      runs entirely on local nodes (O(1) equality, warm memo tables) even
@@ -865,7 +868,7 @@ let prove_vc ?(cfg = default_config) ?(hints = []) vc : proof_result =
     List.fold_left (fun t (n, fs, b) -> apply_unfold n fs b t) t unfolds
   in
   (* capability ladder: automatic first, then one more capability enabled
-     at each rung *)
+     at each level *)
   let enablers =
     List.filter_map
       (fun h ->
@@ -876,14 +879,14 @@ let prove_vc ?(cfg = default_config) ?(hints = []) vc : proof_result =
       hints
   in
   let ladder =
-    let _, rungs =
+    let _, levels =
       List.fold_left
         (fun (c, acc) f ->
           let c' = f c in
           (c', c' :: acc))
         (no_caps, []) enablers
     in
-    no_caps :: List.rev rungs
+    no_caps :: List.rev levels
   in
   let with_unfold_step = unfolds <> [] in
   let hyps0 = List.map apply_unfolds vc.vc_hyps in
@@ -891,34 +894,31 @@ let prove_vc ?(cfg = default_config) ?(hints = []) vc : proof_result =
   (* [sx_steps] is reset per capability level; accumulate the total search
      effort across the whole ladder for profiling *)
   let total_steps = ref 0 in
-  let rec try_ladder used = function
-    | [] -> (Unknown "all capability levels exhausted", used)
+  (* each level gets the whole deadline; a level that runs out moves on
+     to the next, so the VC times out only if its last level did *)
+  let rec try_ladder level = function
+    | [] -> assert false
     | caps :: rest -> (
         sx.sx_steps <- 0;
+        let t1 = Clock.now () in
+        sx.sx_deadline <- Clock.deadline cfg.deadline_s;
         let result =
-          match prove_goal sx cfg caps max_depth hyps0 goal0 with
-          | r -> r
-          | exception e ->
-              total_steps := !total_steps + sx.sx_steps;
-              raise e
+          try prove_goal sx cfg caps max_depth hyps0 goal0
+          with Deadline_hit -> Timeout (Clock.elapsed t1)
         in
         total_steps := !total_steps + sx.sx_steps;
-        match result with
-        | Proved -> (Proved, used + if with_unfold_step then 1 else 0)
-        | Timeout _ -> assert false (* prove_goal signals via Deadline_hit *)
-        | Unknown r -> (
-            match rest with
-            | [] -> (Unknown r, used)
-            | _ -> try_ladder (used + 1) rest))
+        match (result, rest) with
+        | Proved, _ ->
+            (Proved, (level + if with_unfold_step then 1 else 0), level + 1)
+        | (Unknown _ | Timeout _), [] -> (result, level, level + 1)
+        | (Unknown _ | Timeout _), _ -> try_ladder (level + 1) rest)
   in
-  let outcome, used =
-    try try_ladder 0 ladder
-    with Deadline_hit -> (Timeout (Clock.elapsed t0), 0)
-  in
+  let outcome, used, levels = try_ladder 0 ladder in
   {
     pr_vc = vc;
     pr_outcome = outcome;
     pr_hints_used = used;
+    pr_levels = levels;
     pr_time = Clock.elapsed t0;
     pr_steps = !total_steps;
   }

@@ -6,7 +6,7 @@
 type outcome =
   | Proved
   | Unknown of string  (** reason / residual goal *)
-  | Timeout of float   (** wall-clock deadline hit after this many seconds *)
+  | Timeout of float   (** the last level hit its deadline after this many seconds *)
 
 (** Interactive steps (§6.2.3): each hint enables one prover capability. *)
 type hint =
@@ -25,16 +25,16 @@ type config = {
   max_split : int;    (** widest range eligible for case splitting *)
   max_steps : int;    (** proof-search budget *)
   deadline_s : float option;
-      (** per-VC wall-clock budget: the search loop checks a monotonic
-          clock ({!Clock.now}) and answers {!Timeout} once exceeded *)
+      (** wall-clock budget of each capability level: the search loop
+          checks a monotonic clock ({!Clock.now}) and gives up on the
+          level once it is exceeded *)
 }
 
 val default_config : config
 
 val standard_hints : hint list
 (** The paper's two interactive steps as one ladder: application of
-    preconditions, induction on loop invariants, then application of
-    preconditions again. *)
+    preconditions, then induction on loop invariants. *)
 
 val eval_ground : config -> Formula.t -> int option
 (** Ground integer evaluation (consults [interp] for program functions). *)
@@ -45,14 +45,19 @@ type proof_result = {
   pr_vc : Formula.vc;
   pr_outcome : outcome;
   pr_hints_used : int;   (** 0 = fully automatic *)
+  pr_levels : int;       (** capability levels searched, >= 1 *)
   pr_time : float;       (** seconds on the monotonic clock, never negative *)
   pr_steps : int;        (** search steps spent across all capability levels *)
 }
 
 val prove_vc : ?cfg:config -> ?hints:hint list -> Formula.vc -> proof_result
-(** Try automatically first; each listed hint then enables one more
-    capability (a capability ladder), so [pr_hints_used] counts the
-    interactive steps a VC needed. *)
+(** The one proof ladder.  Try automatically first; each listed hint then
+    enables one more capability, so [pr_hints_used] counts the
+    interactive steps a VC needed and [pr_levels] the levels searched.
+    Every level gets its own [cfg.deadline_s]; a level that runs out
+    moves on to the next, and the outcome is {!Timeout} only when the
+    last level ran out.  An exception raised inside the search (e.g. by
+    [cfg.interp]) propagates. *)
 
 val is_proved : proof_result -> bool
 

@@ -8,19 +8,7 @@
 (** Canonical linear forms over opaque atoms. *)
 module Lin : sig
   type t = { const : int; atoms : (Formula.t * int) list }
-
-  val of_const : int -> t
-  val of_atom : Formula.t -> t
-  val add : t -> t -> t
-  val scale : int -> t -> t
-  val neg : t -> t
-  val sub : t -> t -> t
-  val is_const : t -> bool
-  val to_term : t -> Formula.t
 end
-
-val linearize : Formula.t -> Lin.t option
-(** View a numeric term as a linear form; [None] for boolean/array terms. *)
 
 val difference : Formula.t -> Formula.t -> Lin.t option
 (** Canonical [a - b], when both sides are numeric. *)
@@ -30,9 +18,6 @@ val flatten_chain : Formula.op -> Formula.t -> Formula.t list
 
 val wrap_int : int -> int -> int
 (** [wrap_int m n] reduces [n] into [0, m) ([n] itself when [m <= 0]). *)
-
-val expand_limit : int
-(** Widest constant quantifier range expanded into a conjunction. *)
 
 val simplify : Formula.t -> Formula.t
 (** Bottom-up rewriting to a bounded fixpoint.  Memoized per domain on

@@ -258,75 +258,6 @@ let rec map_expr f e =
   in
   f e'
 
-let rec map_lvalue_exprs f lv =
-  match lv with
-  | Lvar _ -> lv
-  | Lindex (inner, i) ->
-      let inner' = map_lvalue_exprs f inner in
-      let i' = map_expr f i in
-      if inner' == inner && i' == i then lv else Lindex (inner', i')
-
-(** Rewrite every expression occurring in a statement (guards, bounds,
-    right-hand sides, call arguments, invariants, assertions). *)
-let rec map_stmt_exprs f stmt =
-  match stmt with
-  | Null -> stmt
-  | Assign (lv, e) ->
-      let lv' = map_lvalue_exprs f lv in
-      let e' = map_expr f e in
-      if lv' == lv && e' == e then stmt else Assign (lv', e')
-  | If (branches, els) ->
-      let branch ((g, body) as br) =
-        let g' = map_expr f g in
-        let body' = map_sharing (map_stmt_exprs f) body in
-        if g' == g && body' == body then br else (g', body')
-      in
-      let branches' = map_sharing branch branches in
-      let els' = map_sharing (map_stmt_exprs f) els in
-      if branches' == branches && els' == els then stmt
-      else If (branches', els')
-  | For fl ->
-      let lo' = map_expr f fl.for_lo in
-      let hi' = map_expr f fl.for_hi in
-      let invs' = map_sharing (map_expr f) fl.for_invariants in
-      let body' = map_sharing (map_stmt_exprs f) fl.for_body in
-      if
-        lo' == fl.for_lo && hi' == fl.for_hi
-        && invs' == fl.for_invariants
-        && body' == fl.for_body
-      then stmt
-      else
-        For
-          {
-            fl with
-            for_lo = lo';
-            for_hi = hi';
-            for_invariants = invs';
-            for_body = body';
-          }
-  | While wl ->
-      let cond' = map_expr f wl.while_cond in
-      let invs' = map_sharing (map_expr f) wl.while_invariants in
-      let body' = map_sharing (map_stmt_exprs f) wl.while_body in
-      if
-        cond' == wl.while_cond
-        && invs' == wl.while_invariants
-        && body' == wl.while_body
-      then stmt
-      else
-        While
-          { while_cond = cond'; while_invariants = invs'; while_body = body' }
-  | Call_stmt (name, args) ->
-      let args' = map_sharing (map_expr f) args in
-      if args' == args then stmt else Call_stmt (name, args')
-  | Return None -> stmt
-  | Return (Some e) ->
-      let e' = map_expr f e in
-      if e' == e then stmt else Return (Some e')
-  | Assert e ->
-      let e' = map_expr f e in
-      if e' == e then stmt else Assert e'
-
 (** Rewrite statements bottom-up: [f] sees each statement after its
     sub-statements have been rewritten, and may expand one statement into a
     list (or delete it by returning []). *)

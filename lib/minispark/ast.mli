@@ -160,13 +160,6 @@ val map_expr : (expr -> expr) -> expr -> expr
     deterministic order — effectful rewriters rely on it), then the node
     itself. *)
 
-val map_lvalue_exprs : (expr -> expr) -> lvalue -> lvalue
-
-val map_stmt_exprs : (expr -> expr) -> stmt -> stmt
-(** Rewrite every expression occurring in a statement (guards, bounds,
-    right-hand sides, call arguments, invariants, assertions), including
-    inside nested bodies. *)
-
 val map_stmts : (stmt -> stmt list) -> stmt list -> stmt list
 (** Rewrite statements bottom-up: the function sees each statement after
     its sub-statements have been rewritten, and may expand one statement
@@ -217,7 +210,6 @@ val subst_expr : (ident * expr) list -> expr -> expr
     the refactoring library guarantees by generating fresh loop
     variables). *)
 
-val subst_lvalue : (ident * expr) list -> lvalue -> lvalue
 val subst_stmts : (ident * expr) list -> stmt list -> stmt list
 val expr_of_lvalue : lvalue -> expr
 

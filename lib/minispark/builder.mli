@@ -40,7 +40,6 @@ val old : ident -> expr
 val result : expr
 val forall : ident -> lo:expr -> hi:expr -> expr -> expr
 val exists : ident -> lo:expr -> hi:expr -> expr -> expr
-val agg_ints : int list -> expr
 
 (** {1 Statements} *)
 

@@ -4,14 +4,7 @@
     (the paper's Fig. 2(a) LoC) are defined over it. *)
 
 val pp_expr : Ast.expr Fmt.t
-val pp_lvalue : Ast.lvalue Fmt.t
 val pp_typ : Ast.typ Fmt.t
-val pp_stmts : int -> Ast.stmt list Fmt.t
-(** Statement list at the given indentation depth. *)
-
-val pp_subprogram : int -> Ast.subprogram Fmt.t
-val pp_decl : int -> Ast.decl Fmt.t
-val pp_program : Ast.program Fmt.t
 
 val program_to_string : Ast.program -> string
 val expr_to_string : Ast.expr -> string

@@ -26,8 +26,6 @@ type env = {
   subs : (ident * subprogram) list;
 }
 
-val empty_env : env
-
 val resolve : env -> typ -> typ
 (** Resolve named types to structural form.
     @raise Type_error on unknown names. *)
@@ -45,11 +43,6 @@ val check : program -> env * program
     declaration structurally equal to one still in that bounded memo
     comes back as the earlier physical object.
     @raise Type_error on violations. *)
-
-val check_decl : env -> decl -> env * decl
-(** Check one declaration against the environment accumulated so far;
-    returns the extended environment and the normalised (unified)
-    declaration. *)
 
 val check_incremental : baseline:(env * program) -> program -> env * program
 (** Re-check a program against a checked baseline, reusing every

@@ -40,8 +40,6 @@ type method_ =
       (** locally unsampleable; behaviour preserved through the
           configured entry points *)
 
-val method_to_string : method_ -> string
-
 type certificate =
   | Certified of (string * method_) list  (** per-target evidence *)
   | Refuted of counterexample

@@ -6,7 +6,6 @@
    - [introduce_temp]: name a subexpression.
    - [remove_dead_assignments]: drop assignments to variables never read
      afterwards.
-   - [remove_unused_locals]: drop local declarations never referenced.
    - [rename_local] / [rename_sub]: align names with the specification. *)
 
 open Minispark
@@ -15,16 +14,6 @@ open Minispark
 let replace_everywhere target by stmts =
   let rw = Ast.map_expr (fun e -> if Ast.equal_expr e target then by else e) in
   Ast.map_stmts (fun s -> [ Ast.map_own_exprs rw s ]) stmts
-
-let count_uses_of_var x stmts =
-  let n = ref 0 in
-  Ast.iter_stmts
-    (fun s ->
-      Ast.iter_own_exprs
-        (fun e -> Ast.iter_expr (function Ast.Var y when y = x -> incr n | _ -> ()) e)
-        s)
-    stmts;
-  !n
 
 (** [inline_temp ~proc ~temp]: the local [temp] is assigned exactly once
     (at top level, a pure right-hand side) and its value substituted into
@@ -138,23 +127,6 @@ let remove_dead_assignments ~proc =
       if not !changed then Transform.reject "no dead assignments in %s" proc;
       let body' = List.filteri (fun k _ -> keep.(k)) body in
       Ast.replace_sub program { sub with Ast.sub_body = body' })
-
-(** Drop local declarations that are referenced nowhere in the body. *)
-let remove_unused_locals ~proc =
-  Transform.make
-    ~name:(Printf.sprintf "remove_unused_locals(%s)" proc)
-    ~category:Transform.Modify_storage
-    ~describe:(Printf.sprintf "drop unreferenced locals of %s" proc)
-    (fun _env program ->
-      let sub = Ast.find_sub_exn program proc in
-      let used (v : Ast.var_decl) =
-        count_uses_of_var v.Ast.v_name sub.Ast.sub_body > 0
-        || List.mem v.Ast.v_name (Transform.written_vars program sub.Ast.sub_body)
-      in
-      let locals = List.filter used sub.Ast.sub_locals in
-      if List.length locals = List.length sub.Ast.sub_locals then
-        Transform.reject "no unused locals in %s" proc;
-      Ast.replace_sub program { sub with Ast.sub_locals = locals })
 
 (** Rename a local variable (or parameter) of one subprogram. *)
 let rename_local ~proc ~from_name ~to_name =

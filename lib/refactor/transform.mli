@@ -80,7 +80,6 @@ val fold_expr : Ast.expr -> Ast.expr
 
 val fold_stmts : Ast.stmt list -> Ast.stmt list
 
-val out_param_indices : Ast.program -> string -> int list
 val written_vars : Ast.program -> Ast.stmt list -> string list
 val read_vars : Ast.stmt list -> string list
 

@@ -1,8 +1,8 @@
 (** Client side of the verification service.
 
     Wraps the NDJSON protocol over either a Unix-domain socket
-    ({!connect}, production) or a pre-connected descriptor pair
-    ({!of_fds}).  {!with_daemon} forks a private daemon over a socketpair
+    ({!connect}, production) or a pre-connected descriptor pair.
+    {!with_daemon} forks a private daemon over a socketpair
     — the harness used by the test suite, the bench and the CI smoke to
     exercise the full daemon/worker/protocol stack without touching the
     filesystem for a socket. *)
@@ -10,7 +10,6 @@
 type t
 
 val connect : path:string -> (t, string) result
-val of_fds : input:Unix.file_descr -> output:Unix.file_descr -> t
 val close : t -> unit
 
 val request : t -> Protocol.request -> (unit, string) result

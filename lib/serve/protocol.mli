@@ -125,8 +125,6 @@ type assignment = {
 
 val job_to_json : job_spec -> Telemetry.Json.t
 val job_of_json : Telemetry.Json.t -> (job_spec, string) result
-val outcome_to_json : wire_outcome -> Telemetry.Json.t
-val outcome_of_json : Telemetry.Json.t -> (wire_outcome, string) result
 val request_to_json : request -> Telemetry.Json.t
 val request_of_json : Telemetry.Json.t -> (request, string) result
 val event_to_json : event -> Telemetry.Json.t

@@ -27,10 +27,6 @@
     [vcgen_memo_evictions], the counters the orchestrated run published
     (the collector is reset at job start). *)
 
-val crash_exit_code : int
-(** Exit status used by the injected-crash hook (distinguishable from a
-    clean worker exit in the daemon's logs). *)
-
 val main :
   ?cache_dir:string ->
   input:Unix.file_descr ->

@@ -12,7 +12,6 @@ type element =
   | El_operator of Sast.prim
 
 val element_name : element -> string
-val pp_element : element Fmt.t
 
 val elements : Sast.theory -> element list
 (** The key structural elements of a theory (ambient comparison/logical

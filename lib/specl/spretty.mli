@@ -5,7 +5,5 @@
 val prim_name : Sast.prim -> string
 val pp_typ : Sast.styp Fmt.t
 val pp_expr : Sast.sexpr Fmt.t
-val pp_def : Sast.sdef Fmt.t
-val pp_theory : Sast.theory Fmt.t
 val theory_to_string : Sast.theory -> string
 val line_count : Sast.theory -> int

@@ -265,7 +265,6 @@ let cat_pipeline = "pipeline"
 let cat_stage = "stage"
 let cat_transform = "transform"
 let cat_vc = "vc"
-let cat_rung = "rung"
 let cat_lemma = "lemma"
 let cat_worker = "worker"
 
@@ -965,47 +964,23 @@ module Summary = struct
                 (Option.value ~default:"?" (attr_string attrs "attempts")))
           (by_dur vcs));
 
-    (* retry hot spots: rung spans grouped by their VC *)
-    let rungs = spans_of cat_rung evs in
-    (match rungs with
+    (* retry hot spots: VCs whose capability ladder went past level 0 *)
+    let attempts (_, _, _, attrs) =
+      Option.bind (attr_string attrs "attempts") int_of_string_opt
+      |> Option.value ~default:1
+    in
+    (match List.filter (fun v -> attempts v > 1) vcs with
     | [] -> ()
-    | _ ->
-        let tbl = Hashtbl.create 64 in
-        List.iter
-          (fun (rung, _, dur, attrs) ->
-            let vc = Option.value ~default:"?" (attr_string attrs "vc") in
-            let n, time, names =
-              Option.value ~default:(0, 0.0, []) (Hashtbl.find_opt tbl vc)
-            in
-            Hashtbl.replace tbl vc (n + 1, time +. dur, rung :: names))
-          rungs;
-        let hot =
-          Hashtbl.fold (fun vc v acc -> (vc, v) :: acc) tbl []
-          |> List.filter (fun (_, (n, _, _)) -> n > 1)
-          |> List.stable_sort (fun (_, (_, a, _)) (_, (_, b, _)) -> Float.compare b a)
-        in
+    | hot ->
         section
-          (Printf.sprintf "retry hot spots (%d of %d VCs climbed past the first rung)"
-             (List.length hot)
-             (Hashtbl.length tbl));
+          (Printf.sprintf "retry hot spots (%d of %d VCs climbed past the first level)"
+             (List.length hot) (List.length vcs));
         List.iteri
-          (fun i (vc, (n, time, names)) ->
+          (fun i ((name, _, dur, attrs) as v) ->
             if i < top then
-              pr "  %-36s %d rungs %8.3fs  (%s)\n" vc n time
-                (String.concat " -> " (List.rev names)))
-          hot;
-        (* aggregate time by rung name *)
-        let per_rung = Hashtbl.create 8 in
-        List.iter
-          (fun (rung, _, dur, _) ->
-            let n, time = Option.value ~default:(0, 0.0) (Hashtbl.find_opt per_rung rung) in
-            Hashtbl.replace per_rung rung (n + 1, time +. dur))
-          rungs;
-        pr "  time by rung:\n";
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_rung []
-        |> List.sort (fun (_, (_, a)) (_, (_, b)) -> Float.compare b a)
-        |> List.iter (fun (rung, (n, time)) ->
-               pr "    %-16s %6d attempts %10.3fs\n" rung n time));
+              pr "  %-36s %d levels %8.3fs  %s\n" name (attempts v) dur
+                (Option.value ~default:"?" (attr_string attrs "status")))
+          (by_dur hot));
 
     (* proof farm: worker spans + cache counters *)
     let workers = spans_of cat_worker evs in

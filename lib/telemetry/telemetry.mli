@@ -81,11 +81,9 @@ val cat_stage : string
 (** one refactoring transformation *)
 val cat_transform : string
 
-(** one VC through the retry ladder *)
+(** one VC through the prover's capability ladder; its [attempts]
+    attribute is the number of levels searched *)
 val cat_vc : string
-
-(** one prover attempt (ladder rung) *)
-val cat_rung : string
 
 (** one implication lemma *)
 val cat_lemma : string
@@ -230,7 +228,7 @@ module Summary : sig
   val render :
     ?top:int -> events:event list -> metrics:snapshot option -> unit -> string
   (** Plain-text run report: per-stage time breakdown, top-N slowest VCs,
-      retry hot spots (VCs that climbed the ladder, time per rung),
+      retry hot spots (VCs whose capability ladder went past level 0),
       proof-farm worker/steal/cache-hit summary (when farm counters or
       worker spans are present), refactoring-transformation totals,
       spec-match-ratio evolution, and the metrics snapshot.  [top] bounds

@@ -764,14 +764,6 @@ let total_nodes r =
     (fun acc s -> List.fold_left (fun acc (_, n) -> acc + n) acc s.sr_sizes)
     0 r.r_subs
 
-(** Per-subprogram VC provenance — every VC already carries its owning
-    subprogram ([vc_sub]); this formalises the map (name -> VC names)
-    that change-impact analysis keys re-prove sets on. *)
-let provenance r =
-  List.map
-    (fun s -> (s.sr_sub, List.map (fun (vc : F.vc) -> vc.F.vc_name) s.sr_vcs))
-    r.r_subs
-
 (** Per-subprogram digests of the generated formulas, for impact
     refinement: a subprogram whose digest set matches the baseline's
     generated byte-identical obligations. *)

@@ -65,11 +65,6 @@ val tag_discharged :
   oracle:(Logic.Formula.vc -> bool) -> report -> report
 val total_nodes : report -> int
 
-val provenance : report -> (string * string list) list
-(** Per-subprogram VC provenance: each subprogram paired with the names
-    of the VCs generated from it, in generation order.  This is the map
-    change-impact analysis ({!Analysis.Impact}) keys re-prove sets on. *)
-
 val vc_digests : report -> (string * string list) list
 (** Per-subprogram digests ({!Logic.Formula.vc_digest}) of the generated
     formulas, order-preserving; used to detect VC drift between two

@@ -222,35 +222,40 @@ let test_simplify_memo_second_pass () =
              then Alcotest.fail "memoized simplify differs from simplify_nomemo")
            terms (List.combine first second)))
 
-(* Pins the prover's search on the §6.2.3 VCs: per VC, in generation
-   order, the default-ladder rung that settled it, its hints used and
-   attempts, and the step count of one [prove_vc] with the standard
-   hints (perfbench's [prover.steps] probe).  A change that only makes
-   the prover faster must leave every line as it is. *)
+(* Pins the prover's search on the §6.2.3 VCs and on the example
+   programs: per VC, in generation order, the status the implementation
+   proof gives it ("automatic", "hinted" or "none"), its hints used, its
+   attempts (capability levels searched) and its search steps, all from
+   the one [prove_vc] with the standard hints that settles it (perfbench's
+   [prover.steps] probe is the same call).  Example rows carry the
+   program's file stem.  A change that only makes the prover faster must
+   leave every line as it is. *)
 let test_prover_pins () =
-  let env, prog = Lazy.force annotated in
   let module P = Logic.Prover in
-  let module R = Echo.Retry in
-  let cfg =
-    { P.default_config with
-      P.interp = Some (Echo.Implementation_proof.interp_of env prog);
-      max_steps = Echo.Orchestrator.default_config.Echo.Orchestrator.oc_max_steps }
-  in
-  let policy = R.default_policy P.standard_hints in
-  let row (vc : Logic.Formula.vc) =
-    let rt = R.prove ~policy ~cfg vc in
-    let rung =
-      match rt.R.rt_rung with Some r -> r.R.rg_name | None -> "none"
+  let rows prefix (env, prog) =
+    let cfg =
+      { P.default_config with
+        P.interp = Some (Echo.Implementation_proof.interp_of env prog);
+        max_steps = Echo.Orchestrator.default_config.Echo.Orchestrator.oc_max_steps }
     in
-    let probe = P.prove_vc ~cfg ~hints:P.standard_hints vc in
-    (vc.Logic.Formula.vc_name, rung, rt.R.rt_result.P.pr_hints_used,
-     R.attempts rt, probe.P.pr_steps)
+    List.map
+      (fun (vc : Logic.Formula.vc) ->
+        let r = P.prove_vc ~cfg ~hints:P.standard_hints vc in
+        let status =
+          match r.P.pr_outcome with
+          | P.Proved when r.P.pr_hints_used = 0 -> "automatic"
+          | P.Proved -> "hinted"
+          | P.Unknown _ | P.Timeout _ -> "none"
+        in
+        (prefix ^ vc.Logic.Formula.vc_name, status, r.P.pr_hints_used,
+         r.P.pr_levels, r.P.pr_steps))
+      (Vcgen.all_vcs (Vcgen.generate env prog))
   in
   let constraint_hits () =
     (List.assoc "prover_constraints_memo" (P.memo_stats ())).Memo.hits
   in
   let hits0 = constraint_hits () in
-  let rows = List.map row (Vcgen.all_vcs (Vcgen.generate env prog)) in
+  let aes = rows "" (Lazy.force annotated) in
   (* the atom-key memo is consulted only on constraint misses, so a warm
      process may not touch it at all *)
   Alcotest.(check (list string)) "prover memos"
@@ -258,22 +263,32 @@ let test_prover_pins () =
     (List.map fst (P.memo_stats ()));
   Alcotest.(check bool) "constraints memo hits during the pass" true
     (constraint_hits () > hits0);
+  let examples =
+    List.concat_map
+      (fun stem ->
+        let src =
+          In_channel.with_open_text
+            ("../examples/programs/" ^ stem ^ ".mspark")
+            In_channel.input_all
+        in
+        rows (stem ^ ":") (Typecheck.check (Parser.of_string src)))
+      [ "checksum"; "sbox_lookup"; "stream" ]
+  in
   let expected =
     In_channel.with_open_text "prover_aes_pins.tsv" In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in
   let line (n, r, h, a, s) = Printf.sprintf "%s\t%s\t%d\t%d\t%d" n r h a s in
-  Alcotest.(check (list string)) "per-VC rung, hints, attempts, steps" expected
-    (List.map line rows);
-  let count p = List.length (List.filter p rows) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  Alcotest.(check int) "VCs" 383 (List.length rows);
-  Alcotest.(check int) "automatic" 365
-    (count (fun (_, r, _, _, _) -> r = "automatic" || r = "simplify"));
+  Alcotest.(check (list string)) "per-VC status, hints, attempts, steps" expected
+    (List.map line (aes @ examples));
+  let count p = List.length (List.filter p aes) in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 aes in
+  Alcotest.(check int) "VCs" 383 (List.length aes);
+  Alcotest.(check int) "automatic" 365 (count (fun (_, r, _, _, _) -> r = "automatic"));
   Alcotest.(check int) "hinted" 18 (count (fun (_, r, _, _, _) -> r = "hinted"));
   Alcotest.(check int) "residual" 0 (count (fun (_, r, _, _, _) -> r = "none"));
-  Alcotest.(check int) "attempts" 419 (sum (fun (_, _, _, a, _) -> a));
+  Alcotest.(check int) "attempts" 411 (sum (fun (_, _, _, a, _) -> a));
   Alcotest.(check int) "probe steps" 6509 (sum (fun (_, _, _, _, s) -> s))
 
 let test_history_undo_roundtrip () =

@@ -278,6 +278,20 @@ let test_infeasible_generation_degrades () =
       Alcotest.failf "orchestrated: expected Degraded (Vc_infeasible), got %a"
         Echo.Orchestrator.pp_verdict v
 
+(* a proof that never ran has no automation figure: the report names the
+   infeasibility and claims no share of automatic VCs or subprograms *)
+let test_no_automation_figure_without_vcs () =
+  let env, prog = check_src (read_fixture "path_explosion.mspark") in
+  let r = Echo.Implementation_proof.run env prog in
+  Alcotest.(check int) "no VCs" 0 r.Echo.Implementation_proof.ip_total;
+  let text = Fmt.str "%a" Echo.Implementation_proof.pp_report r in
+  let has affix = Astring.String.is_infix ~affix text in
+  Alcotest.(check bool) "names the infeasibility" true
+    (has "VC generation infeasible: path explosion in wide");
+  Alcotest.(check bool) ("no automation percentage: " ^ text) false (has "%");
+  Alcotest.(check bool) "no fully-automatic subprogram count" false
+    (has "subprograms fully automatic")
+
 (* the served budget is the run's global deadline: once spent, the next
    stage entry fails the job — reported on the wire's stage names *)
 let test_served_deadline_at_stage_entry () =
@@ -329,5 +343,7 @@ let suites =
     ( "echo:one-driver",
       [ Alcotest.test_case "infeasible VC generation degrades both drivers" `Quick
           test_infeasible_generation_degrades;
+        Alcotest.test_case "no automation figure without VCs" `Quick
+          test_no_automation_figure_without_vcs;
         Alcotest.test_case "served deadline fails at stage entry" `Quick
           test_served_deadline_at_stage_entry ] ) ]

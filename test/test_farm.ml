@@ -292,16 +292,16 @@ let test_index_written_only_on_add () =
   (* fill the cache with every VC but one *)
   let held_back = (List.hd (Vcgen.all_vcs (Vcgen.generate env prog))).F.vc_name in
   let _ =
-    IP.run_resilient
+    IP.run
       ~filter_vcs:(List.filter (fun (vc : F.vc) -> vc.F.vc_name <> held_back))
       ~cache:(Farm.Cache.open_ ~dir) env prog
   in
   let filled = index_stamp dir in
-  let one_miss = IP.run_resilient ~cache:(Farm.Cache.open_ ~dir) env prog in
+  let one_miss = IP.run ~cache:(Farm.Cache.open_ ~dir) env prog in
   Alcotest.(check int) "the held-back VC misses" 1 one_miss.IP.ip_cache_misses;
   let rewritten = index_stamp dir in
   Alcotest.(check bool) "a run with a miss rewrites the index" true (rewritten <> filled);
-  let warm = IP.run_resilient ~cache:(Farm.Cache.open_ ~dir) env prog in
+  let warm = IP.run ~cache:(Farm.Cache.open_ ~dir) env prog in
   Alcotest.(check int) "warm run: no miss" 0 warm.IP.ip_cache_misses;
   Alcotest.(check bool) "warm run: every VC hits" true (warm.IP.ip_cache_hits > 0);
   Alcotest.(check (pair int (float 0.0))) "a run with no miss leaves inode and mtime"

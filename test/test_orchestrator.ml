@@ -1,5 +1,5 @@
 (* Tests for the resilient orchestration layer: clean runs, checkpointed
-   resume, prover deadlines, the retry ladder, and the chaos suite's
+   resume, prover deadlines, the capability ladder, and the chaos suite's
    fault-injection probes. *)
 
 open Minispark
@@ -183,15 +183,126 @@ let test_prover_deadline_respected () =
     (r.P.pr_time <= 2.0 *. deadline)
 
 let test_retry_ladder_full_climb () =
-  (* every rung times out, so the ladder must be climbed end to end and
-     every attempt recorded *)
-  let policy =
-    Echo.Retry.with_deadline (Some 0.02)
-      (Echo.Retry.default_policy Echo.Implementation_proof.standard_hints)
+  (* every capability level times out, so the ladder must be climbed end
+     to end, each level under its own deadline *)
+  let deadline = 0.02 in
+  let r =
+    P.prove_vc ~cfg:(grind_cfg (Some deadline))
+      ~hints:Echo.Implementation_proof.standard_hints pathological_vc
   in
-  let rt = Echo.Retry.prove ~policy ~cfg:(grind_cfg None) pathological_vc in
-  Alcotest.(check int) "three rungs attempted" 3 (Echo.Retry.attempts rt);
-  Alcotest.(check bool) "final attempt timed out" true (Echo.Retry.timed_out rt)
+  Alcotest.(check int) "three capability levels searched" 3 r.P.pr_levels;
+  (match r.P.pr_outcome with
+  | P.Timeout _ -> ()
+  | o -> Alcotest.failf "expected the last level to time out, got %a" P.pp_outcome o);
+  Alcotest.(check bool) "each level had its own deadline" true
+    (r.P.pr_time >= 3.0 *. deadline)
+
+(* A scripted clock that ticks one second per read, under a 1.5 s
+   per-level budget: a level times out exactly when it reaches its 17th
+   search step.  [fill.3] needs more steps than that with +apply_hyp
+   alone, so that level runs out and the next (+induction) proves it.
+   Such a hint count is shaped by the clock, so the proof cache must not
+   record it: a warm run without a deadline equals a cold one. *)
+let test_timed_out_level_moves_on_uncached () =
+  let module IP = Echo.Implementation_proof in
+  let env, prog = Typecheck.check (Parser.of_string tiny_src) in
+  let dir = temp_run_dir "level-timeout-cache" in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      let t = ref (-1.0) in
+      let tick () =
+        t := !t +. 1.0;
+        !t
+      in
+      let starved =
+        Logic.Clock.with_source tick (fun () ->
+            IP.run ~deadline_s:1.5 ~cache:(Farm.Cache.open_ ~dir) env prog)
+      in
+      let status name (r : IP.report) =
+        List.find_map
+          (fun (vr : IP.vc_result) ->
+            if vr.IP.vr_vc.F.vc_name = name then
+              Some (vr.IP.vr_status, vr.IP.vr_attempts)
+            else None)
+          r.IP.ip_results
+      in
+      Alcotest.(check bool) "fill.3: the level that ran out moved on" true
+        (status "fill.3" starved = Some (IP.Hinted 2, 3));
+      let cold = IP.run env prog in
+      Alcotest.(check bool) "fill.3 needs one hint without a deadline" true
+        (status "fill.3" cold = Some (IP.Hinted 1, 2));
+      let warm = IP.run ~cache:(Farm.Cache.open_ ~dir) env prog in
+      List.iter2
+        (fun (w : IP.vc_result) (c : IP.vc_result) ->
+          Alcotest.(check bool)
+            (w.IP.vr_vc.F.vc_name ^ ": warm = cold")
+            true
+            (w.IP.vr_status = c.IP.vr_status && w.IP.vr_attempts = c.IP.vr_attempts))
+        warm.IP.ip_results cold.IP.ip_results)
+
+(* A search that raises is residue, never a failed stage.  The injected
+   VC makes the prover ground-evaluate [double] at the wrong arity, so
+   the interpreter throws [Invalid_argument] from inside the search. *)
+let test_raising_search_is_residue () =
+  let src =
+    {|
+program raising is
+
+  type byte is mod 256;
+
+  function double (x : in byte) return byte
+  is
+  begin
+    return x + x;
+  end double;
+
+  procedure swap (a : in out byte; b : in out byte)
+  --# post a = b~ and b = a~;
+  is
+    t : byte;
+  begin
+    t := a;
+    a := b;
+    b := t;
+  end swap;
+
+end raising;
+|}
+  in
+  let raising =
+    { F.vc_name = "double.raise"; vc_sub = "double"; vc_kind = F.Vc_assert;
+      vc_hyps = [];
+      vc_goal = F.app F.Eq [ F.app (F.Uf "double") [ F.num 1; F.num 2 ]; F.num 2 ] }
+  in
+  let injected = ref false in
+  let h_vcs vcs =
+    if !injected then vcs
+    else begin
+      injected := true;
+      vcs @ [ raising ]
+    end
+  in
+  let config = { O.default_config with O.oc_hooks = { O.no_hooks with O.h_vcs } } in
+  let r = O.run_job ~config ~source:src () in
+  (match List.assoc_opt CK.S_impl r.O.o_stages with
+  | Some (O.St_ok _) -> ()
+  | _ -> Alcotest.fail "implementation-proof stage did not report ok");
+  match r.O.o_impl with
+  | None -> Alcotest.fail "no implementation-proof report"
+  | Some impl ->
+      let module IP = Echo.Implementation_proof in
+      Alcotest.(check bool) "other VCs present" true (impl.IP.ip_total > 1);
+      List.iter
+        (fun (vr : IP.vc_result) ->
+          match (vr.IP.vr_vc.F.vc_name, vr.IP.vr_status) with
+          | "double.raise", IP.Residual reason ->
+              Alcotest.(check bool) ("residual names the raise: " ^ reason) true
+                (String.starts_with ~prefix:"prover raised: " reason)
+          | "double.raise", _ -> Alcotest.fail "raising VC not residual"
+          | _, (IP.Auto | IP.Hinted _) -> ()
+          | name, _ -> Alcotest.failf "%s did not prove" name)
+        impl.IP.ip_results
 
 (* ---------------- chaos: fault injection ---------------- *)
 
@@ -241,6 +352,10 @@ let suites =
         Alcotest.test_case "deadline respected within 2x" `Quick
           test_prover_deadline_respected;
         Alcotest.test_case "retry ladder full climb" `Quick test_retry_ladder_full_climb;
+        Alcotest.test_case "raising search is residue" `Quick
+          test_raising_search_is_residue;
+        Alcotest.test_case "timed-out level moves on, uncached" `Quick
+          test_timed_out_level_moves_on_uncached;
       ] );
     ( "chaos",
       [
