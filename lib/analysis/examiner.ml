@@ -41,10 +41,9 @@ let analyze ?(vcs = false) ?budget env program =
       | Some why ->
           [
             Printf.sprintf
-              "VC generation stopped (%s): the program is not amenable to \
+              "VC generation infeasible (%s): the program is not amenable to \
                proof in this form (cf. paper §6.2.2); interval discharge \
-               covers only the subprograms analysed before the budget ran \
-               out"
+               covers only the subprograms whose VCs were generated"
               why;
           ]
       | None -> []

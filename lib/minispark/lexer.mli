@@ -24,7 +24,7 @@ type positioned = { tok : token; line : int; col : int }
 exception Error of string * int * int
 (** Message, line, column. *)
 
-val tokenize : string -> positioned list
+val tokenize : string -> positioned array
 (** @raise Error on lexical errors.  The result always ends with [EOF]. *)
 
 val token_to_string : token -> string

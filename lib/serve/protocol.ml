@@ -489,15 +489,20 @@ module Lines = struct
 
   let create () = { buf = Buffer.create 256; ready = [] }
 
+  (* copies each run between newlines at once: a verdict or an edit
+     assignment is one line of 50-150 KB *)
   let feed t s =
-    String.iter
-      (fun c ->
-        if c = '\n' then begin
+    let n = String.length s in
+    let rec go i =
+      match String.index_from_opt s i '\n' with
+      | None -> Buffer.add_substring t.buf s i (n - i)
+      | Some j ->
+          Buffer.add_substring t.buf s i (j - i);
           t.ready <- Buffer.contents t.buf :: t.ready;
-          Buffer.clear t.buf
-        end
-        else Buffer.add_char t.buf c)
-      s
+          Buffer.clear t.buf;
+          go (j + 1)
+    in
+    go 0
 
   let pop t =
     match List.rev t.ready with
@@ -509,12 +514,11 @@ end
 
 let send fd json =
   let line = J.to_string json ^ "\n" in
-  let bytes = Bytes.of_string line in
-  let len = Bytes.length bytes in
+  let len = String.length line in
   let rec go off =
     if off >= len then Ok ()
     else
-      match Unix.write fd bytes off (len - off) with
+      match Unix.write_substring fd line off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error (e, _, _) ->

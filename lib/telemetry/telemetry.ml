@@ -28,20 +28,26 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
+  (* bytes that need no escape are copied a run at a time *)
   let add_escaped buf s =
     Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
+    let n = String.length s in
+    let run = ref 0 in
+    for i = 0 to n - 1 do
+      let c = String.unsafe_get s i in
+      if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+        Buffer.add_substring buf s !run (i - !run);
+        (match c with
         | '"' -> Buffer.add_string buf "\\\""
         | '\\' -> Buffer.add_string buf "\\\\"
         | '\n' -> Buffer.add_string buf "\\n"
         | '\r' -> Buffer.add_string buf "\\r"
         | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        run := i + 1
+      end
+    done;
+    Buffer.add_substring buf s !run (n - !run);
     Buffer.add_char buf '"'
 
   (* floats always carry a '.', so they parse back as Float; microsecond
@@ -87,24 +93,24 @@ module Json = struct
 
   exception Parse of string
 
+  (* The decoder reads [s] in place: no per-byte option, and a string
+     body is copied a run at a time between escapes (in one [String.sub]
+     when it has none).  Errors name the byte offset where decoding
+     stopped. *)
   let of_string s =
     let n = String.length s in
     let pos = ref 0 in
     let fail msg = raise (Parse (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
+    let at c = !pos < n && String.unsafe_get s !pos = c in
     let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
+      if !pos < n then
+        match String.unsafe_get s !pos with
+        | ' ' | '\t' | '\n' | '\r' ->
+            incr pos;
+            skip_ws ()
+        | _ -> ()
     in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
+    let expect c = if at c then incr pos else fail (Printf.sprintf "expected %C" c) in
     let literal word value =
       let l = String.length word in
       if !pos + l <= n && String.sub s !pos l = word then begin
@@ -126,52 +132,74 @@ module Json = struct
         Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
       end
     in
+    (* index of the next '"' or '\\' at or after [i], or [n] *)
+    let rec stop i =
+      if i >= n then n
+      else match String.unsafe_get s i with '"' | '\\' -> i | _ -> stop (i + 1)
+    in
+    (* decode the escape whose backslash [pos] has just passed *)
+    let escape buf =
+      if !pos >= n then fail "unterminated escape";
+      let e = s.[!pos] in
+      incr pos;
+      match e with
+      | '"' | '\\' | '/' -> Buffer.add_char buf e
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'u' ->
+          if !pos + 4 > n then fail "truncated \\u escape";
+          let hex = String.sub s !pos 4 in
+          pos := !pos + 4;
+          (match int_of_string_opt ("0x" ^ hex) with
+          | Some code -> add_utf8 buf code
+          | None -> fail "bad \\u escape")
+      | _ -> fail "bad escape"
+    in
     let parse_string () =
       expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          let c = s.[!pos] in
-          advance ();
-          match c with
-          | '"' -> Buffer.contents buf
-          | '\\' -> (
-              if !pos >= n then fail "unterminated escape";
-              let e = s.[!pos] in
-              advance ();
-              match e with
-              | '"' | '\\' | '/' -> Buffer.add_char buf e; go ()
-              | 'n' -> Buffer.add_char buf '\n'; go ()
-              | 'r' -> Buffer.add_char buf '\r'; go ()
-              | 't' -> Buffer.add_char buf '\t'; go ()
-              | 'b' -> Buffer.add_char buf '\b'; go ()
-              | 'f' -> Buffer.add_char buf '\012'; go ()
-              | 'u' ->
-                  if !pos + 4 > n then fail "truncated \\u escape";
-                  let hex = String.sub s !pos 4 in
-                  pos := !pos + 4;
-                  (match int_of_string_opt ("0x" ^ hex) with
-                  | Some code -> add_utf8 buf code
-                  | None -> fail "bad \\u escape");
-                  go ()
-              | _ -> fail "bad escape")
-          | c -> Buffer.add_char buf c; go ()
-      in
-      go ()
+      let j = stop !pos in
+      if j < n && s.[j] = '"' then begin
+        let str = String.sub s !pos (j - !pos) in
+        pos := j + 1;
+        str
+      end
+      else begin
+        let buf = Buffer.create 64 in
+        let rec go j =
+          Buffer.add_substring buf s !pos (j - !pos);
+          pos := j;
+          if j >= n then fail "unterminated string";
+          incr pos;
+          if s.[j] = '"' then Buffer.contents buf
+          else begin
+            escape buf;
+            go (stop !pos)
+          end
+        in
+        go j
+      end
     in
     let parse_number () =
       let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
+      let is_float = ref false in
+      let rec scan () =
+        if !pos < n then
+          match String.unsafe_get s !pos with
+          | '0' .. '9' | '-' | '+' ->
+              incr pos;
+              scan ()
+          | '.' | 'e' | 'E' ->
+              is_float := true;
+              incr pos;
+              scan ()
+          | _ -> ()
       in
-      while !pos < n && is_num_char s.[!pos] do
-        advance ()
-      done;
+      scan ();
       let lit = String.sub s start (!pos - start) in
-      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit then
+      if !is_float then
         match float_of_string_opt lit with
         | Some v -> Float v
         | None -> fail "bad number"
@@ -182,30 +210,29 @@ module Json = struct
     in
     let rec parse_value () =
       skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> String (parse_string ())
-      | Some 'n' -> literal "null" Null
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some '[' ->
-          advance ();
+      if !pos >= n then fail "unexpected end of input";
+      match String.unsafe_get s !pos with
+      | '"' -> String (parse_string ())
+      | 'n' -> literal "null" Null
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | '[' ->
+          incr pos;
           skip_ws ();
-          if peek () = Some ']' then begin advance (); List [] end
+          if at ']' then begin incr pos; List [] end
           else
             let rec items acc =
               let v = parse_value () in
               skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); items (v :: acc)
-              | Some ']' -> advance (); List (List.rev (v :: acc))
-              | _ -> fail "expected ',' or ']'"
+              if at ',' then begin incr pos; items (v :: acc) end
+              else if at ']' then begin incr pos; List (List.rev (v :: acc)) end
+              else fail "expected ',' or ']'"
             in
             items []
-      | Some '{' ->
-          advance ();
+      | '{' ->
+          incr pos;
           skip_ws ();
-          if peek () = Some '}' then begin advance (); Obj [] end
+          if at '}' then begin incr pos; Obj [] end
           else
             let rec fields acc =
               skip_ws ();
@@ -214,13 +241,12 @@ module Json = struct
               expect ':';
               let v = parse_value () in
               skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); fields ((k, v) :: acc)
-              | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-              | _ -> fail "expected ',' or '}'"
+              if at ',' then begin incr pos; fields ((k, v) :: acc) end
+              else if at '}' then begin incr pos; Obj (List.rev ((k, v) :: acc)) end
+              else fail "expected ',' or '}'"
             in
             fields []
-      | Some _ -> parse_number ()
+      | _ -> parse_number ()
     in
     match
       let v = parse_value () in
@@ -232,10 +258,9 @@ module Json = struct
     | exception Parse msg -> Error msg
 
   let member key = function
-    | Obj fields -> List.assoc_opt key fields
+    | Obj fields -> List.find_map (fun (k, v) -> if String.equal k key then Some v else None) fields
     | _ -> None
 end
-
 (* ------------------------------------------------------------------ *)
 (* Events                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -38,9 +38,16 @@ module Json : sig
 
   val to_string : t -> string
   (** Compact rendering; strings are escaped, floats keep microsecond
-      precision. *)
+      precision.  The output is byte-stable: the same value always
+      renders to the same bytes, so encodings can be digested, cached
+      and compared byte for byte (the serve protocol, the proof-cache
+      index and the telemetry JSONL all rely on it). *)
 
   val of_string : string -> (t, string) result
+  (** Parse one JSON value (surrounding whitespace allowed).  [Error]
+      names what was expected and the byte offset where decoding
+      stopped. *)
+
   val member : string -> t -> t option
 end
 

@@ -23,6 +23,13 @@ module F = Logic.Formula
 exception Infeasible of string
 (** VC generation exceeded its resource budget. *)
 
+(* The whole-program cap tripped.  A subprogram over its own path or
+   per-VC budget is skipped and [generate] goes on with the rest; this
+   one stops it.  Public entry points raise it as [Infeasible]. *)
+exception Over_total of string
+
+let as_infeasible f = try f () with Over_total reason -> raise (Infeasible reason)
+
 type budget = {
   max_vc_nodes : int;      (** per-VC unfolded node cap *)
   max_total_nodes : int;   (** whole-program cap *)
@@ -212,7 +219,7 @@ let emit g st kind goal_sized =
                 g.sub.Ast.sub_name vc_nodes));
   g.total_nodes <- g.total_nodes + vc_nodes;
   if g.total_nodes > g.budget.max_total_nodes then
-    raise (Infeasible
+    raise (Over_total
              (Printf.sprintf "total VC budget exceeded in %s" g.sub.Ast.sub_name));
   if g.record_vcs then begin
     let name = Printf.sprintf "%s.%d" g.sub.Ast.sub_name (List.length g.vcs + 1) in
@@ -708,7 +715,7 @@ type sub_report = {
           {!tag_discharged}) *)
 }
 
-let generate_sub ?(budget = default_budget) env program (sub : Ast.subprogram) : sub_report =
+let generate_sub_exn ~budget env program (sub : Ast.subprogram) : sub_report =
   let g =
     {
       env;
@@ -731,6 +738,9 @@ let generate_sub ?(budget = default_budget) env program (sub : Ast.subprogram) :
     List.iter (fun st -> finalize_post g st ~result:None) final_paths;
   { sr_sub = sub.Ast.sub_name; sr_vcs = List.rev g.vcs; sr_sizes = List.rev g.sizes;
     sr_discharged = [] }
+
+let generate_sub ?(budget = default_budget) env program sub =
+  as_infeasible (fun () -> generate_sub_exn ~budget env program sub)
 
 type report = {
   r_subs : sub_report list;
@@ -798,10 +808,12 @@ let memo_key : (string, sub_report) Memo.t Domain.DLS.key =
 
 let memo_stats () = Memo.stats (Domain.DLS.get memo_key)
 
-(** Generate VCs for every subprogram of a (checked) program.  On budget
-    exhaustion the subprograms analysed so far are kept and the failure
-    recorded, mirroring the paper's "no value because the VCs were too
-    complicated to be handled" columns. *)
+(** Generate VCs for every subprogram of a (checked) program.  A
+    subprogram over its path or per-VC budget gets no VCs and the first
+    such reason is recorded, mirroring the paper's "no value because the
+    VCs were too complicated to be handled" columns; the others are still
+    generated, so their defects show.  Only the whole-program cap stops
+    generation, keeping the subprograms analysed so far. *)
 let generate ?(budget = default_budget) env program : report =
   let memo = Domain.DLS.get memo_key in
   let closure = Share.closure_digest program in
@@ -811,8 +823,10 @@ let generate ?(budget = default_budget) env program : report =
       program.Ast.prog_decls
   in
   let shared_total = ref 0 in
+  let first_reason = ref None in
+  let note reason = if Option.is_none !first_reason then first_reason := Some reason in
   let rec go acc = function
-    | [] -> { r_subs = List.rev acc; r_infeasible = None }
+    | [] -> { r_subs = List.rev acc; r_infeasible = !first_reason }
     | (sub : Ast.subprogram) :: rest -> (
         match
           let name = sub.Ast.sub_name in
@@ -822,7 +836,7 @@ let generate ?(budget = default_budget) env program : report =
           in
           let r =
             Memo.find memo key (fun () ->
-                generate_sub
+                generate_sub_exn
                   ~budget:{ budget with max_total_nodes = budget.max_total_nodes - !shared_total }
                   env program sub)
           in
@@ -830,13 +844,17 @@ let generate ?(budget = default_budget) env program : report =
           (* a cold run under the remaining cap trips exactly when the
              report's nodes exceed it, with this message *)
           if !shared_total + nodes > budget.max_total_nodes then
-            raise (Infeasible (Printf.sprintf "total VC budget exceeded in %s" name));
+            raise (Over_total (Printf.sprintf "total VC budget exceeded in %s" name));
           shared_total := !shared_total + nodes;
           r
         with
         | r -> go (r :: acc) rest
         | exception Infeasible reason ->
-            { r_subs = List.rev acc; r_infeasible = Some reason })
+            note reason;
+            go acc rest
+        | exception Over_total reason ->
+            note reason;
+            { r_subs = List.rev acc; r_infeasible = !first_reason })
   in
   go [] (Ast.subprograms program)
 
@@ -1000,7 +1018,7 @@ let equivalence_sub ?(budget = default_budget) ~before:(env_a, prog_a)
       }
     in
     let st0 = equiv_initial_state g ~tag ~divergent sub in
-    let finals = exec_stmts g [ st0 ] sub.Ast.sub_body in
+    let finals = as_infeasible (fun () -> exec_stmts g [ st0 ] sub.Ast.sub_body) in
     (g, finals)
   in
   let g_a, finals_a = run "!old" 0 env_a prog_a sub_a in

@@ -37,13 +37,16 @@ val generate_sub :
 type report = {
   r_subs : sub_report list;
   r_infeasible : string option;
-      (** why generation stopped, mirroring the paper's "no value because
-          the VCs were too complicated" columns *)
+      (** the first budget a subprogram exceeded, or why generation
+          stopped, mirroring the paper's "no value because the VCs were
+          too complicated" columns *)
 }
 
 val generate : ?budget:budget -> Typecheck.env -> Ast.program -> report
-(** Generate VCs for every subprogram; on budget exhaustion the
-    subprograms analysed so far are kept and the failure recorded.
+(** Generate VCs for every subprogram.  A subprogram over its path or
+    per-VC budget gets no VCs, the first such reason is recorded in
+    [r_infeasible], and generation goes on with the others; only the
+    whole-program cap stops it, keeping the subprograms analysed so far.
     [env] must be the program's own environment.
 
     Per-subprogram reports are memoized per domain on the budget's

@@ -241,6 +241,18 @@ let read_fixture name =
 
 (* [wide] has 2^8 paths, over the VC generator's budget; [wrong]'s
    postcondition is false.  Neither driver may call that verified. *)
+let path_explosion_case source =
+  let env, prog = check_src source in
+  {
+    Echo.Pipeline.cs_name = "path_explosion";
+    cs_refactor =
+      (fun ?certify:_ () -> ([ (env, prog) ], Refactor.History.create env prog));
+    cs_annotate = Fun.id;
+    cs_original_spec = Extract.extract_program env prog;
+    cs_synonyms = [];
+    cs_lemmas = (fun ~extracted:_ -> []);
+  }
+
 let test_infeasible_generation_degrades () =
   let source = read_fixture "path_explosion.mspark" in
   let served = Echo.Verify.run ~source () in
@@ -259,29 +271,54 @@ let test_infeasible_generation_degrades () =
       Alcotest.(check int) "submit exit code" 5
         (Serve.Protocol.exit_code_of_class cls)
   | None -> Alcotest.fail "degraded wire outcome carries no fault");
-  let env, prog = check_src source in
-  let case =
-    {
-      Echo.Pipeline.cs_name = "path_explosion";
-      cs_refactor =
-        (fun ?certify:_ () -> ([ (env, prog) ], Refactor.History.create env prog));
-      cs_annotate = Fun.id;
-      cs_original_spec = Extract.extract_program env prog;
-      cs_synonyms = [];
-      cs_lemmas = (fun ~extracted:_ -> []);
-    }
-  in
-  match (Echo.Orchestrator.run case).Echo.Orchestrator.o_verdict with
+  match (Echo.Orchestrator.run (path_explosion_case source)).Echo.Orchestrator.o_verdict with
   | Echo.Orchestrator.Degraded { Echo.Orchestrator.dg_fault = Echo.Fault.Vc_infeasible _; _ }
     -> ()
   | v ->
       Alcotest.failf "orchestrated: expected Degraded (Vc_infeasible), got %a"
         Echo.Orchestrator.pp_verdict v
 
+(* an infeasible subprogram does not hide the others: [wrong], declared
+   after [wide], still gets its VC, and both drivers report it residual *)
+let test_defect_after_infeasible_subprogram () =
+  let source = read_fixture "path_explosion.mspark" in
+  let residual_wrong statuses =
+    List.exists
+      (fun (name, status) ->
+        String.equal name "wrong.1" && Astring.String.is_prefix ~affix:"residual" status)
+      statuses
+  in
+  let served = Echo.Verify.run ~source () in
+  Alcotest.(check int) "served: one VC" 1 served.Echo.Verify.vj_total;
+  Alcotest.(check bool) "served: wrong.1 residual" true
+    (residual_wrong
+       (List.map
+          (fun (s : Echo.Verify.vc_summary) -> (s.Echo.Verify.vs_name, s.Echo.Verify.vs_status))
+          served.Echo.Verify.vj_results));
+  let o = Echo.Orchestrator.run (path_explosion_case source) in
+  match o.Echo.Orchestrator.o_impl with
+  | None -> Alcotest.fail "orchestrated: implementation report missing"
+  | Some impl ->
+      Alcotest.(check (option string)) "orchestrated: first reason kept"
+        (Some "path explosion in wide") impl.Echo.Implementation_proof.ip_infeasible;
+      Alcotest.(check bool) "orchestrated: wrong.1 residual" true
+        (residual_wrong
+           (List.map
+              (fun (r : Echo.Implementation_proof.vc_result) ->
+                ( r.Echo.Implementation_proof.vr_vc.Logic.Formula.vc_name,
+                  match r.Echo.Implementation_proof.vr_status with
+                  | Echo.Implementation_proof.Residual _ -> "residual"
+                  | _ -> "other" ))
+              impl.Echo.Implementation_proof.ip_results))
+
 (* a proof that never ran has no automation figure: the report names the
-   infeasibility and claims no share of automatic VCs or subprograms *)
+   infeasibility and claims no share of automatic VCs or subprograms
+   ([path_explosion] without [wrong], so no subprogram gets a VC) *)
 let test_no_automation_figure_without_vcs () =
-  let env, prog = check_src (read_fixture "path_explosion.mspark") in
+  let source = read_fixture "path_explosion.mspark" in
+  let cut = Astring.String.find_sub ~sub:"  procedure wrong" source |> Option.get in
+  let source = String.sub source 0 cut ^ "end path_explosion;\n" in
+  let env, prog = check_src source in
   let r = Echo.Implementation_proof.run env prog in
   Alcotest.(check int) "no VCs" 0 r.Echo.Implementation_proof.ip_total;
   let text = Fmt.str "%a" Echo.Implementation_proof.pp_report r in
@@ -343,6 +380,8 @@ let suites =
     ( "echo:one-driver",
       [ Alcotest.test_case "infeasible VC generation degrades both drivers" `Quick
           test_infeasible_generation_degrades;
+        Alcotest.test_case "defect after an infeasible subprogram shows" `Quick
+          test_defect_after_infeasible_subprogram;
         Alcotest.test_case "no automation figure without VCs" `Quick
           test_no_automation_figure_without_vcs;
         Alcotest.test_case "served deadline fails at stage entry" `Quick

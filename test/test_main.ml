@@ -12,4 +12,5 @@ let () =
    @ Test_properties.suites @ Test_aes_tables.suites @ Test_telemetry.suites
    @ Test_analysis.suites @ Test_analysis_props.suites @ Test_formula_digest.suites @ Test_hashcons.suites
    @ Test_farm.suites @ Test_prover_domains.suites @ Test_checkpoint.suites
-   @ Test_certify.suites @ Test_profile.suites @ Test_impact.suites)
+   @ Test_certify.suites @ Test_profile.suites @ Test_impact.suites
+   @ Test_text_identity.suites)
