@@ -88,7 +88,10 @@ let cmd_impact old_path new_path json no_vcs () =
   with_errors (fun () ->
       let old_env, old_p = read_program old_path in
       let env, new_p = read_program new_path in
-      let plan = Analysis.Impact.compute ~old_p ~new_p in
+      let plan =
+        Analysis.Impact.compute ~old_o:(Analysis.Semdiff.outline old_p)
+          ~new_o:(Analysis.Semdiff.outline new_p) new_p
+      in
       let vc_counts =
         if no_vcs then None
         else

@@ -38,8 +38,8 @@ let finish diff graph impacted all_subs =
       |> List.sort compare;
   }
 
-let compute ~old_p ~new_p =
-  let diff = Semdiff.diff ~old_p ~new_p in
+let compute ~old_o ~new_o new_p =
+  let diff = Semdiff.diff ~old_o ~new_o in
   let graph = Depgraph.build new_p in
   let all_subs = Depgraph.subs graph in
   let changed = SS.of_list (Semdiff.changed_subs diff) in

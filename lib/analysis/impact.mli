@@ -40,9 +40,10 @@ type plan = {
           valid, sorted *)
 }
 
-val compute : old_p:Ast.program -> new_p:Ast.program -> plan
-(** Static plan from the two program versions (both should be the
-    normalised form returned by {!Typecheck.check}). *)
+val compute : old_o:Semdiff.outline -> new_o:Semdiff.outline -> Ast.program -> plan
+(** Static plan from the baseline's outline and the new program, whose
+    outline is [new_o] (both should be of the normalised form returned by
+    {!Typecheck.check}). *)
 
 val refine :
   plan ->

@@ -19,130 +19,106 @@ type t = {
   sd_decls : Ast.ident list;
 }
 
-(* Digests are taken over the canonical pretty-printed form: the printer
-   round-trips through the parser, so two sources that parse to the same
-   AST — whatever their spacing or comments — digest identically. *)
+(* The outline: one entry per declaration, in program order, carrying
+   the content digest the VC-generation memo and the proof-cache
+   signature already take ({!Share.decl_digest}, memoized per
+   declaration), plus an interface digest for a subprogram.  It is all a
+   later diff reads of a baseline, so a baseline travels and is stored
+   as this instead of as source text. *)
 
-let mode_tag = function
-  | Ast.Mode_in -> "in"
-  | Ast.Mode_out -> "out"
-  | Ast.Mode_in_out -> "in out"
+type kind = K_type | K_const | K_var | K_sub
 
-let sig_string (sp : Ast.subprogram) =
-  let b = Buffer.create 128 in
-  Buffer.add_string b sp.Ast.sub_name;
+let kind_name = function
+  | K_type -> "type"
+  | K_const -> "const"
+  | K_var -> "var"
+  | K_sub -> "sub"
+
+let kind_of_name = function
+  | "type" -> Some K_type
+  | "const" -> Some K_const
+  | "var" -> Some K_var
+  | "sub" -> Some K_sub
+  | _ -> None
+
+type entry = {
+  ol_name : Ast.ident;
+  ol_kind : kind;
+  ol_digest : string;
+  ol_iface : string;
+}
+
+type outline = entry list
+
+let outline (p : Ast.program) =
+  List.map
+    (fun d ->
+      let ol_digest = Share.decl_digest d in
+      match d with
+      | Ast.Dtype (n, _) ->
+          { ol_name = n; ol_kind = K_type; ol_digest; ol_iface = "" }
+      | Ast.Dconst k ->
+          { ol_name = k.Ast.k_name; ol_kind = K_const; ol_digest; ol_iface = "" }
+      | Ast.Dvar v ->
+          { ol_name = v.Ast.v_name; ol_kind = K_var; ol_digest; ol_iface = "" }
+      | Ast.Dsub sp ->
+          { ol_name = sp.Ast.sub_name; ol_kind = K_sub; ol_digest;
+            ol_iface = Share.interface_digest sp })
+    p.Ast.prog_decls
+
+(* the first entry of each kind and name, in program order: the
+   declaration a lookup by name resolves to *)
+let index (o : outline) =
+  let t = Hashtbl.create 64 in
   List.iter
-    (fun (p : Ast.param) ->
-      Buffer.add_string b
-        (Printf.sprintf "|%s:%s:%s" p.Ast.par_name (mode_tag p.Ast.par_mode)
-           (Pretty.typ_to_string p.Ast.par_typ)))
-    sp.Ast.sub_params;
-  Buffer.add_string b
-    (match sp.Ast.sub_return with
-    | Some ty -> "|ret:" ^ Pretty.typ_to_string ty
-    | None -> "|proc");
-  Buffer.add_string b
-    (match sp.Ast.sub_pre with
-    | Some e -> "|pre:" ^ Pretty.expr_to_string e
-    | None -> "|pre:-");
-  Buffer.add_string b
-    (match sp.Ast.sub_post with
-    | Some e -> "|post:" ^ Pretty.expr_to_string e
-    | None -> "|post:-");
-  Buffer.contents b
+    (fun e ->
+      let key = (e.ol_kind, e.ol_name) in
+      if not (Hashtbl.mem t key) then Hashtbl.add t key e)
+    o;
+  t
 
-let body_string (sp : Ast.subprogram) =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun (v : Ast.var_decl) ->
-      Buffer.add_string b
-        (Printf.sprintf "|%s:%s:%s" v.Ast.v_name
-           (Pretty.typ_to_string v.Ast.v_typ)
-           (match v.Ast.v_init with
-           | Some e -> Pretty.expr_to_string e
-           | None -> "-")))
-    sp.Ast.sub_locals;
-  Buffer.add_string b "||";
-  Buffer.add_string b (Pretty.stmts_to_string sp.Ast.sub_body);
-  Buffer.contents b
-
-let hex s = Digest.to_hex (Digest.string s)
-let sig_digest sp = hex (sig_string sp)
-let body_digest sp = hex (body_string sp)
-
-let decl_digests (p : Ast.program) =
-  let ds = ref [] in
-  List.iter
-    (fun (n, ty) -> ds := (n, hex ("type:" ^ Pretty.typ_to_string ty)) :: !ds)
-    (Ast.type_decls p);
-  List.iter
-    (fun (k : Ast.const_decl) ->
-      ds :=
-        ( k.Ast.k_name,
-          hex
-            (Printf.sprintf "const:%s:%s"
-               (Pretty.typ_to_string k.Ast.k_typ)
-               (Pretty.expr_to_string k.Ast.k_value)) )
-        :: !ds)
-    (Ast.constants p);
-  List.iter
-    (fun (v : Ast.var_decl) ->
-      ds :=
-        ( v.Ast.v_name,
-          hex
-            (Printf.sprintf "var:%s:%s"
-               (Pretty.typ_to_string v.Ast.v_typ)
-               (match v.Ast.v_init with
-               | Some e -> Pretty.expr_to_string e
-               | None -> "-")) )
-        :: !ds)
-    (Ast.global_vars p);
-  List.rev !ds
-
-let diff ~old_p ~new_p =
-  let old_subs = Ast.subprograms old_p and new_subs = Ast.subprograms new_p in
-  let classify (sp : Ast.subprogram) =
-    match Ast.find_sub new_p sp.Ast.sub_name with
-    | None -> (sp.Ast.sub_name, Removed)
-    | Some sp' ->
-        (* equal trees print equally: skip the printer *)
-        if sp == sp' || sp = sp' then (sp.Ast.sub_name, Unchanged)
-        else if sig_digest sp <> sig_digest sp' then
-          (sp.Ast.sub_name, Sig_or_spec_changed)
-        else if body_digest sp <> body_digest sp' then
-          (sp.Ast.sub_name, Body_changed)
-        else (sp.Ast.sub_name, Unchanged)
+(* Equal content digests mean structurally equal declarations.  A served
+   program is the normal form [Typecheck.check] returns, on which the
+   printer round-trips, so this agrees with comparing trees or printed
+   forms; where it could disagree it only calls a subprogram changed,
+   which re-proves it and never carries a stale verdict. *)
+let diff ~old_o ~new_o =
+  let old_ix = index old_o and new_ix = index new_o in
+  let subs o f = List.filter_map (fun e -> if e.ol_kind = K_sub then f e else None) o in
+  let of_old =
+    subs old_o (fun e ->
+        Some
+          ( e.ol_name,
+            match Hashtbl.find_opt new_ix (K_sub, e.ol_name) with
+            | None -> Removed
+            | Some e' ->
+                if String.equal e.ol_digest e'.ol_digest then Unchanged
+                else if not (String.equal e.ol_iface e'.ol_iface) then Sig_or_spec_changed
+                else Body_changed ))
   in
-  let of_old = List.map classify old_subs in
   let added =
-    List.filter_map
-      (fun (sp : Ast.subprogram) ->
-        match Ast.find_sub old_p sp.Ast.sub_name with
-        | None -> Some (sp.Ast.sub_name, Added)
-        | Some _ -> None)
-      new_subs
+    subs new_o (fun e ->
+        if Hashtbl.mem old_ix (K_sub, e.ol_name) then None else Some (e.ol_name, Added))
   in
-  let old_decls = decl_digests old_p and new_decls = decl_digests new_p in
-  let decl_changed =
-    let changed_or_removed =
-      List.filter_map
-        (fun (n, d) ->
-          match List.assoc_opt n new_decls with
-          | Some d' when d' = d -> None
-          | _ -> Some n)
-        old_decls
-    in
-    let added =
-      List.filter_map
-        (fun (n, _) ->
-          match List.assoc_opt n old_decls with
-          | None -> Some n
-          | Some _ -> None)
-        new_decls
-    in
-    List.sort_uniq compare (changed_or_removed @ added)
+  (* a program-level name resolves to its type, else its constant, else
+     its global *)
+  let resolve ix n =
+    List.find_map (fun k -> Hashtbl.find_opt ix (k, n)) [ K_type; K_const; K_var ]
   in
-  { sd_subs = of_old @ added; sd_decls = decl_changed }
+  let decls o f = List.filter_map (fun e -> if e.ol_kind = K_sub then None else f e) o in
+  let changed_or_removed =
+    decls old_o (fun e ->
+        match resolve new_ix e.ol_name with
+        | Some e' when String.equal e'.ol_digest e.ol_digest -> None
+        | _ -> Some e.ol_name)
+  in
+  let added_decls =
+    decls new_o (fun e -> if resolve old_ix e.ol_name = None then Some e.ol_name else None)
+  in
+  {
+    sd_subs = of_old @ added;
+    sd_decls = List.sort_uniq compare (changed_or_removed @ added_decls);
+  }
 
 let changed_subs t =
   List.filter_map

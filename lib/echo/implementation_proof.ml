@@ -239,13 +239,70 @@ let count_status_with cnt = function
 
 let count_status = count_status_with (fun n -> Telemetry.count n)
 
+(* ------------------------------------------------------------------ *)
+(* Per-VC summaries: the wire form of a report                         *)
+(* ------------------------------------------------------------------ *)
+
+type vc_summary = {
+  vs_name : string;
+  vs_sub : string;
+  vs_digest : string;
+  vs_status : string;
+  vs_attempts : int;
+  vs_time : float;
+  vs_cached : bool;
+}
+
+type baseline = {
+  vb_outline : Analysis.Semdiff.outline;
+  vb_results : vc_summary list;
+}
+
+(* The machine-readable per-VC verdict that travels in checkpoints,
+   benches and served baselines. *)
+let status_string = function
+  | Auto -> "auto"
+  | Hinted n -> Printf.sprintf "hinted:%d" n
+  | Residual r -> "residual:" ^ r
+  | Timed_out _ -> "timed-out"
+  | Discharged -> "discharged"
+
+(* Inverse of [status_string], minus timeouts: a timeout is a wall-clock
+   accident, not a property of the VC, so a baseline is never allowed to
+   replay one (mirrors the proof cache's refusal to store them). *)
+let parse_status = function
+  | "auto" -> Some Auto
+  | "discharged" -> Some Discharged
+  | st when String.length st > 7 && String.sub st 0 7 = "hinted:" -> (
+      match int_of_string_opt (String.sub st 7 (String.length st - 7)) with
+      | Some n when n >= 0 -> Some (Hinted n)
+      | _ -> None)
+  | st when String.length st > 9 && String.sub st 0 9 = "residual:" ->
+      Some (Residual (String.sub st 9 (String.length st - 9)))
+  | _ -> None
+
+let summarize_digested vr digest =
+  {
+    vs_name = vr.vr_vc.F.vc_name;
+    vs_sub = vr.vr_vc.F.vc_sub;
+    vs_digest = digest;
+    vs_status = status_string vr.vr_status;
+    vs_attempts = vr.vr_attempts;
+    vs_time = vr.vr_time;
+    vs_cached = vr.vr_cached;
+  }
+
+let summarize vr = summarize_digested vr (F.vc_digest vr.vr_vc)
+
 (* VC generation, then one capability ladder per VC — consulted against
    the proof cache and dispatched over the domain pool when [?cache] /
    [?jobs] ask for it.  [filter_vcs] is the orchestrator/chaos hook
-   point. *)
-let run ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
+   point.  Each VC travels with its digest from the generator's memoized
+   report, so the carry lookup, the cache key and the summaries read one
+   string; only a VC the hook rewrote is digested again. *)
+let run_summarized ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
     ?discharge ?carry ?deadline_s ?(max_steps = 60_000) ?(jobs = 1) ?cache
-    env program : report =
+    env program : report * vc_summary list =
   let t0 = Logic.Clock.now () in
   let gen = Vcgen.generate env program in
   let gen =
@@ -330,7 +387,17 @@ let run ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
   let all =
     List.concat_map
       (fun (sr : Vcgen.sub_report) ->
-        List.map (fun vc -> (sr, vc)) (filter_vcs sr.Vcgen.sr_vcs))
+        let vcs = filter_vcs sr.Vcgen.sr_vcs in
+        if vcs == sr.Vcgen.sr_vcs then
+          List.map2 (fun vc d -> (sr, vc, d)) vcs sr.Vcgen.sr_digests
+        else
+          let known = List.combine sr.Vcgen.sr_vcs sr.Vcgen.sr_digests in
+          List.map
+            (fun vc ->
+              match List.assq_opt vc known with
+              | Some d -> (sr, vc, d)
+              | None -> (sr, vc, F.vc_digest vc))
+            vcs)
       gen.Vcgen.r_subs
   in
   let base_sig = lazy (base_signature cfg) in
@@ -342,7 +409,7 @@ let run ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
      farm job *)
   let pending = ref [] in
   List.iteri
-    (fun i ((sr : Vcgen.sub_report), vc) ->
+    (fun i ((sr : Vcgen.sub_report), vc, digest) ->
       if List.mem vc.F.vc_name sr.Vcgen.sr_discharged then begin
         if Telemetry.enabled () then Telemetry.count "an_vcs_discharged";
         slots.(i) <-
@@ -351,7 +418,7 @@ let run ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
               vr_time = 0.0; vr_cached = false }
       end
       else
-        match Option.bind carry (fun f -> f vc) with
+        match Option.bind carry (fun f -> f vc digest) with
         | Some (vr : vc_result) ->
             (* a baseline verdict certified still-valid by change-impact
                analysis: replayed like a cache hit, never re-proved *)
@@ -368,8 +435,7 @@ let run ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
         | None -> pending := (i, sr, vc, None) :: !pending
         | Some c -> (
             let key =
-              F.vc_digest vc ^ ":" ^ Lazy.force base_sig ^ ":"
-              ^ sub_sig vc.F.vc_sub
+              digest ^ ":" ^ Lazy.force base_sig ^ ":" ^ sub_sig vc.F.vc_sub
             in
             match Farm.Cache.lookup c key with
             | Some e ->
@@ -457,7 +523,7 @@ let run ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
       gen.Vcgen.r_subs
   in
   let count p = List.length (List.filter p results) in
-  {
+  ( {
     ip_results = results;
     ip_subs = subs;
     ip_total = List.length results;
@@ -473,60 +539,14 @@ let run ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
     ip_generated_nodes = Vcgen.total_nodes gen;
     ip_time = Logic.Clock.elapsed t0;
     ip_infeasible = gen.Vcgen.r_infeasible;
-  }
+  },
+    List.map2 (fun vr (_, _, digest) -> summarize_digested vr digest) results all )
 
-(* ------------------------------------------------------------------ *)
-(* Per-VC summaries: the wire form of a report                         *)
-(* ------------------------------------------------------------------ *)
-
-type vc_summary = {
-  vs_name : string;
-  vs_sub : string;
-  vs_digest : string;
-  vs_status : string;
-  vs_attempts : int;
-  vs_time : float;
-  vs_cached : bool;
-}
-
-type baseline = {
-  vb_program : string;
-  vb_results : vc_summary list;
-}
-
-(* The machine-readable per-VC verdict that travels in checkpoints,
-   benches and served baselines. *)
-let status_string = function
-  | Auto -> "auto"
-  | Hinted n -> Printf.sprintf "hinted:%d" n
-  | Residual r -> "residual:" ^ r
-  | Timed_out _ -> "timed-out"
-  | Discharged -> "discharged"
-
-(* Inverse of [status_string], minus timeouts: a timeout is a wall-clock
-   accident, not a property of the VC, so a baseline is never allowed to
-   replay one (mirrors the proof cache's refusal to store them). *)
-let parse_status = function
-  | "auto" -> Some Auto
-  | "discharged" -> Some Discharged
-  | st when String.length st > 7 && String.sub st 0 7 = "hinted:" -> (
-      match int_of_string_opt (String.sub st 7 (String.length st - 7)) with
-      | Some n when n >= 0 -> Some (Hinted n)
-      | _ -> None)
-  | st when String.length st > 9 && String.sub st 0 9 = "residual:" ->
-      Some (Residual (String.sub st 9 (String.length st - 9)))
-  | _ -> None
-
-let summarize vr =
-  {
-    vs_name = vr.vr_vc.F.vc_name;
-    vs_sub = vr.vr_vc.F.vc_sub;
-    vs_digest = F.vc_digest vr.vr_vc;
-    vs_status = status_string vr.vr_status;
-    vs_attempts = vr.vr_attempts;
-    vs_time = vr.vr_time;
-    vs_cached = vr.vr_cached;
-  }
+let run ?filter_vcs ?give_up ?discharge ?carry ?deadline_s ?max_steps ?jobs ?cache env
+    program =
+  fst
+    (run_summarized ?filter_vcs ?give_up ?discharge ?carry ?deadline_s ?max_steps ?jobs
+       ?cache env program)
 
 (* with no VC there is no automation figure to give: "100%" of nothing
    would claim proofs that never ran *)

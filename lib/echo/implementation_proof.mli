@@ -78,11 +78,45 @@ val interp_of :
 val standard_hints : Logic.Prover.hint list
 (** Alias of {!Logic.Prover.standard_hints}. *)
 
+(** {1 Per-VC summaries}
+
+    The wire form of a report: what a served job returns, what a
+    baseline carries into the next job's impact planning, and what the
+    orchestrator's impact stage reads back from a baseline run. *)
+
+type vc_summary = {
+  vs_name : string;     (** e.g. ["fletcher.3"] *)
+  vs_sub : string;      (** owning subprogram *)
+  vs_digest : string;   (** {!Logic.Formula.vc_digest} of the formula *)
+  vs_status : string;   (** ["auto"], ["hinted:N"], ["residual:R"],
+                            ["timed-out"] or ["discharged"] *)
+  vs_attempts : int;
+  vs_time : float;
+  vs_cached : bool;     (** replayed from cache or carried from baseline *)
+}
+
+type baseline = {
+  vb_outline : Analysis.Semdiff.outline;
+      (** the baseline program's outline — all the semantic diff reads of
+          it; no source text *)
+  vb_results : vc_summary list;  (** its per-VC outcomes *)
+}
+
+val parse_status : string -> vc_status option
+(** Inverse of [vs_status] for every status a baseline may replay:
+    ["timed-out"] and malformed strings give [None], because a timeout is
+    a wall-clock accident, not a property of the VC. *)
+
+val summarize : vc_result -> vc_summary
+(** A report's results summarized this way are a {!baseline}'s
+    [vb_results].  Digests the VC's formula; {!run_summarized} hands out
+    the digests its run already took. *)
+
 val run :
   ?filter_vcs:(Logic.Formula.vc list -> Logic.Formula.vc list) ->
   ?give_up:(unit -> bool) ->
   ?discharge:(Logic.Formula.vc -> bool) ->
-  ?carry:(Logic.Formula.vc -> vc_result option) ->
+  ?carry:(Logic.Formula.vc -> string -> vc_result option) ->
   ?deadline_s:float -> ?max_steps:int ->
   ?jobs:int -> ?cache:Farm.Cache.t ->
   Typecheck.env -> Ast.program -> report
@@ -104,43 +138,26 @@ val run :
     [Discharged] with zero attempts and never reach the prover; soundness
     of the oracle is the analyzer's obligation.
 
-    [carry] is the incremental-verification hook: consulted per VC before
-    the proof cache, it returns a baseline verdict that change-impact
-    analysis has certified still-valid ({!Analysis.Impact}); carried VCs
-    are marked [vr_cached] and counted in [ip_carried], and the prover
-    never sees them.  The caller is responsible for never carrying
-    timeouts. *)
+    [carry] is the incremental-verification hook: consulted per VC (with
+    its {!Logic.Formula.vc_digest}) before the proof cache, it returns a
+    baseline verdict that change-impact analysis has certified
+    still-valid ({!Analysis.Impact}); carried VCs are marked [vr_cached]
+    and counted in [ip_carried], and the prover never sees them.  The
+    caller is responsible for never carrying timeouts. *)
 
-(** {1 Per-VC summaries}
-
-    The wire form of a report: what a served job returns, what a
-    baseline carries into the next job's impact planning, and what the
-    orchestrator's impact stage reads back from a baseline run. *)
-
-type vc_summary = {
-  vs_name : string;     (** e.g. ["fletcher.3"] *)
-  vs_sub : string;      (** owning subprogram *)
-  vs_digest : string;   (** {!Logic.Formula.vc_digest} of the formula *)
-  vs_status : string;   (** ["auto"], ["hinted:N"], ["residual:R"],
-                            ["timed-out"] or ["discharged"] *)
-  vs_attempts : int;
-  vs_time : float;
-  vs_cached : bool;     (** replayed from cache or carried from baseline *)
-}
-
-type baseline = {
-  vb_program : string;           (** baseline MiniSpark source *)
-  vb_results : vc_summary list;  (** its per-VC outcomes *)
-}
-
-val parse_status : string -> vc_status option
-(** Inverse of [vs_status] for every status a baseline may replay:
-    ["timed-out"] and malformed strings give [None], because a timeout is
-    a wall-clock accident, not a property of the VC. *)
-
-val summarize : vc_result -> vc_summary
-(** A report's results summarized this way are a {!baseline}'s
-    [vb_results]. *)
+val run_summarized :
+  ?filter_vcs:(Logic.Formula.vc list -> Logic.Formula.vc list) ->
+  ?give_up:(unit -> bool) ->
+  ?discharge:(Logic.Formula.vc -> bool) ->
+  ?carry:(Logic.Formula.vc -> string -> vc_result option) ->
+  ?deadline_s:float -> ?max_steps:int ->
+  ?jobs:int -> ?cache:Farm.Cache.t ->
+  Typecheck.env -> Ast.program -> report * vc_summary list
+(** {!run}, plus its results summarized in the same order.  Every VC's
+    digest is read from the generator's memoized report
+    ({!Vcgen.sub_report} [sr_digests]) and shared by the carry lookup, the
+    proof-cache key and the summary; only a VC [filter_vcs] rewrote is
+    digested again. *)
 
 val pp_report : report Fmt.t
 (** Counts, automation fraction, cache and carry traffic, and the reason

@@ -107,6 +107,8 @@ type report = {
   o_certify : Refactor.Certify.audit option;
   o_impact : CK.impact_audit option;
   o_impl : Implementation_proof.report option;
+  o_results : Implementation_proof.vc_summary list;
+  o_outline : Analysis.Semdiff.outline option;
   o_match : Specl.Match_ratio.result option;
   o_lemmas : (string * bool * string) list;
   o_notes : string list;
@@ -125,16 +127,20 @@ type progress = CK.stage -> [ `Start | `Ok of float | `Failed of string ] -> uni
    writes: when the run directory IS the baseline directory, stages
    overwrite the files they were loaded from, so reading lazily mid-run
    would hand the impact analysis its own output as the baseline.  A
-   served job's baseline arrives inline and fills only the last two. *)
+   case study's baseline source is where its annotate stage starts; a
+   served job's baseline arrives as an outline and fills only the last
+   two. *)
 type baseline = {
   b_refactor : CK.payload option;
   b_certify : CK.payload option;
   b_annotate : string option;                       (* baseline source *)
+  b_outline : Analysis.Semdiff.outline option;
   b_results : Implementation_proof.vc_summary list option;
 }
 
 let no_baseline =
-  { b_refactor = None; b_certify = None; b_annotate = None; b_results = None }
+  { b_refactor = None; b_certify = None; b_annotate = None; b_outline = None;
+    b_results = None }
 
 type state = {
   cfg : config;
@@ -143,7 +149,7 @@ type state = {
   resume_run : bool;
   incremental : bool;       (* an impact stage runs against [baseline] *)
   global_deadline : float;  (* absolute monotonic clock value *)
-  baseline : baseline;
+  mutable baseline : baseline;  (* a case study's annotate stage adds the outline *)
   cache : Farm.Cache.t option Lazy.t;  (* resolved once, on first use *)
   on_stage : progress;
   t0 : float;               (* run start, monotonic *)
@@ -158,6 +164,8 @@ type state = {
   mutable certify : Refactor.Certify.audit option;
   mutable impact : CK.impact_audit option;
   mutable impl : Implementation_proof.report option;
+  mutable summaries : Implementation_proof.vc_summary list;  (* of [impl] *)
+  mutable outline : Analysis.Semdiff.outline option;  (* of the annotated program *)
   mutable match_result : Specl.Match_ratio.result option;
   mutable lemmas : (string * bool * string) list;
 }
@@ -244,6 +252,16 @@ let reparse_program src =
   let _, prog = Typecheck.check (Parser.of_string src) in
   prog
 
+(* the annotated program's outline, taken once: the impact stage diffs
+   it against the baseline's and a served job returns it *)
+let outline_of st annotated =
+  match st.outline with
+  | Some o -> o
+  | None ->
+      let o = Analysis.Semdiff.outline annotated in
+      st.outline <- Some o;
+      o
+
 (* ------------------------------------------------------------------ *)
 (* Verdict synthesis                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -328,89 +346,86 @@ let analysis_gate an =
     raise (Fault.Fault (Fault.Analysis { errors = errs; first }))
   end
 
-(* Change-impact planning against a baseline: the baseline source
-   re-parses to [old_p], the per-VC summaries supply the digest sets for
-   [Impact.refine] and the carry table.  Yields the audit and the carry
-   function.  Any defect in the baseline (unparseable source, unknown
-   status strings) demotes to a note and a full re-prove — a stale or
-   mangled baseline must never fail a job that would verify from cold. *)
+(* Change-impact planning against a baseline: the baseline's outline is
+   diffed against the annotated program's, the per-VC summaries supply
+   the digest sets for [Impact.refine] and the carry table.  Yields the
+   audit and the carry function.  Baseline verdicts with unknown status
+   strings demote to a note and a re-prove — a stale or mangled baseline
+   must never fail a job that would verify from cold. *)
 let plan_carry st env annotated (b : Implementation_proof.baseline) =
   let open Implementation_proof in
-  match Fault.guard (fun () -> reparse_program b.vb_program) with
-  | Error fault ->
-      note st "impact: baseline unusable (%s); full re-prove" (Fault.describe fault);
-      None
-  | Ok old_p ->
-      let plan = Analysis.Impact.compute ~old_p ~new_p:annotated in
-      (* VC-digest refinement: regenerate under the budget the proof uses
-         and escalate any carried subprogram whose obligations drifted
-         from the baseline's *)
-      let current = Vcgen.vc_digests (Vcgen.generate env annotated) in
-      let module M = Map.Make (String) in
-      let by_sub =
-        List.fold_left
-          (fun m (s : vc_summary) ->
-            M.update s.vs_sub
-              (function None -> Some [ s ] | Some ss -> Some (s :: ss))
-              m)
-          M.empty b.vb_results
-      in
-      let baseline_digests =
-        M.bindings by_sub
-        |> List.map (fun (sub, ss) ->
-               (sub, List.map (fun (s : vc_summary) -> s.vs_digest) ss))
-      in
-      let plan = Analysis.Impact.refine plan ~baseline:baseline_digests ~current in
-      (* the carry table: baseline verdicts for carried subprograms, keyed
-         strictly by owner + name + formula digest; timeouts are
-         wall-clock accidents and are never carried *)
-      let carry_tbl = Hashtbl.create 256 in
-      let dropped = ref 0 in
+  let plan =
+    Analysis.Impact.compute ~old_o:b.vb_outline ~new_o:(outline_of st annotated)
+      annotated
+  in
+  (* VC-digest refinement: regenerate under the budget the proof uses
+     (the memo serves the reports and their digests) and escalate any
+     carried subprogram whose obligations drifted from the baseline's *)
+  let current = Vcgen.vc_digests (Vcgen.generate env annotated) in
+  let module M = Map.Make (String) in
+  let by_sub =
+    List.fold_left
+      (fun m (s : vc_summary) ->
+        M.update s.vs_sub
+          (function None -> Some [ s ] | Some ss -> Some (s :: ss))
+          m)
+      M.empty b.vb_results
+  in
+  let baseline_digests =
+    M.bindings by_sub
+    |> List.map (fun (sub, ss) ->
+           (sub, List.map (fun (s : vc_summary) -> s.vs_digest) ss))
+  in
+  let plan = Analysis.Impact.refine plan ~baseline:baseline_digests ~current in
+  (* the carry table: baseline verdicts for carried subprograms, keyed
+     strictly by owner + name + formula digest; timeouts are
+     wall-clock accidents and are never carried *)
+  let carry_tbl = Hashtbl.create 256 in
+  let dropped = ref 0 in
+  List.iter
+    (fun sub ->
       List.iter
-        (fun sub ->
-          List.iter
-            (fun (s : vc_summary) ->
-              match parse_status s.vs_status with
-              | None -> if s.vs_status <> "timed-out" then incr dropped
-              | Some status ->
-                  Hashtbl.replace carry_tbl
-                    (s.vs_sub ^ "|" ^ s.vs_name ^ "|" ^ s.vs_digest)
-                    (status, s.vs_attempts, s.vs_time))
-            (Option.value ~default:[] (M.find_opt sub by_sub)))
-        plan.Analysis.Impact.pl_carried;
-      if !dropped > 0 then
-        note st "impact: %d baseline verdict(s) had unknown status; re-proving them"
-          !dropped;
-      note st "impact: %d subprogram(s) re-prove, %d carried (%d VC verdict(s))"
-        (List.length plan.Analysis.Impact.pl_impacted)
-        (List.length plan.Analysis.Impact.pl_carried)
-        (Hashtbl.length carry_tbl);
-      let carry (vc : Logic.Formula.vc) =
-        match
-          Hashtbl.find_opt carry_tbl
-            (vc.Logic.Formula.vc_sub ^ "|" ^ vc.Logic.Formula.vc_name ^ "|"
-           ^ Logic.Formula.vc_digest vc)
-        with
-        | None -> None
-        | Some (status, attempts, time) ->
-            Some
-              { vr_vc = vc; vr_status = status; vr_attempts = attempts;
-                vr_time = time; vr_cached = true }
-      in
-      let audit =
-        {
-          CK.im_changed = Analysis.Semdiff.changed_subs plan.Analysis.Impact.pl_diff;
-          im_impacted =
-            List.map
-              (fun (n, rs) -> (n, List.map Analysis.Impact.reason_name rs))
-              plan.Analysis.Impact.pl_impacted;
-          im_carried = plan.Analysis.Impact.pl_carried;
-          im_carried_vcs = Hashtbl.length carry_tbl;
-          (* only the checkpoint reads the JSON *)
-          im_json = (if st.run_dir = None then "" else Analysis.Impact.to_json plan);
-        }
-      in
-      Some (audit, carry)
+        (fun (s : vc_summary) ->
+          match parse_status s.vs_status with
+          | None -> if s.vs_status <> "timed-out" then incr dropped
+          | Some status ->
+              Hashtbl.replace carry_tbl
+                (s.vs_sub ^ "|" ^ s.vs_name ^ "|" ^ s.vs_digest)
+                (status, s.vs_attempts, s.vs_time))
+        (Option.value ~default:[] (M.find_opt sub by_sub)))
+    plan.Analysis.Impact.pl_carried;
+  if !dropped > 0 then
+    note st "impact: %d baseline verdict(s) had unknown status; re-proving them"
+      !dropped;
+  note st "impact: %d subprogram(s) re-prove, %d carried (%d VC verdict(s))"
+    (List.length plan.Analysis.Impact.pl_impacted)
+    (List.length plan.Analysis.Impact.pl_carried)
+    (Hashtbl.length carry_tbl);
+  let carry (vc : Logic.Formula.vc) digest =
+    match
+      Hashtbl.find_opt carry_tbl
+        (vc.Logic.Formula.vc_sub ^ "|" ^ vc.Logic.Formula.vc_name ^ "|" ^ digest)
+    with
+    | None -> None
+    | Some (status, attempts, time) ->
+        Some
+          { vr_vc = vc; vr_status = status; vr_attempts = attempts;
+            vr_time = time; vr_cached = true }
+  in
+  let audit =
+    {
+      CK.im_changed = Analysis.Semdiff.changed_subs plan.Analysis.Impact.pl_diff;
+      im_impacted =
+        List.map
+          (fun (n, rs) -> (n, List.map Analysis.Impact.reason_name rs))
+          plan.Analysis.Impact.pl_impacted;
+      im_carried = plan.Analysis.Impact.pl_carried;
+      im_carried_vcs = Hashtbl.length carry_tbl;
+      (* only the checkpoint reads the JSON *)
+      im_json = (if st.run_dir = None then "" else Analysis.Impact.to_json plan);
+    }
+  in
+  (audit, carry)
 
 (* ------------------------------------------------------------------ *)
 (* The stages                                                          *)
@@ -574,7 +589,7 @@ let stage_analyze st env annotated =
       an)
 
 (* Change-impact planning (incremental runs only): the baseline's
-   source and per-VC summaries go through {!plan_carry}; this stage adds
+   outline and per-VC summaries go through {!plan_carry}; this stage adds
    the audit, its checkpoint, and the [oc_carry = false] reference mode
    that plans but carries nothing.  Impact planning is an optimisation,
    not a gate: a missing or unusable baseline piece, or a fault while
@@ -583,24 +598,23 @@ let stage_impact st env annotated =
   stage st CK.S_impact
     ~from_ckpt:(fun () -> None)  (* cheap and carry isn't serialisable *)
     ~body:(fun () ->
-      match (st.baseline.b_annotate, st.baseline.b_results) with
+      match (st.baseline.b_outline, st.baseline.b_results) with
       | None, _ ->
           note st "impact: baseline annotate checkpoint missing; full re-prove";
           None
       | _, None ->
           note st "impact: baseline proof checkpoint missing; full re-prove";
           None
-      | Some vb_program, Some vb_results -> (
+      | Some vb_outline, Some vb_results -> (
           match
             Fault.guard (fun () ->
-                plan_carry st env annotated { Implementation_proof.vb_program; vb_results })
+                plan_carry st env annotated { Implementation_proof.vb_outline; vb_results })
           with
           | Error fault ->
               note st "impact: planning failed (%s); full re-prove"
                 (Fault.describe fault);
               None
-          | Ok None -> None
-          | Ok (Some (audit, carry)) ->
+          | Ok (audit, carry) ->
               save_checkpoint st CK.S_impact (fun () -> CK.P_impact audit);
               Some (audit, if st.cfg.oc_carry then Some carry else None)))
 
@@ -608,16 +622,20 @@ let stage_impl st ~discharge ?carry env annotated =
   stage st CK.S_impl
     ~from_ckpt:(fun () ->
       match load_checkpoint st CK.S_impl with
-      | Some (CK.P_impl report) -> Some report
+      | Some (CK.P_impl report) ->
+          st.summaries <-
+            List.map Implementation_proof.summarize report.Implementation_proof.ip_results;
+          Some report
       | _ -> None)
     ~body:(fun () ->
-      let report =
-        Implementation_proof.run ~filter_vcs:st.cfg.oc_hooks.h_vcs
+      let report, summaries =
+        Implementation_proof.run_summarized ~filter_vcs:st.cfg.oc_hooks.h_vcs
           ~give_up:(fun () -> global_expired st)
           ?discharge ?carry ?deadline_s:st.cfg.oc_vc_deadline_s
           ~max_steps:st.cfg.oc_max_steps
           ~jobs:st.cfg.oc_jobs ?cache:(Lazy.force st.cache) env annotated
       in
+      st.summaries <- summaries;
       (match report.Implementation_proof.ip_cache_hits with
       | 0 -> ()
       | hits ->
@@ -746,6 +764,8 @@ let start ~cfg ~case ~run_dir ~resume ~incremental ~baseline ~cache ~on_stage =
     certify = None;
     impact = None;
     impl = None;
+    summaries = [];
+    outline = None;
     match_result = None;
     lemmas = [];
   }
@@ -792,6 +812,8 @@ let finish st ~expected =
     o_certify = st.certify;
     o_impact = st.impact;
     o_impl = st.impl;
+    o_results = st.summaries;
+    o_outline = st.outline;
     o_match = st.match_result;
     o_lemmas = st.lemmas;
     o_notes = List.rev st.notes;
@@ -830,6 +852,7 @@ let run ?(resume = false) ?(config = default_config) (cs : Pipeline.case_study) 
             (match get CK.S_annotate with
             | Some (CK.P_annotate { pa_src }) -> Some pa_src
             | _ -> None);
+          b_outline = None;  (* taken by the annotate stage *)
           b_results =
             (match get CK.S_impl with
             | Some (CK.P_impl r) ->
@@ -873,9 +896,13 @@ let run ?(resume = false) ?(config = default_config) (cs : Pipeline.case_study) 
        stage_annotate st (fun () ->
            match st.baseline.b_annotate with
            | Some pa_src ->
-               (* incremental: the baseline's annotated program is the
-                  starting point; [oc_edit] is the change under analysis *)
-               (Option.value ~default:Fun.id config.oc_edit) (Parser.of_string pa_src)
+               (* incremental: the baseline's annotated program, checked,
+                  is the starting point and the impact stage's outline;
+                  [oc_edit] is the change under analysis *)
+               let _, base = Typecheck.check (Parser.of_string pa_src) in
+               st.baseline <-
+                 { st.baseline with b_outline = Some (Analysis.Semdiff.outline base) };
+               (Option.value ~default:Fun.id config.oc_edit) base
            | None -> cs.Pipeline.cs_annotate final)
      in
      let* () = prove_spine st env annotated in
@@ -896,7 +923,7 @@ let run_job ?(config = default_config) ?(on_stage = fun _ _ -> ()) ?cache
         | None -> no_baseline
         | Some (b : Implementation_proof.baseline) ->
             { no_baseline with
-              b_annotate = Some b.Implementation_proof.vb_program;
+              b_outline = Some b.Implementation_proof.vb_outline;
               b_results = Some b.Implementation_proof.vb_results })
       ~cache:(Lazy.from_val cache) ~on_stage
   in
@@ -904,6 +931,7 @@ let run_job ?(config = default_config) ?(on_stage = fun _ _ -> ()) ?cache
     (let* env, annotated =
        stage_annotate st (fun () -> Parser.of_string source)
      in
+     ignore (outline_of st annotated);
      prove_spine st env annotated);
   finish st ~expected:(expected_stages config ~incremental ~case_study:false)
 

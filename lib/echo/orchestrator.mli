@@ -77,10 +77,11 @@ type config = {
   oc_baseline : string option;
       (** incremental mode: a previous run's directory.  The refactor,
           certify and annotate checkpoints are loaded from there instead
-          of recomputed, the annotated program is diffed against the
-          baseline's ({!Analysis.Semdiff}), and only the impacted VCs
+          of recomputed, the annotated program's outline is diffed against
+          the baseline's ({!Analysis.Semdiff}; the annotate stage checks
+          the baseline source once and outlines it), and only the impacted VCs
           ({!Analysis.Impact}) are re-proved — every other VC's baseline
-          verdict is carried over, planned as for a served job's inline
+          verdict is carried over, planned as for a served job's
           baseline.  Under [Cache_default] the baseline's
           proof cache is shared.  A missing or unreadable baseline piece
           degrades to a full re-prove with a note, never a fault *)
@@ -124,6 +125,13 @@ type report = {
   o_certify : Refactor.Certify.audit option;  (** when [oc_certify] *)
   o_impact : Checkpoint.impact_audit option;  (** when [oc_baseline] *)
   o_impl : Implementation_proof.report option;
+  o_results : Implementation_proof.vc_summary list;
+      (** [o_impl]'s results summarized in order, with the digests the
+          proof already took ({!Implementation_proof.run_summarized}) *)
+  o_outline : Analysis.Semdiff.outline option;
+      (** the annotated program's outline, once taken: always for
+          {!run_job} past annotation, for {!run} only when an impact
+          stage ran — what a later job needs to plan against this one *)
   o_match : Specl.Match_ratio.result option;
   o_lemmas : (string * bool * string) list;  (** name, holds?, method/reason *)
   o_notes : string list;     (** non-fatal events, e.g. checkpoint trouble *)
@@ -165,8 +173,10 @@ val run_job :
     and typecheck [source]) → analyze? → impact? → implementation proof,
     under the same stage runner, verdict rule and fault rule as {!run}.
     Never raises.  [cache] is the caller's open proof cache; [baseline],
-    when given, is planned against ({!Analysis.Impact}) and its still-valid
-    verdicts carried.  Of [config], the run directory, certification,
+    when given, is an outline and per-VC summaries — no source is parsed
+    for it — planned against ({!Analysis.Impact}), and its still-valid
+    verdicts carried.  The report's [o_outline] and [o_results] are what
+    a later job's baseline is made of.  Of [config], the run directory, certification,
     cache placement, baseline directory and edit belong to case studies
     and are ignored; the deadlines, fuel, analysis, farm width, carry
     switch and hooks apply. *)

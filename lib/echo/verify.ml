@@ -14,7 +14,7 @@ type vc_summary = Implementation_proof.vc_summary = {
 }
 
 type baseline = Implementation_proof.baseline = {
-  vb_program : string;
+  vb_outline : Analysis.Semdiff.outline;
   vb_results : vc_summary list;
 }
 
@@ -55,6 +55,7 @@ type outcome = {
   vj_attempts : int;
   vj_impacted_subs : int;
   vj_results : vc_summary list;
+  vj_outline : Analysis.Semdiff.outline option;
   vj_notes : string list;
   vj_seconds : float;
 }
@@ -103,7 +104,8 @@ let run ?(options = default_options) ?on_stage ~source () : outcome =
       (match r.Orchestrator.o_impact with
       | Some a -> List.length a.Checkpoint.im_impacted
       | None -> 0);
-    vj_results = List.map Implementation_proof.summarize ip.Implementation_proof.ip_results;
+    vj_results = r.Orchestrator.o_results;
+    vj_outline = r.Orchestrator.o_outline;
     vj_notes = r.Orchestrator.o_notes;
     vj_seconds = r.Orchestrator.o_time;
   }

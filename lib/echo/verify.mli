@@ -9,14 +9,14 @@
     its report onto an {!outcome}: per-VC summaries that are cheap to ship
     over a wire and sufficient to seed the next job's incremental carry.
 
-    Incrementality: a job may carry a {!baseline} — the source and per-VC
-    outcomes of a previously verified version of the program.  The job
-    then re-proves only the impact set ({!Analysis.Impact}: semantic
-    diff, dependency-graph escalation, VC-digest drift) and replays every
-    other baseline verdict, planned exactly as [aes verify --incremental]
-    plans against a baseline run.  A baseline that fails to parse or
-    check, or a fault while planning, degrades to a full re-prove with a
-    note — never a fault. *)
+    Incrementality: a job may carry a {!baseline} — the outline and
+    per-VC outcomes of a previously verified version of the program,
+    never its source.  The job then re-proves only the impact set
+    ({!Analysis.Impact}: semantic diff, dependency-graph escalation,
+    VC-digest drift) and replays every other baseline verdict, planned
+    exactly as [aes verify --incremental] plans against a baseline run.
+    A fault while planning degrades to a full re-prove with a note —
+    never a fault. *)
 
 type vc_summary = Implementation_proof.vc_summary = {
   vs_name : string;     (** e.g. ["fletcher.3"] *)
@@ -30,7 +30,8 @@ type vc_summary = Implementation_proof.vc_summary = {
 }
 
 type baseline = Implementation_proof.baseline = {
-  vb_program : string;           (** baseline MiniSpark source *)
+  vb_outline : Analysis.Semdiff.outline;
+      (** the baseline program's outline ({!Analysis.Semdiff.outline}) *)
   vb_results : vc_summary list;  (** its per-VC outcomes *)
 }
 
@@ -75,6 +76,9 @@ type outcome = {
   vj_attempts : int;
   vj_impacted_subs : int; (** re-prove set size under a baseline; 0 without *)
   vj_results : vc_summary list;  (** generation order *)
+  vj_outline : Analysis.Semdiff.outline option;
+      (** the checked program's outline; [None] when it did not parse or
+          check.  With [vj_results], a later job's {!baseline} *)
   vj_notes : string list;        (** non-fatal events, e.g. unusable baseline *)
   vj_seconds : float;
 }

@@ -126,6 +126,9 @@ let marshal_digest x =
 let decl_digest d = Memo.find (memos ()).digests d (fun () -> marshal_digest d)
 let program_digest p = marshal_digest p
 
+let interface_digest (sp : subprogram) =
+  marshal_digest (sp.sub_name, sp.sub_params, sp.sub_return, sp.sub_pre, sp.sub_post)
+
 (* The one reachability walk behind the closure-keyed memos (the oracle
    run memo, the VC-generation memo); each caller picks its roots. *)
 let closure_digest (prog : program) =

@@ -38,6 +38,11 @@ val program_digest : Ast.program -> string
 (** Content digest (hex) of a whole program, independent of pointer
     sharing; computed on every call. *)
 
+val interface_digest : Ast.subprogram -> string
+(** Content digest (hex) of a subprogram's interface — name, parameters,
+    return type, pre- and postcondition — independent of pointer sharing;
+    computed on every call. *)
+
 val closure_digest : Ast.program -> Ast.ident list -> string
 (** [closure_digest prog roots]: a digest (hex) of the {!decl_digest}s,
     in program order, of every declaration whose name is reachable from

@@ -54,8 +54,9 @@ type t = {
   queue : pending Jobq.t;
   clients : (int, client) Hashtbl.t;
   running : (string, pending) Hashtbl.t;        (* job id -> in a worker *)
-  outcomes : (string, string * Protocol.wire_outcome) Hashtbl.t;
-      (* job id -> (source, outcome): dedup replay + baseline references *)
+  outcomes : (string, Protocol.wire_outcome) Hashtbl.t;
+      (* job id -> outcome (verdicts and outline, no source): dedup replay
+         + baseline references *)
   digests : (string, string) Hashtbl.t;         (* dedup digest -> job id *)
   job_spans : (string, int) Hashtbl.t;          (* job id -> telemetry span *)
   mutable seq : int;
@@ -111,7 +112,14 @@ let job_digest (js : Protocol.job_spec) =
     | Some b ->
         Digest.to_hex
           (Digest.string
-             (b.Echo.Verify.vb_program
+             (String.concat ";"
+                (List.map
+                   (fun (e : Analysis.Semdiff.entry) ->
+                     String.concat ":"
+                       Analysis.Semdiff.
+                         [ kind_name e.ol_kind; e.ol_name; e.ol_digest; e.ol_iface ])
+                   b.Echo.Verify.vb_outline)
+             ^ "|"
              ^ String.concat ";"
                  (List.map
                     (fun (s : Echo.Verify.vc_summary) ->
@@ -205,7 +213,7 @@ let ingest_worker_telemetry t id attempt =
 
 let record_outcome t (p : pending) (w : Protocol.wire_outcome) =
   let id = p.p_job.Protocol.js_id in
-  Hashtbl.replace t.outcomes id (p.p_job.Protocol.js_source, w);
+  Hashtbl.replace t.outcomes id w;
   if not (Hashtbl.mem t.digests p.p_digest) then
     Hashtbl.replace t.digests p.p_digest id
 
@@ -266,6 +274,7 @@ let crash_outcome ~attempts =
     w_attempts = 0;
     w_impacted_subs = 0;
     w_results = [];
+    w_outline = None;
     w_notes = [ "job abandoned after repeated worker crashes" ];
     w_seconds = 0.0;
   }
@@ -278,22 +287,23 @@ let submit t ~client_id (js : Protocol.job_spec) =
   else if Hashtbl.mem t.running id || Hashtbl.mem t.outcomes id then
     reject t ~client_id ~id "duplicate job id"
   else begin
-    (* resolve a baseline-job reference into an inline baseline *)
+    (* resolve a baseline-job reference into an inline baseline: that
+       job's outline and verdicts.  A job whose program never checked
+       has no outline to plan against, so its successor runs cold *)
     let js, baseline_err =
       match js.Protocol.js_baseline_job with
       | Some ref_id when js.Protocol.js_baseline = None -> (
           match Hashtbl.find_opt t.outcomes ref_id with
-          | Some (src, w) ->
+          | Some { Protocol.w_outline = Some outline; w_results; _ } ->
               ( {
                   js with
                   Protocol.js_baseline =
-                    Some
-                      {
-                        Echo.Verify.vb_program = src;
-                        vb_results = w.Protocol.w_results;
-                      };
+                    Some { Echo.Verify.vb_outline = outline; vb_results = w_results };
                 },
                 None )
+          | Some { Protocol.w_outline = None; _ } ->
+              logf t "%s: baseline job %s has no outline; verifying from cold" id ref_id;
+              (js, None)
           | None -> (js, Some (Printf.sprintf "unknown baseline job %s" ref_id)))
       | _ -> (js, None)
     in
@@ -304,9 +314,9 @@ let submit t ~client_id (js : Protocol.job_spec) =
         match Hashtbl.find_opt t.digests digest with
         | Some prior_id when Hashtbl.mem t.outcomes prior_id ->
             (* warm duplicate: replay the recorded outcome, no queueing *)
-            let _, w = Hashtbl.find t.outcomes prior_id in
+            let w = Hashtbl.find t.outcomes prior_id in
             t.dedup_hits <- t.dedup_hits + 1;
-            Hashtbl.replace t.outcomes id (js.Protocol.js_source, w);
+            Hashtbl.replace t.outcomes id w;
             emit t ~client_id (Protocol.Accepted { ev_job = id; ev_depth = Jobq.length t.queue });
             start_job_span t id;
             finish_job_span t id ~verdict:w.Protocol.w_verdict ~dedup:true;
@@ -446,7 +456,7 @@ let reload_queue t =
            | Error _ -> ()
            | Ok j -> (
                match Protocol.job_of_json j with
-               | Error _ -> ()
+               | Error e -> logf t "dropped a checkpointed job: %s" e
                | Ok js ->
                    let id =
                      if js.Protocol.js_id = "" then fresh_id t

@@ -22,9 +22,12 @@
     granularity.
 
     Incremental jobs: a submission naming a [baseline_job] is routed
-    through change-impact analysis against that job's stored source and
+    through change-impact analysis against that job's stored outline and
     per-VC verdicts ({!Echo.Verify} carry), re-proving only impacted
-    subprograms.
+    subprograms.  The outcome table keeps each job's wire outcome —
+    verdicts, summaries, outline — and no program source; a baseline job
+    whose program never checked has no outline, and an edit naming it
+    runs cold.
 
     Shutdown: SIGTERM (or a [Shutdown] request) stops intake, lets
     running jobs finish, checkpoints still-queued jobs to

@@ -4,6 +4,7 @@
    a process boundary. *)
 
 module J = Telemetry.Json
+module SD = Analysis.Semdiff
 
 type job_spec = {
   js_id : string;
@@ -46,6 +47,7 @@ type wire_outcome = {
   w_attempts : int;
   w_impacted_subs : int;
   w_results : Echo.Verify.vc_summary list;
+  w_outline : SD.outline option;
   w_notes : string list;
   w_seconds : float;
 }
@@ -72,6 +74,7 @@ let of_outcome (o : Echo.Verify.outcome) =
     w_attempts = o.Echo.Verify.vj_attempts;
     w_impacted_subs = o.Echo.Verify.vj_impacted_subs;
     w_results = o.Echo.Verify.vj_results;
+    w_outline = o.Echo.Verify.vj_outline;
     w_notes = o.Echo.Verify.vj_notes;
     w_seconds = o.Echo.Verify.vj_seconds;
   }
@@ -201,17 +204,73 @@ let rec map_result f = function
       let* ys = map_result f xs in
       Ok (y :: ys)
 
+(* an outline entry is [name, kind, digest] plus the interface digest
+   for a subprogram *)
+let outline_to_json (o : SD.outline) =
+  J.List
+    (List.map
+       (fun (e : SD.entry) ->
+         J.List
+           (J.String e.SD.ol_name
+           :: J.String (SD.kind_name e.SD.ol_kind)
+           :: J.String e.SD.ol_digest
+           :: (match e.SD.ol_kind with
+              | SD.K_sub -> [ J.String e.SD.ol_iface ]
+              | _ -> [])))
+       o)
+
+let entry_of_json j : (SD.entry, string) result =
+  let entry ol_name kind ol_digest ol_iface =
+    match SD.kind_of_name kind with
+    | None -> Error ("outline: unknown declaration kind " ^ kind)
+    | Some ol_kind ->
+        if (ol_kind = SD.K_sub) <> (ol_iface <> None) then
+          Error ("outline: malformed entry for " ^ ol_name)
+        else
+          Ok
+            { SD.ol_name; ol_kind; ol_digest;
+              ol_iface = Option.value ~default:"" ol_iface }
+  in
+  match j with
+  | J.List [ J.String n; J.String k; J.String d ] -> entry n k d None
+  | J.List [ J.String n; J.String k; J.String d; J.String i ] -> entry n k d (Some i)
+  | _ -> Error "outline: malformed entry"
+
+let outline_of_json j =
+  match j with
+  | J.List es -> map_result entry_of_json es
+  | _ -> Error "outline: not a list"
+
+(* The baseline's format tag.  The pre-outline form carried the
+   baseline's source as ["program"]; it is refused by name, never parsed
+   or carried from. *)
+let baseline_format = "echo-outline/1"
+
 let baseline_to_json (b : Echo.Verify.baseline) =
   J.Obj
     [
-      ("program", J.String b.Echo.Verify.vb_program);
+      ("format", J.String baseline_format);
+      ("outline", outline_to_json b.Echo.Verify.vb_outline);
       ("results", J.List (List.map summary_to_json b.Echo.Verify.vb_results));
     ]
 
 let baseline_of_json j : (Echo.Verify.baseline, string) result =
-  let* program = require "program" (str_field "program" j) in
-  let* results = map_result summary_of_json (dflt [] (list_field "results" j)) in
-  Ok { Echo.Verify.vb_program = program; vb_results = results }
+  match str_field "format" j with
+  | None when J.member "program" j <> None ->
+      Error
+        (Printf.sprintf
+           "baseline: the inline \"program\" source form is no longer accepted; send \
+            a program outline (format %S) with the per-VC results, or name a \
+            completed job as baseline_job"
+           baseline_format)
+  | Some f when f = baseline_format ->
+      let* oj = require "outline" (J.member "outline" j) in
+      let* outline = outline_of_json oj in
+      let* results = map_result summary_of_json (dflt [] (list_field "results" j)) in
+      Ok { Echo.Verify.vb_outline = outline; vb_results = results }
+  | Some f ->
+      Error (Printf.sprintf "baseline: unknown format %S (expected %S)" f baseline_format)
+  | None -> Error (Printf.sprintf "baseline: missing format (expected %S)" baseline_format)
 
 (* ------------------------------------------------------------------ *)
 (* jobs                                                                *)
@@ -278,6 +337,7 @@ let outcome_to_json (w : wire_outcome) =
       ("attempts", J.Int w.w_attempts);
       ("impacted_subs", J.Int w.w_impacted_subs);
       ("results", J.List (List.map summary_to_json w.w_results));
+      ("outline", opt_json outline_to_json w.w_outline);
       ("notes", J.List (List.map (fun n -> J.String n) w.w_notes));
       ("seconds", J.Float w.w_seconds);
     ]
@@ -293,6 +353,13 @@ let outcome_of_json j : (wire_outcome, string) result =
     | None -> None
   in
   let* results = map_result summary_of_json (dflt [] (list_field "results" j)) in
+  let* outline =
+    match Option.bind (J.member "outline" j) opt_of with
+    | None -> Ok None
+    | Some oj ->
+        let* o = outline_of_json oj in
+        Ok (Some o)
+  in
   let notes =
     List.filter_map
       (function J.String s -> Some s | _ -> None)
@@ -315,6 +382,7 @@ let outcome_of_json j : (wire_outcome, string) result =
       w_attempts = i "attempts";
       w_impacted_subs = i "impacted_subs";
       w_results = results;
+      w_outline = outline;
       w_notes = notes;
       w_seconds = dflt 0.0 (float_field "seconds" j);
     }

@@ -19,10 +19,13 @@ type job_spec = {
   js_priority : int;       (** queue level, [0] urgent … [2] batch *)
   js_deadline_s : float option;  (** per-job wall-clock budget *)
   js_baseline : Echo.Verify.baseline option;
-      (** inline baseline for incremental re-verification *)
+      (** inline baseline for incremental re-verification: a program
+          outline plus per-VC verdicts, tagged {!baseline_format} on the
+          wire; the pre-outline form (baseline source as ["program"]) is
+          refused with a decode error *)
   js_baseline_job : string option;
-      (** or: id of a completed job whose source + verdicts to use as the
-          baseline (resolved daemon-side) *)
+      (** or: id of a completed job whose outline + verdicts to use as
+          the baseline (resolved daemon-side) *)
   js_fail : string option;
       (** fault injection for tests: ["crash"] kills the worker process
           mid-job on the first attempt *)
@@ -56,6 +59,9 @@ type wire_outcome = {
   w_attempts : int;
   w_impacted_subs : int;
   w_results : Echo.Verify.vc_summary list;
+  w_outline : Analysis.Semdiff.outline option;
+      (** the checked program's outline; [None] when it did not parse or
+          check.  With [w_results], what a later job plans against *)
   w_notes : string list;
   w_seconds : float;
 }
@@ -122,6 +128,9 @@ type assignment = {
 }
 
 (** {1 Codecs} *)
+
+val baseline_format : string
+(** The format tag of an inline baseline: ["echo-outline/1"]. *)
 
 val job_to_json : job_spec -> Telemetry.Json.t
 val job_of_json : Telemetry.Json.t -> (job_spec, string) result

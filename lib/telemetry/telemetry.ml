@@ -52,14 +52,54 @@ module Json = struct
 
   (* floats always carry a '.', so they parse back as Float; microsecond
      precision is enough for wall-clock telemetry *)
+  let rec add_uint buf n =
+    if n >= 10 then add_uint buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+  (* [%.6f] with trailing fraction zeros dropped (one kept), written
+     straight into the buffer.  Below 1e9 the scaled value [a * 1e6]
+     stays under 2^53, and an FMA recovers that product's rounding error
+     exactly, so the six digits are the correctly rounded ones printf
+     gives, ties to even included; larger magnitudes take printf. *)
   let add_float buf v =
     if not (Float.is_finite v) then Buffer.add_string buf "null"
-    else begin
-      let s = Printf.sprintf "%.6f" v in
-      let n = String.length s in
-      let rec keep i = if s.[i] = '0' && s.[i - 1] <> '.' then keep (i - 1) else i in
-      Buffer.add_string buf (String.sub s 0 (keep (n - 1) + 1))
-    end
+    else
+      let a = Float.abs v in
+      if a >= 1e9 then begin
+        let s = Printf.sprintf "%.6f" v in
+        let rec keep i = if s.[i] = '0' && s.[i - 1] <> '.' then keep (i - 1) else i in
+        Buffer.add_substring buf s 0 (keep (String.length s - 1) + 1)
+      end
+      else begin
+        let x = a *. 1e6 in
+        let err = Float.fma a 1e6 (-.x) in
+        let whole = Float.to_int x in
+        (* [frac] and 0.5 are multiples of x's ulp and [err] is at most
+           half of one, so [err] only decides an exact 0.5 *)
+        let frac = x -. Float.of_int whole in
+        let up =
+          frac > 0.5
+          || (frac = 0.5 && (err > 0.0 || (err = 0.0 && whole land 1 = 1)))
+        in
+        let r = if up then whole + 1 else whole in
+        if Float.sign_bit v then Buffer.add_char buf '-';
+        add_uint buf (r / 1_000_000);
+        Buffer.add_char buf '.';
+        let fr = r mod 1_000_000 in
+        if fr = 0 then Buffer.add_char buf '0'
+        else begin
+          let digits = ref 6 and q = ref fr in
+          while !q mod 10 = 0 do
+            q := !q / 10;
+            decr digits
+          done;
+          let p = ref 100_000 in
+          for _ = 1 to !digits do
+            Buffer.add_char buf (Char.unsafe_chr (48 + (fr / !p mod 10)));
+            p := !p / 10
+          done
+        end
+      end
 
   let rec add buf = function
     | Null -> Buffer.add_string buf "null"

@@ -710,6 +710,9 @@ type sub_report = {
   sr_sub : string;
   sr_vcs : F.vc list;
   sr_sizes : (string * int) list;  (** per-VC unfolded node counts *)
+  sr_digests : string list;
+      (** {!F.vc_digest} of each VC of [sr_vcs], in the same order: taken
+          once at generation, so the memo serves them with the VCs *)
   sr_discharged : string list;
       (** names of VCs discharged by static analysis (empty until
           {!tag_discharged}) *)
@@ -736,8 +739,9 @@ let generate_sub_exn ~budget env program (sub : Ast.subprogram) : sub_report =
   (* procedures: postcondition proved at fall-through exits *)
   if sub.Ast.sub_return = None then
     List.iter (fun st -> finalize_post g st ~result:None) final_paths;
-  { sr_sub = sub.Ast.sub_name; sr_vcs = List.rev g.vcs; sr_sizes = List.rev g.sizes;
-    sr_discharged = [] }
+  let vcs = List.rev g.vcs in
+  { sr_sub = sub.Ast.sub_name; sr_vcs = vcs; sr_sizes = List.rev g.sizes;
+    sr_digests = List.map F.vc_digest vcs; sr_discharged = [] }
 
 let generate_sub ?(budget = default_budget) env program sub =
   as_infeasible (fun () -> generate_sub_exn ~budget env program sub)
@@ -777,10 +781,7 @@ let total_nodes r =
 (** Per-subprogram digests of the generated formulas, for impact
     refinement: a subprogram whose digest set matches the baseline's
     generated byte-identical obligations. *)
-let vc_digests r =
-  List.map
-    (fun s -> (s.sr_sub, List.map F.vc_digest s.sr_vcs))
-    r.r_subs
+let vc_digests r = List.map (fun s -> (s.sr_sub, s.sr_digests)) r.r_subs
 
 (* ------------------------------------------------------------------ *)
 (* Per-subprogram memo                                                 *)

@@ -25,6 +25,10 @@ type sub_report = {
   sr_sub : string;
   sr_vcs : Logic.Formula.vc list;
   sr_sizes : (string * int) list;  (** per-VC unfolded node counts *)
+  sr_digests : string list;
+      (** {!Logic.Formula.vc_digest} of each VC of [sr_vcs], in order —
+          taken once at generation and memoized with the report, so a
+          carried subprogram's digests cost nothing on later jobs *)
   sr_discharged : string list;
       (** names of VCs statically discharged by analysis; empty until
           {!tag_discharged} is applied *)
@@ -70,8 +74,8 @@ val total_nodes : report -> int
 
 val vc_digests : report -> (string * string list) list
 (** Per-subprogram digests ({!Logic.Formula.vc_digest}) of the generated
-    formulas, order-preserving; used to detect VC drift between two
-    generation runs over different program versions. *)
+    formulas, order-preserving ([sr_digests]); used to detect VC drift
+    between two generation runs over different program versions. *)
 
 val bytes_of_nodes : int -> int
 (** Approximate printed bytes of an unfolded term tree (~8 per node). *)

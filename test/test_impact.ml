@@ -118,6 +118,10 @@ let test_depgraph_closures () =
 
 (* ---------------- semantic diff ---------------- *)
 
+(* both sides as outlines, as a served job and [impact] diff them *)
+let diff p q = SD.diff ~old_o:(SD.outline p) ~new_o:(SD.outline q)
+let compute p q = IM.compute ~old_o:(SD.outline p) ~new_o:(SD.outline q) q
+
 let prepend_assert name prog =
   Ast.update_sub prog name (fun sp ->
       { sp with Ast.sub_body = Ast.Assert (Ast.Bool_lit true) :: sp.Ast.sub_body })
@@ -138,14 +142,14 @@ let change_of d name =
 let test_semdiff_classification () =
   let p = deps_prog () in
   Alcotest.(check bool) "self diff is empty" true
-    (SD.is_empty (SD.diff ~old_p:p ~new_p:p));
-  let d = SD.diff ~old_p:p ~new_p:(prepend_assert "quad" p) in
+    (SD.is_empty (diff p p));
+  let d = diff p (prepend_assert "quad" p) in
   idents "only quad changed" [ "quad" ] (SD.changed_subs d);
   (match change_of d "quad" with
   | SD.Body_changed -> ()
   | c -> Alcotest.failf "body edit classified %s" (SD.change_name c));
   idents "no spec escalation for a body edit" [] (SD.sig_changed_subs d);
-  let d = SD.diff ~old_p:p ~new_p:(weaken_post "double" p) in
+  let d = diff p (weaken_post "double" p) in
   (match change_of d "double" with
   | SD.Sig_or_spec_changed -> ()
   | c -> Alcotest.failf "spec edit classified %s" (SD.change_name c));
@@ -160,14 +164,14 @@ let test_semdiff_added_removed () =
           (function Ast.Dsub s -> s.Ast.sub_name <> "reload" | _ -> true)
           p.Ast.prog_decls }
   in
-  let d = SD.diff ~old_p:p ~new_p:without_reload in
+  let d = diff p without_reload in
   (match change_of d "reload" with
   | SD.Removed -> ()
   | c -> Alcotest.failf "removal classified %s" (SD.change_name c));
   (* nothing calls reload, so deleting it invalidates no surviving VC *)
-  let plan = IM.compute ~old_p:p ~new_p:without_reload in
+  let plan = compute p without_reload in
   idents "removal of a leaf re-proves nothing" [] (IM.impacted_subs plan);
-  let plan = IM.compute ~old_p:without_reload ~new_p:p in
+  let plan = compute without_reload p in
   (match List.assoc_opt "reload" plan.IM.pl_impacted with
   | Some (IM.R_changed SD.Added :: _) -> ()
   | _ -> Alcotest.fail "re-adding reload should re-prove it")
@@ -181,10 +185,10 @@ let test_decl_change_impact () =
          (Str_replace.replace deps_src ~find:"base : constant byte := 7"
             ~by:"base : constant byte := 8"))
   in
-  let d = SD.diff ~old_p:p ~new_p:p' in
+  let d = diff p p' in
   idents "no subprogram text changed" [] (SD.changed_subs d);
   idents "the constant registers" [ "base" ] d.SD.sd_decls;
-  let plan = IM.compute ~old_p:p ~new_p:p' in
+  let plan = compute p p' in
   (match plan.IM.pl_impacted with
   | [ ("reload", reasons) ]
     when List.exists (function IM.R_decl "base" -> true | _ -> false) reasons ->
@@ -224,11 +228,179 @@ let test_single_edit_precision =
       let name = List.nth sub_names s in
       let _, edit, expected = List.nth edit_kinds k in
       let p = deps_prog () in
-      let d = SD.diff ~old_p:p ~new_p:(edit name p) in
+      let d = diff p (edit name p) in
       SD.changed_subs d = [ name ]
       && change_of d name = expected
       && d.SD.sd_decls = []
-      && IM.is_impacted (IM.compute ~old_p:p ~new_p:(edit name p)) name)
+      && IM.is_impacted (compute p (edit name p)) name)
+
+(* ---------------- outline diff = AST diff ---------------- *)
+
+(* [Semdiff_ref] is the AST-based differ the outline diff replaced: over
+   the outlines of two programs, [SD.diff] must return exactly what the
+   reference returns over their trees *)
+let check_same_diff what old_p new_p =
+  let expect = Semdiff_ref.diff ~old_p ~new_p in
+  let got = SD.diff ~old_o:(SD.outline old_p) ~new_o:(SD.outline new_p) in
+  if got <> expect then
+    Alcotest.failf "%s: outline diff %s, AST diff %s" what (SD.to_json got)
+      (SD.to_json expect)
+
+(* the normal form a served job checks, or [None] when it does not check *)
+let checked_opt p = match Typecheck.check p with _, p -> Some p | exception _ -> None
+
+let test_identity_aes_edits () =
+  let prog = Lazy.force Test_vcgen.aes_annotated in
+  check_same_diff "AES against itself" prog prog;
+  let compared =
+    List.filter_map
+      (fun (sp : Ast.subprogram) ->
+        let name = sp.Ast.sub_name in
+        Option.map
+          (fun edited -> check_same_diff ("AES, assert edit of " ^ name) prog edited)
+          (checked_opt (Parser.of_string (Test_vcgen.assert_edit prog name))))
+      (Ast.subprograms prog)
+  in
+  Alcotest.(check int) "every subprogram's assert edit compared"
+    (List.length (Ast.subprograms prog)) (List.length compared)
+
+(* the paper's seeded defects on the optimized original, and on the
+   refactored, annotated program with the surfaces the serve workload
+   seeds *)
+let test_identity_seeds () =
+  let refactored = Lazy.force Test_vcgen.aes_annotated in
+  let surfaces =
+    [ ( "optimized AES",
+        snd (Aes.Aes_impl.checked ()),
+        Defects.Seed.seed_all ?subs:None ?ref_pairs:None );
+      ( "refactored AES",
+        refactored,
+        Defects.Seed.seed_all
+          ~subs:[ "encrypt"; "decrypt"; "key_expansion"; "sub_bytes"; "mix_columns";
+                  "add_round_key" ]
+          ~ref_pairs:[ ("sbox", "inv_sbox"); ("src", "dst"); ("k0", "k1"); ("s", "t") ] ) ]
+  in
+  List.iter
+    (fun (surface, prog, seed) ->
+      let compared =
+        List.concat_map
+          (fun s ->
+            List.filter_map
+              (fun (d : Defects.Seed.defect) ->
+                match d.Defects.Seed.d_apply prog with
+                | exception _ -> None
+                | mutated ->
+                    Option.map
+                      (fun p' ->
+                        check_same_diff
+                          (Printf.sprintf "%s, seed %d, defect %d" surface s d.Defects.Seed.d_id)
+                          prog p')
+                      (checked_opt mutated))
+              (seed ?seed:(Some s) prog))
+          [ 1; 2; 3 ]
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d seeded defects compared" surface (List.length compared))
+        true
+        (List.length compared >= 30))
+    surfaces
+
+let example_programs () =
+  List.map
+    (fun f ->
+      let dir =
+        if Sys.file_exists "../examples/programs" then "../examples/programs"
+        else "examples/programs"
+      in
+      let path = Filename.concat dir f in
+      let src = In_channel.with_open_bin path In_channel.input_all in
+      (f, snd (Typecheck.check (Parser.of_string src))))
+    [ "checksum.mspark"; "sbox_lookup.mspark"; "stream.mspark" ]
+
+(* every ordered pair, each program against itself and its assert edits *)
+let test_identity_examples () =
+  let progs = example_programs () @ [ ("deps", deps_prog ()) ] in
+  List.iter
+    (fun (a, p) ->
+      List.iter (fun (b, q) -> check_same_diff (a ^ " -> " ^ b) p q) progs;
+      List.iter
+        (fun (sp : Ast.subprogram) ->
+          let name = sp.Ast.sub_name in
+          check_same_diff (a ^ ", assert edit of " ^ name) p (prepend_assert name p);
+          check_same_diff (a ^ ", weakened post of " ^ name) p (weaken_post name p))
+        (Ast.subprograms p))
+    progs
+
+let prop_identity_bodies =
+  QCheck.Test.make ~name:"outline diff = AST diff on random body edits" ~count:200
+    QCheck.(pair Test_properties.arbitrary_program Test_properties.arbitrary_program)
+    (fun (b1, b2) ->
+      let p1 = Test_properties.program_of_body b1 and p2 = Test_properties.program_of_body b2 in
+      check_same_diff "raw bodies" p1 p2;
+      (match (checked_opt p1, checked_opt p2) with
+      | Some c1, Some c2 -> check_same_diff "checked bodies" c1 c2
+      | _ -> ());
+      true)
+
+(* a signature edit, a constant edit, an added and a removed subprogram,
+   and duplicate names (the first declaration of a name is the one
+   compared, for subprograms and for program-level names alike) *)
+let test_identity_hand_edits () =
+  let p = deps_prog () in
+  let set_mode name prog =
+    Ast.update_sub prog name (fun sp ->
+        { sp with
+          Ast.sub_params =
+            List.map (fun (q : Ast.param) -> { q with Ast.par_mode = Ast.Mode_in_out })
+              sp.Ast.sub_params })
+  in
+  check_same_diff "signature edit" p (set_mode "double" p);
+  let _, p' =
+    Typecheck.check
+      (Parser.of_string
+         (Str_replace.replace deps_src ~find:"base : constant byte := 7"
+            ~by:"base : constant byte := 8"))
+  in
+  check_same_diff "constant edit" p p';
+  let without name (prog : Ast.program) =
+    { prog with
+      Ast.prog_decls =
+        List.filter (fun d -> Ast.decl_name d <> name) prog.Ast.prog_decls }
+  in
+  check_same_diff "removed subprogram" p (without "reload" p);
+  check_same_diff "added subprogram" (without "reload" p) p;
+  check_same_diff "removed constant" p (without "bias" p);
+  check_same_diff "added global" (without "g" p) p;
+  let find name = List.find (fun d -> Ast.decl_name d = name) p.Ast.prog_decls in
+  let dup extra (prog : Ast.program) =
+    { prog with Ast.prog_decls = prog.Ast.prog_decls @ extra }
+  in
+  let edited_double =
+    match find "double" with
+    | Ast.Dsub sp ->
+        Ast.Dsub { sp with Ast.sub_body = Ast.Assert (Ast.Bool_lit true) :: sp.Ast.sub_body }
+    | d -> d
+  in
+  let shadow_type = Ast.Dtype ("bias", Ast.Tmod 16) in
+  let shadow_var =
+    Ast.Dvar { Ast.v_name = "base"; v_typ = Ast.Tnamed "byte"; v_init = None }
+  in
+  let cases =
+    [ ("duplicate subprogram, later copy edited",
+       dup [ find "double" ] p, dup [ edited_double ] p);
+      ("duplicate subprogram, first copy edited",
+       dup [ edited_double ] p, dup [ find "double" ] p);
+      ("duplicate subprogram on one side", p, dup [ edited_double ] p);
+      ("type shadowing a constant", p, dup [ shadow_type ] p);
+      ("type shadowing a constant, removed", dup [ shadow_type ] p, p);
+      ("global after a constant of its name", p, dup [ shadow_var ] p);
+      ("duplicate constant", dup [ find "bias" ] p, dup [ find "base" ] p) ]
+  in
+  List.iter
+    (fun (what, a, b) ->
+      check_same_diff what a b;
+      check_same_diff (what ^ ", reversed") b a)
+    cases
 
 (* ---------------- incremental vs full soundness ---------------- *)
 
@@ -300,8 +472,8 @@ let test_incremental_matches_full () =
       (match r_base.O.o_verdict with
       | O.Verified -> ()
       | v -> Alcotest.failf "baseline not verified: %a" O.pp_verdict v);
-      (* the same baseline as a served job sees it: the annotated source
-         plus the summarized per-VC results *)
+      (* the same baseline as a served job sees it: the outline of the
+         checked annotated source plus the summarized per-VC results *)
       let base_src =
         match CK.load ~dir:base_dir ~case:"deps" CK.S_annotate with
         | Some (Ok (CK.P_annotate { pa_src })) -> pa_src
@@ -311,7 +483,8 @@ let test_incremental_matches_full () =
         match r_base.O.o_impl with
         | Some ip ->
             {
-              Echo.Verify.vb_program = base_src;
+              Echo.Verify.vb_outline =
+                SD.outline (snd (Typecheck.check (Parser.of_string base_src)));
               vb_results = List.map IP.summarize ip.IP.ip_results;
             }
         | None -> Alcotest.fail "baseline produced no implementation proof"
@@ -398,6 +571,13 @@ let suites =
         Alcotest.test_case "added/removed" `Quick test_semdiff_added_removed;
         Alcotest.test_case "declaration change impact" `Quick
           test_decl_change_impact ] );
+    ( "impact:semdiff-identity",
+      [ Alcotest.test_case "AES and its assert edits" `Quick test_identity_aes_edits;
+        Alcotest.test_case "seeded defect surfaces" `Quick test_identity_seeds;
+        Alcotest.test_case "example programs" `Quick test_identity_examples;
+        Alcotest.test_case "signature, constant, added, removed, duplicates" `Quick
+          test_identity_hand_edits;
+        QCheck_alcotest.to_alcotest prop_identity_bodies ] );
     ( "impact:properties",
       [ QCheck_alcotest.to_alcotest test_single_edit_precision ] );
     ( "impact:incremental",

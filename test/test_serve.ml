@@ -107,15 +107,69 @@ let sample_summary =
 
 let nasty = "line\nbreak \"quoted\" back\\slash\ttab"
 
+(* an outline with every kind, hostile names included *)
+let sample_outline =
+  [
+    { Analysis.Semdiff.ol_name = "byte"; ol_kind = Analysis.Semdiff.K_type;
+      ol_digest = "d1"; ol_iface = "" };
+    { Analysis.Semdiff.ol_name = nasty; ol_kind = Analysis.Semdiff.K_const;
+      ol_digest = "d2"; ol_iface = "" };
+    { Analysis.Semdiff.ol_name = "g"; ol_kind = Analysis.Semdiff.K_var;
+      ol_digest = "d3"; ol_iface = "" };
+    { Analysis.Semdiff.ol_name = "fletcher"; ol_kind = Analysis.Semdiff.K_sub;
+      ol_digest = "d4"; ol_iface = "i4" };
+  ]
+
 let job_round_trip () =
   let js =
     Protocol.job ~id:"j-1" ~analyze:true ~jobs:2 ~priority:0 ~deadline_s:1.5
-      ~baseline:{ Echo.Verify.vb_program = nasty; vb_results = [ sample_summary ] }
+      ~baseline:{ Echo.Verify.vb_outline = sample_outline; vb_results = [ sample_summary ] }
       ~fail:"crash" ~source:("program p is\n" ^ nasty) ()
   in
   match reencode Protocol.job_to_json Protocol.job_of_json js with
   | Error e -> Alcotest.fail e
   | Ok js' -> Alcotest.(check bool) "job round-trips" true (js = js')
+
+(* The pre-outline baseline carried the baseline's source as "program":
+   it is refused by name, and so is an unknown format tag. *)
+let old_baseline_rejected () =
+  let job baseline =
+    Telemetry.Json.(
+      Obj [ ("source", String "program p is"); ("baseline", baseline) ])
+  in
+  let expect_error what baseline affix =
+    match Protocol.job_of_json (job baseline) with
+    | Ok _ -> Alcotest.failf "%s: decoded" what
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: error %S mentions %S" what e affix)
+          true
+          (Astring.String.is_infix ~affix e)
+  in
+  expect_error "inline program form"
+    Telemetry.Json.(
+      Obj [ ("program", String "program p is begin end p;"); ("results", List []) ])
+    "\"program\" source form is no longer accepted";
+  expect_error "unknown format"
+    Telemetry.Json.(
+      Obj [ ("format", String "echo-outline/0"); ("outline", List []); ("results", List []) ])
+    "unknown format";
+  expect_error "malformed outline entry"
+    Telemetry.Json.(
+      Obj
+        [ ("format", String Protocol.baseline_format);
+          ("outline", List [ List [ String "f"; String "sub"; String "d" ] ]);
+          ("results", List []) ])
+    "malformed entry";
+  match
+    Protocol.request_of_json
+      Telemetry.Json.(
+        Obj
+          [ ("op", String "submit");
+            ("job", job (Obj [ ("program", String "x"); ("results", List []) ])) ])
+  with
+  | Ok _ -> Alcotest.fail "a submit with an inline-source baseline decoded"
+  | Error _ -> ()
 
 let prop_job_round_trip =
   QCheck.Test.make ~name:"job spec codec round-trips" ~count:200
@@ -149,6 +203,7 @@ let event_round_trip () =
       w_attempts = 9;
       w_impacted_subs = 1;
       w_results = [ sample_summary ];
+      w_outline = Some sample_outline;
       w_notes = [ nasty ];
       w_seconds = 1.5;
     }
@@ -360,6 +415,21 @@ let daemon_session () =
         | Error e -> Alcotest.fail ("broken job should verdict, got: " ^ e)
       in
       Alcotest.(check string) "broken verdict" "failed" broken.Protocol.w_verdict;
+      Alcotest.(check bool) "a program that never checked has no outline" true
+        (broken.Protocol.w_outline = None);
+      (* ... so an edit naming it as baseline has nothing to plan against
+         and runs cold, with the full run's verdicts *)
+      (match
+         Client.run_job cl
+           (Protocol.job ~id:"after-broken" ~source:edited ~baseline_job:"broken" ())
+       with
+      | Ok (w, _, _) ->
+          Alcotest.(check (list (triple string string string)))
+            "cold edit verdicts match full run on edited program"
+            (verdict_keys direct_edited.Echo.Verify.vj_results)
+            (verdict_keys w.Protocol.w_results);
+          Alcotest.(check int) "nothing carried without an outline" 0 w.Protocol.w_carried
+      | Error e -> Alcotest.fail ("edit against the broken job: " ^ e));
       (match broken.Protocol.w_fault with
       | Some (cls, _) ->
           Alcotest.(check string) "broken fault class" "parse" cls;
@@ -379,7 +449,7 @@ let daemon_session () =
       match Client.stats cl with
       | Error e -> Alcotest.fail ("stats: " ^ e)
       | Ok st ->
-          Alcotest.(check int) "nine submissions" 9 st.Protocol.st_submitted;
+          Alcotest.(check int) "ten submissions" 10 st.Protocol.st_submitted;
           Alcotest.(check int) "five dedup hits" 5 st.Protocol.st_dedup_hits;
           Alcotest.(check int) "one rejection" 1 st.Protocol.st_rejected;
           Alcotest.(check int) "no crashes" 0 st.Protocol.st_worker_crashes;
@@ -503,7 +573,9 @@ let served_edits_identity () =
   Alcotest.(check bool) "the job span carries the memo counters" true
     (clean_hits <> None);
   let baseline =
-    { Echo.Verify.vb_program = src; vb_results = clean.Protocol.w_results }
+    match clean.Protocol.w_outline with
+    | Some outline -> { Echo.Verify.vb_outline = outline; vb_results = clean.Protocol.w_results }
+    | None -> Alcotest.fail "the clean job returned no outline"
   in
   let edit, edit_hits = serve ~id:"edit" ~baseline edited in
   check "edit against the clean baseline" edited edit;
@@ -515,9 +587,10 @@ let served_edits_identity () =
   Alcotest.(check bool) "the edit job hits the VC memo" true (hit edit_hits);
   Alcotest.(check bool) "the fresh job hits the VC memo" true (hit fresh_hits)
 
-(* A served baseline arrives as source and is re-parsed: a program (or an
-   assert-edited variant of it) diffed against its own print-then-parse
-   classifies every subprogram [Unchanged] and changes no declaration. *)
+(* A served baseline is an outline of the program a job checked: a
+   program (or an assert-edited variant of it) outlined before and after
+   a print-then-parse round trip classifies every subprogram [Unchanged]
+   and changes no declaration. *)
 let prop_semdiff_reparse =
   let programs =
     lazy
@@ -540,8 +613,8 @@ let prop_semdiff_reparse =
                 { sp with Ast.sub_body = Ast.Assert (Ast.Bool_lit true) :: sp.Ast.sub_body })
       in
       let d =
-        Analysis.Semdiff.diff ~old_p:p
-          ~new_p:(Parser.of_string (Pretty.program_to_string p))
+        Analysis.Semdiff.diff ~old_o:(Analysis.Semdiff.outline p)
+          ~new_o:(Analysis.Semdiff.outline (Parser.of_string (Pretty.program_to_string p)))
       in
       List.for_all (fun (_, c) -> c = Analysis.Semdiff.Unchanged) d.Analysis.Semdiff.sd_subs
       && d.Analysis.Semdiff.sd_decls = [])
@@ -558,6 +631,8 @@ let suites =
       [
         Alcotest.test_case "job spec round-trip (hostile strings)" `Quick
           job_round_trip;
+        Alcotest.test_case "old inline-source baseline rejected" `Quick
+          old_baseline_rejected;
         Alcotest.test_case "event round-trips" `Quick event_round_trip;
         Alcotest.test_case "request/assignment round-trips" `Quick
           request_round_trip;

@@ -146,11 +146,43 @@ let test_based_literals_and_case () =
   List.iter
     (check_same_text "literal")
     [ "16#ff# 16#C66363a5# 2#1010# 8#777#"; "17#1#"; "1#1#"; "16##"; "16#ff"; "16#fg#";
-      "99999999999999999999"; "123456789012345678"; "1234567890123456789";
+      "123456789012345678"; "1234567890123456789"; "4611686018427387903";
+      "16#3fffffffffffffff# 2#" ^ String.make 62 '1' ^ "#";
       "Program P IS BEGIN End P;"; "--# PRE x > 0;\n--# Invariant\n--#\n--#   post";
       "x := a--comment\n+ b;"; "a .. b => c /= d <= e >= f := g"; "x : y"; "@"; "";
       "\xc3\xa9"; "--# 9pre"; every_word; String.uppercase_ascii every_word;
       String.capitalize_ascii every_word ]
+
+(* The literals where the lexer deliberately parts from the reference:
+   a decimal past [max_int] made the reference raise [Failure
+   "int_of_string"], and a based literal that overflows or has a digit at
+   or above its base was accepted (wrapped, or valued digit by digit).
+   Each is now a lexical error at the literal.  These are the only inputs
+   of this suite where lexer and reference differ. *)
+let test_literals_out_of_range () =
+  List.iter
+    (fun (src, msg, line, col) ->
+      (match (lex_new src, lex_ref src) with
+      | Err (m, l, c), reference ->
+          Alcotest.(check (triple string int int))
+            ("lexer error for " ^ src) (msg, line, col) (m, l, c);
+          Alcotest.(check bool) ("the reference lexes " ^ src ^ " otherwise") true
+            (match reference with Err _ -> false | Done _ | Raised _ -> true)
+      | other, _ -> Alcotest.failf "%s: lexer %s" src (describe other));
+      match parse_new src with
+      | Err (m, l, c) ->
+          Alcotest.(check (triple string int int)) ("parser error for " ^ src)
+            ("lexical error: " ^ msg, line, col) (m, l, c)
+      | other -> Alcotest.failf "%s: parser %s" src (describe other))
+    [ ("99999999999999999999", "integer literal out of range", 1, 1);
+      ("4611686018427387904", "integer literal out of range", 1, 1);
+      ("x := 1 +\n  123456789012345678901234567890;", "integer literal out of range", 2, 3);
+      ("16#fffffffffffffffffff#", "based literal out of range", 1, 1);
+      ("16#4000000000000000#", "based literal out of range", 1, 1);
+      ("2#1" ^ String.make 62 '0' ^ "#", "based literal out of range", 1, 1);
+      ("2#19#", "digit '9' out of range for base 2", 1, 1);
+      ("k := 10#1a#;", "digit 'a' out of range for base 10", 1, 6);
+      ("8#78#", "digit '8' out of range for base 8", 1, 1) ]
 
 let prop_printed_bodies =
   QCheck.Test.make ~name:"printed random bodies lex and parse as the reference" ~count:200
@@ -208,6 +240,39 @@ let prop_json_encode =
     ~count:1000 arbitrary_json (fun v ->
       let s = J.to_string v in
       String.equal s (Json_ref.to_string v) && J.of_string s = Json_ref.of_string s)
+
+(* the float encoder writes digits itself below 1e9 and defers to printf
+   above: both sides of that line, exact ties, signed zeros, subnormals
+   and non-finite values must print as the reference prints them *)
+let float_edges =
+  [ 0.0; -0.0; 1.0; -1.0; 0.1; 1e-6; 5e-7; -5e-7; 4.9999999e-7; 1e-7; -1e-9;
+    0.0078125; 0.0234375; -0.0234375; 2.5; 0.5; 1.5; 1.0000005; 0.0000015;
+    Float.min_float; -.Float.min_float; 4.9e-324; -4.9e-324; 2.2250738585072009e-308;
+    999_999_999.999_999_5; 999_999_999.999_999; 1e9; -1e9; 1e9 +. 0.5; 123_456_789.123_456_5;
+    1e15; 1e15 +. 1.0; -1e15; 1e16; 4.5e15; 9007199254740993.0; 1e300; Float.max_float;
+    -.Float.max_float; Float.nan; Float.infinity; Float.neg_infinity; Float.epsilon;
+    1.0 -. Float.epsilon; 0.999_999_5; 0.999_999_499_999_999_9 ]
+
+let test_float_edges () =
+  List.iter
+    (fun v ->
+      Alcotest.(check string) (Printf.sprintf "%h" v) (Json_ref.to_string (J.Float v))
+        (J.to_string (J.Float v)))
+    float_edges
+
+(* scaled mantissas across every decimal magnitude the digit writer
+   handles, plus exact multiples of 2^-7 (the ties of six decimals) *)
+let prop_float_digits =
+  QCheck.Test.make ~name:"floats print as the reference across magnitudes" ~count:5000
+    QCheck.(
+      make ~print:(Printf.sprintf "%h")
+        Gen.(
+          oneof
+            [ map2 (fun m e -> m *. (10.0 ** float_of_int e)) (float_range (-1.0) 1.0)
+                (int_range (-12) 10);
+              map (fun k -> float_of_int k /. 128.0) (int_range (-1_000_000) 1_000_000);
+              map (fun k -> (float_of_int k +. 0.5) /. 1e6) (int_range (-1_000_000) 1_000_000) ]))
+    (fun v -> String.equal (J.to_string (J.Float v)) (Json_ref.to_string (J.Float v)))
 
 (* raw lines: JSON-shaped fragments, escapes good and bad, truncated
    \u escapes, stray bytes *)
@@ -271,10 +336,19 @@ let summary i =
 
 let sample_source = "program p is\n  -- a \"quoted\" \\ comment\tand caf\xc3\xa9\nend p;\n"
 
+let sample_outline =
+  List.map
+    (fun (ol_name, ol_kind, ol_iface) ->
+      { Analysis.Semdiff.ol_name; ol_kind; ol_digest = Digest.to_hex (Digest.string ol_name);
+        ol_iface })
+    Analysis.Semdiff.
+      [ ("byte", K_type, ""); ("caf\xc3\xa9", K_const, ""); ("g", K_var, "");
+        ("p \"q\"", K_sub, "0123456789abcdef0123456789abcdef") ]
+
 let sample_job =
   P.job ~id:"j1" ~analyze:true ~deadline_s:2.5
     ~baseline:
-      { Echo.Verify.vb_program = sample_source; vb_results = List.init 4 summary }
+      { Echo.Verify.vb_outline = sample_outline; vb_results = List.init 4 summary }
     ~source:sample_source ()
 
 let sample_outcome =
@@ -285,6 +359,7 @@ let sample_outcome =
     w_discharged = 0; w_carried = 2; w_cache_hits = 1; w_cache_misses = 3;
     w_attempts = 7; w_impacted_subs = 1;
     w_results = List.init 4 summary;
+    w_outline = Some sample_outline;
     w_notes = [ "note\twith tab" ];
     w_seconds = 0.25;
   }
@@ -367,32 +442,54 @@ let minor_words f =
   ignore (Sys.opaque_identity (f ()));
   int_of_float (Gc.minor_words () -. before)
 
-(* an edit job's assignment as the daemon sends it: the edited source,
-   and the baseline's source with one verdict per baseline VC *)
-let aes_edit_assignment =
+(* one verdict per AES VC, as a served AES job reports them *)
+let aes_results =
   lazy
     (let prog = Lazy.force Test_vcgen.aes_annotated in
      let gen = Vcgen.generate (fst (Typecheck.check prog)) prog in
-     let results =
-       List.mapi
-         (fun i (vc : Logic.Formula.vc) ->
-           {
-             Echo.Verify.vs_name = vc.Logic.Formula.vc_name;
-             vs_sub = vc.Logic.Formula.vc_sub;
-             vs_digest = Logic.Formula.vc_digest vc;
-             vs_status = (if i mod 20 = 0 then "hinted:1" else "auto");
-             vs_attempts = 1 + (i mod 3);
-             vs_time = 0.000125 *. float_of_int (i mod 17);
-             vs_cached = i mod 2 = 0;
-           })
-         (Vcgen.all_vcs gen)
-     in
+     List.mapi
+       (fun i (vc : Logic.Formula.vc) ->
+         {
+           Echo.Verify.vs_name = vc.Logic.Formula.vc_name;
+           vs_sub = vc.Logic.Formula.vc_sub;
+           vs_digest = Logic.Formula.vc_digest vc;
+           vs_status = (if i mod 20 = 0 then "hinted:1" else "auto");
+           vs_attempts = 1 + (i mod 3);
+           vs_time = 0.000125 *. float_of_int (i mod 17);
+           vs_cached = i mod 2 = 0;
+         })
+       (Vcgen.all_vcs gen))
+
+(* an edit job's assignment as the daemon sends it: the edited source,
+   and the baseline's outline with one verdict per baseline VC *)
+let aes_edit_assignment =
+  lazy
+    (let prog = Lazy.force Test_vcgen.aes_annotated in
      let job =
        P.job ~id:"edit-1"
-         ~baseline:{ Echo.Verify.vb_program = Lazy.force aes_source; vb_results = results }
+         ~baseline:
+           { Echo.Verify.vb_outline = Analysis.Semdiff.outline prog;
+             vb_results = Lazy.force aes_results }
          ~source:(Test_vcgen.assert_edit prog "shift_rows") ()
      in
      J.to_string (P.assignment_to_json { P.as_job = job; as_attempt = 1; as_telemetry = None }))
+
+(* the verdict event a worker sends for an AES job, as a JSON tree *)
+let aes_verdict_event =
+  lazy
+    (let results = Lazy.force aes_results in
+     let n = List.length results in
+     P.event_to_json
+       (P.Verdict
+          { ev_job = "edit-1"; ev_dedup = false; ev_attempts = 1;
+            ev_outcome =
+              { P.w_verdict = "verified"; w_fault = None; w_total = n; w_auto = n - 20;
+                w_hinted = 20; w_residual = 0; w_timed_out = 0; w_discharged = 0;
+                w_carried = n - 42; w_cache_hits = 40; w_cache_misses = 2; w_attempts = 411;
+                w_impacted_subs = 6; w_results = results;
+                w_outline = Some (Analysis.Semdiff.outline (Lazy.force Test_vcgen.aes_annotated));
+                w_notes = [ "impact: 6 subprogram(s) re-prove, 23 carried (341 VC verdict(s))" ];
+                w_seconds = 0.017834 } }))
 
 (* Budgets: the words measured on these inputs plus a 10% margin
    (parse 187,103, decode 59,542).  The replaced parser allocates 280,955
@@ -400,6 +497,13 @@ let aes_edit_assignment =
    bounds; the references are measured below to keep that visible. *)
 let parse_budget = 206_000
 let decode_budget = 66_000
+
+(* Encoding the AES verdict event (61,477 bytes, one float per VC)
+   measured 3,631 words; the bound is that plus 10%.  The encoder it
+   replaced, which printed every float through [Printf.sprintf "%.6f"]
+   and copied the trimmed digits, took 27,620 words on a tree of the
+   same shape and bytes, and the reference codec takes 45,196. *)
+let encode_budget = 4_000
 
 let test_alloc_parse () =
   let src = Lazy.force aes_source in
@@ -426,15 +530,31 @@ let test_alloc_decode () =
   Alcotest.(check bool) "the reference codec is over the budget" true
     (ref_words > decode_budget)
 
+let test_alloc_encode () =
+  let json = Lazy.force aes_verdict_event in
+  ignore (J.to_string json);
+  let words = minor_words (fun () -> J.to_string json) in
+  let ref_words = minor_words (fun () -> Json_ref.to_string json) in
+  Printf.printf "Json.to_string of an AES verdict, %d bytes: %d minor words (reference %d)\n"
+    (String.length (J.to_string json)) words ref_words;
+  Alcotest.(check bool)
+    (Printf.sprintf "encode: %d words <= %d" words encode_budget)
+    true (words <= encode_budget);
+  Alcotest.(check bool) "the reference codec is over the budget" true
+    (ref_words > encode_budget)
+
 let suites =
   [ ( "text:lexer-parser-identity",
       [ Alcotest.test_case "example programs and test fixtures" `Quick test_fixtures;
         Alcotest.test_case "annotated AES and its assert edits" `Quick test_aes_and_edits;
         Alcotest.test_case "one byte deleted or inserted" `Quick test_damaged_fixtures;
         Alcotest.test_case "literals, case and markers" `Quick test_based_literals_and_case;
+        Alcotest.test_case "literals out of range are errors" `Quick test_literals_out_of_range;
         QCheck_alcotest.to_alcotest prop_printed_bodies ] );
     ( "text:json-identity",
       [ QCheck_alcotest.to_alcotest prop_json_encode;
+        Alcotest.test_case "float edge cases" `Quick test_float_edges;
+        QCheck_alcotest.to_alcotest prop_float_digits;
         QCheck_alcotest.to_alcotest prop_json_decode;
         QCheck_alcotest.to_alcotest prop_json_truncated_values;
         Alcotest.test_case "error strings and offsets" `Quick test_json_errors ] );
@@ -443,4 +563,5 @@ let suites =
         QCheck_alcotest.to_alcotest prop_protocol_malformed ] );
     ( "text:alloc-budget",
       [ Alcotest.test_case "parse the annotated AES source" `Quick test_alloc_parse;
-        Alcotest.test_case "decode an AES edit assignment" `Quick test_alloc_decode ] ) ]
+        Alcotest.test_case "decode an AES edit assignment" `Quick test_alloc_decode;
+        Alcotest.test_case "encode an AES wire outcome" `Quick test_alloc_encode ] ) ]
