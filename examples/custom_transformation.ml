@@ -4,8 +4,8 @@
 
    This example defines a strength-reduction transformation (x * 2 becomes
    x + x on modular operands), applies it through the framework — which
-   re-type-checks the program and checks instance equivalence — and shows a
-   bad transformation being rejected.
+   re-type-checks the program and certifies the instance — and shows a bad
+   transformation being refuted.
 
    Run with: dune exec examples/custom_transformation.exe *)
 
@@ -73,24 +73,24 @@ let () =
   let env, prog = Typecheck.check (Parser.of_string source) in
   let h = Refactor.History.create env prog in
 
-  (* sound transformation: applies, with differential evidence *)
-  let step =
-    Refactor.History.apply ~entries:[ "double_all" ] h (strength_reduce ~proc:"double_all")
-  in
-  Fmt.pr "applied %s: %a@." step.Refactor.History.st_name
-    Fmt.(list ~sep:(any ", ") Refactor.History.pp_evidence)
-    step.Refactor.History.st_evidence;
+  let certify = Refactor.Certify.default_config ~entries:[ "double_all" ] () in
+  (* sound transformation: applies, and its certificate is recorded *)
+  let step = Refactor.History.apply ~certify h (strength_reduce ~proc:"double_all") in
+  Fmt.pr "applied %s: %s@." step.Refactor.History.st_name
+    (Option.fold ~none:"uncertified" ~some:Refactor.Certify.describe
+       step.Refactor.History.st_certificate);
   let _, prog' = Refactor.History.current h in
   let sub = Ast.find_sub_exn prog' "double_all" in
   Fmt.pr "transformed body:@.%a@." (fun ppf b -> Fmt.string ppf (Pretty.stmts_to_string b))
     sub.Ast.sub_body;
 
-  (* unsound transformation on a fresh copy: rejected by the
+  (* unsound transformation on a fresh copy: refuted by the
      instance-equivalence check *)
   let h2 = Refactor.History.create env prog in
-  (match Refactor.History.apply ~entries:[ "double_all" ] h2 (bogus_reduce ~proc:"double_all") with
+  (match Refactor.History.apply ~certify h2 (bogus_reduce ~proc:"double_all") with
   | _ -> Fmt.pr "BUG: unsound transformation was accepted!@."
-  | exception Refactor.Transform.Not_applicable msg ->
-      Fmt.pr "@.unsound transformation rejected:@.  %s@." msg);
+  | exception Refactor.Certify.Refutation { rf_step; rf_cx } ->
+      Fmt.pr "@.unsound transformation %s refuted:@.  %s@." rf_step
+        (Refactor.Certify.counterexample_to_string rf_cx));
   Fmt.pr "@.history: %d step(s) recorded; undo restores the pre-image@."
     (Refactor.History.step_count h)

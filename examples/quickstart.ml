@@ -65,15 +65,17 @@ let () =
       Fmt.pr "@.suggested: reroll %d groups of %d statements at %s:%d@." count len sub from
   | [] -> Fmt.pr "@.no suggestions@.");
 
-  (* 4. apply the rerolling, with the semantics-preservation check *)
+  (* 4. apply the rerolling and certify that it preserved semantics *)
   let h = Refactor.History.create env prog in
   let step =
-    Refactor.History.apply ~entries:[ "bump"; "clear" ] h
+    Refactor.History.apply
+      ~certify:(Refactor.Certify.default_config ~entries:[ "bump"; "clear" ] ())
+      h
       (Refactor.Reroll.reroll ~proc:"clear" ~from:0 ~group_len:1 ~count:16 ~var:"i")
   in
-  Fmt.pr "applied %s (%a)@." step.Refactor.History.st_name
-    Fmt.(list ~sep:(any ", ") Refactor.History.pp_evidence)
-    step.Refactor.History.st_evidence;
+  Fmt.pr "applied %s (%s)@." step.Refactor.History.st_name
+    (Option.fold ~none:"uncertified" ~some:Refactor.Certify.describe
+       step.Refactor.History.st_certificate);
 
   (* the rerolled loop needs its invariant back *)
   let _env, prog = Refactor.History.current h in

@@ -71,7 +71,7 @@ type kat_outcome = {
 
 (** Check every FIPS-197 vector (encrypt and decrypt directions) against a
     MiniSpark AES program with the standard entry points. *)
-let check_program env program : kat_outcome list =
+let run_vectors env program : kat_outcome list =
   List.map
     (fun v ->
       let nk = Aes_reference.nk_of v.size in

@@ -27,7 +27,7 @@ type kat_outcome = {
   ko_decrypt_ok : bool;
 }
 
-val check_program :
+val run_vectors :
   Minispark.Typecheck.env -> Minispark.Ast.program -> kat_outcome list
 
 val all_pass : kat_outcome list -> bool

@@ -1,8 +1,8 @@
 (* The verification refactoring of the optimized AES implementation
    (§6.2.1/§6.2.2): transformations grouped into 14 blocks, applied
-   mechanically with per-instance applicability checks, differential
-   semantics-preservation evidence on the public entry points, and FIPS-197
-   known-answer validation after every block.
+   mechanically with per-instance applicability checks, FIPS-197
+   known-answer validation after every block, and (under certification) a
+   certificate per step.
 
    The blocks follow the paper's §6.2.2 grouping (numbering differs
    slightly in order but covers the same categories):
@@ -30,18 +30,7 @@ module Parser = Minispark.Parser
 module H = Refactor.History
 module T = Refactor.Transform
 
-let entries = [ "encrypt_block"; "decrypt_block" ]
-let trials = 8
-
-(* Whether the current [run] certifies.  Its steps are then applied
-   without the entry-point differential and certified afterwards in one
-   batch ([H.certify]).  The block scripts funnel every application
-   through [apply], so one ref threads the mode without changing 50 call
-   sites. *)
-let certifying = ref false
-
-let apply h tr =
-  ignore (if !certifying then H.apply h tr else H.apply ~entries ~trials h tr)
+let apply h tr = ignore (H.apply h tr)
 
 (* KAT gate: every block must leave FIPS-197 behaviour intact.  The gate
    interprets full AES blocks, so it gets its own span — without one its
@@ -50,7 +39,7 @@ let apply h tr =
 let check_kats h =
   Telemetry.with_span ~cat:"gate" "kat-gate" (fun () ->
       let env, prog = H.current h in
-      if not (Aes_kat.all_pass (Aes_kat.check_program env prog)) then
+      if not (Aes_kat.all_pass (Aes_kat.run_vectors env prog)) then
         failwith "refactoring broke a FIPS-197 known-answer test")
 
 (* ------------------------------------------------------------------ *)
@@ -735,8 +724,9 @@ type snapshot = {
     the seeded-defect experiment, where the vectors are not part of the
     Echo process).  With [certify], every step is certified once all
     blocks are applied, in one batch; a failing block first certifies the
-    steps before it, so a refutation among them wins.  [start] overrides
-    the initial program (defaults to the pristine optimized
+    steps before it, so a refutation among them wins.  A config without
+    entry points gets [encrypt_block] and [decrypt_block].  [start]
+    overrides the initial program (defaults to the pristine optimized
     implementation).  Returns the per-block snapshots (block 0 first) and
     the history. *)
 let run ?(upto = 14) ?(kat_gate = true) ?certify ?start () =
@@ -762,8 +752,11 @@ let run ?(upto = 14) ?(kat_gate = true) ?certify ?start () =
   (match certify with
   | None -> run_blocks ()
   | Some cfg ->
-      certifying := true;
-      Fun.protect
-        ~finally:(fun () -> certifying := false)
-        (fun () -> H.run_certified ~entries cfg h run_blocks));
+      (* the public entry points certify steps that change the program's
+         shape, unless the caller configured its own *)
+      let cfg =
+        if cfg.Refactor.Certify.cf_entries <> [] then cfg
+        else { cfg with cf_entries = [ "encrypt_block"; "decrypt_block" ] }
+      in
+      H.run_certified cfg h run_blocks);
   (List.rev !snapshots, h)

@@ -1,7 +1,7 @@
 (** The verification refactoring of the optimized AES (§6.2.1/§6.2.2):
     fourteen blocks of transformations, each mechanically checked, with
-    differential semantics-preservation evidence on the public entry
-    points and FIPS-197 validation after every block. *)
+    FIPS-197 validation after every block and, under certification, a
+    certificate per step. *)
 
 type block = {
   b_index : int;
@@ -30,6 +30,8 @@ val run :
     all blocks are applied first, then every step is certified in one
     {!Refactor.History.certify} batch.  A failing block first certifies
     the steps before it, so a refutation among them is what is raised.
+    A config with no [cf_entries] certifies with the public entry points
+    [encrypt_block] and [decrypt_block].
     [start] overrides the initial program.
     @raise Refactor.Transform.Not_applicable when a transformation's
     mechanical applicability check rejects (how defects are caught at this

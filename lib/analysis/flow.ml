@@ -431,7 +431,7 @@ let unused_globals program =
 
 (* ------------------------------------------------------------------ *)
 
-let check_sub program (sub : Ast.subprogram) =
+let check_subprogram program (sub : Ast.subprogram) =
   let unset = out_unset program sub in
   (* names already reported as OUT_UNSET: suppress the redundant
      FLOW_UNUSED for the same parameter *)
@@ -457,4 +457,4 @@ let check_sub program (sub : Ast.subprogram) =
 
 let check program =
   unused_globals program
-  @ List.concat_map (check_sub program) (Ast.subprograms program)
+  @ List.concat_map (check_subprogram program) (Ast.subprograms program)

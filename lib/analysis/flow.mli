@@ -37,7 +37,7 @@
     variable as [in out] legal, and the annotated AES case study does
     exactly that. *)
 
-val check_sub :
+val check_subprogram :
   Minispark.Ast.program -> Minispark.Ast.subprogram -> Diag.t list
 
 (** All subprograms, in declaration order. *)

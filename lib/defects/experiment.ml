@@ -129,9 +129,6 @@ let run_one ?(max_steps = 20_000) ~(baselines : baselines) setup (defect : Seed.
       match Aes.Aes_refactoring.run ~kat_gate:false ~start () with
       | exception Refactor.Transform.Not_applicable msg ->
           { rr_defect = defect; rr_stage = Caught_refactoring; rr_note = msg }
-      | exception e ->
-          { rr_defect = defect; rr_stage = Caught_refactoring;
-            rr_note = "transformation machinery failed: " ^ Printexc.to_string e }
       | snapshots, _ -> (
           let final = List.nth snapshots 14 in
           let prog = final.Aes.Aes_refactoring.sn_program in

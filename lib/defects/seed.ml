@@ -33,7 +33,7 @@ type defect = {
 }
 
 (* deterministic xorshift *)
-let make_rng seed =
+let xorshift seed =
   let state = ref (if seed = 0 then 2463534242 else seed) in
   fun () ->
     let x = !state in
@@ -178,7 +178,7 @@ let breaks_behaviour (program : Ast.program) (apply : Ast.program -> Ast.program
       match Minispark.Typecheck.check defective with
       | exception Minispark.Typecheck.Type_error _ -> true (* still a caught fault *)
       | env, defective -> (
-          match Aes.Aes_kat.check_program env defective with
+          match Aes.Aes_kat.run_vectors env defective with
           | outcomes -> not (Aes.Aes_kat.all_pass outcomes)
           | exception _ -> true))
 
@@ -194,7 +194,7 @@ let seed_all ?(seed = 20090629)
       [ ("s0", "s1"); ("t1", "t2"); ("te1", "te2"); ("td1", "td2"); ("s3", "s2");
         ("te4", "te0"); ("td4", "td0") ])
     (program : Ast.program) : defect list =
-  let rng = make_rng seed in
+  let rng = xorshift seed in
   let pick_sub k = List.nth subs (k mod List.length subs) in
   let expr_defect dtype ~site ~rewrite ~describe k =
     (* slide to a subprogram that has sites of this kind at all *)
@@ -231,7 +231,7 @@ let seed_all ?(seed = 20090629)
   let numeric k =
     let r = rng () in
     expr_defect Numeric_value ~site:is_interesting_literal
-      ~rewrite:(fun e -> flip_literal (make_rng r) e)
+      ~rewrite:(fun e -> flip_literal (xorshift r) e)
       ~describe:"changed numeric value" k
   in
   let index k =

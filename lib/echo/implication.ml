@@ -42,7 +42,7 @@ type result = {
 }
 
 (* deterministic xorshift *)
-let make_rng seed =
+let xorshift seed =
   let state = ref (if seed = 0 then 88172645463325252 else seed) in
   fun () ->
     let x = !state in
@@ -90,7 +90,7 @@ let sampled ~name ~original ~extracted ~gen ~count ~lhs ~rhs () =
     lm_extracted = extracted;
     lm_run =
       (fun () ->
-        let rng = make_rng (Hashtbl.hash name) in
+        let rng = xorshift (Hashtbl.hash name) in
         let rec go k =
           if k >= count then Holds (Sampled count)
           else

@@ -431,7 +431,7 @@ let plan_carry st env annotated (b : Implementation_proof.baseline) =
 (* The stages                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* when certifying, the equivalence-VC cache shares the proof cache's
+(* under certification, the equivalence-VC cache shares the proof cache's
    handle: the keys are disjoint (a ":certify:" suffix), and a resumed
    or repeated script re-certifies for free *)
 let certify_config_of st =

@@ -13,12 +13,13 @@
       repeated script re-certifies for free.  Loopy or under-constrained
       bodies make generation raise [Infeasible], and an unproved VC is
       never a refutation — both fall through to:
-   3. [M_oracle] — dynamic side: a differential fuzzing oracle.  QCheck
-      generates typed inputs (from the after version's parameter types,
-      restricted to the precondition's sampling domains), both versions
-      run under a fuel bound, and final values are compared.  Small
-      domains are enumerated exhaustively — a decision, not a test.  A
-      mismatch, a crash, or fuel exhaustion introduced by the rewrite is
+   3. [M_oracle] — dynamic side: the differential oracle
+      ({!Equivalence.oracle}, [cf_trials] seeded samples under [cf_fuel]).
+      QCheck generates typed inputs (from the after version's parameter
+      types, restricted to the precondition's sampling domains), both
+      versions run under the fuel bound, and final values are compared.
+      Small domains are enumerated exhaustively — a decision, not a test.
+      A mismatch, a crash, or fuel exhaustion introduced by the rewrite is
       a concrete counterexample: the step is [Refuted].
    4. [M_entries] — a target the oracle cannot sample locally falls back
       to differential execution of the configured entry points (the
@@ -31,16 +32,14 @@ open Minispark
 module F = Logic.Formula
 module P = Logic.Prover
 
-type counterexample = {
-  cx_sub : string;       (** subprogram (or entry point) that disagreed *)
-  cx_inputs : string;    (** concrete input values *)
-  cx_before : string;    (** original's result *)
-  cx_after : string;     (** refactored result *)
+type counterexample = Equivalence.counterexample = {
+  cx_sub : string;
+  cx_inputs : string;
+  cx_before : string;
+  cx_after : string;
 }
 
-let counterexample_to_string cx =
-  Printf.sprintf "%s(%s): %s vs %s" cx.cx_sub cx.cx_inputs cx.cx_before
-    cx.cx_after
+let counterexample_to_string = Equivalence.counterexample_to_string
 
 type method_ =
   | M_identical
@@ -250,148 +249,6 @@ let cache_entry (r : P.proof_result) =
   | P.Timeout _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic side: QCheck differential oracle                            *)
-(* ------------------------------------------------------------------ *)
-
-let rec gen_value env (d : Equivalence.domain option) (t : Ast.typ) :
-    Value.t QCheck.Gen.t =
-  let open QCheck.Gen in
-  match d with
-  | Some (Equivalence.Dmember vs) ->
-      let vs = Array.of_list vs in
-      map
-        (fun i ->
-          let v = vs.(i) in
-          match Typecheck.resolve env t with
-          | Ast.Tmod m -> Value.Vmod (((v mod m) + m) mod m, m)
-          | _ -> Value.Vint v)
-        (int_bound (Array.length vs - 1))
-  | Some (Equivalence.Dbelow n) -> (
-      match Typecheck.resolve env t with
-      | Ast.Tmod m -> map (fun v -> Value.Vmod (v, m)) (int_bound (max 0 (min n m - 1)))
-      | Ast.Tint (Some (lo, _)) ->
-          map (fun v -> Value.Vint v) (int_range lo (max lo (n - 1)))
-      | _ -> map (fun v -> Value.Vint v) (int_bound (max 0 (n - 1))))
-  | Some (Equivalence.Delems_below n) -> (
-      match Typecheck.resolve env t with
-      | Ast.Tarray (lo, hi, elt) ->
-          map
-            (fun arr -> Value.Varray (lo, arr))
-            (array_size
-               (return (hi - lo + 1))
-               (gen_value env (Some (Equivalence.Dbelow n)) elt))
-      | t -> gen_value env None t)
-  | None -> (
-      match Typecheck.resolve env t with
-      | Ast.Tbool -> map (fun b -> Value.Vbool b) bool
-      | Ast.Tint (Some (lo, hi)) -> map (fun v -> Value.Vint v) (int_range lo hi)
-      | Ast.Tint None -> map (fun v -> Value.Vint v) (int_range (-1000) 1000)
-      | Ast.Tmod m -> map (fun v -> Value.Vmod (v, m)) (int_bound (m - 1))
-      | Ast.Tarray (lo, hi, elt) ->
-          map
-            (fun arr -> Value.Varray (lo, arr))
-            (array_size (return (hi - lo + 1)) (gen_value env None elt))
-      | Ast.Tnamed _ -> assert false)
-
-(* typed input generator for a subprogram, honouring the precondition's
-   sampling domains *)
-let gen_inputs env (sub : Ast.subprogram) : Value.t list QCheck.Gen.t =
-  let domains = Equivalence.domains_of_pre sub.Ast.sub_pre in
-  QCheck.Gen.flatten_l
-    (List.filter_map
-       (fun (p : Ast.param) ->
-         match p.Ast.par_mode with
-         | Ast.Mode_in | Ast.Mode_in_out ->
-             Some
-               (gen_value env
-                  (List.assoc_opt p.Ast.par_name domains)
-                  p.Ast.par_typ)
-         | Ast.Mode_out -> None)
-       sub.Ast.sub_params)
-
-type oracle_outcome =
-  | O_agree of { trials : int; exhaustive : bool }
-  | O_refuted of counterexample
-  | O_unknown of string
-
-let show_values vs = String.concat ", " (List.map Value.to_string vs)
-
-(* one differential trial over memoized runs of the two versions;
-   [None] = agreement *)
-let run_case ~run_a ~run_b name inputs =
-  let cx before after =
-    Some
-      (`Cx { cx_sub = name; cx_inputs = show_values inputs;
-             cx_before = before; cx_after = after })
-  in
-  match (run_a inputs : Equivalence.outcome) with
-  | R_fuel ->
-      Some (`Undecided (Printf.sprintf "original %s exhausts the fuel bound" name))
-  | R_raised msg -> (
-      (* the original crashed on a valid input: compare failure behaviour *)
-      match (run_b inputs : Equivalence.outcome) with
-      | R_raised _ -> None
-      | R_vals _ | R_fuel -> cx (Printf.sprintf "raised: %s" msg) "a result")
-  | R_vals ra -> (
-      match (run_b inputs : Equivalence.outcome) with
-      | R_fuel -> cx (show_values ra) "out of fuel (divergence introduced)"
-      | R_raised msg -> cx (show_values ra) (Printf.sprintf "raised: %s" msg)
-      | R_vals rb ->
-          if Equivalence.values_equal ra rb then None
-          else cx (show_values ra) (show_values rb))
-
-let oracle cfg ~trials (env_a, prog_a) (env_b, prog_b) name : oracle_outcome =
-  match (Ast.find_sub prog_a name, Ast.find_sub prog_b name) with
-  | None, _ | _, None ->
-      O_unknown (Printf.sprintf "%s is not present in both versions" name)
-  | Some sub_a, Some sub_b -> (
-      let run_a = Equivalence.runner ~fuel:cfg.cf_fuel env_a prog_a sub_a in
-      let run_b = Equivalence.runner ~fuel:cfg.cf_fuel env_b prog_b sub_b in
-      let case inputs = run_case ~run_a ~run_b name inputs in
-      match Equivalence.enumerate_inputs env_b sub_b with
-      | Some all ->
-          (* small domain: decide by exhaustion *)
-          let valid = List.filter (Equivalence.satisfies_pre env_b prog_b sub_b) all in
-          let rec go n = function
-            | [] ->
-                if n = 0 then
-                  O_unknown (Printf.sprintf "no valid inputs for %s" name)
-                else O_agree { trials = n; exhaustive = true }
-            | inputs :: rest -> (
-                match case inputs with
-                | None -> go (n + 1) rest
-                | Some (`Cx cx) -> O_refuted cx
-                | Some (`Undecided why) -> O_unknown why)
-          in
-          go 0 valid
-      | None ->
-          (* zero trials would "agree" vacuously — that is no evidence,
-             not a certificate *)
-          if trials <= 0 then
-            O_unknown (Printf.sprintf "zero oracle trials configured for %s" name)
-          else
-          let rand =
-            Random.State.make [| cfg.cf_seed; Hashtbl.hash name; trials |]
-          in
-          let gen = gen_inputs env_b sub_b in
-          let rec go k rejections =
-            if k >= trials then O_agree { trials = k; exhaustive = false }
-            else if rejections > 200 * trials then
-              O_unknown
-                (Printf.sprintf "cannot sample the precondition of %s" name)
-            else
-              let inputs = gen rand in
-              if not (Equivalence.satisfies_pre env_b prog_b sub_b inputs) then
-                go k (rejections + 1)
-              else
-                match case inputs with
-                | None -> go (k + 1) rejections
-                | Some (`Cx cx) -> O_refuted cx
-                | Some (`Undecided why) -> O_unknown why
-          in
-          go 0 0)
-
-(* ------------------------------------------------------------------ *)
 (* The decision procedure, over a batch of steps                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -429,7 +286,7 @@ type job =
 
 type job_result =
   | Proof of P.proof_result
-  | Runs of (int * oracle_outcome * float) list  (* step, outcome, seconds *)
+  | Runs of (int * Equivalence.verdict * float) list  (* step, verdict, seconds *)
 
 (* rough costs, for the dispatch order only: an oracle chain weighs 4000
    per step (a few ms each on AES), a VC its formula's node count *)
@@ -441,7 +298,9 @@ let run_oracle cfg (step : step) name =
   Telemetry.with_span ~cat:Telemetry.cat_transform
     ~attrs:[ ("step", Telemetry.S step.sp_name); ("target", Telemetry.S name) ]
     "oracle"
-    (fun () -> oracle cfg ~trials:cfg.cf_trials step.sp_before step.sp_after name)
+    (fun () ->
+      Equivalence.oracle ~seed:cfg.cf_seed ~trials:cfg.cf_trials ~fuel:cfg.cf_fuel
+        step.sp_before step.sp_after name)
 
 let run_job cfg steps = function
   | Prove { vc; _ } -> Proof (P.prove_vc ~hints:P.standard_hints vc)
@@ -557,11 +416,11 @@ let decide_step cfg ~proof ~outcome (step : step) plan : certificate * stats =
                 | [] -> `Agree total
                 | e :: rest -> (
                     match outcome e with
-                    | O_agree { trials; _ } ->
+                    | Equivalence.Agree { trials; _ } ->
                         add_trials trials;
                         go (total + trials) rest
-                    | O_refuted cx -> `Refuted cx
-                    | O_unknown why -> `Unknown why)
+                    | Equivalence.Refuted cx -> `Refuted cx
+                    | Equivalence.Undecided why -> `Unknown why)
               in
               go 0 usable)
       in
@@ -569,11 +428,11 @@ let decide_step cfg ~proof ~outcome (step : step) plan : certificate * stats =
         | [] -> Certified (vc_certified @ List.rev acc)
         | t :: rest -> (
             match outcome t.tg_name with
-            | O_agree { trials; exhaustive } ->
+            | Equivalence.Agree { trials; exhaustive } ->
                 add_trials trials;
                 decide ((t.tg_name, M_oracle { trials; exhaustive }) :: acc) rest
-            | O_refuted cx -> Refuted cx
-            | O_unknown why -> (
+            | Equivalence.Refuted cx -> Refuted cx
+            | Equivalence.Undecided why -> (
                 (* locally undecidable: fall back to the entry points *)
                 match Lazy.force entries_fallback with
                 | `Agree trials ->
@@ -638,7 +497,7 @@ let certify_steps cfg (steps : step list) : (certificate * stats) list =
      One job per target name keeps the run memo's cross-step hits on one
      domain.  At width 1 nothing is split, and one job per step and
      target, in step order, also keeps the interpreter's few-program
-     cache warm, as certifying step by step does. *)
+     cache warm, as step-by-step certification does. *)
   let group i name = ((if cfg.cf_jobs > 1 then -1 else i), name) in
   let oracle_steps = Hashtbl.create 64 and names = ref [] in
   Array.iteri

@@ -4,9 +4,9 @@
     it preserved semantics.  Per touched subprogram the decision
     procedure tries, in order: annotation-only identity; static
     equivalence VCs ({!Vcgen.equivalence_sub}) discharged on the proof
-    farm through the content-addressed cache; a QCheck-driven
-    differential fuzzing oracle with fuel-bounded interpretation
-    (divergence is a counterexample, not a hang); and differential
+    farm through the content-addressed cache; the differential oracle
+    {!Equivalence.oracle} with fuel-bounded interpretation (divergence
+    is a counterexample, not a hang); and differential
     execution of the configured entry points as a last resort.  The
     result is a {!certificate}: [Certified] with per-target evidence,
     [Refuted] with a concrete counterexample, or [Unknown].
@@ -19,7 +19,7 @@
 
 open Minispark
 
-type counterexample = {
+type counterexample = Equivalence.counterexample = {
   cx_sub : string;       (** subprogram (or entry point) that disagreed *)
   cx_inputs : string;    (** concrete input values *)
   cx_before : string;    (** original's result *)
@@ -81,7 +81,7 @@ type stats = {
           cache can amortise *)
   ct_oracle_seconds : float;
       (** wall seconds in differential interpreter runs — memoized
-          only within a process ({!Equivalence.runner}), never
+          only within a process ({!Equivalence.oracle}), never
           persisted, so a warm proof cache repays only [ct_vc_seconds] *)
 }
 (** The two timing fields are wall time, not busy time summed over farm
@@ -108,7 +108,7 @@ val certify_steps : config -> step list -> (certificate * stats) list
     the oracle for that target over its steps in step order.  The
     calling domain replays each step's sequential decision over those
     outcomes, so certificates, counterexamples and every count equal
-    certifying the steps one at a time in order (a cache hit included,
+    certification of the steps one at a time in order (a cache hit included,
     when an earlier step of the batch proved the key).  The oracle also
     runs, unused, for targets an equivalence VC turns out to certify and
     for targets after a step's refutation.  With telemetry on, the

@@ -1,49 +1,42 @@
-(* Semantics-preservation checking (§5.1).
+(* Semantics-preservation checking (§5.1): the one differential oracle.
 
    The paper proves, in PVS, the theorem
        init_state(P) = init_state(P') => final_state(P) = final_state(P')
-   for each generalised transformation.  This module is the mechanical
+   once per generalised transformation.  This module is the mechanical
    substitute: for the *instance* actually applied, it decides or tests the
-   theorem directly —
+   theorem directly, and every dynamic check in the refactoring library
+   goes through it —
 
-   - [check_sub]: differential execution of one subprogram in two program
-     versions over (a) deterministically generated random inputs and (b)
-     exhaustive enumeration when the input domain is small;
-   - [check_program]: differential execution of a set of entry points;
+   - [oracle]: differential execution of one subprogram in two program
+     versions, over every valid input when the input domain is small (a
+     decision) and over QCheck-generated inputs from the precondition's
+     sampling domains otherwise.  A transformation's own semantic check
+     ([Rewrite_body.replace_body]) and {!Certify}'s per-target evidence
+     both call it;
    - [check_expr_table]: exhaustive equality of a table and a replacement
      expression over the table's index range (used by table reversal — for
      finite domains this *is* a proof, not a test).
 
-   A deterministic xorshift PRNG keeps every check reproducible. *)
+   Both return one verdict type.  Every random draw is seeded, so every
+   verdict is reproducible. *)
 
 open Minispark
 
+type counterexample = {
+  cx_sub : string;
+  cx_inputs : string;
+  cx_before : string;
+  cx_after : string;
+}
+
+let counterexample_to_string cx =
+  Printf.sprintf "%s(%s): %s vs %s" cx.cx_sub cx.cx_inputs cx.cx_before
+    cx.cx_after
+
 type verdict =
-  | Equivalent of int   (** number of trials/points checked *)
-  | Counterexample of string
-
-let is_equivalent = function Equivalent _ -> true | Counterexample _ -> false
-
-(* deterministic xorshift64 *)
-let make_rng seed =
-  let state = ref (if seed = 0 then 0x1e3779b97f4a7c15 else seed) in
-  fun () ->
-    let x = !state in
-    let x = x lxor (x lsl 13) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor (x lsl 17) in
-    state := x;
-    x land max_int
-
-let rec random_value env rng (t : Ast.typ) : Value.t =
-  match Typecheck.resolve env t with
-  | Ast.Tbool -> Value.Vbool (rng () land 1 = 0)
-  | Ast.Tint (Some (lo, hi)) -> Value.Vint (lo + (rng () mod (hi - lo + 1)))
-  | Ast.Tint None -> Value.Vint ((rng () mod 2001) - 1000)
-  | Ast.Tmod m -> Value.Vmod (rng () mod m, m)
-  | Ast.Tarray (lo, hi, elt) ->
-      Value.Varray (lo, Array.init (hi - lo + 1) (fun _ -> random_value env rng elt))
-  | Ast.Tnamed _ -> assert false
+  | Agree of { trials : int; exhaustive : bool }
+  | Refuted of counterexample
+  | Undecided of string
 
 (* ------------------------------------------------------------------ *)
 (* Precondition-directed input domains                                 *)
@@ -105,42 +98,6 @@ let domains_of_pre (pre : Ast.expr option) : (string * domain) list =
               | _ -> None))
         (conjuncts pre)
 
-let rec constrained_value env rng (t : Ast.typ) (d : domain option) : Value.t =
-  match d with
-  | Some (Dmember vs) -> (
-      let v = List.nth vs (rng () mod List.length vs) in
-      match Typecheck.resolve env t with
-      | Ast.Tmod m -> Value.Vmod (v mod m, m)
-      | _ -> Value.Vint v)
-  | Some (Dbelow n) -> (
-      match Typecheck.resolve env t with
-      | Ast.Tmod m -> Value.Vmod (rng () mod min n m, m)
-      | Ast.Tint (Some (lo, _)) -> Value.Vint (lo + (rng () mod max 1 (n - lo)))
-      | _ -> Value.Vint (rng () mod n))
-  | Some (Delems_below n) -> (
-      match Typecheck.resolve env t with
-      | Ast.Tarray (lo, hi, elt) ->
-          Value.Varray
-            ( lo,
-              Array.init (hi - lo + 1) (fun _ ->
-                  constrained_value env rng elt (Some (Dbelow n))) )
-      | t -> random_value env rng t)
-  | None -> random_value env rng t
-
-(* in-domain inputs for a subprogram: values for in / in-out parameters,
-   respecting the sampling domains extracted from the precondition *)
-let random_inputs env rng (sub : Ast.subprogram) =
-  let domains = domains_of_pre sub.Ast.sub_pre in
-  List.filter_map
-    (fun (p : Ast.param) ->
-      match p.Ast.par_mode with
-      | Ast.Mode_in | Ast.Mode_in_out ->
-          Some
-            (constrained_value env rng p.Ast.par_typ
-               (List.assoc_opt p.Ast.par_name domains))
-      | Ast.Mode_out -> None)
-    sub.Ast.sub_params
-
 (* evaluate the precondition on candidate inputs (rejection filter for
    conjuncts the domain extraction did not understand) *)
 let satisfies_pre env program (sub : Ast.subprogram) inputs =
@@ -199,8 +156,8 @@ let enumerate_inputs env ?(limit = 4096) (sub : Ast.subprogram) =
   in
   product ins
 
-let run_sub ?fuel env program (sub : Ast.subprogram) inputs =
-  let rt = Interp.make ?fuel env program in
+let run_sub ~fuel env program (sub : Ast.subprogram) inputs =
+  let rt = Interp.make ~fuel env program in
   if sub.Ast.sub_return <> None then [ Interp.run_function rt sub.Ast.sub_name inputs ]
   else Interp.run_procedure rt sub.Ast.sub_name inputs
 
@@ -216,16 +173,9 @@ let values_equal a b =
 (* on what can influence them — the target's behaviour closure (see   *)
 (* [closure_digest]), the fuel left after global initialisation and   *)
 (* the inputs — not on the whole program, so a run is reused across   *)
-(* program versions whose edits lie outside the closure.  Generated   *)
-(* inputs are memoized on the whole after-program.  Both tables share *)
-(* one bound and one oldest-first eviction rule; verdicts and         *)
-(* messages are bit-identical to the unmemoized computation.          *)
+(* program versions whose edits lie outside the closure.  Verdicts    *)
+(* and counterexamples are identical to the unmemoized computation.   *)
 (* ------------------------------------------------------------------ *)
-
-type cases =
-  | C_exhaustive of Value.t list list
-  | C_sampled of Value.t list list
-  | C_cannot_sample
 
 type outcome =
   | R_vals of Value.t list
@@ -234,17 +184,11 @@ type outcome =
 
 let memo_cap = 512
 
-type memos = {
-  inputs : (string, cases) Memo.t;
-  runs : (string, outcome) Memo.t;
-}
+let runs_key : (string, outcome) Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create memo_cap)
 
-let memos_key : memos Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { inputs = Memo.create memo_cap; runs = Memo.create memo_cap })
-
-let memos () = Domain.DLS.get memos_key
-let run_memo_stats () = Memo.stats (memos ()).runs
+let runs () = Domain.DLS.get runs_key
+let run_memo_stats () = Memo.stats (runs ())
 
 let memo_readings () =
   ("oracle_memo", run_memo_stats ()) :: ("interp_memo", Interp.memo_stats ())
@@ -287,9 +231,9 @@ let outcome_of run =
    function of its key: fuel only bounds the work, and a memo hit skips
    the run's fuel as Interp's const-function memo already does.  When
    global initialisation fails every run fails the same way, unmemoized. *)
-let runner ?fuel env prog (sub : Ast.subprogram) : Value.t list -> outcome =
-  let run inputs = outcome_of (fun () -> run_sub ?fuel env prog sub inputs) in
-  match Interp.make ?fuel env prog with
+let runner ~fuel env prog (sub : Ast.subprogram) : Value.t list -> outcome =
+  let run inputs = outcome_of (fun () -> run_sub ~fuel env prog sub inputs) in
+  match Interp.make ~fuel env prog with
   | exception (Interp.Stuck _ | Value.Runtime_error _ | Interp.Out_of_fuel) -> run
   | rt ->
       let prefix =
@@ -298,93 +242,134 @@ let runner ?fuel env prog (sub : Ast.subprogram) : Value.t list -> outcome =
           (Interp.fuel_left rt)
       in
       fun inputs ->
-        Memo.find (memos ()).runs
+        Memo.find (runs ())
           (prefix ^ marshal_digest inputs)
           (fun () -> run inputs)
 
-(* inputs are generated from the *after* version's parameter types: a
+(* ------------------------------------------------------------------ *)
+(* The oracle                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let rec gen_value env (d : domain option) (t : Ast.typ) : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  match d with
+  | Some (Dmember vs) ->
+      let vs = Array.of_list vs in
+      map
+        (fun i ->
+          let v = vs.(i) in
+          match Typecheck.resolve env t with
+          | Ast.Tmod m -> Value.Vmod (((v mod m) + m) mod m, m)
+          | _ -> Value.Vint v)
+        (int_bound (Array.length vs - 1))
+  | Some (Dbelow n) -> (
+      match Typecheck.resolve env t with
+      | Ast.Tmod m -> map (fun v -> Value.Vmod (v, m)) (int_bound (max 0 (min n m - 1)))
+      | Ast.Tint (Some (lo, _)) ->
+          map (fun v -> Value.Vint v) (int_range lo (max lo (n - 1)))
+      | _ -> map (fun v -> Value.Vint v) (int_bound (max 0 (n - 1))))
+  | Some (Delems_below n) -> (
+      match Typecheck.resolve env t with
+      | Ast.Tarray (lo, hi, elt) ->
+          map
+            (fun arr -> Value.Varray (lo, arr))
+            (array_size (return (hi - lo + 1)) (gen_value env (Some (Dbelow n)) elt))
+      | t -> gen_value env None t)
+  | None -> (
+      match Typecheck.resolve env t with
+      | Ast.Tbool -> map (fun b -> Value.Vbool b) bool
+      | Ast.Tint (Some (lo, hi)) -> map (fun v -> Value.Vint v) (int_range lo hi)
+      | Ast.Tint None -> map (fun v -> Value.Vint v) (int_range (-1000) 1000)
+      | Ast.Tmod m -> map (fun v -> Value.Vmod (v, m)) (int_bound (m - 1))
+      | Ast.Tarray (lo, hi, elt) ->
+          map
+            (fun arr -> Value.Varray (lo, arr))
+            (array_size (return (hi - lo + 1)) (gen_value env None elt))
+      | Ast.Tnamed _ -> assert false)
+
+(* typed input generator for a subprogram, honouring the precondition's
+   sampling domains *)
+let gen_inputs env (sub : Ast.subprogram) : Value.t list QCheck.Gen.t =
+  let domains = domains_of_pre sub.Ast.sub_pre in
+  QCheck.Gen.flatten_l
+    (List.filter_map
+       (fun (p : Ast.param) ->
+         match p.Ast.par_mode with
+         | Ast.Mode_in | Ast.Mode_in_out ->
+             Some (gen_value env (List.assoc_opt p.Ast.par_name domains) p.Ast.par_typ)
+         | Ast.Mode_out -> None)
+       sub.Ast.sub_params)
+
+let show_values vs = String.concat ", " (List.map Value.to_string vs)
+
+(* one differential trial over memoized runs of the two versions;
+   [None] = agreement *)
+let run_case ~run_a ~run_b name inputs =
+  let cx before after =
+    Some
+      (Refuted
+         { cx_sub = name; cx_inputs = show_values inputs; cx_before = before;
+           cx_after = after })
+  in
+  match run_a inputs with
+  | R_fuel ->
+      Some (Undecided (Printf.sprintf "original %s exhausts the fuel bound" name))
+  | R_raised msg -> (
+      (* the original crashed on a valid input: compare failure behaviour *)
+      match run_b inputs with
+      | R_raised _ -> None
+      | R_vals _ | R_fuel -> cx (Printf.sprintf "raised: %s" msg) "a result")
+  | R_vals ra -> (
+      match run_b inputs with
+      | R_fuel -> cx (show_values ra) "out of fuel (divergence introduced)"
+      | R_raised msg -> cx (show_values ra) (Printf.sprintf "raised: %s" msg)
+      | R_vals rb ->
+          if values_equal ra rb then None else cx (show_values ra) (show_values rb))
+
+(* Inputs come from the *after* version's parameter types: a
    data-representation refactoring narrows value domains (word holding a
    byte value -> byte), and the narrower domain is the contract both
    versions must agree on; the interpreter's copy-in coercion widens the
-   values losslessly for the before version *)
-let cases_for ~seed ~trials env_b prog_b (sub_b : Ast.subprogram) name : cases =
-  let key =
-    Printf.sprintf "%s:%s:%d:%d" (Share.program_digest prog_b) name seed trials
-  in
-  Memo.find (memos ()).inputs key (fun () ->
+   values losslessly for the before version. *)
+let oracle ~seed ~trials ~fuel (env_a, prog_a) (env_b, prog_b) name : verdict =
+  match (Ast.find_sub prog_a name, Ast.find_sub prog_b name) with
+  | None, _ | _, None ->
+      Undecided (Printf.sprintf "%s is not present in both versions" name)
+  | Some sub_a, Some sub_b -> (
+      let run_a = runner ~fuel env_a prog_a sub_a in
+      let run_b = runner ~fuel env_b prog_b sub_b in
+      let case inputs = run_case ~run_a ~run_b name inputs in
       match enumerate_inputs env_b sub_b with
-      | Some cases ->
-          C_exhaustive (List.filter (satisfies_pre env_b prog_b sub_b) cases)
-      | None ->
-          let rng = make_rng seed in
-          let rec go k acc rejections =
-            if k >= trials then C_sampled (List.rev acc)
-            else if rejections > 200 * trials then C_cannot_sample
-            else
-              let inputs = random_inputs env_b rng sub_b in
-              if satisfies_pre env_b prog_b sub_b inputs then
-                go (k + 1) (inputs :: acc) rejections
-              else go k acc (rejections + 1)
+      | Some all ->
+          (* small domain: decide by exhaustion *)
+          let valid = List.filter (satisfies_pre env_b prog_b sub_b) all in
+          let rec go n = function
+            | [] ->
+                if n = 0 then Undecided (Printf.sprintf "no valid inputs for %s" name)
+                else Agree { trials = n; exhaustive = true }
+            | inputs :: rest -> (
+                match case inputs with None -> go (n + 1) rest | Some v -> v)
           in
-          go 0 [] 0)
-
-(** Differentially check one subprogram across two program versions.  The
-    subprogram (same name) must exist in both; inputs are exhaustive when
-    the domain is small, sampled otherwise. *)
-let check_sub ?(seed = 42) ?(trials = 64) ?fuel env_a prog_a env_b prog_b name :
-    verdict =
-  let sub_a = Ast.find_sub_exn prog_a name in
-  let sub_b = Ast.find_sub_exn prog_b name in
-  match cases_for ~seed ~trials env_b prog_b sub_b name with
-  | C_cannot_sample ->
-      Counterexample (Printf.sprintf "cannot sample the precondition of %s" name)
-  | C_exhaustive cases | C_sampled cases ->
-      let run_a = runner ?fuel env_a prog_a sub_a in
-      let run_b = runner ?fuel env_b prog_b sub_b in
-      let msg_raised m = Printf.sprintf "%s raised: %s" name m in
-      let msg_fuel inputs =
-        Printf.sprintf "%s(%s): out of fuel (divergence suspected)" name
-          (String.concat ", " (List.map Value.to_string inputs))
-      in
-      let msg_diff inputs ra rb =
-        Printf.sprintf "%s(%s): %s vs %s" name
-          (String.concat ", " (List.map Value.to_string inputs))
-          (String.concat ", " (List.map Value.to_string ra))
-          (String.concat ", " (List.map Value.to_string rb))
-      in
-      (* the after version is inspected first, matching the historical
-         right-to-left evaluation of the compared pair *)
-      let case_failure inputs =
-        match run_b inputs with
-        | R_raised m -> Some (msg_raised m)
-        | R_fuel -> Some (msg_fuel inputs)
-        | R_vals rb -> (
-            match run_a inputs with
-            | R_raised m -> Some (msg_raised m)
-            | R_fuel -> Some (msg_fuel inputs)
-            | R_vals ra ->
-                if values_equal ra rb then None else Some (msg_diff inputs ra rb))
-      in
-      let rec scan = function
-        | [] -> Equivalent (List.length cases)
-        | inputs :: rest -> (
-            match case_failure inputs with
-            | Some msg -> Counterexample msg
-            | None -> scan rest)
-      in
-      scan cases
-
-(** Differentially check a whole program through the given entry points. *)
-let check_program ?(seed = 42) ?(trials = 32) ?fuel ~entries env_a prog_a env_b
-    prog_b : verdict =
-  let rec go total = function
-    | [] -> Equivalent total
-    | name :: rest -> (
-        match check_sub ~seed ~trials ?fuel env_a prog_a env_b prog_b name with
-        | Equivalent n -> go (total + n) rest
-        | Counterexample _ as c -> c)
-  in
-  go 0 entries
+          go 0 valid
+      | None ->
+          (* zero trials would "agree" vacuously — that is no evidence *)
+          if trials <= 0 then
+            Undecided (Printf.sprintf "zero oracle trials configured for %s" name)
+          else
+            let rand = Random.State.make [| seed; Hashtbl.hash name; trials |] in
+            let gen = gen_inputs env_b sub_b in
+            let rec go k rejections =
+              if k >= trials then Agree { trials = k; exhaustive = false }
+              else if rejections > 200 * trials then
+                Undecided (Printf.sprintf "cannot sample the precondition of %s" name)
+              else
+                let inputs = gen rand in
+                if not (satisfies_pre env_b prog_b sub_b inputs) then
+                  go k (rejections + 1)
+                else
+                  match case inputs with None -> go (k + 1) rejections | Some v -> v
+            in
+            go 0 0)
 
 (** Exhaustive proof that [replacement] (an expression over the variable
     [index_var]) computes exactly the entries of constant table [table]:
@@ -392,25 +377,22 @@ let check_program ?(seed = 42) ?(trials = 32) ?fuel ~entries env_a prog_a env_b
     Finite domain, every point checked — a decision, not a test. *)
 let check_expr_table env program ~table ~index_var ~replacement : verdict =
   let rt = Interp.make env program in
-  let table_value = Interp.global_value rt table in
-  let lo, data = Value.as_array table_value in
-  let bad = ref None in
-  Array.iteri
-    (fun k expected ->
-      if !bad = None then
-        let i = lo + k in
-        match Interp.eval_expr rt [ (index_var, Value.Vint i) ] replacement with
-        | v when Value.equal v expected -> ()
-        | v ->
-            bad :=
-              Some
-                (Printf.sprintf "%s(%d) = %s but replacement yields %s" table i
-                   (Value.to_string expected) (Value.to_string v))
-        | exception (Interp.Stuck msg | Value.Runtime_error msg) ->
-            bad := Some (Printf.sprintf "replacement stuck at %s(%d): %s" table i msg)
-        | exception Interp.Out_of_fuel ->
-            bad := Some (Printf.sprintf "replacement out of fuel at %s(%d)" table i))
-    data;
-  match !bad with
-  | None -> Equivalent (Array.length data)
-  | Some msg -> Counterexample msg
+  let lo, data = Value.as_array (Interp.global_value rt table) in
+  let rec scan k =
+    if k >= Array.length data then
+      Agree { trials = Array.length data; exhaustive = true }
+    else
+      let i = lo + k and expected = data.(k) in
+      let refuted after =
+        Refuted
+          { cx_sub = table; cx_inputs = string_of_int i;
+            cx_before = Value.to_string expected; cx_after = after }
+      in
+      match Interp.eval_expr rt [ (index_var, Value.Vint i) ] replacement with
+      | v when Value.equal v expected -> scan (k + 1)
+      | v -> refuted (Value.to_string v)
+      | exception (Interp.Stuck msg | Value.Runtime_error msg) ->
+          refuted ("raised: " ^ msg)
+      | exception Interp.Out_of_fuel -> refuted "out of fuel"
+  in
+  scan 0

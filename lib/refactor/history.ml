@@ -1,20 +1,10 @@
 (* Refactoring history (§5.2): "removing a transformation is made possible
    by recording the software's state prior to the application of each
    transformation".  The history records every applied step with the
-   program before and after and the equivalence evidence gathered, and
+   program before and after and, once certified, its certificate, and
    supports rollback. *)
 
 open Minispark
-
-type evidence =
-  | Ev_typecheck                 (** transformed program re-type-checked *)
-  | Ev_differential of int       (** differential trials/points passed *)
-  | Ev_exhaustive of int         (** exhaustive finite-domain points checked *)
-
-let pp_evidence ppf = function
-  | Ev_typecheck -> Fmt.string ppf "type-checked"
-  | Ev_differential n -> Fmt.pf ppf "differential x%d" n
-  | Ev_exhaustive n -> Fmt.pf ppf "exhaustive x%d" n
 
 type step = {
   st_index : int;
@@ -26,7 +16,6 @@ type step = {
           a full re-typecheck *)
   st_after : Ast.program;
   st_env_after : Typecheck.env;
-  st_evidence : evidence list;
   st_certificate : Certify.certificate option;
 }
 
@@ -43,34 +32,21 @@ let current h = h.current
 let step_count h = List.length h.steps
 let steps h = List.rev h.steps
 
-(* Apply and record one step.  [entries] drive the differential check
-   of an uncertified step; a certified step leaves that to
-   certification, which targets the touched subprograms directly and
-   falls back to the entry points itself. *)
-let apply_step ~entries ~trials h (tr : Transform.t) =
+(* Apply and record one step: the transformation's own applicability
+   checks, then the re-typecheck. *)
+let apply_step h (tr : Transform.t) =
   let env, program = h.current in
   let span =
     Telemetry.start_span ~cat:Telemetry.cat_transform
       ~attrs:[ ("category", Telemetry.S (Transform.category_name tr.Transform.tr_category)) ]
       tr.Transform.tr_name
   in
-  let finish_rejected e =
-    Telemetry.finish_span span ~attrs:[ ("outcome", Telemetry.S "rejected") ];
-    raise e
-  in
   let env', program' =
-    try Transform.apply tr env program with e -> finish_rejected e
+    try Transform.apply tr env program
+    with e ->
+      Telemetry.finish_span span ~attrs:[ ("outcome", Telemetry.S "rejected") ];
+      raise e
   in
-  let evidence = ref [ Ev_typecheck ] in
-  (match entries with
-  | [] -> ()
-  | entries -> (
-      match Equivalence.check_program ~trials ~entries env program env' program' with
-      | Equivalence.Equivalent n -> evidence := Ev_differential n :: !evidence
-      | Equivalence.Counterexample msg -> (
-          try
-            Transform.reject "%s is not semantics-preserving: %s" tr.Transform.tr_name msg
-          with e -> finish_rejected e)));
   (if not (Telemetry.enabled ()) then Telemetry.finish_span span
    else
      let m = Metrics.analyze program' in
@@ -92,7 +68,6 @@ let apply_step ~entries ~trials h (tr : Transform.t) =
       st_env_before = env;
       st_after = program';
       st_env_after = env';
-      st_evidence = !evidence;
       st_certificate = None;
     }
   in
@@ -139,11 +114,7 @@ let settle h pending results =
       h.current <- (s.st_env_before, s.st_before);
       raise (Certify.Refutation { rf_step = s.st_name; rf_cx = cx })
 
-let certify ?(entries = []) cfg h =
-  let cfg =
-    if cfg.Certify.cf_entries = [] then { cfg with Certify.cf_entries = entries }
-    else cfg
-  in
+let certify cfg h =
   let pending = List.filter (fun s -> s.st_certificate = None) (steps h) in
   if pending <> [] then
     settle h pending
@@ -155,20 +126,18 @@ let certify ?(entries = []) cfg h =
                 sp_after = (s.st_env_after, s.st_after) })
             pending))
 
-let run_certified ?entries cfg h script =
+let run_certified cfg h script =
   match script () with
   | r ->
-      certify ?entries cfg h;
+      certify cfg h;
       r
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      certify ?entries cfg h;
+      certify cfg h;
       Printexc.raise_with_backtrace e bt
 
-let apply ?(entries = []) ?(trials = 24) ?certify:cfg h tr =
-  let apply () =
-    apply_step ~entries:(if Option.is_none cfg then entries else []) ~trials h tr
-  in
+let apply ?certify:cfg h tr =
+  let apply () = apply_step h tr in
   let step =
     if not (Telemetry.enabled ()) then apply ()
     else
@@ -183,7 +152,7 @@ let apply ?(entries = []) ?(trials = 24) ?certify:cfg h tr =
   match cfg with
   | None -> step
   | Some cfg ->
-      certify ~entries cfg h;
+      certify cfg h;
       List.hd h.steps
 
 (** Roll back the most recent step. *)

@@ -1,16 +1,9 @@
 (** Refactoring history (§5.2): every applied step is recorded with the
-    program before and after and the equivalence evidence gathered, so any
+    program before and after and, once certified, its certificate, so any
     transformation can be removed ("recording the software's state prior to
     the application of each transformation"). *)
 
 open Minispark
-
-type evidence =
-  | Ev_typecheck                 (** transformed program re-type-checked *)
-  | Ev_differential of int       (** differential trials/points passed *)
-  | Ev_exhaustive of int         (** exhaustive finite-domain points *)
-
-val pp_evidence : evidence Fmt.t
 
 type step = {
   st_index : int;
@@ -22,7 +15,6 @@ type step = {
           a full re-typecheck *)
   st_after : Ast.program;
   st_env_after : Typecheck.env;  (** the checked environment of [st_after] *)
-  st_evidence : evidence list;
   st_certificate : Certify.certificate option;
       (** present once the step is certified ({!certify}) *)
 }
@@ -34,34 +26,32 @@ val current : t -> Typecheck.env * Ast.program
 val step_count : t -> int
 val steps : t -> step list
 
-val apply :
-  ?entries:string list -> ?trials:int -> ?certify:Certify.config ->
-  t -> Transform.t -> step
-(** Apply a transformation: framework applicability check (re-typecheck)
-    plus differential semantics-preservation evidence over the given entry
-    points.  With [certify], the step is instead certified on its own
-    ({!certify} right after applying it): the certificate is recorded on
-    the step, and a refuted step raises {!Certify.Refutation} with the
-    state unchanged.  [entries] seeds the certification config's entry
-    points when it has none.  With telemetry on, the application's use
-    of the {!Equivalence.memo_readings} memos is published as the
-    [oracle_memo_*], [interp_memo_*] and [share_*_memo_*] counters
-    (certification publishes its own, see {!Certify.certify_steps}).
+val apply : ?certify:Certify.config -> t -> Transform.t -> step
+(** Apply a transformation: its own applicability checks (template
+    matching, and for a semantic check such as
+    {!Rewrite_body.replace_body} the {!Equivalence.oracle}) plus the
+    framework's re-typecheck.  With [certify], the step is also certified
+    on its own ({!certify} right after applying it): the certificate is
+    recorded on the step, and a refuted step raises
+    {!Certify.Refutation} with the state unchanged.  With telemetry on,
+    the application's use of the {!Equivalence.memo_readings} memos is
+    published as the [oracle_memo_*], [interp_memo_*] and
+    [share_*_memo_*] counters (certification publishes its own, see
+    {!Certify.certify_steps}).
     @raise Transform.Not_applicable on mechanical rejection (state
     unchanged). *)
 
-val certify : ?entries:string list -> Certify.config -> t -> unit
+val certify : Certify.config -> t -> unit
 (** Certify every recorded step that carries no certificate yet, in one
     {!Certify.certify_steps} batch, and record the certificates.  When a
     step is refuted, the history is truncated to that step's pre-image
     (the steps before it stay, certified) and {!Certify.Refutation} is
     raised for it: the state a step-by-step certification would have
-    stopped in.  [entries] as for {!apply}. *)
+    stopped in.  Entry points come from the config's [cf_entries]. *)
 
-val run_certified :
-  ?entries:string list -> Certify.config -> t -> (unit -> 'a) -> 'a
+val run_certified : Certify.config -> t -> (unit -> 'a) -> 'a
 (** [run_certified cfg h script]: run [script ()], which applies steps to
-    [h] without certifying them, then {!certify} them in one batch.  When
+    [h] uncertified, then {!certify} them in one batch.  When
     [script] raises (a rejected transformation, a failed gate), the steps
     it applied are certified first, so a refutation among them is raised
     instead; otherwise its exception is re-raised. *)

@@ -16,6 +16,13 @@
 
 open Minispark
 
+(* the expression an occurrence binds to parameter [p]; a template that
+   never mentions [p] binds nothing *)
+let bound subst p =
+  match List.assoc_opt p subst with
+  | Some v -> v
+  | None -> Transform.reject "the template does not bind parameter %s" p
+
 let sub_mentions (sub : Ast.subprogram) name =
   let found = ref false in
   Ast.iter_stmts
@@ -63,7 +70,7 @@ let extract_function ~name ~params ~ret ~body ?(min_occurrences = 1) () =
             match Transform.match_expr ~metas body e [] with
             | Some subst ->
                 incr occurrences;
-                Ast.Call (name, List.map (fun m -> List.assoc m subst) metas)
+                Ast.Call (name, List.map (bound subst) metas)
             | None -> e)
       in
       let decls =
@@ -152,7 +159,7 @@ let extract_procedure ~name ~params ~(template : Ast.stmt list) ?(min_occurrence
               let args =
                 List.map
                   (fun (p : Ast.param) ->
-                    let v = List.assoc p.Ast.par_name subst in
+                    let v = bound subst p.Ast.par_name in
                     (match (p.Ast.par_mode, v) with
                     | (Ast.Mode_out | Ast.Mode_in_out), Ast.Var _ -> ()
                     | (Ast.Mode_out | Ast.Mode_in_out), _ ->

@@ -90,10 +90,11 @@ let rec eval_guard valuation (g : Ast.expr) : bool =
     for-loop at [at] is followed by [tail_count] conditionals whose
     branches are instances of the loop body at the next indices.  The loop
     bound becomes [new_hi].  [domain] enumerates the possible values of the
-    free variables of [new_hi] and of the guards; the applicability check
-    verifies, for every valuation, that the new iteration count equals the
-    old one and that every absorbed statement is the corresponding body
-    instance. *)
+    free variables of [new_hi] and of the guards; each must be an [in]
+    parameter that the precondition restricts to listed values
+    ([x = a or x = b ...]).  The applicability check verifies, for every
+    valuation, that the new iteration count equals the old one and that
+    every absorbed statement is the corresponding body instance. *)
 let absorb_guarded_tail ~proc ~at ~tail_count ~new_hi ~domain =
   Transform.make
     ~name:(Printf.sprintf "absorb_guarded_tail(%s@%d,%d)" proc at tail_count)
@@ -104,6 +105,27 @@ let absorb_guarded_tail ~proc ~at ~tail_count ~new_hi ~domain =
          tail_count)
     (fun _env program ->
       let sub = Ast.find_sub_exn program proc in
+      (* the domain is trusted only where the contract pins it: each of its
+         variables is an in parameter whose precondition restricts it to
+         values the domain lists *)
+      let pinned = Equivalence.domains_of_pre sub.Ast.sub_pre in
+      List.iter
+        (fun (x, values) ->
+          if
+            not
+              (List.exists
+                 (fun (p : Ast.param) ->
+                   p.Ast.par_name = x && p.Ast.par_mode = Ast.Mode_in)
+                 sub.Ast.sub_params)
+          then Transform.reject "domain variable %s is not an in parameter of %s" x proc;
+          match List.assoc_opt x pinned with
+          | Some (Equivalence.Dmember vs) when List.for_all (fun v -> List.mem v values) vs
+            ->
+              ()
+          | _ ->
+              Transform.reject
+                "the precondition of %s does not restrict %s to the domain" proc x)
+        domain;
       let body = sub.Ast.sub_body in
       let fl =
         match nth_stmt body at with

@@ -12,4 +12,6 @@ val absorb_guarded_tail :
     whose bodies are instances of the loop body at the next indices.  The
     new bound expression is validated exhaustively over [domain] (all
     valuations of its free variables): iteration counts must agree and the
-    guards must be monotone. *)
+    guards must be monotone.  Rejected unless every domain variable is an
+    [in] parameter whose precondition restricts it to a list of values
+    ([x = a or x = b ...]) that the domain contains. *)

@@ -4,9 +4,9 @@
 
    [replace_body] is that proof template, mechanised: the user supplies a
    new body (and locals) for one subprogram; the applicability check *is*
-   the equivalence check — exhaustive over small input domains,
-   deterministic sampling otherwise — between the old and new versions of
-   the subprogram, in isolation.
+   the equivalence check — {!Equivalence.oracle}, exhaustive over small
+   input domains and seeded sampling otherwise — between the old and new
+   versions of the subprogram, in isolation.
 
    [add_subprograms] introduces fresh, unused definitions (semantically a
    no-op); it is how specification-shaped helpers (sub_bytes, rot_word,
@@ -38,11 +38,15 @@ let add_decls ~decls ~anchor =
         (fun program decl -> Ast.insert_decl_before program ~anchor decl)
         program decls)
 
+(* trials for a replaced body's oracle check; seed and fuel are
+   certification's *)
+let oracle_trials = 48
+
 (** [replace_body ~proc ~locals ~body]: swap in a new body for [proc];
-    applicability = the old and new versions of [proc] are observationally
-    equivalent (exhaustively when the input domain enumerates, otherwise on
-    [trials] deterministic random inputs). *)
-let replace_body ~proc ?new_locals ~body ?(trials = 48) ?(seed = 1337) () =
+    applicability = the old and new versions of [proc] agree under
+    {!Equivalence.oracle} (exhaustively when the input domain enumerates,
+    otherwise on [oracle_trials] seeded samples). *)
+let replace_body ~proc ?new_locals ~body () =
   Transform.make
     ~name:(Printf.sprintf "replace_body(%s)" proc)
     ~category:Transform.Modify_computation
@@ -61,13 +65,20 @@ let replace_body ~proc ?new_locals ~body ?(trials = 48) ?(seed = 1337) () =
       in
       let program' = Ast.replace_sub program sub' in
       (* the rewritten program must type-check before we can interpret it *)
-      let env', program' =
+      let after =
         match Typecheck.check program' with
         | result -> result
         | exception Typecheck.Type_error msg ->
             Transform.reject "new body of %s does not type-check: %s" proc msg
       in
-      match Equivalence.check_sub ~seed ~trials env program env' program' proc with
-      | Equivalence.Equivalent _ -> program'
-      | Equivalence.Counterexample msg ->
-          Transform.reject "new body of %s is not equivalent: %s" proc msg)
+      let cfg = Certify.default_config () in
+      match
+        Equivalence.oracle ~seed:cfg.Certify.cf_seed ~trials:oracle_trials
+          ~fuel:cfg.Certify.cf_fuel (env, program) after proc
+      with
+      | Equivalence.Agree _ -> snd after
+      | Equivalence.Refuted cx ->
+          Transform.reject "new body of %s is not equivalent: %s" proc
+            (Equivalence.counterexample_to_string cx)
+      | Equivalence.Undecided why ->
+          Transform.reject "new body of %s is not shown equivalent: %s" proc why)

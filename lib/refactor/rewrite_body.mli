@@ -14,7 +14,10 @@ val add_decls : decls:Ast.decl list -> anchor:string -> Transform.t
 
 val replace_body :
   proc:string -> ?new_locals:Ast.var_decl list -> body:Ast.stmt list ->
-  ?trials:int -> ?seed:int -> unit -> Transform.t
-(** Swap in a new body; rejected unless the two versions are
-    observationally equivalent (exhaustively over small input domains,
-    on deterministic samples otherwise). *)
+  unit -> Transform.t
+(** Swap in a new body; rejected unless {!Equivalence.oracle} finds the
+    two versions observationally equivalent: exhaustively over small
+    input domains, otherwise on 48 samples under certification's seed and
+    fuel bound ({!Certify.default_config}).  A refuted or undecided
+    target is [Not_applicable], and the message carries the
+    counterexample or the reason. *)

@@ -48,9 +48,12 @@ let reverse ~table ~index_var ~replacement ?(helpers = []) () =
       in
       (* 2. exhaustive applicability proof over the index range *)
       (match Equivalence.check_expr_table env' program ~table ~index_var ~replacement with
-      | Equivalence.Equivalent _ -> ()
-      | Equivalence.Counterexample msg ->
-          Transform.reject "replacement does not compute %s: %s" table msg);
+      | Equivalence.Agree _ -> ()
+      | Equivalence.Refuted cx ->
+          Transform.reject "replacement does not compute %s: %s" table
+            (Equivalence.counterexample_to_string cx)
+      | Equivalence.Undecided why ->
+          Transform.reject "replacement does not compute %s: %s" table why);
       (* 3. rewrite lookups and drop the table *)
       let rw =
         Ast.map_expr (fun e ->

@@ -202,9 +202,10 @@ let closure_edits =
   ]
 
 let check_f before after () =
-  match E.check_sub (fst before) (snd before) (fst after) (snd after) "f" with
-  | E.Equivalent n -> Printf.sprintf "equivalent %d" n
-  | E.Counterexample msg -> msg
+  match E.oracle ~seed:42 ~trials:64 ~fuel:Interp.default_fuel before after "f" with
+  | E.Agree { trials; _ } -> Printf.sprintf "equivalent %d" trials
+  | E.Refuted cx -> E.counterexample_to_string cx
+  | E.Undecided why -> why
 
 let test_closure_key_soundness () =
   let before = check_src closure_src in
@@ -217,7 +218,7 @@ let test_closure_key_soundness () =
       in
       let cold_sub = cold (check_f before after) and cold_cert = cold certify in
       Alcotest.(check bool)
-        (what ^ ": cold check_sub refutes") false
+        (what ^ ": cold oracle refutes") false
         (Astring.String.is_prefix ~affix:"equivalent" cold_sub);
       Alcotest.(check bool)
         (what ^ ": cold certificate refutes") true
@@ -225,7 +226,7 @@ let test_closure_key_soundness () =
       (* warm: the original's runs of f are memoized first *)
       ignore (check_f before before ());
       for _ = 1 to 2 do
-        Alcotest.(check string) (what ^ ": warm check_sub = cold") cold_sub
+        Alcotest.(check string) (what ^ ": warm oracle = cold") cold_sub
           (check_f before after ());
         Alcotest.(check string) (what ^ ": warm certificate = cold") cold_cert
           (certify ())

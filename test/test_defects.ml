@@ -60,7 +60,7 @@ let test_nonbenign_break_kats () =
     (fun d ->
       let env, p' = Typecheck.check (d.Defects.Seed.d_apply p) in
       let pass =
-        match Aes.Aes_kat.check_program env p' with
+        match Aes.Aes_kat.run_vectors env p' with
         | outcomes -> Aes.Aes_kat.all_pass outcomes
         | exception (Minispark.Interp.Stuck _ | Minispark.Interp.Out_of_fuel) ->
             false (* crash = broken *)
@@ -106,6 +106,28 @@ let test_reroll_catches_nonuniform_defect () =
   | exception Refactor.Transform.Not_applicable _ -> ()
   | _ -> Alcotest.fail "expected rerolling to reject the non-uniform groups"
 
+(* A derived clone template that never mentions one of its parameters
+   leaves that parameter unbound at every occurrence: the transformation
+   rejects (a catch at refactoring), it does not crash.  Seed 2's #13
+   deletes the statement that mentioned it. *)
+let test_unbound_template_parameter_rejected () =
+  let d =
+    List.find
+      (fun d -> d.Defects.Seed.d_id = 13)
+      (Defects.Seed.seed_all ~seed:2 (prog0 ()))
+  in
+  Alcotest.(check string) "the defect" "deleted assignment 58 of encrypt"
+    d.Defects.Seed.d_describe;
+  let r =
+    Defects.Experiment.run_one ~baselines:(Defects.Experiment.baselines ())
+      Defects.Experiment.Setup2 d
+  in
+  Alcotest.(check string) "caught at refactoring"
+    (Defects.Experiment.stage_name Defects.Experiment.Caught_refactoring)
+    (Defects.Experiment.stage_name r.Defects.Experiment.rr_stage);
+  Alcotest.(check string) "a rejection" "the template does not bind parameter k3"
+    r.Defects.Experiment.rr_note
+
 let suites =
   [ ( "defects",
       [ Alcotest.test_case "fifteen defects, three per type" `Quick test_fifteen_defects;
@@ -116,4 +138,6 @@ let suites =
         Alcotest.test_case "benign defect survives refactoring" `Slow
           test_benign_survives_refactoring;
         Alcotest.test_case "rerolling catches non-uniform defects" `Quick
-          test_reroll_catches_nonuniform_defect ] ) ]
+          test_reroll_catches_nonuniform_defect;
+        Alcotest.test_case "unbound template parameter is a rejection" `Slow
+          test_unbound_template_parameter_rejected ] ) ]

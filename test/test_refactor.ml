@@ -6,10 +6,21 @@ open Minispark
 
 let check_src src = Typecheck.check (Parser.of_string src)
 
+(* apply each step certified, with [entries] as the entry points; every
+   step must come out [Certified] *)
 let apply_history src trs ~entries =
   let env, prog = check_src src in
   let h = Refactor.History.create env prog in
-  List.iter (fun tr -> ignore (Refactor.History.apply ~entries h tr)) trs;
+  let certify = Refactor.Certify.default_config ~entries () in
+  List.iter
+    (fun tr ->
+      let step = Refactor.History.apply ~certify h tr in
+      match step.Refactor.History.st_certificate with
+      | Some (Refactor.Certify.Certified _) -> ()
+      | c ->
+          Alcotest.failf "%s: %s" step.Refactor.History.st_name
+            (Option.fold ~none:"no certificate" ~some:Refactor.Certify.describe c))
+    trs;
   Refactor.History.current h
 
 let expect_reject f =
@@ -368,6 +379,7 @@ program absorb is
   type nr_range is range 10 .. 14;
 
   procedure steps (a : in out vec; nr : in nr_range)
+  --# pre nr = 10 or nr = 12 or nr = 14;
   is
   begin
     for i in 0 .. 1 loop
@@ -408,6 +420,7 @@ program absorbbad is
   type nr_range is range 10 .. 14;
 
   procedure steps (a : in out vec; nr : in nr_range)
+  --# pre nr = 10 or nr = 12 or nr = 14;
   is
   begin
     for i in 0 .. 1 loop
@@ -428,6 +441,45 @@ end absorbbad;
         [ Refactor.Loop_forms.absorb_guarded_tail ~proc:"steps" ~at:0 ~tail_count:1
             ~new_hi ~domain:[ ("nr", [ 10; 12; 14 ]) ] ]
         ~entries:[])
+
+(* the domain is the user's claim about [nr]; without a precondition that
+   pins [nr] to it, [nr = 11] is a valid input on which the absorbed loop
+   does not double [a (2)] *)
+let test_absorb_rejects_unpinned_domain () =
+  let src =
+    {|
+program absorbfree is
+
+  type byte is mod 256;
+  type vec is array (0 .. 9) of byte;
+  type nr_range is range 10 .. 14;
+
+  procedure steps (a : in out vec; nr : in nr_range)
+  is
+  begin
+    for i in 0 .. 1 loop
+      a (i) := a (i) * 2;
+    end loop;
+    if nr > 10 then
+      a (2) := a (2) * 2;
+    end if;
+    if nr > 12 then
+      a (3) := a (3) * 2;
+    end if;
+  end steps;
+
+end absorbfree;
+|}
+  in
+  let absorb domain =
+    Refactor.Loop_forms.absorb_guarded_tail ~proc:"steps" ~at:0 ~tail_count:2
+      ~new_hi:(Parser.expr_of_string "(nr - 8) / 2") ~domain
+  in
+  expect_reject (fun () ->
+      apply_history src [ absorb [ ("nr", [ 10; 12; 14 ]) ] ] ~entries:[]);
+  (* a domain variable that is not a parameter is rejected too *)
+  expect_reject (fun () ->
+      apply_history src [ absorb [ ("n", [ 10; 12; 14 ]) ] ] ~entries:[])
 
 (* ---------------- storage adjustments ---------------- *)
 
@@ -487,7 +539,13 @@ end deadcode;
 
 let test_rename_sub () =
   let tr = Refactor.Storage_adjust.rename_sub ~from_name:"calc" ~to_name:"scale_plus_one" in
-  let _, prog = apply_history temp_src [ tr ] ~entries:[] in
+  let env, prog = check_src temp_src in
+  let h = Refactor.History.create env prog in
+  (* the program's shape changes and no entry point is configured, so the
+     certificate is [Unknown]; a refutation would raise here *)
+  ignore
+    (Refactor.History.apply ~certify:(Refactor.Certify.default_config ()) h tr);
+  let _, prog = Refactor.History.current h in
   Alcotest.(check bool) "renamed" true (Ast.find_sub prog "scale_plus_one" <> None);
   Alcotest.(check bool) "old gone" true (Ast.find_sub prog "calc" = None)
 
@@ -674,9 +732,13 @@ let test_equivalence_detects_change () =
         { s with Ast.sub_body = Parser.stmts_of_string "t := x * 3; r := t + 2;" })
   in
   let env', broken = Typecheck.check broken in
-  match Refactor.Equivalence.check_sub env prog env' broken "calc" with
-  | Refactor.Equivalence.Counterexample _ -> ()
-  | Refactor.Equivalence.Equivalent _ -> Alcotest.fail "missed the defect"
+  match
+    Refactor.Equivalence.oracle ~seed:42 ~trials:64 ~fuel:Interp.default_fuel
+      (env, prog) (env', broken) "calc"
+  with
+  | Refactor.Equivalence.Refuted _ -> ()
+  | Refactor.Equivalence.Agree _ | Refactor.Equivalence.Undecided _ ->
+      Alcotest.fail "missed the defect"
 
 (* ---------------- clone detection ---------------- *)
 
@@ -754,7 +816,9 @@ let suites =
         Alcotest.test_case "rejects dependent fission" `Quick test_separate_rejects_dependence;
         Alcotest.test_case "reindex loop" `Quick test_reindex;
         Alcotest.test_case "absorb guarded tail" `Quick test_absorb_guarded_tail;
-        Alcotest.test_case "rejects wrong absorbed bound" `Quick test_absorb_rejects_wrong_bound ] );
+        Alcotest.test_case "rejects wrong absorbed bound" `Quick test_absorb_rejects_wrong_bound;
+        Alcotest.test_case "rejects a domain the contract does not pin" `Quick
+          test_absorb_rejects_unpinned_domain ] );
     ( "refactor:storage",
       [ Alcotest.test_case "inline temp" `Quick test_inline_temp;
         Alcotest.test_case "introduce temp" `Quick test_introduce_temp;

@@ -7,10 +7,22 @@ open Minispark
 
 let check_src src = Typecheck.check (Parser.of_string src)
 
+(* apply one step certified, with [entries] as the entry points; it must
+   come out [Certified] *)
+let apply_certified h tr ~entries =
+  let step =
+    Refactor.History.apply ~certify:(Refactor.Certify.default_config ~entries ()) h tr
+  in
+  match step.Refactor.History.st_certificate with
+  | Some (Refactor.Certify.Certified _) -> ()
+  | c ->
+      Alcotest.failf "%s: %s" step.Refactor.History.st_name
+        (Option.fold ~none:"no certificate" ~some:Refactor.Certify.describe c)
+
 let apply1 src tr ~entries =
   let env, prog = check_src src in
   let h = Refactor.History.create env prog in
-  ignore (Refactor.History.apply ~entries h tr);
+  apply_certified h tr ~entries;
   Refactor.History.current h
 
 let expect_reject f =
@@ -238,15 +250,13 @@ end tabs;
   in
   let env, prog = check_src src in
   let h = Refactor.History.create env prog in
-  ignore
-    (Refactor.History.apply ~entries:[ "use" ] h
-       (Refactor.Table_reverse.reverse ~table:"doubles" ~index_var:"i"
-          ~replacement:(Parser.expr_of_string "scale (2, i)") ~helpers ()));
+  apply_certified h ~entries:[ "use" ]
+    (Refactor.Table_reverse.reverse ~table:"doubles" ~index_var:"i"
+       ~replacement:(Parser.expr_of_string "scale (2, i)") ~helpers ());
   (* second reversal reuses the already-installed helper *)
-  ignore
-    (Refactor.History.apply ~entries:[ "use" ] h
-       (Refactor.Table_reverse.reverse ~table:"quads" ~index_var:"i"
-          ~replacement:(Parser.expr_of_string "scale (4, i)") ~helpers ()));
+  apply_certified h ~entries:[ "use" ]
+    (Refactor.Table_reverse.reverse ~table:"quads" ~index_var:"i"
+       ~replacement:(Parser.expr_of_string "scale (4, i)") ~helpers ());
   let _, prog = Refactor.History.current h in
   Alcotest.(check int) "no tables left" 0 (List.length (Ast.constants prog));
   Alcotest.(check int) "two steps recorded" 2 (Refactor.History.step_count h)
@@ -256,9 +266,8 @@ end tabs;
 let test_history_category_counts () =
   let env, prog = check_src merge_src in
   let h = Refactor.History.create env prog in
-  ignore
-    (Refactor.History.apply ~entries:[ "steps" ] h
-       (Refactor.Conditional_motion.merge_adjacent ~proc:"steps" ~at:2 ~count:2));
+  apply_certified h ~entries:[ "steps" ]
+    (Refactor.Conditional_motion.merge_adjacent ~proc:"steps" ~at:2 ~count:2);
   match Refactor.History.category_counts h with
   | [ (Refactor.Transform.Move_conditional, 1) ] -> ()
   | _ -> Alcotest.fail "unexpected category tally"
