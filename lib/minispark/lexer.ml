@@ -5,11 +5,13 @@
    ([--# pre ...;], [--# invariant ...;]) surface as ordinary tokens for the
    parser.  A plain [--] comment runs to end of line.
 
-   The lexer runs on every parse of a served job's source and baseline, so
-   it allocates little beyond the tokens: keywords are recognised by a
-   string match (no list scan, no polymorphic compare), a word is
-   lowercased only when it holds an uppercase letter, and tokens go
-   straight into a growing array. *)
+   The lexer runs on every parse of a served job's source, so it keeps
+   nothing per token on the heap: positions go into unboxed [int array]s,
+   and the token array holds only shared values — constant constructors,
+   and word and integer tokens interned in per-domain tables (a worker
+   re-lexing the same program allocates no token twice).  Keywords are
+   recognised by a string match (no list scan, no polymorphic compare),
+   and a word is lowercased only when it holds an uppercase letter. *)
 
 type token =
   | INT of int
@@ -28,6 +30,8 @@ type token =
 
 type positioned = { tok : token; line : int; col : int }
 
+type tokens = { count : int; toks : token array; lines : int array; cols : int array }
+
 exception Error of string * int * int
 
 (* a lowercased word: reserved word or identifier *)
@@ -41,9 +45,19 @@ let word_token w =
       KW w
   | _ -> IDENT w
 
-let is_annot_keyword = function
-  | "pre" | "post" | "invariant" | "assert" -> true
-  | _ -> false
+let annot_token = function
+  | "pre" -> Some (ANNOT "pre")
+  | "post" -> Some (ANNOT "post")
+  | "invariant" -> Some (ANNOT "invariant")
+  | "assert" -> Some (ANNOT "assert")
+  | _ -> None
+
+(* interned word and integer tokens; bounded, since a worker lexes every
+   program it is sent *)
+type interned = { words : (string, token) Memo.t; ints : (int, token) Memo.t }
+
+let interned_key =
+  Domain.DLS.new_key (fun () -> { words = Memo.create 16384; ints = Memo.create 16384 })
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -52,23 +66,33 @@ let is_alnum c = is_alpha c || is_digit c
 let rec has_upper src i j =
   i < j && (match String.unsafe_get src i with 'A' .. 'Z' -> true | _ -> has_upper src (i + 1) j)
 
-let eof_dummy = { tok = EOF; line = 0; col = 0 }
-
 let tokenize src =
   let n = String.length src in
+  let { words; ints } = Domain.DLS.get interned_key in
   (* most tokens span three bytes or more, with their spacing *)
-  let toks = ref (Array.make (max 16 (n / 3)) eof_dummy) in
+  let cap = ref (max 16 (n / 3)) in
+  let toks = ref (Array.make !cap EOF) in
+  let lines = ref (Array.make !cap 0) and cols = ref (Array.make !cap 0) in
   let count = ref 0 in
   let line = ref 1 and bol = ref 0 in
+  let grow a fill =
+    let bigger = Array.make (2 * !cap) fill in
+    Array.blit a 0 bigger 0 !count;
+    bigger
+  in
   let emit pos tok =
-    if !count = Array.length !toks then begin
-      let bigger = Array.make (2 * !count) eof_dummy in
-      Array.blit !toks 0 bigger 0 !count;
-      toks := bigger
+    if !count = !cap then begin
+      toks := grow !toks EOF;
+      lines := grow !lines 0;
+      cols := grow !cols 0;
+      cap := 2 * !cap
     end;
-    Array.unsafe_set !toks !count { tok; line = !line; col = pos - !bol + 1 };
+    Array.unsafe_set !toks !count tok;
+    Array.unsafe_set !lines !count !line;
+    Array.unsafe_set !cols !count (pos - !bol + 1);
     incr count
   in
+  let int_token v = Memo.find ints v (fun () -> INT v) in
   let error pos msg = raise (Error (msg, !line, pos - !bol + 1)) in
   (* [src.[i, j)] lowercased, copied once *)
   let word i j =
@@ -104,12 +128,11 @@ let tokenize src =
             while !j < n && (src.[!j] = ' ' || src.[!j] = '\t') do incr j done;
             let start = !j in
             while !j < n && is_alnum src.[!j] do incr j done;
-            let w = word start !j in
-            if is_annot_keyword w then begin
-              emit start (ANNOT w);
-              go !j
-            end
-            else go (i + 3) (* continuation line: marker is transparent *)
+            match annot_token (word start !j) with
+            | Some tok ->
+                emit start tok;
+                go !j
+            | None -> go (i + 3) (* continuation line: marker is transparent *)
           end
           else go (skip_line (i + 2))
       | '(' -> emit i LPAREN; go (i + 1)
@@ -159,22 +182,26 @@ let tokenize src =
             done;
             if !k = start then error i "empty based literal";
             if !k >= n || src.[!k] <> '#' then error i "unterminated based literal";
-            emit i (INT !value);
+            emit i (int_token !value);
             go (!k + 1)
           end
           else begin
-            emit i (INT dec);
+            emit i (int_token dec);
             go !j
           end
       | c when is_alpha c ->
           let j = ref i in
           while !j < n && is_alnum src.[!j] do incr j done;
-          emit i (word_token (word i !j));
+          let w = word i !j in
+          emit i (Memo.find words w (fun () -> word_token w));
           go !j
       | c -> error i (Printf.sprintf "unexpected character %C" c)
   in
   go 0;
-  Array.sub !toks 0 !count
+  { count = !count; toks = !toks; lines = !lines; cols = !cols }
+
+let to_list t =
+  List.init t.count (fun i -> { tok = t.toks.(i); line = t.lines.(i); col = t.cols.(i) })
 
 let token_to_string = function
   | INT n -> string_of_int n

@@ -21,10 +21,18 @@ type token =
 
 type positioned = { tok : token; line : int; col : int }
 
+(** The tokens of one source, [count] of them, column by column: token
+    [i] is [toks.(i)] at [lines.(i)], [cols.(i)].  The arrays may be
+    longer than [count].  Word and integer tokens are shared values,
+    interned per domain. *)
+type tokens = { count : int; toks : token array; lines : int array; cols : int array }
+
 exception Error of string * int * int
 (** Message, line, column. *)
 
-val tokenize : string -> positioned array
-(** @raise Error on lexical errors.  The result always ends with [EOF]. *)
+val tokenize : string -> tokens
+(** @raise Error on lexical errors.  The last token is always [EOF]. *)
+
+val to_list : tokens -> positioned list
 
 val token_to_string : token -> string

@@ -145,9 +145,11 @@ let rec rw ctx expect (e : Ast.expr) : Ast.expr * kind =
       match rw_pack_chain ctx e with
       | Some r -> (r, Kvec)
       | None -> rw_vector_chain ctx e)
-  | Ast.Binop ((Ast.Bor | Ast.Bxor), _, _) -> (
-      (* try vector combination anyway: operands may be vectors *)
-      match rw_try_vector ctx e with
+  | Ast.Binop ((Ast.Bor | Ast.Bxor), a, b) -> (
+      (* try vector combination anyway: operands may be vectors, but a
+         literal where a scalar is wanted stays a scalar, not a word *)
+      let literal = function Ast.Int_lit _ -> true | _ -> false in
+      match if literal a || literal b then None else rw_try_vector ctx e with
       | Some r -> r
       | None -> rw_generic_binop ctx expect e)
   | Ast.Binop (_, _, _) -> rw_generic_binop ctx expect e
@@ -167,16 +169,14 @@ and rw_generic_binop ctx expect e =
   | Ast.Binop (op, a, b) ->
       let a', ka = rw ctx expect a in
       let b', kb = rw ctx expect b in
-      if ka = Kvec || kb = Kvec then
-        (* a leftover word-level operation on vectors: only xor/or/and
-           combine elementwise *)
-        match op with
-        | Ast.Bxor | Ast.Bor | Ast.Band ->
-            (combine_vec op [ vec_of ctx a' ka; vec_of ctx b' kb ], Kvec)
-        | _ ->
-            Transform.reject "operator %s applied to converted words in %s"
-              (Pretty.expr_to_string e) (Pretty.expr_to_string e)
-      else (Ast.Binop (op, a', b'), Kother)
+      (match (op, ka, kb) with
+      | _, (Kbyte | Kother), (Kbyte | Kother) -> (Ast.Binop (op, a', b'), Kother)
+      (* a leftover word-level operation on two vectors: only xor/or/and
+         combine elementwise *)
+      | (Ast.Bxor | Ast.Bor | Ast.Band), Kvec, Kvec -> (combine_vec op [ a'; b' ], Kvec)
+      | _ ->
+          Transform.reject "operator %s applied to converted words in %s"
+            (Pretty.expr_to_string e) (Pretty.expr_to_string e))
   | _ -> assert false
 
 (* extraction [(w >> k) and 255] / [w and 255] when a scalar is wanted;

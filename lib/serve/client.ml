@@ -56,13 +56,11 @@ let next_event ?(timeout_s = 60.0) t =
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
             | [], _, _ -> go ()
             | _ :: _, _, _ -> (
-                match Protocol.read_chunk t.c_in with
+                match Protocol.Lines.read t.c_lines t.c_in with
                 | `Eof ->
                     t.c_open <- false;
                     Error "daemon closed the connection"
-                | `Data d ->
-                    Protocol.Lines.feed t.c_lines d;
-                    go ()))
+                | `Data -> go ()))
     in
     go ()
   end

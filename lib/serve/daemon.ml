@@ -102,42 +102,20 @@ let telemetry_file t job attempt =
       Some (Filename.concat d (Printf.sprintf "tele-%s-%d.jsonl" (sanitize job) attempt))
   | _ -> None
 
-(* The dedup key: every submission field that can change the verdict.
-   Farm width and queue priority are excluded on purpose — the proof farm
-   is deterministic in [jobs], so they affect latency, never the answer. *)
+(* The dedup key: every submission field that can change the verdict,
+   and of a baseline what a carry reads (outline, VC verdicts).  Farm
+   width and queue priority are excluded on purpose — the proof farm is
+   deterministic in [jobs], so they affect latency, never the answer. *)
 let job_digest (js : Protocol.job_spec) =
-  let baseline_sig =
-    match js.Protocol.js_baseline with
-    | None -> ""
-    | Some b ->
-        Digest.to_hex
-          (Digest.string
-             (String.concat ";"
-                (List.map
-                   (fun (e : Analysis.Semdiff.entry) ->
-                     String.concat ":"
-                       Analysis.Semdiff.
-                         [ kind_name e.ol_kind; e.ol_name; e.ol_digest; e.ol_iface ])
-                   b.Echo.Verify.vb_outline)
-             ^ "|"
-             ^ String.concat ";"
-                 (List.map
-                    (fun (s : Echo.Verify.vc_summary) ->
-                      s.Echo.Verify.vs_digest ^ "=" ^ s.Echo.Verify.vs_status)
-                    b.Echo.Verify.vb_results)))
+  let baseline =
+    Option.map
+      (fun { Echo.Verify.vb_outline; vb_results } ->
+        ( vb_outline,
+          List.map (fun (s : Echo.Verify.vc_summary) -> (s.vs_digest, s.vs_status)) vb_results ))
+      js.Protocol.js_baseline
   in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          [
-            js.Protocol.js_source;
-            string_of_bool js.Protocol.js_analyze;
-            (match js.Protocol.js_deadline_s with
-            | None -> ""
-            | Some d -> string_of_float d);
-            baseline_sig;
-            Option.value ~default:"" js.Protocol.js_fail;
-          ]))
+  let key = Protocol.(js.js_source, js.js_analyze, js.js_deadline_s, baseline, js.js_fail) in
+  Digest.to_hex (Digest.string (Marshal.to_string key [ Marshal.No_sharing ]))
 
 let stats t =
   {
@@ -403,10 +381,9 @@ let handle_request t c (req : Protocol.request) =
       t.draining <- true
 
 let on_client_readable t c =
-  match Protocol.read_chunk c.cl_in with
+  match Protocol.Lines.read c.cl_lines c.cl_in with
   | `Eof -> drop_client t c
-  | `Data d ->
-      Protocol.Lines.feed c.cl_lines d;
+  | `Data ->
       let rec go () =
         match Protocol.Lines.pop c.cl_lines with
         | None -> ()

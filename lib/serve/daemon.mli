@@ -2,7 +2,7 @@
 
     One single-domain event loop ([select]-driven, no threads) owns a
     bounded multi-level {!Jobq}, a {!Supervisor} pool of forked proof
-    workers, and the client connections.  Requests and events are NDJSON
+    workers, and the client connections.  Client traffic is NDJSON
     ({!Protocol}), over a Unix-domain socket ({!run_socket}) or a plain
     file-descriptor pair ({!run_fd} — how tests, the bench harness and
     the CI smoke drive the daemon without a filesystem socket).

@@ -35,7 +35,6 @@ let pop t =
 
 let length t = t.count
 let capacity t = t.cap
-let levels t = Array.length t.qs
 
 let drain t =
   let rec go acc = match pop t with None -> List.rev acc | Some x -> go (x :: acc) in

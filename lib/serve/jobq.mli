@@ -25,7 +25,6 @@ val pop : 'a t -> 'a option
 
 val length : 'a t -> int
 val capacity : 'a t -> int
-val levels : 'a t -> int
 
 val drain : 'a t -> 'a list
 (** Remove and return everything, in {!pop} order (used by the SIGTERM

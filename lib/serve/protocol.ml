@@ -529,78 +529,106 @@ let event_of_json j : (event, string) result =
   | None -> Error "missing field: ev"
 
 (* ------------------------------------------------------------------ *)
-(* assignments                                                         *)
-
-let assignment_to_json (a : assignment) =
-  J.Obj
-    [
-      ("job", job_to_json a.as_job);
-      ("attempt", J.Int a.as_attempt);
-      ("telemetry", opt_json (fun s -> J.String s) a.as_telemetry);
-    ]
-
-let assignment_of_json j : (assignment, string) result =
-  let* jj = require "job" (J.member "job" j) in
-  let* js = job_of_json jj in
-  Ok
-    {
-      as_job = js;
-      as_attempt = dflt 1 (int_field "attempt" j);
-      as_telemetry = str_field "telemetry" j;
-    }
-
-(* ------------------------------------------------------------------ *)
 (* framing                                                             *)
 
-module Lines = struct
-  type t = { buf : Buffer.t; mutable ready : string list (* reversed *) }
-
-  let create () = { buf = Buffer.create 256; ready = [] }
-
-  (* copies each run between newlines at once: a verdict or an edit
-     assignment is one line of 50-150 KB *)
-  let feed t s =
-    let n = String.length s in
-    let rec go i =
-      match String.index_from_opt s i '\n' with
-      | None -> Buffer.add_substring t.buf s i (n - i)
-      | Some j ->
-          Buffer.add_substring t.buf s i (j - i);
-          t.ready <- Buffer.contents t.buf :: t.ready;
-          Buffer.clear t.buf;
-          go (j + 1)
-    in
-    go 0
-
-  let pop t =
-    match List.rev t.ready with
-    | [] -> None
-    | line :: rest ->
-        t.ready <- List.rev rest;
-        Some line
-end
-
-let send fd json =
-  let line = J.to_string json ^ "\n" in
-  let len = String.length line in
+let write_all fd b =
+  let len = Bytes.length b in
   let rec go off =
     if off >= len then Ok ()
     else
-      match Unix.write_substring fd line off (len - off) with
+      match Unix.write fd b off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Unix.error_message e)
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   in
   go 0
 
-let read_chunk fd =
-  let buf = Bytes.create 65536 in
-  let rec go () =
-    match Unix.read fd buf 0 (Bytes.length buf) with
+let send fd json = write_all fd (Bytes.unsafe_of_string (J.to_string json ^ "\n"))
+
+(* one read into [buf] from [off], EINTR-retried; 0 at end of stream or
+   on a hard error (a vanished peer reads as end of stream) *)
+let rec read_into fd buf off =
+  match Unix.read fd buf off (Bytes.length buf - off) with
+  | n -> n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_into fd buf off
+  | exception Unix.Unix_error (_, _, _) -> 0
+
+module Lines = struct
+  (* every read lands in [scratch] *)
+  type t = { buf : Buffer.t; ready : string Queue.t; scratch : Bytes.t }
+
+  let create () =
+    { buf = Buffer.create 256; ready = Queue.create (); scratch = Bytes.create 65536 }
+
+  (* copies each run between newlines at once: a verdict or an edit
+     submission is one line of 50-150 KB *)
+  let feed t b n =
+    let rec go i =
+      let j = ref i in
+      while !j < n && Bytes.unsafe_get b !j <> '\n' do incr j done;
+      Buffer.add_subbytes t.buf b i (!j - i);
+      if !j < n then begin
+        Queue.push (Buffer.contents t.buf) t.ready;
+        Buffer.clear t.buf;
+        go (!j + 1)
+      end
+    in
+    go 0
+
+  let read t fd =
+    match read_into fd t.scratch 0 with
     | 0 -> `Eof
-    | n -> `Data (Bytes.sub_string buf 0 n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (_, _, _) -> `Eof
-  in
-  go ()
+    | n ->
+        feed t t.scratch n;
+        `Data
+
+  let pop t = Queue.take_opt t.ready
+end
+
+(* both ends of a channel are one executable (workers fork without exec):
+   a frame decodes to the type its channel names *)
+type 'a channel = unit
+
+let assignments = ()
+let events = ()
+
+let send_frame () fd v = write_all fd (Marshal.to_bytes v [])
+
+module Frames = struct
+  (* [buf.[start, stop)]: read, not yet decoded *)
+  type 'a t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+
+  let create () = { buf = Bytes.create 65536; start = 0; stop = 0 }
+
+  (* the size of the frame at [start], once its header is in *)
+  let pending t =
+    if t.stop - t.start < Marshal.header_size then Marshal.header_size
+    else Marshal.total_size t.buf t.start
+
+  let read t fd =
+    let need = pending t in
+    if t.start = t.stop || t.start + need > Bytes.length t.buf then begin
+      (* move the pending bytes to the front, of a bigger buffer if the
+         frame they start does not fit *)
+      let len = Bytes.length t.buf in
+      let buf = if need <= len then t.buf else Bytes.create (max need (2 * len)) in
+      Bytes.blit t.buf t.start buf 0 (t.stop - t.start);
+      t.buf <- buf;
+      t.stop <- t.stop - t.start;
+      t.start <- 0
+    end;
+    match read_into fd t.buf t.stop with
+    | 0 -> `Eof
+    | n ->
+        t.stop <- t.stop + n;
+        let rec pop acc =
+          let size = pending t in
+          if t.stop - t.start < size then List.rev acc
+          else begin
+            let v = Marshal.from_bytes t.buf t.start in
+            t.start <- t.start + size;
+            pop (v :: acc)
+          end
+        in
+        `Frames (pop [])
+end

@@ -1,12 +1,17 @@
 (** Wire protocol for the verification service.
 
-    Everything the daemon speaks — client requests, streamed events, and
-    the daemon↔worker assignment channel — is NDJSON: one
-    {!Telemetry.Json} object per [\n]-terminated line, over a Unix-domain
-    socket (production) or an inherited file-descriptor pair (tests,
-    bench, CI smoke).  The codecs are total in both directions: encoding
-    never fails, decoding returns [Error] with a reason instead of
-    raising, and unknown fields are ignored so the protocol can grow. *)
+    Two codecs, one per kind of channel:
+    - a client speaks NDJSON with the daemon: one {!Telemetry.Json}
+      object per [\n]-terminated line, over a Unix-domain socket
+      (production) or an inherited file-descriptor pair (tests, bench,
+      CI smoke).  These codecs are total in both directions: encoding
+      never fails, decoding returns [Error] with a reason instead of
+      raising, and unknown fields are ignored so the protocol can grow;
+    - the daemon and its workers exchange {!assignment}s and {!event}s
+      as [Marshal] frames ({!Frames}) over two pipes.  Workers are forks
+      of the daemon without [exec], so both ends share one type layout,
+      and the only writer on each pipe is the other half of the same
+      executable. *)
 
 (** {1 Jobs} *)
 
@@ -138,16 +143,17 @@ val request_to_json : request -> Telemetry.Json.t
 val request_of_json : Telemetry.Json.t -> (request, string) result
 val event_to_json : event -> Telemetry.Json.t
 val event_of_json : Telemetry.Json.t -> (event, string) result
-val assignment_to_json : assignment -> Telemetry.Json.t
-val assignment_of_json : Telemetry.Json.t -> (assignment, string) result
 
 (** {1 Framing} *)
 
-(** Incremental NDJSON line assembly over raw reads. *)
+(** Incremental NDJSON line assembly: the client socket's framing. *)
 module Lines : sig
   type t
   val create : unit -> t
-  val feed : t -> string -> unit
+  val read : t -> Unix.file_descr -> [ `Data | `Eof ]
+  (** One [Unix.read] into the reader's own buffer; [`Eof] on zero bytes
+      or a hard read error (a vanished peer reads as end of stream). *)
+
   val pop : t -> string option
   (** Next complete line (without its [\n]), if one has been fed. *)
 end
@@ -156,6 +162,23 @@ val send : Unix.file_descr -> Telemetry.Json.t -> (unit, string) result
 (** Write one NDJSON line, handling partial writes and [EINTR];
     [Error] on a closed/broken peer (never raises). *)
 
-val read_chunk : Unix.file_descr -> [ `Data of string | `Eof ]
-(** One [Unix.read], EINTR-retried; [`Eof] on zero bytes or a hard read
-    error (a vanished peer reads as end-of-stream). *)
+type 'a channel
+(** A daemon↔worker pipe, named by the type its frames carry. *)
+
+val assignments : assignment channel
+val events : event channel
+
+val send_frame : 'a channel -> Unix.file_descr -> 'a -> (unit, string) result
+(** Write one [Marshal] frame, as {!send} writes a line. *)
+
+(** [Marshal] frames over raw reads: a frame is decoded once the
+    [Marshal.total_size] bytes its header announces are all in. *)
+module Frames : sig
+  type 'a t
+  val create : 'a channel -> 'a t
+
+  val read : 'a t -> Unix.file_descr -> [ `Frames of 'a list | `Eof ]
+  (** One read into the reader's buffer, then the frames it completed,
+      oldest first.  [`Eof] as {!Lines.read}; a frame cut short by it is
+      never decoded, so a worker that dies mid-write reads as a crash. *)
+end

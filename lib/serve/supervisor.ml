@@ -5,7 +5,7 @@ type worker = {
   mutable w_pid : int;
   mutable w_to : Unix.file_descr;     (* daemon → worker assignments *)
   mutable w_from : Unix.file_descr;   (* worker → daemon events *)
-  mutable w_lines : Protocol.Lines.t;
+  mutable w_frames : Protocol.event Protocol.Frames.t;
   mutable w_busy : Protocol.assignment option;
   mutable w_dead : bool;
 }
@@ -34,7 +34,7 @@ let fork_worker ~cache_dir slot =
         w_pid = pid;
         w_to = req_w;
         w_from = ev_r;
-        w_lines = Protocol.Lines.create ();
+        w_frames = Protocol.Frames.create Protocol.events;
         w_busy = None;
         w_dead = false;
       }
@@ -54,11 +54,10 @@ let idle_worker t =
   Array.to_seq t.sv_workers
   |> Seq.find (fun w -> (not w.w_dead) && w.w_busy = None)
 
-let busy _t w = w.w_busy
 let pid _t w = w.w_pid
 
 let assign _t w a =
-  match Protocol.send w.w_to (Protocol.assignment_to_json a) with
+  match Protocol.send_frame Protocol.assignments w.w_to a with
   | Ok () ->
       w.w_busy <- Some a;
       Ok ()
@@ -87,33 +86,19 @@ let respawn t w =
   w.w_pid <- fresh.w_pid;
   w.w_to <- fresh.w_to;
   w.w_from <- fresh.w_from;
-  w.w_lines <- fresh.w_lines;
+  w.w_frames <- fresh.w_frames;
   w.w_busy <- None;
   w.w_dead <- false;
   t.sv_restarts <- t.sv_restarts + 1;
   orphan
 
 let read_events t w =
-  match Protocol.read_chunk w.w_from with
+  match Protocol.Frames.read w.w_frames w.w_from with
   | `Eof -> `Crashed (respawn t w)
-  | `Data d ->
-      Protocol.Lines.feed w.w_lines d;
-      let rec drain acc =
-        match Protocol.Lines.pop w.w_lines with
-        | None -> List.rev acc
-        | Some line -> (
-            match Telemetry.Json.of_string line with
-            | Error _ -> drain acc
-            | Ok j -> (
-                match Protocol.event_of_json j with
-                | Error _ -> drain acc
-                | Ok ev ->
-                    (match ev with
-                    | Protocol.Verdict _ -> w.w_busy <- None
-                    | _ -> ());
-                    drain (ev :: acc)))
-      in
-      `Events (drain [])
+  | `Frames evs ->
+      if List.exists (function Protocol.Verdict _ -> true | _ -> false) evs then
+        w.w_busy <- None;
+      `Events evs
 
 let shutdown t =
   Array.iter

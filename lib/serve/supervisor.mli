@@ -27,7 +27,6 @@ val restarts : t -> int
 (** Workers forked beyond the initial pool (one per crash). *)
 
 val idle_worker : t -> worker option
-val busy : t -> worker -> Protocol.assignment option
 val pid : t -> worker -> int
 
 val assign : t -> worker -> Protocol.assignment -> (unit, string) result

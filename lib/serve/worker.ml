@@ -94,35 +94,27 @@ let main ?cache_dir ~input ~output () =
   let cache = Option.map (fun dir -> Farm.Cache.open_ ~dir) cache_dir in
   let emit ev =
     (* a dead daemon means no-one wants the result: just exit *)
-    match Protocol.send output (Protocol.event_to_json ev) with
+    match Protocol.send_frame Protocol.events output ev with
     | Ok () -> ()
     | Error _ -> Unix._exit 0
   in
-  let lines = Protocol.Lines.create () in
+  let run (a : Protocol.assignment) =
+    let w = run_assignment ?cache ~emit a in
+    emit
+      (Protocol.Verdict
+         {
+           ev_job = a.Protocol.as_job.Protocol.js_id;
+           ev_outcome = w;
+           ev_dedup = false;
+           ev_attempts = a.Protocol.as_attempt;
+         })
+  in
+  let frames = Protocol.Frames.create Protocol.assignments in
   let rec serve () =
-    match Protocol.Lines.pop lines with
-    | Some line ->
-        (match Telemetry.Json.of_string line with
-        | Ok j -> (
-            match Protocol.assignment_of_json j with
-            | Ok a ->
-                let w = run_assignment ?cache ~emit a in
-                emit
-                  (Protocol.Verdict
-                     {
-                       ev_job = a.Protocol.as_job.Protocol.js_id;
-                       ev_outcome = w;
-                       ev_dedup = false;
-                       ev_attempts = a.Protocol.as_attempt;
-                     })
-            | Error _ -> ())
-        | Error _ -> ());
+    match Protocol.Frames.read frames input with
+    | `Eof -> Unix._exit 0
+    | `Frames assignments ->
+        List.iter run assignments;
         serve ()
-    | None -> (
-        match Protocol.read_chunk input with
-        | `Eof -> Unix._exit 0
-        | `Data d ->
-            Protocol.Lines.feed lines d;
-            serve ())
   in
   serve ()

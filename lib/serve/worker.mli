@@ -3,10 +3,10 @@
     The daemon {!Unix.fork}s each worker {e before} spawning any domains
     (the farm's domain pool only ever runs inside workers, never in the
     daemon, so forking stays safe), and the child immediately enters
-    {!main}: a blocking loop reading one NDJSON {!Protocol.assignment} at
-    a time, running {!Echo.Verify.run} on it, streaming [Stage] events as
-    the job progresses, and finishing with a [Verdict] event.  EOF on the
-    assignment pipe means the daemon is gone: the worker exits.
+    {!main}: a blocking loop taking one {!Protocol.assignment} frame at a
+    time, running {!Echo.Verify.run} on it, and framing back [Stage]
+    events as the job progresses, then a [Verdict] ({!Protocol.Frames}).
+    EOF on the assignment pipe means the daemon is gone: the worker exits.
 
     The worker never raises out of a job — [Verify.run] already folds
     every failure into the outcome's verdict — so the only ways a worker can

@@ -128,6 +128,27 @@ let test_unbound_template_parameter_rejected () =
   Alcotest.(check string) "a rejection" "the template does not bind parameter k3"
     r.Defects.Experiment.rr_note
 
+(* Seed 3's #07 and #08 swap an [and 255] for [or 255] where a byte
+   index is wanted: word_to_bytes rejects them by operator, on one line,
+   as #01/#02's rejections read, not through the re-typecheck. *)
+let test_word_to_bytes_operator_notes () =
+  let baselines = Defects.Experiment.baselines () in
+  List.iter
+    (fun (d : Defects.Seed.defect) ->
+      if d.Defects.Seed.d_id = 7 || d.Defects.Seed.d_id = 8 then begin
+        let r = Defects.Experiment.run_one ~baselines Defects.Experiment.Setup2 d in
+        let note = r.Defects.Experiment.rr_note in
+        Alcotest.(check string)
+          (Printf.sprintf "#%02d caught at refactoring" d.Defects.Seed.d_id)
+          (Defects.Experiment.stage_name Defects.Experiment.Caught_refactoring)
+          (Defects.Experiment.stage_name r.Defects.Experiment.rr_stage);
+        Alcotest.(check bool) ("an operator rejection: " ^ note) true
+          (String.starts_with ~prefix:"operator " note
+          && Astring.String.is_infix ~affix:" or 255 applied to converted words" note
+          && not (String.contains note '\n'))
+      end)
+    (Defects.Seed.seed_all ~seed:3 (prog0 ()))
+
 let suites =
   [ ( "defects",
       [ Alcotest.test_case "fifteen defects, three per type" `Quick test_fifteen_defects;
@@ -140,4 +161,6 @@ let suites =
         Alcotest.test_case "rerolling catches non-uniform defects" `Quick
           test_reroll_catches_nonuniform_defect;
         Alcotest.test_case "unbound template parameter is a rejection" `Slow
-          test_unbound_template_parameter_rejected ] ) ]
+          test_unbound_template_parameter_rejected;
+        Alcotest.test_case "word_to_bytes rejects swapped masks by operator" `Slow
+          test_word_to_bytes_operator_notes ] ) ]

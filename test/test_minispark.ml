@@ -87,7 +87,7 @@ let checked () = parse_check sample_source
 (* ------------------------------------------------------------------ *)
 
 let test_lexer_hex () =
-  match Array.to_list (Lexer.tokenize "16#ff# 16#C66363a5# 2#1010#") with
+  match Lexer.to_list (Lexer.tokenize "16#ff# 16#C66363a5# 2#1010#") with
   | [ { tok = INT 255; _ }; { tok = INT 0xc66363a5; _ }; { tok = INT 10; _ };
       { tok = EOF; _ } ] ->
       ()
@@ -97,7 +97,7 @@ let test_lexer_hex () =
 
 let test_lexer_annotations () =
   let toks = Lexer.tokenize "-- plain comment\n--# pre x > 0;\n--# continuation" in
-  let kinds = Array.to_list (Array.map (fun (t : Lexer.positioned) -> t.tok) toks) in
+  let kinds = List.map (fun (t : Lexer.positioned) -> t.tok) (Lexer.to_list toks) in
   Alcotest.(check bool)
     "annotation keyword surfaced" true
     (List.mem (Lexer.ANNOT "pre") kinds)

@@ -610,6 +610,33 @@ let test_word_to_bytes () =
     sub.Ast.sub_body;
   Alcotest.(check int) "no shifts left" 0 !shifts
 
+(* A byte position fed a word or'ed with a literal ([w0 or 255], as a
+   swapped-operator defect leaves [w0 and 255]) mixes a converted word
+   with a scalar: the template rejects it by operator, on one line, rather
+   than leaving an ill-typed aggregate for the re-typecheck to report. *)
+let test_word_to_bytes_rejects_mix () =
+  let plan =
+    {
+      Refactor.Data_structures.word_type = "word";
+      byte_name = "byte";
+      vec_name = "word_bytes";
+      array_types = [ ("block_t", Refactor.Data_structures.To_byte) ];
+    }
+  in
+  let needle = "ct (3) := w0 and 255;" in
+  let i = Astring.String.find_sub ~sub:needle word_src |> Option.get in
+  let src =
+    String.sub word_src 0 i ^ "ct (3) := w0 or 255;"
+    ^ String.sub word_src (i + String.length needle)
+        (String.length word_src - i - String.length needle)
+  in
+  let env, prog = check_src src in
+  match Refactor.Transform.apply (Refactor.Data_structures.word_to_bytes ~plan ()) env prog with
+  | _ -> Alcotest.fail "expected word_to_bytes to reject w0 or 255"
+  | exception Refactor.Transform.Not_applicable note ->
+      Alcotest.(check string) "operator note"
+        "operator w0 or 255 applied to converted words in w0 or 255" note
+
 let test_group_vars () =
   let src =
     {|
@@ -826,6 +853,8 @@ let suites =
         Alcotest.test_case "rename subprogram" `Quick test_rename_sub ] );
     ( "refactor:data_structures",
       [ Alcotest.test_case "word to byte arrays" `Quick test_word_to_bytes;
+        Alcotest.test_case "rejects a word/scalar mix by operator" `Quick
+          test_word_to_bytes_rejects_mix;
         Alcotest.test_case "group vars into state" `Quick test_group_vars ] );
     ( "refactor:tables",
       [ Alcotest.test_case "reverse table lookup" `Quick test_reverse_table;

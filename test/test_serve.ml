@@ -5,7 +5,9 @@
      between levels, FIFO within a level, and capacity backpressure
      ([`Full] past the bound, never silent growth);
    - codec round-trips for the NDJSON protocol, including hostile
-     strings and chunked line framing;
+     strings and chunked line framing, and for the daemon<->worker
+     [Marshal] frames: split across reads, several in one read, and a
+     partial frame at end of stream;
    - end-to-end daemon sessions over a forked daemon ({!Client.with_daemon}):
      a cold job matches a direct [Echo.Verify] run verdict-for-verdict, a
      warm duplicate is answered from the outcome table, a baseline-job
@@ -186,7 +188,7 @@ let prop_job_round_trip =
       | Ok js' -> js = js'
       | Error _ -> false)
 
-let event_round_trip () =
+let sample_events =
   let outcome =
     {
       Protocol.w_verdict = "conditional";
@@ -208,7 +210,6 @@ let event_round_trip () =
       w_seconds = 1.5;
     }
   in
-  let events =
     [
       Protocol.Accepted { ev_job = "j"; ev_depth = 4 };
       Protocol.Rejected { ev_job = "j"; ev_reason = nasty };
@@ -233,7 +234,8 @@ let event_round_trip () =
         };
       Protocol.Bye;
     ]
-  in
+
+let event_round_trip () =
   List.iteri
     (fun i ev ->
       match reencode Protocol.event_to_json Protocol.event_of_json ev with
@@ -242,7 +244,49 @@ let event_round_trip () =
           Alcotest.(check bool)
             (Printf.sprintf "event %d round-trips" i)
             true (ev = ev'))
-    events
+    sample_events
+
+(* ------------------------------------------------------------------ *)
+(* daemon<->worker frames                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [f ~r ~w] over a fresh pipe; both ends closed afterwards *)
+let with_pipe f =
+  let r, w = Unix.pipe () in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect ~finally:(fun () -> close r; close w) (fun () -> f ~r ~w)
+
+let write_string fd s =
+  let n = Unix.write_substring fd s 0 (String.length s) in
+  assert (n = String.length s)
+
+(* a frame's bytes: [send_frame] writes one [Marshal] value, no flags *)
+let frame_bytes v = Marshal.to_string v []
+
+(* send [vs] one frame each, then read until every frame is back *)
+let frames_through ~r ~w ch vs =
+  List.iter
+    (fun v -> match Protocol.send_frame ch w v with Ok () -> () | Error e -> Alcotest.fail e)
+    vs;
+  let reader = Protocol.Frames.create ch in
+  let rec go acc =
+    if List.length acc >= List.length vs then acc
+    else
+      match Protocol.Frames.read reader r with
+      | `Frames fs -> go (acc @ fs)
+      | `Eof -> acc
+  in
+  go []
+
+let sample_assignment ?(source = "program p is\n" ^ nasty) () =
+  {
+    Protocol.as_job =
+      Protocol.job ~id:"x" ~analyze:true ~deadline_s:2.5
+        ~baseline:{ Echo.Verify.vb_outline = sample_outline; vb_results = [ sample_summary ] }
+        ~source ();
+    as_attempt = 2;
+    as_telemetry = Some "/tmp/t.jsonl";
+  }
 
 let request_round_trip () =
   let reqs =
@@ -258,28 +302,88 @@ let request_round_trip () =
             (Printf.sprintf "request %d round-trips" i)
             true (req = req'))
     reqs;
-  let a =
-    {
-      Protocol.as_job = Protocol.job ~id:"x" ~source:"s" ();
-      as_attempt = 2;
-      as_telemetry = Some "/tmp/t.jsonl";
-    }
-  in
-  match reencode Protocol.assignment_to_json Protocol.assignment_of_json a with
-  | Error e -> Alcotest.fail e
-  | Ok a' -> Alcotest.(check bool) "assignment round-trips" true (a = a')
+  let a = sample_assignment () in
+  match with_pipe (fun ~r ~w -> frames_through ~r ~w Protocol.assignments [ a ]) with
+  | [ a' ] -> Alcotest.(check bool) "assignment round-trips" true (a = a')
+  | l -> Alcotest.failf "%d assignments read back" (List.length l)
 
 let framing () =
   let l = Protocol.Lines.create () in
-  Protocol.Lines.feed l "{\"a\":1}\n{\"b\"";
-  Alcotest.(check (option string)) "first line" (Some "{\"a\":1}")
-    (Protocol.Lines.pop l);
-  Alcotest.(check (option string)) "partial held back" None (Protocol.Lines.pop l);
-  Protocol.Lines.feed l ":2}\n\n";
-  Alcotest.(check (option string)) "completed line" (Some "{\"b\":2}")
-    (Protocol.Lines.pop l);
-  Alcotest.(check (option string)) "empty line" (Some "") (Protocol.Lines.pop l);
-  Alcotest.(check (option string)) "drained" None (Protocol.Lines.pop l)
+  with_pipe (fun ~r ~w ->
+      let feed s =
+        write_string w s;
+        Alcotest.(check bool) "read" true (Protocol.Lines.read l r = `Data)
+      in
+      feed "{\"a\":1}\n{\"b\"";
+      Alcotest.(check (option string)) "first line" (Some "{\"a\":1}")
+        (Protocol.Lines.pop l);
+      Alcotest.(check (option string)) "partial held back" None (Protocol.Lines.pop l);
+      feed ":2}\n\n";
+      Alcotest.(check (option string)) "completed line" (Some "{\"b\":2}")
+        (Protocol.Lines.pop l);
+      Alcotest.(check (option string)) "empty line" (Some "") (Protocol.Lines.pop l);
+      Alcotest.(check (option string)) "drained" None (Protocol.Lines.pop l);
+      Unix.close w;
+      Alcotest.(check bool) "end of stream" true (Protocol.Lines.read l r = `Eof))
+
+let frame_round_trip () =
+  let evs = with_pipe (fun ~r ~w -> frames_through ~r ~w Protocol.events sample_events) in
+  Alcotest.(check int) "every event back" (List.length sample_events) (List.length evs);
+  Alcotest.(check bool) "events round-trip in order" true (evs = sample_events)
+
+(* a frame split across reads is decoded once its last byte arrives;
+   one bigger than the reader's first buffer arrives over several reads *)
+let frame_split_across_reads () =
+  List.iter
+    (fun a ->
+      let bytes = frame_bytes a in
+      let n = String.length bytes in
+      with_pipe (fun ~r ~w ->
+          let reader = Protocol.Frames.create Protocol.assignments in
+          let rec feed off reads =
+            let len = min (min 20_000 ((n + 1) / 2)) (n - off) in
+            write_string w (String.sub bytes off len);
+            match Protocol.Frames.read reader r with
+            | `Eof -> Alcotest.fail "early end of stream"
+            | `Frames [] when off + len < n -> feed (off + len) (reads + 1)
+            | `Frames [ a' ] when off + len = n ->
+                Alcotest.(check bool) "decoded whole" true (a = a');
+                reads + 1
+            | `Frames fs -> Alcotest.failf "%d frame(s) after %d bytes" (List.length fs) (off + len)
+          in
+          let reads = feed 0 0 in
+          Alcotest.(check bool) "split" true (reads >= 2)))
+    [ sample_assignment ();
+      (* past the 64 KB first buffer: about a served AES edit's frame *)
+      sample_assignment
+        ~source:(String.concat "\n" (List.init 9_000 (Printf.sprintf "-- %04d"))) () ]
+
+let two_frames_one_read () =
+  let a = sample_assignment () and b = { (sample_assignment ()) with Protocol.as_attempt = 3 } in
+  let bytes = frame_bytes a ^ frame_bytes b in
+  with_pipe (fun ~r ~w ->
+      write_string w bytes;
+      match Protocol.Frames.read (Protocol.Frames.create Protocol.assignments) r with
+      | `Frames [ a'; b' ] -> Alcotest.(check bool) "both, in order" true (a = a' && b = b')
+      | `Frames fs -> Alcotest.failf "%d frame(s) from one read" (List.length fs)
+      | `Eof -> Alcotest.fail "end of stream")
+
+(* a worker that dies mid-write leaves a partial frame: the reader never
+   decodes it and reports end of stream, which the supervisor treats as a
+   crash (respawn, then retry) *)
+let partial_frame_then_eof () =
+  let ev = List.nth sample_events 5 in
+  let bytes = frame_bytes ev in
+  List.iter
+    (fun cut ->
+      with_pipe (fun ~r ~w ->
+          let reader = Protocol.Frames.create Protocol.events in
+          write_string w (String.sub bytes 0 cut);
+          Alcotest.(check bool) "nothing decoded" true (Protocol.Frames.read reader r = `Frames []);
+          Unix.close w;
+          Alcotest.(check bool) (Printf.sprintf "cut at %d: end of stream" cut) true
+            (Protocol.Frames.read reader r = `Eof)))
+    [ 1; Marshal.header_size - 1; Marshal.header_size; String.length bytes - 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* end-to-end daemon sessions                                          *)
@@ -637,6 +741,10 @@ let suites =
         Alcotest.test_case "request/assignment round-trips" `Quick
           request_round_trip;
         Alcotest.test_case "NDJSON framing" `Quick framing;
+        Alcotest.test_case "frame round-trip" `Quick frame_round_trip;
+        Alcotest.test_case "frame split across reads" `Quick frame_split_across_reads;
+        Alcotest.test_case "two frames in one read" `Quick two_frames_one_read;
+        Alcotest.test_case "partial frame then EOF" `Quick partial_frame_then_eof;
       ] );
     ( "serve.daemon",
       [
