@@ -121,6 +121,9 @@ let interp_of env program name args =
 
 let standard_hints = P.standard_hints
 
+(* the memos a proof consults on the calling domain *)
+let memo_readings () = ("simplify_memo", Logic.Simplify.memo_stats ()) :: P.memo_stats ()
+
 (* ------------------------------------------------------------------ *)
 (* Proof-cache keys                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -136,12 +139,14 @@ let hint_sig = function
    that can change a proof outcome: the hint ladder and the prover's
    search knobs.  The per-level deadline is deliberately excluded: a
    recorded proof stays a proof under any deadline, and timeouts are
-   never cached.  The "pf4" marker versions the key scheme, so entries
+   never cached.  The "pf5" marker versions the key scheme, so entries
    recorded under earlier schemes (the whole-program signature, "pf2"'s
-   printed-text frontier signature, then "pf3"'s retry-rung signature)
-   can never collide with the keys below. *)
+   printed-text frontier signature, "pf3"'s retry-rung signature, then
+   "pf4"'s) can never collide with the keys below.  "pf4" entries come
+   from the search before quantifier instantiation was pattern-directed,
+   which could exhaust [max_steps] on a VC that today's search proves. *)
 let base_signature (cfg : P.config) =
-  Printf.sprintf "pf4;split=%d;steps=%d;hints=%s" cfg.P.max_split
+  Printf.sprintf "pf5;split=%d;steps=%d;hints=%s" cfg.P.max_split
     cfg.P.max_steps
     (String.concat "," (List.map hint_sig standard_hints))
   |> Digest.string |> Digest.to_hex
@@ -466,9 +471,15 @@ let run_summarized ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
           (fun acc h -> acc + F.node_count h)
           (F.node_count vc.F.vc_goal) vc.F.vc_hyps
   in
+  (* each job measures the prover's and the simplifier's memos on the
+     domain it ran on: a worker's memos are its own *)
   let proved, _stats =
-    Farm.Pool.run ~jobs ~priority ~f:(fun (_, _, vc, _) -> prove_one vc) pending
+    Farm.Pool.run ~jobs ~priority
+      ~f:(fun (_, _, vc, _) -> Memo.measure memo_readings (fun () -> prove_one vc))
+      pending
   in
+  if Telemetry.enabled () then
+    Telemetry.count_memos (Memo.sum (Array.to_list (Array.map snd proved)));
   (* the inline (jobs = 1) path proves on this domain without worker
      spans, so its batch drains here *)
   Telemetry.Batch.flush ();
@@ -480,7 +491,7 @@ let run_summarized ?(filter_vcs = fun vcs -> vcs) ?(give_up = fun () -> false)
   let recordable vr = deadline_s = None || vr.vr_status = Auto in
   let added = ref 0 in
   Array.iteri
-    (fun k vr ->
+    (fun k (vr, _) ->
       let i, _, _, key = pending.(k) in
       (match (cache, key, if recordable vr then entry_of_result vr else None) with
       | Some c, Some key, Some entry ->

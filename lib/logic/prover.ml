@@ -36,8 +36,8 @@ type hint =
       (** split the last index off a goal quantifier: matches "induction on
           loop invariants" *)
   | Hint_apply_hyp
-      (** instantiate quantified hypotheses at goal indices: matches
-          "application of preconditions" *)
+      (** instantiate quantified hypotheses at the goal's reads of the
+          arrays they constrain: matches "application of preconditions" *)
   | Hint_unfold of string * string list * Formula.t
       (** function name, formal parameters, defining body: rewrite
           applications of an uninterpreted program function *)
@@ -539,24 +539,64 @@ let fresh_const sx base =
    on, and a VC that only proves with capabilities enabled is counted as
    needing manual intervention. *)
 type caps = {
-  c_instantiate : bool;  (** instantiate quantified hypotheses at goal indices *)
+  c_instantiate : bool;  (** instantiate quantified hypotheses at goal reads *)
   c_induction : bool;    (** range-split quantified goals / case-split stores *)
 }
 
 let no_caps = { c_instantiate = false; c_induction = false }
 
+(* the array a read goes through: [select]/[store] chains stripped *)
+let rec array_base a =
+  match a.node with
+  | App ((Select | Store), b :: _) -> array_base b
+  | _ -> a
+
+(* a quantified hypothesis's triggers: the array bases of every
+   [select(A, x)] in its body whose index is its own bound variable [x]
+   (an inner binder of the same name hides [x]) *)
+let triggers x body =
+  let rec go acc t =
+    match t.node with
+    | Int _ | Bool _ | Var _ -> acc
+    | App (Select, [ a; { node = Var y; _ } ]) when String.equal x y ->
+        go (array_base a :: acc) a
+    | App (_, args) -> List.fold_left go acc args
+    | Ite (c, a, b) -> go (go (go acc c) a) b
+    | Forall (y, lo, hi, b) | Exists (y, lo, hi, b) ->
+        let acc = go (go acc lo) hi in
+        if String.equal x y then acc else go acc b
+  in
+  go [] body
+
 (* instantiate quantified hypotheses at index terms appearing in the goal;
-   instances carry their range guard as an implication *)
+   instances carry their range guard as an implication.  Instantiation is
+   pattern-directed, as with the triggers of the Simplify prover (Detlefs,
+   Nelson & Saxe, 2005): a hypothesis with triggers is instantiated only
+   at the indices of the goal's reads of those arrays, direct or through a
+   store chain.  That keeps out most instances whose range guard the
+   search can only fail to prove, such as a column invariant instantiated
+   at an S-box byte.  One whose bound variable is never a direct [select]
+   index is instantiated at every [select] index and every variable of
+   the goal. *)
 let instantiate_hyps hyps goal =
-  let index_terms = ref [] in
+  let reads = ref [] and all_terms = ref [] in
   Formula.iter
     (fun t ->
       match t.node with
-      | App (Select, [ _; i ]) -> index_terms := i :: !index_terms
-      | Var _ -> index_terms := t :: !index_terms
+      | App (Select, [ a; i ]) ->
+          reads := (array_base a, i) :: !reads;
+          all_terms := i :: !all_terms
+      | Var _ -> all_terms := t :: !all_terms
       | _ -> ())
     goal;
-  let index_terms = List.sort_uniq Formula.compare !index_terms in
+  let all_terms = List.sort_uniq Formula.compare !all_terms in
+  let candidates x body =
+    match triggers x body with
+    | [] -> all_terms
+    | trig ->
+        List.filter_map (fun (b, i) -> if mem_term b trig then Some i else None) !reads
+        |> List.sort_uniq Formula.compare
+  in
   List.concat_map
     (fun h ->
       match h.node with
@@ -568,7 +608,7 @@ let instantiate_hyps hyps goal =
                    (app Implies
                       [ app And [ app Le [ lo; i ]; app Le [ i; hi ] ];
                         Formula.subst x i body ]))
-               index_terms
+               (candidates x body)
       | _ -> [ h ])
     hyps
 

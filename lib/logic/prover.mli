@@ -14,8 +14,9 @@ type hint =
       (** split the last index off quantified goals and case-split
           unresolved stores — "induction on loop invariants" *)
   | Hint_apply_hyp
-      (** instantiate quantified hypotheses at goal index terms —
-          "application of preconditions" *)
+      (** instantiate quantified hypotheses at the indices of the goal's
+          reads of the arrays they constrain — "application of
+          preconditions" *)
   | Hint_unfold of string * string list * Formula.t
       (** function name, formals, defining body: definitional rewriting *)
 

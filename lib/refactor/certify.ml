@@ -237,7 +237,10 @@ let diff (env_a, prog_a) (env_b, prog_b) =
 (* Static side: equivalence VCs on the proof farm                      *)
 (* ------------------------------------------------------------------ *)
 
-let cache_key vc = F.vc_digest vc ^ ":certify:v1"
+(* the suffix versions the key with the prover's search: "v1" entries were
+   recorded before quantifier instantiation was pattern-directed, when a
+   VC could exhaust a step budget that today's search proves within *)
+let cache_key vc = F.vc_digest vc ^ ":certify:v2"
 
 (* the cache entry a proof leaves; a timeout is wall-clock dependent and
    never cached *)

@@ -289,7 +289,7 @@ let test_prover_pins () =
   Alcotest.(check int) "hinted" 18 (count (fun (_, r, _, _, _) -> r = "hinted"));
   Alcotest.(check int) "residual" 0 (count (fun (_, r, _, _, _) -> r = "none"));
   Alcotest.(check int) "attempts" 411 (sum (fun (_, _, _, a, _) -> a));
-  Alcotest.(check int) "probe steps" 6509 (sum (fun (_, _, _, _, s) -> s))
+  Alcotest.(check int) "probe steps" 3287 (sum (fun (_, _, _, _, s) -> s))
 
 let test_history_undo_roundtrip () =
   let _, h = Lazy.force pipeline in

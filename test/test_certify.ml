@@ -142,6 +142,40 @@ let test_vc_cache_reuse () =
   Alcotest.(check int) "warm run all hits" s1.C.ct_vcs_generated s2.C.ct_cache_hits;
   Alcotest.(check int) "warm run no misses" 0 s2.C.ct_cache_misses
 
+(* an entry recorded under the ":certify:v1" key, before quantifier
+   instantiation was pattern-directed, is a miss: the VC is re-proved and
+   the certificate is the cold run's, even where the old entry
+   contradicts the proof *)
+let test_v1_entries_miss () =
+  let after =
+    Str_replace.replace base_src ~find:"t := x + x;
+    return t;"
+      ~by:"return x + x;"
+  in
+  let before = check_src base_src and after = check_src after in
+  let dir = Filename.temp_file "certify_cache" "" in
+  Sys.remove dir;
+  let cfg cache = { (C.default_config ()) with C.cf_cache = Some cache } in
+  let c1, s1 = C.certify (cfg (Farm.Cache.open_ ~dir)) ~step_name:"cold" ~before ~after in
+  let entries = Test_farm.index_entries dir in
+  Alcotest.(check bool) "the cold run recorded entries" true (entries <> []);
+  let old_dir = Filename.temp_file "certify_cache" "" in
+  Sys.remove old_dir;
+  let old = Farm.Cache.open_ ~dir:old_dir in
+  List.iter
+    (fun (key, status) ->
+      match Astring.String.cut ~rev:true ~sep:":certify:v2" key with
+      | Some (digest, "") ->
+          Farm.Cache.add old (digest ^ ":certify:v1") (Test_farm.contrary_entry status)
+      | _ -> Alcotest.failf "key %s lacks the v2 suffix" key)
+    entries;
+  Alcotest.(check bool) "v1 entries saved" true (Farm.Cache.save old = Ok ());
+  let c2, s2 = C.certify (cfg (Farm.Cache.open_ ~dir:old_dir)) ~step_name:"v1" ~before ~after in
+  Alcotest.(check int) "no v1 entry hits" 0 s2.C.ct_cache_hits;
+  Alcotest.(check int) "every VC misses" s1.C.ct_cache_misses s2.C.ct_cache_misses;
+  Alcotest.(check int) "re-proved as cold" s1.C.ct_vcs_proved s2.C.ct_vcs_proved;
+  Alcotest.(check string) "the cold certificate" (C.describe c1) (C.describe c2)
+
 let test_add_stats_sums_seconds () =
   let a = { C.zero_stats with C.ct_steps = 1; ct_vc_seconds = 1.5; ct_oracle_seconds = 0.25 } in
   let b = { C.zero_stats with C.ct_steps = 2; ct_vc_seconds = 2.5; ct_oracle_seconds = 0.5 } in
@@ -599,6 +633,7 @@ let suites =
           test_zero_trials_is_unknown;
         Alcotest.test_case "VC cache makes re-certification free" `Quick
           test_vc_cache_reuse;
+        Alcotest.test_case "v1 VC-cache entries miss" `Quick test_v1_entries_miss;
         Alcotest.test_case "certify stats seconds add" `Quick
           test_add_stats_sums_seconds;
         Alcotest.test_case "run memo key covers the behaviour closure" `Quick

@@ -330,6 +330,89 @@ end other;
   let r = IP.run ~cache:(Farm.Cache.open_ ~dir) env2 prog2 in
   Alcotest.(check int) "foreign program misses" 0 r.IP.ip_cache_hits
 
+(* the (key, status) of every entry in a cache directory's index *)
+let index_entries dir =
+  let module J = Telemetry.Json in
+  In_channel.with_open_text (Filename.concat dir "index.jsonl") In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match J.of_string line with
+         | Ok j -> (
+             match (J.member "key" j, J.member "status" j) with
+             | Some (J.String k), Some (J.String s) -> Some (k, s)
+             | _ -> None)
+         | Error _ -> None)
+
+(* an entry that says the opposite of the one recorded *)
+let contrary_entry status =
+  { Farm.Cache.en_status =
+      (if status = "residual" then Farm.Cache.E_auto
+       else Farm.Cache.E_residual "recorded under an earlier key scheme");
+    en_attempts = 1; en_time = 0.0 }
+
+(* Keys carry the "pf5" scheme marker.  An entry recorded under "pf4",
+   before quantifier instantiation was pattern-directed (when a VC could
+   exhaust a step budget that today's search proves within), is a miss:
+   the VC is re-proved, never replayed, even where the old entry
+   contradicts the proof. *)
+let test_old_scheme_entries_miss () =
+  let env, prog = Lazy.force farm_program in
+  let signature marker =
+    Printf.sprintf "%s;split=%d;steps=60000;hints=apply_hyp,induction" marker
+      Logic.Prover.default_config.Logic.Prover.max_split
+    |> Digest.string |> Digest.to_hex
+  in
+  let dir = temp_dir "scheme-pf5" in
+  let cold = IP.run ~max_steps:60_000 ~cache:(Farm.Cache.open_ ~dir) env prog in
+  let entries = index_entries dir in
+  Alcotest.(check bool) "the cold run recorded entries" true (entries <> []);
+  let old_dir = temp_dir "scheme-pf4" in
+  let old = Farm.Cache.open_ ~dir:old_dir in
+  List.iter
+    (fun (key, status) ->
+      match String.split_on_char ':' key with
+      | digest :: base :: rest ->
+          Alcotest.(check string) "the base signature is pf5's" (signature "pf5") base;
+          Farm.Cache.add old
+            (String.concat ":" (digest :: signature "pf4" :: rest))
+            (contrary_entry status)
+      | _ -> Alcotest.failf "malformed cache key %s" key)
+    entries;
+  Alcotest.(check bool) "pf4 entries saved" true (Farm.Cache.save old = Ok ());
+  let r = IP.run ~max_steps:60_000 ~cache:(Farm.Cache.open_ ~dir:old_dir) env prog in
+  Alcotest.(check int) "no pf4 entry hits" 0 r.IP.ip_cache_hits;
+  Alcotest.(check int) "every VC misses" cold.IP.ip_cache_misses r.IP.ip_cache_misses;
+  Alcotest.(check (list (triple string string int))) "re-proved, not replayed"
+    (List.map result_key cold.IP.ip_results)
+    (List.map result_key r.IP.ip_results)
+
+(* a traced run at width 2 publishes the prover's and the simplifier's
+   memo use, summed over the domains that proved *)
+let test_worker_memos_reported () =
+  let env, prog = Lazy.force farm_program in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let counters =
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.disable ();
+        Telemetry.reset ())
+      (fun () ->
+        ignore (IP.run ~jobs:2 env prog);
+        (Telemetry.snapshot ()).Telemetry.sn_counters)
+  in
+  let get c = Option.value ~default:0 (List.assoc_opt c counters) in
+  List.iter
+    (fun memo ->
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) (memo ^ s ^ " published") true
+            (List.mem_assoc (memo ^ s) counters))
+        [ "_hits"; "_misses"; "_evictions" ];
+      Alcotest.(check bool) (memo ^ " consulted") true
+        (get (memo ^ "_hits") + get (memo ^ "_misses") > 0))
+    [ "prover_constraints_memo"; "simplify_memo" ]
+
 (* VCs that need the prover's ground evaluation of a program function:
    each evaluation runs on its own runtime, so the statuses cannot depend
    on which worker domain evaluated what, or in which order *)
@@ -399,5 +482,9 @@ let suites =
           test_index_written_only_on_add;
         Alcotest.test_case "cache keying isolates programs" `Quick
           test_cache_keying_isolates_programs;
+        Alcotest.test_case "pf4 entries miss and re-prove" `Quick
+          test_old_scheme_entries_miss;
+        Alcotest.test_case "width-2 run reports worker memos" `Quick
+          test_worker_memos_reported;
         Alcotest.test_case "ground evaluation agrees across jobs" `Quick
           test_ground_eval_jobs_agree ] ) ]

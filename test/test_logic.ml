@@ -137,6 +137,61 @@ let test_prover_apply_hyp_hint () =
   check_unproved "not without hint" ~hyps:[ hyp ] goal;
   check_proved "with apply hint" ~hyps:[ hyp ] ~hints:[ P.Hint_apply_hyp ] goal
 
+(* pattern-directed instantiation: a hypothesis [forall cc ..] whose body
+   reads [select(select(dst, cc), rr)] is instantiated where the goal
+   reads [dst], here through a store at another column.  The rows' bound
+   is symbolic so that the simplifier does not unroll the inner
+   quantifier. *)
+let test_prover_trigger_through_store () =
+  let dst = F.var "dst" and src = F.var "src" and row = F.var "row" in
+  let c = F.var "c" and k = F.var "k" and r = F.var "r" and m = F.var "m" in
+  let cell a i j = F.select (F.select a i) j in
+  let hyp =
+    F.forall "cc" (F.num 0) (F.app F.Sub [ c; F.num 1 ])
+      (F.forall "rr" (F.num 0) m
+         (F.eq (cell dst (F.var "cc") (F.var "rr")) (cell src (F.var "rr") (F.var "cc"))))
+  in
+  let ranges =
+    [ F.app F.Ge [ c; F.num 0 ]; F.app F.Le [ c; F.num 3 ];
+      F.app F.Ge [ k; F.num 0 ]; F.app F.Le [ k; F.app F.Sub [ c; F.num 1 ] ];
+      F.app F.Ge [ r; F.num 0 ]; F.app F.Le [ r; m ] ]
+  in
+  let goal = F.eq (cell (F.app F.Store [ dst; c; row ]) k r) (cell src r k) in
+  let res = P.prove_vc ~hints:P.standard_hints (vc ~hyps:(hyp :: ranges) goal) in
+  Alcotest.(check bool) "proved" true (P.is_proved res);
+  Alcotest.(check int) "at the apply-hypothesis level" 1 res.P.pr_hints_used
+
+(* a hypothesis whose trigger is [b] is not instantiated at the indices of
+   a goal that reads only [a]: it costs the search no step, while the same
+   fact over [a] is instantiated and proves the goal *)
+let test_prover_no_instance_off_trigger () =
+  let a = F.var "a" and b = F.var "b" and j = F.var "j" and n = F.var "n" in
+  let zero_up_to_n arr = F.forall "k" (F.num 0) n (F.eq (F.select arr (F.var "k")) (F.num 0)) in
+  let ranges = [ F.app F.Ge [ j; F.num 0 ]; F.app F.Le [ j; n ] ] in
+  let goal = F.eq (F.select a j) (F.num 0) in
+  let run hyps = P.prove_vc ~hints:P.standard_hints (vc ~hyps goal) in
+  let without = run ranges and over_b = run (zero_up_to_n b :: ranges) in
+  Alcotest.(check bool) "unproved without the fact" false (P.is_proved without);
+  Alcotest.(check bool) "unproved with a fact over b" false (P.is_proved over_b);
+  Alcotest.(check int) "a fact over b adds no step" without.P.pr_steps over_b.P.pr_steps;
+  let over_a = run (zero_up_to_n a :: ranges) in
+  Alcotest.(check bool) "a fact over a is instantiated" true (P.is_proved over_a);
+  Alcotest.(check int) "at the apply-hypothesis level" 1 over_a.P.pr_hints_used
+
+(* a hypothesis whose bound variable is never a direct select index has no
+   trigger and keeps the old candidates: every select index and every
+   variable of the goal *)
+let test_prover_no_trigger_fallback () =
+  let a = F.var "a" and j = F.var "j" in
+  let hyp =
+    F.forall "k" (F.num 0) (F.num 100)
+      (F.app F.Ge [ F.select a (F.app F.Add [ F.var "k"; F.num 1 ]); F.num 0 ])
+  in
+  let hyps = [ hyp; F.app F.Ge [ j; F.num 0 ]; F.app F.Le [ j; F.num 100 ] ] in
+  let goal = F.app F.Ge [ F.select a (F.app F.Add [ j; F.num 1 ]); F.num 0 ] in
+  check_unproved "not without hint" ~hyps goal;
+  check_proved "with apply hint" ~hyps ~hints:[ P.Hint_apply_hyp ] goal
+
 let test_prover_unfold_hint () =
   let f_body = F.app F.Add [ F.var "p"; F.num 1 ] in
   let goal = F.eq (F.app (F.Uf "succ") [ F.num 4 ]) (F.num 5) in
@@ -202,4 +257,9 @@ let suites =
         Alcotest.test_case "program function evaluation" `Quick test_prover_interp;
         Alcotest.test_case "induction hint" `Quick test_prover_induction_hint;
         Alcotest.test_case "apply-hypothesis hint" `Quick test_prover_apply_hyp_hint;
+        Alcotest.test_case "trigger matches a read through a store" `Quick
+          test_prover_trigger_through_store;
+        Alcotest.test_case "no instance off the triggers" `Quick
+          test_prover_no_instance_off_trigger;
+        Alcotest.test_case "no-trigger fallback" `Quick test_prover_no_trigger_fallback;
         Alcotest.test_case "unfold hint" `Quick test_prover_unfold_hint ] ) ]
