@@ -536,7 +536,7 @@ let cmd_certify_defects trials jobs cache_dir json () =
     }
   in
   let defects = Defects.Seed.seed_all prog in
-  (* the defects share one [before]: certify them as one batch *)
+  (* the defects share one [before]: certify them in one session *)
   let certs =
     Refactor.Certify.certify_steps cfg
       (List.map
@@ -1004,10 +1004,10 @@ let certify_cmd =
   in
   Cmd.v
     (Cmd.info "certify" ~exits
-       ~doc:"Certify every step of the AES refactoring, as one proof-farm \
-             batch: equivalence VCs plus a fuel-bounded differential \
-             fuzzing oracle.  Exit code 7 when a step is refuted or a \
-             seeded defect escapes")
+       ~doc:"Certify every step of the AES refactoring on the proof farm, \
+             beside the refactoring script: equivalence VCs plus a \
+             fuel-bounded differential fuzzing oracle.  Exit code 7 when a \
+             step is refuted or a seeded defect escapes")
     Term.(const cmd_certify $ defects $ trials $ jobs_arg $ cache_dir $ json $ const ())
 
 let chaos_cmd =

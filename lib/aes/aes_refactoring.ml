@@ -722,13 +722,13 @@ type snapshot = {
 (** Run the refactoring through block [upto] (default: all 14), validating
     FIPS-197 vectors after every block (disable with [kat_gate:false] for
     the seeded-defect experiment, where the vectors are not part of the
-    Echo process).  With [certify], every step is certified once all
-    blocks are applied, in one batch; a failing block first certifies the
-    steps before it, so a refutation among them wins.  A config without
-    entry points gets [encrypt_block] and [decrypt_block].  [start]
-    overrides the initial program (defaults to the pristine optimized
-    implementation).  Returns the per-block snapshots (block 0 first) and
-    the history. *)
+    Echo process).  With [certify], every step is certified while the
+    blocks run ({!Refactor.History.run_certified}); a failing block first
+    finishes certifying the steps before it, so a refutation among them
+    wins.  A config without entry points gets [encrypt_block] and
+    [decrypt_block].  [start] overrides the initial program (defaults to
+    the pristine optimized implementation).  Returns the per-block
+    snapshots (block 0 first) and the history. *)
 let run ?(upto = 14) ?(kat_gate = true) ?certify ?start () =
   let env0, prog0 = match start with Some ep -> ep | None -> Aes_impl.checked () in
   let h = H.create env0 prog0 in

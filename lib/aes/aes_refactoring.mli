@@ -27,9 +27,11 @@ val run :
     for the seeded-defect experiment, where the vectors are not part of
     the Echo process.  With [certify], every step is certified
     ({!Refactor.Certify}) and its certificate recorded in the history:
-    all blocks are applied first, then every step is certified in one
-    {!Refactor.History.certify} batch.  A failing block first certifies
-    the steps before it, so a refutation among them is what is raised.
+    each step goes to the certification as it is applied
+    ({!Refactor.History.run_certified}), so up to [cf_jobs - 1] domains
+    certify beside the blocks and the rest is certified once the last
+    block is done.  A failing block first finishes certifying the steps
+    before it, so a refutation among them is what is raised.
     A config with no [cf_entries] certifies with the public entry points
     [encrypt_block] and [decrypt_block].
     [start] overrides the initial program.

@@ -139,14 +139,17 @@ let hint_sig = function
    that can change a proof outcome: the hint ladder and the prover's
    search knobs.  The per-level deadline is deliberately excluded: a
    recorded proof stays a proof under any deadline, and timeouts are
-   never cached.  The "pf5" marker versions the key scheme, so entries
+   never cached.  The "pf6" marker versions the key scheme, so entries
    recorded under earlier schemes (the whole-program signature, "pf2"'s
    printed-text frontier signature, "pf3"'s retry-rung signature, then
-   "pf4"'s) can never collide with the keys below.  "pf4" entries come
-   from the search before quantifier instantiation was pattern-directed,
-   which could exhaust [max_steps] on a VC that today's search proves. *)
+   "pf4"'s and "pf5"'s) can never collide with the keys below.  "pf4"
+   entries come from the search before quantifier instantiation was
+   pattern-directed, which could exhaust [max_steps] on a VC that
+   today's search proves; "pf5" entries from the search before a
+   discharged instance's conjuncts became facts of their own, when a
+   residual could be what is now a proof. *)
 let base_signature (cfg : P.config) =
-  Printf.sprintf "pf5;split=%d;steps=%d;hints=%s" cfg.P.max_split
+  Printf.sprintf "pf6;split=%d;steps=%d;hints=%s" cfg.P.max_split
     cfg.P.max_steps
     (String.concat "," (List.map hint_sig standard_hints))
   |> Digest.string |> Digest.to_hex

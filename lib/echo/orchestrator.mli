@@ -69,7 +69,7 @@ type config = {
           checkpoint, and the certify stage's audit is checkpointed too *)
   oc_jobs : int;
       (** proof-farm width for the implementation proof, certification
-          ({!Refactor.Certify.certify_steps}) and the implication lemmas:
+          ({!Refactor.History.run_certified}) and the implication lemmas:
           number of domains dispatching jobs cost-descending with work
           stealing; [1] (the default) runs inline.  Verdicts are
           identical for any value *)

@@ -795,7 +795,9 @@ and store_case_split sx cfg caps depth hyps goal i j =
   all branches
 
 and discharge_guards sx cfg _caps depth hyps =
-  List.map
+  (* a discharged instance's conjuncts are facts of their own, which the
+     cheap stages match one by one *)
+  List.concat_map
     (fun h ->
       match h.node with
       | App (Implies, [ guard; body ]) -> (
@@ -804,9 +806,9 @@ and discharge_guards sx cfg _caps depth hyps =
               (List.filter (fun x -> not (Formula.equal x h)) hyps)
               guard
           with
-          | Proved -> body
-          | _ -> h)
-      | _ -> h)
+          | Proved -> Simplify.flatten_chain And body
+          | _ -> [ h ])
+      | _ -> [ h ])
     hyps
 
 and case_split sx cfg caps depth hyps goal : outcome =

@@ -22,8 +22,9 @@
       A mismatch, a crash, or fuel exhaustion introduced by the rewrite is
       a concrete counterexample: the step is [Refuted].
    4. [M_entries] — a target the oracle cannot sample locally falls back
-      to differential execution of the configured entry points (the
-      pre-certification guarantee of [History.apply]).
+      to differential execution of the configured entry points
+      ([cf_entries]), which are also the targets of a step that changes
+      the program's shape.
 
    Anything still undecided yields [Unknown] — recorded, surfaced, never
    silently dropped. *)
@@ -239,8 +240,10 @@ let diff (env_a, prog_a) (env_b, prog_b) =
 
 (* the suffix versions the key with the prover's search: "v1" entries were
    recorded before quantifier instantiation was pattern-directed, when a
-   VC could exhaust a step budget that today's search proves within *)
-let cache_key vc = F.vc_digest vc ^ ":certify:v2"
+   VC could exhaust a step budget that today's search proves within, and
+   "v2" entries before a discharged instance's conjuncts became facts of
+   their own *)
+let cache_key vc = F.vc_digest vc ^ ":certify:v3"
 
 (* the cache entry a proof leaves; a timeout is wall-clock dependent and
    never cached *)
@@ -252,7 +255,7 @@ let cache_entry (r : P.proof_result) =
   | P.Timeout _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* The decision procedure, over a batch of steps                       *)
+(* The decision procedure, step by step on the farm                   *)
 (* ------------------------------------------------------------------ *)
 
 type step = {
@@ -263,13 +266,13 @@ type step = {
 
 (* Where one equivalence VC's verdict comes from.  Cache lookups are made
    in step order as if each step saved its proofs before the next looked:
-   a key an earlier step of the batch proved is that later step's hit
-   when the proof is cacheable. *)
+   a key an earlier step proved is that later step's hit when the proof
+   is cacheable. *)
 type vc_slot =
-  | Cached of bool  (* in the cache before the batch: proved? *)
-  | Job of { job : int; first : bool }
-      (* proved by farm job [job]; [first] unless an earlier step of the
-         batch looked the key up before *)
+  | Cached of bool  (* in the cache before certification: proved? *)
+  | Job of { key : string; first : bool }
+      (* proved by the farm job of the step that first looked [key] up;
+         [first] for that step *)
 
 type plan =
   | Settled of certificate  (* identical versions, or no target at all *)
@@ -277,15 +280,17 @@ type plan =
       targets : target list;
       batches : (string * (F.vc * vc_slot) list) list;
           (* each VC-eligible target's equivalence VCs *)
+      proves : (string * F.vc) list;
+          (* the keys this step looks up first, and their VCs *)
     }
 
 (* One farm job: a cache-missing equivalence VC, or one target name's
-   oracle over every step that targets it, in step order — so the run
-   memo's hits from one step's after-program on the next step's
-   before-program stay on one domain. *)
+   oracle over some steps in step order — so the run memo's hits from one
+   step's after-program on the next step's before-program stay on one
+   domain. *)
 type job =
-  | Prove of { step : int; vc : F.vc }
-  | Oracle of { name : string; steps : int list }
+  | Prove of { step : int; key : string; vc : F.vc }
+  | Oracle of { name : string; steps : (int * step) list }
 
 type job_result =
   | Proof of P.proof_result
@@ -297,24 +302,24 @@ let job_cost = function
   | Prove { vc; _ } -> F.node_count (F.vc_formula vc)
   | Oracle { steps; _ } -> 4000 * List.length steps
 
-let run_oracle cfg (step : step) name =
-  Telemetry.with_span ~cat:Telemetry.cat_transform
+let run_oracle ?parent cfg (step : step) name =
+  Telemetry.with_span ~cat:Telemetry.cat_transform ?parent
     ~attrs:[ ("step", Telemetry.S step.sp_name); ("target", Telemetry.S name) ]
     "oracle"
     (fun () ->
       Equivalence.oracle ~seed:cfg.cf_seed ~trials:cfg.cf_trials ~fuel:cfg.cf_fuel
         step.sp_before step.sp_after name)
 
-let run_job cfg steps = function
+let run_job cfg = function
   | Prove { vc; _ } -> Proof (P.prove_vc ~hints:P.standard_hints vc)
-  | Oracle { name; steps = idx } ->
+  | Oracle { name; steps } ->
       Runs
         (List.map
-           (fun i ->
+           (fun (i, step) ->
              let t0 = Logic.Clock.now () in
-             let o = run_oracle cfg steps.(i) name in
+             let o = run_oracle cfg step name in
              (i, o, Logic.Clock.elapsed t0))
-           idx)
+           steps)
 
 (* the targets of one step, and its VC-eligible targets' VCs *)
 let plan_step cfg (step : step) =
@@ -354,14 +359,14 @@ let plan_step cfg (step : step) =
               | exception Vcgen.Infeasible _ -> None)
           targets )
 
-(* Replay one step's sequential decision over the batch's outcomes:
+(* Replay one step's sequential decision over the farm's outcomes:
    equivalence VCs first, then the oracle per residual target in order,
    falling back to the entry points; [outcome name] is the step's oracle
    outcome for a target.  Timing fields are left to the caller. *)
 let decide_step cfg ~proof ~outcome (step : step) plan : certificate * stats =
   match plan with
   | Settled cert -> (cert, { zero_stats with ct_steps = 1 })
-  | Run { targets; batches } ->
+  | Run { targets; batches; _ } ->
       let _, prog_a = step.sp_before and _, prog_b = step.sp_after in
       let stats =
         ref { zero_stats with ct_steps = 1; ct_targets = List.length targets }
@@ -370,12 +375,12 @@ let decide_step cfg ~proof ~outcome (step : step) plan : certificate * stats =
       let all = List.concat_map snd batches in
       let proved = function
         | Cached ok -> ok
-        | Job { job; _ } -> P.is_proved (proof job)
+        | Job { key; _ } -> P.is_proved (proof key)
       in
       let hit = function
         | Cached _ -> true
-        | Job { job; first } ->
-            (not first) && cfg.cf_cache <> None && cache_entry (proof job) <> None
+        | Job { key; first } ->
+            (not first) && cfg.cf_cache <> None && cache_entry (proof key) <> None
       in
       let count p = List.length (List.filter (fun (_, s) -> p s) all) in
       bump (fun s ->
@@ -450,64 +455,96 @@ let decide_step cfg ~proof ~outcome (step : step) plan : certificate * stats =
       let cert = decide [] residual in
       (cert, !stats)
 
-let certify_steps cfg (steps : step list) : (certificate * stats) list =
-  Telemetry.with_span ~cat:Telemetry.cat_transform
-    ~attrs:[ ("steps", Telemetry.I (List.length steps)) ]
-    "certify"
-  @@ fun () ->
-  let steps = Array.of_list steps in
-  let jobs = ref [] and n_jobs = ref 0 in
-  let add_job j =
-    jobs := j :: !jobs;
-    incr n_jobs;
-    !n_jobs - 1
+type session = {
+  se_cfg : config;
+  se_span : int option;  (* the [certify] span, when opened by [start] *)
+  se_pool :
+    (job, job_result * float * (string * Memo.stats) list) Farm.Pool.t;
+  mutable se_planned : (step * plan) list;  (* newest first *)
+  se_first : (string, int) Hashtbl.t;  (* cache key -> first step to look *)
+  se_waiting : (int * step * plan) Queue.t;
+      (* planned, no job submitted yet; always a suffix of the steps *)
+  mutable se_jobs : job list;  (* submitted, newest first *)
+  mutable se_memos : (string * Memo.stats) list list;  (* calling domain's *)
+}
+
+(* Above width 1 the certification runs beside the caller, under a span
+   that does not nest the caller's own; at width 1 nothing runs before
+   [finish], which opens it. *)
+let start cfg =
+  let span =
+    if cfg.cf_jobs > 1 then
+      Some (Telemetry.start_span ~cat:Telemetry.cat_transform ~detached:true "certify")
+    else None
   in
-  (* 1. plan on the calling domain — the proof cache is not domain-safe,
-     so every lookup happens here, in step order *)
-  let first_lookup = Hashtbl.create 16 in
-  let plans, plan_memos =
-    Memo.measure Equivalence.memo_readings @@ fun () ->
-    Array.mapi
-      (fun i step ->
-        match plan_step cfg step with
-        | `Settled cert -> Settled cert
-        | `Targets (targets, batches) ->
-            let slot vc =
-              let key = cache_key vc in
-              match Option.bind cfg.cf_cache (fun c -> Farm.Cache.lookup c key) with
-              | Some { Farm.Cache.en_status = Farm.Cache.E_auto | Farm.Cache.E_hinted _; _ }
-                ->
-                  Cached true
-              | Some { Farm.Cache.en_status = Farm.Cache.E_residual _; _ } ->
-                  Cached false
-              | None -> (
-                  match Hashtbl.find_opt first_lookup key with
-                  | Some (job, i') when i' < i -> Job { job; first = false }
-                  | _ ->
-                      let job = add_job (Prove { step = i; vc }) in
-                      Hashtbl.replace first_lookup key (job, i);
-                      Job { job; first = true })
-            in
-            Run
-              { targets;
-                batches =
-                  List.map
-                    (fun (name, vcs) -> (name, List.map (fun vc -> (vc, slot vc)) vcs))
-                    batches })
-      steps
-  in
-  (* Every target runs its oracle, except one the cache already proves.
-     One job per target name keeps the run memo's cross-step hits on one
-     domain.  At width 1 nothing is split, and one job per step and
-     target, in step order, also keeps the interpreter's few-program
-     cache warm, as step-by-step certification does. *)
-  let group i name = ((if cfg.cf_jobs > 1 then -1 else i), name) in
-  let oracle_steps = Hashtbl.create 64 and names = ref [] in
-  Array.iteri
-    (fun i plan ->
+  {
+    se_cfg = cfg;
+    se_span = span;
+    se_pool =
+      Farm.Pool.create ~jobs:cfg.cf_jobs ?parent:span ~priority:job_cost
+        ~f:(fun job ->
+          let t0 = Logic.Clock.now () in
+          let r, memos =
+            Memo.measure Equivalence.memo_readings (fun () -> run_job cfg job)
+          in
+          (r, Logic.Clock.elapsed t0, memos))
+        ();
+    se_planned = [];
+    se_first = Hashtbl.create 16;
+    se_waiting = Queue.create ();
+    se_jobs = [];
+    se_memos = [];
+  }
+
+(* Plan step [i] on the calling domain: the proof cache is not
+   domain-safe, so every lookup happens here, in step order. *)
+let plan se i step =
+  let cfg = se.se_cfg in
+  match plan_step cfg step with
+  | `Settled cert -> Settled cert
+  | `Targets (targets, batches) ->
+      let proves = ref [] in
+      let slot vc =
+        let key = cache_key vc in
+        match Option.bind cfg.cf_cache (fun c -> Farm.Cache.lookup c key) with
+        | Some { Farm.Cache.en_status = Farm.Cache.E_auto | Farm.Cache.E_hinted _; _ } ->
+            Cached true
+        | Some { Farm.Cache.en_status = Farm.Cache.E_residual _; _ } -> Cached false
+        | None -> (
+            match Hashtbl.find_opt se.se_first key with
+            | Some i' -> Job { key; first = i' = i }
+            | None ->
+                Hashtbl.replace se.se_first key i;
+                proves := (key, vc) :: !proves;
+                Job { key; first = true })
+      in
+      (* bind before building the record: its fields evaluate
+         right-to-left, which would read [proves] before [slot] fills it *)
+      let batches =
+        List.map
+          (fun (name, vcs) -> (name, List.map (fun vc -> (vc, slot vc)) vcs))
+          batches
+      in
+      Run { targets; batches; proves = List.rev !proves }
+
+(* Submit the jobs of some planned steps, in step order, as one batch:
+   each VC a step looks up first, then every target's oracle, except a
+   target the cache already proves.  Above width 1 one job per target
+   name keeps the run memo's cross-step hits on one domain.  At width 1
+   nothing is split, and one job per step and target, in step order,
+   also keeps the interpreter's few-program cache warm, as step-by-step
+   certification does. *)
+let submit se waiting =
+  let group i name = ((if se.se_cfg.cf_jobs > 1 then -1 else i), name) in
+  let proves = ref [] and oracle_steps = Hashtbl.create 64 and names = ref [] in
+  List.iter
+    (fun (i, step, plan) ->
       match plan with
       | Settled _ -> ()
-      | Run { targets; batches } ->
+      | Run { targets; batches; proves = ps } ->
+          List.iter
+            (fun (key, vc) -> proves := Prove { step = i; key; vc } :: !proves)
+            ps;
           List.iter
             (fun t ->
               let cached =
@@ -518,51 +555,64 @@ let certify_steps cfg (steps : step list) : (certificate * stats) list =
               if not cached then
                 let key = group i t.tg_name in
                 match Hashtbl.find_opt oracle_steps key with
-                | Some idx -> idx := i :: !idx
+                | Some idx -> idx := (i, step) :: !idx
                 | None ->
-                    Hashtbl.add oracle_steps key (ref [ i ]);
+                    Hashtbl.add oracle_steps key (ref [ (i, step) ]);
                     names := key :: !names)
             targets)
-    plans;
-  List.iter
-    (fun ((_, name) as key) ->
-      ignore
-        (add_job
-           (Oracle { name; steps = List.rev !(Hashtbl.find oracle_steps key) })))
-    (List.rev !names);
-  let jobs = Array.of_list (List.rev !jobs) in
-  (* 2. one farm run; each job measures the memos of the domain it ran on *)
-  let t_run = Logic.Clock.now () in
-  let results, _ =
-    Farm.Pool.run ~jobs:cfg.cf_jobs ~priority:job_cost
-      ~f:(fun job ->
-        let t0 = Logic.Clock.now () in
-        let r, memos =
-          Memo.measure Equivalence.memo_readings (fun () -> run_job cfg steps job)
-        in
-        (r, Logic.Clock.elapsed t0, memos))
-      jobs
+    waiting;
+  let jobs =
+    List.rev !proves
+    @ List.rev_map
+        (fun ((_, name) as key) ->
+          Oracle { name; steps = List.rev !(Hashtbl.find oracle_steps key) })
+        !names
   in
-  let proof j =
-    match results.(j) with
-    | Proof r, _, _ -> r
-    | Runs _, _, _ -> invalid_arg "Certify: not a proof job"
-  in
+  se.se_jobs <- List.rev_append jobs se.se_jobs;
+  Farm.Pool.submit se.se_pool (Array.of_list jobs)
+
+let add se step =
+  let i = List.length se.se_planned in
+  let p, memos = Memo.measure Equivalence.memo_readings (fun () -> plan se i step) in
+  se.se_memos <- memos :: se.se_memos;
+  se.se_planned <- (step, p) :: se.se_planned;
+  Queue.push (i, step, p) se.se_waiting;
+  (* While the caller goes on, the helpers take whole steps in order, fed
+     one at a time whenever they have nothing queued.  Steps left waiting
+     go to [finish], which chains them per target.  At width 1 nothing
+     runs before [finish]. *)
+  if se.se_cfg.cf_jobs > 1 then
+    while (not (Queue.is_empty se.se_waiting)) && Farm.Pool.backlog se.se_pool = 0 do
+      submit se [ Queue.pop se.se_waiting ]
+    done
+
+(* [finish] after the caller's own work: the tail, the cache, the replay *)
+let finish_tail se =
+  let cfg = se.se_cfg in
+  let t_tail = Logic.Clock.now () in
+  submit se (List.of_seq (Queue.to_seq se.se_waiting));
+  Queue.clear se.se_waiting;
+  (* each job measured the memos of the domain it ran on *)
+  let results, _ = Farm.Pool.close se.se_pool in
+  let jobs = Array.of_list (List.rev se.se_jobs) in
+  let planned = Array.of_list (List.rev se.se_planned) in
   (* busy seconds per step (a proof counts for the step that first looked
-     its key up), oracle outcomes by step and target, and the cache adds *)
-  let vc_busy = Array.make (Array.length steps) 0.0 in
-  let oracle_busy = Array.make (Array.length steps) 0.0 in
-  let ran = Hashtbl.create 256 in
+     its key up), proofs by key, oracle outcomes by step and target, and
+     the cache adds — in step order, as the streamed steps are a prefix *)
+  let n = Array.length planned in
+  let vc_busy = Array.make n 0.0 and oracle_busy = Array.make n 0.0 in
+  let proofs = Hashtbl.create 16 and ran = Hashtbl.create 256 in
   Array.iteri
     (fun j job ->
       match (job, results.(j)) with
-      | Prove { step; vc }, (Proof r, secs, _) ->
+      | Prove { step; key; _ }, (Proof r, secs, _) ->
           vc_busy.(step) <- vc_busy.(step) +. secs;
+          Hashtbl.replace proofs key r;
           Option.iter
             (fun cache ->
               Option.iter
                 (fun en_status ->
-                  Farm.Cache.add cache (cache_key vc)
+                  Farm.Cache.add cache key
                     { Farm.Cache.en_status; en_attempts = 1; en_time = r.P.pr_time })
                 (cache_entry r))
             cfg.cf_cache
@@ -583,35 +633,37 @@ let certify_steps cfg (steps : step list) : (certificate * stats) list =
           Telemetry.instant "certify_cache_save_failed"
             ~attrs:[ ("error", Telemetry.S why) ])
   | _ -> ());
-  (* 3. replay each step's sequential decision; an outcome the farm did
-     not precompute (an entry-point fallback) runs here *)
+  (* replay each step's sequential decision; an outcome the farm did not
+     precompute (an entry-point fallback) runs here *)
+  let proof key = Hashtbl.find proofs key in
   let decided, replay_memos =
     Memo.measure Equivalence.memo_readings @@ fun () ->
     Array.to_list
       (Array.mapi
-         (fun i plan ->
+         (fun i (step, plan) ->
            let outcome name =
              match Hashtbl.find_opt ran (i, name) with
              | Some o -> o
              | None ->
                  let t0 = Logic.Clock.now () in
-                 let o = run_oracle cfg steps.(i) name in
+                 let o = run_oracle ?parent:se.se_span cfg step name in
                  oracle_busy.(i) <- oracle_busy.(i) +. Logic.Clock.elapsed t0;
                  Hashtbl.replace ran (i, name) o;
                  o
            in
-           decide_step cfg ~proof ~outcome steps.(i) plan)
-         plans)
+           decide_step cfg ~proof ~outcome step plan)
+         planned)
   in
   if Telemetry.enabled () then
     Telemetry.count_memos
       (Memo.sum
-         (plan_memos :: replay_memos
-         :: Array.to_list (Array.map (fun (_, _, m) -> m) results)));
-  (* Timing stays wall time: the farm run, cache writes and replay took
-     [wall], shared out over the steps in proportion to their busy
-     seconds, so the batch's timing fields sum to [wall] at any width *)
-  let wall = Logic.Clock.elapsed t_run in
+         (replay_memos :: se.se_memos
+         @ Array.to_list (Array.map (fun (_, _, m) -> m) results)));
+  (* Timing is the wall time certification adds after the caller's own
+     work: the jobs still running or queued, the cache writes and the
+     replay took [wall], shared out over the steps in proportion to their
+     busy seconds, so the timing fields sum to [wall] at any width *)
+  let wall = Logic.Clock.elapsed t_tail in
   let sum = Array.fold_left ( +. ) 0.0 in
   let total = sum vc_busy +. sum oracle_busy in
   let scale = if total > 0.0 then wall /. total else 0.0 in
@@ -622,6 +674,25 @@ let certify_steps cfg (steps : step list) : (certificate * stats) list =
           ct_vc_seconds = vc_busy.(i) *. scale;
           ct_oracle_seconds = oracle_busy.(i) *. scale } ))
     decided
+
+let finish se =
+  let attrs = [ ("steps", Telemetry.I (List.length se.se_planned)) ] in
+  match se.se_span with
+  | Some span ->
+      Fun.protect ~finally:(fun () -> Telemetry.finish_span ~attrs span) (fun () ->
+          finish_tail se)
+  | None ->
+      Telemetry.with_span ~cat:Telemetry.cat_transform ~attrs "certify" (fun () ->
+          finish_tail se)
+
+let certify_steps cfg (steps : step list) : (certificate * stats) list =
+  let se = start cfg in
+  match List.iter (add se) steps with
+  | () -> finish se
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (finish se);
+      Printexc.raise_with_backtrace e bt
 
 let certify cfg ~step_name ~before ~after : certificate * stats =
   match certify_steps cfg [ { sp_name = step_name; sp_before = before; sp_after = after } ] with

@@ -11,11 +11,13 @@
     result is a {!certificate}: [Certified] with per-target evidence,
     [Refuted] with a concrete counterexample, or [Unknown].
 
-    Steps are certified in batches ({!certify_steps}): the VCs and the
-    oracle runs of every step in the batch share one {!Farm.Pool} run,
-    and each step's decision is then replayed in order over their
-    outcomes, so a batch gives each step the certificate and stats it
-    would get alone. *)
+    Steps are certified in a {!session}: each step is planned as it
+    arrives ({!add}) and its VCs and oracle runs go to one
+    {!Farm.Pool}, whose helper domains certify while the caller goes on
+    (refactoring, typically); {!finish} joins the pool and replays each
+    step's decision in order over the outcomes, so every step gets the
+    certificate and stats it would get alone.  {!certify_steps} is a
+    session fed every step up front. *)
 
 open Minispark
 
@@ -48,7 +50,7 @@ type certificate =
 val describe : certificate -> string
 
 exception Refutation of { rf_step : string; rf_cx : counterexample }
-(** Raised by {!History.certify} (and so {!History.apply}) when
+(** Raised by {!History.run_certified} (and so {!History.apply}) when
     certification refutes a step — the pipeline maps it to its own fault
     class and exit code. *)
 
@@ -57,7 +59,8 @@ type config = {
   cf_trials : int;        (** oracle trials per target *)
   cf_fuel : int;          (** interpreter step bound per oracle run *)
   cf_jobs : int;
-      (** proof-farm width for a batch's equivalence VCs and oracle runs *)
+      (** proof-farm width for the equivalence VCs and oracle runs; while
+          steps are still arriving, [cf_jobs - 1] helper domains run them *)
   cf_cache : Farm.Cache.t option;
   cf_budget : Vcgen.budget;
   cf_entries : string list;
@@ -84,11 +87,13 @@ type stats = {
           only within a process ({!Equivalence.oracle}), never
           persisted, so a warm proof cache repays only [ct_vc_seconds] *)
 }
-(** The two timing fields are wall time, not busy time summed over farm
-    domains: a batch's farm run, cache writes and replay take some wall
-    time, and it is shared out over the steps and the two fields in
-    proportion to their busy seconds.  Planning (the diff and VC
-    generation) is in neither. *)
+(** The two timing fields are the wall time certification adds after the
+    caller's own work, not busy time summed over farm domains: from
+    {!finish}'s start, the jobs still queued or running, the cache writes
+    and the replay take some wall time, and it is shared out over the
+    steps and the two fields in proportion to their busy seconds.  Work
+    the helpers did while the caller was busy, and planning (the diff
+    and VC generation), are in neither. *)
 
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
@@ -99,22 +104,44 @@ type step = {
   sp_after : Typecheck.env * Ast.program;   (** type-checked *)
 }
 
+type session
+(** A certification in progress. *)
+
+val start : config -> session
+(** Open a session: a {!Farm.Pool} at [cf_jobs], whose [cf_jobs - 1]
+    helper domains start at once, under a [certify] span that does not
+    nest the caller's later spans. *)
+
+val add : session -> step -> unit
+(** Plan one step on the calling domain: diff, targets, equivalence VCs
+    and every proof-cache lookup, in step order (a key an earlier step
+    proves is a later step's hit, as if that step had saved first).
+    Above width 1, whenever the helpers have nothing queued, the oldest
+    planned steps go to the pool whole, one at a time: each VC a step
+    looks up first and each target's oracle run is a job.  At width 1
+    nothing runs before {!finish}. *)
+
+val finish : session -> (certificate * stats) list
+(** Submit the steps still waiting: each VC a step looks up first, then
+    each target name's oracle runs over those steps, in step order, as
+    one job (above width 1, so the run memo's hits between a step's
+    after-program and the next step's before-program stay on one
+    domain) or one job per step and target (at width 1).  Close the pool
+    with the calling domain as a worker, add the proofs to the cache and
+    save it once, then replay each step's sequential decision over the
+    outcomes: one result per added step, in order.  Certificates,
+    counterexamples and every count equal certification of the steps
+    one at a time in order (a cache hit included, when an earlier step
+    proved the key), whatever the width and however the steps split
+    between the helpers and the tail.  The oracle also runs, unused, for
+    targets an equivalence VC turns out to certify and for targets after
+    a step's refutation.  With telemetry on, the oracle-run, interpreter
+    and {!Minispark.Share} memo events of every job and of the calling
+    domain are published as [oracle_memo_*], [interp_memo_*] and
+    [share_*_memo_*] counters. *)
+
 val certify_steps : config -> step list -> (certificate * stats) list
-(** Certify every step, each on its own, in one batch; one result per
-    step, in order.  The calling domain plans each step (diff, targets,
-    equivalence VCs) and makes every proof-cache lookup, add and the one
-    save.  One {!Farm.Pool.run} at [cf_jobs] then runs each
-    cache-missing VC as a job and each target name as one job running
-    the oracle for that target over its steps in step order.  The
-    calling domain replays each step's sequential decision over those
-    outcomes, so certificates, counterexamples and every count equal
-    certification of the steps one at a time in order (a cache hit included,
-    when an earlier step of the batch proved the key).  The oracle also
-    runs, unused, for targets an equivalence VC turns out to certify and
-    for targets after a step's refutation.  With telemetry on, the
-    oracle-run, interpreter and {!Minispark.Share} memo events of every
-    job and of the calling domain are published as [oracle_memo_*],
-    [interp_memo_*] and [share_*_memo_*] counters. *)
+(** A session fed every step, then finished. *)
 
 val certify :
   config ->

@@ -23,10 +23,13 @@ type t = {
   mutable steps : step list;  (** newest first *)
   mutable current : Typecheck.env * Ast.program;
   mutable cert_stats : Certify.stats;
+  mutable certifying : Certify.session option;  (** see {!run_certified} *)
+  mutable fed : step list;  (** the steps fed to it, newest first *)
 }
 
 let create env program =
-  { steps = []; current = (env, program); cert_stats = Certify.zero_stats }
+  { steps = []; current = (env, program); cert_stats = Certify.zero_stats;
+    certifying = None; fed = [] }
 
 let current h = h.current
 let step_count h = List.length h.steps
@@ -75,13 +78,21 @@ let apply_step h (tr : Transform.t) =
   h.current <- (env', program');
   step
 
-(* Record a batch's results in step order up to the first refutation,
-   then cut the history back to that step's pre-image and raise; later
-   steps' results are dropped, as if they had never been certified. *)
-let settle h pending results =
+let as_certify_step s =
+  { Certify.sp_name = s.st_name;
+    sp_before = (s.st_env_before, s.st_before);
+    sp_after = (s.st_env_after, s.st_after) }
+
+(* Record the results in step order up to the first refutation, then cut
+   the history back to that step's pre-image and raise; later steps'
+   results are dropped, as if they had never been certified.  A step
+   undone since it was fed is no longer in the history and keeps no
+   result. *)
+let settle h fed results =
   let certs = Hashtbl.create 64 in
   let rec record = function
     | [] -> None
+    | (s, _) :: rest when not (List.memq s h.steps) -> record rest
     | (s, (cert, stats)) :: rest -> (
         h.cert_stats <- Certify.add_stats h.cert_stats stats;
         if Telemetry.enabled () then begin
@@ -97,7 +108,7 @@ let settle h pending results =
             Hashtbl.replace certs s.st_index cert;
             record rest)
   in
-  let refuted = record (List.combine pending results) in
+  let refuted = record (List.combine fed results) in
   let cut = match refuted with Some (s, _) -> s.st_index | None -> max_int in
   h.steps <-
     List.filter_map
@@ -114,45 +125,60 @@ let settle h pending results =
       h.current <- (s.st_env_before, s.st_before);
       raise (Certify.Refutation { rf_step = s.st_name; rf_cx = cx })
 
-let certify cfg h =
-  let pending = List.filter (fun s -> s.st_certificate = None) (steps h) in
-  if pending <> [] then
-    settle h pending
-      (Certify.certify_steps cfg
-         (List.map
-            (fun s ->
-              { Certify.sp_name = s.st_name;
-                sp_before = (s.st_env_before, s.st_before);
-                sp_after = (s.st_env_after, s.st_after) })
-            pending))
+let feed h s =
+  Option.iter
+    (fun session ->
+      Certify.add session (as_certify_step s);
+      h.fed <- s :: h.fed)
+    h.certifying
 
 let run_certified cfg h script =
-  match script () with
-  | r ->
-      certify cfg h;
-      r
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      certify cfg h;
-      Printexc.raise_with_backtrace e bt
+  match h.certifying with
+  | Some _ -> script () (* the running certification takes these steps too *)
+  | None ->
+      h.certifying <- Some (Certify.start cfg);
+      h.fed <- [];
+      let finish () =
+        let session = Option.get h.certifying and fed = List.rev h.fed in
+        h.certifying <- None;
+        h.fed <- [];
+        settle h fed (Certify.finish session)
+      in
+      (match
+         (* the steps recorded before, then each step as [apply] records it *)
+         List.iter (fun s -> if s.st_certificate = None then feed h s) (steps h);
+         script ()
+       with
+      | r ->
+          finish ();
+          r
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          finish ();
+          Printexc.raise_with_backtrace e bt)
 
 let apply ?certify:cfg h tr =
   let apply () = apply_step h tr in
-  let step =
-    if not (Telemetry.enabled ()) then apply ()
-    else
-      (* published for a rejected step too *)
-      let m0 = Equivalence.memo_readings () in
-      Fun.protect apply ~finally:(fun () ->
-          Telemetry.count_memos
-            (List.map2
-               (fun (name, later) (_, earlier) -> (name, Memo.diff later earlier))
-               (Equivalence.memo_readings ()) m0))
+  let record () =
+    let s =
+      if not (Telemetry.enabled ()) then apply ()
+      else
+        (* published for a rejected step too *)
+        let m0 = Equivalence.memo_readings () in
+        Fun.protect apply ~finally:(fun () ->
+            Telemetry.count_memos
+              (List.map2
+                 (fun (name, later) (_, earlier) -> (name, Memo.diff later earlier))
+                 (Equivalence.memo_readings ()) m0))
+    in
+    (* outside the window above: certification publishes its own memo use *)
+    feed h s;
+    s
   in
   match cfg with
-  | None -> step
+  | None -> record ()
   | Some cfg ->
-      certify cfg h;
+      ignore (run_certified cfg h record);
       List.hd h.steps
 
 (** Roll back the most recent step. *)

@@ -16,7 +16,7 @@ type step = {
   st_after : Ast.program;
   st_env_after : Typecheck.env;  (** the checked environment of [st_after] *)
   st_certificate : Certify.certificate option;
-      (** present once the step is certified ({!certify}) *)
+      (** present once the step is certified ({!run_certified}) *)
 }
 
 type t
@@ -30,31 +30,34 @@ val apply : ?certify:Certify.config -> t -> Transform.t -> step
 (** Apply a transformation: its own applicability checks (template
     matching, and for a semantic check such as
     {!Rewrite_body.replace_body} the {!Equivalence.oracle}) plus the
-    framework's re-typecheck.  With [certify], the step is also certified
-    on its own ({!certify} right after applying it): the certificate is
-    recorded on the step, and a refuted step raises
+    framework's re-typecheck.  Inside {!run_certified}, the recorded step
+    goes to the running certification.  With [certify], the step (and
+    any recorded step without a certificate) is certified on its own
+    right after applying it ({!run_certified} around the one step): the
+    certificate is recorded on the step, and a refuted step raises
     {!Certify.Refutation} with the state unchanged.  With telemetry on,
     the application's use of the {!Equivalence.memo_readings} memos is
     published as the [oracle_memo_*], [interp_memo_*] and
     [share_*_memo_*] counters (certification publishes its own, see
-    {!Certify.certify_steps}).
+    {!Certify.finish}).
     @raise Transform.Not_applicable on mechanical rejection (state
     unchanged). *)
 
-val certify : Certify.config -> t -> unit
-(** Certify every recorded step that carries no certificate yet, in one
-    {!Certify.certify_steps} batch, and record the certificates.  When a
-    step is refuted, the history is truncated to that step's pre-image
-    (the steps before it stay, certified) and {!Certify.Refutation} is
-    raised for it: the state a step-by-step certification would have
-    stopped in.  Entry points come from the config's [cf_entries]. *)
-
 val run_certified : Certify.config -> t -> (unit -> 'a) -> 'a
 (** [run_certified cfg h script]: run [script ()], which applies steps to
-    [h] uncertified, then {!certify} them in one batch.  When
-    [script] raises (a rejected transformation, a failed gate), the steps
-    it applied are certified first, so a refutation among them is raised
-    instead; otherwise its exception is re-raised. *)
+    [h], and certify every step it applies while it runs: one
+    {!Certify.session}, fed each recorded step without a certificate,
+    then each step as {!apply} records it, so up to [cf_jobs - 1]
+    domains certify beside the script.  When [script] returns or raises
+    (a rejected transformation, a failed gate), the calling domain
+    finishes the session and the certificates are recorded in step
+    order.  When a step is refuted, the history is truncated to that
+    step's pre-image (the steps before it stay, certified) and
+    {!Certify.Refutation} is raised for it, winning over the script's own
+    exception: the state a step-by-step certification would have stopped
+    in.  Otherwise the script's result or exception stands.  Inside a
+    running [run_certified] on the same history, the outer one certifies
+    the steps.  Entry points come from the config's [cf_entries]. *)
 
 val undo : t -> step
 (** Roll back the most recent step, restoring its pre-image. *)

@@ -364,6 +364,7 @@ type open_span = {
 type state = {
   mutable on : bool;
   mutable finished : event list;   (* completion order, newest first *)
+  mutable detached : open_span list;  (* open, on no domain's stack *)
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   histograms : (string, histo) Hashtbl.t;
@@ -373,6 +374,7 @@ let st =
   {
     on = false;
     finished = [];
+    detached = [];
     counters = Hashtbl.create 17;
     gauges = Hashtbl.create 17;
     histograms = Hashtbl.create 17;
@@ -403,6 +405,7 @@ let reset () =
   (stack ()) := [];
   locked (fun () ->
       st.finished <- [];
+      st.detached <- [];
       Hashtbl.reset st.counters;
       Hashtbl.reset st.gauges;
       Hashtbl.reset st.histograms)
@@ -417,7 +420,7 @@ let disable () = st.on <- false
 let merge_attrs old extra =
   List.filter (fun (k, _) -> not (List.mem_assoc k extra)) old @ extra
 
-let start_span ?(cat = "") ?(attrs = []) ?parent name =
+let start_span ?(cat = "") ?(attrs = []) ?parent ?(detached = false) name =
   if not st.on then 0
   else begin
     let id = Atomic.fetch_and_add next_id 1 in
@@ -428,12 +431,14 @@ let start_span ?(cat = "") ?(attrs = []) ?parent name =
       | None -> ( match !stk with [] -> 0 | os :: _ -> os.os_id)
     in
     let g = Gc.quick_stat () in
-    stk :=
+    let os =
       { os_id = id; os_parent = parent; os_name = name; os_cat = cat;
         os_start = Logic.Clock.now ();
         os_minor_w = g.Gc.minor_words; os_major_w = g.Gc.major_words;
         os_attrs = attrs }
-      :: !stk;
+    in
+    if detached then locked (fun () -> st.detached <- os :: st.detached)
+    else stk := os :: !stk;
     id
   end
 
@@ -462,7 +467,8 @@ let close_open ?(attrs = []) os =
 
 let finish_span ?(attrs = []) id =
   let stk = stack () in
-  if st.on && id <> 0 && List.exists (fun os -> os.os_id = id) !stk then begin
+  if not st.on || id = 0 then ()
+  else if List.exists (fun os -> os.os_id = id) !stk then begin
     (* close abandoned inner spans too: an exception that escaped a nested
        instrumentation site must not corrupt the tree *)
     let rec unwind = function
@@ -479,6 +485,17 @@ let finish_span ?(attrs = []) id =
     in
     stk := unwind !stk
   end
+  else
+    (* a detached span, else an unknown or other-domain id *)
+    let taken =
+      locked (fun () ->
+          match List.partition (fun os -> os.os_id = id) st.detached with
+          | [ os ], rest ->
+              st.detached <- rest;
+              Some os
+          | _ -> None)
+    in
+    Option.iter (close_open ~attrs) taken
 
 let current_span () = match !(stack ()) with [] -> 0 | os :: _ -> os.os_id
 

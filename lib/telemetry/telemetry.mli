@@ -115,11 +115,16 @@ val reset : unit -> unit
 
     All no-ops when collection is disabled. *)
 
-val start_span : ?cat:string -> ?attrs:attrs -> ?parent:int -> string -> int
+val start_span :
+  ?cat:string -> ?attrs:attrs -> ?parent:int -> ?detached:bool -> string -> int
 (** Open a span nested under the innermost open span of the calling
     domain — or under [?parent] when given (how a worker's root span
     nests under the coordinator's dispatch span); returns its id (0 when
-    disabled).  [Gc.quick_stat] minor/major words are sampled at open and
+    disabled).  A [detached] span (default [false]) is not pushed on the
+    calling domain's stack, so the spans the caller opens next are not
+    nested in it: it frames work that runs beside the caller (the
+    certification of a script, whose workers name it as [?parent]), and
+    any domain may finish it.  [Gc.quick_stat] minor/major words are sampled at open and
     again at close, and every finished span carries the deltas as
     ["gc_minor_w"] / ["gc_major_w"] float attributes — sampled only when
     collection is enabled, so disabled runs stay zero-cost. *)
@@ -128,7 +133,8 @@ val finish_span : ?attrs:attrs -> int -> unit
 (** Close the span with the given id, merging [attrs] into it.  Any
     still-open spans nested inside it {e on the calling domain} are
     closed too (defensive: an escaping exception must not corrupt the
-    tree).  Unknown, other-domain or 0 ids are ignored. *)
+    tree).  Unknown, other-domain or 0 ids are ignored; a detached span
+    is closed from any domain. *)
 
 val current_span : unit -> int
 (** Id of the calling domain's innermost open span (0 when none) — pass

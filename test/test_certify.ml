@@ -142,11 +142,12 @@ let test_vc_cache_reuse () =
   Alcotest.(check int) "warm run all hits" s1.C.ct_vcs_generated s2.C.ct_cache_hits;
   Alcotest.(check int) "warm run no misses" 0 s2.C.ct_cache_misses
 
-(* an entry recorded under the ":certify:v1" key, before quantifier
-   instantiation was pattern-directed, is a miss: the VC is re-proved and
-   the certificate is the cold run's, even where the old entry
-   contradicts the proof *)
-let test_v1_entries_miss () =
+(* an entry recorded under an older key — ":certify:v1", before
+   quantifier instantiation was pattern-directed, or ":certify:v2", before
+   a discharged instance's conjuncts became facts of their own — is a
+   miss: the VC is re-proved and the certificate is the cold run's, even
+   where the old entry contradicts the proof *)
+let test_old_entries_miss version () =
   let after =
     Str_replace.replace base_src ~find:"t := x + x;
     return t;"
@@ -164,14 +165,17 @@ let test_v1_entries_miss () =
   let old = Farm.Cache.open_ ~dir:old_dir in
   List.iter
     (fun (key, status) ->
-      match Astring.String.cut ~rev:true ~sep:":certify:v2" key with
+      match Astring.String.cut ~rev:true ~sep:":certify:v3" key with
       | Some (digest, "") ->
-          Farm.Cache.add old (digest ^ ":certify:v1") (Test_farm.contrary_entry status)
-      | _ -> Alcotest.failf "key %s lacks the v2 suffix" key)
+          Farm.Cache.add old (digest ^ ":certify:" ^ version)
+            (Test_farm.contrary_entry status)
+      | _ -> Alcotest.failf "key %s lacks the v3 suffix" key)
     entries;
-  Alcotest.(check bool) "v1 entries saved" true (Farm.Cache.save old = Ok ());
-  let c2, s2 = C.certify (cfg (Farm.Cache.open_ ~dir:old_dir)) ~step_name:"v1" ~before ~after in
-  Alcotest.(check int) "no v1 entry hits" 0 s2.C.ct_cache_hits;
+  Alcotest.(check bool) (version ^ " entries saved") true (Farm.Cache.save old = Ok ());
+  let c2, s2 =
+    C.certify (cfg (Farm.Cache.open_ ~dir:old_dir)) ~step_name:version ~before ~after
+  in
+  Alcotest.(check int) ("no " ^ version ^ " entry hits") 0 s2.C.ct_cache_hits;
   Alcotest.(check int) "every VC misses" s1.C.ct_cache_misses s2.C.ct_cache_misses;
   Alcotest.(check int) "re-proved as cold" s1.C.ct_vcs_proved s2.C.ct_vcs_proved;
   Alcotest.(check string) "the cold certificate" (C.describe c1) (C.describe c2)
@@ -416,13 +420,13 @@ let test_orchestrated_certify_gate () =
          && match st with O.St_ok _ -> true | _ -> false)
        r.O.o_stages)
 
-let test_orchestrated_refutation_is_certification_fault () =
+let test_orchestrated_refutation_is_certification_fault jobs () =
   let case =
     echo_case
       (rewrite_transform ~name:"break(double)" ~find:"t := x + x;"
          ~by:"t := x + 1;")
   in
-  let config = { O.default_config with O.oc_certify = true } in
+  let config = { O.default_config with O.oc_certify = true; oc_jobs = jobs } in
   let r = O.run ~config case in
   match r.O.o_verdict with
   | O.Failed (Echo.Fault.Certification _ as f) ->
@@ -481,25 +485,32 @@ let as_step (s : H.step) =
     sp_before = (s.H.st_env_before, s.H.st_before);
     sp_after = (s.H.st_env_after, s.H.st_after) }
 
+(* the full AES script's steps, and each certified alone, in order, with
+   one cache across the steps *)
+let aes_cfg jobs =
+  { (C.default_config ~entries:[ "encrypt_block"; "decrypt_block" ] ()) with
+    C.cf_jobs = jobs;
+    cf_cache = Some (fresh_cache ()) }
+
+let aes_steps =
+  lazy (List.map as_step (H.steps (snd (Aes.Aes_refactoring.run ~kat_gate:false ()))))
+
+let aes_alone =
+  lazy
+    (let cfg = aes_cfg 1 in
+     List.map (fun sp -> List.hd (C.certify_steps cfg [ sp ])) (Lazy.force aes_steps))
+
+let timing (s : C.stats) = s.C.ct_vc_seconds +. s.C.ct_oracle_seconds
+
 (* the full AES script: certified as one batch at width 1 and 2, every
    step gets the certificate and counts it gets certified alone, in
    order, and the batch's timing fields stay within its wall time *)
 let test_batch_equals_steps () =
-  let _, h = Aes.Aes_refactoring.run ~kat_gate:false () in
-  let steps = List.map as_step (H.steps h) in
-  let cfg jobs =
-    { (C.default_config ~entries:[ "encrypt_block"; "decrypt_block" ] ()) with
-      C.cf_jobs = jobs;
-      cf_cache = Some (fresh_cache ()) }
-  in
-  let alone =
-    let cfg = cfg 1 in
-    List.map (fun sp -> List.hd (C.certify_steps cfg [ sp ])) steps
-  in
+  let steps = Lazy.force aes_steps and alone = Lazy.force aes_alone in
   List.iter
     (fun jobs ->
       let t0 = Logic.Clock.now () in
-      let batch = C.certify_steps (cfg jobs) steps in
+      let batch = C.certify_steps (aes_cfg jobs) steps in
       let wall = Logic.Clock.elapsed t0 in
       Alcotest.(check int) "one result per step" (List.length steps) (List.length batch);
       List.iter2
@@ -508,15 +519,41 @@ let test_batch_equals_steps () =
           Alcotest.(check string) (what ^ ": certificate") (C.describe c1) (C.describe c2);
           Alcotest.(check (list int)) (what ^ ": counts") (counts s1) (counts s2))
         steps (List.combine alone batch);
-      let timed =
-        List.fold_left
-          (fun acc (_, s) -> acc +. s.C.ct_vc_seconds +. s.C.ct_oracle_seconds)
-          0.0 batch
-      in
+      let timed = List.fold_left (fun acc (_, s) -> acc +. timing s) 0.0 batch in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d: timing %.3fs within the %.3fs wall" jobs timed wall)
         true
         (timed > 0.0 && timed <= wall +. 1e-6))
+    [ 1; 2 ]
+
+(* the full AES script certified while it runs, at width 1 (after the
+   script) and 2 (beside it): the certificates and counts of every step
+   certified alone, and timing fields that add up to no more than the
+   refactoring's wall time *)
+let test_run_certified_equals_steps () =
+  let steps = Lazy.force aes_steps and alone = Lazy.force aes_alone in
+  let total = List.fold_left (fun acc (_, s) -> C.add_stats acc s) C.zero_stats alone in
+  List.iter
+    (fun jobs ->
+      let t0 = Logic.Clock.now () in
+      let _, h = Aes.Aes_refactoring.run ~kat_gate:false ~certify:(aes_cfg jobs) () in
+      let wall = Logic.Clock.elapsed t0 in
+      let certs = H.certificates h in
+      Alcotest.(check int) "a certificate per step" (List.length steps) (List.length certs);
+      List.iter2
+        (fun (sp : C.step) ((_, name, c), (c1, _)) ->
+          let what = Printf.sprintf "jobs=%d %s" jobs sp.C.sp_name in
+          Alcotest.(check string) (what ^ ": step") sp.C.sp_name name;
+          Alcotest.(check string) (what ^ ": certificate") (C.describe c1) (C.describe c))
+        steps (List.combine certs alone);
+      let stats = H.certification_stats h in
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d: counts" jobs)
+        (counts total) (counts stats);
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: timing %.3fs within the %.3fs wall" jobs (timing stats) wall)
+        true
+        (timing stats > 0.0 && timing stats <= wall +. 1e-6))
     [ 1; 2 ]
 
 (* a key an earlier step of the batch proved is a later step's cache hit,
@@ -568,10 +605,10 @@ let run_script h =
        (Refactor.Transform.make ~name:"reject" ~category:Refactor.Transform.Modify_computation
           ~describe:"reject" (fun _ _ -> Refactor.Transform.reject "no match")))
 
-let test_batch_refutation_mid_script () =
+let test_batch_refutation_mid_script jobs () =
   let env, prog = check_src base_src in
   let h = H.create env prog in
-  let cfg = C.default_config () in
+  let cfg = { (C.default_config ()) with C.cf_jobs = jobs } in
   let expected =
     match
       C.certify cfg ~step_name:"break(scale)"
@@ -633,7 +670,8 @@ let suites =
           test_zero_trials_is_unknown;
         Alcotest.test_case "VC cache makes re-certification free" `Quick
           test_vc_cache_reuse;
-        Alcotest.test_case "v1 VC-cache entries miss" `Quick test_v1_entries_miss;
+        Alcotest.test_case "v1 VC-cache entries miss" `Quick (test_old_entries_miss "v1");
+        Alcotest.test_case "v2 VC-cache entries miss" `Quick (test_old_entries_miss "v2");
         Alcotest.test_case "certify stats seconds add" `Quick
           test_add_stats_sums_seconds;
         Alcotest.test_case "run memo key covers the behaviour closure" `Quick
@@ -649,7 +687,9 @@ let suites =
         Alcotest.test_case "orchestrated gate records the audit" `Quick
           test_orchestrated_certify_gate;
         Alcotest.test_case "orchestrated refutation fails with exit 7" `Quick
-          test_orchestrated_refutation_is_certification_fault;
+          (test_orchestrated_refutation_is_certification_fault 1);
+        Alcotest.test_case "width 2: orchestrated refutation exits 7" `Quick
+          (test_orchestrated_refutation_is_certification_fault 2);
         Alcotest.test_case "full AES script certifies every step" `Slow
           test_aes_script_fully_certified;
         Alcotest.test_case "a refutation fails the run, later stages skipped" `Quick
@@ -662,6 +702,10 @@ let suites =
         Alcotest.test_case "an earlier step's proof is a later step's hit" `Quick
           test_batch_cache_replay;
         Alcotest.test_case "refutation mid-script wins over a later rejection" `Quick
-          test_batch_refutation_mid_script;
+          (test_batch_refutation_mid_script 1);
+        Alcotest.test_case "width 2: mid-script refutation wins over a rejection" `Quick
+          (test_batch_refutation_mid_script 2);
+        Alcotest.test_case "AES script certified while it runs = step by step" `Slow
+          test_run_certified_equals_steps;
       ] );
   ]

@@ -93,6 +93,49 @@ let test_pool_heavy_jobs_balance () =
   let par, _ = Farm.Pool.run ~jobs:4 ~priority:cost ~f items in
   Alcotest.(check bool) "skewed workload results identical" true (seq = par)
 
+(* jobs submitted while the pool runs: the helpers start on them before
+   [close], results come back in submission order across batches, a
+   failing job in a later batch is re-raised at [close], and at width 1
+   nothing runs before [close] *)
+let test_pool_streamed_batches () =
+  let started = Atomic.make 0 in
+  let f x =
+    Atomic.incr started;
+    x * 10
+  in
+  let p = Farm.Pool.create ~jobs:2 ~priority:(fun x -> x) ~f () in
+  Farm.Pool.submit p [| 1; 2; 3 |];
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Atomic.get started < 3 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Alcotest.(check int) "the helper ran the first batch before close" 3 (Atomic.get started);
+  Alcotest.(check int) "nothing queued" 0 (Farm.Pool.backlog p);
+  Farm.Pool.submit p [| 4; 5 |];
+  Farm.Pool.submit p [||];
+  Farm.Pool.submit p [| 6 |];
+  let r, stats = Farm.Pool.close p in
+  Alcotest.(check (array int)) "submission order" [| 10; 20; 30; 40; 50; 60 |] r;
+  Alcotest.(check int) "every job ran" 6 stats.Farm.Pool.ps_jobs;
+  (match Farm.Pool.submit p [| 7 |] with
+  | () -> Alcotest.fail "a closed pool took a batch"
+  | exception Invalid_argument _ -> ());
+  let p = Farm.Pool.create ~jobs:2 ~priority:(fun _ -> 0)
+      ~f:(fun x -> if x = 3 then raise (Boom x) else x) () in
+  Farm.Pool.submit p [| 1; 2 |];
+  Farm.Pool.submit p [| 3; 4 |];
+  (match Farm.Pool.close p with
+  | _ -> Alcotest.fail "expected the streamed job's exception at close"
+  | exception Boom 3 -> ());
+  let ran = ref 0 in
+  let p = Farm.Pool.create ~jobs:1 ~priority:(fun _ -> 0) ~f:(fun x -> incr ran; x) () in
+  Farm.Pool.submit p [| 1; 2 |];
+  Alcotest.(check int) "width 1: nothing before close" 0 !ran;
+  Alcotest.(check int) "width 1: both queued" 2 (Farm.Pool.backlog p);
+  let r, stats = Farm.Pool.close p in
+  Alcotest.(check (array int)) "width 1: results" [| 1; 2 |] r;
+  Alcotest.(check int) "width 1: one worker" 1 stats.Farm.Pool.ps_workers
+
 (* ---------------- cache ---------------- *)
 
 let entry_testable : Farm.Cache.entry Alcotest.testable =
@@ -350,37 +393,38 @@ let contrary_entry status =
        else Farm.Cache.E_residual "recorded under an earlier key scheme");
     en_attempts = 1; en_time = 0.0 }
 
-(* Keys carry the "pf5" scheme marker.  An entry recorded under "pf4",
-   before quantifier instantiation was pattern-directed (when a VC could
-   exhaust a step budget that today's search proves within), is a miss:
-   the VC is re-proved, never replayed, even where the old entry
-   contradicts the proof. *)
-let test_old_scheme_entries_miss () =
+(* Keys carry the "pf6" scheme marker.  An entry recorded under an older
+   marker is a miss: the VC is re-proved, never replayed, even where the
+   old entry contradicts the proof.  "pf4" entries come from before
+   quantifier instantiation was pattern-directed (when a VC could exhaust
+   a step budget that today's search proves within), "pf5" entries from
+   before a discharged instance's conjuncts became facts of their own. *)
+let test_old_scheme_entries_miss old_marker () =
   let env, prog = Lazy.force farm_program in
   let signature marker =
     Printf.sprintf "%s;split=%d;steps=60000;hints=apply_hyp,induction" marker
       Logic.Prover.default_config.Logic.Prover.max_split
     |> Digest.string |> Digest.to_hex
   in
-  let dir = temp_dir "scheme-pf5" in
+  let dir = temp_dir "scheme-pf6" in
   let cold = IP.run ~max_steps:60_000 ~cache:(Farm.Cache.open_ ~dir) env prog in
   let entries = index_entries dir in
   Alcotest.(check bool) "the cold run recorded entries" true (entries <> []);
-  let old_dir = temp_dir "scheme-pf4" in
+  let old_dir = temp_dir ("scheme-" ^ old_marker) in
   let old = Farm.Cache.open_ ~dir:old_dir in
   List.iter
     (fun (key, status) ->
       match String.split_on_char ':' key with
       | digest :: base :: rest ->
-          Alcotest.(check string) "the base signature is pf5's" (signature "pf5") base;
+          Alcotest.(check string) "the base signature is pf6's" (signature "pf6") base;
           Farm.Cache.add old
-            (String.concat ":" (digest :: signature "pf4" :: rest))
+            (String.concat ":" (digest :: signature old_marker :: rest))
             (contrary_entry status)
       | _ -> Alcotest.failf "malformed cache key %s" key)
     entries;
-  Alcotest.(check bool) "pf4 entries saved" true (Farm.Cache.save old = Ok ());
+  Alcotest.(check bool) (old_marker ^ " entries saved") true (Farm.Cache.save old = Ok ());
   let r = IP.run ~max_steps:60_000 ~cache:(Farm.Cache.open_ ~dir:old_dir) env prog in
-  Alcotest.(check int) "no pf4 entry hits" 0 r.IP.ip_cache_hits;
+  Alcotest.(check int) ("no " ^ old_marker ^ " entry hits") 0 r.IP.ip_cache_hits;
   Alcotest.(check int) "every VC misses" cold.IP.ip_cache_misses r.IP.ip_cache_misses;
   Alcotest.(check (list (triple string string int))) "re-proved, not replayed"
     (List.map result_key cold.IP.ip_results)
@@ -465,7 +509,9 @@ let suites =
         Alcotest.test_case "inline path (jobs=1)" `Quick test_pool_inline_path;
         Alcotest.test_case "empty and single inputs" `Quick test_pool_empty_and_single;
         Alcotest.test_case "propagates worker exception" `Quick test_pool_propagates_exception;
-        Alcotest.test_case "skewed workload balances" `Quick test_pool_heavy_jobs_balance ] );
+        Alcotest.test_case "skewed workload balances" `Quick test_pool_heavy_jobs_balance;
+        Alcotest.test_case "batches submitted while it runs" `Quick
+          test_pool_streamed_batches ] );
     ( "farm:cache",
       [ Alcotest.test_case "roundtrip via disk" `Quick test_cache_roundtrip;
         Alcotest.test_case "tolerates garbage index" `Quick test_cache_tolerates_garbage;
@@ -483,7 +529,9 @@ let suites =
         Alcotest.test_case "cache keying isolates programs" `Quick
           test_cache_keying_isolates_programs;
         Alcotest.test_case "pf4 entries miss and re-prove" `Quick
-          test_old_scheme_entries_miss;
+          (test_old_scheme_entries_miss "pf4");
+        Alcotest.test_case "pf5 entries miss and re-prove" `Quick
+          (test_old_scheme_entries_miss "pf5");
         Alcotest.test_case "width-2 run reports worker memos" `Quick
           test_worker_memos_reported;
         Alcotest.test_case "ground evaluation agrees across jobs" `Quick

@@ -161,6 +161,27 @@ let test_prover_trigger_through_store () =
   Alcotest.(check bool) "proved" true (P.is_proved res);
   Alcotest.(check int) "at the apply-hypothesis level" 1 res.P.pr_hints_used
 
+(* an instance whose body is a conjunction gives one fact per conjunct:
+   with the constant row range, the simplifier unrolls [rr] into a 4-way
+   [and], and the goal is one of its instances *)
+let test_prover_instance_conjuncts () =
+  let dst = F.var "dst" and src = F.var "src" in
+  let c = F.var "c" and k = F.var "k" and r = F.var "r" in
+  let cell a i j = F.select (F.select a i) j in
+  let hyp =
+    F.forall "cc" (F.num 0) (F.app F.Sub [ c; F.num 1 ])
+      (F.forall "rr" (F.num 0) (F.num 3)
+         (F.eq (cell dst (F.var "cc") (F.var "rr")) (cell src (F.var "rr") (F.var "cc"))))
+  in
+  let ranges =
+    [ F.app F.Ge [ k; F.num 0 ]; F.app F.Le [ k; F.app F.Sub [ c; F.num 1 ] ];
+      F.app F.Ge [ r; F.num 0 ]; F.app F.Le [ r; F.num 3 ] ]
+  in
+  let goal = F.eq (cell dst k r) (cell src r k) in
+  let res = P.prove_vc ~hints:P.standard_hints (vc ~hyps:(hyp :: ranges) goal) in
+  Alcotest.(check bool) "proved" true (P.is_proved res);
+  Alcotest.(check int) "at the apply-hypothesis level" 1 res.P.pr_hints_used
+
 (* a hypothesis whose trigger is [b] is not instantiated at the indices of
    a goal that reads only [a]: it costs the search no step, while the same
    fact over [a] is instantiated and proves the goal *)
@@ -259,6 +280,8 @@ let suites =
         Alcotest.test_case "apply-hypothesis hint" `Quick test_prover_apply_hyp_hint;
         Alcotest.test_case "trigger matches a read through a store" `Quick
           test_prover_trigger_through_store;
+        Alcotest.test_case "instance conjuncts are facts" `Quick
+          test_prover_instance_conjuncts;
         Alcotest.test_case "no instance off the triggers" `Quick
           test_prover_no_instance_off_trigger;
         Alcotest.test_case "no-trigger fallback" `Quick test_prover_no_trigger_fallback;

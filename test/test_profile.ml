@@ -185,6 +185,74 @@ let test_farm_worker_dag () =
               true (List.mem s.parent ids))
         spans)
 
+(* A traced certified AES run at width 2 certifies beside the script: every
+   oracle span runs on a worker of the one [certify] span under the
+   refactor stage, no cost center's self time is negative, and the
+   critical path runs through the certification while its work overlaps
+   the script's. *)
+let test_certify_overlap_trace () =
+  let evs =
+    with_telemetry (fun () ->
+        let config =
+          { Echo.Orchestrator.default_config with
+            Echo.Orchestrator.oc_certify = true;
+            oc_jobs = 2 }
+        in
+        let r = Echo.Orchestrator.run ~config Aes.Aes_echo.case_study in
+        (match r.Echo.Orchestrator.o_verdict with
+        | Echo.Orchestrator.Verified -> ()
+        | v -> Alcotest.failf "expected VERIFIED, got %a" Echo.Orchestrator.pp_verdict v);
+        T.events ())
+  in
+  let spans = span_payloads evs in
+  let by_id = Hashtbl.create 1024 in
+  List.iter (fun s -> Hashtbl.replace by_id s.id s) spans;
+  let parent s = Hashtbl.find_opt by_id s.parent in
+  let oracles = List.filter (fun s -> s.name = "oracle") spans in
+  Alcotest.(check bool) "oracle spans recorded" true (oracles <> []);
+  let under_worker o =
+    match parent o with
+    | Some w when w.cat = T.cat_worker -> (
+        match parent w with
+        | Some c when c.name = "certify" && c.cat = T.cat_transform -> (
+            match parent c with Some r -> r.name = "refactor" | None -> false)
+        | _ -> false)
+    | _ -> false
+  in
+  Alcotest.(check int) "oracle spans not under refactor / certify / worker-N" 0
+    (List.length (List.filter (fun o -> not (under_worker o)) oracles));
+  List.iter
+    (fun (cc : Profile.cost_center) ->
+      if cc.Profile.cc_self < -1e-9 then
+        Alcotest.failf "negative self time %.6f at %s" cc.Profile.cc_self
+          (String.concat " / " cc.Profile.cc_path))
+    (Profile.cost_centers evs);
+  (* the certification's span opens before the script's last step *)
+  let start_of name =
+    List.filter_map
+      (function
+        | T.Span { sp_name; sp_start; sp_dur; sp_cat; sp_attrs; _ }
+          when sp_cat = T.cat_transform
+               && (sp_name = name || (name = "" && List.mem_assoc "outcome" sp_attrs)) ->
+            Some (sp_start, sp_start +. sp_dur)
+        | _ -> None)
+      evs
+  in
+  let certify_start =
+    match start_of "certify" with
+    | [ (t, _) ] -> t
+    | l -> Alcotest.failf "expected one certify span, got %d" (List.length l)
+  in
+  let last_step_end = List.fold_left (fun acc (_, e) -> Float.max acc e) 0.0 (start_of "") in
+  Alcotest.(check bool) "certification opens while the script runs" true
+    (certify_start < last_step_end);
+  let cp = Profile.critical_path evs in
+  Alcotest.(check bool) "the critical path runs through the certification" true
+    (List.mem_assoc "certify" cp.Profile.cp_frames);
+  Alcotest.(check bool) "parallel work: the path is shorter than the work" true
+    (cp.Profile.cp_seconds < cp.Profile.cp_total_work);
+  Alcotest.(check bool) "two concurrent workers" true (cp.Profile.cp_workers >= 2)
+
 (* ---------------- folded stacks ---------------- *)
 
 let test_folded_golden_round_trip () =
@@ -286,6 +354,8 @@ let suites =
           test_critical_path_deterministic;
         Alcotest.test_case "farm workers form one connected DAG" `Quick
           test_farm_worker_dag;
+        Alcotest.test_case "certification overlaps the refactoring" `Slow
+          test_certify_overlap_trace;
       ] );
     ( "profile.folded",
       [
