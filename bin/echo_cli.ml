@@ -37,12 +37,20 @@ let read_source path =
 let read_program path = Typecheck.check (Parser.of_string (read_source path))
 
 (* every failure leaves through the fault taxonomy, so each class has a
-   stable exit code (documented in --help) *)
+   stable exit code (documented in --help); a crash also prints where it
+   came from when backtraces are recorded (OCAMLRUNPARAM=b) *)
 let with_errors f =
-  match Echo.Fault.guard f with
-  | Ok v -> v
-  | Error fault ->
+  match f () with
+  | v -> v
+  | exception Sys.Break -> raise Sys.Break
+  | exception e ->
+      let backtrace = Printexc.get_raw_backtrace () in
+      let fault = Echo.Fault.of_exn e in
       Fmt.epr "%a@." Echo.Fault.pp fault;
+      (match fault with
+      | Echo.Fault.Crash _ when Printexc.backtrace_status () ->
+          Printexc.print_raw_backtrace stderr backtrace
+      | _ -> ());
       exit (Echo.Fault.exit_code fault)
 
 (* Resolve a --jobs request: 0 (the default) = the visible core count,
@@ -304,27 +312,30 @@ let cmd_aes_verify run_dir resume global_deadline vc_deadline analyze certify
           exit (Echo.Fault.exit_code d.Echo.Orchestrator.dg_fault)
       | Echo.Orchestrator.Failed f -> exit (Echo.Fault.exit_code f))
 
+(* the events a recorded run persisted in [dir], or exit 1 saying how to
+   record them *)
+let load_events dir =
+  let events_path = Filename.concat dir "telemetry.events.jsonl" in
+  if not (Sys.file_exists events_path) then begin
+    Fmt.epr
+      "%s: no telemetry found (expected %s).@.Produce it with: echo-verify aes \
+       verify --run-dir %s --trace trace.json@."
+      dir events_path dir;
+    exit 1
+  end;
+  match Telemetry.read_jsonl ~path:events_path with
+  | Ok evs -> (events_path, evs)
+  | Error e ->
+      Fmt.epr "%s: %s@." events_path e;
+      exit 1
+
 (* `report DIR`: render the telemetry persisted by `aes verify --run-dir
    DIR --metrics/--trace ...` (or by any orchestrated run with telemetry
    enabled) as a plain-text dashboard. *)
 let cmd_report dir top trace_out () =
   with_errors (fun () ->
-      let events_path = Filename.concat dir "telemetry.events.jsonl" in
+      let _, events = load_events dir in
       let metrics_path = Filename.concat dir "telemetry.metrics.json" in
-      if not (Sys.file_exists events_path) then begin
-        Fmt.epr
-          "%s: no telemetry found (expected %s).@.Produce it with: echo-verify aes \
-           verify --run-dir %s --trace trace.json@."
-          dir events_path dir;
-        exit 1
-      end;
-      let events =
-        match Telemetry.read_jsonl ~path:events_path with
-        | Ok evs -> evs
-        | Error e ->
-            Fmt.epr "%s: %s@." events_path e;
-            exit 1
-      in
       let metrics =
         if not (Sys.file_exists metrics_path) then None
         else
@@ -359,21 +370,7 @@ let focus_pred = function
 
 let cmd_profile dir top focus flame () =
   with_errors (fun () ->
-      let events_path = Filename.concat dir "telemetry.events.jsonl" in
-      if not (Sys.file_exists events_path) then begin
-        Fmt.epr
-          "%s: no telemetry found (expected %s).@.Produce it with: echo-verify aes \
-           verify --run-dir %s --trace trace.json@."
-          dir events_path dir;
-        exit 1
-      end;
-      let events =
-        match Telemetry.read_jsonl ~path:events_path with
-        | Ok evs -> evs
-        | Error e ->
-            Fmt.epr "%s: %s@." events_path e;
-            exit 1
-      in
+      let events_path, events = load_events dir in
       let events =
         match focus with
         | None -> events
@@ -468,16 +465,19 @@ let audit_json (a : Refactor.Certify.audit) =
       ("refuted", Telemetry.Json.Int a.Refactor.Certify.au_refuted);
       ("unknown", Telemetry.Json.Int a.Refactor.Certify.au_unknown) ]
 
-let cmd_certify_script trials jobs cache_dir json () =
+(* the certification settings `certify` shares between the script and
+   the defect corpus *)
+let certify_config trials jobs cache_dir =
   let cache = Option.map (fun dir -> Farm.Cache.open_ ~dir) cache_dir in
-  let cfg =
-    {
-      (Refactor.Certify.default_config ~entries:certify_entries ()) with
-      Refactor.Certify.cf_trials = trials;
-      cf_jobs = resolve_jobs jobs;
-      cf_cache = cache;
-    }
-  in
+  {
+    (Refactor.Certify.default_config ~entries:certify_entries ()) with
+    Refactor.Certify.cf_trials = trials;
+    cf_jobs = resolve_jobs jobs;
+    cf_cache = cache;
+  }
+
+let cmd_certify_script trials jobs cache_dir json () =
+  let cfg = certify_config trials jobs cache_dir in
   let _, h = Aes.Aes_refactoring.run ~certify:cfg () in
   let certs = Refactor.History.certificates h in
   List.iter
@@ -526,15 +526,7 @@ let cmd_certify_script trials jobs cache_dir json () =
 let cmd_certify_defects trials jobs cache_dir json () =
   let _, prog = Aes.Aes_impl.checked () in
   let before = Typecheck.check prog in
-  let cache = Option.map (fun dir -> Farm.Cache.open_ ~dir) cache_dir in
-  let cfg =
-    {
-      (Refactor.Certify.default_config ~entries:certify_entries ()) with
-      Refactor.Certify.cf_trials = trials;
-      cf_jobs = resolve_jobs jobs;
-      cf_cache = cache;
-    }
-  in
+  let cfg = certify_config trials jobs cache_dir in
   let defects = Defects.Seed.seed_all prog in
   (* the defects share one [before]: certify them in one session *)
   let certs =

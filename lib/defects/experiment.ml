@@ -16,12 +16,16 @@
      between defective code and specification-derived annotations surface
      in the implementation proof.
 
-   A defect is caught at the refactoring stage if any transformation's
-   mechanical applicability check rejects it (template mismatch, failed
-   instance-equivalence proof) — the paper's "a defect could change the
-   code such that it did not match a particular transformation template". *)
+   Each run is {!Echo.Orchestrator.run} on the AES case study with the
+   defective program and the setup's annotator.  A defect is caught at
+   the refactoring stage if any transformation's mechanical applicability
+   check rejects it (template mismatch, failed instance-equivalence
+   proof) — the paper's "a defect could change the code such that it did
+   not match a particular transformation template" — or a certificate
+   refutes a step. *)
 
 open Minispark
+module O = Echo.Orchestrator
 
 type stage =
   | Caught_refactoring
@@ -47,14 +51,13 @@ type run_result = {
 
 (* residual profile of an implementation-proof report: (sub, kind) counts *)
 let residual_profile (r : Echo.Implementation_proof.report) =
+  let open Echo.Implementation_proof in
   List.filter_map
-    (fun (v : Echo.Implementation_proof.vc_result) ->
-      match v.Echo.Implementation_proof.vr_status with
-      | Echo.Implementation_proof.Residual _ ->
-          Some (v.Echo.Implementation_proof.vr_vc.Logic.Formula.vc_sub,
-                v.Echo.Implementation_proof.vr_vc.Logic.Formula.vc_kind)
+    (fun v ->
+      match v.vr_status with
+      | Residual _ -> Some (v.vr_vc.Logic.Formula.vc_sub, v.vr_vc.Logic.Formula.vc_kind)
       | _ -> None)
-    r.Echo.Implementation_proof.ip_results
+    r.ip_results
   |> List.sort compare
 
 let profile_regressed ~baseline ~defective =
@@ -90,84 +93,102 @@ let annotate_pre_only program =
   in
   { annotated with Ast.prog_decls = decls }
 
-type baselines = {
-  bl_profile_setup1 : (string * Logic.Formula.vc_kind) list;
-  bl_profile_setup2 : (string * Logic.Formula.vc_kind) list;
-}
-
 let annotate_for setup program =
   match setup with
   | Setup1 -> annotate_pre_only program
   | Setup2 -> Aes.Aes_annotations.annotate program
 
-(** Compute clean-run baselines (the residual profiles of the unmodified
-    program under both annotation regimes). *)
-let baselines ?(max_steps = 20_000) () =
-  let snapshots, _ = Aes.Aes_refactoring.run () in
-  let final = List.nth snapshots 14 in
-  let profile setup =
-    let annotated =
-      annotate_for setup final.Aes.Aes_refactoring.sn_program
-    in
-    let env, annotated = Typecheck.check annotated in
-    residual_profile (Echo.Implementation_proof.run ~max_steps env annotated)
-  in
-  { bl_profile_setup1 = profile Setup1; bl_profile_setup2 = profile Setup2 }
+(* ------------------------------------------------------------------ *)
+(* One case: the orchestrated run and its classification              *)
+(* ------------------------------------------------------------------ *)
 
-(** Run the Echo process on one defective program under one setup. *)
-let run_one ?(max_steps = 20_000) ~(baselines : baselines) setup (defect : Seed.defect) :
-    run_result =
-  let env0, prog0 = Aes.Aes_impl.checked () in
-  ignore env0;
-  let defective = defect.Seed.d_apply prog0 in
-  match Typecheck.check defective with
-  | exception Typecheck.Type_error msg ->
-      { rr_defect = defect; rr_stage = Caught_refactoring;
-        rr_note = "defective program does not type-check: " ^ msg }
-  | start -> (
-      (* stage 1: verification refactoring *)
-      match Aes.Aes_refactoring.run ~kat_gate:false ~start () with
-      | exception Refactor.Transform.Not_applicable msg ->
-          { rr_defect = defect; rr_stage = Caught_refactoring; rr_note = msg }
-      | snapshots, _ -> (
-          let final = List.nth snapshots 14 in
-          let prog = final.Aes.Aes_refactoring.sn_program in
-          (* stage 2: implementation proof *)
-          let annotated = annotate_for setup prog in
-          match Typecheck.check annotated with
-          | exception Typecheck.Type_error msg ->
-              { rr_defect = defect; rr_stage = Caught_implementation;
-                rr_note = "annotated program does not type-check: " ^ msg }
-          | env, annotated -> (
-              let report = Echo.Implementation_proof.run ~max_steps env annotated in
-              let baseline =
-                match setup with
-                | Setup1 -> baselines.bl_profile_setup1
-                | Setup2 -> baselines.bl_profile_setup2
-              in
-              if profile_regressed ~baseline ~defective:(residual_profile report) then
-                { rr_defect = defect; rr_stage = Caught_implementation;
-                  rr_note = "verification conditions failed beyond the clean baseline" }
-              else
-                (* stage 3: implication proof *)
-                match Extract.extract_program env annotated with
-                | exception Extract.Unextractable msg ->
-                    { rr_defect = defect; rr_stage = Caught_implication;
-                      rr_note = "specification extraction failed: " ^ msg }
-                | extracted -> (
-                    let imp = Aes.Aes_implication.run ~extracted in
-                    match
-                      List.find_opt
-                        (fun (_, o) ->
-                          match o with Echo.Implication.Fails _ -> true | _ -> false)
-                        imp.Echo.Implication.im_lemmas
-                    with
-                    | Some (l, Echo.Implication.Fails msg) ->
-                        { rr_defect = defect; rr_stage = Caught_implication;
-                          rr_note = Printf.sprintf "%s: %s" l.Echo.Implication.lm_name msg }
-                    | _ ->
-                        { rr_defect = defect; rr_stage = Not_caught;
-                          rr_note = "all proofs succeed" }))))
+(* A case's refactoring: the verification refactoring from [program]
+   (the KAT gate is off — the vectors are not part of the Echo
+   process), so a program that does not type-check is the refactor
+   stage's fault *)
+let refactoring program ?certify () =
+  let start = Typecheck.check program in
+  let snapshots, history = Aes.Aes_refactoring.run ~kat_gate:false ?certify ~start () in
+  ( List.map
+      (fun s -> (s.Aes.Aes_refactoring.sn_env, s.Aes.Aes_refactoring.sn_program))
+      snapshots,
+    history )
+
+(* ... or none: [program] is already refactored.  [env] is the clean
+   program's; the annotate stage checks [program] *)
+let unrefactored env program ?certify:_ () =
+  ([ (env, program) ], Refactor.History.create env program)
+
+let orchestrate ?(max_steps = 20_000) setup refactor =
+  O.run
+    ~config:{ O.default_config with O.oc_max_steps = max_steps }
+    {
+      Aes.Aes_echo.case_study with
+      Echo.Pipeline.cs_refactor = refactor;
+      cs_annotate = annotate_for setup;
+    }
+
+(* Where a run stopped the defect, and why, from its report: a failed
+   refactor or certify stage, then a failed annotation or a residual
+   profile grown past the clean run's, then a failed extraction or
+   lemma.  [clean] is the clean run's residual profile. *)
+let classify ~clean (r : O.report) =
+  let failed s =
+    match List.assoc_opt s r.O.o_stages with Some (O.St_failed f) -> Some f | _ -> None
+  in
+  let first = List.find_map failed in
+  match first Echo.Checkpoint.[ S_refactor; S_certify ] with
+  | Some (Echo.Fault.Type msg) ->
+      (Caught_refactoring, "defective program does not type-check: " ^ msg)
+  | Some (Echo.Fault.Refactor msg) -> (Caught_refactoring, msg)
+  | Some f -> (Caught_refactoring, Echo.Fault.describe f)
+  | None -> (
+      match (first Echo.Checkpoint.[ S_annotate; S_impl ], r.O.o_impl) with
+      | Some (Echo.Fault.Type msg), _ ->
+          (Caught_implementation, "annotated program does not type-check: " ^ msg)
+      | Some f, _ -> (Caught_implementation, Echo.Fault.describe f)
+      | None, Some impl
+        when profile_regressed ~baseline:clean ~defective:(residual_profile impl) ->
+          ( Caught_implementation,
+            "verification conditions failed beyond the clean baseline" )
+      | None, _ -> (
+          match
+            ( first Echo.Checkpoint.[ S_extract; S_implication ],
+              List.find_opt (fun (_, holds, _) -> not holds) r.O.o_lemmas )
+          with
+          | Some (Echo.Fault.Lemma { lemma = "<extraction>"; reason }), _ ->
+              (Caught_implication, "specification extraction failed: " ^ reason)
+          | Some f, _ -> (Caught_implication, Echo.Fault.describe f)
+          | None, Some (name, _, reason) -> (Caught_implication, name ^ ": " ^ reason)
+          | None, None -> (Not_caught, "all proofs succeed")))
+
+type baselines = setup -> (string * Logic.Formula.vc_kind) list
+
+(* the clean residual profiles: the same orchestrated run on the clean
+   program, once per setup *)
+let clean_runs ?max_steps refactor : baselines =
+  let profile setup =
+    let r = orchestrate ?max_steps setup refactor in
+    match r.O.o_impl with
+    | Some impl -> residual_profile impl
+    | None -> Fmt.failwith "clean run: %a" O.pp_verdict r.O.o_verdict
+  in
+  let p1 = profile Setup1 and p2 = profile Setup2 in
+  function Setup1 -> p1 | Setup2 -> p2
+
+let original () = snd (Aes.Aes_impl.checked ())
+
+let baselines ?max_steps () = clean_runs ?max_steps (refactoring (original ()))
+
+let run_case ?max_steps ~baselines setup refactor (defect : Seed.defect) =
+  let rr_stage, rr_note =
+    classify ~clean:(baselines setup) (orchestrate ?max_steps setup refactor)
+  in
+  { rr_defect = defect; rr_stage; rr_note }
+
+let run_one ?max_steps ~baselines setup (defect : Seed.defect) =
+  run_case ?max_steps ~baselines setup
+    (refactoring (defect.Seed.d_apply (original ()))) defect
 
 (* ------------------------------------------------------------------ *)
 (* Tables 2 and 3                                                      *)
@@ -195,15 +216,22 @@ let tabulate setup results =
     tb_left = count Not_caught;
   }
 
-(** The full §7.3 experiment: both setups over the 15 seeded defects. *)
-let run_experiment ?max_steps ?seed () =
-  let _, prog0 = Aes.Aes_impl.checked () in
-  let defects = Seed.seed_all ?seed prog0 in
-  let bl = baselines ?max_steps () in
+(* both setups over [defects], each defect's case built by [refactor] *)
+let run_tables ?max_steps ~baselines ~refactor defects =
   let run setup =
-    tabulate setup (List.map (run_one ?max_steps ~baselines:bl setup) defects)
+    tabulate setup
+      (List.map
+         (fun d -> run_case ?max_steps ~baselines setup (refactor d) d)
+         defects)
   in
   (run Setup1, run Setup2)
+
+(** The full §7.3 experiment: both setups over the 15 seeded defects. *)
+let run_experiment ?max_steps ?seed () =
+  let prog0 = original () in
+  run_tables ?max_steps ~baselines:(baselines ?max_steps ())
+    ~refactor:(fun d -> refactoring (d.Seed.d_apply prog0))
+    (Seed.seed_all ?seed prog0)
 
 let pp_table ppf t =
   let setup_name = match t.tb_setup with Setup1 -> "setup 1" | Setup2 -> "setup 2" in
@@ -229,7 +257,7 @@ let pp_table ppf t =
 (* contrast — where annotation placement decides whether the            *)
 (* implementation or the implication proof catches a fault — this       *)
 (* variant seeds the same defect types into the *final refactored*      *)
-(* program and runs only the two proofs.                                *)
+(* program and runs the same cases with no refactoring step.            *)
 (* ------------------------------------------------------------------ *)
 
 let refactored_subs = [ "encrypt"; "decrypt"; "key_expansion"; "sub_bytes";
@@ -238,52 +266,11 @@ let refactored_subs = [ "encrypt"; "decrypt"; "key_expansion"; "sub_bytes";
 let refactored_ref_pairs =
   [ ("sbox", "inv_sbox"); ("src", "dst"); ("k0", "k1"); ("s", "t") ]
 
-let run_one_post ?(max_steps = 20_000) ~(baselines : baselines) setup final_program
-    (defect : Seed.defect) : run_result =
-  let defective = defect.Seed.d_apply final_program in
-  match Typecheck.check (annotate_for setup defective) with
-  | exception Typecheck.Type_error msg ->
-      { rr_defect = defect; rr_stage = Caught_implementation;
-        rr_note = "annotated defective program does not type-check: " ^ msg }
-  | env, annotated -> (
-      let report = Echo.Implementation_proof.run ~max_steps env annotated in
-      let baseline =
-        match setup with
-        | Setup1 -> baselines.bl_profile_setup1
-        | Setup2 -> baselines.bl_profile_setup2
-      in
-      if profile_regressed ~baseline ~defective:(residual_profile report) then
-        { rr_defect = defect; rr_stage = Caught_implementation;
-          rr_note = "verification conditions failed beyond the clean baseline" }
-      else
-        match Extract.extract_program env annotated with
-        | exception Extract.Unextractable msg ->
-            { rr_defect = defect; rr_stage = Caught_implication;
-              rr_note = "specification extraction failed: " ^ msg }
-        | extracted -> (
-            let imp = Aes.Aes_implication.run ~extracted in
-            match
-              List.find_opt
-                (fun (_, o) -> match o with Echo.Implication.Fails _ -> true | _ -> false)
-                imp.Echo.Implication.im_lemmas
-            with
-            | Some (l, Echo.Implication.Fails msg) ->
-                { rr_defect = defect; rr_stage = Caught_implication;
-                  rr_note = Printf.sprintf "%s: %s" l.Echo.Implication.lm_name msg }
-            | _ ->
-                { rr_defect = defect; rr_stage = Not_caught;
-                  rr_note = "all proofs succeed" }))
-
 (** The extension experiment: defects seeded into the refactored program,
     detection by the two proofs only. *)
 let run_post_experiment ?max_steps ?seed () =
-  let snapshots, _ = Aes.Aes_refactoring.run () in
-  let final = (List.nth snapshots 14).Aes.Aes_refactoring.sn_program in
-  let defects =
-    Seed.seed_all ?seed ~subs:refactored_subs ~ref_pairs:refactored_ref_pairs final
-  in
-  let bl = baselines ?max_steps () in
-  let run setup =
-    tabulate setup (List.map (run_one_post ?max_steps ~baselines:bl setup final) defects)
-  in
-  (run Setup1, run Setup2)
+  let env, final = List.nth (fst (refactoring (original ()) ())) 14 in
+  run_tables ?max_steps
+    ~baselines:(clean_runs ?max_steps (unrefactored env final))
+    ~refactor:(fun d -> unrefactored env (d.Seed.d_apply final))
+    (Seed.seed_all ?seed ~subs:refactored_subs ~ref_pairs:refactored_ref_pairs final)

@@ -1,6 +1,7 @@
 (** The seeded-defect experiment (§7.2/§7.3, Tables 2 and 3), plus an
     extension variant over the refactored program that isolates the
-    annotation-placement contrast between the two setups. *)
+    annotation-placement contrast between the two setups.  Every case is
+    an {!Echo.Orchestrator.run} of the AES case study. *)
 
 type stage =
   | Caught_refactoring
@@ -25,7 +26,8 @@ type run_result = {
 type baselines
 
 val baselines : ?max_steps:int -> unit -> baselines
-(** Clean-run residual profiles under both annotation regimes. *)
+(** Clean-run residual profiles under both annotation regimes: the
+    orchestrated run of the unseeded program. *)
 
 val run_one :
   ?max_steps:int -> baselines:baselines -> setup -> Seed.defect -> run_result

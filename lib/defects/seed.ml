@@ -284,7 +284,7 @@ let seed_all ?(seed = 20090629)
       d_id = 0;
       d_type = Statement;
       d_sub = "key_setup_dec";
-      d_describe = "dead store to an intermediate variable (benign)";
+      d_describe = "dead store to an intermediate variable";
       d_benign = true;
       d_apply = benign_dead_store;
     }

@@ -34,6 +34,7 @@ let of_exn = function
           cert_reason = Refactor.Certify.counterexample_to_string rf_cx }
   | Vcgen.Infeasible msg -> Vc_infeasible msg
   | Specl.Seval.Error msg -> Lemma { lemma = "<evaluation>"; reason = msg }
+  | Extract.Unextractable msg -> Lemma { lemma = "<extraction>"; reason = msg }
   | Stack_overflow -> Crash "stack overflow"
   | Out_of_memory -> Crash "out of memory"
   | e -> Crash (Printexc.to_string e)

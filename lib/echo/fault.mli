@@ -47,8 +47,10 @@ exception Fault of t
 
 val of_exn : exn -> t
 (** Classify an exception: parser, typechecker, refactoring, certification
-    and VC-budget exceptions map to their classes, [Fault] unwraps,
-    anything else is [Crash]. *)
+    and VC-budget exceptions map to their classes; a specification that
+    fails to evaluate or to extract is a [Lemma] fault (lemma
+    ["<evaluation>"] or ["<extraction>"]); [Fault] unwraps, anything else
+    is [Crash]. *)
 
 val guard : (unit -> 'a) -> ('a, t) result
 (** Run a stage body, converting any escaping exception via {!of_exn}.

@@ -266,16 +266,12 @@ let test_prover_pins () =
   let examples =
     List.concat_map
       (fun stem ->
-        let src =
-          In_channel.with_open_text
-            ("../examples/programs/" ^ stem ^ ".mspark")
-            In_channel.input_all
-        in
+        let src = Fixture.read (Fixture.example (stem ^ ".mspark")) in
         rows (stem ^ ":") (Typecheck.check (Parser.of_string src)))
       [ "checksum"; "sbox_lookup"; "stream" ]
   in
   let expected =
-    In_channel.with_open_text "prover_aes_pins.tsv" In_channel.input_all
+    Fixture.read (Fixture.test_file "prover_aes_pins.tsv")
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in

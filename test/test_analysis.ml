@@ -223,28 +223,12 @@ let test_absint_loop_bounds () =
 
 let example_files = [ "checksum.mspark"; "sbox_lookup.mspark" ]
 
-(* the tests run from [_build/default/test] under [dune runtest] but from
-   the project root under [dune exec]; probe both locations *)
-let resolve_example name =
-  let candidates =
-    [ Filename.concat "../examples/programs" name;
-      Filename.concat "examples/programs" name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.fail ("example program not found: " ^ name)
-
-let read_file name =
-  let ic = open_in (resolve_example name) in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_example name = Fixture.read (Fixture.example name)
 
 let test_examples_flow_clean () =
   List.iter
     (fun path ->
-      let _, prog = Typecheck.check (Parser.of_string (read_file path)) in
+      let _, prog = Typecheck.check (Parser.of_string (read_example path)) in
       Alcotest.(check int)
         (Filename.basename path ^ " diagnostics")
         0
@@ -254,7 +238,7 @@ let test_examples_flow_clean () =
 let test_examples_roundtrip () =
   List.iter
     (fun path ->
-      let prog = Parser.of_string (read_file path) in
+      let prog = Parser.of_string (read_example path) in
       let s1 = Pretty.program_to_string prog in
       let s2 = Pretty.program_to_string (Parser.of_string s1) in
       Alcotest.(check string) (Filename.basename path ^ " round-trip") s1 s2)

@@ -297,7 +297,7 @@ let test_closure_key_reuse () =
    and after for a refuted defect, or the description of a certified
    one — tab-separated. *)
 let recorded_defect_certificates () =
-  let ic = open_in "defect_counterexamples.tsv" in
+  let ic = open_in (Fixture.test_file "defect_counterexamples.tsv") in
   let rec lines acc =
     match input_line ic with
     | l -> lines (String.split_on_char '\t' l :: acc)

@@ -231,13 +231,7 @@ let test_pipeline_late_fault_degrades () =
 (* One driver: served jobs run through the orchestrator's stage runner  *)
 (* ------------------------------------------------------------------ *)
 
-let read_fixture name =
-  let path =
-    match List.find_opt Sys.file_exists [ name; Filename.concat "test" name ] with
-    | Some p -> p
-    | None -> Alcotest.fail ("fixture not found: " ^ name)
-  in
-  In_channel.with_open_bin path In_channel.input_all
+let read_fixture name = Fixture.read (Fixture.test_file name)
 
 (* [wide] has 2^8 paths, over the VC generator's budget; [wrong]'s
    postcondition is false.  Neither driver may call that verified. *)

@@ -308,12 +308,7 @@ let test_identity_seeds () =
 let example_programs () =
   List.map
     (fun f ->
-      let dir =
-        if Sys.file_exists "../examples/programs" then "../examples/programs"
-        else "examples/programs"
-      in
-      let path = Filename.concat dir f in
-      let src = In_channel.with_open_bin path In_channel.input_all in
+      let src = Fixture.read (Fixture.example f) in
       (f, snd (Typecheck.check (Parser.of_string src))))
     [ "checksum.mspark"; "sbox_lookup.mspark"; "stream.mspark" ]
 

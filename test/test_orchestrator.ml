@@ -336,6 +336,18 @@ let test_chaos_timeout_probe_keeps_evidence () =
         impl.Echo.Implementation_proof.ip_results
   | None -> Alcotest.fail "degraded run lost the proof evidence"
 
+(* A specification that cannot be extracted is the implication proof's
+   fault (exit 5), as one that cannot be evaluated is — not a crash. *)
+let test_unextractable_is_lemma_fault () =
+  let f = Echo.Fault.of_exn (Extract.Unextractable "no loop form") in
+  (match f with
+  | Echo.Fault.Lemma { lemma; reason } ->
+      Alcotest.(check string) "lemma" "<extraction>" lemma;
+      Alcotest.(check string) "reason" "no loop form" reason
+  | f -> Alcotest.failf "expected a lemma fault, got %a" Echo.Fault.pp f);
+  Alcotest.(check string) "class" "lemma" (Echo.Fault.class_name f);
+  Alcotest.(check int) "exit code" 5 (Echo.Fault.exit_code f)
+
 let suites =
   [
     ( "orchestrator",
@@ -346,6 +358,8 @@ let suites =
           test_checkpoint_resume_bitforbit;
         Alcotest.test_case "fresh run clears checkpoints" `Quick
           test_fresh_run_clears_stale_checkpoints;
+        Alcotest.test_case "unextractable is a lemma fault" `Quick
+          test_unextractable_is_lemma_fault;
       ] );
     ( "prover-deadline",
       [

@@ -389,26 +389,12 @@ let partial_frame_then_eof () =
 (* end-to-end daemon sessions                                          *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_example name =
-  let candidates =
-    [ Filename.concat "../examples/programs" name;
-      Filename.concat "examples/programs" name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.fail ("example program not found: " ^ name)
+let read_example name = Fixture.read (Fixture.example name)
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let checksum_src () = read_file (resolve_example "checksum.mspark")
+let checksum_src () = read_example "checksum.mspark"
 
 (* twelve small subprograms: a one-procedure edit leaves most VCs to carry *)
-let stream_src () = read_file (resolve_example "stream.mspark")
+let stream_src () = read_example "stream.mspark"
 
 (* a benign edit: a trivially true assert prepended to one subprogram
    (checksum's [fletcher] unless [sub] says otherwise), changing its VC
@@ -699,7 +685,7 @@ let prop_semdiff_reparse =
   let programs =
     lazy
       (List.map
-         (fun f -> Parser.of_string (read_file (resolve_example f)))
+         (fun f -> Parser.of_string (read_example f))
          [ "checksum.mspark"; "sbox_lookup.mspark" ])
   in
   QCheck.Test.make ~name:"semdiff: print-then-parse leaves every subprogram unchanged"
