@@ -490,9 +490,10 @@ let cmd_certify_script trials jobs cache_dir json () =
     audit.Refactor.Certify.au_certified audit.Refactor.Certify.au_steps
     audit.Refactor.Certify.au_refuted audit.Refactor.Certify.au_unknown;
   Fmt.pr
-    "targets %d, equivalence VCs %d (%d proved), cache %d hit(s) / %d miss(es), \
-     oracle trials %d@."
-    stats.Refactor.Certify.ct_targets stats.Refactor.Certify.ct_vcs_generated
+    "targets %d (%d decided, %d sampled), equivalence VCs %d (%d proved), \
+     cache %d hit(s) / %d miss(es), oracle trials %d@."
+    stats.Refactor.Certify.ct_targets stats.Refactor.Certify.ct_decided
+    stats.Refactor.Certify.ct_sampled stats.Refactor.Certify.ct_vcs_generated
     stats.Refactor.Certify.ct_vcs_proved stats.Refactor.Certify.ct_cache_hits
     stats.Refactor.Certify.ct_cache_misses stats.Refactor.Certify.ct_oracle_trials;
   (match json with
@@ -535,7 +536,8 @@ let cmd_certify_defects trials jobs cache_dir json () =
          (fun (d : Defects.Seed.defect) ->
            { Refactor.Certify.sp_name = Printf.sprintf "defect-%d" d.Defects.Seed.d_id;
              sp_before = before;
-             sp_after = Typecheck.check (d.Defects.Seed.d_apply prog) })
+             sp_after = Typecheck.check (d.Defects.Seed.d_apply prog);
+             sp_claim = None })
          defects)
   in
   let outcomes =

@@ -70,9 +70,11 @@ type payload =
   | P_implication of { pi_lemmas : (string * bool * string) list }
 
 (* v4: [S_impact] exists (stage indices shifted), [P_impact] carries the
-   change-impact audit, and the proof report gained [ip_carried]; older
-   files are rejected by the header check below and recomputed *)
-let format_version = "ECHO-CKPT v4"
+   change-impact audit, and the proof report gained [ip_carried]; v5:
+   certificates name their rule (closure, scheme, reused oracle) and the
+   certification stats count decided and sampled targets; older files
+   are rejected by the header check below and recomputed *)
+let format_version = "ECHO-CKPT v5"
 
 (* case names can contain spaces and parens; keep filenames tame *)
 let slug s =

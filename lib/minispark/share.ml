@@ -126,12 +126,16 @@ let marshal_digest x =
 let decl_digest d = Memo.find (memos ()).digests d (fun () -> marshal_digest d)
 let program_digest p = marshal_digest p
 
+let decls_digest (p : program) =
+  Digest.to_hex
+    (Digest.string (String.concat " " (p.prog_name :: List.map decl_digest p.prog_decls)))
+
 let interface_digest (sp : subprogram) =
   marshal_digest (sp.sub_name, sp.sub_params, sp.sub_return, sp.sub_pre, sp.sub_post)
 
 (* The one reachability walk behind the closure-keyed memos (the oracle
    run memo, the VC-generation memo); each caller picks its roots. *)
-let closure_digest (prog : program) =
+let closure (prog : program) =
   let by_name = Hashtbl.create 64 in
   List.iter (fun d -> Hashtbl.add by_name (decl_name d) d) prog.prog_decls;
   fun roots ->
@@ -145,11 +149,9 @@ let closure_digest (prog : program) =
       end
     in
     List.iter visit roots;
-    Digest.to_hex
-      (Digest.string
-         (String.concat ""
-            (List.filter_map
-               (fun d ->
-                 if Hashtbl.mem reached (decl_name d) then Some (decl_digest d)
-                 else None)
-               prog.prog_decls)))
+    List.filter (fun d -> Hashtbl.mem reached (decl_name d)) prog.prog_decls
+
+let closure_digest (prog : program) =
+  let closure = closure prog in
+  fun roots ->
+    Digest.to_hex (Digest.string (String.concat "" (List.map decl_digest (closure roots))))

@@ -38,17 +38,27 @@ val program_digest : Ast.program -> string
 (** Content digest (hex) of a whole program, independent of pointer
     sharing; computed on every call. *)
 
+val decls_digest : Ast.program -> string
+(** Content digest (hex) of a whole program from its {!decl_digest}s:
+    two programs have equal [decls_digest]s exactly when they have equal
+    {!program_digest}s, and declarations digested before cost a memo
+    lookup. *)
+
 val interface_digest : Ast.subprogram -> string
 (** Content digest (hex) of a subprogram's interface — name, parameters,
     return type, pre- and postcondition — independent of pointer sharing;
     computed on every call. *)
 
+val closure : Ast.program -> Ast.ident list -> Ast.decl list
+(** [closure prog roots]: every declaration, in program order, whose name
+    is reachable from [roots] through {!decl_refs} — every declaration of
+    a reached name, so whichever one a consumer resolves is included.
+    Partial application to [prog] indexes its declarations once for many
+    root sets. *)
+
 val closure_digest : Ast.program -> Ast.ident list -> string
-(** [closure_digest prog roots]: a digest (hex) of the {!decl_digest}s,
-    in program order, of every declaration whose name is reachable from
-    [roots] through {!decl_refs} — every declaration of a reached name, so
-    whichever one a consumer resolves is covered.  Partial application to
-    [prog] indexes its declarations once for many root sets. *)
+(** [closure_digest prog roots]: a digest (hex) of the {!decl_digest}s
+    of {!closure}[ prog roots]. *)
 
 val memo_stats : unit -> (string * Memo.stats) list
 (** Counters of the calling domain's unifier, reference and digest memos,

@@ -13,7 +13,15 @@
       repeated script re-certifies for free.  Loopy or under-constrained
       bodies make generation raise [Infeasible], and an unproved VC is
       never a refutation — both fall through to:
-   3. [M_oracle] — dynamic side: the differential oracle
+   3. [M_closure] — everything a run of an entry-point target can
+      observe is the same in both versions, which both initialise
+      ({!Equivalence.same_closure}).  Then [M_scheme] / [M_reused] — the
+      step's claim ({!Transform.claim}), checked against the step's own
+      pair: a table reversal replayed under its scheme's side-conditions
+      ({!Table_reverse.check_scheme}), or the transformation's own oracle
+      verdict, reused when it was reached on these two programs with at
+      least [cf_trials] trials under [cf_fuel].
+   4. [M_oracle] — dynamic side: the differential oracle
       ({!Equivalence.oracle}, [cf_trials] seeded samples under [cf_fuel]).
       QCheck generates typed inputs (from the after version's parameter
       types, restricted to the precondition's sampling domains), both
@@ -21,7 +29,7 @@
       Small domains are enumerated exhaustively — a decision, not a test.
       A mismatch, a crash, or fuel exhaustion introduced by the rewrite is
       a concrete counterexample: the step is [Refuted].
-   4. [M_entries] — a target the oracle cannot sample locally falls back
+   5. [M_entries] — a target the oracle cannot sample locally falls back
       to differential execution of the configured entry points
       ([cf_entries]), which are also the targets of a step that changes
       the program's shape.
@@ -44,16 +52,29 @@ let counterexample_to_string = Equivalence.counterexample_to_string
 
 type method_ =
   | M_identical
+  | M_closure
+  | M_scheme of string
   | M_vc of int  (** number of equivalence VCs discharged *)
+  | M_reused of { trials : int; exhaustive : bool }
   | M_oracle of { trials : int; exhaustive : bool }
   | M_entries of { trials : int }
 
+let oracle_to_string trials exhaustive =
+  Printf.sprintf "oracle:%d%s" trials (if exhaustive then ":exhaustive" else "")
+
 let method_to_string = function
   | M_identical -> "identical"
+  | M_closure -> "closure"
+  | M_scheme s -> "scheme:" ^ s
   | M_vc n -> Printf.sprintf "vc:%d" n
-  | M_oracle { trials; exhaustive } ->
-      Printf.sprintf "oracle:%d%s" trials (if exhaustive then ":exhaustive" else "")
+  | M_reused { trials; exhaustive } -> "reused:" ^ oracle_to_string trials exhaustive
+  | M_oracle { trials; exhaustive } -> oracle_to_string trials exhaustive
   | M_entries { trials } -> Printf.sprintf "entries:%d" trials
+
+let decided = function
+  | M_identical | M_closure | M_scheme _ | M_vc _ -> true
+  | M_reused { exhaustive; _ } | M_oracle { exhaustive; _ } -> exhaustive
+  | M_entries _ -> false
 
 type certificate =
   | Certified of (string * method_) list  (** per-target evidence *)
@@ -101,6 +122,8 @@ type stats = {
   ct_cache_hits : int;
   ct_cache_misses : int;
   ct_oracle_trials : int;
+  ct_decided : int;
+  ct_sampled : int;
   ct_vc_seconds : float;
   ct_oracle_seconds : float;
 }
@@ -114,6 +137,8 @@ let zero_stats =
     ct_cache_hits = 0;
     ct_cache_misses = 0;
     ct_oracle_trials = 0;
+    ct_decided = 0;
+    ct_sampled = 0;
     ct_vc_seconds = 0.0;
     ct_oracle_seconds = 0.0;
   }
@@ -127,6 +152,8 @@ let add_stats a b =
     ct_cache_hits = a.ct_cache_hits + b.ct_cache_hits;
     ct_cache_misses = a.ct_cache_misses + b.ct_cache_misses;
     ct_oracle_trials = a.ct_oracle_trials + b.ct_oracle_trials;
+    ct_decided = a.ct_decided + b.ct_decided;
+    ct_sampled = a.ct_sampled + b.ct_sampled;
     ct_vc_seconds = a.ct_vc_seconds +. b.ct_vc_seconds;
     ct_oracle_seconds = a.ct_oracle_seconds +. b.ct_oracle_seconds;
   }
@@ -182,6 +209,8 @@ type target = {
   tg_name : string;
   tg_vc_ok : bool;  (** interface and parameter names identical: eligible
                         for shared-symbol equivalence VCs *)
+  tg_entry : bool;  (** an unchanged entry point: the only kind of target
+                        whose closure can be the same in both versions *)
 }
 
 (* Changed comparable subprograms, plus whether anything changed that a
@@ -217,7 +246,8 @@ let diff (env_a, prog_a) (env_b, prog_b) =
             if (ia, names_a, locals_a, body_a) = (ib, names_b, locals_b, body_b)
             then (changed, incomp)
             else if ia = ib then
-              ( { tg_name = sb.Ast.sub_name; tg_vc_ok = names_a = names_b }
+              ( { tg_name = sb.Ast.sub_name; tg_vc_ok = names_a = names_b;
+                  tg_entry = false }
                 :: changed,
                 incomp )
             else (changed, true) (* interface changed: not comparable *))
@@ -262,7 +292,37 @@ type step = {
   sp_name : string;
   sp_before : Typecheck.env * Ast.program;
   sp_after : Typecheck.env * Ast.program;
+  sp_claim : Transform.claim option;
 }
+
+(* ------------------------------------------------------------------ *)
+(* Claims: checked against the step, never trusted                     *)
+(* ------------------------------------------------------------------ *)
+
+let claim_covers (claim : Transform.claim) name =
+  match claim with
+  | Transform.Table_reversal _ -> true
+  | Transform.Oracle_agreement { target; _ } -> String.equal target name
+
+let claim_method : Transform.claim -> method_ = function
+  | Transform.Table_reversal _ -> M_scheme "reverse_table"
+  | Transform.Oracle_agreement { trials; exhaustive; _ } -> M_reused { trials; exhaustive }
+
+let check_claim cfg (step : step) (claim : Transform.claim) =
+  match claim with
+  | Transform.Table_reversal { table; index_var; replacement; helpers } ->
+      Table_reverse.check_scheme ~table ~index_var ~replacement ~helpers step.sp_before
+        step.sp_after
+  | Transform.Oracle_agreement { trials; exhaustive; fuel; before_digest; after_digest; _ } ->
+      if fuel <> cfg.cf_fuel then Error "reached under another fuel bound"
+      else if (not exhaustive) && trials < cfg.cf_trials then
+        Error (Printf.sprintf "%d trials, fewer than %d" trials cfg.cf_trials)
+      else if
+        not
+          (String.equal before_digest (Share.decls_digest (snd step.sp_before))
+          && String.equal after_digest (Share.decls_digest (snd step.sp_after)))
+      then Error "reached on other programs"
+      else Ok ()
 
 (* Where one equivalence VC's verdict comes from.  Cache lookups are made
    in step order as if each step saved its proofs before the next looked:
@@ -284,23 +344,43 @@ type plan =
           (* the keys this step looks up first, and their VCs *)
     }
 
-(* One farm job: a cache-missing equivalence VC, or one target name's
-   oracle over some steps in step order — so the run memo's hits from one
-   step's after-program on the next step's before-program stay on one
-   domain. *)
+(* One farm job: a cache-missing equivalence VC, one target name's
+   closure test and oracle over some steps in step order — so the run
+   memo's hits from one step's after-program on the next step's
+   before-program stay on one domain — or the check of one step's claim.
+   Only an entry-point target is closure-tested (a changed subprogram's
+   own declaration differs), and a target a claim covers is not sampled:
+   the claim decides it or, when the claim fails, the replay samples it. *)
 type job =
   | Prove of { step : int; key : string; vc : F.vc }
-  | Oracle of { name : string; steps : (int * step) list }
+  | Oracle of { name : string; steps : (int * step * target_run) list }
+  | Claim of { step : int; sp : step; claim : Transform.claim }
+
+(* what an oracle job does for one target of one step *)
+and target_run =
+  | Test_closure_then_sample  (* an entry point *)
+  | Test_closure  (* an entry point the step's claim covers *)
+  | Sample  (* a changed subprogram: its own declaration differs *)
+  | Leave  (* a changed subprogram the step's claim covers *)
+
+(* how one target of one step fared in its oracle job *)
+type route =
+  | Closure  (* same closure, both versions initialise *)
+  | Claimed  (* left to the step's claim *)
+  | Ran of Equivalence.verdict
 
 type job_result =
   | Proof of P.proof_result
-  | Runs of (int * Equivalence.verdict * float) list  (* step, verdict, seconds *)
+  | Runs of (int * route * float) list  (* step, route, seconds *)
+  | Checked of (unit, string) result
 
 (* rough costs, for the dispatch order only: an oracle chain weighs 4000
-   per step (a few ms each on AES), a VC its formula's node count *)
+   per step (a few ms each on AES), as does a claim check, a VC its
+   formula's node count *)
 let job_cost = function
   | Prove { vc; _ } -> F.node_count (F.vc_formula vc)
   | Oracle { steps; _ } -> 4000 * List.length steps
+  | Claim _ -> 4000
 
 let run_oracle ?parent cfg (step : step) name =
   Telemetry.with_span ~cat:Telemetry.cat_transform ?parent
@@ -315,11 +395,25 @@ let run_job cfg = function
   | Oracle { name; steps } ->
       Runs
         (List.map
-           (fun (i, step) ->
+           (fun (i, step, run) ->
              let t0 = Logic.Clock.now () in
-             let o = run_oracle cfg step name in
-             (i, o, Logic.Clock.elapsed t0))
+             let closure () =
+               Equivalence.same_closure ~fuel:cfg.cf_fuel step.sp_before step.sp_after name
+             in
+             let route =
+               match run with
+               | (Test_closure_then_sample | Test_closure) when closure () -> Closure
+               | Test_closure | Leave -> Claimed
+               | Test_closure_then_sample | Sample -> Ran (run_oracle cfg step name)
+             in
+             (i, route, Logic.Clock.elapsed t0))
            steps)
+  | Claim { sp; claim; _ } ->
+      Checked
+        (Telemetry.with_span ~cat:Telemetry.cat_transform
+           ~attrs:[ ("step", Telemetry.S sp.sp_name) ]
+           "check-claim"
+           (fun () -> check_claim cfg sp claim))
 
 (* the targets of one step, and its VC-eligible targets' VCs *)
 let plan_step cfg (step : step) =
@@ -332,7 +426,7 @@ let plan_step cfg (step : step) =
           if List.exists (fun t -> t.tg_name = e) changed then None
           else
             match (Ast.find_sub prog_a e, Ast.find_sub prog_b e) with
-            | Some _, Some _ -> Some { tg_name = e; tg_vc_ok = false }
+            | Some _, Some _ -> Some { tg_name = e; tg_vc_ok = false; tg_entry = true }
             | _ -> None)
         cfg.cf_entries
     else []
@@ -360,10 +454,14 @@ let plan_step cfg (step : step) =
           targets )
 
 (* Replay one step's sequential decision over the farm's outcomes:
-   equivalence VCs first, then the oracle per residual target in order,
-   falling back to the entry points; [outcome name] is the step's oracle
-   outcome for a target.  Timing fields are left to the caller. *)
-let decide_step cfg ~proof ~outcome (step : step) plan : certificate * stats =
+   equivalence VCs first, then per residual target in order closure
+   identity, the step's claim ([claimed name] is its method when the
+   claim holds and covers the target) and the oracle, falling back to the
+   entry points; [closure name] says whether a target's closure test
+   held, and [sample name] is the step's oracle outcome for a target.
+   Timing fields are left to the caller. *)
+let decide_step cfg ~proof ~closure ~claimed ~sample (step : step) plan :
+    certificate * stats =
   match plan with
   | Settled cert -> (cert, { zero_stats with ct_steps = 1 })
   | Run { targets; batches; _ } ->
@@ -422,8 +520,9 @@ let decide_step cfg ~proof ~outcome (step : step) plan : certificate * stats =
           | usable ->
               let rec go total = function
                 | [] -> `Agree total
+                | e :: rest when closure e -> go total rest
                 | e :: rest -> (
-                    match outcome e with
+                    match sample e with
                     | Equivalence.Agree { trials; _ } ->
                         add_trials trials;
                         go (total + trials) rest
@@ -434,25 +533,35 @@ let decide_step cfg ~proof ~outcome (step : step) plan : certificate * stats =
       in
       let rec decide acc = function
         | [] -> Certified (vc_certified @ List.rev acc)
+        | t :: rest when closure t.tg_name -> decide ((t.tg_name, M_closure) :: acc) rest
         | t :: rest -> (
-            match outcome t.tg_name with
-            | Equivalence.Agree { trials; exhaustive } ->
-                add_trials trials;
-                decide ((t.tg_name, M_oracle { trials; exhaustive }) :: acc) rest
-            | Equivalence.Refuted cx -> Refuted cx
-            | Equivalence.Undecided why -> (
-                (* locally undecidable: fall back to the entry points *)
-                match Lazy.force entries_fallback with
-                | `Agree trials ->
-                    decide ((t.tg_name, M_entries { trials }) :: acc) rest
-                | `Refuted cx -> Refuted cx
-                | `Unknown why' ->
-                    Unknown (Printf.sprintf "%s; entry fallback: %s" why why')
-                | `None -> Unknown why))
+            match claimed t.tg_name with
+            | Some m -> decide ((t.tg_name, m) :: acc) rest
+            | None -> sampled acc t rest)
+      and sampled acc t rest =
+        match sample t.tg_name with
+        | Equivalence.Agree { trials; exhaustive } ->
+            add_trials trials;
+            decide ((t.tg_name, M_oracle { trials; exhaustive }) :: acc) rest
+        | Equivalence.Refuted cx -> Refuted cx
+        | Equivalence.Undecided why -> (
+            (* locally undecidable: fall back to the entry points *)
+            match Lazy.force entries_fallback with
+            | `Agree trials ->
+                decide ((t.tg_name, M_entries { trials }) :: acc) rest
+            | `Refuted cx -> Refuted cx
+            | `Unknown why' ->
+                Unknown (Printf.sprintf "%s; entry fallback: %s" why why')
+            | `None -> Unknown why)
       in
       (* bind before building the pair: tuple components evaluate
          right-to-left, which would read [stats] before [decide] bumps it *)
       let cert = decide [] residual in
+      (match cert with
+      | Certified ms ->
+          let d = List.length (List.filter (fun (_, m) -> decided m) ms) in
+          bump (fun s -> { s with ct_decided = d; ct_sampled = List.length ms - d })
+      | Refuted _ | Unknown _ -> ());
       (cert, !stats)
 
 type session = {
@@ -528,15 +637,17 @@ let plan se i step =
       Run { targets; batches; proves = List.rev !proves }
 
 (* Submit the jobs of some planned steps, in step order, as one batch:
-   each VC a step looks up first, then every target's oracle, except a
-   target the cache already proves.  Above width 1 one job per target
-   name keeps the run memo's cross-step hits on one domain.  At width 1
+   each VC a step looks up first, each step's claim, then every target's
+   closure test and oracle, except a target the cache already proves.
+   Above width 1 one job per target name keeps the run memo's cross-step
+   hits on one domain.  At width 1
    nothing is split, and one job per step and target, in step order,
    also keeps the interpreter's few-program cache warm, as step-by-step
    certification does. *)
 let submit se waiting =
   let group i name = ((if se.se_cfg.cf_jobs > 1 then -1 else i), name) in
-  let proves = ref [] and oracle_steps = Hashtbl.create 64 and names = ref [] in
+  let proves = ref [] and claims = ref [] in
+  let oracle_steps = Hashtbl.create 64 and names = ref [] in
   List.iter
     (fun (i, step, plan) ->
       match plan with
@@ -545,6 +656,13 @@ let submit se waiting =
           List.iter
             (fun (key, vc) -> proves := Prove { step = i; key; vc } :: !proves)
             ps;
+          let claimed name =
+            match step.sp_claim with Some c -> claim_covers c name | None -> false
+          in
+          (match step.sp_claim with
+          | Some claim when List.exists (fun t -> claimed t.tg_name) targets ->
+              claims := Claim { step = i; sp = step; claim } :: !claims
+          | _ -> ());
           List.iter
             (fun t ->
               let cached =
@@ -553,16 +671,23 @@ let submit se waiting =
                 | None -> false
               in
               if not cached then
-                let key = group i t.tg_name in
+                let run =
+                  match (t.tg_entry, claimed t.tg_name) with
+                  | true, false -> Test_closure_then_sample
+                  | true, true -> Test_closure
+                  | false, false -> Sample
+                  | false, true -> Leave
+                in
+                let key = group i t.tg_name and run = (i, step, run) in
                 match Hashtbl.find_opt oracle_steps key with
-                | Some idx -> idx := (i, step) :: !idx
+                | Some idx -> idx := run :: !idx
                 | None ->
-                    Hashtbl.add oracle_steps key (ref [ (i, step) ]);
+                    Hashtbl.add oracle_steps key (ref [ run ]);
                     names := key :: !names)
             targets)
     waiting;
   let jobs =
-    List.rev !proves
+    List.rev !proves @ List.rev !claims
     @ List.rev_map
         (fun ((_, name) as key) ->
           Oracle { name; steps = List.rev !(Hashtbl.find oracle_steps key) })
@@ -602,6 +727,7 @@ let finish_tail se =
   let n = Array.length planned in
   let vc_busy = Array.make n 0.0 and oracle_busy = Array.make n 0.0 in
   let proofs = Hashtbl.create 16 and ran = Hashtbl.create 256 in
+  let claims = Hashtbl.create 16 in
   Array.iteri
     (fun j job ->
       match (job, results.(j)) with
@@ -622,10 +748,13 @@ let finish_tail se =
               Hashtbl.replace ran (i, name) o;
               oracle_busy.(i) <- oracle_busy.(i) +. secs)
             rs
-      | Prove _, (Runs _, _, _) | Oracle _, (Proof _, _, _) -> assert false)
+      | Claim { step; _ }, (Checked r, secs, _) ->
+          Hashtbl.replace claims step r;
+          oracle_busy.(step) <- oracle_busy.(step) +. secs
+      | (Prove _ | Oracle _ | Claim _), _ -> assert false)
     jobs;
   (match cfg.cf_cache with
-  | Some cache when Array.exists (function Prove _ -> true | Oracle _ -> false) jobs
+  | Some cache when Array.exists (function Prove _ -> true | Oracle _ | Claim _ -> false) jobs
     -> (
       match Farm.Cache.save cache with
       | Ok () -> ()
@@ -634,24 +763,31 @@ let finish_tail se =
             ~attrs:[ ("error", Telemetry.S why) ])
   | _ -> ());
   (* replay each step's sequential decision; an outcome the farm did not
-     precompute (an entry-point fallback) runs here *)
+     precompute (an entry-point fallback, a target whose claim failed)
+     runs here *)
   let proof key = Hashtbl.find proofs key in
   let decided, replay_memos =
     Memo.measure Equivalence.memo_readings @@ fun () ->
     Array.to_list
       (Array.mapi
          (fun i (step, plan) ->
-           let outcome name =
+           let closure name = Hashtbl.find_opt ran (i, name) = Some Closure in
+           let claimed name =
+             match (step.sp_claim, Hashtbl.find_opt claims i) with
+             | Some c, Some (Ok ()) when claim_covers c name -> Some (claim_method c)
+             | _ -> None
+           in
+           let sample name =
              match Hashtbl.find_opt ran (i, name) with
-             | Some o -> o
-             | None ->
+             | Some (Ran o) -> o
+             | Some (Closure | Claimed) | None ->
                  let t0 = Logic.Clock.now () in
                  let o = run_oracle ?parent:se.se_span cfg step name in
                  oracle_busy.(i) <- oracle_busy.(i) +. Logic.Clock.elapsed t0;
-                 Hashtbl.replace ran (i, name) o;
+                 Hashtbl.replace ran (i, name) (Ran o);
                  o
            in
-           decide_step cfg ~proof ~outcome step plan)
+           decide_step cfg ~proof ~closure ~claimed ~sample step plan)
          planned)
   in
   if Telemetry.enabled () then
@@ -695,7 +831,10 @@ let certify_steps cfg (steps : step list) : (certificate * stats) list =
       Printexc.raise_with_backtrace e bt
 
 let certify cfg ~step_name ~before ~after : certificate * stats =
-  match certify_steps cfg [ { sp_name = step_name; sp_before = before; sp_after = after } ] with
+  match
+    certify_steps cfg
+      [ { sp_name = step_name; sp_before = before; sp_after = after; sp_claim = None } ]
+  with
   | [ r ] -> r
   | _ -> assert false
 
@@ -755,5 +894,7 @@ let stats_to_json s =
       ("cache_hits", J.Int s.ct_cache_hits);
       ("cache_misses", J.Int s.ct_cache_misses);
       ("oracle_trials", J.Int s.ct_oracle_trials);
+      ("decided", J.Int s.ct_decided);
+      ("sampled", J.Int s.ct_sampled);
       ("vc_seconds", J.Float s.ct_vc_seconds);
       ("oracle_seconds", J.Float s.ct_oracle_seconds) ]

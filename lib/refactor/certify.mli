@@ -4,9 +4,11 @@
     it preserved semantics.  Per touched subprogram the decision
     procedure tries, in order: annotation-only identity; static
     equivalence VCs ({!Vcgen.equivalence_sub}) discharged on the proof
-    farm through the content-addressed cache; the differential oracle
-    {!Equivalence.oracle} with fuel-bounded interpretation (divergence
-    is a counterexample, not a hang); and differential
+    farm through the content-addressed cache; closure identity
+    ({!Equivalence.same_closure}); the step's own claim
+    ({!Transform.claim}), checked against the step; the differential
+    oracle {!Equivalence.oracle} with fuel-bounded interpretation
+    (divergence is a counterexample, not a hang); and differential
     execution of the configured entry points as a last resort.  The
     result is a {!certificate}: [Certified] with per-target evidence,
     [Refuted] with a concrete counterexample, or [Unknown].
@@ -30,17 +32,35 @@ type counterexample = Equivalence.counterexample = {
 
 val counterexample_to_string : counterexample -> string
 
-(** How a target was certified. *)
+(** How a target was certified, written [identical], [closure],
+    [scheme:<name>], [vc:N], [reused:oracle:N[:exhaustive]],
+    [oracle:N[:exhaustive]] or [entries:N]. *)
 type method_ =
   | M_identical
       (** versions differ only in annotations, which are not executed *)
+  | M_closure
+      (** everything a run of the target observes is the same in both
+          versions, and both initialise ({!Equivalence.same_closure}) *)
+  | M_scheme of string
+      (** the step is an instance of this proved scheme, its
+          side-conditions checked on the step
+          ([reverse_table]: {!Table_reverse.check_scheme}) *)
   | M_vc of int  (** this many equivalence VCs discharged on the farm *)
+  | M_reused of { trials : int; exhaustive : bool }
+      (** the transformation's own oracle agreement on exactly these two
+          programs ({!Transform.Oracle_agreement}), with at least
+          [cf_trials] trials under [cf_fuel] *)
   | M_oracle of { trials : int; exhaustive : bool }
       (** differential oracle agreement; [exhaustive] = every point of a
           small input domain was checked (a decision, not a test) *)
   | M_entries of { trials : int }
       (** locally unsampleable; behaviour preserved through the
           configured entry points *)
+
+val decided : method_ -> bool
+(** The strength of a certificate: [true] for a decision (identity,
+    closure, scheme, a discharged VC, an exhaustive oracle), [false] for
+    sampled evidence. *)
 
 type certificate =
   | Certified of (string * method_) list  (** per-target evidence *)
@@ -79,6 +99,10 @@ type stats = {
   ct_cache_hits : int;
   ct_cache_misses : int;
   ct_oracle_trials : int;
+      (** trials the oracle ran for this certification ([M_oracle],
+          [M_entries]); a reused verdict's trials are not counted *)
+  ct_decided : int;  (** certified targets with {!decided} evidence *)
+  ct_sampled : int;  (** certified targets with sampled evidence *)
   ct_vc_seconds : float;
       (** wall seconds discharging equivalence VCs — the part the proof
           cache can amortise *)
@@ -102,6 +126,10 @@ type step = {
   sp_name : string;
   sp_before : Typecheck.env * Ast.program;  (** type-checked *)
   sp_after : Typecheck.env * Ast.program;   (** type-checked *)
+  sp_claim : Transform.claim option;
+      (** the transformation's claim about the step: checked against
+          [sp_before] and [sp_after] on the farm, it certifies the
+          targets it covers that closure identity does not *)
 }
 
 type session
@@ -118,13 +146,14 @@ val add : session -> step -> unit
     proves is a later step's hit, as if that step had saved first).
     Above width 1, whenever the helpers have nothing queued, the oldest
     planned steps go to the pool whole, one at a time: each VC a step
-    looks up first and each target's oracle run is a job.  At width 1
+    looks up first, the step's claim check and each target's closure
+    test and oracle run is a job.  At width 1
     nothing runs before {!finish}. *)
 
 val finish : session -> (certificate * stats) list
-(** Submit the steps still waiting: each VC a step looks up first, then
-    each target name's oracle runs over those steps, in step order, as
-    one job (above width 1, so the run memo's hits between a step's
+(** Submit the steps still waiting: each VC a step looks up first, each
+    step's claim check, then each target name's closure tests and
+    oracle runs over those steps, in step order, as one job (above width 1, so the run memo's hits between a step's
     after-program and the next step's before-program stay on one
     domain) or one job per step and target (at width 1).  Close the pool
     with the calling domain as a worker, add the proofs to the cache and
@@ -135,7 +164,8 @@ val finish : session -> (certificate * stats) list
     proved the key), whatever the width and however the steps split
     between the helpers and the tail.  The oracle also runs, unused, for
     targets an equivalence VC turns out to certify and for targets after
-    a step's refutation.  With telemetry on, the oracle-run, interpreter
+    a step's refutation; a target whose claim fails is sampled in the
+    replay.  With telemetry on, the oracle-run, interpreter
     and {!Minispark.Share} memo events of every job and of the calling
     domain are published as [oracle_memo_*], [interp_memo_*] and
     [share_*_memo_*] counters. *)
@@ -149,7 +179,7 @@ val certify :
   before:Typecheck.env * Ast.program ->
   after:Typecheck.env * Ast.program ->
   certificate * stats
-(** {!certify_steps} on one step. *)
+(** {!certify_steps} on one step without a claim. *)
 
 (** {1 Audits over a recorded history} *)
 

@@ -221,6 +221,20 @@ let closure_digest (prog : Ast.program) name =
            | Ast.Dsub _ -> None)
          prog.Ast.prog_decls)
 
+(* A target whose closure is the same in both versions, in two programs
+   that both initialise, runs the same declarations from the same global
+   state: whatever it computes, it computes in both. *)
+let same_closure ~fuel (env_a, prog_a) (env_b, prog_b) name =
+  let initialises env prog =
+    match Interp.make ~fuel env prog with
+    | _ -> true
+    | exception (Interp.Stuck _ | Value.Runtime_error _ | Interp.Out_of_fuel) -> false
+  in
+  Ast.find_sub prog_a name <> None
+  && Ast.find_sub prog_b name <> None
+  && String.equal (closure_digest prog_a name) (closure_digest prog_b name)
+  && initialises env_a prog_a && initialises env_b prog_b
+
 let outcome_of run =
   match run () with
   | vs -> R_vals vs

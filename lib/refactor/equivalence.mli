@@ -52,6 +52,19 @@ val oracle :
     and the inputs, so an edit elsewhere in the program reuses the run.
     Each version's environment must be its program's own. *)
 
+val closure_digest : Ast.program -> string -> string
+(** Digest of everything a run of a subprogram can observe: its reachable
+    declarations, every type declaration and every global initialiser
+    that calls a subprogram — the run memo's key. *)
+
+val same_closure :
+  fuel:int -> Typecheck.env * Ast.program -> Typecheck.env * Ast.program -> string ->
+  bool
+(** Closure identity: subprogram [name] is in both versions, its
+    {!closure_digest} is the same in both, and global initialisation
+    succeeds in both within [fuel].  Every run of [name]
+    then computes the same in both versions. *)
+
 val check_expr_table :
   Typecheck.env -> Ast.program ->
   table:string -> index_var:string -> replacement:Ast.expr -> verdict

@@ -16,6 +16,7 @@ type step = {
           a full re-typecheck *)
   st_after : Ast.program;
   st_env_after : Typecheck.env;
+  st_claim : Transform.claim option;
   st_certificate : Certify.certificate option;
 }
 
@@ -44,7 +45,7 @@ let apply_step h (tr : Transform.t) =
       ~attrs:[ ("category", Telemetry.S (Transform.category_name tr.Transform.tr_category)) ]
       tr.Transform.tr_name
   in
-  let env', program' =
+  let env', program', claim =
     try Transform.apply tr env program
     with e ->
       Telemetry.finish_span span ~attrs:[ ("outcome", Telemetry.S "rejected") ];
@@ -71,6 +72,7 @@ let apply_step h (tr : Transform.t) =
       st_env_before = env;
       st_after = program';
       st_env_after = env';
+      st_claim = claim;
       st_certificate = None;
     }
   in
@@ -81,7 +83,8 @@ let apply_step h (tr : Transform.t) =
 let as_certify_step s =
   { Certify.sp_name = s.st_name;
     sp_before = (s.st_env_before, s.st_before);
-    sp_after = (s.st_env_after, s.st_after) }
+    sp_after = (s.st_env_after, s.st_after);
+    sp_claim = s.st_claim }
 
 (* Record the results in step order up to the first refutation, then cut
    the history back to that step's pre-image and raise; later steps'

@@ -15,6 +15,9 @@ type step = {
           a full re-typecheck *)
   st_after : Ast.program;
   st_env_after : Typecheck.env;  (** the checked environment of [st_after] *)
+  st_claim : Transform.claim option;
+      (** what the transformation claimed about the step, for
+          certification to check *)
   st_certificate : Certify.certificate option;
       (** present once the step is certified ({!run_certified}) *)
 }

@@ -47,7 +47,7 @@ let oracle_trials = 48
     {!Equivalence.oracle} (exhaustively when the input domain enumerates,
     otherwise on [oracle_trials] seeded samples). *)
 let replace_body ~proc ?new_locals ~body () =
-  Transform.make
+  Transform.make_claiming
     ~name:(Printf.sprintf "replace_body(%s)" proc)
     ~category:Transform.Modify_computation
     ~describe:
@@ -76,7 +76,14 @@ let replace_body ~proc ?new_locals ~body () =
         Equivalence.oracle ~seed:cfg.Certify.cf_seed ~trials:oracle_trials
           ~fuel:cfg.Certify.cf_fuel (env, program) after proc
       with
-      | Equivalence.Agree _ -> snd after
+      | Equivalence.Agree { trials; exhaustive } ->
+          (* the verdict, bound to the two programs it was reached on *)
+          ( snd after,
+            Some
+              (Transform.Oracle_agreement
+                 { target = proc; trials; exhaustive; fuel = cfg.Certify.cf_fuel;
+                   before_digest = Share.decls_digest program;
+                   after_digest = Share.decls_digest (snd after) }) )
       | Equivalence.Refuted cx ->
           Transform.reject "new body of %s is not equivalent: %s" proc
             (Equivalence.counterexample_to_string cx)

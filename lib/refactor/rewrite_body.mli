@@ -20,4 +20,6 @@ val replace_body :
     input domains, otherwise on 48 samples under certification's seed and
     fuel bound ({!Certify.default_config}).  A refuted or undecided
     target is [Not_applicable], and the message carries the
-    counterexample or the reason. *)
+    counterexample or the reason.  An agreement is the step's claim
+    ({!Transform.Oracle_agreement}), which certification reuses instead
+    of sampling the target again. *)

@@ -40,15 +40,36 @@ let category_name = function
   | Adjust_data_structures -> "adjusting data structures"
   | Reverse_table_lookups -> "reversing table lookups"
 
+(* What a transformation asserts about its own step, for certification
+   to check against the step's (before, after) pair rather than trust. *)
+type claim =
+  | Table_reversal of {
+      table : string;
+      index_var : string;
+      replacement : Ast.expr;
+      helpers : Ast.decl list;
+    }
+  | Oracle_agreement of {
+      target : string;
+      trials : int;
+      exhaustive : bool;
+      fuel : int;
+      before_digest : string;
+      after_digest : string;
+    }
+
 type t = {
   tr_name : string;
   tr_category : category;
   tr_describe : string;
-  tr_apply : Typecheck.env -> Ast.program -> Ast.program;
+  tr_apply : Typecheck.env -> Ast.program -> Ast.program * claim option;
 }
 
-let make ~name ~category ~describe apply =
+let make_claiming ~name ~category ~describe apply =
   { tr_name = name; tr_category = category; tr_describe = describe; tr_apply = apply }
+
+let make ~name ~category ~describe apply =
+  make_claiming ~name ~category ~describe (fun env program -> (apply env program, None))
 
 (** Apply with a mechanical applicability check: the transformed program
     must still type-check (transformations that break static semantics are
@@ -63,7 +84,7 @@ let apply (tr : t) env program =
       ("category", Telemetry.S (category_name tr.tr_category));
     ]
   in
-  let program' =
+  let program', claim =
     Telemetry.with_span ~cat:Telemetry.cat_transform ~attrs "rewrite" (fun () ->
         Telemetry.count "transform_rewrites";
         tr.tr_apply env program)
@@ -76,7 +97,7 @@ let apply (tr : t) env program =
          declarations the rewrite left physically untouched re-check for
          free *)
       match Typecheck.check_incremental ~baseline:(env, program) program' with
-      | env', checked -> (env', checked)
+      | env', checked -> (env', checked, claim)
       | exception Typecheck.Type_error msg ->
           reject "%s: transformed program does not type-check: %s" tr.tr_name msg)
 
@@ -260,35 +281,35 @@ let affine_analysis (groups : (Ast.stmt list * int list) list) :
 (* Linear constant folding for MiniSpark expressions: enough to recognise
    that a loop body instantiated at a literal index equals its unrolled
    clone (e.g. [4 * 4 + 8] vs [24]) and to tidy reindexed loop bodies. *)
+let rec linear e : ((Ast.expr * int) list * int) option =
+  match e with
+  | Ast.Int_lit n -> Some ([], n)
+  | Ast.Binop (Ast.Add, a, b) -> lin2 a b (fun (xs, c) (ys, d) -> (merge xs ys, c + d))
+  | Ast.Binop (Ast.Sub, a, b) ->
+      lin2 a b (fun (xs, c) (ys, d) ->
+          (merge xs (List.map (fun (t, k) -> (t, -k)) ys), c - d))
+  | Ast.Binop (Ast.Mul, Ast.Int_lit k, b) -> scale k b
+  | Ast.Binop (Ast.Mul, a, Ast.Int_lit k) -> scale k a
+  | Ast.Unop (Ast.Neg, a) -> scale (-1) a
+  | _ -> Some ([ (e, 1) ], 0)
+and scale k e =
+  Option.map
+    (fun (xs, c) -> (List.map (fun (t, j) -> (t, j * k)) xs, c * k))
+    (linear e)
+and lin2 a b f =
+  match (linear a, linear b) with
+  | Some la, Some lb -> Some (f la lb)
+  | _ -> None
+and merge xs ys =
+  List.fold_left
+    (fun acc (t, k) ->
+      match List.assoc_opt t acc with
+      | Some k' -> (t, k + k') :: List.remove_assoc t acc
+      | None -> (t, k) :: acc)
+    xs ys
+  |> List.filter (fun (_, k) -> k <> 0)
+
 let fold_expr e =
-  let rec linear e : ((Ast.expr * int) list * int) option =
-    match e with
-    | Ast.Int_lit n -> Some ([], n)
-    | Ast.Binop (Ast.Add, a, b) -> lin2 a b (fun (xs, c) (ys, d) -> (merge xs ys, c + d))
-    | Ast.Binop (Ast.Sub, a, b) ->
-        lin2 a b (fun (xs, c) (ys, d) ->
-            (merge xs (List.map (fun (t, k) -> (t, -k)) ys), c - d))
-    | Ast.Binop (Ast.Mul, Ast.Int_lit k, b) -> scale k b
-    | Ast.Binop (Ast.Mul, a, Ast.Int_lit k) -> scale k a
-    | Ast.Unop (Ast.Neg, a) -> scale (-1) a
-    | _ -> Some ([ (e, 1) ], 0)
-  and scale k e =
-    Option.map
-      (fun (xs, c) -> (List.map (fun (t, j) -> (t, j * k)) xs, c * k))
-      (linear e)
-  and lin2 a b f =
-    match (linear a, linear b) with
-    | Some la, Some lb -> Some (f la lb)
-    | _ -> None
-  and merge xs ys =
-    List.fold_left
-      (fun acc (t, k) ->
-        match List.assoc_opt t acc with
-        | Some k' -> (t, k + k') :: List.remove_assoc t acc
-        | None -> (t, k) :: acc)
-      xs ys
-    |> List.filter (fun (_, k) -> k <> 0)
-  in
   let rebuild (atoms, c) =
     let atoms = List.sort compare atoms in
     let term (t, k) =
@@ -323,6 +344,32 @@ let fold_expr e =
           List.nth es k
       | e -> e)
     e
+
+(* the atoms of the linear tree rooted at [e], as [linear] reads it *)
+let rec linear_atoms (e : Ast.expr) =
+  match e with
+  | Ast.Int_lit _ -> []
+  | Ast.Binop ((Ast.Add | Ast.Sub), a, b) -> linear_atoms a @ linear_atoms b
+  | Ast.Binop (Ast.Mul, Ast.Int_lit _, b) -> linear_atoms b
+  | Ast.Binop (Ast.Mul, a, Ast.Int_lit _) -> linear_atoms a
+  | Ast.Unop (Ast.Neg, a) -> linear_atoms a
+  | e -> [ e ]
+
+let fold_discards e =
+  let discards = ref false in
+  Ast.iter_expr
+    (fun e ->
+      match e with
+      | Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul), _, _) | Ast.Unop (Ast.Neg, _) -> (
+          match linear e with
+          | Some (kept, _) ->
+              if List.exists (fun a -> not (List.mem_assoc a kept)) (linear_atoms e) then
+                discards := true
+          | None -> ())
+      | Ast.Index (Ast.Aggregate (_ :: _ :: _), Ast.Int_lit _) -> discards := true
+      | _ -> ())
+    e;
+  !discards
 
 let fold_stmts stmts =
   Ast.map_stmts (fun s -> [ Ast.map_own_exprs fold_expr s ]) stmts

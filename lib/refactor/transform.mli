@@ -28,21 +28,56 @@ type category =
 
 val category_name : category -> string
 
+(** What a transformation asserts about the step it produced.  A claim is
+    carried on the step ({!History.step}) to certification
+    ({!Certify.step}), which checks it against the step's own
+    [(before, after)] pair and never trusts it blind. *)
+type claim =
+  | Table_reversal of {
+      table : string;
+      index_var : string;
+      replacement : Ast.expr;
+      helpers : Ast.decl list;
+    }
+      (** the step is {!Table_reverse.reverse} with these parameters:
+          checked by replaying the rewrite and its scheme's
+          side-conditions ({!Table_reverse.check_scheme}) *)
+  | Oracle_agreement of {
+      target : string;
+      trials : int;
+      exhaustive : bool;
+      fuel : int;
+      before_digest : string;
+      after_digest : string;
+    }
+      (** the transformation's own {!Equivalence.oracle} run found
+          [target] equivalent in the two programs whose
+          {!Minispark.Share.decls_digest}s are given, on [trials]
+          inputs (every valid one when [exhaustive]) under [fuel] *)
+
 type t = {
   tr_name : string;
   tr_category : category;
   tr_describe : string;
-  tr_apply : Typecheck.env -> Ast.program -> Ast.program;
+  tr_apply : Typecheck.env -> Ast.program -> Ast.program * claim option;
 }
 
 val make :
   name:string -> category:category -> describe:string ->
   (Typecheck.env -> Ast.program -> Ast.program) -> t
+(** A transformation that claims nothing about its steps. *)
 
-val apply : t -> Typecheck.env -> Ast.program -> Typecheck.env * Ast.program
+val make_claiming :
+  name:string -> category:category -> describe:string ->
+  (Typecheck.env -> Ast.program -> Ast.program * claim option) -> t
+
+val apply :
+  t -> Typecheck.env -> Ast.program -> Typecheck.env * Ast.program * claim option
 (** Apply with the framework-level applicability check: the transformed
     program must re-type-check (incrementally, against the incoming
-    program as baseline).  @raise Not_applicable otherwise. *)
+    program as baseline).  Returns the checked result and the
+    transformation's claim about the step.  @raise Not_applicable
+    otherwise. *)
 
 (** {1 Template matching with metavariables}
 
@@ -77,6 +112,13 @@ val affine_analysis :
 val fold_expr : Ast.expr -> Ast.expr
 (** Linear constant folding: recognises that a body instantiated at a
     literal index equals its unrolled clone (e.g. [4 * 4 + 8] = [24]). *)
+
+val fold_discards : Ast.expr -> bool
+(** Would {!fold_expr} drop a subterm of this expression — a linear term
+    whose coefficients cancel or that is scaled by 0, or the unselected
+    components of a literally indexed aggregate?  A dropped subterm is
+    no longer evaluated, so a raise or a divergence in it is lost; a fold
+    that drops nothing only re-associates and evaluates literals. *)
 
 val fold_stmts : Ast.stmt list -> Ast.stmt list
 

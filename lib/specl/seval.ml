@@ -211,17 +211,6 @@ let rec default env t =
   | Stuple ts -> Vtup (List.map (default env) ts)
   | Snamed _ -> assert false
 
-(** Deterministic pseudo-random value of a type (for differential testing). *)
-let rec random_value env rng t =
-  match resolve_typ env.theory t with
-  | Sbool -> Vbool (rng () land 1 = 0)
-  | Sint -> Vint (rng () mod 1000)
-  | Smod m -> Vint (rng () mod m)
-  | Sarray (lo, hi, elt) ->
-      Varr (lo, Array.init (hi - lo + 1) (fun _ -> random_value env rng elt))
-  | Stuple ts -> Vtup (List.map (random_value env rng) ts)
-  | Snamed _ -> assert false
-
 (** All values of a finite scalar type, when small enough to enumerate. *)
 let enumerate env ?(limit = 65536) t =
   match resolve_typ env.theory t with

@@ -58,10 +58,6 @@ val memo_stats : unit -> Memo.stats
 val default : env -> Sast.styp -> value
 (** Default value of a type — for building sample inputs. *)
 
-val random_value : env -> (unit -> int) -> Sast.styp -> value
-(** Deterministic pseudo-random value of a type, driven by the supplied
-    generator (for differential testing). *)
-
 val enumerate : env -> ?limit:int -> Sast.styp -> value list option
 (** All values of a finite scalar type, when small enough to enumerate
     ([None] otherwise). *)

@@ -651,14 +651,21 @@ and finalize_post g st ~result =
 (* ------------------------------------------------------------------ *)
 
 let used_constants g (sub : Ast.subprogram) =
-  (* constants referenced anywhere in the subprogram *)
+  (* constants referenced anywhere in the subprogram; a parameter or local
+     of the same name shadows the constant, whose defining equation would
+     otherwise constrain the shadowing object's symbol *)
   let used = ref [] in
   let note e = used := Ast.expr_vars e @ !used in
   Ast.iter_stmts (fun s -> Ast.iter_own_exprs note s) sub.Ast.sub_body;
   Option.iter note sub.Ast.sub_pre;
   Option.iter note sub.Ast.sub_post;
   let used = List.sort_uniq String.compare !used in
-  List.filter (fun (c : Ast.const_decl) -> List.mem c.Ast.k_name used)
+  let shadowed n =
+    List.exists (fun (p : Ast.param) -> String.equal p.Ast.par_name n) sub.Ast.sub_params
+    || List.exists (fun (v : Ast.var_decl) -> String.equal v.Ast.v_name n) sub.Ast.sub_locals
+  in
+  List.filter
+    (fun (c : Ast.const_decl) -> List.mem c.Ast.k_name used && not (shadowed c.Ast.k_name))
     (Ast.constants g.program)
 
 let initial_state g (sub : Ast.subprogram) =

@@ -289,6 +289,286 @@ let test_closure_key_reuse () =
   Alcotest.(check int) "one hit per input" 16 hits
 
 (* ------------------------------------------------------------------ *)
+(* Decided routes: closure identity, the table scheme, reused verdicts *)
+(* ------------------------------------------------------------------ *)
+
+module T = Refactor.Transform
+
+let certify_step ?(cfg = C.default_config ()) ?claim before after =
+  match
+    C.certify_steps cfg
+      [ { C.sp_name = "step"; sp_before = before; sp_after = after; sp_claim = claim } ]
+  with
+  | [ (cert, stats) ] -> (cert, stats)
+  | _ -> assert false
+
+let method_of name = function
+  | C.Certified ms -> List.assoc_opt name ms
+  | C.Refuted _ | C.Unknown _ -> None
+
+let expect_refuted what = function
+  | C.Refuted _ -> ()
+  | c -> Alcotest.failf "%s: expected a refutation, got %s" what (C.describe c)
+
+(* evidence for [name] that no closure, scheme or reuse rule gave: the
+   oracle ran (or an equivalence VC proved it) *)
+let expect_sampled what name cert =
+  match method_of name cert with
+  | Some (C.M_oracle _ | C.M_vc _) -> ()
+  | _ -> Alcotest.failf "%s: expected %s sampled, got %s" what name (C.describe cert)
+
+let unused_fun =
+  {|
+  function unused (x : in integer) return integer
+  is
+  begin
+    return x;
+  end unused;
+|}
+
+(* [src] with one more subprogram, which changes the program's shape and
+   so makes the entry points targets *)
+let with_unused src ~before_end =
+  Str_replace.replace src ~find:before_end ~by:(unused_fun ^ before_end)
+
+let test_closure_unrelated_addition () =
+  let before = check_src closure_src in
+  let after = check_src (with_unused closure_src ~before_end:"end closure;") in
+  let cfg = C.default_config ~entries:[ "f" ] () in
+  let cert, stats = certify_step ~cfg before after in
+  Alcotest.(check string) "f certified by closure" "certified (f closure)" (C.describe cert);
+  Alcotest.(check int) "no trials" 0 stats.C.ct_oracle_trials;
+  Alcotest.(check (pair int int)) "decided, sampled" (1, 0) (stats.C.ct_decided, stats.C.ct_sampled)
+
+let test_closure_edit_inside () =
+  (* g is in f's closure: an edit there (even a harmless one) is sampled *)
+  let before = check_src closure_src in
+  let after =
+    check_src
+      (with_unused ~before_end:"end closure;"
+         (Str_replace.replace closure_src ~find:"return x + 1;" ~by:"return 1 + x;"))
+  in
+  let cfg = C.default_config ~entries:[ "f" ] () in
+  let cert, _ = certify_step ~cfg before after in
+  expect_sampled "edit in the closure" "f" cert;
+  expect_sampled "edit in the closure" "g" cert
+
+let init_src =
+  {|
+program init is
+
+  type vec is array (0 .. 3) of integer;
+
+  function g (x : in integer) return integer
+  is
+  begin
+    return x + 1;
+  end g;
+
+  k : constant integer := g (1);
+  v : constant vec := (1, 2, 3, 4);
+
+  function f (x : in integer) return integer
+  is
+  begin
+    return x * 2;
+  end f;
+
+end init;
+|}
+
+let test_closure_initialiser_calls_changed () =
+  (* f reads neither k nor g, but k's initialiser calls g *)
+  let before = check_src init_src in
+  let after =
+    check_src
+      (with_unused ~before_end:"end init;"
+         (Str_replace.replace init_src ~find:"return x + 1;" ~by:"return 1 + x;"))
+  in
+  let cfg = C.default_config ~entries:[ "f" ] () in
+  let cert, _ = certify_step ~cfg before after in
+  expect_sampled "initialiser calls the changed g" "f" cert
+
+let test_closure_initialisation_raises () =
+  (* a new constant whose initialiser raises: f's closure is unchanged,
+     but no run of the new version gets past global initialisation *)
+  let before = check_src init_src in
+  let after =
+    check_src
+      (Str_replace.replace init_src ~find:"v : constant vec := (1, 2, 3, 4);"
+         ~by:"v : constant vec := (1, 2, 3, 4);\n  z : constant integer := v (7);")
+  in
+  Alcotest.(check bool) "f's closure is unchanged" true
+    (E.closure_digest (snd before) "f" = E.closure_digest (snd after) "f");
+  let cfg = C.default_config ~entries:[ "f" ] () in
+  expect_refuted "initialisation raises in one version" (fst (certify_step ~cfg before after))
+
+(* an identity table over bytes, read at [site] in [g] *)
+let table_src ?(elt = "byte") ?(entries = List.init 256 string_of_int) ?(decls = "")
+    ?(locals = "") ~params ~ret site =
+  Printf.sprintf
+    {|
+program tabs is
+
+  type byte is mod 256;
+  type nib is mod 4;
+  type tbl is array (0 .. 255) of %s;
+  t : constant tbl := (%s);
+%s
+  function g (%s) return %s
+  is
+  %s
+  begin
+    return %s;
+  end g;
+
+end tabs;
+|}
+    elt (String.concat ", " entries) decls params ret locals site
+
+let reverse ?(helpers = []) src replacement =
+  let before = check_src src in
+  let tr =
+    Refactor.Table_reverse.reverse ~table:"t" ~index_var:"x"
+      ~replacement:(Parser.expr_of_string replacement) ~helpers ()
+  in
+  let env, prog, claim = T.apply tr (fst before) (snd before) in
+  Alcotest.(check bool) "the step claims a table reversal" true
+    (match claim with Some (T.Table_reversal _) -> true | _ -> false);
+  (before, (env, prog), claim)
+
+let test_scheme_certifies () =
+  let before, after, claim =
+    reverse (table_src ~params:"b : in byte" ~ret:"byte" "t (b)") "x"
+  in
+  let cert, stats = certify_step ?claim before after in
+  Alcotest.(check string) "certified by the scheme" "certified (g scheme:reverse_table)"
+    (C.describe cert);
+  Alcotest.(check int) "no trials" 0 stats.C.ct_oracle_trials
+
+let test_scheme_integer_index () =
+  (* i may leave 0 .. 255: the table raised there, the replacement
+     returns a value *)
+  let before, after, claim =
+    reverse (table_src ~params:"i : in integer" ~ret:"byte" "t (i)") "x"
+  in
+  (match certify_step ?claim before after with
+  | C.Refuted cx, _ ->
+      Alcotest.(check bool) ("the table raised: " ^ cx.C.cx_before) true
+        (Astring.String.is_prefix ~affix:"raised" cx.C.cx_before)
+  | c, _ -> Alcotest.failf "integer index: expected a refutation, got %s" (C.describe c))
+
+let test_scheme_shadowed_helper () =
+  (* the replacement reads the helper table h; g's local h captures it,
+     and both read as the same indexing *)
+  let helper =
+    match
+      (Parser.of_string
+         (Printf.sprintf
+            "program p is type byte is mod 256; type tbl is array (0 .. 255) of byte; \
+             h : constant tbl := (%s); end p;"
+            (String.concat ", " (List.init 256 string_of_int))))
+        .Ast.prog_decls
+    with
+    | [ _; _; d ] -> d
+    | _ -> assert false
+  in
+  let before, after, claim =
+    reverse ~helpers:[ helper ]
+      (table_src ~params:"b : in byte" ~ret:"byte" ~locals:"h : tbl;" "t (b)")
+      "h (x)"
+  in
+  expect_refuted "a local shadows the helper" (fst (certify_step ?claim before after))
+
+let test_scheme_short_circuit_index () =
+  (* b / d raises at d = 0; the replacement never evaluates it *)
+  let before, after, claim =
+    reverse
+      (table_src ~elt:"boolean" ~entries:(List.init 256 (fun _ -> "false"))
+         ~params:"b : in nib; d : in nib" ~ret:"boolean" "t (b / d)")
+      "false and then x >= 0"
+  in
+  expect_refuted "index only under and then" (fst (certify_step ?claim before after))
+
+let test_scheme_replay_mismatch () =
+  let src = table_src ~params:"b : in byte" ~ret:"byte" "t (b)" in
+  let before, _, claim = reverse src "x" in
+  (* the claim, on a step whose after is not its rewrite *)
+  let after =
+    check_src
+      (Str_replace.replace
+         (Str_replace.replace src ~find:"return t (b);" ~by:"return b + 1;")
+         ~find:(Printf.sprintf "  t : constant tbl := (%s);\n"
+                  (String.concat ", " (List.init 256 string_of_int)))
+         ~by:"")
+  in
+  expect_refuted "replay does not reproduce after" (fst (certify_step ?claim before after))
+
+let test_scheme_parameter_named_like_table () =
+  (* g's parameter t is indexed where the global table t is not read:
+     the rewrite would replace g's read of its argument *)
+  let src = table_src ~params:"t : in tbl; b : in byte" ~ret:"byte" "t (b)" in
+  let before = check_src src in
+  (match
+     T.apply
+       (Refactor.Table_reverse.reverse ~table:"t" ~index_var:"x"
+          ~replacement:(Parser.expr_of_string "x") ())
+       (fst before) (snd before)
+   with
+  | _ -> Alcotest.fail "reverse rewrote a parameter's lookup"
+  | exception T.Not_applicable _ -> ());
+  (* the claim, on the step that rewrite would have made *)
+  let after =
+    check_src
+      (Str_replace.replace
+         (Str_replace.replace src ~find:"return t (b);" ~by:"return b;")
+         ~find:(Printf.sprintf "  t : constant tbl := (%s);\n"
+                  (String.concat ", " (List.init 256 string_of_int)))
+         ~by:"")
+  in
+  let claim =
+    T.Table_reversal
+      { table = "t"; index_var = "x"; replacement = Parser.expr_of_string "x"; helpers = [] }
+  in
+  expect_refuted "a parameter named like the table" (fst (certify_step ~claim before after))
+
+let reroll_src =
+  Str_replace.replace base_src
+    ~find:"a (0) := a (0) * 2;
+    a (1) := a (1) * 2;
+    a (2) := a (2) * 2;
+    a (3) := a (3) * 2;"
+    ~by:"for i in 0 .. 3 loop
+    a (i) := a (i) * 2;
+    end loop;"
+
+let agreement ?(trials = 48) ?(after_digest = "") before after =
+  T.Oracle_agreement
+    { target = "scale"; trials; exhaustive = false; fuel = (C.default_config ()).C.cf_fuel;
+      before_digest = Share.decls_digest (snd before);
+      after_digest =
+        (if after_digest = "" then Share.decls_digest (snd after) else after_digest) }
+
+let test_reuse_certifies () =
+  let before = check_src base_src and after = check_src reroll_src in
+  let cert, stats = certify_step ~claim:(agreement before after) before after in
+  Alcotest.(check string) "reused" "certified (scale reused:oracle:48)" (C.describe cert);
+  Alcotest.(check int) "no trials" 0 stats.C.ct_oracle_trials;
+  Alcotest.(check (pair int int)) "decided, sampled" (0, 1) (stats.C.ct_decided, stats.C.ct_sampled)
+
+let test_reuse_needs_enough_trials () =
+  let before = check_src base_src in
+  let broken =
+    check_src (Str_replace.replace reroll_src ~find:"a (i) * 2" ~by:"a (i) * 3")
+  in
+  expect_refuted "a 10-trial claim"
+    (fst (certify_step ~claim:(agreement ~trials:10 before broken) before broken));
+  (* a claim bound to other programs is sampled too *)
+  let after = check_src reroll_src in
+  expect_sampled "a claim about other programs" "scale"
+    (fst (certify_step ~claim:(agreement ~after_digest:"elsewhere" before after) before after))
+
+(* ------------------------------------------------------------------ *)
 (* Seeded defect corpus: every real defect must be refuted              *)
 (* ------------------------------------------------------------------ *)
 
@@ -478,12 +758,14 @@ let fresh_cache () =
 (* every stats field but the two timings *)
 let counts (s : C.stats) =
   [ s.C.ct_steps; s.C.ct_targets; s.C.ct_vcs_generated; s.C.ct_vcs_proved;
-    s.C.ct_cache_hits; s.C.ct_cache_misses; s.C.ct_oracle_trials ]
+    s.C.ct_cache_hits; s.C.ct_cache_misses; s.C.ct_oracle_trials; s.C.ct_decided;
+    s.C.ct_sampled ]
 
 let as_step (s : H.step) =
   { C.sp_name = s.H.st_name;
     sp_before = (s.H.st_env_before, s.H.st_before);
-    sp_after = (s.H.st_env_after, s.H.st_after) }
+    sp_after = (s.H.st_env_after, s.H.st_after);
+    sp_claim = s.H.st_claim }
 
 (* the full AES script's steps, and each certified alone, in order, with
    one cache across the steps *)
@@ -564,7 +846,9 @@ let test_batch_cache_replay () =
       (Str_replace.replace base_src ~find:"t := x + x;
     return t;" ~by:"return x + x;")
   in
-  let step name = { C.sp_name = name; sp_before = check_src base_src; sp_after = after } in
+  let step name =
+    { C.sp_name = name; sp_before = check_src base_src; sp_after = after; sp_claim = None }
+  in
   let run f =
     let cfg = { (C.default_config ()) with C.cf_cache = Some (fresh_cache ()) } in
     List.map (fun (_, s) -> counts s) (f cfg)
@@ -577,7 +861,7 @@ let test_batch_cache_replay () =
   let batch = run (fun cfg -> C.certify_steps cfg [ step "a"; step "b" ]) in
   Alcotest.(check (list (list int))) "batch counts = one step at a time" alone batch;
   match batch with
-  | [ _; [ _; _; generated; _; hits; misses; _ ] ] ->
+  | [ _; [ _; _; generated; _; hits; misses; _; _; _ ] ] ->
       Alcotest.(check bool) "the second step generates VCs" true (generated > 0);
       Alcotest.(check int) "the second step hits every VC" generated hits;
       Alcotest.(check int) "the second step misses none" 0 misses
@@ -679,6 +963,32 @@ let suites =
         Alcotest.test_case "run memo reused across an unrelated edit" `Quick
           test_closure_key_reuse;
         Alcotest.test_case "seeded defects are refuted" `Slow test_defect_corpus;
+      ] );
+    ( "certify:decided",
+      [
+        Alcotest.test_case "closure: an unrelated addition is decided" `Quick
+          test_closure_unrelated_addition;
+        Alcotest.test_case "closure: an edit inside the closure is sampled" `Quick
+          test_closure_edit_inside;
+        Alcotest.test_case "closure: an initialiser calling the edit is sampled" `Quick
+          test_closure_initialiser_calls_changed;
+        Alcotest.test_case "closure: initialisation raising in one version refutes" `Quick
+          test_closure_initialisation_raises;
+        Alcotest.test_case "scheme: a byte-indexed reversal is decided" `Quick
+          test_scheme_certifies;
+        Alcotest.test_case "scheme: an integer index is refuted by the oracle" `Quick
+          test_scheme_integer_index;
+        Alcotest.test_case "scheme: a local shadowing a helper is refuted" `Quick
+          test_scheme_shadowed_helper;
+        Alcotest.test_case "scheme: an index only under and then is refuted" `Quick
+          test_scheme_short_circuit_index;
+        Alcotest.test_case "scheme: a claim whose replay differs is refuted" `Quick
+          test_scheme_replay_mismatch;
+        Alcotest.test_case "scheme: a parameter named like the table is refuted" `Quick
+          test_scheme_parameter_named_like_table;
+        Alcotest.test_case "reuse: a 48-trial verdict is reused" `Quick test_reuse_certifies;
+        Alcotest.test_case "reuse: too few trials or other programs are sampled" `Quick
+          test_reuse_needs_enough_trials;
       ] );
     ( "certify:echo",
       [

@@ -98,7 +98,7 @@ let prop_temp_roundtrip =
           in
           match Refactor.Transform.apply tr env prog with
           | exception Refactor.Transform.Not_applicable _ -> QCheck.assume_fail ()
-          | env', prog' ->
+          | env', prog', _ ->
               List.for_all
                 (fun (a, b) -> run_f env prog a b = run_f env' prog' a b)
                 [ (0, 0); (1, 2); (255, 255); (17, 203); (128, 64) ])
