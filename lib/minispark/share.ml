@@ -130,6 +130,11 @@ let decls_digest (p : program) =
   Digest.to_hex
     (Digest.string (String.concat " " (p.prog_name :: List.map decl_digest p.prog_decls)))
 
+(* [compare] skips physically equal subtrees, which [=] does not *)
+let same_decls (a : program) (b : program) =
+  String.equal a.prog_name b.prog_name
+  && List.equal (fun x y -> x == y || compare x y = 0) a.prog_decls b.prog_decls
+
 let interface_digest (sp : subprogram) =
   marshal_digest (sp.sub_name, sp.sub_params, sp.sub_return, sp.sub_pre, sp.sub_post)
 

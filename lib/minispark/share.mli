@@ -44,6 +44,12 @@ val decls_digest : Ast.program -> string
     {!program_digest}s, and declarations digested before cost a memo
     lookup. *)
 
+val same_decls : Ast.program -> Ast.program -> bool
+(** Equal {!decls_digest}s, decided without digesting: a structural
+    comparison that skips physically shared declarations and subtrees and
+    stops at the first difference.  For a one-off comparison of programs
+    that mostly share their declarations. *)
+
 val interface_digest : Ast.subprogram -> string
 (** Content digest (hex) of a subprogram's interface — name, parameters,
     return type, pre- and postcondition — independent of pointer sharing;

@@ -18,7 +18,10 @@
       ({!Equivalence.same_closure}).  Then [M_scheme] / [M_reused] — the
       step's claim ({!Transform.claim}), checked against the step's own
       pair: a table reversal replayed under its scheme's side-conditions
-      ({!Table_reverse.check_scheme}), or the transformation's own oracle
+      ({!Table_reverse.check_scheme}), a split or clone extraction inlined
+      back under its scheme's ({!Extraction.check_scheme}), a renaming
+      renamed back ({!Storage_adjust.check_renaming}), or the
+      transformation's own oracle
       verdict, reused when it was reached on these two programs with at
       least [cf_trials] trials under [cf_fuel].
    4. [M_oracle] — dynamic side: the differential oracle
@@ -301,11 +304,13 @@ type step = {
 
 let claim_covers (claim : Transform.claim) name =
   match claim with
-  | Transform.Table_reversal _ -> true
+  | Transform.Table_reversal _ | Transform.Extraction _ | Transform.Renaming _ -> true
   | Transform.Oracle_agreement { target; _ } -> String.equal target name
 
 let claim_method : Transform.claim -> method_ = function
   | Transform.Table_reversal _ -> M_scheme "reverse_table"
+  | Transform.Extraction _ -> M_scheme "extraction"
+  | Transform.Renaming _ -> M_scheme "renaming"
   | Transform.Oracle_agreement { trials; exhaustive; _ } -> M_reused { trials; exhaustive }
 
 let check_claim cfg (step : step) (claim : Transform.claim) =
@@ -313,6 +318,10 @@ let check_claim cfg (step : step) (claim : Transform.claim) =
   | Transform.Table_reversal { table; index_var; replacement; helpers } ->
       Table_reverse.check_scheme ~table ~index_var ~replacement ~helpers step.sp_before
         step.sp_after
+  | Transform.Extraction { callee } ->
+      Extraction.check_scheme ~callee step.sp_before step.sp_after
+  | Transform.Renaming { from_name; to_name } ->
+      Storage_adjust.check_renaming ~from_name ~to_name step.sp_before step.sp_after
   | Transform.Oracle_agreement { trials; exhaustive; fuel; before_digest; after_digest; _ } ->
       if fuel <> cfg.cf_fuel then Error "reached under another fuel bound"
       else if (not exhaustive) && trials < cfg.cf_trials then

@@ -44,7 +44,10 @@ type method_ =
   | M_scheme of string
       (** the step is an instance of this proved scheme, its
           side-conditions checked on the step
-          ([reverse_table]: {!Table_reverse.check_scheme}) *)
+          ([reverse_table]: {!Table_reverse.check_scheme};
+          [extraction]: {!Extraction.check_scheme}, for a split or a
+          clone extraction; [renaming]: {!Storage_adjust.check_renaming});
+          a scheme covers every target of its step *)
   | M_vc of int  (** this many equivalence VCs discharged on the farm *)
   | M_reused of { trials : int; exhaustive : bool }
       (** the transformation's own oracle agreement on exactly these two

@@ -115,14 +115,19 @@ let extract_function ~name ~params ~ret ~body ?(min_occurrences = 1) () =
     validated against the template's dataflow. *)
 let extract_procedure ~name ~params ~(template : Ast.stmt list) ?(min_occurrences = 1)
     ?(locals = []) () =
-  Transform.make
+  Transform.make_claiming
     ~name:(Printf.sprintf "extract_procedure(%s)" name)
     ~category:Transform.Reverse_inlining
     ~describe:(Printf.sprintf "replace cloned statement blocks with calls to %s" name)
-    (fun _env program ->
+    (fun env program ->
       if Ast.find_sub program name <> None then
         Transform.reject "a subprogram named %s already exists" name;
       let metas = List.map (fun (p : Ast.param) -> p.Ast.par_name) params in
+      Ast.iter_stmts
+        (function
+          | Ast.Return _ -> Transform.reject "the template contains a return statement"
+          | _ -> ())
+        template;
       let written = Transform.written_vars program template in
       List.iter
         (fun (p : Ast.param) ->
@@ -220,6 +225,10 @@ let extract_procedure ~name ~params ~(template : Ast.stmt list) ?(min_occurrence
       in
       if !count < min_occurrences then
         Transform.reject "only %d occurrence(s) of the %s template found" !count name;
+      (* a call starts an out parameter at its type's default *)
+      (match Extraction.out_params_written env program params template with
+      | Ok () -> ()
+      | Error why -> Transform.reject "%s" why);
       let def =
         Ast.Dsub
           {
@@ -233,7 +242,8 @@ let extract_procedure ~name ~params ~(template : Ast.stmt list) ?(min_occurrence
           }
       in
       let program = { program with Ast.prog_decls = decls } in
-      insert_before_first_user program def name)
+      ( insert_before_first_user program def name,
+        Some (Transform.Extraction { callee = name }) ))
 
 (* ------------------------------------------------------------------ *)
 (* Clone detection (§5.1: "identifying cloned code fragments")         *)

@@ -17,7 +17,9 @@ val extract_procedure :
 (** Introduce a procedure whose body is [template] and replace every
     matching consecutive statement slice by a call.  Writable parameters
     must match plain variables; parameter modes are validated against the
-    template's dataflow. *)
+    template's dataflow, and an [out] parameter must be written before it
+    is read, wholly ({!Extraction.out_params_written}).  The step claims
+    the extraction ({!Transform.Extraction}). *)
 
 (** {1 Clone detection} ("identifying cloned code fragments") *)
 

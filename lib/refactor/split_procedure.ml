@@ -1,14 +1,15 @@
 (* Splitting procedures (§5.1): long procedures produce verbose VCs; a
    consecutive slice of statements is moved into a fresh sub-procedure and
    replaced by a call.  Parameter modes are derived mechanically from the
-   slice's dataflow against the enclosing subprogram's visible objects. *)
+   slice's dataflow against the enclosing subprogram's visible objects.
+   The step claims the extraction ({!Transform.Extraction}). *)
 
 open Minispark
 
 (** [split ~proc ~from ~len ~new_name] extracts statements
     [from .. from+len-1] of [proc] into procedure [new_name]. *)
 let split ~proc ~from ~len ~new_name =
-  Transform.make
+  Transform.make_claiming
     ~name:(Printf.sprintf "split(%s@%d+%d -> %s)" proc from len new_name)
     ~category:Transform.Split_procedures
     ~describe:
@@ -62,6 +63,18 @@ let split ~proc ~from ~len ~new_name =
             | _ -> p)
           params
       in
+      (* a call starts an out parameter at its type's default: a scalar
+         the slice does not write on every path keeps its value in out *)
+      let params =
+        List.map
+          (fun (p : Ast.param) ->
+            match
+              (p.Ast.par_mode, Extraction.out_params_written env program [ p ] slice)
+            with
+            | Ast.Mode_out, Error _ -> { p with Ast.par_mode = Ast.Mode_in_out }
+            | _ -> p)
+          params
+      in
       let call =
         Ast.Call_stmt (new_name, List.map (fun (p : Ast.param) -> Ast.Var p.Ast.par_name) params)
       in
@@ -79,4 +92,5 @@ let split ~proc ~from ~len ~new_name =
       in
       let body' = Transform.splice body ~from ~len [ call ] in
       let program = Ast.replace_sub program { sub with Ast.sub_body = body' } in
-      Ast.insert_decl_before program ~anchor:proc def)
+      ( Ast.insert_decl_before program ~anchor:proc def,
+        Some (Transform.Extraction { callee = new_name }) ))

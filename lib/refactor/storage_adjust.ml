@@ -187,52 +187,91 @@ let rename_local ~proc ~from_name ~to_name =
         { sub with Ast.sub_body = body; sub_locals = locals; sub_params = params;
           sub_pre = pre; sub_post = post })
 
+(* every use of subprogram [from_name] — its declaration, the calls in
+   bodies, contracts and initialisers — renamed to [to_name] *)
+let rename_calls ~from_name ~to_name program =
+  let rn_expr =
+    Ast.map_expr (function
+      | Ast.Call (f, args) when String.equal f from_name -> Ast.Call (to_name, args)
+      | e -> e)
+  in
+  let rn_stmt s =
+    let s =
+      match s with
+      | Ast.Call_stmt (f, args) when String.equal f from_name -> Ast.Call_stmt (to_name, args)
+      | s -> s
+    in
+    [ Ast.map_own_exprs rn_expr s ]
+  in
+  let rn_opt o =
+    match o with
+    | Some e ->
+        let e' = rn_expr e in
+        if e' == e then o else Some e'
+    | None -> None
+  in
+  let rn_var (v : Ast.var_decl) =
+    let init = rn_opt v.Ast.v_init in
+    if init == v.Ast.v_init then v else { v with Ast.v_init = init }
+  in
+  let decls =
+    Ast.map_sharing
+      (fun d ->
+        match d with
+        | Ast.Dsub s ->
+            let name = if String.equal s.Ast.sub_name from_name then to_name else s.Ast.sub_name in
+            let body = Ast.map_stmts rn_stmt s.Ast.sub_body in
+            let pre = rn_opt s.Ast.sub_pre and post = rn_opt s.Ast.sub_post in
+            let locals = Ast.map_sharing rn_var s.Ast.sub_locals in
+            if
+              name == s.Ast.sub_name && body == s.Ast.sub_body && pre == s.Ast.sub_pre
+              && post == s.Ast.sub_post && locals == s.Ast.sub_locals
+            then d
+            else
+              Ast.Dsub
+                { s with Ast.sub_name = name; sub_body = body; sub_pre = pre; sub_post = post;
+                  sub_locals = locals }
+        | Ast.Dconst c ->
+            let v = rn_expr c.Ast.k_value in
+            if v == c.Ast.k_value then d else Ast.Dconst { c with Ast.k_value = v }
+        | Ast.Dvar v ->
+            let v' = rn_var v in
+            if v' == v then d else Ast.Dvar v'
+        | Ast.Dtype _ -> d)
+      program.Ast.prog_decls
+  in
+  if decls == program.Ast.prog_decls then program else { program with Ast.prog_decls = decls }
+
 (** Rename a subprogram program-wide (aligning code structure with the
-    specification's nomenclature). *)
+    specification's nomenclature).  The step claims it
+    ({!Transform.Renaming}). *)
 let rename_sub ~from_name ~to_name =
-  Transform.make
+  Transform.make_claiming
     ~name:(Printf.sprintf "rename_sub(%s->%s)" from_name to_name)
     ~category:Transform.Modify_storage
     ~describe:(Printf.sprintf "rename subprogram %s to %s" from_name to_name)
     (fun _env program ->
-      if Ast.find_sub program to_name <> None then
-        Transform.reject "a subprogram named %s already exists" to_name;
+      (* a call of a name an object has is read as an indexing *)
+      if List.exists (fun d -> String.equal (Ast.decl_name d) to_name) program.Ast.prog_decls
+      then Transform.reject "%s is already declared" to_name;
       if Ast.find_sub program from_name = None then
         Transform.reject "no subprogram named %s" from_name;
-      let rn_expr =
-        Ast.map_expr (function
-          | Ast.Call (f, args) when String.equal f from_name -> Ast.Call (to_name, args)
-          | e -> e)
-      in
-      let rn_stmt s =
-        let s =
-          match s with
-          | Ast.Call_stmt (f, args) when String.equal f from_name ->
-              Ast.Call_stmt (to_name, args)
-          | s -> s
-        in
-        [ Ast.map_own_exprs rn_expr s ]
-      in
-      let decls =
-        List.map
-          (function
-            | Ast.Dsub s ->
-                let s =
-                  if String.equal s.Ast.sub_name from_name then
-                    { s with Ast.sub_name = to_name }
-                  else s
-                in
-                Ast.Dsub
-                  {
-                    s with
-                    Ast.sub_body = Ast.map_stmts rn_stmt s.Ast.sub_body;
-                    sub_pre = Option.map rn_expr s.Ast.sub_pre;
-                    sub_post = Option.map rn_expr s.Ast.sub_post;
-                  }
-            | d -> d)
-          program.Ast.prog_decls
-      in
-      { program with Ast.prog_decls = decls })
+      let renamed = rename_calls ~from_name ~to_name program in
+      (* a call where [to_name] is bound would read that object instead *)
+      List.iter2
+        (fun d d' ->
+          match (d, d') with
+          | Ast.Dsub s, Ast.Dsub s'
+            when s != s' && List.mem to_name (Transform.bound_names s) ->
+              Transform.reject "%s binds %s" s.Ast.sub_name to_name
+          | _ -> ())
+        program.Ast.prog_decls renamed.Ast.prog_decls;
+      (renamed, Some (Transform.Renaming { from_name; to_name })))
+
+let check_renaming ~from_name ~to_name (_, before) (_, after) =
+  if Share.same_decls (rename_calls ~from_name:to_name ~to_name:from_name after) before
+  then Ok ()
+  else Error (Printf.sprintf "renaming %s back to %s does not give the step's before" to_name from_name)
 
 (** Remove an unused type or constant declaration (tidying after data
     structures or tables have been replaced). *)

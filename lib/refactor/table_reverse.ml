@@ -154,26 +154,6 @@ let sites ~table program =
       if !acc = [] then None else Some (s, List.rev !acc))
     (Ast.subprograms program)
 
-(* names a subprogram binds: parameters, locals, loop and quantifier
-   variables *)
-let bound_names (s : Ast.subprogram) =
-  let acc =
-    ref
-      (List.map (fun (p : Ast.param) -> p.Ast.par_name) s.Ast.sub_params
-      @ List.map (fun (v : Ast.var_decl) -> v.Ast.v_name) s.Ast.sub_locals)
-  in
-  let in_expr =
-    Ast.iter_expr (function Ast.Quantified (_, v, _, _, _) -> acc := v :: !acc | _ -> ())
-  in
-  Option.iter in_expr s.Ast.sub_pre;
-  Option.iter in_expr s.Ast.sub_post;
-  Ast.iter_stmts
-    (fun st ->
-      Ast.iter_own_exprs in_expr st;
-      match st with Ast.For fl -> acc := fl.Ast.for_var :: !acc | _ -> ())
-    s.Ast.sub_body;
-  !acc
-
 (* the first subprogram with a lookup of [table] that binds one of
    [names] there — [table] itself among them: an indexing of a parameter
    or local named like the table reads that, not the table *)
@@ -181,7 +161,7 @@ let binding_sub ~table names program =
   List.find_map
     (fun ((s : Ast.subprogram), _) ->
       Option.map (fun n -> (s.Ast.sub_name, n))
-        (List.find_opt (fun n -> List.mem n names) (bound_names s)))
+        (List.find_opt (fun n -> List.mem n names) (Transform.bound_names s)))
     (sites ~table program)
 
 (** [reverse ~table ~index_var ~replacement ~helpers]: replace every
@@ -240,18 +220,6 @@ exception Fails of string
 
 let fails fmt = Printf.ksprintf (fun s -> raise (Fails s)) fmt
 
-(* does every evaluation of [e] evaluate variable [x]?  Only the left
-   operand of a short-circuit operator is sure to run *)
-let rec always_evaluates x (e : Ast.expr) =
-  match e with
-  | Ast.Var v -> String.equal v x
-  | Ast.Bool_lit _ | Ast.Int_lit _ | Ast.Old _ | Ast.Result -> false
-  | Ast.Binop ((Ast.And_then | Ast.Or_else), a, _) -> always_evaluates x a
-  | Ast.Index (a, b) | Ast.Binop (_, a, b) -> always_evaluates x a || always_evaluates x b
-  | Ast.Unop (_, a) -> always_evaluates x a
-  | Ast.Call (_, args) | Ast.Aggregate args -> List.exists (always_evaluates x) args
-  | Ast.Quantified (_, _, lo, hi, _) -> always_evaluates x lo || always_evaluates x hi
-
 let runtime what env program =
   match Interp.make env program with
   | rt -> rt
@@ -281,7 +249,7 @@ let check_scheme ~table ~index_var ~replacement ~helpers (env_a, before) (env_b,
     let components =
       match replacement with Ast.Aggregate rs -> rs | r -> [ r ]
     in
-    if not (List.for_all (always_evaluates index_var) components) then
+    if not (List.for_all (Transform.always_evaluates index_var) components) then
       fails "the replacement does not always evaluate %s" index_var;
     Ast.iter_expr
       (function
@@ -360,7 +328,7 @@ let check_scheme ~table ~index_var ~replacement ~helpers (env_a, before) (env_b,
       rewrite_lookups ~table ~index_var ~replacement:normalised prog_i
     in
     if discards then fails "constant folding drops a subterm";
-    if not (String.equal (Share.decls_digest replayed) (Share.decls_digest after)) then
+    if not (Share.same_decls replayed after) then
       fails "replaying the rewrite does not reproduce the step";
     (* the replacement reads no global variable: a lookup may run after
        the program wrote one, while the table check below runs at the

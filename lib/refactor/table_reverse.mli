@@ -23,7 +23,7 @@ val check_scheme :
     [table] in [before] that preserves every subprogram's behaviour:
     + installing [helpers] and replaying the transformation's own
       rewrite with the replacement as type-checked, and nothing else,
-      reproduces [after] (the same declarations, by content digest), and
+      reproduces [after] (the same declarations, {!Minispark.Share.same_decls}), and
       its constant folding drops no subterm;
     + the replacement equals the table, value for value, at every index
       of every lookup's index type, evaluated in [after] as checked in

@@ -49,6 +49,8 @@ type claim =
       replacement : Ast.expr;
       helpers : Ast.decl list;
     }
+  | Extraction of { callee : string }
+  | Renaming of { from_name : string; to_name : string }
   | Oracle_agreement of {
       target : string;
       trials : int;
@@ -393,6 +395,41 @@ let written_vars program stmts =
   Ast.written_vars ~out_params_of:(out_param_indices program) stmts
 
 let read_vars = Ast.read_vars
+
+let quantifier_vars e =
+  let acc = ref [] in
+  Ast.iter_expr (function Ast.Quantified (_, v, _, _, _) -> acc := v :: !acc | _ -> ()) e;
+  !acc
+
+(* the loop and quantifier variables a statement list binds *)
+let stmt_binders ss =
+  let acc = ref [] in
+  Ast.iter_stmts
+    (fun st ->
+      Ast.iter_own_exprs (fun e -> acc := quantifier_vars e @ !acc) st;
+      match st with Ast.For fl -> acc := fl.Ast.for_var :: !acc | _ -> ())
+    ss;
+  !acc
+
+(* names a subprogram binds: parameters, locals, loop and quantifier
+   variables *)
+let bound_names (s : Ast.subprogram) =
+  List.map (fun (p : Ast.param) -> p.Ast.par_name) s.Ast.sub_params
+  @ List.map (fun (v : Ast.var_decl) -> v.Ast.v_name) s.Ast.sub_locals
+  @ List.concat_map quantifier_vars (Option.to_list s.Ast.sub_pre @ Option.to_list s.Ast.sub_post)
+  @ stmt_binders s.Ast.sub_body
+
+(* does every evaluation of [e] evaluate variable [x]?  Only the left
+   operand of a short-circuit operator is sure to run *)
+let rec always_evaluates x (e : Ast.expr) =
+  match e with
+  | Ast.Var v -> String.equal v x
+  | Ast.Bool_lit _ | Ast.Int_lit _ | Ast.Old _ | Ast.Result -> false
+  | Ast.Binop ((Ast.And_then | Ast.Or_else), a, _) -> always_evaluates x a
+  | Ast.Index (a, b) | Ast.Binop (_, a, b) -> always_evaluates x a || always_evaluates x b
+  | Ast.Unop (_, a) -> always_evaluates x a
+  | Ast.Call (_, args) | Ast.Aggregate args -> List.exists (always_evaluates x) args
+  | Ast.Quantified (_, _, lo, hi, _) -> always_evaluates x lo || always_evaluates x hi
 
 let slice body ~from ~len =
   if from < 0 || len < 0 || from + len > List.length body then

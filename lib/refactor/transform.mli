@@ -42,6 +42,15 @@ type claim =
       (** the step is {!Table_reverse.reverse} with these parameters:
           checked by replaying the rewrite and its scheme's
           side-conditions ({!Table_reverse.check_scheme}) *)
+  | Extraction of { callee : string }
+      (** the step moved code into the new procedure [callee] and
+          replaced it by calls: checked by inlining every call back and
+          the side-conditions under which a call behaves as its inlined
+          body ({!Extraction.check_scheme}) *)
+  | Renaming of { from_name : string; to_name : string }
+      (** the step renamed subprogram [from_name] to [to_name] and
+          nothing else: checked by renaming back
+          ({!Storage_adjust.check_renaming}) *)
   | Oracle_agreement of {
       target : string;
       trials : int;
@@ -124,6 +133,19 @@ val fold_stmts : Ast.stmt list -> Ast.stmt list
 
 val written_vars : Ast.program -> Ast.stmt list -> string list
 val read_vars : Ast.stmt list -> string list
+
+val stmt_binders : Ast.stmt list -> string list
+(** The loop and quantifier variables a statement list binds (with
+    repeats). *)
+
+val bound_names : Ast.subprogram -> string list
+(** The names a subprogram binds: its parameters and locals, the
+    quantifier variables of its contracts and {!stmt_binders} of its body
+    (with repeats). *)
+
+val always_evaluates : string -> Ast.expr -> bool
+(** Does every evaluation of the expression evaluate this variable?  Only
+    the left operand of a short-circuit operator is sure to run. *)
 
 val slice : Ast.stmt list -> from:int -> len:int -> Ast.stmt list
 val splice : Ast.stmt list -> from:int -> len:int -> Ast.stmt list -> Ast.stmt list

@@ -337,7 +337,6 @@ let outcome_to_json (w : wire_outcome) =
       ("attempts", J.Int w.w_attempts);
       ("impacted_subs", J.Int w.w_impacted_subs);
       ("results", J.List (List.map summary_to_json w.w_results));
-      ("outline", opt_json outline_to_json w.w_outline);
       ("notes", J.List (List.map (fun n -> J.String n) w.w_notes));
       ("seconds", J.Float w.w_seconds);
     ]
@@ -353,13 +352,6 @@ let outcome_of_json j : (wire_outcome, string) result =
     | None -> None
   in
   let* results = map_result summary_of_json (dflt [] (list_field "results" j)) in
-  let* outline =
-    match Option.bind (J.member "outline" j) opt_of with
-    | None -> Ok None
-    | Some oj ->
-        let* o = outline_of_json oj in
-        Ok (Some o)
-  in
   let notes =
     List.filter_map
       (function J.String s -> Some s | _ -> None)
@@ -382,7 +374,7 @@ let outcome_of_json j : (wire_outcome, string) result =
       w_attempts = i "attempts";
       w_impacted_subs = i "impacted_subs";
       w_results = results;
-      w_outline = outline;
+      w_outline = None;
       w_notes = notes;
       w_seconds = dflt 0.0 (float_field "seconds" j);
     }

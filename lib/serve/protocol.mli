@@ -66,7 +66,10 @@ type wire_outcome = {
   w_results : Echo.Verify.vc_summary list;
   w_outline : Analysis.Semdiff.outline option;
       (** the checked program's outline; [None] when it did not parse or
-          check.  With [w_results], what a later job plans against *)
+          check.  With [w_results], what a later job plans against: the
+          worker hands it to the daemon, which keeps it in its outcome
+          table for [--baseline <job>].  It never crosses the client
+          socket: the JSON codec drops it, and decodes [None] *)
   w_notes : string list;
   w_seconds : float;
 }

@@ -532,6 +532,313 @@ let test_scheme_parameter_named_like_table () =
   in
   expect_refuted "a parameter named like the table" (fst (certify_step ~claim before after))
 
+(* ------------------------------------------------------------------ *)
+(* The extraction and renaming schemes                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* a program around procedure [p]: [decls] go before it (a callee, a
+   global), and [p]'s inputs range over 256 points, so the oracle
+   enumerates them all *)
+let ex_src ?(decls = "") ?(locals = "") ?(params = "a : in nib; b : in nib; r : out nib")
+    body =
+  Printf.sprintf
+    {|
+program ex is
+
+  type nib is mod 16;
+  type quad is array (0 .. 3) of nib;
+  type small is range 0 .. 15;
+  t : constant quad := (1, 2, 3, 4);
+  k : constant nib := 3;
+%s
+  procedure p (%s)
+  is
+  %s
+  begin
+    %s
+  end p;
+
+end ex;
+|}
+    decls params locals body
+
+let extraction = T.Extraction { callee = "q" }
+
+(* a step claiming the extraction of [q] that the scheme must not decide:
+   the oracle samples [p] and refutes it *)
+let extraction_refuted what ~before ~after =
+  expect_refuted what
+    (fst (certify_step ~claim:extraction (check_src before) (check_src after)))
+
+let apply_step tr src =
+  let before = check_src src in
+  let env, prog, claim = T.apply tr (fst before) (snd before) in
+  (before, (env, prog), claim)
+
+let expect_decided what name scheme (cert, stats) =
+  (match method_of name cert with
+  | Some (C.M_scheme s) when s = scheme -> ()
+  | _ -> Alcotest.failf "%s: expected %s scheme:%s, got %s" what name scheme (C.describe cert));
+  Alcotest.(check int) (what ^ ": no trials") 0 stats.C.ct_oracle_trials
+
+let test_extraction_split_decided () =
+  let before, after, claim =
+    apply_step
+      (Refactor.Split_procedure.split ~proc:"p" ~from:0 ~len:2 ~new_name:"q")
+      (ex_src ~locals:"s : nib;" "s := a + t (b / 4);\n    r := s * b;\n    r := r + 1;")
+  in
+  expect_decided "split" "p" "extraction" (certify_step ?claim before after)
+
+let test_extraction_extract_decided () =
+  let nib = Ast.Tnamed "nib" in
+  let before, after, claim =
+    apply_step
+      (Refactor.Inline_reverse.extract_procedure ~name:"q"
+         ~params:
+           [ { Ast.par_name = "x"; par_mode = Ast.Mode_out; par_typ = nib };
+             { Ast.par_name = "y"; par_mode = Ast.Mode_in; par_typ = nib };
+             { Ast.par_name = "z"; par_mode = Ast.Mode_in; par_typ = nib } ]
+         ~template:(Parser.stmts_of_string "x := y * 2 + z;")
+         ~min_occurrences:2 ())
+      (ex_src ~locals:"s : nib;"
+         "s := a * 2 + t (b / 4);\n    r := b * 2 + t (s / 4);\n    r := r + s;")
+  in
+  (match after with
+  | _, prog ->
+      Alcotest.(check int) "two calls" 2
+        (List.length
+           (List.filter
+              (function Ast.Call_stmt ("q", _) -> true | _ -> false)
+              (Ast.find_sub_exn prog "p").Ast.sub_body)));
+  expect_decided "extract" "p" "extraction" (certify_step ?claim before after)
+
+let callee ?(locals = "") params body =
+  Printf.sprintf "\n  procedure q (%s)\n  is\n  %s\n  begin\n    %s\n  end q;\n" params locals
+    body
+
+let test_extraction_body_differs () =
+  extraction_refuted "the callee's body differs from the slice"
+    ~before:(ex_src "r := a + b;")
+    ~after:
+      (ex_src ~decls:(callee "x : in nib; y : in nib; z : out nib" "z := x - y;")
+         "q (a, b, r);")
+
+let test_extraction_actual_written () =
+  (* x is r's value on entry; inlined, it reads r after the body wrote it *)
+  extraction_refuted "an in actual the body writes"
+    ~before:(ex_src "r := a;\n    r := r + 1;\n    r := r + r;")
+    ~after:
+      (ex_src
+         ~decls:(callee "x : in nib; y : in out nib" "y := y + 1;\n    y := y + x;")
+         "r := a;\n    q (r, r);")
+
+let test_extraction_actual_reads_global () =
+  (* f reads g, which the body writes before it reads x *)
+  let f = "\n  g : nib;\n\n  function f (y : in nib) return nib\n  is\n  begin\n    return y + g;\n  end f;\n" in
+  extraction_refuted "an in actual calling a function that reads a global"
+    ~before:(ex_src ~decls:f "g := 5;\n    r := f (a);")
+    ~after:
+      (ex_src ~decls:(f ^ callee "x : in nib; z : out nib" "g := 5;\n    z := x;") "q (f (a), r);")
+
+let test_extraction_actual_reads_written_global () =
+  (* the call evaluates its actual before the body's g := 1, the inlined
+     body after it: in a comparison, a subscript and a function argument *)
+  let g = "\n  g : nib;\n" in
+  let f = "\n  function f (y : in nib) return nib\n  is\n  begin\n    return y + 1;\n  end f;\n" in
+  extraction_refuted "an in actual comparing a global the body writes"
+    ~before:
+      (ex_src ~decls:g
+         "g := 1;\n    if g = 0 then\n      r := 1;\n    else\n      r := 0;\n    end if;")
+    ~after:
+      (ex_src
+         ~decls:
+           (g
+           ^ callee "c : in boolean; z : out nib"
+               "g := 1;\n    if c then\n      z := 1;\n    else\n      z := 0;\n    end if;")
+         "q (g = 0, r);");
+  List.iter
+    (fun (what, actual) ->
+      extraction_refuted what
+        ~before:(ex_src ~decls:(g ^ f) (Printf.sprintf "g := 1;\n    r := %s;" actual))
+        ~after:
+          (ex_src
+             ~decls:(g ^ f ^ callee "x : in nib; z : out nib" "g := 1;\n    z := x;")
+             (Printf.sprintf "q (%s, r);" actual)))
+    [ ("an in actual subscripted by a global the body writes", "t (g)");
+      ("an in actual passing a global the body writes to a function", "f (g)") ]
+
+let test_extraction_actual_may_not_end () =
+  (* the call runs spin (a) first, which never ends; the inlined body
+     raises at t (4) before it reads x (the oracle stops at the first
+     input, where the original raised and the step ran out of fuel) *)
+  let spin =
+    "\n  function spin (y : in nib) return nib\n  is\n    c : nib;\n  begin\n    c := y;\n\
+    \    while c = c loop\n      c := c + 1;\n    end loop;\n    return c;\n  end spin;\n"
+  in
+  let params = "a : in nib; r : out nib" in
+  extraction_refuted "an in actual that may not terminate"
+    ~before:(ex_src ~params ~decls:spin "r := t (4);\n    r := spin (a);")
+    ~after:
+      (ex_src ~params
+         ~decls:(spin ^ callee "x : in nib; z : out nib" "z := t (4);\n    z := x;")
+         "q (spin (a), r);")
+
+let test_extraction_raising_actual_unread () =
+  (* t (a) raises for a >= 4: the call evaluates it on entry, the inlined
+     body only where b > 7 *)
+  extraction_refuted "an in parameter read only under an if"
+    ~before:(ex_src "if b > 7 then\n      r := t (a);\n    else\n      r := 0;\n    end if;")
+    ~after:
+      (ex_src
+         ~decls:
+           (callee "x : in nib; c : in boolean; z : out nib"
+              "if c then\n      z := x;\n    else\n      z := 0;\n    end if;")
+         "q (t (a), b > 7, r);")
+
+let test_extraction_out_read_first () =
+  extraction_refuted "an out parameter read first"
+    ~before:(ex_src "r := b;\n    r := r + a;")
+    ~after:
+      (ex_src ~decls:(callee "x : in nib; z : out nib" "z := z + x;") "r := b;\n    q (a, r);")
+
+let test_extraction_out_array_partly_written () =
+  extraction_refuted "a partly written out array"
+    ~before:
+      (ex_src ~locals:"w : quad;"
+         "w (2) := b;\n    w (0) := a;\n    w (1) := a;\n    r := w (2);")
+    ~after:
+      (ex_src ~locals:"w : quad;"
+         ~decls:(callee "x : in nib; v : out quad" "v (0) := x;\n    v (1) := x;")
+         "w (2) := b;\n    q (a, w);\n    r := w (2);")
+
+let test_extraction_caller_captures_global () =
+  (* inlined, p's local k hides the constant k the body reads *)
+  extraction_refuted "a caller local captures a global the callee reads"
+    ~before:(ex_src ~locals:"k : nib;" "k := b;\n    r := a + k;")
+    ~after:
+      (ex_src ~locals:"k : nib;"
+         ~decls:(callee "x : in nib; z : out nib" "z := x + k;")
+         "k := b;\n    q (a, r);")
+
+let test_extraction_callee_local () =
+  (* the callee's local k is a global of p once inlined *)
+  extraction_refuted "a callee with a local"
+    ~before:
+      (ex_src ~decls:"  h : nib;\n" "h := a;\n    r := h;\n    r := r + h;")
+    ~after:
+      (ex_src ~decls:("  h : nib;\n" ^ callee ~locals:"h : nib;" "x : in nib; z : out nib"
+                        "h := x;\n    z := h;")
+         "q (a, r);\n    r := r + h;")
+
+let test_extraction_callee_returns () =
+  extraction_refuted "a callee that returns early"
+    ~before:(ex_src "r := b;\n    if a > 7 then\n      return;\n    end if;\n    r := a;\n    r := r + 1;")
+    ~after:
+      (ex_src
+         ~decls:
+           (callee "x : in nib; z : in out nib"
+              "if x > 7 then\n      return;\n    end if;\n    z := x;")
+         "r := b;\n    q (a, r);\n    r := r + 1;")
+
+let test_extraction_global_out_actual () =
+  (* the call writes g only on return, after the body read it as h's
+     source; inlined, the body writes g first *)
+  extraction_refuted "a global variable passed for an out parameter"
+    ~before:(ex_src ~decls:"  g : nib;\n  h : nib;\n" "g := b;\n    g := a;\n    h := g;\n    r := h;")
+    ~after:
+      (ex_src
+         ~decls:("  g : nib;\n  h : nib;\n" ^ callee "x : in nib; y : out nib" "y := x;\n    h := g;")
+         "g := b;\n    q (a, g);\n    r := h;")
+
+let test_extraction_body_captures_actual () =
+  (* inlined, the body's loop variable i hides p's i in the actual *)
+  extraction_refuted "a loop variable of the body captures an actual's variable"
+    ~before:
+      (ex_src ~locals:"i : nib;"
+         "i := a;\n    r := 0;\n    for i in 0 .. 3 loop\n      r := r + i;\n    end loop;")
+    ~after:
+      (ex_src ~locals:"i : nib;"
+         ~decls:
+           (callee "x : in nib; z : out nib"
+              "z := 0;\n    for i in 0 .. 3 loop\n      z := z + x;\n    end loop;")
+         "i := a;\n    q (i, r);")
+
+let test_extraction_body_binds_formal () =
+  (* the loop variable x is no reading of the parameter x *)
+  extraction_refuted "a loop variable named like a parameter"
+    ~before:(ex_src "r := 0;\n    for x in 0 .. 3 loop\n      r := r + a;\n    end loop;")
+    ~after:
+      (ex_src
+         ~decls:
+           (callee "x : in nib; z : out nib"
+              "z := 0;\n    for x in 0 .. 3 loop\n      z := z + x;\n    end loop;")
+         "q (a, r);")
+
+let test_extraction_actual_coerced () =
+  (* copy-in wraps a into the modulus; inlined, a * 5 does not wrap *)
+  extraction_refuted "an actual of another type"
+    ~before:(ex_src ~params:"a : in small; r : out nib" "r := (a * 5) / 2;")
+    ~after:
+      (ex_src ~params:"a : in small; r : out nib"
+         ~decls:(callee "x : in nib; z : out nib" "z := (x * 5) / 2;")
+         "q (a, r);")
+
+let test_extraction_caller_store_inexact () =
+  (* the integer i holds a modular value, which copy-in converts *)
+  extraction_refuted "a caller variable holding a value not of its type"
+    ~before:(ex_src ~locals:"i : integer;" "i := a;\n    r := (i + 12) / 2;")
+    ~after:
+      (ex_src ~locals:"i : integer;"
+         ~decls:(callee "x : in integer; z : out nib" "z := (x + 12) / 2;")
+         "i := a;\n    q (i, r);")
+
+let test_extraction_callee_store_inexact () =
+  (* z holds a modular value, which copy-out converts *)
+  extraction_refuted "a callee storing a value not of its parameter's type"
+    ~before:(ex_src ~locals:"i : integer;" "i := a + 12;\n    r := (i * 3) / 2;")
+    ~after:
+      (ex_src ~locals:"i : integer;"
+         ~decls:(callee "x : in nib; z : out integer" "z := x + 12;")
+         "q (a, i);\n    r := (i * 3) / 2;")
+
+let test_extraction_copy_out_inexact () =
+  (* w's integer out parameter leaves 20 in the nib v, which copy-in
+     wraps *)
+  let w = "\n  procedure w (o : out integer)\n  is\n  begin\n    o := 20;\n  end w;\n" in
+  extraction_refuted "a caller variable written through another type"
+    ~before:(ex_src ~decls:w ~locals:"v : nib;" "w (v);\n    r := v / 2;")
+    ~after:
+      (ex_src ~locals:"v : nib;"
+         ~decls:(w ^ callee "x : in nib; z : out nib" "z := x / 2;")
+         "w (v);\n    q (v, r);")
+
+let test_renaming_decided () =
+  let before, after, claim =
+    apply_step
+      (Refactor.Storage_adjust.rename_sub ~from_name:"q" ~to_name:"q2")
+      (ex_src ~decls:(callee "x : in nib; z : out nib" "z := x + k;") "q (a, r);\n    r := r + b;")
+  in
+  let cfg = C.default_config ~entries:[ "p" ] () in
+  expect_decided "rename" "p" "renaming" (certify_step ~cfg ?claim before after)
+
+let test_renaming_shadowed () =
+  (* p's local array g, or the constant t, turns the renamed call into an
+     indexing *)
+  let fn name = Printf.sprintf "\n  function %s (x : in nib) return nib\n  is\n  begin\n    return x + 1;\n  end %s;\n" name name in
+  let before = ex_src ~decls:(fn "f") ~locals:"g : quad;" "r := f (a);" in
+  List.iter
+    (fun to_name ->
+      match apply_step (Refactor.Storage_adjust.rename_sub ~from_name:"f" ~to_name) before with
+      | _ -> Alcotest.failf "rename_sub renamed a call into the name %s an object has" to_name
+      | exception T.Not_applicable _ -> ())
+    [ "g"; "t" ];
+  let claim = T.Renaming { from_name = "f"; to_name = "g" } in
+  let cfg = C.default_config ~entries:[ "p" ] () in
+  expect_refuted "a rename whose target a local shadows"
+    (fst
+       (certify_step ~cfg ~claim (check_src before)
+          (check_src (ex_src ~decls:(fn "g") ~locals:"g : quad;" "r := g (a);"))))
+
 let reroll_src =
   Str_replace.replace base_src
     ~find:"a (0) := a (0) * 2;
@@ -784,6 +1091,136 @@ let aes_alone =
 
 let timing (s : C.stats) = s.C.ct_vc_seconds +. s.C.ct_oracle_seconds
 
+(* Soundness sweep over the AES extraction and renaming steps: each
+   expression site (a literal, an index, an operator) and each assignment
+   of the new callee, or the renamed subprogram, and of its callers is
+   mutated in the step's after.  No mutant the oracle refutes may come
+   out decided by a scheme: a mutant whose claim holds is sampled without
+   it, and one whose claim fails is sampled by certification anyway.
+   Such a mutant no longer inlines (renames) back to the step's before,
+   so the paired mutants below exercise the other side-conditions. *)
+let sweep_rewrites =
+  [ ((function Ast.Int_lit _ -> true | _ -> false),
+     function Ast.Int_lit n -> Ast.Int_lit (n + 1) | e -> e);
+    ((function Ast.Index _ -> true | _ -> false),
+     function Ast.Index (a, i) -> Ast.Index (a, Ast.Binop (Ast.Add, i, Ast.Int_lit 1)) | e -> e);
+    ((function Ast.Binop ((Ast.Add | Ast.Sub | Ast.Bxor | Ast.Bor | Ast.Band), _, _) -> true
+      | _ -> false),
+     function
+     | Ast.Binop (Ast.Add, a, b) -> Ast.Binop (Ast.Sub, a, b)
+     | Ast.Binop (Ast.Sub, a, b) -> Ast.Binop (Ast.Add, a, b)
+     | Ast.Binop (Ast.Bxor, a, b) -> Ast.Binop (Ast.Bor, a, b)
+     | Ast.Binop ((Ast.Bor | Ast.Band), a, b) -> Ast.Binop (Ast.Bxor, a, b)
+     | e -> e) ]
+
+(* every mutant of [prog] at a site of subprogram [sub] *)
+let sweep_mutants prog sub =
+  let rec all nth mutate =
+    match mutate nth prog with
+    | p -> p :: all (nth + 1) mutate
+    | exception Invalid_argument _ -> []
+  in
+  List.concat_map
+    (fun (site, rewrite) ->
+      all 0 (fun nth -> Defects.Seed.mutate_expr_sites ~sub_name:sub ~site ~rewrite ~nth))
+    sweep_rewrites
+  @ all 0 (fun nth -> Defects.Seed.delete_statement ~sub_name:sub ~nth)
+
+(* Paired mutants: every [stride]th mutant of an extraction step's
+   callee body, with the same mutant inlined back into the step's before,
+   so the step stays an extraction.  The scheme decides most of them, and
+   the oracle must agree with each one it decides. *)
+let sweep_paired cfg (sp : C.step) callee ~stride =
+  let decided = ref 0 and pairs = ref 0 in
+  List.iteri
+    (fun k mutant ->
+      if k mod stride = 0 then
+        match Typecheck.check_incremental ~baseline:sp.C.sp_after mutant with
+        | exception Typecheck.Type_error _ -> ()
+        | (_, prog) as after -> (
+            let inlined =
+              Refactor.Extraction.inline ~callee:(Ast.find_sub_exn prog callee) prog
+            in
+            match Typecheck.check_incremental ~baseline:sp.C.sp_before inlined with
+            | exception Typecheck.Type_error _ -> ()
+            | before -> (
+                incr pairs;
+                match Refactor.Extraction.check_scheme ~callee before after with
+                | Error _ -> ()
+                | Ok () -> (
+                    incr decided;
+                    match
+                      C.certify_steps cfg
+                        [ { sp with C.sp_before = before; sp_after = after; sp_claim = None } ]
+                    with
+                    | [ (C.Refuted cx, _) ] ->
+                        Alcotest.failf "%s: a paired mutant the scheme decides is refuted: %s"
+                          sp.C.sp_name (C.counterexample_to_string cx)
+                    | _ -> ()))))
+    (sweep_mutants (snd sp.C.sp_after) callee);
+  (!pairs, !decided)
+
+let test_scheme_sweep () =
+  let cfg = aes_cfg 1 in
+  let mutants = ref 0 and decided = ref 0 and steps = ref 0 in
+  let pairs = ref 0 and pairs_decided = ref 0 in
+  List.iter
+    (fun (sp : C.step) ->
+      let scheme =
+        match sp.C.sp_claim with
+        | Some (T.Extraction { callee }) ->
+            Some (callee, Refactor.Extraction.check_scheme ~callee)
+        | Some (T.Renaming { from_name; to_name }) ->
+            Some (to_name, Refactor.Storage_adjust.check_renaming ~from_name ~to_name)
+        | _ -> None
+      in
+      Option.iter
+        (fun (subject, check) ->
+          incr steps;
+          let prog = snd sp.C.sp_after in
+          let subs =
+            subject
+            :: List.filter_map
+                 (fun (s : Ast.subprogram) ->
+                   if List.mem subject (Share.decl_refs (Ast.Dsub s))
+                      && s.Ast.sub_name <> subject
+                   then Some s.Ast.sub_name
+                   else None)
+                 (Ast.subprograms prog)
+          in
+          List.iter
+            (fun mutant ->
+              match Typecheck.check_incremental ~baseline:sp.C.sp_after mutant with
+              | exception Typecheck.Type_error _ -> ()
+              | after -> (
+                  incr mutants;
+                  match check sp.C.sp_before after with
+                  | Error _ -> ()
+                  | Ok () -> (
+                      incr decided;
+                      match
+                        C.certify_steps cfg
+                          [ { sp with C.sp_after = after; sp_claim = None } ]
+                      with
+                      | [ (C.Refuted cx, _) ] ->
+                          Alcotest.failf "%s: a mutant its scheme decides is refuted: %s"
+                            sp.C.sp_name (C.counterexample_to_string cx)
+                      | _ -> ())))
+            (List.concat_map (sweep_mutants prog) subs);
+          match sp.C.sp_claim with
+          | Some (T.Extraction { callee }) ->
+              let p, d = sweep_paired cfg sp callee ~stride:32 in
+              pairs := !pairs + p;
+              pairs_decided := !pairs_decided + d
+          | _ -> ())
+        scheme)
+    (Lazy.force aes_steps);
+  Printf.printf "%d steps, %d mutants, %d decided by a scheme; %d paired mutants, %d decided\n"
+    !steps !mutants !decided !pairs !pairs_decided;
+  Alcotest.(check int) "the split, extract and rename steps" 11 !steps;
+  Alcotest.(check bool) "mutants" true (!mutants > 0);
+  Alcotest.(check bool) "paired mutants decided" true (!pairs_decided > 0)
+
 (* the full AES script: certified as one batch at width 1 and 2, every
    step gets the certificate and counts it gets certified alone, in
    order, and the batch's timing fields stay within its wall time *)
@@ -986,6 +1423,50 @@ let suites =
           test_scheme_replay_mismatch;
         Alcotest.test_case "scheme: a parameter named like the table is refuted" `Quick
           test_scheme_parameter_named_like_table;
+        Alcotest.test_case "extraction: a split is decided" `Quick
+          test_extraction_split_decided;
+        Alcotest.test_case "extraction: a two-occurrence extract is decided" `Quick
+          test_extraction_extract_decided;
+        Alcotest.test_case "extraction: a body that differs from the slice is refuted" `Quick
+          test_extraction_body_differs;
+        Alcotest.test_case "extraction: an in actual the body writes is refuted" `Quick
+          test_extraction_actual_written;
+        Alcotest.test_case "extraction: an in actual reading a global through a function is refuted"
+          `Quick test_extraction_actual_reads_global;
+        Alcotest.test_case "extraction: an in actual reading a global the body writes is refuted"
+          `Quick test_extraction_actual_reads_written_global;
+        Alcotest.test_case "extraction: an in actual that may not terminate is refuted" `Quick
+          test_extraction_actual_may_not_end;
+        Alcotest.test_case "extraction: a raising actual read under an if is refuted" `Quick
+          test_extraction_raising_actual_unread;
+        Alcotest.test_case "extraction: an out parameter read first is refuted" `Quick
+          test_extraction_out_read_first;
+        Alcotest.test_case "extraction: a partly written out array is refuted" `Quick
+          test_extraction_out_array_partly_written;
+        Alcotest.test_case "extraction: a caller local capturing a global is refuted" `Quick
+          test_extraction_caller_captures_global;
+        Alcotest.test_case "extraction: a callee local is refuted" `Quick
+          test_extraction_callee_local;
+        Alcotest.test_case "extraction: a callee returning early is refuted" `Quick
+          test_extraction_callee_returns;
+        Alcotest.test_case "extraction: a global out actual is refuted" `Quick
+          test_extraction_global_out_actual;
+        Alcotest.test_case "extraction: a body loop capturing an actual is refuted" `Quick
+          test_extraction_body_captures_actual;
+        Alcotest.test_case "extraction: a body loop named like a parameter is refuted" `Quick
+          test_extraction_body_binds_formal;
+        Alcotest.test_case "extraction: an actual copy-in coerces is refuted" `Quick
+          test_extraction_actual_coerced;
+        Alcotest.test_case "extraction: an inexact caller store is refuted" `Quick
+          test_extraction_caller_store_inexact;
+        Alcotest.test_case "extraction: an inexact callee store is refuted" `Quick
+          test_extraction_callee_store_inexact;
+        Alcotest.test_case "extraction: an inexact copy-out into the caller is refuted" `Quick
+          test_extraction_copy_out_inexact;
+        Alcotest.test_case "renaming: a rename is decided" `Quick
+          test_renaming_decided;
+        Alcotest.test_case "renaming: a target a local shadows is refuted" `Quick
+          test_renaming_shadowed;
         Alcotest.test_case "reuse: a 48-trial verdict is reused" `Quick test_reuse_certifies;
         Alcotest.test_case "reuse: too few trials or other programs are sampled" `Quick
           test_reuse_needs_enough_trials;
@@ -1009,6 +1490,8 @@ let suites =
       [
         Alcotest.test_case "AES script: batch at jobs 1 and 2 = step by step" `Slow
           test_batch_equals_steps;
+        Alcotest.test_case "AES extraction and renaming steps: no refuted mutant decided"
+          `Slow test_scheme_sweep;
         Alcotest.test_case "an earlier step's proof is a later step's hit" `Quick
           test_batch_cache_replay;
         Alcotest.test_case "refutation mid-script wins over a later rejection" `Quick

@@ -169,10 +169,77 @@ let test_extract_procedure () =
       ()
   | _ -> Alcotest.failf "not extracted: %s" (Pretty.stmts_to_string sub.Ast.sub_body)
 
+(* a call starts an out parameter at its type's default: a template that
+   reads one first, or writes only part of an out array, would see or
+   leave the default where the clone had the caller's value *)
+let test_extract_procedure_out_param_rules () =
+  let src =
+    {|
+program acc is
+
+  type byte is mod 256;
+  type pair is array (0 .. 1) of byte;
+
+  procedure add (a : in out byte; b : in byte; v : in out pair)
+  is
+  begin
+    a := a + b;
+    v (0) := b;
+  end add;
+
+end acc;
+|}
+  in
+  let byte = Ast.Tnamed "byte" in
+  let extract name params template =
+    Refactor.Inline_reverse.extract_procedure ~name ~params
+      ~template:(Parser.stmts_of_string template) ()
+  in
+  expect_reject (fun () ->
+      apply_history src
+        [ extract "acc"
+            [ { Ast.par_name = "x"; par_mode = Ast.Mode_out; par_typ = byte };
+              { Ast.par_name = "y"; par_mode = Ast.Mode_in; par_typ = byte } ]
+            "x := x + y;" ]
+        ~entries:[ "add" ]);
+  expect_reject (fun () ->
+      apply_history src
+        [ extract "first"
+            [ { Ast.par_name = "w"; par_mode = Ast.Mode_out; par_typ = Ast.Tnamed "pair" };
+              { Ast.par_name = "y"; par_mode = Ast.Mode_in; par_typ = byte } ]
+            "w (0) := y;" ]
+        ~entries:[ "add" ])
+
 (* t is a local of shuffle used by the template; it must be declared a
    local of the new procedure, so matching with metas must not capture *)
 
 (* ---------------- split procedure ---------------- *)
+
+(* r is written only where x > 0: as an out parameter the call would
+   reset it to 0 elsewhere, so the split passes it in out *)
+let test_split_partial_write_in_out () =
+  let src =
+    {|
+program splitif is
+
+  procedure work (x : in integer; r : in out integer)
+  is
+  begin
+    if x > 0 then
+      r := x;
+    end if;
+  end work;
+
+end splitif;
+|}
+  in
+  let tr = Refactor.Split_procedure.split ~proc:"work" ~from:0 ~len:1 ~new_name:"part" in
+  let _, prog = apply_history src [ tr ] ~entries:[ "work" ] in
+  match (Ast.find_sub_exn prog "part").Ast.sub_params with
+  | [ { Ast.par_name = "r"; par_mode = Ast.Mode_in_out; _ }; _ ]
+  | [ _; { Ast.par_name = "r"; par_mode = Ast.Mode_in_out; _ } ] ->
+      ()
+  | _ -> Alcotest.fail "r is not passed in out"
 
 let test_split_procedure () =
   let src =
@@ -830,10 +897,14 @@ let suites =
       [ Alcotest.test_case "extract function from clones" `Quick test_extract_function;
         Alcotest.test_case "rejects when too few occurrences" `Quick
           test_extract_function_min_occurrence_reject;
-        Alcotest.test_case "extract procedure from clones" `Quick test_extract_procedure ] );
+        Alcotest.test_case "extract procedure from clones" `Quick test_extract_procedure;
+        Alcotest.test_case "extract procedure: out parameters written first, wholly"
+          `Quick test_extract_procedure_out_param_rules ] );
     ( "refactor:split",
       [ Alcotest.test_case "split procedure" `Quick test_split_procedure;
-        Alcotest.test_case "rejects slice with return" `Quick test_split_rejects_return ] );
+        Alcotest.test_case "rejects slice with return" `Quick test_split_rejects_return;
+        Alcotest.test_case "a partly written scalar is passed in out" `Quick
+          test_split_partial_write_in_out ] );
     ( "refactor:conditionals",
       [ Alcotest.test_case "move into conditional" `Quick test_move_into_conditional;
         Alcotest.test_case "rejects guard interference" `Quick test_move_into_rejects_interference;
