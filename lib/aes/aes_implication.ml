@@ -50,13 +50,25 @@ let lemmas ~(extracted : Specl.Sast.theory) : I.lemma list =
   let ext_env () = V.make ~fuel:200_000_000 extracted in
   let sapply name args = V.apply (spec_env ()) name args in
   let eapply name args = V.apply (ext_env ()) name args in
-  let open Specl.Sast in
-  let index_table env name i = V.eval env [] (Sindex (Svar name, Sint_lit i)) in
+  (* a table's entries, the table fetched once per lemma and side, with
+     the evaluator's messages for a non-array or a missing index; read as
+     a variable, so a theory without the table fails the lemma with the
+     evaluator's unbound-name error *)
+  let index_table env name =
+    let table = lazy (V.eval (env ()) [] (Specl.Sast.Svar name)) in
+    fun i ->
+      match Lazy.force table with
+      | V.Varr (lo, data) ->
+          if i - lo < 0 || i - lo >= Array.length data then V.error "spec index out of range"
+          else data.(i - lo)
+      | v -> V.error "indexing non-array %s" (V.to_string v)
+  in
   let table_lemma name =
+    let lhs = index_table spec_env name and rhs = index_table ext_env name in
     I.exhaustive ~name:(name ^ "_table") ~original:name ~extracted:name
       ~domain:(List.init 256 (fun i -> [ V.Vint i ]))
-      ~lhs:(fun p -> match p with [ V.Vint i ] -> index_table (spec_env ()) name i | _ -> assert false)
-      ~rhs:(fun p -> match p with [ V.Vint i ] -> index_table (ext_env ()) name i | _ -> assert false)
+      ~lhs:(fun p -> match p with [ V.Vint i ] -> lhs i | _ -> assert false)
+      ~rhs:(fun p -> match p with [ V.Vint i ] -> rhs i | _ -> assert false)
       ()
   in
   let fn1_exhaustive name =
@@ -76,18 +88,18 @@ let lemmas ~(extracted : Specl.Sast.theory) : I.lemma list =
     table_lemma "sbox";
     table_lemma "inv_sbox";
     (* rcon: the implementation packs the round constant into byte 0 *)
-    I.exhaustive ~name:"rcon_lemma" ~original:"rcon" ~extracted:"rcon"
-      ~domain:(List.init 10 (fun i -> [ V.Vint i ]))
-      ~lhs:(fun p ->
-        match p with
-        | [ V.Vint i ] -> (
-            match index_table (spec_env ()) "rcon" i with
-            | V.Vint r -> word_of_bytes [| r; 0; 0; 0 |]
-            | v -> v)
-        | _ -> assert false)
-      ~rhs:(fun p ->
-        match p with [ V.Vint i ] -> index_table (ext_env ()) "rcon" i | _ -> assert false)
-      ();
+    (let lhs = index_table spec_env "rcon" and rhs = index_table ext_env "rcon" in
+     I.exhaustive ~name:"rcon_lemma" ~original:"rcon" ~extracted:"rcon"
+       ~domain:(List.init 10 (fun i -> [ V.Vint i ]))
+       ~lhs:(fun p ->
+         match p with
+         | [ V.Vint i ] -> (
+             match lhs i with
+             | V.Vint r -> word_of_bytes [| r; 0; 0; 0 |]
+             | v -> v)
+         | _ -> assert false)
+       ~rhs:(fun p -> match p with [ V.Vint i ] -> rhs i | _ -> assert false)
+       ());
     (* GF(2^8) arithmetic *)
     fn1_exhaustive "xtime";
     I.exhaustive ~name:"gf_mul_lemma" ~original:"gf_mul" ~extracted:"gf_mul"

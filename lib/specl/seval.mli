@@ -37,23 +37,34 @@ type env = {
 val make : ?fuel:int -> Sast.theory -> env
 
 val eval : env -> (string * value) list -> Sast.sexpr -> value
-(** Evaluate an expression under variable bindings.  0-ary theory
-    definitions (tables, named constants) resolve as variables.
+(** Evaluate an expression under variable bindings (the first binding of
+    a name wins).  0-ary theory definitions (tables, named constants)
+    resolve as variables.  The expression is compiled against the
+    theory on every call; the theory itself is compiled once per domain.
+    Every evaluated node spends one unit of fuel.
     @raise Error on type mismatches, unbound names, out-of-range
-    indexing, or fuel exhaustion. *)
+    indexing, or fuel exhaustion — when the offending node is evaluated,
+    never earlier. *)
 
 val apply : env -> string -> value list -> value
 (** Apply a named definition to argument values.
+    @raise Invalid_argument when the theory has no such definition.
 
     Here and in {!eval}, an application whose arguments are all scalar
-    ([Vint] / [Vbool]; 0-ary tables and constants included) is memoized
-    per domain and physical theory in a bounded table: a repeated one
-    returns the stored value without spending fuel, and an application
-    that raises is never stored. *)
+    ([Vint] / [Vbool]) is memoized on the definition as compiled for the
+    calling domain (theories are told apart by physical identity, the 16
+    most recently compiled kept): a 0-ary table or constant keeps its
+    value, a definition whose parameters are all modular types with at
+    most 65,536 argument tuples ([gf_mul], [xtime]) a dense table indexed
+    by its in-range arguments, and any other definition a bounded table
+    of up to 65,536 results.  A repeated application returns the stored
+    value without spending fuel, and an application that raises (fuel
+    exhaustion included) is never stored. *)
 
 val memo_stats : unit -> Memo.stats
 (** Hits, misses and evictions of the calling domain's application
-    memo. *)
+    memos, summed over its compiled theories (a theory dropped from the
+    domain's cache keeps counting in the sum). *)
 
 val default : env -> Sast.styp -> value
 (** Default value of a type — for building sample inputs. *)
