@@ -50,18 +50,12 @@ let lemmas ~(extracted : Specl.Sast.theory) : I.lemma list =
   let ext_env () = V.make ~fuel:200_000_000 extracted in
   let sapply name args = V.apply (spec_env ()) name args in
   let eapply name args = V.apply (ext_env ()) name args in
-  (* a table's entries, the table fetched once per lemma and side, with
-     the evaluator's messages for a non-array or a missing index; read as
-     a variable, so a theory without the table fails the lemma with the
-     evaluator's unbound-name error *)
+  let open Specl.Sast in
+  (* a table's entries: the table is fetched once per lemma and side, and
+     the evaluator indexes it *)
   let index_table env name =
-    let table = lazy (V.eval (env ()) [] (Specl.Sast.Svar name)) in
-    fun i ->
-      match Lazy.force table with
-      | V.Varr (lo, data) ->
-          if i - lo < 0 || i - lo >= Array.length data then V.error "spec index out of range"
-          else data.(i - lo)
-      | v -> V.error "indexing non-array %s" (V.to_string v)
+    let table = lazy (V.eval (env ()) [] (Svar name)) in
+    fun i -> V.eval (env ()) [ ("t", Lazy.force table) ] (Sindex (Svar "t", Sint_lit i))
   in
   let table_lemma name =
     let lhs = index_table spec_env name and rhs = index_table ext_env name in

@@ -1,8 +1,8 @@
 (* Declaration-level sharing for the MiniSpark AST.
 
    Three per-domain memos, each a bounded [Memo.t] keyed structurally
-   (by [decl_hash] paired with the declaration, then [compare], which
-   stops early at physically shared subtrees):
+   ([Hashtbl.hash], then [compare], which stops early at physically
+   shared subtrees):
 
    - a declaration unifier that maps a rebuilt-but-structurally-equal
      declaration back to the earlier object, which is what lets
@@ -23,36 +23,10 @@ open Ast
    the cap keeps a long-lived server from pinning every program it saw *)
 let memo_cap = 1024
 
-(* A hash that reads a subprogram's whole body.  [Hashtbl.hash] reads
-   only a declaration's first few words, and [Hashtbl.hash_param] at most
-   256 blocks of it, so every variant of one edited subprogram would hash
-   alike and share one bucket, each lookup comparing against all of them.
-   A body is hashed statement by statement, nested bodies included. *)
-let mix h x = (h * 65599) + x
-
-let rec stmts_hash h stmts = List.fold_left stmt_hash h stmts
-
-and stmt_hash h s =
-  match s with
-  | If (branches, els) ->
-      let h = List.fold_left (fun h (c, b) -> stmts_hash (mix h (Hashtbl.hash c)) b) h branches in
-      stmts_hash (mix h 1) els
-  | For f -> stmts_hash (mix h (Hashtbl.hash (f.for_var, f.for_lo, f.for_hi))) f.for_body
-  | While w -> stmts_hash (mix h (Hashtbl.hash w.while_cond)) w.while_body
-  | Null | Assign _ | Call_stmt _ | Return _ | Assert _ -> mix h (Hashtbl.hash s)
-
-let decl_hash d =
-  match d with
-  | Dsub s -> mix (Hashtbl.hash d) (stmts_hash 0 s.sub_body) land max_int
-  | Dtype _ | Dconst _ | Dvar _ -> Hashtbl.hash d
-
-(* a memo key: [Memo]'s structural hash reads the leading [decl_hash] *)
-let key d = (decl_hash d, d)
-
 type memos = {
-  unify : (int * decl, decl) Memo.t;
-  refs : (int * decl, ident list) Memo.t;
-  digests : (int * decl, string) Memo.t;
+  unify : (decl, decl) Memo.t;
+  refs : (decl, ident list) Memo.t;
+  digests : (decl, string) Memo.t;
 }
 
 let memos_key : memos Domain.DLS.key =
@@ -73,7 +47,7 @@ let memo_stats () =
     ("share_digest_memo", Memo.stats m.digests);
   ]
 
-let intern_decl d = Memo.find (memos ()).unify (key d) (fun () -> d)
+let intern_decl d = Memo.find (memos ()).unify d (fun () -> d)
 
 let intern_program p =
   let decls' = map_sharing intern_decl p.prog_decls in
@@ -138,7 +112,7 @@ let compute_decl_refs = function
       in
       List.sort_uniq String.compare (stmts_refs acc sub.sub_body)
 
-let decl_refs d = Memo.find (memos ()).refs (key d) (fun () -> compute_decl_refs d)
+let decl_refs d = Memo.find (memos ()).refs d (fun () -> compute_decl_refs d)
 
 (* ------------------------------------------------------------------ *)
 (* Digests                                                             *)
@@ -149,7 +123,7 @@ let decl_refs d = Memo.find (memos ()).refs (key d) (fun () -> compute_decl_refs
 let marshal_digest x =
   Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
 
-let decl_digest d = Memo.find (memos ()).digests (key d) (fun () -> marshal_digest d)
+let decl_digest d = Memo.find (memos ()).digests d (fun () -> marshal_digest d)
 let program_digest p = marshal_digest p
 
 let decls_digest (p : program) =

@@ -14,12 +14,6 @@
     domain ([Domain.DLS]): farm workers unify independently and never see
     another domain's pointers. *)
 
-val decl_hash : Ast.decl -> int
-(** The hash the memos below key a declaration by: structurally equal
-    declarations hash alike, and a subprogram's hash reads its whole body
-    (nested statements included), so the variants of one edited
-    subprogram spread over the table instead of sharing one bucket. *)
-
 val intern_decl : Ast.decl -> Ast.decl
 (** A declaration structurally equal to one still in the calling domain's
     memo comes back as that earlier object; any other declaration is

@@ -100,12 +100,6 @@ let prim2 p a b =
       if k < 0 || k > 62 then error "shift out of range" else vint (as_int a lsr k)
   | Pneg | Pnot -> error "bad primitive application"
 
-let prim_eval p args =
-  match args with
-  | [ a ] -> prim1 p a
-  | [ a; b ] -> prim2 p a b
-  | _ -> error "bad primitive application"
-
 (* ---------------- compiled theories ---------------- *)
 
 (* A theory is compiled once per domain: every definition becomes a
@@ -291,11 +285,12 @@ let rec compile defs sc e : code =
       fun env fr ->
         tick env;
         prim1 p (ca env fr)
-  | Sprim (p, args) ->
+  | Sprim (_, args) ->
       let cargs = List.map (compile defs sc) args in
       fun env fr ->
         tick env;
-        prim_eval p (run_all env fr cargs)
+        ignore (run_all env fr cargs);
+        error "bad primitive application"
   | Sapp (name, args) -> (
       match Hashtbl.find_opt defs name with
       | None ->
@@ -491,8 +486,10 @@ let apply env name argv =
   let cd =
     match Hashtbl.find_opt (compiled env.theory).ct_defs name with
     | Some cd -> cd
-    | None -> (* as [Sast.find_def_exn] *)
-        invalid_arg (Printf.sprintf "Sast.find_def_exn: no definition %S" name)
+    | None ->
+        (* no such definition: [find_def_exn] raises *)
+        ignore (find_def_exn env.theory name);
+        assert false
   in
   if List.length argv <> cd.cd_arity then error "arity mismatch applying %s" name;
   let fr = frame cd in

@@ -132,30 +132,6 @@ let test_subst_preserves_untouched () =
   Alcotest.(check bool) "no-op substitution returns the same list" true
     (noop == stmts)
 
-(* the memos' key hash reads a subprogram's whole body: each of the
-   statement-deletion mutants of AES [encrypt] hashes apart, where
-   [Hashtbl.hash] gives them a handful of values (one, with OCaml 5.1),
-   and so a handful of memo buckets *)
-let test_decl_hash_spreads_variants () =
-  let p = Aes.Aes_impl.program in
-  let rec mutants k acc =
-    match Defects.Seed.delete_statement ~sub_name:"encrypt" ~nth:k p with
-    | m -> mutants (k + 1) (Ast.find_sub_exn m "encrypt" :: acc)
-    | exception Invalid_argument _ -> acc
-  in
-  let ds = List.map (fun s -> Ast.Dsub s) (mutants 0 []) in
-  let distinct f = List.length (List.sort_uniq compare (List.map f ds)) in
-  Alcotest.(check int) "76 mutants" 76 (List.length ds);
-  Alcotest.(check int) "all structurally distinct" 76 (distinct Fun.id);
-  Alcotest.(check bool) "Hashtbl.hash: a handful of values" true (distinct Hashtbl.hash < 8);
-  Alcotest.(check int) "decl_hash: 76 values" 76 (distinct Share.decl_hash);
-  let d = List.hd ds in
-  let copy : Ast.decl = Marshal.from_string (Marshal.to_string d [ Marshal.No_sharing ]) 0 in
-  Alcotest.(check bool) "a physically distinct copy" true (copy != d);
-  Alcotest.(check int) "hashes alike" (Share.decl_hash d) (Share.decl_hash copy);
-  Alcotest.(check bool) "and interns to the original" true
-    (Share.intern_decl copy == Share.intern_decl d)
-
 (* four domains intern the same source concurrently; interning state is
    per-domain, so the canonical nodes differ physically across domains but
    agree structurally — digests included *)
@@ -190,6 +166,4 @@ let suites =
         Alcotest.test_case "subst preserves untouched statements" `Quick
           test_subst_preserves_untouched;
         Alcotest.test_case "4-domain interning stress" `Quick
-          test_four_domain_interning;
-        Alcotest.test_case "memo hash reads the whole body" `Quick
-          test_decl_hash_spreads_variants ] ) ]
+          test_four_domain_interning ] ) ]
