@@ -38,8 +38,6 @@ type ('a, 'b) t = {
   p_workers : int;
   p_deques : ('a, 'b) deque array;
   mutable p_jobs : ('a, 'b) job list;  (* every submitted job, newest first *)
-  mutable p_submitted : int;
-  p_started : int Atomic.t;
   mutable p_batches : int;  (* bumped by every batch, to wake waiters *)
   mutable p_closed : bool;
   p_mu : Mutex.t;
@@ -160,7 +158,6 @@ let worker p w () =
       let seen = with_mu p.p_mu (fun () -> p.p_batches) in
       match next () with
       | Some j ->
-          Atomic.incr p.p_started;
           let t0 = if timed then Logic.Clock.now () else 0.0 in
           (match p.p_f j.jb_item with
           | r ->
@@ -209,8 +206,6 @@ let create ?(jobs = 1) ?parent ~priority ~f () =
         Array.init workers (fun _ ->
             { dq_items = [||]; dq_lo = 0; dq_hi = -1; dq_mu = Mutex.create () });
       p_jobs = [];
-      p_submitted = 0;
-      p_started = Atomic.make 0;
       p_batches = 0;
       p_closed = false;
       p_mu = Mutex.create ();
@@ -233,7 +228,6 @@ let submit p items =
     with_mu p.p_mu (fun () ->
         if p.p_closed then invalid_arg "Farm.Pool.submit: the pool is closed";
         p.p_jobs <- List.rev_append (Array.to_list jobs) p.p_jobs;
-        p.p_submitted <- p.p_submitted + n;
         if p.p_workers > 1 then begin
           (* cost-descending, dealt round-robin so every worker gets a
              mix of heavy and light jobs *)
@@ -252,9 +246,6 @@ let submit p items =
           Condition.broadcast p.p_wake
         end)
   end
-
-let backlog p =
-  with_mu p.p_mu (fun () -> p.p_submitted) - Atomic.get p.p_started
 
 let close p =
   let jobs =

@@ -1,6 +1,6 @@
 (** Work-stealing pool over OCaml 5 domains.
 
-    Built for the proof farm: independent jobs (VCs, oracle chains,
+    Built for the proof farm: independent jobs (VCs, certification steps,
     lemmas), each potentially expensive, dispatched cost-descending so
     the longest start first and the tail of the schedule is short.
 
@@ -70,9 +70,6 @@ val create :
 val submit : ('a, 'b) t -> 'a array -> unit
 (** Add a batch.  The helpers may start on it before [submit] returns.
     @raise Invalid_argument once the pool is closed. *)
-
-val backlog : ('a, 'b) t -> int
-(** Jobs submitted and not yet started. *)
 
 val close : ('a, 'b) t -> 'b array * stats
 (** Run every submitted job to completion, the calling domain working

@@ -8,9 +8,9 @@
       execute: nothing to prove.
    2. [M_vc] — static side: {!Vcgen.equivalence_sub} builds old = new
       equivalence VCs under both versions' preconditions (the
-      applicability side-conditions); they are discharged on the proof
-      farm ({!Farm.Pool}) through the content-addressed proof cache, so a
-      repeated script re-certifies for free.  Loopy or under-constrained
+      applicability side-conditions); they are discharged through the
+      content-addressed proof cache, so a repeated script re-certifies
+      for free.  Loopy or under-constrained
       bodies make generation raise [Infeasible], and an unproved VC is
       never a refutation — both fall through to:
    3. [M_closure] — everything a run of an entry-point target can
@@ -38,7 +38,11 @@
       the program's shape.
 
    Anything still undecided yields [Unknown] — recorded, surfaced, never
-   silently dropped. *)
+   silently dropped.
+
+   A step's whole decision is one {!Farm.Pool} job, so a certificate is
+   computed from its own step alone; only the proof-cache lookups happen
+   on the calling domain, in step order. *)
 
 open Minispark
 module F = Logic.Formula
@@ -288,7 +292,7 @@ let cache_entry (r : P.proof_result) =
   | P.Timeout _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* The decision procedure, step by step on the farm                   *)
+(* The decision procedure: one farm job per step                      *)
 (* ------------------------------------------------------------------ *)
 
 type step = {
@@ -340,8 +344,8 @@ let check_claim cfg (step : step) (claim : Transform.claim) =
 type vc_slot =
   | Cached of bool  (* in the cache before certification: proved? *)
   | Job of { key : string; first : bool }
-      (* proved by the farm job of the step that first looked [key] up;
-         [first] for that step *)
+      (* proved in the step's own job; [first] when no earlier step
+         looked [key] up *)
 
 type plan =
   | Settled of certificate  (* identical versions, or no target at all *)
@@ -349,80 +353,38 @@ type plan =
       targets : target list;
       batches : (string * (F.vc * vc_slot) list) list;
           (* each VC-eligible target's equivalence VCs *)
-      proves : (string * F.vc) list;
-          (* the keys this step looks up first, and their VCs *)
+      firsts : string list;  (* the keys this step looks up first *)
     }
 
-(* One farm job: a cache-missing equivalence VC, one target name's
-   closure test and oracle over some steps in step order — so the run
-   memo's hits from one step's after-program on the next step's
-   before-program stay on one domain — or the check of one step's claim.
-   Only an entry-point target is closure-tested (a changed subprogram's
-   own declaration differs), and a target a claim covers is not sampled:
-   the claim decides it or, when the claim fails, the replay samples it. *)
-type job =
-  | Prove of { step : int; key : string; vc : F.vc }
-  | Oracle of { name : string; steps : (int * step * target_run) list }
-  | Claim of { step : int; sp : step; claim : Transform.claim }
+(* what one step's job hands back: the certificate, the stats, busy
+   seconds proving and deciding the rest, and the proofs of its first
+   keys, for the cache *)
+type outcome = {
+  oc_cert : certificate;
+  oc_stats : stats;
+  oc_vc_busy : float;
+  oc_oracle_busy : float;
+  oc_proofs : (string * P.proof_result) list;
+}
 
-(* what an oracle job does for one target of one step *)
-and target_run =
-  | Test_closure_then_sample  (* an entry point *)
-  | Test_closure  (* an entry point the step's claim covers *)
-  | Sample  (* a changed subprogram: its own declaration differs *)
-  | Leave  (* a changed subprogram the step's claim covers *)
-
-(* how one target of one step fared in its oracle job *)
-type route =
-  | Closure  (* same closure, both versions initialise *)
-  | Claimed  (* left to the step's claim *)
-  | Ran of Equivalence.verdict
-
-type job_result =
-  | Proof of P.proof_result
-  | Runs of (int * route * float) list  (* step, route, seconds *)
-  | Checked of (unit, string) result
-
-(* rough costs, for the dispatch order only: an oracle chain weighs 4000
-   per step (a few ms each on AES), as does a claim check, a VC its
-   formula's node count *)
-let job_cost = function
-  | Prove { vc; _ } -> F.node_count (F.vc_formula vc)
-  | Oracle { steps; _ } -> 4000 * List.length steps
-  | Claim _ -> 4000
-
-let run_oracle ?parent cfg (step : step) name =
-  Telemetry.with_span ~cat:Telemetry.cat_transform ?parent
+let run_oracle cfg (step : step) name =
+  Telemetry.with_span ~cat:Telemetry.cat_transform
     ~attrs:[ ("step", Telemetry.S step.sp_name); ("target", Telemetry.S name) ]
     "oracle"
     (fun () ->
       Equivalence.oracle ~seed:cfg.cf_seed ~trials:cfg.cf_trials ~fuel:cfg.cf_fuel
         step.sp_before step.sp_after name)
 
-let run_job cfg = function
-  | Prove { vc; _ } -> Proof (P.prove_vc ~hints:P.standard_hints vc)
-  | Oracle { name; steps } ->
-      Runs
-        (List.map
-           (fun (i, step, run) ->
-             let t0 = Logic.Clock.now () in
-             let closure () =
-               Equivalence.same_closure ~fuel:cfg.cf_fuel step.sp_before step.sp_after name
-             in
-             let route =
-               match run with
-               | (Test_closure_then_sample | Test_closure) when closure () -> Closure
-               | Test_closure | Leave -> Claimed
-               | Test_closure_then_sample | Sample -> Ran (run_oracle cfg step name)
-             in
-             (i, route, Logic.Clock.elapsed t0))
-           steps)
-  | Claim { sp; claim; _ } ->
-      Checked
-        (Telemetry.with_span ~cat:Telemetry.cat_transform
-           ~attrs:[ ("step", Telemetry.S sp.sp_name) ]
-           "check-claim"
-           (fun () -> check_claim cfg sp claim))
+(* [f] applied at most once per argument *)
+let once f =
+  let tbl = Hashtbl.create 8 in
+  fun k ->
+    match Hashtbl.find_opt tbl k with
+    | Some v -> v
+    | None ->
+        let v = f k in
+        Hashtbl.add tbl k v;
+        v
 
 (* the targets of one step, and its VC-eligible targets' VCs *)
 let plan_step cfg (step : step) =
@@ -462,32 +424,43 @@ let plan_step cfg (step : step) =
               | exception Vcgen.Infeasible _ -> None)
           targets )
 
-(* Replay one step's sequential decision over the farm's outcomes:
-   equivalence VCs first, then per residual target in order closure
-   identity, the step's claim ([claimed name] is its method when the
-   claim holds and covers the target) and the oracle, falling back to the
-   entry points; [closure name] says whether a target's closure test
-   held, and [sample name] is the step's oracle outcome for a target.
-   Timing fields are left to the caller. *)
-let decide_step cfg ~proof ~closure ~claimed ~sample (step : step) plan :
-    certificate * stats =
+(* One step's whole decision, run as one farm job: its equivalence VCs
+   first, then per residual target in order closure identity (an
+   entry-point target only: a changed subprogram's own declaration
+   differs), the step's claim (checked at most once) and the oracle,
+   falling back to the entry points. *)
+let decide_step cfg (step : step) plan : outcome =
   match plan with
-  | Settled cert -> (cert, { zero_stats with ct_steps = 1 })
-  | Run { targets; batches; _ } ->
+  | Settled cert ->
+      { oc_cert = cert; oc_stats = { zero_stats with ct_steps = 1 }; oc_vc_busy = 0.0;
+        oc_oracle_busy = 0.0; oc_proofs = [] }
+  | Run { targets; batches; firsts } ->
       let _, prog_a = step.sp_before and _, prog_b = step.sp_after in
+      let t0 = Logic.Clock.now () in
+      let proofs = Hashtbl.create 8 in
+      let all = List.concat_map snd batches in
+      List.iter
+        (fun (vc, slot) ->
+          match slot with
+          | Job { key; _ } when not (Hashtbl.mem proofs key) ->
+              Hashtbl.add proofs key (P.prove_vc ~hints:P.standard_hints vc)
+          | Job _ | Cached _ -> ())
+        all;
+      let vc_busy = Logic.Clock.elapsed t0 in
+      let t1 = Logic.Clock.now () in
       let stats =
         ref { zero_stats with ct_steps = 1; ct_targets = List.length targets }
       in
       let bump f = stats := f !stats in
-      let all = List.concat_map snd batches in
       let proved = function
         | Cached ok -> ok
-        | Job { key; _ } -> P.is_proved (proof key)
+        | Job { key; _ } -> P.is_proved (Hashtbl.find proofs key)
       in
       let hit = function
         | Cached _ -> true
         | Job { key; first } ->
-            (not first) && cfg.cf_cache <> None && cache_entry (proof key) <> None
+            (not first) && cfg.cf_cache <> None
+            && cache_entry (Hashtbl.find proofs key) <> None
       in
       let count p = List.length (List.filter (fun (_, s) -> p s) all) in
       bump (fun s ->
@@ -513,6 +486,28 @@ let decide_step cfg ~proof ~closure ~claimed ~sample (step : step) plan :
       let residual =
         List.filter (fun t -> not (List.mem_assoc t.tg_name vc_certified)) targets
       in
+      let closure =
+        once (fun name ->
+            List.exists (fun t -> t.tg_entry && t.tg_name = name) targets
+            && Equivalence.same_closure ~fuel:cfg.cf_fuel step.sp_before step.sp_after
+                 name)
+      in
+      let claim_holds =
+        lazy
+          (match step.sp_claim with
+          | None -> false
+          | Some claim ->
+              Telemetry.with_span ~cat:Telemetry.cat_transform
+                ~attrs:[ ("step", Telemetry.S step.sp_name) ]
+                "check-claim"
+                (fun () -> check_claim cfg step claim = Ok ()))
+      in
+      let claimed name =
+        match step.sp_claim with
+        | Some c when claim_covers c name && Lazy.force claim_holds -> Some (claim_method c)
+        | _ -> None
+      in
+      let sample = once (run_oracle cfg step) in
       let add_trials trials =
         bump (fun s -> { s with ct_oracle_trials = s.ct_oracle_trials + trials })
       in
@@ -563,7 +558,7 @@ let decide_step cfg ~proof ~closure ~claimed ~sample (step : step) plan :
                 Unknown (Printf.sprintf "%s; entry fallback: %s" why why')
             | `None -> Unknown why)
       in
-      (* bind before building the pair: tuple components evaluate
+      (* bind before building the record: its fields evaluate
          right-to-left, which would read [stats] before [decide] bumps it *)
       let cert = decide [] residual in
       (match cert with
@@ -571,18 +566,16 @@ let decide_step cfg ~proof ~closure ~claimed ~sample (step : step) plan :
           let d = List.length (List.filter (fun (_, m) -> decided m) ms) in
           bump (fun s -> { s with ct_decided = d; ct_sampled = List.length ms - d })
       | Refuted _ | Unknown _ -> ());
-      (cert, !stats)
+      { oc_cert = cert; oc_stats = !stats; oc_vc_busy = vc_busy;
+        oc_oracle_busy = Logic.Clock.elapsed t1;
+        oc_proofs = List.map (fun key -> (key, Hashtbl.find proofs key)) firsts }
 
 type session = {
   se_cfg : config;
   se_span : int option;  (* the [certify] span, when opened by [start] *)
-  se_pool :
-    (job, job_result * float * (string * Memo.stats) list) Farm.Pool.t;
-  mutable se_planned : (step * plan) list;  (* newest first *)
+  se_pool : (step * plan, outcome * (string * Memo.stats) list) Farm.Pool.t;
+  mutable se_steps : int;
   se_first : (string, int) Hashtbl.t;  (* cache key -> first step to look *)
-  se_waiting : (int * step * plan) Queue.t;
-      (* planned, no job submitted yet; always a suffix of the steps *)
-  mutable se_jobs : job list;  (* submitted, newest first *)
   mutable se_memos : (string * Memo.stats) list list;  (* calling domain's *)
 }
 
@@ -599,18 +592,13 @@ let start cfg =
     se_cfg = cfg;
     se_span = span;
     se_pool =
-      Farm.Pool.create ~jobs:cfg.cf_jobs ?parent:span ~priority:job_cost
-        ~f:(fun job ->
-          let t0 = Logic.Clock.now () in
-          let r, memos =
-            Memo.measure Equivalence.memo_readings (fun () -> run_job cfg job)
-          in
-          (r, Logic.Clock.elapsed t0, memos))
+      Farm.Pool.create ~jobs:cfg.cf_jobs ?parent:span
+        ~priority:(fun _ -> 0)
+        ~f:(fun (step, plan) ->
+          Memo.measure Equivalence.memo_readings (fun () -> decide_step cfg step plan))
         ();
-    se_planned = [];
+    se_steps = 0;
     se_first = Hashtbl.create 16;
-    se_waiting = Queue.create ();
-    se_jobs = [];
     se_memos = [];
   }
 
@@ -621,7 +609,7 @@ let plan se i step =
   match plan_step cfg step with
   | `Settled cert -> Settled cert
   | `Targets (targets, batches) ->
-      let proves = ref [] in
+      let firsts = ref [] in
       let slot vc =
         let key = cache_key vc in
         match Option.bind cfg.cf_cache (fun c -> Farm.Cache.lookup c key) with
@@ -633,195 +621,75 @@ let plan se i step =
             | Some i' -> Job { key; first = i' = i }
             | None ->
                 Hashtbl.replace se.se_first key i;
-                proves := (key, vc) :: !proves;
+                firsts := key :: !firsts;
                 Job { key; first = true })
       in
       (* bind before building the record: its fields evaluate
-         right-to-left, which would read [proves] before [slot] fills it *)
+         right-to-left, which would read [firsts] before [slot] fills it *)
       let batches =
         List.map
           (fun (name, vcs) -> (name, List.map (fun vc -> (vc, slot vc)) vcs))
           batches
       in
-      Run { targets; batches; proves = List.rev !proves }
-
-(* Submit the jobs of some planned steps, in step order, as one batch:
-   each VC a step looks up first, each step's claim, then every target's
-   closure test and oracle, except a target the cache already proves.
-   Above width 1 one job per target name keeps the run memo's cross-step
-   hits on one domain.  At width 1
-   nothing is split, and one job per step and target, in step order,
-   also keeps the interpreter's few-program cache warm, as step-by-step
-   certification does. *)
-let submit se waiting =
-  let group i name = ((if se.se_cfg.cf_jobs > 1 then -1 else i), name) in
-  let proves = ref [] and claims = ref [] in
-  let oracle_steps = Hashtbl.create 64 and names = ref [] in
-  List.iter
-    (fun (i, step, plan) ->
-      match plan with
-      | Settled _ -> ()
-      | Run { targets; batches; proves = ps } ->
-          List.iter
-            (fun (key, vc) -> proves := Prove { step = i; key; vc } :: !proves)
-            ps;
-          let claimed name =
-            match step.sp_claim with Some c -> claim_covers c name | None -> false
-          in
-          (match step.sp_claim with
-          | Some claim when List.exists (fun t -> claimed t.tg_name) targets ->
-              claims := Claim { step = i; sp = step; claim } :: !claims
-          | _ -> ());
-          List.iter
-            (fun t ->
-              let cached =
-                match List.assoc_opt t.tg_name batches with
-                | Some vcs -> List.for_all (fun (_, s) -> s = Cached true) vcs
-                | None -> false
-              in
-              if not cached then
-                let run =
-                  match (t.tg_entry, claimed t.tg_name) with
-                  | true, false -> Test_closure_then_sample
-                  | true, true -> Test_closure
-                  | false, false -> Sample
-                  | false, true -> Leave
-                in
-                let key = group i t.tg_name and run = (i, step, run) in
-                match Hashtbl.find_opt oracle_steps key with
-                | Some idx -> idx := run :: !idx
-                | None ->
-                    Hashtbl.add oracle_steps key (ref [ run ]);
-                    names := key :: !names)
-            targets)
-    waiting;
-  let jobs =
-    List.rev !proves @ List.rev !claims
-    @ List.rev_map
-        (fun ((_, name) as key) ->
-          Oracle { name; steps = List.rev !(Hashtbl.find oracle_steps key) })
-        !names
-  in
-  se.se_jobs <- List.rev_append jobs se.se_jobs;
-  Farm.Pool.submit se.se_pool (Array.of_list jobs)
+      Run { targets; batches; firsts = List.rev !firsts }
 
 let add se step =
-  let i = List.length se.se_planned in
-  let p, memos = Memo.measure Equivalence.memo_readings (fun () -> plan se i step) in
+  let p, memos =
+    Memo.measure Equivalence.memo_readings (fun () -> plan se se.se_steps step)
+  in
   se.se_memos <- memos :: se.se_memos;
-  se.se_planned <- (step, p) :: se.se_planned;
-  Queue.push (i, step, p) se.se_waiting;
-  (* While the caller goes on, the helpers take whole steps in order, fed
-     one at a time whenever they have nothing queued.  Steps left waiting
-     go to [finish], which chains them per target.  At width 1 nothing
-     runs before [finish]. *)
-  if se.se_cfg.cf_jobs > 1 then
-    while (not (Queue.is_empty se.se_waiting)) && Farm.Pool.backlog se.se_pool = 0 do
-      submit se [ Queue.pop se.se_waiting ]
-    done
+  se.se_steps <- se.se_steps + 1;
+  Farm.Pool.submit se.se_pool [| (step, p) |]
 
-(* [finish] after the caller's own work: the tail, the cache, the replay *)
+(* [finish] after the caller's own work: the tail and the cache *)
 let finish_tail se =
-  let cfg = se.se_cfg in
   let t_tail = Logic.Clock.now () in
-  submit se (List.of_seq (Queue.to_seq se.se_waiting));
-  Queue.clear se.se_waiting;
   (* each job measured the memos of the domain it ran on *)
   let results, _ = Farm.Pool.close se.se_pool in
-  let jobs = Array.of_list (List.rev se.se_jobs) in
-  let planned = Array.of_list (List.rev se.se_planned) in
-  (* busy seconds per step (a proof counts for the step that first looked
-     its key up), proofs by key, oracle outcomes by step and target, and
-     the cache adds — in step order, as the streamed steps are a prefix *)
-  let n = Array.length planned in
-  let vc_busy = Array.make n 0.0 and oracle_busy = Array.make n 0.0 in
-  let proofs = Hashtbl.create 16 and ran = Hashtbl.create 256 in
-  let claims = Hashtbl.create 16 in
-  Array.iteri
-    (fun j job ->
-      match (job, results.(j)) with
-      | Prove { step; key; _ }, (Proof r, secs, _) ->
-          vc_busy.(step) <- vc_busy.(step) +. secs;
-          Hashtbl.replace proofs key r;
-          Option.iter
-            (fun cache ->
-              Option.iter
-                (fun en_status ->
-                  Farm.Cache.add cache key
-                    { Farm.Cache.en_status; en_attempts = 1; en_time = r.P.pr_time })
-                (cache_entry r))
-            cfg.cf_cache
-      | Oracle { name; _ }, (Runs rs, _, _) ->
-          List.iter
-            (fun (i, o, secs) ->
-              Hashtbl.replace ran (i, name) o;
-              oracle_busy.(i) <- oracle_busy.(i) +. secs)
-            rs
-      | Claim { step; _ }, (Checked r, secs, _) ->
-          Hashtbl.replace claims step r;
-          oracle_busy.(step) <- oracle_busy.(step) +. secs
-      | (Prove _ | Oracle _ | Claim _), _ -> assert false)
-    jobs;
-  (match cfg.cf_cache with
-  | Some cache when Array.exists (function Prove _ -> true | Oracle _ | Claim _ -> false) jobs
-    -> (
-      match Farm.Cache.save cache with
-      | Ok () -> ()
-      | Error why ->
-          Telemetry.instant "certify_cache_save_failed"
-            ~attrs:[ ("error", Telemetry.S why) ])
-  | _ -> ());
-  (* replay each step's sequential decision; an outcome the farm did not
-     precompute (an entry-point fallback, a target whose claim failed)
-     runs here *)
-  let proof key = Hashtbl.find proofs key in
-  let decided, replay_memos =
-    Memo.measure Equivalence.memo_readings @@ fun () ->
-    Array.to_list
-      (Array.mapi
-         (fun i (step, plan) ->
-           let closure name = Hashtbl.find_opt ran (i, name) = Some Closure in
-           let claimed name =
-             match (step.sp_claim, Hashtbl.find_opt claims i) with
-             | Some c, Some (Ok ()) when claim_covers c name -> Some (claim_method c)
-             | _ -> None
-           in
-           let sample name =
-             match Hashtbl.find_opt ran (i, name) with
-             | Some (Ran o) -> o
-             | Some (Closure | Claimed) | None ->
-                 let t0 = Logic.Clock.now () in
-                 let o = run_oracle ?parent:se.se_span cfg step name in
-                 oracle_busy.(i) <- oracle_busy.(i) +. Logic.Clock.elapsed t0;
-                 Hashtbl.replace ran (i, name) (Ran o);
-                 o
-           in
-           decide_step cfg ~proof ~closure ~claimed ~sample step plan)
-         planned)
-  in
+  let outcomes = Array.to_list (Array.map fst results) in
+  Option.iter
+    (fun cache ->
+      if List.exists (fun o -> o.oc_proofs <> []) outcomes then begin
+        List.iter
+          (fun o ->
+            List.iter
+              (fun (key, (r : P.proof_result)) ->
+                Option.iter
+                  (fun en_status ->
+                    Farm.Cache.add cache key
+                      { Farm.Cache.en_status; en_attempts = 1; en_time = r.P.pr_time })
+                  (cache_entry r))
+              o.oc_proofs)
+          outcomes;
+        match Farm.Cache.save cache with
+        | Ok () -> ()
+        | Error why ->
+            Telemetry.instant "certify_cache_save_failed"
+              ~attrs:[ ("error", Telemetry.S why) ]
+      end)
+    se.se_cfg.cf_cache;
   if Telemetry.enabled () then
     Telemetry.count_memos
-      (Memo.sum
-         (replay_memos :: se.se_memos
-         @ Array.to_list (Array.map (fun (_, _, m) -> m) results)));
+      (Memo.sum (se.se_memos @ Array.to_list (Array.map snd results)));
   (* Timing is the wall time certification adds after the caller's own
-     work: the jobs still running or queued, the cache writes and the
-     replay took [wall], shared out over the steps in proportion to their
-     busy seconds, so the timing fields sum to [wall] at any width *)
+     work: the jobs still running or queued and the cache writes took
+     [wall], shared out over the steps in proportion to their busy
+     seconds, so the timing fields sum to [wall] at any width *)
   let wall = Logic.Clock.elapsed t_tail in
-  let sum = Array.fold_left ( +. ) 0.0 in
-  let total = sum vc_busy +. sum oracle_busy in
+  let total =
+    List.fold_left (fun acc o -> acc +. o.oc_vc_busy +. o.oc_oracle_busy) 0.0 outcomes
+  in
   let scale = if total > 0.0 then wall /. total else 0.0 in
-  List.mapi
-    (fun i (cert, stats) ->
-      ( cert,
-        { stats with
-          ct_vc_seconds = vc_busy.(i) *. scale;
-          ct_oracle_seconds = oracle_busy.(i) *. scale } ))
-    decided
+  List.map
+    (fun o ->
+      ( o.oc_cert,
+        { o.oc_stats with
+          ct_vc_seconds = o.oc_vc_busy *. scale;
+          ct_oracle_seconds = o.oc_oracle_busy *. scale } ))
+    outcomes
 
 let finish se =
-  let attrs = [ ("steps", Telemetry.I (List.length se.se_planned)) ] in
+  let attrs = [ ("steps", Telemetry.I se.se_steps) ] in
   match se.se_span with
   | Some span ->
       Fun.protect ~finally:(fun () -> Telemetry.finish_span ~attrs span) (fun () ->

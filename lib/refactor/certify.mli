@@ -14,12 +14,11 @@
     [Refuted] with a concrete counterexample, or [Unknown].
 
     Steps are certified in a {!session}: each step is planned as it
-    arrives ({!add}) and its VCs and oracle runs go to one
+    arrives ({!add}) and its whole decision is one job of a
     {!Farm.Pool}, whose helper domains certify while the caller goes on
-    (refactoring, typically); {!finish} joins the pool and replays each
-    step's decision in order over the outcomes, so every step gets the
-    certificate and stats it would get alone.  {!certify_steps} is a
-    session fed every step up front. *)
+    (refactoring, typically); {!finish} joins the pool, so every step
+    gets the certificate and stats it would get alone.
+    {!certify_steps} is a session fed every step up front. *)
 
 open Minispark
 
@@ -82,8 +81,8 @@ type config = {
   cf_trials : int;        (** oracle trials per target *)
   cf_fuel : int;          (** interpreter step bound per oracle run *)
   cf_jobs : int;
-      (** proof-farm width for the equivalence VCs and oracle runs; while
-          steps are still arriving, [cf_jobs - 1] helper domains run them *)
+      (** proof-farm width, one job per step; while steps are still
+          arriving, [cf_jobs - 1] helper domains run them *)
   cf_cache : Farm.Cache.t option;
   cf_budget : Vcgen.budget;
   cf_entries : string list;
@@ -110,15 +109,15 @@ type stats = {
       (** wall seconds discharging equivalence VCs — the part the proof
           cache can amortise *)
   ct_oracle_seconds : float;
-      (** wall seconds in differential interpreter runs — memoized
-          only within a process ({!Equivalence.oracle}), never
+      (** wall seconds deciding targets past the VCs: closure tests,
+          claim checks and differential interpreter runs — never
           persisted, so a warm proof cache repays only [ct_vc_seconds] *)
 }
 (** The two timing fields are the wall time certification adds after the
     caller's own work, not busy time summed over farm domains: from
-    {!finish}'s start, the jobs still queued or running, the cache writes
-    and the replay take some wall time, and it is shared out over the
-    steps and the two fields in proportion to their busy seconds.  Work
+    {!finish}'s start, the jobs still queued or running and the cache
+    writes take some wall time, and it is shared out over the steps and
+    the two fields in proportion to their busy seconds.  Work
     the helpers did while the caller was busy, and planning (the diff
     and VC generation), are in neither. *)
 
@@ -147,31 +146,25 @@ val add : session -> step -> unit
 (** Plan one step on the calling domain: diff, targets, equivalence VCs
     and every proof-cache lookup, in step order (a key an earlier step
     proves is a later step's hit, as if that step had saved first).
-    Above width 1, whenever the helpers have nothing queued, the oldest
-    planned steps go to the pool whole, one at a time: each VC a step
-    looks up first, the step's claim check and each target's closure
-    test and oracle run is a job.  At width 1
-    nothing runs before {!finish}. *)
+    Then submit the step to the pool as one job, at any width: prove the
+    VCs the cache does not settle, then per residual target closure
+    identity (entry-point targets only), the step's claim (checked at
+    most once), the oracle and the entry-point fallback.  A key an
+    earlier step also looked up is proved again in this step's job.  At
+    width 1 nothing runs before {!finish}. *)
 
 val finish : session -> (certificate * stats) list
-(** Submit the steps still waiting: each VC a step looks up first, each
-    step's claim check, then each target name's closure tests and
-    oracle runs over those steps, in step order, as one job (above width 1, so the run memo's hits between a step's
-    after-program and the next step's before-program stay on one
-    domain) or one job per step and target (at width 1).  Close the pool
-    with the calling domain as a worker, add the proofs to the cache and
-    save it once, then replay each step's sequential decision over the
-    outcomes: one result per added step, in order.  Certificates,
+(** Close the pool with the calling domain as a worker, add the proofs of
+    each step's first-looked keys to the cache in step order and save it
+    once: one result per added step, in order.  Certificates,
     counterexamples and every count equal certification of the steps
     one at a time in order (a cache hit included, when an earlier step
     proved the key), whatever the width and however the steps split
-    between the helpers and the tail.  The oracle also runs, unused, for
-    targets an equivalence VC turns out to certify and for targets after
-    a step's refutation; a target whose claim fails is sampled in the
-    replay.  With telemetry on, the oracle-run, interpreter
-    and {!Minispark.Share} memo events of every job and of the calling
-    domain are published as [oracle_memo_*], [interp_memo_*] and
-    [share_*_memo_*] counters. *)
+    between the helpers and the tail; steps after a refuted one are
+    certified too.  With telemetry on, the interpreter and
+    {!Minispark.Share} memo events of every job and of the calling
+    domain are published as [interp_memo_*] and [share_*_memo_*]
+    counters. *)
 
 val certify_steps : config -> step list -> (certificate * stats) list
 (** A session fed every step, then finished. *)

@@ -156,46 +156,31 @@ let enumerate_inputs env ?(limit = 4096) (sub : Ast.subprogram) =
   in
   product ins
 
-let run_sub ~fuel env program (sub : Ast.subprogram) inputs =
-  let rt = Interp.make ~fuel env program in
-  if sub.Ast.sub_return <> None then [ Interp.run_function rt sub.Ast.sub_name inputs ]
-  else Interp.run_procedure rt sub.Ast.sub_name inputs
-
-let values_equal a b =
-  List.length a = List.length b && List.for_all2 Value.equal a b
-
-(* ------------------------------------------------------------------ *)
-(* Memoized oracle substrate                                           *)
-(*                                                                     *)
-(* A refactoring history runs the same behaviour over and over: step  *)
-(* k's after-program is step k+1's before-program, and a step leaves  *)
-(* most subprograms untouched.  Runs are therefore memoized per domain *)
-(* on what can influence them — the target's behaviour closure (see   *)
-(* [closure_digest]), the fuel left after global initialisation and   *)
-(* the inputs — not on the whole program, so a run is reused across   *)
-(* program versions whose edits lie outside the closure.  Verdicts    *)
-(* and counterexamples are identical to the unmemoized computation.   *)
-(* ------------------------------------------------------------------ *)
-
 type outcome =
   | R_vals of Value.t list
   | R_raised of string
   | R_fuel
 
-let memo_cap = 512
+(* one run of [sub] under [fuel]; [env] must be [program]'s own type
+   environment *)
+let run ~fuel env program (sub : Ast.subprogram) inputs =
+  match
+    let rt = Interp.make ~fuel env program in
+    if sub.Ast.sub_return <> None then [ Interp.run_function rt sub.Ast.sub_name inputs ]
+    else Interp.run_procedure rt sub.Ast.sub_name inputs
+  with
+  | vs -> R_vals vs
+  | exception (Interp.Stuck msg | Value.Runtime_error msg) -> R_raised msg
+  | exception Interp.Out_of_fuel -> R_fuel
 
-let runs_key : (string, outcome) Memo.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Memo.create memo_cap)
+let values_equal a b =
+  List.length a = List.length b && List.for_all2 Value.equal a b
 
-let runs () = Domain.DLS.get runs_key
-let run_memo_stats () = Memo.stats (runs ())
+let memo_readings () = ("interp_memo", Interp.memo_stats ()) :: Share.memo_stats ()
 
-let memo_readings () =
-  ("oracle_memo", run_memo_stats ()) :: ("interp_memo", Interp.memo_stats ())
-  :: Share.memo_stats ()
-
-let marshal_digest x =
-  Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
+(* ------------------------------------------------------------------ *)
+(* Closure identity                                                    *)
+(* ------------------------------------------------------------------ *)
 
 (* Digest of every declaration a run of [name] can observe
    ([Share.closure_digest]), rooted at [name], every type declaration
@@ -234,31 +219,6 @@ let same_closure ~fuel (env_a, prog_a) (env_b, prog_b) name =
   && Ast.find_sub prog_b name <> None
   && String.equal (closure_digest prog_a name) (closure_digest prog_b name)
   && initialises env_a prog_a && initialises env_b prog_b
-
-let outcome_of run =
-  match run () with
-  | vs -> R_vals vs
-  | exception (Interp.Stuck msg | Value.Runtime_error msg) -> R_raised msg
-  | exception Interp.Out_of_fuel -> R_fuel
-
-(* [env] must be [prog]'s own type environment.  A run's outcome is a
-   function of its key: fuel only bounds the work, and a memo hit skips
-   the run's fuel as Interp's const-function memo already does.  When
-   global initialisation fails every run fails the same way, unmemoized. *)
-let runner ~fuel env prog (sub : Ast.subprogram) : Value.t list -> outcome =
-  let run inputs = outcome_of (fun () -> run_sub ~fuel env prog sub inputs) in
-  match Interp.make ~fuel env prog with
-  | exception (Interp.Stuck _ | Value.Runtime_error _ | Interp.Out_of_fuel) -> run
-  | rt ->
-      let prefix =
-        Printf.sprintf "%s:%s:%d:" sub.Ast.sub_name
-          (closure_digest prog sub.Ast.sub_name)
-          (Interp.fuel_left rt)
-      in
-      fun inputs ->
-        Memo.find (runs ())
-          (prefix ^ marshal_digest inputs)
-          (fun () -> run inputs)
 
 (* ------------------------------------------------------------------ *)
 (* The oracle                                                          *)
@@ -316,7 +276,7 @@ let gen_inputs env (sub : Ast.subprogram) : Value.t list QCheck.Gen.t =
 
 let show_values vs = String.concat ", " (List.map Value.to_string vs)
 
-(* one differential trial over memoized runs of the two versions;
+(* one differential trial over runs of the two versions;
    [None] = agreement *)
 let run_case ~run_a ~run_b name inputs =
   let cx before after =
@@ -350,8 +310,8 @@ let oracle ~seed ~trials ~fuel (env_a, prog_a) (env_b, prog_b) name : verdict =
   | None, _ | _, None ->
       Undecided (Printf.sprintf "%s is not present in both versions" name)
   | Some sub_a, Some sub_b -> (
-      let run_a = runner ~fuel env_a prog_a sub_a in
-      let run_b = runner ~fuel env_b prog_b sub_b in
+      let run_a = run ~fuel env_a prog_a sub_a in
+      let run_b = run ~fuel env_b prog_b sub_b in
       let case inputs = run_case ~run_a ~run_b name inputs in
       match enumerate_inputs env_b sub_b with
       | Some all ->

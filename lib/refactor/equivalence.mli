@@ -47,15 +47,14 @@ val oracle :
     run is bounded by [fuel] interpreter steps.  A differing result, a
     rewrite that raises where the original did not, or one that runs out
     of fuel where the original finished is a counterexample; two versions
-    that both raise agree.  Runs go through a per-domain memo keyed on the
-    target's behaviour closure, the fuel left after global initialisation
-    and the inputs, so an edit elsewhere in the program reuses the run.
-    Each version's environment must be its program's own. *)
+    that both raise agree.  Every run is interpreted afresh; only the
+    interpreter's compiled programs are cached.  Each version's
+    environment must be its program's own. *)
 
 val closure_digest : Ast.program -> string -> string
 (** Digest of everything a run of a subprogram can observe: its reachable
     declarations, every type declaration and every global initialiser
-    that calls a subprogram — the run memo's key. *)
+    that calls a subprogram — the key of {!same_closure}. *)
 
 val same_closure :
   fuel:int -> Typecheck.env * Ast.program -> Typecheck.env * Ast.program -> string ->
@@ -81,11 +80,7 @@ type domain =
 val domains_of_pre : Ast.expr option -> (string * domain) list
 (** Sampling domains extracted from recognised precondition conjuncts. *)
 
-val run_memo_stats : unit -> Memo.stats
-(** Hits, misses and evictions of the calling domain's run memo. *)
-
 val memo_readings : unit -> (string * Memo.stats) list
 (** The calling domain's memos a differential run goes through, for
-    {!Memo.measure}: the run memo ([oracle_memo]), the interpreter's
-    compiled-program cache ([interp_memo]) and {!Share}'s declaration
-    memos. *)
+    {!Memo.measure}: the interpreter's compiled-program cache
+    ([interp_memo]) and {!Share}'s declaration memos. *)

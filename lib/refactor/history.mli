@@ -40,9 +40,8 @@ val apply : ?certify:Certify.config -> t -> Transform.t -> step
     certificate is recorded on the step, and a refuted step raises
     {!Certify.Refutation} with the state unchanged.  With telemetry on,
     the application's use of the {!Equivalence.memo_readings} memos is
-    published as the [oracle_memo_*], [interp_memo_*] and
-    [share_*_memo_*] counters (certification publishes its own, see
-    {!Certify.finish}).
+    published as the [interp_memo_*] and [share_*_memo_*] counters
+    (certification publishes its own, see {!Certify.finish}).
     @raise Transform.Not_applicable on mechanical rejection (state
     unchanged). *)
 

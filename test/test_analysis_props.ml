@@ -15,27 +15,6 @@ module A = Analysis
 (* generator: byte programs over a fixed frame, with optional loop     *)
 (* ------------------------------------------------------------------ *)
 
-let gen_expr_over vars =
-  let open QCheck.Gen in
-  let leaf =
-    oneof
-      [ map (fun n -> Ast.Int_lit (n land 0xff)) (int_range 0 255);
-        map (fun k -> Ast.Var (List.nth vars (k mod List.length vars)))
-          (int_range 0 (List.length vars - 1)) ]
-  in
-  fix
-    (fun self depth ->
-      if depth = 0 then leaf
-      else
-        frequency
-          [ (2, leaf);
-            (3,
-             map2
-               (fun op (a, b) -> Ast.Binop (op, a, b))
-               (oneofl Ast.[ Add; Sub; Mul; Bxor; Band; Bor ])
-               (pair (self (depth - 1)) (self (depth - 1)))) ])
-    3
-
 (* a body that definitely initialises x and y before the random tail and
    always sets the out parameter last; an optional bounded loop exercises
    the fixpoint/widening path of the analyzer *)
@@ -45,7 +24,7 @@ let gen_body =
     map2
       (fun t e -> Ast.Assign (Ast.Lvar t, e))
       (oneofl [ "x"; "y"; "r" ])
-      (gen_expr_over [ "a"; "b"; "x"; "y" ])
+      (Randprog.gen_expr_over [ "a"; "b"; "x"; "y" ])
   in
   let tail = list_size (int_range 1 6) stmt in
   map2
@@ -80,16 +59,8 @@ let program_of_body body =
         ~locals:[ local "x" (t_named "byte"); local "y" (t_named "byte") ]
         body ]
 
-let arbitrary_program =
-  QCheck.make
-    ~print:(fun body -> Pretty.program_to_string (program_of_body body))
-    gen_body
-
-let run_f env prog a b =
-  let rt = Interp.make env prog in
-  match Interp.run_procedure rt "f" [ Value.Vint a; Value.Vint b ] with
-  | [ r ] -> Value.as_int r
-  | _ -> Alcotest.fail "expected one out value"
+let arbitrary_program = Randprog.arbitrary ~program_of_body gen_body
+let run_f = Randprog.run_f
 
 (* ------------------------------------------------------------------ *)
 (* property 1: exit intervals contain every interpreted result         *)

@@ -190,7 +190,7 @@ let test_add_stats_sums_seconds () =
   feq "oracle seconds add" 0.75 s.C.ct_oracle_seconds
 
 (* ------------------------------------------------------------------ *)
-(* Oracle run memo: the key covers the target's behaviour closure       *)
+(* The behaviour closure: what a run of the target can observe          *)
 (* ------------------------------------------------------------------ *)
 
 module E = Refactor.Equivalence
@@ -228,8 +228,8 @@ end closure;
 |}
 
 (* each edit leaves [f]'s own declaration untouched but changes what a run
-   of [f] computes; a run memo keyed on [f]'s declaration alone would
-   answer the edited version with the original's results *)
+   of [f] computes; a closure test that looked at [f]'s declaration alone
+   would certify it *)
 let closure_edits =
   [
     ("callee g", "return x + 1;", "return x + 2;");
@@ -245,7 +245,7 @@ let check_f before after () =
   | E.Refuted cx -> E.counterexample_to_string cx
   | E.Undecided why -> why
 
-let test_closure_key_soundness () =
+let test_closure_edits_refuted () =
   let before = check_src closure_src in
   let cfg = C.default_config ~entries:[ "f" ] () in
   List.iter
@@ -261,7 +261,8 @@ let test_closure_key_soundness () =
       Alcotest.(check bool)
         (what ^ ": cold certificate refutes") true
         (Astring.String.is_prefix ~affix:"refuted" cold_cert);
-      (* warm: the original's runs of f are memoized first *)
+      (* again, after the original's runs of f, on a domain whose memos
+         are warm *)
       ignore (check_f before before ());
       for _ = 1 to 2 do
         Alcotest.(check string) (what ^ ": warm oracle = cold") cold_sub
@@ -271,22 +272,13 @@ let test_closure_key_soundness () =
       done)
     closure_edits
 
-let test_closure_key_reuse () =
+let test_unrelated_edit_equivalent () =
   let before = check_src closure_src in
   let after =
     check_src (Str_replace.replace closure_src ~find:"return x * 2;" ~by:"return x * 3;")
   in
-  let hits, misses, verdict =
-    cold (fun () ->
-        let s0 = E.run_memo_stats () in
-        let verdict = check_f before after () in
-        let d = Memo.diff (E.run_memo_stats ()) s0 in
-        (d.Memo.hits, d.Memo.misses, verdict))
-  in
-  Alcotest.(check string) "unrelated edit keeps f equivalent" "equivalent 16" verdict;
-  (* per input: the edited version's run misses, the original's hits it *)
-  Alcotest.(check int) "one miss per input" 16 misses;
-  Alcotest.(check int) "one hit per input" 16 hits
+  Alcotest.(check string) "unrelated edit keeps f equivalent" "equivalent 16"
+    (cold (check_f before after))
 
 (* ------------------------------------------------------------------ *)
 (* Decided routes: closure identity, the table scheme, reused verdicts *)
@@ -1221,6 +1213,17 @@ let test_scheme_sweep () =
   Alcotest.(check bool) "mutants" true (!mutants > 0);
   Alcotest.(check bool) "paired mutants decided" true (!pairs_decided > 0)
 
+(* each step's certificate and counts in [batch] are those it got
+   certified alone *)
+let expect_alone ~jobs steps alone batch =
+  Alcotest.(check int) "one result per step" (List.length steps) (List.length batch);
+  List.iter2
+    (fun (sp : C.step) ((c1, s1), (c2, s2)) ->
+      let what = Printf.sprintf "jobs=%d %s" jobs sp.C.sp_name in
+      Alcotest.(check string) (what ^ ": certificate") (C.describe c1) (C.describe c2);
+      Alcotest.(check (list int)) (what ^ ": counts") (counts s1) (counts s2))
+    steps (List.combine alone batch)
+
 (* the full AES script: certified as one batch at width 1 and 2, every
    step gets the certificate and counts it gets certified alone, in
    order, and the batch's timing fields stay within its wall time *)
@@ -1231,13 +1234,7 @@ let test_batch_equals_steps () =
       let t0 = Logic.Clock.now () in
       let batch = C.certify_steps (aes_cfg jobs) steps in
       let wall = Logic.Clock.elapsed t0 in
-      Alcotest.(check int) "one result per step" (List.length steps) (List.length batch);
-      List.iter2
-        (fun (sp : C.step) ((c1, s1), (c2, s2)) ->
-          let what = Printf.sprintf "jobs=%d %s" jobs sp.C.sp_name in
-          Alcotest.(check string) (what ^ ": certificate") (C.describe c1) (C.describe c2);
-          Alcotest.(check (list int)) (what ^ ": counts") (counts s1) (counts s2))
-        steps (List.combine alone batch);
+      expect_alone ~jobs steps alone batch;
       let timed = List.fold_left (fun acc (_, s) -> acc +. timing s) 0.0 batch in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d: timing %.3fs within the %.3fs wall" jobs timed wall)
@@ -1353,6 +1350,76 @@ let test_batch_refutation_mid_script jobs () =
     |> Pretty.program_to_string)
     (Pretty.program_to_string (snd (H.current h)))
 
+(* A session over [base_src] plus a function [h] whose precondition no
+   byte satisfies, at widths 1 and 2: a step whose claim fails (its
+   target is sampled), a step whose target the oracle cannot sample (it
+   falls back to the entry point [double]), a refutation, and a good step
+   after it.  Each step's certificate and counts equal those it gets
+   certified alone. *)
+let test_session_outcomes_any_width () =
+  let h_fun =
+    {|
+  function h (x : in byte) return byte
+  --# pre x > 300;
+  is
+  begin
+    return x;
+  end h;
+|}
+  in
+  let s0 = Str_replace.replace base_src ~find:"end base;" ~by:(h_fun ^ "end base;") in
+  let s1 =
+    Str_replace.replace s0
+      ~find:"a (0) := a (0) * 2;
+    a (1) := a (1) * 2;
+    a (2) := a (2) * 2;
+    a (3) := a (3) * 2;"
+      ~by:"for i in 0 .. 3 loop
+    a (i) := a (i) * 2;
+    end loop;"
+  in
+  (* a renamed parameter makes [h] ineligible for equivalence VCs *)
+  let s2 =
+    Str_replace.replace s1 ~find:"function h (x : in byte) return byte
+  --# pre x > 300;
+  is
+  begin
+    return x;"
+      ~by:"function h (y : in byte) return byte
+  --# pre y > 300;
+  is
+  begin
+    return y;"
+  in
+  let s3 = Str_replace.replace s2 ~find:"a (i) * 2" ~by:"a (i) * 3" in
+  let s4 = Str_replace.replace s3 ~find:"t := x + x;
+    return t;" ~by:"return x + x;" in
+  let progs = List.map check_src [ s0; s1; s2; s3; s4 ] in
+  let steps =
+    List.mapi
+      (fun k (name, claim) ->
+        let before = List.nth progs k and after = List.nth progs (k + 1) in
+        { C.sp_name = name; sp_before = before; sp_after = after;
+          sp_claim = Option.map (fun f -> f before after) claim })
+      [ ("reroll(scale)", Some (agreement ~after_digest:"elsewhere"));
+        ("rename(h)", None); ("break(scale)", None); ("inline-temp(double)", None) ]
+  in
+  let cfg jobs = { (C.default_config ~entries:[ "double" ] ()) with C.cf_jobs = jobs } in
+  let alone = List.map (fun sp -> List.hd (C.certify_steps (cfg 1) [ sp ])) steps in
+  (match List.map fst alone with
+  | [ c1; c2; c3; c4 ] ->
+      expect_sampled "a failed claim" "scale" c1;
+      (* [double] is not a target of a step that keeps the program's
+         shape, so the fallback samples it rather than test its closure *)
+      Alcotest.(check string) "h by the entry points" "certified (h entries:256)"
+        (C.describe c2);
+      expect_refuted "the breaking step" c3;
+      Alcotest.(check bool) "the step after the refutation" true (is_certified c4)
+  | _ -> Alcotest.fail "expected four steps");
+  List.iter
+    (fun jobs -> expect_alone ~jobs steps alone (C.certify_steps (cfg jobs) steps))
+    [ 1; 2 ]
+
 let test_orchestrated_batch_refutation () =
   let case =
     script_case (fun ?certify h ->
@@ -1395,10 +1462,10 @@ let suites =
         Alcotest.test_case "v2 VC-cache entries miss" `Quick (test_old_entries_miss "v2");
         Alcotest.test_case "certify stats seconds add" `Quick
           test_add_stats_sums_seconds;
-        Alcotest.test_case "run memo key covers the behaviour closure" `Quick
-          test_closure_key_soundness;
-        Alcotest.test_case "run memo reused across an unrelated edit" `Quick
-          test_closure_key_reuse;
+        Alcotest.test_case "an edit the closure reaches is refuted, cold or warm" `Quick
+          test_closure_edits_refuted;
+        Alcotest.test_case "an edit outside the closure keeps the oracle's verdict" `Quick
+          test_unrelated_edit_equivalent;
         Alcotest.test_case "seeded defects are refuted" `Slow test_defect_corpus;
       ] );
     ( "certify:decided",
@@ -1498,6 +1565,8 @@ let suites =
           (test_batch_refutation_mid_script 1);
         Alcotest.test_case "width 2: mid-script refutation wins over a rejection" `Quick
           (test_batch_refutation_mid_script 2);
+        Alcotest.test_case "session outcomes at widths 1 and 2 = each step alone" `Quick
+          test_session_outcomes_any_width;
         Alcotest.test_case "AES script certified while it runs = step by step" `Slow
           test_run_certified_equals_steps;
       ] );

@@ -16,27 +16,6 @@ open Minispark
 (* subprogram frame: procedure f (a : in byte; b : in byte; r : out byte),
    locals x y : byte; statements assign x/y/r from byte expressions *)
 
-let gen_expr_over vars =
-  let open QCheck.Gen in
-  let leaf =
-    oneof
-      [ map (fun n -> Ast.Int_lit (n land 0xff)) (int_range 0 255);
-        map (fun k -> Ast.Var (List.nth vars (k mod List.length vars)))
-          (int_range 0 (List.length vars - 1)) ]
-  in
-  fix
-    (fun self depth ->
-      if depth = 0 then leaf
-      else
-        frequency
-          [ (2, leaf);
-            (3,
-             map2
-               (fun op (a, b) -> Ast.Binop (op, a, b))
-               (oneofl Ast.[ Add; Sub; Mul; Bxor; Band; Bor ])
-               (pair (self (depth - 1)) (self (depth - 1)))) ])
-    3
-
 let gen_body =
   let open QCheck.Gen in
   let targets = [ "x"; "y"; "r" ] in
@@ -44,7 +23,7 @@ let gen_body =
     map2
       (fun t e -> Ast.Assign (Ast.Lvar t, e))
       (oneofl targets)
-      (gen_expr_over [ "a"; "b"; "x"; "y" ])
+      (Randprog.gen_expr_over [ "a"; "b"; "x"; "y" ])
   in
   list_size (int_range 2 8) stmt
 
@@ -70,16 +49,8 @@ let program_of_body body =
           } ];
   }
 
-let arbitrary_program =
-  QCheck.make
-    ~print:(fun body -> Pretty.program_to_string (program_of_body body))
-    gen_body
-
-let run_f env prog a b =
-  let rt = Interp.make env prog in
-  match Interp.run_procedure rt "f" [ Value.Vint a; Value.Vint b ] with
-  | [ r ] -> Value.as_int r
-  | _ -> Alcotest.fail "expected one out value"
+let arbitrary_program = Randprog.arbitrary ~program_of_body gen_body
+let run_f = Randprog.run_f
 
 (* ------------------------------------------------------------------ *)
 (* property 1: introduce_temp + inline_temp round-trips semantics      *)
