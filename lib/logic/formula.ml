@@ -387,33 +387,36 @@ let rec iter f t =
 (** Capture-naive substitution of a variable by a term (quantified variables
     shadow as expected).  The cached free-variable set prunes untouched
     subtrees in O(1); a per-call memo keyed on node identity rewrites each
-    shared subterm once. *)
+    shared subterm once; a term without [x] free comes back as is, before
+    any memo is allocated. *)
 let subst x v t =
-  let memo : (int * int, t) Hashtbl.t = Hashtbl.create 64 in
-  let rec go t =
-    if not (mem_fv x t.fvs) then t
-    else
-      let k = (t.dom, t.tag) in
-      match Hashtbl.find_opt memo k with
-      | Some r -> r
-      | None ->
-          let r =
-            match t.node with
-            | Var _ -> v (* x free in a Var means the Var is x *)
-            | Int _ | Bool _ -> t
-            | App (op, args) -> mk (App (op, map_sharing go args))
-            | Ite (c, a, b) -> mk (Ite (go c, go a, go b))
-            | Forall (y, lo, hi, body) ->
-                if String.equal x y then mk (Forall (y, go lo, go hi, body))
-                else mk (Forall (y, go lo, go hi, go body))
-            | Exists (y, lo, hi, body) ->
-                if String.equal x y then mk (Exists (y, go lo, go hi, body))
-                else mk (Exists (y, go lo, go hi, go body))
-          in
-          Hashtbl.add memo k r;
-          r
-  in
-  go t
+  if not (mem_fv x t.fvs) then t
+  else
+    let memo : (int * int, t) Hashtbl.t = Hashtbl.create 64 in
+    let rec go t =
+      if not (mem_fv x t.fvs) then t
+      else
+        let k = (t.dom, t.tag) in
+        match Hashtbl.find_opt memo k with
+        | Some r -> r
+        | None ->
+            let r =
+              match t.node with
+              | Var _ -> v (* x free in a Var means the Var is x *)
+              | Int _ | Bool _ -> t
+              | App (op, args) -> mk (App (op, map_sharing go args))
+              | Ite (c, a, b) -> mk (Ite (go c, go a, go b))
+              | Forall (y, lo, hi, body) ->
+                  if String.equal x y then mk (Forall (y, go lo, go hi, body))
+                  else mk (Forall (y, go lo, go hi, go body))
+              | Exists (y, lo, hi, body) ->
+                  if String.equal x y then mk (Exists (y, go lo, go hi, body))
+                  else mk (Exists (y, go lo, go hi, go body))
+            in
+            Hashtbl.add memo k r;
+            r
+    in
+    go t
 
 let free_vars t = t.fvs
 let node_count t = t.size

@@ -17,7 +17,13 @@
    unknown callee, an unresolvable type — compiles to a closure that
    raises the same error when execution reaches it.  Operands are
    evaluated in the tree-walker's order: binary operators right operand
-   first, argument lists and aggregates left to right. *)
+   first, argument lists and aggregates left to right.
+
+   A function with scalar [in] parameters that reads no mutable global
+   has its results memoized in one table per domain, keyed by its
+   behaviour (its name and the content digest of everything a call can
+   reach) and the argument values, so the many program versions of a
+   refactoring script share each result ([fn_memos]). *)
 
 open Ast
 
@@ -242,15 +248,13 @@ type frame = Value.t array
      template, so a fresh runtime copies one small array instead of
      re-evaluating ten 256-element AES tables;
    - every subprogram, compiled on its first call;
-   - a memo of "const functions" (scalar in-parameters, reads no mutable
-     global, transitively) and their results — gf_mul/xtime-style helpers
-     dominate differential-oracle time.
+   - for each "const function" (scalar in-parameters, reads no mutable
+     global, transitively), its behaviour: the key of its results in the
+     domain's one const-function memo ([fn_memos]).
 
    Values are immutable (arrays are copy-on-update), so sharing the
-   template values and memoized results across runtimes is safe.  A memo
-   hit skips the callee's fuel consumption: fuel stays an upper bound on
-   work actually performed, and a divergence can only be reported when
-   the body was actually run. *)
+   template values across runtimes, and memoized results across runtimes
+   and programs, is safe. *)
 type rt = {
   cp : cprog;
   globals : Value.t array;
@@ -262,6 +266,8 @@ and cprog = {
   cp_globals : (ident, int) Hashtbl.t;  (* global name -> slot *)
   cp_subs : (ident, csub) Hashtbl.t;  (* first declaration wins *)
   cp_fn_const : (ident, bool) Hashtbl.t;
+  cp_closure_digest : (ident list -> string) Lazy.t;  (* [Share.closure_digest] *)
+  cp_fn_memo : (string * Value.t list, Value.t) Memo.t;  (* the domain's [fn_memos] *)
   mutable cp_template : Value.t array option;
   mutable cp_init_cost : int;
 }
@@ -273,8 +279,9 @@ and csub = {
   mutable cs_memo : fn_memo;
 }
 
-(* whether calls are memoized, asked of [fn_const] at the first call *)
-and fn_memo = Unasked | Direct | Memoized of (Value.t list, Value.t) Memo.t
+(* whether calls are memoized, asked of [fn_const] at the first call;
+   a memoized function's results are keyed by its behaviour *)
+and fn_memo = Unasked | Direct | Memoized of string
 
 and code = {
   c_slots : int;
@@ -778,13 +785,14 @@ and enter rt cs argv =
 and call_function rt cs argv =
   match cs.cs_memo with
   | Direct -> call_function_uncached rt cs argv
-  | Memoized memo -> Memo.find memo argv (fun () -> call_function_uncached rt cs argv)
+  | Memoized behaviour ->
+      Memo.find cs.cs_prog.cp_fn_memo (behaviour, argv) (fun () ->
+          call_function_uncached rt cs argv)
   | Unasked ->
-      let cp = cs.cs_prog in
+      let cp = cs.cs_prog and name = cs.cs_sub.sub_name in
       cs.cs_memo <-
-        (if fn_const cp cp.cp_env cs.cs_sub.sub_name then
-           (* every byte pair of a two-byte-argument function *)
-           Memoized (Memo.create 65_536)
+        (if fn_const cp cp.cp_env name then
+           Memoized (name ^ " " ^ Lazy.force cp.cp_closure_digest [ name ])
          else Direct);
       call_function rt cs argv
 
@@ -807,6 +815,44 @@ and call_procedure rt cs argv =
       match mode with Mode_in -> None | Mode_out | Mode_in_out -> Some (co f.(k)))
     c.c_params
 
+(* ---------------- the const-function memo ---------------- *)
+
+(* One memo per domain for the results of every const function of every
+   program the domain runs, keyed by (behaviour, argument values).  A
+   refactoring script makes a new program version per step, and most of
+   each version is the previous one's: keyed by behaviour, a result
+   computed on one version serves every later version whose function
+   has the same behaviour.
+
+   A function's behaviour is its name with its [Share.closure_digest]:
+   the function, every callee it can reach, and the constants and types
+   they read, with everything their initialisers read, in program order.
+   The name picks the function out of that closure, which two functions
+   can share: the closure follows names syntactically, so a parameter
+   named like a later function draws that function in.  A const function
+   reads no mutable global, and a type-checked function writes none;
+   every name it reaches is declared before it, so a global initialiser
+   that calls it finds those constants set.  Two functions with the same
+   behaviour therefore compute the same result from the same arguments,
+   in any program.  The digest is the content identity closure-identity
+   certificates trust ([Equivalence.same_closure]).
+
+   Only a completed call stores its result: a call that raises ([Stuck],
+   [Out_of_fuel]) stores nothing.  A hit skips the callee's fuel
+   consumption, within a program and across programs alike: fuel stays
+   an upper bound on work actually performed, and a divergence can only
+   be reported when the body was actually run.  So near the fuel bound,
+   whether a run completes can depend on what the domain ran before; the
+   oracles' runs stay far below it.  The cap is one total for the
+   domain: every byte pair of one two-byte-argument function, such as
+   [gf_mul]. *)
+let fn_memo_cap = 65_536
+
+let fn_memos : (string * Value.t list, Value.t) Memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Memo.create fn_memo_cap)
+
+let fn_memo_stats () = Memo.stats (Domain.DLS.get fn_memos)
+
 (* ---------------- the program cache ---------------- *)
 
 (* Compiled programs per domain, keyed by program and environment.
@@ -815,7 +861,7 @@ and call_procedure rt cs argv =
    declaration back as the earlier object while that one is still in its
    memo, so comparing two cached versions skips their shared
    declarations and stops at the first differing one.  The cap bounds
-   the compiled code and const-function memos kept alive. *)
+   the compiled code kept alive. *)
 let program_cap = 4
 
 let programs : (program * Typecheck.env, cprog) Memo.t Domain.DLS.key =
@@ -830,6 +876,8 @@ let compile_program env program =
       cp_globals = Hashtbl.create 32;
       cp_subs = Hashtbl.create 32;
       cp_fn_const = Hashtbl.create 16;
+      cp_closure_digest = lazy (Share.closure_digest program);
+      cp_fn_memo = Domain.DLS.get fn_memos;
       cp_template = None;
       cp_init_cost = 0;
     }

@@ -1,5 +1,7 @@
 (** Big-step interpreter for MiniSpark, compiled per subprogram to
-    closures on first call and cached per domain and program.
+    closures on first call and cached per domain and program; the
+    results of pure scalar functions are memoized per domain across
+    programs ({!fn_memo_stats}).
 
     Annotations ([Assert], loop invariants, pre/post) are not executed —
     they are comments to Ada — so an annotated program and its bare version
@@ -59,5 +61,19 @@ val eval_expr : rt -> (string * Value.t) list -> Ast.expr -> Value.t
 val memo_stats : unit -> Memo.stats
 (** Hits, misses and evictions of the calling domain's compiled-program
     cache: a miss compiles a program (its subprograms are compiled on
-    their first call), an eviction drops one with its const-function
-    memos. *)
+    their first call), an eviction drops one. *)
+
+val fn_memo_stats : unit -> Memo.stats
+(** Hits, misses and evictions of the calling domain's const-function
+    memo.  A function whose parameters are all scalar [in] parameters and
+    that reads no mutable global, transitively, has its results memoized
+    under its behaviour: the function's name with its
+    {!Share.closure_digest}, which covers its reachable callees and the
+    constants and types they read (two functions can share one closure,
+    so the name is part of the key).  One memo per domain serves every
+    program the domain runs, so a result computed on one program version
+    is a hit on every later version whose function has the same
+    behaviour.  A call that raises stores nothing; a hit skips the
+    callee's fuel, so near the fuel bound whether a run completes can
+    depend on what the domain ran before.  One total cap bounds the
+    memo, however many programs the domain sees. *)

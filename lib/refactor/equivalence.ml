@@ -176,7 +176,10 @@ let run ~fuel env program (sub : Ast.subprogram) inputs =
 let values_equal a b =
   List.length a = List.length b && List.for_all2 Value.equal a b
 
-let memo_readings () = ("interp_memo", Interp.memo_stats ()) :: Share.memo_stats ()
+let memo_readings () =
+  ("interp_memo", Interp.memo_stats ())
+  :: ("interp_fn_memo", Interp.fn_memo_stats ())
+  :: Share.memo_stats ()
 
 (* ------------------------------------------------------------------ *)
 (* Closure identity                                                    *)

@@ -83,4 +83,5 @@ val domains_of_pre : Ast.expr option -> (string * domain) list
 val memo_readings : unit -> (string * Memo.stats) list
 (** The calling domain's memos a differential run goes through, for
     {!Memo.measure}: the interpreter's compiled-program cache
-    ([interp_memo]) and {!Share}'s declaration memos. *)
+    ([interp_memo]), its const-function memo ([interp_fn_memo]) and
+    {!Share}'s declaration memos. *)

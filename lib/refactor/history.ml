@@ -51,18 +51,8 @@ let apply_step h (tr : Transform.t) =
       Telemetry.finish_span span ~attrs:[ ("outcome", Telemetry.S "rejected") ];
       raise e
   in
-  (if not (Telemetry.enabled ()) then Telemetry.finish_span span
-   else
-     let m = Metrics.analyze program' in
-     Telemetry.count "transforms_applied";
-     Telemetry.finish_span span
-       ~attrs:
-         [
-           ("outcome", Telemetry.S "applied");
-           ("lines_after", Telemetry.I m.Metrics.element.Metrics.em_lines);
-           ( "avg_cyclomatic_after",
-             Telemetry.F m.Metrics.complexity.Metrics.cm_avg_cyclomatic );
-         ]);
+  Telemetry.count "transforms_applied";
+  Telemetry.finish_span span ~attrs:[ ("outcome", Telemetry.S "applied") ];
   let step =
     {
       st_index = List.length h.steps;

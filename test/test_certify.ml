@@ -309,6 +309,72 @@ let expect_sampled what name cert =
   | Some (C.M_oracle _ | C.M_vc _) -> ()
   | _ -> Alcotest.failf "%s: expected %s sampled, got %s" what name (C.describe cert)
 
+(* [f] is a memoized const function that calls [g] and reads [t]; the
+   loop keeps [p]'s equivalence VC out of reach, so [p] is sampled *)
+let memo_src =
+  {|
+program memo is
+
+  type byte is mod 256;
+  type tbl is array (0 .. 3) of byte;
+  t : constant tbl := (1, 2, 3, 4);
+
+  function g (x : in byte) return byte
+  is
+  begin
+    return x + 10;
+  end g;
+
+  function f (x : in byte) return byte
+  is
+  begin
+    return g (x) + t (x mod 4);
+  end f;
+
+  procedure p (x : in byte; r : out byte)
+  is
+  begin
+    r := 0;
+    for i in 0 .. 1 loop
+      r := r + f (x);
+    end loop;
+  end p;
+
+end memo;
+|}
+
+(* One width-1 session, so every oracle run shares the domain's
+   const-function memo.  The first step samples [p] on the original,
+   running [f] and [g] on every byte; each later step starts from that
+   step's after and changes only what [f] reaches.  A memo keyed by [f]'s
+   name would serve the first step's results to both, and one keyed by
+   [f]'s declaration to the second. *)
+let test_memo_across_steps_refutes () =
+  let warm_src = Str_replace.replace memo_src ~find:"r := 0;" ~by:"r := 1 - 1;" in
+  let warm = check_src warm_src in
+  let step name before after =
+    { C.sp_name = name; sp_before = before; sp_after = after; sp_claim = None }
+  in
+  let on_warm find by = step find warm (check_src (Str_replace.replace warm_src ~find ~by)) in
+  let steps =
+    [ step "warm" (check_src memo_src) warm;
+      on_warm "return x + 10;" "return x + 11;";
+      on_warm "(1, 2, 3, 4)" "(1, 2, 3, 5)" ]
+  in
+  let cfg = C.default_config ~entries:[ "p" ] () in
+  match cold (fun () -> C.certify_steps cfg steps) with
+  | [ (first, _); (callee, _); (table, _) ] ->
+      expect_sampled "the first step" "p" first;
+      List.iter
+        (fun (what, cert) ->
+          match cert with
+          | C.Refuted cx ->
+              Alcotest.(check bool) (what ^ ": the counterexample differs") true
+                (cx.C.cx_before <> cx.C.cx_after)
+          | c -> Alcotest.failf "%s: expected a refutation, got %s" what (C.describe c))
+        [ ("callee g", callee); ("table t", table) ]
+  | _ -> Alcotest.fail "three certificates expected"
+
 let unused_fun =
   {|
   function unused (x : in integer) return integer
@@ -1466,6 +1532,8 @@ let suites =
           test_closure_edits_refuted;
         Alcotest.test_case "an edit outside the closure keeps the oracle's verdict" `Quick
           test_unrelated_edit_equivalent;
+        Alcotest.test_case "a callee edited after a memoized run is refuted" `Quick
+          test_memo_across_steps_refutes;
         Alcotest.test_case "seeded defects are refuted" `Slow test_defect_corpus;
       ] );
     ( "certify:decided",

@@ -248,6 +248,119 @@ end ix;|}
   ignore (Interp_ref.run_procedure rt "p" [ Value.Vint 2; a ]);
   Alcotest.(check int) "the tree-walker: 2n + 1" 7 (before - rt.Interp_ref.fuel)
 
+(* The const-function memo is keyed by behaviour: [f] calls [g] and
+   reads the table [t].  One domain runs the original, then each
+   variant; a key that named [f], or digested [f]'s declaration alone,
+   would serve the original's result to the variants that change what
+   [f] computes. *)
+let behaviour_src =
+  {|
+program beh is
+  type byte is mod 256;
+  type tbl is array (0 .. 3) of byte;
+  t : constant tbl := (1, 2, 3, 4);
+  function g (x : in byte) return byte
+  is
+  begin
+    return x + 10;
+  end g;
+  function f (x : in byte) return byte
+  is
+  begin
+    return g (x) + t (x mod 4);
+  end f;
+  function u (x : in byte) return byte
+  is
+  begin
+    return x;
+  end u;
+  procedure p (x : in byte; r : out byte)
+  is
+  begin
+    r := f (x);
+  end p;
+end beh;|}
+
+(* the outcome of [p (3)] on a fresh runtime of the program, with [edit],
+   and the const-function memo events of building and running it *)
+let run_p ?edit () =
+  let src =
+    match edit with
+    | None -> behaviour_src
+    | Some (find, by) -> Str_replace.replace behaviour_src ~find ~by
+  in
+  let env, prog = Typecheck.check (Parser.of_string src) in
+  let m0 = Interp.fn_memo_stats () in
+  let r =
+    match proc1 (Interp.make env prog) "p" [ Value.Vint 3 ] with
+    | r -> string_of_int r
+    | exception Interp.Stuck m -> "stuck: " ^ m
+  in
+  (r, Memo.diff (Interp.fn_memo_stats ()) m0)
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+let test_memo_keyed_by_behaviour () =
+  let variants =
+    [ ("unrelated u", ("return x;", "return x + 1;"), `Hit);
+      ("callee g", ("return x + 10;", "return x + 20;"), `Miss);
+      ("table t", ("(1, 2, 3, 4)", "(9, 9, 9, 9)"), `Miss) ]
+  in
+  let fresh =
+    List.map (fun (_, edit, _) -> in_fresh_domain (fun () -> fst (run_p ~edit ()))) variants
+  in
+  Alcotest.(check (list string)) "each variant on its own"
+    [ "17"; "27"; "22" ] fresh;
+  in_fresh_domain (fun () ->
+      let r, m = run_p () in
+      Alcotest.(check string) "the original" "17" r;
+      Alcotest.(check (pair int int)) "the original: f and g miss" (0, 2)
+        (m.Memo.hits, m.Memo.misses);
+      List.iter2
+        (fun (what, edit, expect) want ->
+          let r, m = run_p ~edit () in
+          Alcotest.(check string) (what ^ ": the variant's outcome") want r;
+          match expect with
+          | `Hit ->
+              Alcotest.(check (pair int int)) (what ^ ": f hits") (1, 0)
+                (m.Memo.hits, m.Memo.misses)
+          | `Miss -> Alcotest.(check bool) (what ^ ": f misses") true (m.Memo.misses > 0))
+        variants fresh)
+
+(* Two const functions can share one closure: [f]'s parameter [h] draws
+   the later function [h] into [f]'s closure, and [h] calls [f].  A key
+   without the function's name would store [f (3)] = 4 where [h (3)]
+   looks, and every later [h (3)] in the domain would read 4.  [p] makes
+   the call, so [h] and [f] see the same argument value. *)
+let test_memo_shared_closure () =
+  let src =
+      {|
+program sc is
+  type byte is mod 256;
+  function f (h : in byte) return byte
+  is
+  begin
+    return h + 1;
+  end f;
+  function h (x : in byte) return byte
+  is
+  begin
+    return f (x) + 5;
+  end h;
+  procedure p (x : in byte; r : out byte)
+  is
+  begin
+    r := h (x);
+  end p;
+end sc;|}
+  in
+  in_fresh_domain (fun () ->
+      let rt = run src in
+      List.iter
+        (fun what ->
+          Alcotest.(check int) what 9 (proc1 rt "p" [ Value.Vint 3 ]))
+        [ "h (3), cold"; "h (3), warm" ])
+
 let suites =
   [ ( "minispark:interp-edge",
       [ Alcotest.test_case "modular corners" `Quick test_modular_corners;
@@ -260,4 +373,8 @@ let suites =
         Alcotest.test_case "nested in-out" `Quick test_in_out_roundtrip;
         Alcotest.test_case "recursive functions" `Quick test_function_recursion;
         Alcotest.test_case "assignment indices evaluated once" `Quick
-          test_index_evaluated_once ] ) ]
+          test_index_evaluated_once;
+        Alcotest.test_case "const-function memo keyed by behaviour" `Quick
+          test_memo_keyed_by_behaviour;
+        Alcotest.test_case "const functions sharing one closure" `Quick
+          test_memo_shared_closure ] ) ]

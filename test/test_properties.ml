@@ -225,9 +225,9 @@ let prop_interp_identity =
       (* the small budgets run out part-way through the body *)
       List.for_all (fun fuel -> agree ?fuel env prog calls) [ None; Some 3; Some 6 ])
 
-(* every program of the AES refactoring history, on the FIPS-197
-   vectors in both directions *)
-let test_interp_identity_aes () =
+(* every program of the AES refactoring history, in order, and calls on
+   the FIPS-197 vectors in both directions *)
+let aes_history () =
   let _, h = Lazy.force Test_aes_pipeline.pipeline in
   let programs =
     List.map
@@ -250,11 +250,55 @@ let test_interp_identity_aes () =
       Aes.Aes_kat.vectors
   in
   Alcotest.(check bool) "a history of ~60 programs" true (List.length programs > 45);
+  (programs, calls)
+
+let test_interp_identity_aes () =
+  let programs, calls = aes_history () in
   List.iteri
     (fun k (env, prog) ->
       Alcotest.(check bool) (Printf.sprintf "program %d: same outcomes and fuel" k) true
         (agree env prog calls))
     programs
+
+(* the whole history in one domain, as a refactoring script runs it, and
+   then the final version with [xtime], a callee of the memoized
+   [gf_mul], edited: a const-function result computed on one version
+   serves the later ones whose function behaves the same, so outcomes
+   equal the reference's and fuel left is at least its *)
+let test_interp_history_one_domain () =
+  let programs, calls = aes_history () in
+  let _, final = List.nth programs (List.length programs - 1) in
+  let mutant =
+    Typecheck.check
+      (Defects.Seed.mutate_expr_sites ~sub_name:"xtime"
+         ~site:(fun e -> e = Ast.Int_lit 27)
+         ~rewrite:(fun _ -> Ast.Int_lit 29)
+         ~nth:0 final)
+  in
+  let runs =
+    Domain.join
+      (Domain.spawn (fun () ->
+           List.mapi
+             (fun k (env, prog) ->
+               let compiled = Compiled.runs env prog calls
+               and reference = Reference.runs env prog calls in
+               let outcomes = List.map fst compiled in
+               Alcotest.(check bool) (Printf.sprintf "version %d: same outcomes" k) true
+                 (outcomes = List.map fst reference);
+               List.iter2
+                 (fun (_, fc) (_, fr) ->
+                   if fc < fr then
+                     Alcotest.failf "version %d: %d fuel left, the reference %d" k fc fr)
+                 compiled reference;
+               (outcomes, List.exists2 (fun (_, fc) (_, fr) -> fc > fr) compiled reference))
+             (programs @ [ mutant ])))
+  in
+  Alcotest.(check bool) "a later version skips work an earlier one did" true
+    (List.exists snd (List.tl runs));
+  match List.rev runs with
+  | (edited, _) :: (unedited, _) :: _ ->
+      Alcotest.(check bool) "the edited xtime changes the outcomes" true (edited <> unedited)
+  | _ -> assert false
 
 let suites =
   [ ( "properties",
@@ -265,4 +309,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_vc_soundness;
         QCheck_alcotest.to_alcotest prop_interp_identity;
         Alcotest.test_case "compiled interpreter = reference on the AES history" `Slow
-          test_interp_identity_aes ] ) ]
+          test_interp_identity_aes;
+        Alcotest.test_case "compiled interpreter = reference on the AES history in one domain"
+          `Slow test_interp_history_one_domain ] ) ]
