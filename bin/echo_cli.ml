@@ -10,8 +10,9 @@
      vcs        generate and summarise verification conditions
      prove      run the implementation proof (VC generation + prover)
      aes        drive the AES case study (refactor / proofs / defects)
-     certify    certify the AES refactoring step by step (equivalence VCs
-                + differential fuzzing oracle), or the seeded-defect corpus
+     certify    certify the AES refactoring step by step (closure identity,
+                checked schemes + differential fuzzing oracle), or the
+                seeded-defect corpus
      chaos      fault-injection suite over the orchestrated pipeline
      report     render a recorded run's telemetry as a text dashboard
      profile    perf attribution for a recorded run: cost centers,
@@ -467,17 +468,15 @@ let audit_json (a : Refactor.Certify.audit) =
 
 (* the certification settings `certify` shares between the script and
    the defect corpus *)
-let certify_config trials jobs cache_dir =
-  let cache = Option.map (fun dir -> Farm.Cache.open_ ~dir) cache_dir in
+let certify_config trials jobs =
   {
     (Refactor.Certify.default_config ~entries:certify_entries ()) with
     Refactor.Certify.cf_trials = trials;
     cf_jobs = resolve_jobs jobs;
-    cf_cache = cache;
   }
 
-let cmd_certify_script trials jobs cache_dir json () =
-  let cfg = certify_config trials jobs cache_dir in
+let cmd_certify_script trials jobs json () =
+  let cfg = certify_config trials jobs in
   let _, h = Aes.Aes_refactoring.run ~certify:cfg () in
   let certs = Refactor.History.certificates h in
   List.iter
@@ -489,13 +488,9 @@ let cmd_certify_script trials jobs cache_dir json () =
   Fmt.pr "certified %d/%d step(s) (%d refuted, %d unknown)@."
     audit.Refactor.Certify.au_certified audit.Refactor.Certify.au_steps
     audit.Refactor.Certify.au_refuted audit.Refactor.Certify.au_unknown;
-  Fmt.pr
-    "targets %d (%d decided, %d sampled), equivalence VCs %d (%d proved), \
-     cache %d hit(s) / %d miss(es), oracle trials %d@."
+  Fmt.pr "targets %d (%d decided, %d sampled), oracle trials %d@."
     stats.Refactor.Certify.ct_targets stats.Refactor.Certify.ct_decided
-    stats.Refactor.Certify.ct_sampled stats.Refactor.Certify.ct_vcs_generated
-    stats.Refactor.Certify.ct_vcs_proved stats.Refactor.Certify.ct_cache_hits
-    stats.Refactor.Certify.ct_cache_misses stats.Refactor.Certify.ct_oracle_trials;
+    stats.Refactor.Certify.ct_sampled stats.Refactor.Certify.ct_oracle_trials;
   (match json with
   | None -> ()
   | Some path ->
@@ -524,10 +519,10 @@ let cmd_certify_script trials jobs cache_dir json () =
                   audit.Refactor.Certify.au_unknown;
             }))
 
-let cmd_certify_defects trials jobs cache_dir json () =
+let cmd_certify_defects trials jobs json () =
   let _, prog = Aes.Aes_impl.checked () in
   let before = Typecheck.check prog in
-  let cfg = certify_config trials jobs cache_dir in
+  let cfg = certify_config trials jobs in
   let defects = Defects.Seed.seed_all prog in
   (* the defects share one [before]: certify them in one session *)
   let certs =
@@ -595,10 +590,10 @@ let cmd_certify_defects trials jobs cache_dir json () =
                     (Refactor.Certify.describe cert);
               }))
 
-let cmd_certify defects trials jobs cache_dir json () =
+let cmd_certify defects trials jobs json () =
   with_errors
-    (if defects then cmd_certify_defects trials jobs cache_dir json
-     else cmd_certify_script trials jobs cache_dir json)
+    (if defects then cmd_certify_defects trials jobs json
+     else cmd_certify_script trials jobs json)
 
 let cmd_chaos probe () =
   with_errors (fun () ->
@@ -984,12 +979,6 @@ let certify_cmd =
          & info [ "trials" ] ~docv:"N"
              ~doc:"Differential-oracle trials per certification target")
   in
-  let cache_dir =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Persistent proof cache for the equivalence VCs; a \
-                   repeated script re-certifies its static side for free")
-  in
   let json =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
@@ -998,11 +987,12 @@ let certify_cmd =
   in
   Cmd.v
     (Cmd.info "certify" ~exits
-       ~doc:"Certify every step of the AES refactoring on the proof farm, \
-             beside the refactoring script: equivalence VCs plus a \
+       ~doc:"Certify every step of the AES refactoring on the farm, beside \
+             the refactoring script: closure identity and checked \
+             transformation schemes where they decide a target, else a \
              fuel-bounded differential fuzzing oracle.  Exit code 7 when a \
              step is refuted or a seeded defect escapes")
-    Term.(const cmd_certify $ defects $ trials $ jobs_arg $ cache_dir $ json $ const ())
+    Term.(const cmd_certify $ defects $ trials $ jobs_arg $ json $ const ())
 
 let chaos_cmd =
   let probe =

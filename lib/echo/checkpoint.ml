@@ -72,9 +72,11 @@ type payload =
 (* v4: [S_impact] exists (stage indices shifted), [P_impact] carries the
    change-impact audit, and the proof report gained [ip_carried]; v5:
    certificates name their rule (closure, scheme, reused oracle) and the
-   certification stats count decided and sampled targets; older files
-   are rejected by the header check below and recomputed *)
-let format_version = "ECHO-CKPT v5"
+   certification stats count decided and sampled targets; v6: the
+   equivalence-VC rule ([M_vc]) and the VC/cache counts are gone, which
+   shifts the constructor tags of later rules; older files are rejected
+   by the header check below and recomputed *)
+let format_version = "ECHO-CKPT v6"
 
 (* case names can contain spaces and parens; keep filenames tame *)
 let slug s =

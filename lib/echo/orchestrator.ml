@@ -431,18 +431,11 @@ let plan_carry st env annotated (b : Implementation_proof.baseline) =
 (* The stages                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* under certification, the equivalence-VC cache shares the proof cache's
-   handle: the keys are disjoint (a ":certify:" suffix), and a resumed
-   or repeated script re-certifies for free *)
 let certify_config_of st =
   if not st.cfg.oc_certify then None
   else
     Some
-      {
-        (Refactor.Certify.default_config ()) with
-        Refactor.Certify.cf_jobs = st.cfg.oc_jobs;
-        cf_cache = Lazy.force st.cache;
-      }
+      { (Refactor.Certify.default_config ()) with Refactor.Certify.cf_jobs = st.cfg.oc_jobs }
 
 let stage_refactor st (cs : Pipeline.case_study) =
   stage st CK.S_refactor

@@ -61,9 +61,9 @@ type config = {
           ({!Fault.Analysis}) and interval analysis pre-discharges
           exception-freedom VCs so the ladder never schedules them *)
   oc_certify : bool;
-      (** certify every refactoring step ({!Refactor.Certify}): per-step
-          equivalence VCs discharged through the proof cache plus the
-          differential fuzzing oracle.  A refuted step fails the run
+      (** certify every refactoring step ({!Refactor.Certify}): closure
+          identity, checked transformation schemes and the differential
+          fuzzing oracle.  A refuted step fails the run
           ({!Fault.Certification}, exit code 7); steps left [Unknown]
           degrade the verdict.  The certificates ride on the refactor
           checkpoint, and the certify stage's audit is checkpointed too *)

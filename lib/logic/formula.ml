@@ -546,8 +546,6 @@ type vc_kind =
   | Vc_range_check
   | Vc_div_check
   | Vc_overflow_check
-  | Vc_equivalence
-      (** old fragment = new fragment of a certified refactoring step *)
 
 let vc_kind_name = function
   | Vc_postcondition -> "postcondition"
@@ -559,7 +557,6 @@ let vc_kind_name = function
   | Vc_range_check -> "range-check"
   | Vc_div_check -> "div-check"
   | Vc_overflow_check -> "overflow-check"
-  | Vc_equivalence -> "equivalence"
 
 type vc = {
   vc_name : string;        (** e.g. "encrypt.3" *)

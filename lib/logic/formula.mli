@@ -160,8 +160,6 @@ type vc_kind =
   | Vc_range_check
   | Vc_div_check
   | Vc_overflow_check
-  | Vc_equivalence
-      (** old fragment = new fragment of a certified refactoring step *)
 
 val vc_kind_name : vc_kind -> string
 

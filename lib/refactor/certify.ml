@@ -6,24 +6,17 @@
    1. [M_identical] — the two versions differ only in annotations
       (asserts, invariants, contracts), which the interpreter does not
       execute: nothing to prove.
-   2. [M_vc] — static side: {!Vcgen.equivalence_sub} builds old = new
-      equivalence VCs under both versions' preconditions (the
-      applicability side-conditions); they are discharged through the
-      content-addressed proof cache, so a repeated script re-certifies
-      for free.  Loopy or under-constrained
-      bodies make generation raise [Infeasible], and an unproved VC is
-      never a refutation — both fall through to:
-   3. [M_closure] — everything a run of an entry-point target can
+   2. [M_closure] — everything a run of an entry-point target can
       observe is the same in both versions, which both initialise
-      ({!Equivalence.same_closure}).  Then [M_scheme] / [M_reused] — the
-      step's claim ({!Transform.claim}), checked against the step's own
-      pair: a table reversal replayed under its scheme's side-conditions
-      ({!Table_reverse.check_scheme}), a split or clone extraction inlined
-      back under its scheme's ({!Extraction.check_scheme}), a renaming
-      renamed back ({!Storage_adjust.check_renaming}), or the
-      transformation's own oracle
-      verdict, reused when it was reached on these two programs with at
-      least [cf_trials] trials under [cf_fuel].
+      ({!Equivalence.same_closure}).
+   3. [M_scheme] / [M_reused] — the step's claim ({!Transform.claim}),
+      checked against the step's own pair: a table reversal replayed
+      under its scheme's side-conditions ({!Table_reverse.check_scheme}),
+      a split or clone extraction inlined back under its scheme's
+      ({!Extraction.check_scheme}), a renaming renamed back
+      ({!Storage_adjust.check_renaming}), or the transformation's own
+      oracle verdict, reused when it was reached on these two programs
+      with at least [cf_trials] trials under [cf_fuel].
    4. [M_oracle] — dynamic side: the differential oracle
       ({!Equivalence.oracle}, [cf_trials] seeded samples under [cf_fuel]).
       QCheck generates typed inputs (from the after version's parameter
@@ -40,13 +33,10 @@
    Anything still undecided yields [Unknown] — recorded, surfaced, never
    silently dropped.
 
-   A step's whole decision is one {!Farm.Pool} job, so a certificate is
-   computed from its own step alone; only the proof-cache lookups happen
-   on the calling domain, in step order. *)
+   A step's whole decision, its diff included, is one {!Farm.Pool} job,
+   so a certificate is computed from its own step alone. *)
 
 open Minispark
-module F = Logic.Formula
-module P = Logic.Prover
 
 type counterexample = Equivalence.counterexample = {
   cx_sub : string;
@@ -61,7 +51,6 @@ type method_ =
   | M_identical
   | M_closure
   | M_scheme of string
-  | M_vc of int  (** number of equivalence VCs discharged *)
   | M_reused of { trials : int; exhaustive : bool }
   | M_oracle of { trials : int; exhaustive : bool }
   | M_entries of { trials : int }
@@ -73,13 +62,12 @@ let method_to_string = function
   | M_identical -> "identical"
   | M_closure -> "closure"
   | M_scheme s -> "scheme:" ^ s
-  | M_vc n -> Printf.sprintf "vc:%d" n
   | M_reused { trials; exhaustive } -> "reused:" ^ oracle_to_string trials exhaustive
   | M_oracle { trials; exhaustive } -> oracle_to_string trials exhaustive
   | M_entries { trials } -> Printf.sprintf "entries:%d" trials
 
 let decided = function
-  | M_identical | M_closure | M_scheme _ | M_vc _ -> true
+  | M_identical | M_closure | M_scheme _ -> true
   | M_reused { exhaustive; _ } | M_oracle { exhaustive; _ } -> exhaustive
   | M_entries _ -> false
 
@@ -102,9 +90,7 @@ type config = {
   cf_seed : int;
   cf_trials : int;        (** oracle trials per target *)
   cf_fuel : int;          (** interpreter step bound per oracle run *)
-  cf_jobs : int;          (** proof-farm workers for VC discharge *)
-  cf_cache : Farm.Cache.t option;
-  cf_budget : Vcgen.budget;
+  cf_jobs : int;          (** farm width, one job per step *)
   cf_entries : string list;
       (** behavioural entry points: certification targets when the
           program shape changed, fallback for unsampleable targets *)
@@ -116,22 +102,17 @@ let default_config ?(entries = []) () =
     cf_trials = 24;
     cf_fuel = 2_000_000;
     cf_jobs = 1;
-    cf_cache = None;
-    cf_budget = Vcgen.default_budget;
     cf_entries = entries;
   }
 
 type stats = {
   ct_steps : int;
   ct_targets : int;
-  ct_vcs_generated : int;
-  ct_vcs_proved : int;
-  ct_cache_hits : int;
-  ct_cache_misses : int;
+  ct_vcs_generated : int;  (* always 0, kept for perfbench *)
   ct_oracle_trials : int;
   ct_decided : int;
   ct_sampled : int;
-  ct_vc_seconds : float;
+  ct_vc_seconds : float;  (* always 0.0, kept for perfbench *)
   ct_oracle_seconds : float;
 }
 
@@ -140,9 +121,6 @@ let zero_stats =
     ct_steps = 0;
     ct_targets = 0;
     ct_vcs_generated = 0;
-    ct_vcs_proved = 0;
-    ct_cache_hits = 0;
-    ct_cache_misses = 0;
     ct_oracle_trials = 0;
     ct_decided = 0;
     ct_sampled = 0;
@@ -155,9 +133,6 @@ let add_stats a b =
     ct_steps = a.ct_steps + b.ct_steps;
     ct_targets = a.ct_targets + b.ct_targets;
     ct_vcs_generated = a.ct_vcs_generated + b.ct_vcs_generated;
-    ct_vcs_proved = a.ct_vcs_proved + b.ct_vcs_proved;
-    ct_cache_hits = a.ct_cache_hits + b.ct_cache_hits;
-    ct_cache_misses = a.ct_cache_misses + b.ct_cache_misses;
     ct_oracle_trials = a.ct_oracle_trials + b.ct_oracle_trials;
     ct_decided = a.ct_decided + b.ct_decided;
     ct_sampled = a.ct_sampled + b.ct_sampled;
@@ -214,8 +189,6 @@ let sub_semantics env (sub : Ast.subprogram) =
 
 type target = {
   tg_name : string;
-  tg_vc_ok : bool;  (** interface and parameter names identical: eligible
-                        for shared-symbol equivalence VCs *)
   tg_entry : bool;  (** an unchanged entry point: the only kind of target
                         whose closure can be the same in both versions *)
 }
@@ -248,15 +221,11 @@ let diff (env_a, prog_a) (env_b, prog_b) =
         with
         | None -> (changed, true) (* added subprogram *)
         | Some sa ->
-            let ia, names_a, locals_a, body_a = sub_semantics env_a sa in
-            let ib, names_b, locals_b, body_b = sub_semantics env_b sb in
-            if (ia, names_a, locals_a, body_a) = (ib, names_b, locals_b, body_b)
-            then (changed, incomp)
+            let ((ia, _, _, _) as a) = sub_semantics env_a sa in
+            let ((ib, _, _, _) as b) = sub_semantics env_b sb in
+            if a = b then (changed, incomp)
             else if ia = ib then
-              ( { tg_name = sb.Ast.sub_name; tg_vc_ok = names_a = names_b;
-                  tg_entry = false }
-                :: changed,
-                incomp )
+              ({ tg_name = sb.Ast.sub_name; tg_entry = false } :: changed, incomp)
             else (changed, true) (* interface changed: not comparable *))
       ([], false) subs_b
   in
@@ -270,26 +239,6 @@ let diff (env_a, prog_a) (env_b, prog_b) =
       subs_a
   in
   (List.rev changed, globals_changed || incomparable || removed)
-
-(* ------------------------------------------------------------------ *)
-(* Static side: equivalence VCs on the proof farm                      *)
-(* ------------------------------------------------------------------ *)
-
-(* the suffix versions the key with the prover's search: "v1" entries were
-   recorded before quantifier instantiation was pattern-directed, when a
-   VC could exhaust a step budget that today's search proves within, and
-   "v2" entries before a discharged instance's conjuncts became facts of
-   their own *)
-let cache_key vc = F.vc_digest vc ^ ":certify:v3"
-
-(* the cache entry a proof leaves; a timeout is wall-clock dependent and
-   never cached *)
-let cache_entry (r : P.proof_result) =
-  match r.P.pr_outcome with
-  | P.Proved when r.P.pr_hints_used = 0 -> Some Farm.Cache.E_auto
-  | P.Proved -> Some (Farm.Cache.E_hinted r.P.pr_hints_used)
-  | P.Unknown why -> Some (Farm.Cache.E_residual why)
-  | P.Timeout _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The decision procedure: one farm job per step                      *)
@@ -337,36 +286,6 @@ let check_claim cfg (step : step) (claim : Transform.claim) =
       then Error "reached on other programs"
       else Ok ()
 
-(* Where one equivalence VC's verdict comes from.  Cache lookups are made
-   in step order as if each step saved its proofs before the next looked:
-   a key an earlier step proved is that later step's hit when the proof
-   is cacheable. *)
-type vc_slot =
-  | Cached of bool  (* in the cache before certification: proved? *)
-  | Job of { key : string; first : bool }
-      (* proved in the step's own job; [first] when no earlier step
-         looked [key] up *)
-
-type plan =
-  | Settled of certificate  (* identical versions, or no target at all *)
-  | Run of {
-      targets : target list;
-      batches : (string * (F.vc * vc_slot) list) list;
-          (* each VC-eligible target's equivalence VCs *)
-      firsts : string list;  (* the keys this step looks up first *)
-    }
-
-(* what one step's job hands back: the certificate, the stats, busy
-   seconds proving and deciding the rest, and the proofs of its first
-   keys, for the cache *)
-type outcome = {
-  oc_cert : certificate;
-  oc_stats : stats;
-  oc_vc_busy : float;
-  oc_oracle_busy : float;
-  oc_proofs : (string * P.proof_result) list;
-}
-
 let run_oracle cfg (step : step) name =
   Telemetry.with_span ~cat:Telemetry.cat_transform
     ~attrs:[ ("step", Telemetry.S step.sp_name); ("target", Telemetry.S name) ]
@@ -386,8 +305,8 @@ let once f =
         Hashtbl.add tbl k v;
         v
 
-(* the targets of one step, and its VC-eligible targets' VCs *)
-let plan_step cfg (step : step) =
+(* the targets of one step *)
+let targets_of cfg (step : step) =
   let _, prog_a = step.sp_before and _, prog_b = step.sp_after in
   let changed, escalate = diff step.sp_before step.sp_after in
   let entry_targets =
@@ -397,7 +316,7 @@ let plan_step cfg (step : step) =
           if List.exists (fun t -> t.tg_name = e) changed then None
           else
             match (Ast.find_sub prog_a e, Ast.find_sub prog_b e) with
-            | Some _, Some _ -> Some { tg_name = e; tg_vc_ok = false; tg_entry = true }
+            | Some _, Some _ -> Some { tg_name = e; tg_entry = true }
             | _ -> None)
         cfg.cf_entries
     else []
@@ -408,175 +327,116 @@ let plan_step cfg (step : step) =
     `Settled
       (Unknown
          "the program shape changed and no behavioural entry points are configured")
-  else
-    `Targets
-      ( targets,
-        List.filter_map
-          (fun t ->
-            if not t.tg_vc_ok then None
-            else
-              match
-                Vcgen.equivalence_sub ~budget:cfg.cf_budget ~before:step.sp_before
-                  ~after:step.sp_after t.tg_name
-              with
-              | [] -> None
-              | vcs -> Some (t.tg_name, vcs)
-              | exception Vcgen.Infeasible _ -> None)
-          targets )
+  else `Targets targets
 
-(* One step's whole decision, run as one farm job: its equivalence VCs
-   first, then per residual target in order closure identity (an
-   entry-point target only: a changed subprogram's own declaration
-   differs), the step's claim (checked at most once) and the oracle,
-   falling back to the entry points. *)
-let decide_step cfg (step : step) plan : outcome =
-  match plan with
-  | Settled cert ->
-      { oc_cert = cert; oc_stats = { zero_stats with ct_steps = 1 }; oc_vc_busy = 0.0;
-        oc_oracle_busy = 0.0; oc_proofs = [] }
-  | Run { targets; batches; firsts } ->
-      let _, prog_a = step.sp_before and _, prog_b = step.sp_after in
-      let t0 = Logic.Clock.now () in
-      let proofs = Hashtbl.create 8 in
-      let all = List.concat_map snd batches in
-      List.iter
-        (fun (vc, slot) ->
-          match slot with
-          | Job { key; _ } when not (Hashtbl.mem proofs key) ->
-              Hashtbl.add proofs key (P.prove_vc ~hints:P.standard_hints vc)
-          | Job _ | Cached _ -> ())
-        all;
-      let vc_busy = Logic.Clock.elapsed t0 in
-      let t1 = Logic.Clock.now () in
-      let stats =
-        ref { zero_stats with ct_steps = 1; ct_targets = List.length targets }
-      in
-      let bump f = stats := f !stats in
-      let proved = function
-        | Cached ok -> ok
-        | Job { key; _ } -> P.is_proved (Hashtbl.find proofs key)
-      in
-      let hit = function
-        | Cached _ -> true
-        | Job { key; first } ->
-            (not first) && cfg.cf_cache <> None
-            && cache_entry (Hashtbl.find proofs key) <> None
-      in
-      let count p = List.length (List.filter (fun (_, s) -> p s) all) in
-      bump (fun s ->
-          { s with
-            ct_vcs_generated = List.length all;
-            ct_vcs_proved = count proved;
-            ct_cache_hits = count hit;
-            ct_cache_misses = count (fun s -> not (hit s)) });
-      let tbl = List.map (fun ((vc : F.vc), s) -> (vc.F.vc_name, proved s)) all in
-      let vc_certified =
-        List.filter_map
-          (fun (name, vcs) ->
-            let ok =
-              List.for_all
-                (fun ((vc : F.vc), _) ->
-                  Option.value ~default:false (List.assoc_opt vc.F.vc_name tbl))
-                vcs
-            in
-            if ok then Some (name, M_vc (List.length vcs)) else None)
-          batches
-      in
-      (* dynamic side for everything not statically certified *)
-      let residual =
-        List.filter (fun t -> not (List.mem_assoc t.tg_name vc_certified)) targets
-      in
-      let closure =
-        once (fun name ->
-            List.exists (fun t -> t.tg_entry && t.tg_name = name) targets
-            && Equivalence.same_closure ~fuel:cfg.cf_fuel step.sp_before step.sp_after
-                 name)
-      in
-      let claim_holds =
-        lazy
-          (match step.sp_claim with
-          | None -> false
-          | Some claim ->
-              Telemetry.with_span ~cat:Telemetry.cat_transform
-                ~attrs:[ ("step", Telemetry.S step.sp_name) ]
-                "check-claim"
-                (fun () -> check_claim cfg step claim = Ok ()))
-      in
-      let claimed name =
-        match step.sp_claim with
-        | Some c when claim_covers c name && Lazy.force claim_holds -> Some (claim_method c)
-        | _ -> None
-      in
-      let sample = once (run_oracle cfg step) in
-      let add_trials trials =
-        bump (fun s -> { s with ct_oracle_trials = s.ct_oracle_trials + trials })
-      in
-      let entries_fallback =
-        (* differential run of the configured entry points, once per step *)
-        lazy
-          (match
-             List.filter
-               (fun e ->
-                 Ast.find_sub prog_a e <> None && Ast.find_sub prog_b e <> None)
-               cfg.cf_entries
-           with
-          | [] -> `None
-          | usable ->
-              let rec go total = function
-                | [] -> `Agree total
-                | e :: rest when closure e -> go total rest
-                | e :: rest -> (
-                    match sample e with
-                    | Equivalence.Agree { trials; _ } ->
-                        add_trials trials;
-                        go (total + trials) rest
-                    | Equivalence.Refuted cx -> `Refuted cx
-                    | Equivalence.Undecided why -> `Unknown why)
-              in
-              go 0 usable)
-      in
-      let rec decide acc = function
-        | [] -> Certified (vc_certified @ List.rev acc)
-        | t :: rest when closure t.tg_name -> decide ((t.tg_name, M_closure) :: acc) rest
-        | t :: rest -> (
-            match claimed t.tg_name with
-            | Some m -> decide ((t.tg_name, m) :: acc) rest
-            | None -> sampled acc t rest)
-      and sampled acc t rest =
-        match sample t.tg_name with
-        | Equivalence.Agree { trials; exhaustive } ->
-            add_trials trials;
-            decide ((t.tg_name, M_oracle { trials; exhaustive }) :: acc) rest
-        | Equivalence.Refuted cx -> Refuted cx
-        | Equivalence.Undecided why -> (
-            (* locally undecidable: fall back to the entry points *)
-            match Lazy.force entries_fallback with
-            | `Agree trials ->
-                decide ((t.tg_name, M_entries { trials }) :: acc) rest
-            | `Refuted cx -> Refuted cx
-            | `Unknown why' ->
-                Unknown (Printf.sprintf "%s; entry fallback: %s" why why')
-            | `None -> Unknown why)
-      in
-      (* bind before building the record: its fields evaluate
-         right-to-left, which would read [stats] before [decide] bumps it *)
-      let cert = decide [] residual in
-      (match cert with
-      | Certified ms ->
-          let d = List.length (List.filter (fun (_, m) -> decided m) ms) in
-          bump (fun s -> { s with ct_decided = d; ct_sampled = List.length ms - d })
-      | Refuted _ | Unknown _ -> ());
-      { oc_cert = cert; oc_stats = !stats; oc_vc_busy = vc_busy;
-        oc_oracle_busy = Logic.Clock.elapsed t1;
-        oc_proofs = List.map (fun key -> (key, Hashtbl.find proofs key)) firsts }
+(* Each target in order by closure identity (an entry-point target only:
+   a changed subprogram's own declaration differs), the step's claim
+   (checked at most once) or the oracle, falling back to the entry
+   points. *)
+let decide_targets cfg (step : step) targets =
+  let _, prog_a = step.sp_before and _, prog_b = step.sp_after in
+  let stats =
+    ref { zero_stats with ct_steps = 1; ct_targets = List.length targets }
+  in
+  let bump f = stats := f !stats in
+  let closure =
+    once (fun name ->
+        List.exists (fun t -> t.tg_entry && t.tg_name = name) targets
+        && Equivalence.same_closure ~fuel:cfg.cf_fuel step.sp_before step.sp_after
+             name)
+  in
+  let claim_holds =
+    lazy
+      (match step.sp_claim with
+      | None -> false
+      | Some claim ->
+          Telemetry.with_span ~cat:Telemetry.cat_transform
+            ~attrs:[ ("step", Telemetry.S step.sp_name) ]
+            "check-claim"
+            (fun () -> check_claim cfg step claim = Ok ()))
+  in
+  let claimed name =
+    match step.sp_claim with
+    | Some c when claim_covers c name && Lazy.force claim_holds -> Some (claim_method c)
+    | _ -> None
+  in
+  let sample = once (run_oracle cfg step) in
+  let add_trials trials =
+    bump (fun s -> { s with ct_oracle_trials = s.ct_oracle_trials + trials })
+  in
+  let entries_fallback =
+    (* differential run of the configured entry points, once per step *)
+    lazy
+      (match
+         List.filter
+           (fun e ->
+             Ast.find_sub prog_a e <> None && Ast.find_sub prog_b e <> None)
+           cfg.cf_entries
+       with
+      | [] -> `None
+      | usable ->
+          let rec go total = function
+            | [] -> `Agree total
+            | e :: rest when closure e -> go total rest
+            | e :: rest -> (
+                match sample e with
+                | Equivalence.Agree { trials; _ } ->
+                    add_trials trials;
+                    go (total + trials) rest
+                | Equivalence.Refuted cx -> `Refuted cx
+                | Equivalence.Undecided why -> `Unknown why)
+          in
+          go 0 usable)
+  in
+  let rec decide acc = function
+    | [] -> Certified (List.rev acc)
+    | t :: rest when closure t.tg_name -> decide ((t.tg_name, M_closure) :: acc) rest
+    | t :: rest -> (
+        match claimed t.tg_name with
+        | Some m -> decide ((t.tg_name, m) :: acc) rest
+        | None -> sampled acc t rest)
+  and sampled acc t rest =
+    match sample t.tg_name with
+    | Equivalence.Agree { trials; exhaustive } ->
+        add_trials trials;
+        decide ((t.tg_name, M_oracle { trials; exhaustive }) :: acc) rest
+    | Equivalence.Refuted cx -> Refuted cx
+    | Equivalence.Undecided why -> (
+        (* locally undecidable: fall back to the entry points *)
+        match Lazy.force entries_fallback with
+        | `Agree trials ->
+            decide ((t.tg_name, M_entries { trials }) :: acc) rest
+        | `Refuted cx -> Refuted cx
+        | `Unknown why' ->
+            Unknown (Printf.sprintf "%s; entry fallback: %s" why why')
+        | `None -> Unknown why)
+  in
+  let cert = decide [] targets in
+  (match cert with
+  | Certified ms ->
+      let d = List.length (List.filter (fun (_, m) -> decided m) ms) in
+      bump (fun s -> { s with ct_decided = d; ct_sampled = List.length ms - d })
+  | Refuted _ | Unknown _ -> ());
+  (cert, !stats)
+
+(* what one step's job hands back: the certificate, the stats and the
+   busy seconds deciding it *)
+type outcome = { oc_cert : certificate; oc_stats : stats; oc_busy : float }
+
+(* one step's whole decision, run as one farm job *)
+let decide_step cfg step =
+  let t0 = Logic.Clock.now () in
+  let cert, stats =
+    match targets_of cfg step with
+    | `Settled cert -> (cert, { zero_stats with ct_steps = 1 })
+    | `Targets targets -> decide_targets cfg step targets
+  in
+  { oc_cert = cert; oc_stats = stats; oc_busy = Logic.Clock.elapsed t0 }
 
 type session = {
-  se_cfg : config;
   se_span : int option;  (* the [certify] span, when opened by [start] *)
-  se_pool : (step * plan, outcome * (string * Memo.stats) list) Farm.Pool.t;
+  se_pool : (step, outcome * (string * Memo.stats) list) Farm.Pool.t;
   mutable se_steps : int;
-  se_first : (string, int) Hashtbl.t;  (* cache key -> first step to look *)
-  mutable se_memos : (string * Memo.stats) list list;  (* calling domain's *)
 }
 
 (* Above width 1 the certification runs beside the caller, under a span
@@ -589,103 +449,37 @@ let start cfg =
     else None
   in
   {
-    se_cfg = cfg;
     se_span = span;
     se_pool =
       Farm.Pool.create ~jobs:cfg.cf_jobs ?parent:span
         ~priority:(fun _ -> 0)
-        ~f:(fun (step, plan) ->
-          Memo.measure Equivalence.memo_readings (fun () -> decide_step cfg step plan))
+        ~f:(fun step ->
+          Memo.measure Equivalence.memo_readings (fun () -> decide_step cfg step))
         ();
     se_steps = 0;
-    se_first = Hashtbl.create 16;
-    se_memos = [];
   }
 
-(* Plan step [i] on the calling domain: the proof cache is not
-   domain-safe, so every lookup happens here, in step order. *)
-let plan se i step =
-  let cfg = se.se_cfg in
-  match plan_step cfg step with
-  | `Settled cert -> Settled cert
-  | `Targets (targets, batches) ->
-      let firsts = ref [] in
-      let slot vc =
-        let key = cache_key vc in
-        match Option.bind cfg.cf_cache (fun c -> Farm.Cache.lookup c key) with
-        | Some { Farm.Cache.en_status = Farm.Cache.E_auto | Farm.Cache.E_hinted _; _ } ->
-            Cached true
-        | Some { Farm.Cache.en_status = Farm.Cache.E_residual _; _ } -> Cached false
-        | None -> (
-            match Hashtbl.find_opt se.se_first key with
-            | Some i' -> Job { key; first = i' = i }
-            | None ->
-                Hashtbl.replace se.se_first key i;
-                firsts := key :: !firsts;
-                Job { key; first = true })
-      in
-      (* bind before building the record: its fields evaluate
-         right-to-left, which would read [firsts] before [slot] fills it *)
-      let batches =
-        List.map
-          (fun (name, vcs) -> (name, List.map (fun vc -> (vc, slot vc)) vcs))
-          batches
-      in
-      Run { targets; batches; firsts = List.rev !firsts }
-
 let add se step =
-  let p, memos =
-    Memo.measure Equivalence.memo_readings (fun () -> plan se se.se_steps step)
-  in
-  se.se_memos <- memos :: se.se_memos;
   se.se_steps <- se.se_steps + 1;
-  Farm.Pool.submit se.se_pool [| (step, p) |]
+  Farm.Pool.submit se.se_pool [| step |]
 
-(* [finish] after the caller's own work: the tail and the cache *)
+(* [finish] after the caller's own work: the tail *)
 let finish_tail se =
   let t_tail = Logic.Clock.now () in
   (* each job measured the memos of the domain it ran on *)
   let results, _ = Farm.Pool.close se.se_pool in
   let outcomes = Array.to_list (Array.map fst results) in
-  Option.iter
-    (fun cache ->
-      if List.exists (fun o -> o.oc_proofs <> []) outcomes then begin
-        List.iter
-          (fun o ->
-            List.iter
-              (fun (key, (r : P.proof_result)) ->
-                Option.iter
-                  (fun en_status ->
-                    Farm.Cache.add cache key
-                      { Farm.Cache.en_status; en_attempts = 1; en_time = r.P.pr_time })
-                  (cache_entry r))
-              o.oc_proofs)
-          outcomes;
-        match Farm.Cache.save cache with
-        | Ok () -> ()
-        | Error why ->
-            Telemetry.instant "certify_cache_save_failed"
-              ~attrs:[ ("error", Telemetry.S why) ]
-      end)
-    se.se_cfg.cf_cache;
   if Telemetry.enabled () then
-    Telemetry.count_memos
-      (Memo.sum (se.se_memos @ Array.to_list (Array.map snd results)));
+    Telemetry.count_memos (Memo.sum (Array.to_list (Array.map snd results)));
   (* Timing is the wall time certification adds after the caller's own
-     work: the jobs still running or queued and the cache writes took
-     [wall], shared out over the steps in proportion to their busy
-     seconds, so the timing fields sum to [wall] at any width *)
+     work: the jobs still running or queued took [wall], shared out over
+     the steps in proportion to their busy seconds, so the steps'
+     [ct_oracle_seconds] sum to [wall] at any width *)
   let wall = Logic.Clock.elapsed t_tail in
-  let total =
-    List.fold_left (fun acc o -> acc +. o.oc_vc_busy +. o.oc_oracle_busy) 0.0 outcomes
-  in
+  let total = List.fold_left (fun acc o -> acc +. o.oc_busy) 0.0 outcomes in
   let scale = if total > 0.0 then wall /. total else 0.0 in
   List.map
-    (fun o ->
-      ( o.oc_cert,
-        { o.oc_stats with
-          ct_vc_seconds = o.oc_vc_busy *. scale;
-          ct_oracle_seconds = o.oc_oracle_busy *. scale } ))
+    (fun o -> (o.oc_cert, { o.oc_stats with ct_oracle_seconds = o.oc_busy *. scale }))
     outcomes
 
 let finish se =
@@ -767,9 +561,6 @@ let stats_to_json s =
     [ ("steps", J.Int s.ct_steps);
       ("targets", J.Int s.ct_targets);
       ("vcs_generated", J.Int s.ct_vcs_generated);
-      ("vcs_proved", J.Int s.ct_vcs_proved);
-      ("cache_hits", J.Int s.ct_cache_hits);
-      ("cache_misses", J.Int s.ct_cache_misses);
       ("oracle_trials", J.Int s.ct_oracle_trials);
       ("decided", J.Int s.ct_decided);
       ("sampled", J.Int s.ct_sampled);

@@ -2,9 +2,7 @@
 
     Each applied transformation must carry machine-checked evidence that
     it preserved semantics.  Per touched subprogram the decision
-    procedure tries, in order: annotation-only identity; static
-    equivalence VCs ({!Vcgen.equivalence_sub}) discharged on the proof
-    farm through the content-addressed cache; closure identity
+    procedure tries, in order: annotation-only identity; closure identity
     ({!Equivalence.same_closure}); the step's own claim
     ({!Transform.claim}), checked against the step; the differential
     oracle {!Equivalence.oracle} with fuel-bounded interpretation
@@ -13,9 +11,8 @@
     result is a {!certificate}: [Certified] with per-target evidence,
     [Refuted] with a concrete counterexample, or [Unknown].
 
-    Steps are certified in a {!session}: each step is planned as it
-    arrives ({!add}) and its whole decision is one job of a
-    {!Farm.Pool}, whose helper domains certify while the caller goes on
+    Steps are certified in a {!session}: each step's whole decision is
+    one job of a {!Farm.Pool}, submitted as the step arrives ({!add}), whose helper domains certify while the caller goes on
     (refactoring, typically); {!finish} joins the pool, so every step
     gets the certificate and stats it would get alone.
     {!certify_steps} is a session fed every step up front. *)
@@ -32,7 +29,7 @@ type counterexample = Equivalence.counterexample = {
 val counterexample_to_string : counterexample -> string
 
 (** How a target was certified, written [identical], [closure],
-    [scheme:<name>], [vc:N], [reused:oracle:N[:exhaustive]],
+    [scheme:<name>], [reused:oracle:N[:exhaustive]],
     [oracle:N[:exhaustive]] or [entries:N]. *)
 type method_ =
   | M_identical
@@ -47,7 +44,6 @@ type method_ =
           [extraction]: {!Extraction.check_scheme}, for a split or a
           clone extraction; [renaming]: {!Storage_adjust.check_renaming});
           a scheme covers every target of its step *)
-  | M_vc of int  (** this many equivalence VCs discharged on the farm *)
   | M_reused of { trials : int; exhaustive : bool }
       (** the transformation's own oracle agreement on exactly these two
           programs ({!Transform.Oracle_agreement}), with at least
@@ -61,7 +57,7 @@ type method_ =
 
 val decided : method_ -> bool
 (** The strength of a certificate: [true] for a decision (identity,
-    closure, scheme, a discharged VC, an exhaustive oracle), [false] for
+    closure, scheme, an exhaustive oracle), [false] for
     sampled evidence. *)
 
 type certificate =
@@ -81,45 +77,40 @@ type config = {
   cf_trials : int;        (** oracle trials per target *)
   cf_fuel : int;          (** interpreter step bound per oracle run *)
   cf_jobs : int;
-      (** proof-farm width, one job per step; while steps are still
+      (** farm width, one job per step; while steps are still
           arriving, [cf_jobs - 1] helper domains run them *)
-  cf_cache : Farm.Cache.t option;
-  cf_budget : Vcgen.budget;
   cf_entries : string list;
       (** behavioural entry points: certification targets when the
           program shape changed, fallback for unsampleable targets *)
 }
 
 val default_config : ?entries:string list -> unit -> config
-(** Seed 42, 24 trials, 2M fuel, 1 job, no cache, default VC budget. *)
+(** Seed 42, 24 trials, 2M fuel, 1 job. *)
 
 type stats = {
   ct_steps : int;
   ct_targets : int;
   ct_vcs_generated : int;
-  ct_vcs_proved : int;
-  ct_cache_hits : int;
-  ct_cache_misses : int;
+      (** always 0: kept for perfbench; removed with the next perfbench
+          chore *)
   ct_oracle_trials : int;
       (** trials the oracle ran for this certification ([M_oracle],
           [M_entries]); a reused verdict's trials are not counted *)
   ct_decided : int;  (** certified targets with {!decided} evidence *)
   ct_sampled : int;  (** certified targets with sampled evidence *)
   ct_vc_seconds : float;
-      (** wall seconds discharging equivalence VCs — the part the proof
-          cache can amortise *)
+      (** always 0.0: kept for perfbench; removed with the next perfbench
+          chore *)
   ct_oracle_seconds : float;
-      (** wall seconds deciding targets past the VCs: closure tests,
-          claim checks and differential interpreter runs — never
-          persisted, so a warm proof cache repays only [ct_vc_seconds] *)
+      (** wall seconds deciding the step: the diff, closure tests, claim
+          checks and differential interpreter runs *)
 }
-(** The two timing fields are the wall time certification adds after the
+(** [ct_oracle_seconds] is the wall time certification adds after the
     caller's own work, not busy time summed over farm domains: from
-    {!finish}'s start, the jobs still queued or running and the cache
-    writes take some wall time, and it is shared out over the steps and
-    the two fields in proportion to their busy seconds.  Work
-    the helpers did while the caller was busy, and planning (the diff
-    and VC generation), are in neither. *)
+    {!finish}'s start, the jobs still queued or running take some wall
+    time, and it is shared out over the steps in proportion to their busy
+    seconds.  Work the helpers did while the caller was busy is not in
+    it. *)
 
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
@@ -143,25 +134,17 @@ val start : config -> session
     nest the caller's later spans. *)
 
 val add : session -> step -> unit
-(** Plan one step on the calling domain: diff, targets, equivalence VCs
-    and every proof-cache lookup, in step order (a key an earlier step
-    proves is a later step's hit, as if that step had saved first).
-    Then submit the step to the pool as one job, at any width: prove the
-    VCs the cache does not settle, then per residual target closure
-    identity (entry-point targets only), the step's claim (checked at
-    most once), the oracle and the entry-point fallback.  A key an
-    earlier step also looked up is proved again in this step's job.  At
-    width 1 nothing runs before {!finish}. *)
+(** Submit one step to the pool as one job, at any width: the diff and
+    its targets, then per target closure identity (entry-point targets
+    only), the step's claim (checked at most once), the oracle and the
+    entry-point fallback.  At width 1 nothing runs before {!finish}. *)
 
 val finish : session -> (certificate * stats) list
-(** Close the pool with the calling domain as a worker, add the proofs of
-    each step's first-looked keys to the cache in step order and save it
-    once: one result per added step, in order.  Certificates,
-    counterexamples and every count equal certification of the steps
-    one at a time in order (a cache hit included, when an earlier step
-    proved the key), whatever the width and however the steps split
-    between the helpers and the tail; steps after a refuted one are
-    certified too.  With telemetry on, the interpreter and
+(** Close the pool with the calling domain as a worker: one result per
+    added step, in order.  Certificates, counterexamples and every count
+    equal certification of the steps one at a time, whatever the width
+    and however the steps split between the helpers and the tail; steps
+    after a refuted one are certified too.  With telemetry on, the interpreter and
     {!Minispark.Share} memo events of every job and of the calling
     domain are published as [interp_memo_*] and [share_*_memo_*]
     counters. *)

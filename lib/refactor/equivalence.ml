@@ -186,27 +186,18 @@ let memo_readings () =
 (* ------------------------------------------------------------------ *)
 
 (* Digest of every declaration a run of [name] can observe
-   ([Share.closure_digest]), rooted at [name], every type declaration
-   (resolution and coercion read them) and every global initialiser that
-   calls a subprogram (a call during global initialisation could write a
-   global the target reads).  Nothing else executes in a run whose global
-   initialisation succeeds. *)
+   ([Share.closure_digest]), rooted at [name] and every type declaration
+   (resolution and coercion read them).  No other declaration can change
+   what a run of [name] computes once global initialisation succeeds: the
+   type checker keeps functions from writing globals or calling
+   procedures and rejects forward references, so an initialiser that
+   calls a subprogram sets only its own object.  Whether initialisation
+   succeeds is [same_closure]'s separate check. *)
 let closure_digest (prog : Ast.program) name =
-  let subs = Hashtbl.create 32 in
-  List.iter
-    (fun (sp : Ast.subprogram) -> Hashtbl.replace subs sp.Ast.sub_name ())
-    (Ast.subprograms prog);
-  let is_sub = Hashtbl.mem subs in
   Share.closure_digest prog
     (name
     :: List.filter_map
-         (fun d ->
-           match d with
-           | Ast.Dtype (n, _) -> Some n
-           | Ast.Dconst _ | Ast.Dvar _ ->
-               if List.exists is_sub (Share.decl_refs d) then Some (Ast.decl_name d)
-               else None
-           | Ast.Dsub _ -> None)
+         (function Ast.Dtype (n, _) -> Some n | _ -> None)
          prog.Ast.prog_decls)
 
 (* A target whose closure is the same in both versions, in two programs

@@ -52,9 +52,9 @@ val oracle :
     environment must be its program's own. *)
 
 val closure_digest : Ast.program -> string -> string
-(** Digest of everything a run of a subprogram can observe: its reachable
-    declarations, every type declaration and every global initialiser
-    that calls a subprogram — the key of {!same_closure}. *)
+(** Digest of everything a run of a subprogram can observe once global
+    initialisation succeeds: its reachable declarations and every type
+    declaration — the key of {!same_closure}. *)
 
 val same_closure :
   fuel:int -> Typecheck.env * Ast.program -> Typecheck.env * Ast.program -> string ->

@@ -63,12 +63,6 @@ type gen = {
   mutable sizes : (string * int) list;  (** vc name -> unfolded node count *)
   sub : Ast.subprogram;
   var_types : (string * Ast.typ) list;  (** resolved types of all visible objects *)
-  record_vcs : bool;
-      (** false in equivalence mode: safety/annotation VCs are budgeted but
-          not recorded — only the final-state equalities matter there *)
-  mutable returns : (sym_state * sized option) list;
-      (** exit paths ended by [Return], with the result term — collected so
-          equivalence generation can compare final states across versions *)
 }
 
 let fresh_name g base =
@@ -221,20 +215,18 @@ let emit g st kind goal_sized =
   if g.total_nodes > g.budget.max_total_nodes then
     raise (Over_total
              (Printf.sprintf "total VC budget exceeded in %s" g.sub.Ast.sub_name));
-  if g.record_vcs then begin
-    let name = Printf.sprintf "%s.%d" g.sub.Ast.sub_name (List.length g.vcs + 1) in
-    let vc =
-      {
-        F.vc_name = name;
-        vc_sub = g.sub.Ast.sub_name;
-        vc_kind = kind;
-        vc_hyps = List.rev_map (fun h -> h.t) st.hyps;
-        vc_goal = goal_sized.t;
-      }
-    in
-    g.vcs <- vc :: g.vcs;
-    g.sizes <- (name, vc_nodes) :: g.sizes
-  end
+  let name = Printf.sprintf "%s.%d" g.sub.Ast.sub_name (List.length g.vcs + 1) in
+  let vc =
+    {
+      F.vc_name = name;
+      vc_sub = g.sub.Ast.sub_name;
+      vc_kind = kind;
+      vc_hyps = List.rev_map (fun h -> h.t) st.hyps;
+      vc_goal = goal_sized.t;
+    }
+  in
+  g.vcs <- vc :: g.vcs;
+  g.sizes <- (name, vc_nodes) :: g.sizes
 
 let add_hyp st h = { st with hyps = h :: st.hyps }
 
@@ -446,12 +438,8 @@ let rec exec_stmt g (paths : path list) (stmt : Ast.stmt) : path list =
           | Some e ->
               check_expr_safety g st e;
               let st = assume_function_posts g st e in
-              let r = tr g st e in
-              g.returns <- (st, Some r) :: g.returns;
-              finalize_post g st ~result:(Some r)
-          | None ->
-              g.returns <- (st, None) :: g.returns;
-              finalize_post g st ~result:None))
+              finalize_post g st ~result:(Some (tr g st e))
+          | None -> finalize_post g st ~result:None))
         paths;
       [] (* path ends *)
   | Ast.Call_stmt (name, args) ->
@@ -737,8 +725,6 @@ let generate_sub_exn ~budget env program (sub : Ast.subprogram) : sub_report =
       sizes = [];
       sub;
       var_types = var_types_of env program sub;
-      record_vcs = true;
-      returns = [];
     }
   in
   let st0 = initial_state g sub in
@@ -878,218 +864,3 @@ let max_vc_lines r =
       List.fold_left (fun acc (_, n) -> max acc (1 + (bytes_of_nodes n / 78))) acc
         s.sr_sizes)
     0 r.r_subs
-
-(* ------------------------------------------------------------------ *)
-(* Equivalence VCs for certified refactoring                           *)
-(*                                                                     *)
-(* Both versions of a touched subprogram are executed symbolically     *)
-(* from one shared initial state (same parameter symbols = equal       *)
-(* inputs); the product of their exit paths yields one VC per          *)
-(* observable output — function result, out / in-out parameter,        *)
-(* written global — stating the two final values are equal under both  *)
-(* preconditions (the transformation's applicability side-conditions). *)
-(*                                                                     *)
-(* Objects whose *definitions* differ between the versions (a mutated  *)
-(* table constant, a re-initialised global) must not share a symbol:   *)
-(* each side binds its own tagged symbol with its own defining         *)
-(* equation, otherwise contradictory hypotheses would make every goal  *)
-(* vacuously provable.  Fresh (havoc) symbols are disjoint by          *)
-(* construction: side B's counter starts far above side A's.           *)
-(*                                                                     *)
-(* Loops and callee havoc leave outputs under-constrained (invariants  *)
-(* rarely pin exact values), so loopy bodies are rejected upfront —    *)
-(* the differential oracle covers them.                                *)
-(* ------------------------------------------------------------------ *)
-
-let loop_free stmts =
-  let ok = ref true in
-  Ast.iter_stmts
-    (fun s -> match s with Ast.For _ | Ast.While _ -> ok := false | _ -> ())
-    stmts;
-  !ok
-
-let divergent_objects prog_a prog_b =
-  let objs p =
-    List.map (fun (c : Ast.const_decl) -> (c.Ast.k_name, `C c)) (Ast.constants p)
-    @ List.map (fun (v : Ast.var_decl) -> (v.Ast.v_name, `V v)) (Ast.global_vars p)
-  in
-  let a = objs prog_a and b = objs prog_b in
-  let names = List.sort_uniq String.compare (List.map fst a @ List.map fst b) in
-  List.filter
-    (fun x ->
-      match (List.assoc_opt x a, List.assoc_opt x b) with
-      | Some da, Some db -> da <> db
-      | _ -> true)
-    names
-
-let equiv_initial_state g ~tag ~divergent (sub : Ast.subprogram) =
-  let st = { bindings = []; hyps = [] } in
-  (* parameters: shared symbols (equal initial states), range facts *)
-  let st =
-    List.fold_left
-      (fun st (p : Ast.param) ->
-        let t = Typecheck.resolve g.env p.Ast.par_typ in
-        let st =
-          match range_fact g t (F.var p.Ast.par_name) with
-          | Some fact -> add_hyp st (sized_of_formula fact)
-          | None -> st
-        in
-        add_hyp st
-          (sized_of_formula
-             (F.eq (F.var (old_sym p.Ast.par_name)) (F.var p.Ast.par_name))))
-      st sub.Ast.sub_params
-  in
-  (* side-tag objects whose definitions differ between the versions *)
-  let st =
-    List.fold_left (fun st x -> set_var st x (leaf (F.var (x ^ tag)))) st divergent
-  in
-  (* locals with initialisers *)
-  let st =
-    List.fold_left
-      (fun st (v : Ast.var_decl) ->
-        match v.Ast.v_init with
-        | Some e -> set_var st v.Ast.v_name (tr g st e)
-        | None -> st)
-      st sub.Ast.sub_locals
-  in
-  (* used constants: defining equations on this side's own symbol *)
-  let st =
-    List.fold_left
-      (fun st (c : Ast.const_decl) ->
-        add_hyp st
-          (sized_of_formula
-             (F.eq (lookup_binding st c.Ast.k_name).t (tr g st c.Ast.k_value).t)))
-      st (used_constants g sub)
-  in
-  (* initialised divergent globals: defining equations too *)
-  let st =
-    List.fold_left
-      (fun st (v : Ast.var_decl) ->
-        match v.Ast.v_init with
-        | Some e when List.mem v.Ast.v_name divergent ->
-            add_hyp st
-              (sized_of_formula
-                 (F.eq (lookup_binding st v.Ast.v_name).t (tr g st e).t))
-        | _ -> st)
-      st (Ast.global_vars g.program)
-  in
-  match sub.Ast.sub_pre with
-  | Some pre -> add_hyp st (tr g st pre)
-  | None -> st
-
-let written_globals g (sub : Ast.subprogram) =
-  let out_params_of name =
-    match Ast.find_sub g.program name with
-    | Some callee ->
-        List.mapi (fun k (p : Ast.param) -> (k, p.Ast.par_mode)) callee.Ast.sub_params
-        |> List.filter_map (fun (k, m) ->
-               match m with
-               | Ast.Mode_out | Ast.Mode_in_out -> Some k
-               | Ast.Mode_in -> None)
-    | None -> []
-  in
-  let written = Ast.written_vars ~out_params_of sub.Ast.sub_body in
-  let globals =
-    List.map (fun (v : Ast.var_decl) -> v.Ast.v_name) (Ast.global_vars g.program)
-  in
-  let locals = List.map (fun (v : Ast.var_decl) -> v.Ast.v_name) sub.Ast.sub_locals in
-  let params = List.map (fun (p : Ast.param) -> p.Ast.par_name) sub.Ast.sub_params in
-  List.filter
-    (fun x ->
-      List.mem x globals && (not (List.mem x locals)) && not (List.mem x params))
-    written
-
-let equivalence_sub ?(budget = default_budget) ~before:(env_a, prog_a)
-    ~after:(env_b, prog_b) name : F.vc list =
-  let sub_a = Ast.find_sub_exn prog_a name in
-  let sub_b = Ast.find_sub_exn prog_b name in
-  if not (loop_free sub_a.Ast.sub_body && loop_free sub_b.Ast.sub_body) then
-    raise
-      (Infeasible
-         (Printf.sprintf "%s has loops: outputs under-constrained, oracle only"
-            name));
-  let divergent = divergent_objects prog_a prog_b in
-  let run tag offset env program sub =
-    let g =
-      {
-        env;
-        program;
-        budget;
-        total_nodes = 0;
-        fresh = offset;
-        vcs = [];
-        sizes = [];
-        sub;
-        var_types = var_types_of env program sub;
-        record_vcs = false;
-        returns = [];
-      }
-    in
-    let st0 = equiv_initial_state g ~tag ~divergent sub in
-    let finals = as_infeasible (fun () -> exec_stmts g [ st0 ] sub.Ast.sub_body) in
-    (g, finals)
-  in
-  let g_a, finals_a = run "!old" 0 env_a prog_a sub_a in
-  let g_b, finals_b = run "!new" 1_000_000 env_b prog_b sub_b in
-  (* exit paths: fall-through states (procedures) plus explicit returns *)
-  let exits g finals = List.map (fun st -> (st, None)) finals @ List.rev g.returns in
-  let exits_a = exits g_a finals_a and exits_b = exits g_b finals_b in
-  if List.length exits_a * List.length exits_b > budget.max_paths then
-    raise (Infeasible (Printf.sprintf "path product explosion in %s" name));
-  let outs =
-    List.filter_map
-      (fun (p : Ast.param) ->
-        match p.Ast.par_mode with
-        | Ast.Mode_out | Ast.Mode_in_out -> Some p.Ast.par_name
-        | Ast.Mode_in -> None)
-      sub_b.Ast.sub_params
-  in
-  let written_g =
-    List.sort_uniq String.compare
-      (written_globals g_a sub_a @ written_globals g_b sub_b)
-  in
-  let counter = ref 0 and total = ref 0 and vcs = ref [] in
-  let emit_eq (st_a : sym_state) (st_b : sym_state) (ta : sized) (tb : sized) =
-    incr counter;
-    let nodes =
-      List.fold_left (fun acc h -> acc + h.n) 0 st_a.hyps
-      + List.fold_left (fun acc h -> acc + h.n) 0 st_b.hyps
-      + ta.n + tb.n + 1
-    in
-    if nodes > budget.max_vc_nodes then
-      raise
-        (Infeasible
-           (Printf.sprintf "equivalence VC in %s exceeds per-VC budget (%d nodes)"
-              name nodes));
-    total := !total + nodes;
-    if !total > budget.max_total_nodes then
-      raise (Infeasible (Printf.sprintf "total equivalence budget exceeded in %s" name));
-    vcs :=
-      {
-        F.vc_name = Printf.sprintf "%s.equiv.%d" name !counter;
-        vc_sub = name;
-        vc_kind = F.Vc_equivalence;
-        vc_hyps =
-          List.rev_map (fun h -> h.t) st_a.hyps
-          @ List.rev_map (fun h -> h.t) st_b.hyps;
-        vc_goal = F.eq ta.t tb.t;
-      }
-      :: !vcs
-  in
-  List.iter
-    (fun ((st_a, ret_a) : sym_state * sized option) ->
-      List.iter
-        (fun ((st_b, ret_b) : sym_state * sized option) ->
-          (match (sub_b.Ast.sub_return, ret_a, ret_b) with
-          | Some _, Some ra, Some rb -> emit_eq st_a st_b ra rb
-          | _ -> ());
-          let observed = if sub_b.Ast.sub_return = None then outs else [] in
-          List.iter
-            (fun x ->
-              emit_eq st_a st_b (lookup_binding st_a x) (lookup_binding st_b x))
-            (observed @ written_g))
-        exits_b)
-    exits_a;
-  if !counter = 0 then
-    raise (Infeasible (Printf.sprintf "%s has no comparable outputs" name));
-  List.rev !vcs

@@ -80,25 +80,6 @@ val vc_digests : report -> (string * string list) list
 val bytes_of_nodes : int -> int
 (** Approximate printed bytes of an unfolded term tree (~8 per node). *)
 
-val equivalence_sub :
-  ?budget:budget ->
-  before:Typecheck.env * Ast.program ->
-  after:Typecheck.env * Ast.program ->
-  string -> Logic.Formula.vc list
-(** Equivalence VCs for one subprogram present in two program versions:
-    both bodies are executed symbolically from a shared initial state
-    (same parameter symbols = equal inputs; objects whose definitions
-    differ are side-tagged with their own defining equations), and the
-    product of exit paths yields one [Vc_equivalence] goal per observable
-    output — function result, out / in-out parameter, written global —
-    under both versions' preconditions (the applicability
-    side-conditions).
-
-    @raise Infeasible when a body has loops (outputs would be
-    havoc-under-constrained — the differential oracle covers those), when
-    the path product or node budget is exceeded, or when there is no
-    comparable output. *)
-
 val max_vc_lines : report -> int
 (** Printed-line length of the longest VC (the paper's "maximum length of
     verification conditions" metric). *)

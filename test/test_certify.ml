@@ -1,7 +1,8 @@
-(* Certification layer: per-step equivalence VCs plus the differential
-   fuzzing oracle.  Covers the certificate decision procedure on small
-   programs, refutation of the seeded defect corpus, divergence detection
-   through the interpreter fuel bound, and proof-cache reuse. *)
+(* Certification layer: closure identity, checked transformation schemes
+   and the differential fuzzing oracle.  Covers the certificate decision
+   procedure on small programs, refutation of the seeded defect corpus,
+   divergence detection through the interpreter fuel bound, and batches
+   that answer as step by step. *)
 
 open Minispark
 module C = Refactor.Certify
@@ -51,18 +52,42 @@ let test_annotation_only () =
   | C.Certified [ (_, C.M_identical) ] -> ()
   | c -> Alcotest.failf "expected identical certificate, got %s" (C.describe c)
 
-let test_vc_certifies_inline_temp () =
-  (* remove the temporary: both sides translate to the same term, so the
-     equivalence VC is discharged statically *)
+let test_inline_temp_exhaustive () =
+  (* remove the temporary: [double]'s byte domain is small enough to
+     enumerate, so the oracle decides the step *)
   let after =
     Str_replace.replace base_src ~find:"t := x + x;
     return t;"
       ~by:"return x + x;"
   in
   match certify_pair base_src after with
-  | C.Certified [ ("double", C.M_vc n) ] ->
-      Alcotest.(check bool) "at least one VC" true (n >= 1)
-  | c -> Alcotest.failf "expected VC certificate, got %s" (C.describe c)
+  | C.Certified [ ("double", (C.M_oracle { trials = 256; exhaustive = true } as m)) ] ->
+      Alcotest.(check bool) "decided" true (C.decided m)
+  | c -> Alcotest.failf "expected an exhaustive oracle certificate, got %s" (C.describe c)
+
+let test_loop_free_integer_sampled () =
+  (* a loop-free rewrite over an [integer] parameter: no rule decides it
+     and the domain is too large to enumerate, so it is sampled *)
+  let src body =
+    Printf.sprintf
+      {|
+program ints is
+
+  function inc (x : in integer) return integer
+  --# pre x >= 0 and x <= 1000;
+  is
+  begin
+    %s
+  end inc;
+
+end ints;
+|}
+      body
+  in
+  match certify_pair (src "return x + 1;") (src "return 1 + x;") with
+  | C.Certified [ ("inc", (C.M_oracle { trials = 24; exhaustive = false } as m)) ] ->
+      Alcotest.(check bool) "sampled, not decided" false (C.decided m)
+  | c -> Alcotest.failf "expected oracle:24, got %s" (C.describe c)
 
 let test_oracle_refutes_broken_rewrite () =
   let after = Str_replace.replace base_src ~find:"t := x + x;" ~by:"t := x + 1;" in
@@ -121,64 +146,6 @@ let test_zero_trials_is_unknown () =
   match certify_pair ~cfg base_src after with
   | C.Unknown _ -> ()
   | c -> Alcotest.failf "expected Unknown on zero trials, got %s" (C.describe c)
-
-let test_vc_cache_reuse () =
-  let after =
-    Str_replace.replace base_src ~find:"t := x + x;
-    return t;"
-      ~by:"return x + x;"
-  in
-  let dir = Filename.temp_file "certify_cache" "" in
-  Sys.remove dir;
-  let cache = Farm.Cache.open_ ~dir in
-  let cfg = { (C.default_config ()) with C.cf_cache = Some cache } in
-  let before = check_src base_src and after = check_src after in
-  let _, s1 = C.certify cfg ~step_name:"cold" ~before ~after in
-  let cache2 = Farm.Cache.open_ ~dir in
-  let cfg2 = { cfg with C.cf_cache = Some cache2 } in
-  let c2, s2 = C.certify cfg2 ~step_name:"warm" ~before ~after in
-  Alcotest.(check bool) "still certified" true (is_certified c2);
-  Alcotest.(check bool) "cold run missed" true (s1.C.ct_cache_misses > 0);
-  Alcotest.(check int) "warm run all hits" s1.C.ct_vcs_generated s2.C.ct_cache_hits;
-  Alcotest.(check int) "warm run no misses" 0 s2.C.ct_cache_misses
-
-(* an entry recorded under an older key — ":certify:v1", before
-   quantifier instantiation was pattern-directed, or ":certify:v2", before
-   a discharged instance's conjuncts became facts of their own — is a
-   miss: the VC is re-proved and the certificate is the cold run's, even
-   where the old entry contradicts the proof *)
-let test_old_entries_miss version () =
-  let after =
-    Str_replace.replace base_src ~find:"t := x + x;
-    return t;"
-      ~by:"return x + x;"
-  in
-  let before = check_src base_src and after = check_src after in
-  let dir = Filename.temp_file "certify_cache" "" in
-  Sys.remove dir;
-  let cfg cache = { (C.default_config ()) with C.cf_cache = Some cache } in
-  let c1, s1 = C.certify (cfg (Farm.Cache.open_ ~dir)) ~step_name:"cold" ~before ~after in
-  let entries = Test_farm.index_entries dir in
-  Alcotest.(check bool) "the cold run recorded entries" true (entries <> []);
-  let old_dir = Filename.temp_file "certify_cache" "" in
-  Sys.remove old_dir;
-  let old = Farm.Cache.open_ ~dir:old_dir in
-  List.iter
-    (fun (key, status) ->
-      match Astring.String.cut ~rev:true ~sep:":certify:v3" key with
-      | Some (digest, "") ->
-          Farm.Cache.add old (digest ^ ":certify:" ^ version)
-            (Test_farm.contrary_entry status)
-      | _ -> Alcotest.failf "key %s lacks the v3 suffix" key)
-    entries;
-  Alcotest.(check bool) (version ^ " entries saved") true (Farm.Cache.save old = Ok ());
-  let c2, s2 =
-    C.certify (cfg (Farm.Cache.open_ ~dir:old_dir)) ~step_name:version ~before ~after
-  in
-  Alcotest.(check int) ("no " ^ version ^ " entry hits") 0 s2.C.ct_cache_hits;
-  Alcotest.(check int) "every VC misses" s1.C.ct_cache_misses s2.C.ct_cache_misses;
-  Alcotest.(check int) "re-proved as cold" s1.C.ct_vcs_proved s2.C.ct_vcs_proved;
-  Alcotest.(check string) "the cold certificate" (C.describe c1) (C.describe c2)
 
 let test_add_stats_sums_seconds () =
   let a = { C.zero_stats with C.ct_steps = 1; ct_vc_seconds = 1.5; ct_oracle_seconds = 0.25 } in
@@ -303,14 +270,14 @@ let expect_refuted what = function
   | c -> Alcotest.failf "%s: expected a refutation, got %s" what (C.describe c)
 
 (* evidence for [name] that no closure, scheme or reuse rule gave: the
-   oracle ran (or an equivalence VC proved it) *)
+   oracle ran *)
 let expect_sampled what name cert =
   match method_of name cert with
-  | Some (C.M_oracle _ | C.M_vc _) -> ()
+  | Some (C.M_oracle _) -> ()
   | _ -> Alcotest.failf "%s: expected %s sampled, got %s" what name (C.describe cert)
 
-(* [f] is a memoized const function that calls [g] and reads [t]; the
-   loop keeps [p]'s equivalence VC out of reach, so [p] is sampled *)
+(* [f] is a memoized const function that calls [g] and reads [t]; [p]
+   is sampled *)
 let memo_src =
   {|
 program memo is
@@ -436,7 +403,8 @@ end init;
 |}
 
 let test_closure_initialiser_calls_changed () =
-  (* f reads neither k nor g, but k's initialiser calls g *)
+  (* f reads neither k nor g, and k's initialiser, which calls g, sets
+     only k: f's closure is unchanged and both versions initialise *)
   let before = check_src init_src in
   let after =
     check_src
@@ -445,7 +413,26 @@ let test_closure_initialiser_calls_changed () =
   in
   let cfg = C.default_config ~entries:[ "f" ] () in
   let cert, _ = certify_step ~cfg before after in
-  expect_sampled "initialiser calls the changed g" "f" cert
+  match method_of "f" cert with
+  | Some C.M_closure -> ()
+  | _ -> Alcotest.failf "expected f closure, got %s" (C.describe cert)
+
+let test_closure_initialiser_raises_after () =
+  (* the edit makes k's initialiser raise in the after version: f's
+     closure is still unchanged, but the after version never initialises,
+     so f is no closure target and the oracle refutes the step *)
+  let before = check_src init_src in
+  let after =
+    check_src
+      (with_unused ~before_end:"end init;"
+         (Str_replace.replace init_src ~find:"return x + 1;" ~by:"return 1 / (x - 1);"))
+  in
+  Alcotest.(check bool) "f's closure is unchanged" true
+    (E.closure_digest (snd before) "f" = E.closure_digest (snd after) "f");
+  Alcotest.(check bool) "no closure identity" false
+    (E.same_closure ~fuel:2_000_000 before after "f");
+  let cfg = C.default_config ~entries:[ "f" ] () in
+  expect_refuted "an initialiser raising after the edit" (fst (certify_step ~cfg before after))
 
 let test_closure_initialisation_raises () =
   (* a new constant whose initialiser raises: f's closure is unchanged,
@@ -1115,16 +1102,10 @@ let test_aes_script_fully_certified () =
 
 module H = Refactor.History
 
-let fresh_cache () =
-  let dir = Filename.temp_file "certify_cache" "" in
-  Sys.remove dir;
-  Farm.Cache.open_ ~dir
-
 (* every stats field but the two timings *)
 let counts (s : C.stats) =
-  [ s.C.ct_steps; s.C.ct_targets; s.C.ct_vcs_generated; s.C.ct_vcs_proved;
-    s.C.ct_cache_hits; s.C.ct_cache_misses; s.C.ct_oracle_trials; s.C.ct_decided;
-    s.C.ct_sampled ]
+  [ s.C.ct_steps; s.C.ct_targets; s.C.ct_vcs_generated; s.C.ct_oracle_trials;
+    s.C.ct_decided; s.C.ct_sampled ]
 
 let as_step (s : H.step) =
   { C.sp_name = s.H.st_name;
@@ -1132,12 +1113,10 @@ let as_step (s : H.step) =
     sp_after = (s.H.st_env_after, s.H.st_after);
     sp_claim = s.H.st_claim }
 
-(* the full AES script's steps, and each certified alone, in order, with
-   one cache across the steps *)
+(* the full AES script's steps, and each certified alone, in order *)
 let aes_cfg jobs =
   { (C.default_config ~entries:[ "encrypt_block"; "decrypt_block" ] ()) with
-    C.cf_jobs = jobs;
-    cf_cache = Some (fresh_cache ()) }
+    C.cf_jobs = jobs }
 
 let aes_steps =
   lazy (List.map as_step (H.steps (snd (Aes.Aes_refactoring.run ~kat_gate:false ()))))
@@ -1308,6 +1287,34 @@ let test_batch_equals_steps () =
         (timed > 0.0 && timed <= wall +. 1e-6))
     [ 1; 2 ]
 
+(* the VC fields [Certify.stats] keeps for perfbench: no step of the full
+   AES script generates a VC or spends prover time *)
+let test_aes_no_vc_work () =
+  List.iter
+    (fun ((sp : C.step), (_, s)) ->
+      Alcotest.(check int) (sp.C.sp_name ^ ": no VC generated") 0 s.C.ct_vcs_generated;
+      Alcotest.(check (float 0.0)) (sp.C.sp_name ^ ": no VC time") 0.0 s.C.ct_vc_seconds)
+    (List.combine (Lazy.force aes_steps) (Lazy.force aes_alone))
+
+(* two steps over [base_src], certified as one batch at width 1 and 2:
+   each gets the certificate and counts it gets certified alone *)
+let test_two_step_batch_equals_steps () =
+  let after =
+    check_src
+      (Str_replace.replace base_src ~find:"t := x + x;
+    return t;" ~by:"return x + x;")
+  in
+  let step name =
+    { C.sp_name = name; sp_before = check_src base_src; sp_after = after; sp_claim = None }
+  in
+  let steps = [ step "a"; step "b" ] in
+  let alone = List.map (fun sp -> List.hd (C.certify_steps (C.default_config ()) [ sp ])) steps in
+  List.iter
+    (fun jobs ->
+      expect_alone ~jobs steps alone
+        (C.certify_steps { (C.default_config ()) with C.cf_jobs = jobs } steps))
+    [ 1; 2 ]
+
 (* the full AES script certified while it runs, at width 1 (after the
    script) and 2 (beside it): the certificates and counts of every step
    certified alone, and timing fields that add up to no more than the
@@ -1337,35 +1344,6 @@ let test_run_certified_equals_steps () =
         true
         (timing stats > 0.0 && timing stats <= wall +. 1e-6))
     [ 1; 2 ]
-
-(* a key an earlier step of the batch proved is a later step's cache hit,
-   exactly as when the steps are certified one after another *)
-let test_batch_cache_replay () =
-  let after =
-    check_src
-      (Str_replace.replace base_src ~find:"t := x + x;
-    return t;" ~by:"return x + x;")
-  in
-  let step name =
-    { C.sp_name = name; sp_before = check_src base_src; sp_after = after; sp_claim = None }
-  in
-  let run f =
-    let cfg = { (C.default_config ()) with C.cf_cache = Some (fresh_cache ()) } in
-    List.map (fun (_, s) -> counts s) (f cfg)
-  in
-  let alone =
-    run (fun cfg ->
-        let a = C.certify_steps cfg [ step "a" ] in
-        a @ C.certify_steps cfg [ step "b" ])
-  in
-  let batch = run (fun cfg -> C.certify_steps cfg [ step "a"; step "b" ]) in
-  Alcotest.(check (list (list int))) "batch counts = one step at a time" alone batch;
-  match batch with
-  | [ _; [ _; _; generated; _; hits; misses; _; _; _ ] ] ->
-      Alcotest.(check bool) "the second step generates VCs" true (generated > 0);
-      Alcotest.(check int) "the second step hits every VC" generated hits;
-      Alcotest.(check int) "the second step misses none" 0 misses
-  | _ -> Alcotest.fail "expected two steps"
 
 (* A three-step script over [base_src]: a good step, a step that breaks
    [scale], then a transformation that rejects.  Certified as a batch,
@@ -1444,7 +1422,8 @@ let test_session_outcomes_any_width () =
     a (i) := a (i) * 2;
     end loop;"
   in
-  (* a renamed parameter makes [h] ineligible for equivalence VCs *)
+  (* a renamed parameter changes [h], whose precondition no byte meets:
+     the oracle cannot sample it *)
   let s2 =
     Str_replace.replace s1 ~find:"function h (x : in byte) return byte
   --# pre x > 300;
@@ -1512,8 +1491,10 @@ let suites =
       [
         Alcotest.test_case "annotation-only change is identical" `Quick
           test_annotation_only;
-        Alcotest.test_case "inline-temp certified by VC" `Quick
-          test_vc_certifies_inline_temp;
+        Alcotest.test_case "inline-temp decided by the exhaustive oracle" `Quick
+          test_inline_temp_exhaustive;
+        Alcotest.test_case "a loop-free integer rewrite is sampled" `Quick
+          test_loop_free_integer_sampled;
         Alcotest.test_case "broken rewrite refuted with counterexample" `Quick
           test_oracle_refutes_broken_rewrite;
         Alcotest.test_case "divergence refuted, not hung" `Quick
@@ -1522,10 +1503,6 @@ let suites =
           test_oracle_certifies_loop_rewrite;
         Alcotest.test_case "zero oracle trials is Unknown, not Certified" `Quick
           test_zero_trials_is_unknown;
-        Alcotest.test_case "VC cache makes re-certification free" `Quick
-          test_vc_cache_reuse;
-        Alcotest.test_case "v1 VC-cache entries miss" `Quick (test_old_entries_miss "v1");
-        Alcotest.test_case "v2 VC-cache entries miss" `Quick (test_old_entries_miss "v2");
         Alcotest.test_case "certify stats seconds add" `Quick
           test_add_stats_sums_seconds;
         Alcotest.test_case "an edit the closure reaches is refuted, cold or warm" `Quick
@@ -1542,8 +1519,10 @@ let suites =
           test_closure_unrelated_addition;
         Alcotest.test_case "closure: an edit inside the closure is sampled" `Quick
           test_closure_edit_inside;
-        Alcotest.test_case "closure: an initialiser calling the edit is sampled" `Quick
+        Alcotest.test_case "closure: an initialiser calling the edit is decided" `Quick
           test_closure_initialiser_calls_changed;
+        Alcotest.test_case "closure: an initialiser the edit makes raise refutes" `Quick
+          test_closure_initialiser_raises_after;
         Alcotest.test_case "closure: initialisation raising in one version refutes" `Quick
           test_closure_initialisation_raises;
         Alcotest.test_case "scheme: a byte-indexed reversal is decided" `Quick
@@ -1627,8 +1606,6 @@ let suites =
           test_batch_equals_steps;
         Alcotest.test_case "AES extraction and renaming steps: no refuted mutant decided"
           `Slow test_scheme_sweep;
-        Alcotest.test_case "an earlier step's proof is a later step's hit" `Quick
-          test_batch_cache_replay;
         Alcotest.test_case "refutation mid-script wins over a later rejection" `Quick
           (test_batch_refutation_mid_script 1);
         Alcotest.test_case "width 2: mid-script refutation wins over a rejection" `Quick
@@ -1637,5 +1614,8 @@ let suites =
           test_session_outcomes_any_width;
         Alcotest.test_case "AES script certified while it runs = step by step" `Slow
           test_run_certified_equals_steps;
+        Alcotest.test_case "AES script: no step generates a VC" `Slow test_aes_no_vc_work;
+        Alcotest.test_case "two steps: batch at widths 1 and 2 = step by step" `Quick
+          test_two_step_batch_equals_steps;
       ] );
   ]

@@ -56,8 +56,10 @@ let test_stale_versions_rejected () =
   CK.clear ~dir
 
 (* a v4 file predates certificates that name their rule and stats that
-   count decided and sampled targets: its certify payload must be refused
-   with the format error, not unmarshalled into today's stats record *)
+   count decided and sampled targets, and a v5 file stats that count
+   equivalence VCs and cache hits and certificates whose constructors
+   include [M_vc]: their certify payloads must be refused with the format
+   error, not unmarshalled into today's stats record *)
 let test_v4_rejected () =
   let dir = temp_dir "v4" in
   mkdir_p dir;
@@ -66,15 +68,18 @@ let test_v4_rejected () =
       (Printf.sprintf "%d-%s.%s.ckpt" (CK.stage_index CK.S_certify)
          (CK.stage_name CK.S_certify) case)
   in
-  write_file file
-    ("ECHO-CKPT v4\n" ^ case ^ "\n"
-    ^ Marshal.to_string ((59, 59, 0, 0), (59, 113, 5, 0, 0, 5, 2712, 0.1, 0.3)) []);
-  (match CK.load ~dir ~case CK.S_certify with
-  | Some (Error why) ->
-      Alcotest.(check bool) ("the format error: " ^ why) true
-        (Astring.String.is_infix ~affix:"format \"ECHO-CKPT v4\"" why)
-  | Some (Ok _) -> Alcotest.fail "a v4 certify checkpoint was accepted"
-  | None -> Alcotest.fail "a v4 certify checkpoint was not even seen");
+  List.iter
+    (fun version ->
+      write_file file
+        (version ^ "\n" ^ case ^ "\n"
+        ^ Marshal.to_string ((59, 59, 0, 0), (59, 113, 5, 0, 0, 5, 2712, 0.1, 0.3)) []);
+      match CK.load ~dir ~case CK.S_certify with
+      | Some (Error why) ->
+          Alcotest.(check bool) ("the format error: " ^ why) true
+            (Astring.String.is_infix ~affix:(Printf.sprintf "format %S" version) why)
+      | Some (Ok _) -> Alcotest.failf "a %s certify checkpoint was accepted" version
+      | None -> Alcotest.failf "a %s certify checkpoint was not even seen" version)
+    [ "ECHO-CKPT v4"; "ECHO-CKPT v5" ];
   CK.clear ~dir
 
 let test_garbage_rejected () =
@@ -86,9 +91,9 @@ let test_garbage_rejected () =
       check_rejected (Printf.sprintf "garbage checkpoint #%d" i) dir)
     [ "";                                    (* empty file *)
       "\x00\x01\x02binary junk";             (* no header line at all *)
-      "ECHO-CKPT v5\n";                      (* header but no case/payload *)
-      "ECHO-CKPT v5\nother-case\nx";         (* foreign case *)
-      "ECHO-CKPT v5\n" ^ case ^ "\nnot-marshal-data" ];
+      "ECHO-CKPT v6\n";                      (* header but no case/payload *)
+      "ECHO-CKPT v6\nother-case\nx";         (* foreign case *)
+      "ECHO-CKPT v6\n" ^ case ^ "\nnot-marshal-data" ];
   CK.clear ~dir
 
 let test_missing_is_none () =
@@ -123,8 +128,7 @@ let test_certificates_roundtrip () =
   let certs =
     [ (0, "reroll(f)",
        Refactor.Certify.Certified
-         [ ("f", Refactor.Certify.M_vc 2);
-           ("g", Refactor.Certify.M_oracle { trials = 24; exhaustive = false });
+         [ ("g", Refactor.Certify.M_oracle { trials = 24; exhaustive = false });
            ("h", Refactor.Certify.M_closure);
            ("i", Refactor.Certify.M_scheme "reverse_table");
            ("j", Refactor.Certify.M_reused { trials = 48; exhaustive = false }) ]);
